@@ -177,3 +177,18 @@ func TestParseBuildOptionsForms(t *testing.T) {
 		}
 	}
 }
+
+// ParsePartition is on every cold build's path: blobs parts share one
+// exact-size backing array and connectivity checks share one scratch, so
+// the allocation count stays flat in the number of parts.
+func TestParsePartitionAllocs(t *testing.T) {
+	g := graph.Grid(64, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParsePartition(g, "blobs:32", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("ParsePartition(grid:64x64, blobs:32) = %v allocs, want <= 15", allocs)
+	}
+}

@@ -79,6 +79,15 @@ func ResizeInts(s []int, n int) []int {
 	return s[:n]
 }
 
+// ResizeInt32s is ResizeInts for the int32 index arrays of CSR-shaped
+// scratch (the diameter routines, shortcut measurement).
+func ResizeInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
 // Eccentricity returns the maximum finite BFS distance from v and the
 // farthest node attaining it. Unreachable nodes are ignored; an isolated
 // node has eccentricity 0 with itself as the farthest node.
@@ -128,22 +137,16 @@ func Components(g *Graph) (label []int, count int) {
 	return label, count
 }
 
-// Diameter returns the exact hop diameter of a connected graph by running a
-// BFS from every node. It returns ErrDisconnected for disconnected graphs.
-// Cost is O(n*m); intended for the moderate instance sizes used in the
-// experiments.
+// Diameter returns the exact hop diameter of a connected graph. It returns
+// ErrDisconnected for disconnected graphs. It runs the bounding search of
+// (*CSR).Diameter on the graph's CSR view, which needs far fewer BFS runs
+// than one per node.
 func Diameter(g *Graph) (int, error) {
-	if !Connected(g) {
+	d := g.CSR().Diameter(new(DiameterScratch))
+	if d < 0 {
 		return 0, ErrDisconnected
 	}
-	diam := 0
-	var scratch BFSResult
-	for v := 0; v < g.NumNodes(); v++ {
-		if ecc, _ := EccentricityInto(&scratch, g, v); ecc > diam {
-			diam = ecc
-		}
-	}
-	return diam, nil
+	return d, nil
 }
 
 // DiameterApprox returns lower and upper bounds on the diameter of a
@@ -151,15 +154,11 @@ func Diameter(g *Graph) (int, error) {
 // by two BFS sweeps, hi is twice the eccentricity of the second sweep's
 // source (a valid upper bound since ecc(v) <= diam <= 2*ecc(v)).
 func DiameterApprox(g *Graph) (lo, hi int, err error) {
-	if !Connected(g) {
+	e := g.CSR().DoubleSweep(new(DiameterScratch))
+	if e < 0 {
 		return 0, 0, ErrDisconnected
 	}
-	if g.NumNodes() <= 1 {
-		return 0, 0, nil
-	}
-	_, far := Eccentricity(g, 0)
-	ecc, _ := Eccentricity(g, far)
-	return ecc, 2 * ecc, nil
+	return e, 2 * e, nil
 }
 
 // InducedDiameter returns the exact diameter of the subgraph induced by the

@@ -117,28 +117,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Reset reinitializes g to an empty graph with n nodes, reusing the edge
-// and adjacency backing arrays — the slice-reuse constructor for loops
-// that build many short-lived graphs (e.g. per-part augmented subgraphs
-// during quality measurement). Any previously memoized CSR view is
-// dropped.
-func (g *Graph) Reset(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative node count %d", n))
-	}
-	g.n = n
-	g.edges = g.edges[:0]
-	if cap(g.adj) < n {
-		g.adj = make([][]Arc, n)
-	} else {
-		g.adj = g.adj[:n]
-		for i := range g.adj {
-			g.adj[i] = g.adj[i][:0]
-		}
-	}
-	g.csr.Store(nil)
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

@@ -46,22 +46,41 @@ func (p *Partition) CanonMemo(f func() []byte) []byte {
 
 // New validates that the given parts are node-disjoint, within range, and
 // that each part induces a connected subgraph of g, and returns the
-// partition. Empty parts are rejected.
+// partition. Empty parts are rejected. The parts are copied into one
+// backing array, so the partition never aliases the caller's slices.
 func New(g *graph.Graph, parts [][]int) (*Partition, error) {
-	p := &Partition{
-		Parts:  make([][]int, len(parts)),
-		PartOf: make([]int, g.NumNodes()),
+	total := 0
+	for _, part := range parts {
+		total += len(part)
 	}
+	backing := make([]int, 0, total)
+	own := make([][]int, len(parts))
+	for i, part := range parts {
+		start := len(backing)
+		backing = append(backing, part...)
+		// A full slice expression: appending to one part (as
+		// FromLabelsInto does on reuse) reallocates instead of running
+		// into the next part.
+		own[i] = backing[start:len(backing):len(backing)]
+	}
+	return validated(g, own)
+}
+
+// validated builds the partition over parts, taking ownership of them:
+// it fills PartOf, rejecting empty, out-of-range and overlapping parts,
+// then checks that every part induces a connected subgraph of g, all on
+// one seen/queue scratch that the returned partition does not keep.
+func validated(g *graph.Graph, parts [][]int) (*Partition, error) {
+	p := &Partition{Parts: parts, PartOf: make([]int, g.NumNodes())}
 	for v := range p.PartOf {
 		p.PartOf[v] = -1
 	}
+	largest := 0
 	for i, part := range parts {
 		if len(part) == 0 {
 			return nil, fmt.Errorf("partition: part %d is empty", i)
 		}
-		cp := make([]int, len(part))
-		copy(cp, part)
-		p.Parts[i] = cp
+		largest = max(largest, len(part))
 		for _, v := range part {
 			if v < 0 || v >= g.NumNodes() {
 				return nil, fmt.Errorf("partition: part %d contains out-of-range node %d", i, v)
@@ -72,11 +91,14 @@ func New(g *graph.Graph, parts [][]int) (*Partition, error) {
 			p.PartOf[v] = i
 		}
 	}
-	for i := range p.Parts {
-		if !p.connectedPart(g, i) {
+	seen := make([]bool, g.NumNodes())
+	p.queue = make([]int, 0, largest)
+	for i := range parts {
+		if !p.connectedPartFlat(g, i, seen) {
 			return nil, fmt.Errorf("partition: part %d does not induce a connected subgraph", i)
 		}
 	}
+	p.queue = nil
 	return p, nil
 }
 
@@ -94,46 +116,59 @@ func (p *Partition) Covered() int {
 	return n
 }
 
-// connectedPart runs a BFS over part i's induced subgraph.
-func (p *Partition) connectedPart(g *graph.Graph, i int) bool {
-	part := p.Parts[i]
-	seen := map[int]bool{part[0]: true}
-	queue := []int{part[0]}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, a := range g.Neighbors(v) {
-			if p.PartOf[a.To] == i && !seen[a.To] {
-				seen[a.To] = true
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return len(seen) == len(part)
-}
-
 // BFSBlobs partitions all nodes of a connected graph into k connected parts
 // by flooding simultaneously from k distinct random seeds: every node joins
 // the region of the seed that reaches it first (BFS Voronoi cells, which are
 // connected because every node's BFS parent lies in the same cell). Requires
-// 1 <= k <= n.
+// 1 <= k <= n. Each part lists its nodes in increasing order; the parts
+// share one exact-size backing array.
 func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 	n := g.NumNodes()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("partition: k = %d out of range [1,%d]", k, n)
 	}
-	if !graph.Connected(g) {
-		return nil, graph.ErrDisconnected
-	}
-	seeds := rng.Perm(n)[:k]
 	owner := make([]int, n)
 	for v := range owner {
 		owner[v] = -1
 	}
-	queue := make([]int, 0, n)
-	for i, s := range seeds {
+	// Connectivity first, on the flood's own arrays: one region from 0.
+	owner[0] = 0
+	queue := flood(g, owner, append(make([]int, 0, n), 0))
+	if len(queue) < n {
+		return nil, graph.ErrDisconnected
+	}
+	for v := range owner {
+		owner[v] = -1
+	}
+	queue = queue[:0]
+	for i, s := range rng.Perm(n)[:k] {
 		owner[s] = i
 		queue = append(queue, s)
 	}
+	flood(g, owner, queue)
+	// Counting pass: start[i] is where part i begins in the backing array.
+	start := make([]int, k+1)
+	for _, o := range owner {
+		start[o+1]++
+	}
+	for i := 1; i <= k; i++ {
+		start[i] += start[i-1]
+	}
+	backing := make([]int, n)
+	parts := make([][]int, k)
+	for i := range parts {
+		parts[i] = backing[start[i]:start[i]:start[i+1]]
+	}
+	for v, o := range owner {
+		parts[o] = append(parts[o], v) // within the part's exact capacity
+	}
+	return validated(g, parts)
+}
+
+// flood grows the labeled nodes in queue into the unlabeled (-1) nodes of
+// owner breadth-first, each node taking the label of the node that
+// reaches it first, and returns queue extended by every node it labeled.
+func flood(g *graph.Graph, owner, queue []int) []int {
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, a := range g.Neighbors(v) {
@@ -143,11 +178,7 @@ func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 			}
 		}
 	}
-	parts := make([][]int, k)
-	for v, o := range owner {
-		parts[o] = append(parts[o], v)
-	}
-	return New(g, parts)
+	return queue
 }
 
 // FromLabelsInto rebuilds p in place from a node-label array, reusing its
@@ -216,8 +247,9 @@ func FromLabelsInto(p *Partition, g *graph.Graph, label []int) (*Partition, erro
 	return p, nil
 }
 
-// connectedPartFlat is connectedPart on reusable scratch: seen must be
-// all-false on entry and is restored to all-false before returning.
+// connectedPartFlat runs a BFS over part i's induced subgraph on reusable
+// scratch, the queue in p.queue: seen must be all-false on entry and is
+// restored to all-false before returning.
 func (p *Partition) connectedPartFlat(g *graph.Graph, i int, seen []bool) bool {
 	part := p.Parts[i]
 	queue := p.queue[:0]
@@ -260,7 +292,7 @@ func FromLabels(g *graph.Graph, label []int) (*Partition, error) {
 		}
 		parts[i] = append(parts[i], v)
 	}
-	return New(g, parts)
+	return validated(g, parts)
 }
 
 // GridRows partitions a Grid(rows, cols) graph into its row paths.
@@ -268,15 +300,16 @@ func GridRows(g *graph.Graph, rows, cols int) (*Partition, error) {
 	if rows*cols != g.NumNodes() {
 		return nil, fmt.Errorf("partition: grid %dx%d does not match %d nodes", rows, cols, g.NumNodes())
 	}
+	backing := make([]int, rows*cols)
 	parts := make([][]int, rows)
-	for r := 0; r < rows; r++ {
-		row := make([]int, cols)
-		for c := 0; c < cols; c++ {
+	for r := range parts {
+		row := backing[r*cols : (r+1)*cols : (r+1)*cols]
+		for c := range row {
 			row[c] = graph.GridIndex(r, c, cols)
 		}
 		parts[r] = row
 	}
-	return New(g, parts)
+	return validated(g, parts)
 }
 
 // WheelRim partitions a Wheel(n) graph into the rim (one big part of induced
@@ -288,15 +321,17 @@ func WheelRim(g *graph.Graph) (*Partition, error) {
 	for v := 1; v < n; v++ {
 		rim[v-1] = v
 	}
-	return New(g, [][]int{rim, {0}})
+	return validated(g, [][]int{rim, {0}})
 }
 
 // Singletons partitions every node into its own part (the starting
 // partition of Boruvka's algorithm).
 func Singletons(g *graph.Graph) (*Partition, error) {
+	backing := make([]int, g.NumNodes())
 	parts := make([][]int, g.NumNodes())
 	for v := range parts {
-		parts[v] = []int{v}
+		backing[v] = v
+		parts[v] = backing[v : v+1 : v+1]
 	}
-	return New(g, parts)
+	return validated(g, parts)
 }

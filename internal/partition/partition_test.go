@@ -244,3 +244,30 @@ func TestFromLabelsIntoSparseFallback(t *testing.T) {
 		t.Errorf("sparse labels misparsed: parts=%d partOf=%v", p.NumParts(), p.PartOf)
 	}
 }
+
+// Parts of one constructor share a backing array; rebuilding such a
+// partition in place where part 0 grows must not run into part 1.
+func TestFromLabelsIntoAfterSharedBacking(t *testing.T) {
+	g := graph.Grid(6, 6)
+	p, err := BFSBlobs(g, 4, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := make([]int, g.NumNodes())
+	for v := range label {
+		if p.PartOf[v] == 3 {
+			label[v] = p.Parts[3][0]
+		} // every other node joins node 0's part, which grows
+	}
+	want, err := FromLabels(g, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromLabelsInto(p, g, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Parts, got.Parts) || !reflect.DeepEqual(want.PartOf, got.PartOf) {
+		t.Errorf("rebuilt parts %v, want %v", got.Parts, want.Parts)
+	}
+}

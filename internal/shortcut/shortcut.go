@@ -2,7 +2,8 @@ package shortcut
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"locshort/internal/graph"
 	"locshort/internal/partition"
@@ -113,13 +114,17 @@ const exactDiameterNodeLimit = 1500
 // edges induced on P_i plus the edges of H_i — G-edges between non-part
 // nodes of V(H_i) that are not in H_i do not count.
 //
-// Measurement runs on flat scratch shared across the parts of one call —
-// a dense per-edge load counter and one reusable augmented subgraph — so
-// cost scales with subgraph sizes, not with map traffic.
+// Measurement runs on a pooled measurer: a dense per-edge load counter, and
+// per part a flat CSR of the augmented subgraph whose exact diameter comes
+// from the bounding search of (*graph.CSR).Diameter. Once the pool holds a
+// measurer sized for the graph, a call allocates nothing.
 func Measure(s *Shortcut) Quality {
+	m := measurers.Get().(*measurer)
+	m.reserve(s.G)
 	q := Quality{DilationExact: true, CoveredParts: s.CoveredCount()}
 	// Congestion, over a dense per-edge counter.
-	load := make([]int32, s.G.NumEdges())
+	load := m.load[:s.G.NumEdges()]
+	clear(load)
 	for i, h := range s.H {
 		if !s.Covered[i] {
 			continue
@@ -132,25 +137,16 @@ func Measure(s *Shortcut) Quality {
 		}
 	}
 	// Dilation and blocks per covered part.
-	var m measurer
 	for i := range s.H {
 		if !s.Covered[i] {
 			continue
 		}
-		sub, nodes := m.buildAugmented(s, i)
+		m.buildAugmented(s, i)
 		var d int
-		if len(nodes) <= exactDiameterNodeLimit {
-			var err error
-			d, err = graph.Diameter(sub)
-			if err != nil {
-				d = -1
-			}
+		if len(m.nodes) <= exactDiameterNodeLimit {
+			d = m.csr.Diameter(&m.diam)
 		} else {
-			_, hi, err := graph.DiameterApprox(sub)
-			if err != nil {
-				hi = -1
-			}
-			d = hi
+			d = 2 * m.csr.DoubleSweep(&m.diam) // -2 when disconnected
 			q.DilationExact = false
 		}
 		if d < 0 {
@@ -161,93 +157,173 @@ func Measure(s *Shortcut) Quality {
 		if d > q.Dilation {
 			q.Dilation = d
 		}
-		if b := m.blocks(s, i, nodes); b > q.MaxBlocks {
+		if b := m.blocks(); b > q.MaxBlocks {
 			q.MaxBlocks = b
 		}
 	}
+	// A measurer goes back to the pool only from a completed call: a panic
+	// part-way through may leave idx entries that m.nodes does not list.
+	measurers.Put(m)
 	return q
 }
 
 // PartDilation returns the diameter of G[P_i]+H_i for a single part (exact,
 // regardless of size), or -1 if the augmented subgraph is disconnected.
 func PartDilation(s *Shortcut, i int) int {
-	var m measurer
-	sub, _ := m.buildAugmented(s, i)
-	d, err := graph.Diameter(sub)
-	if err != nil {
-		return -1
-	}
+	m := measurers.Get().(*measurer)
+	m.reserve(s.G)
+	m.buildAugmented(s, i)
+	d := m.csr.Diameter(&m.diam)
+	measurers.Put(m)
 	return d
 }
 
-// measurer is the per-call scratch of Measure: a global-node-to-local-index
-// table (cleared by walking the previous node list, so clearing is O(sub)),
-// the node list itself, and a reusable subgraph.
+// measurers pools Measure's scratch; its arrays only grow, so steady-state
+// measurement of same-sized graphs does not touch the allocator.
+var measurers = sync.Pool{New: func() any { return new(measurer) }}
+
+// measurer is the scratch of Measure and PartDilation: a
+// global-node-to-local-index table (cleared by walking the previous node
+// list, so clearing is O(sub)), the node list itself, the augmented edge
+// list and its CSR, diameter scratch, and a union-find array.
 type measurer struct {
+	load  []int32 // per-edge count of covered parts whose H_i holds it
 	idx   []int32 // global node -> local index + 1; 0 = absent
 	nodes []int
-	sub   graph.Graph
+	// eu/ev list the augmented edges as local endpoint pairs in insertion
+	// order: induced part edges, then from hStart on the edges of H_i.
+	eu, ev []int32
+	hStart int
+	csr    graph.CSR // EdgeID stays nil: only distances are measured
+	diam   graph.DiameterScratch
+	dsu    []int32
 }
 
-// buildAugmented constructs G[P_i] + H_i into the measurer's reused
-// subgraph, whose node j corresponds to nodes[j] in G. The returned graph
-// and node list stay valid until the next buildAugmented call.
-func (m *measurer) buildAugmented(s *Shortcut, i int) (*graph.Graph, []int) {
-	if cap(m.idx) < s.G.NumNodes() {
-		m.idx = make([]int32, s.G.NumNodes())
+// reserve sizes the scratch for g (n nodes, e edges) in one step: the node
+// arrays to n, the edge arrays to e+n, which holds every tree-restricted
+// augmented subgraph (at most e induced edges plus n-1 tree edges). A
+// measurer fresh from the pool then allocates a fixed dozen arrays instead
+// of regrowing them each time a larger part comes along.
+func (m *measurer) reserve(g *graph.Graph) {
+	n, e := g.NumNodes(), g.NumEdges()
+	if len(m.idx) < n {
+		// m.nodes lists the set entries of m.idx, so both are replaced.
+		m.idx = make([]int32, n)
+		m.nodes = make([]int, 0, n)
+		m.csr.Offsets = make([]int32, 0, n+1)
+		m.dsu = make([]int32, 0, n)
+		m.diam.Reserve(n)
 	}
-	idx := m.idx[:s.G.NumNodes()]
+	if cap(m.load) < e {
+		m.load = make([]int32, e)
+		m.eu = make([]int32, 0, e+n)
+		m.ev = make([]int32, 0, e+n)
+		m.csr.To = make([]int32, 0, 2*(e+n))
+	}
+}
+
+// buildAugmented lays out G[P_i] + H_i in the measurer: m.nodes lists its
+// nodes in increasing global ID (local node j is m.nodes[j]), m.eu/m.ev its
+// edges, and m.csr its adjacency, each node's arcs in edge insertion order.
+//
+//locshort:hotpath
+func (m *measurer) buildAugmented(s *Shortcut, i int) {
 	for _, v := range m.nodes {
-		idx[v] = 0 // clear the previous part's entries
+		m.idx[v] = 0 // clear the previous part's entries
 	}
+	idx, edges := m.idx, s.G.EdgeSlice()
 	nodes := m.nodes[:0]
-	collect := func(v int) {
+	for _, v := range s.Parts.Parts[i] {
 		if idx[v] == 0 {
 			idx[v] = 1
 			nodes = append(nodes, v)
 		}
 	}
-	for _, v := range s.Parts.Parts[i] {
-		collect(v)
-	}
 	for _, id := range s.H[i] {
-		e := s.G.Edge(id)
-		collect(e.U)
-		collect(e.V)
+		for _, v := range [2]int{edges[id].U, edges[id].V} {
+			if idx[v] == 0 {
+				idx[v] = 1
+				nodes = append(nodes, v)
+			}
+		}
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
 	for j, v := range nodes {
 		idx[v] = int32(j) + 1
 	}
 	m.nodes = nodes
 
-	sub := &m.sub
-	sub.Reset(len(nodes))
+	eu, ev := m.eu[:0], m.ev[:0]
+	g := s.G.CSR()
 	for _, v := range s.Parts.Parts[i] {
-		for _, a := range s.G.Neighbors(v) {
-			// a.To in P_i exactly when its part index matches; parts are
+		for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
+			// to in P_i exactly when its part index matches; parts are
 			// disjoint, so PartOf replaces the membership set.
-			if s.Parts.PartOf[a.To] == i && v < a.To {
-				sub.AddEdge(int(idx[v])-1, int(idx[a.To])-1)
+			if to := int(g.To[a]); s.Parts.PartOf[to] == i && v < to {
+				eu = append(eu, idx[v]-1)
+				ev = append(ev, idx[to]-1)
 			}
 		}
 	}
+	m.hStart = len(eu)
 	for _, id := range s.H[i] {
-		e := s.G.Edge(id)
-		sub.AddEdge(int(idx[e.U])-1, int(idx[e.V])-1)
+		eu = append(eu, idx[edges[id].U]-1)
+		ev = append(ev, idx[edges[id].V]-1)
 	}
-	return sub, nodes
+	m.eu, m.ev = eu, ev
+
+	// Counting pass, then a fill that advances off[u] as u's cursor: after
+	// it off[u] is the end of u's arcs, so shifting by one restores starts.
+	off := graph.ResizeInt32s(m.csr.Offsets, len(nodes)+1)
+	clear(off)
+	for j := range eu {
+		off[eu[j]+1]++
+		off[ev[j]+1]++
+	}
+	for u := 1; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	to := graph.ResizeInt32s(m.csr.To, 2*len(eu))
+	for j := range eu {
+		u, v := eu[j], ev[j]
+		to[off[u]] = v
+		off[u]++
+		to[off[v]] = u
+		off[v]++
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	m.csr.Offsets, m.csr.To = off, to
 }
 
-// blocks counts the connected components of (P_i ∪ V(H_i), H_i), reusing
-// the local indices installed by the preceding buildAugmented call.
-func (m *measurer) blocks(s *Shortcut, i int, nodes []int) int {
-	d := graph.NewDSU(len(nodes))
-	for _, id := range s.H[i] {
-		e := s.G.Edge(id)
-		d.Union(int(m.idx[e.U])-1, int(m.idx[e.V])-1)
+// blocks counts the connected components of (P_i ∪ V(H_i), H_i) over the
+// H_i edges the preceding buildAugmented call laid out, with a
+// path-halving union-find on local indices.
+//
+//locshort:hotpath
+func (m *measurer) blocks() int {
+	parent := graph.ResizeInt32s(m.dsu, len(m.nodes))
+	m.dsu = parent
+	for j := range parent {
+		parent[j] = int32(j)
 	}
-	return d.Sets()
+	sets := len(parent)
+	for j := m.hStart; j < len(m.eu); j++ {
+		a, b := find(parent, m.eu[j]), find(parent, m.ev[j])
+		if a != b {
+			parent[a] = b
+			sets--
+		}
+	}
+	return sets
+}
+
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }
 
 // EdgeLoads returns, for every edge with nonzero load, the number of covered
