@@ -249,6 +249,30 @@ func TestAPIErrors(t *testing.T) {
 		http.StatusBadRequest, nil)
 }
 
+// TestDegenerateGraphSpecs400 pins that graph specs whose sizes their
+// family cannot build answer 400 naming the problem. A generator panic
+// would instead drop the connection (net/http recovers per connection),
+// so the client would see a reset; the daemon must also keep serving.
+func TestDegenerateGraphSpecs400(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	for _, spec := range []string{
+		"wheel:3", "wheel:2", "cycle:2", "cycle:1", "torus:2x2", "torus:1x1",
+		"grid:-2x3", "ktree:3,4", "random:5,100",
+	} {
+		var e map[string]string
+		postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": spec}, http.StatusBadRequest, &e)
+		if !strings.Contains(e["error"], "degenerate graph spec") {
+			t.Errorf("spec %q: error %q, want one naming a degenerate spec", spec, e["error"])
+		}
+	}
+	var g struct {
+		Graph string `json:"graph"`
+	}
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "wheel:4"}, http.StatusOK, &g)
+	postJSON(t, ts.URL+"/v1/shortcuts",
+		map[string]any{"graph": g.Graph, "partition": "rim"}, http.StatusOK, nil)
+}
+
 // getJSON decodes a GET endpoint.
 func getJSON(t *testing.T, url string, out any) {
 	t.Helper()

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -11,14 +12,27 @@ import (
 	"locshort/internal/shortcut"
 )
 
-// ParseGraph builds a graph from a family spec. Supported kinds:
+// ErrDegenerateGraph reports a graph spec that parses but whose sizes its
+// family cannot build, such as a 3-node wheel or a 2x2 torus. ParseGraph
+// wraps it with the spec and the family's requirement.
+var ErrDegenerateGraph = errors.New("cli: degenerate graph spec")
+
+// ParseGraph builds a graph from a family spec. Supported kinds, with the
+// sizes each needs:
 //
-//	grid:RxC  torus:RxC  wheel:N  cycle:N  path:N  complete:N
-//	ktree:N,K  random:N,M  lb:DELTA,DIAM
+//	grid:RxC     R, C >= 1          torus:RxC   R, C >= 3
+//	wheel:N      N >= 4             cycle:N     N >= 3
+//	path:N       N >= 1             complete:N  N >= 1
+//	ktree:N,K    N > K >= 1         random:N,M  N-1 <= M <= N(N-1)/2
+//	lb:DELTA,DIAM  see graph.LowerBound
 //
-// For lb it also returns the row parts; rows is nil otherwise.
+// Sizes outside these ranges fail with ErrDegenerateGraph. For lb it also
+// returns the row parts; rows is nil otherwise.
 func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err error) {
 	kind, arg, _ := strings.Cut(spec, ":")
+	degenerate := func(need string) error {
+		return fmt.Errorf("%w %q: %s", ErrDegenerateGraph, spec, need)
+	}
 	dims := func(sep string) (int, int, error) {
 		a, b, ok := strings.Cut(arg, sep)
 		if !ok {
@@ -47,11 +61,17 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if err != nil {
 			return nil, nil, err
 		}
+		if r < 1 || c < 1 {
+			return nil, nil, degenerate("grid needs R, C >= 1")
+		}
 		return graph.Grid(r, c), nil, nil
 	case "torus":
 		r, c, err := dims("x")
 		if err != nil {
 			return nil, nil, err
+		}
+		if r < 3 || c < 3 {
+			return nil, nil, degenerate("torus needs R, C >= 3")
 		}
 		return graph.Torus(r, c), nil, nil
 	case "wheel":
@@ -59,11 +79,17 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if err != nil {
 			return nil, nil, err
 		}
+		if n < 4 {
+			return nil, nil, degenerate("wheel needs N >= 4")
+		}
 		return graph.Wheel(n), nil, nil
 	case "cycle":
 		n, err := one()
 		if err != nil {
 			return nil, nil, err
+		}
+		if n < 3 {
+			return nil, nil, degenerate("cycle needs N >= 3")
 		}
 		return graph.Cycle(n), nil, nil
 	case "path":
@@ -71,11 +97,17 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if err != nil {
 			return nil, nil, err
 		}
+		if n < 1 {
+			return nil, nil, degenerate("path needs N >= 1")
+		}
 		return graph.Path(n), nil, nil
 	case "complete":
 		n, err := one()
 		if err != nil {
 			return nil, nil, err
+		}
+		if n < 1 {
+			return nil, nil, degenerate("complete needs N >= 1")
 		}
 		return graph.Complete(n), nil, nil
 	case "ktree":
@@ -83,11 +115,18 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if err != nil {
 			return nil, nil, err
 		}
+		if k < 1 || n < k+1 {
+			return nil, nil, degenerate("ktree needs N > K >= 1")
+		}
 		return graph.KTree(n, k, rand.New(rand.NewSource(seed))), nil, nil
 	case "random":
 		n, m, err := dims(",")
 		if err != nil {
 			return nil, nil, err
+		}
+		// The same bounds graph.RandomConnected enforces by panicking.
+		if n < 1 || m < n-1 || m > n*(n-1)/2 {
+			return nil, nil, degenerate("random needs N >= 1 and N-1 <= M <= N(N-1)/2")
 		}
 		return graph.RandomConnected(n, m, rand.New(rand.NewSource(seed))), nil, nil
 	case "lb":

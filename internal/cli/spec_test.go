@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"testing"
 
 	"locshort/internal/graph"
@@ -56,6 +57,34 @@ func TestParseGraphErrors(t *testing.T) {
 	for _, spec := range specs {
 		if _, _, err := ParseGraph(spec, 1); err == nil {
 			t.Errorf("ParseGraph(%q) succeeded, want error", spec)
+		}
+	}
+}
+
+// TestParseGraphDegenerateSizes feeds specs that parse but ask a family
+// for sizes it cannot build.
+func TestParseGraphDegenerateSizes(t *testing.T) {
+	for _, spec := range []string{
+		"wheel:3", "wheel:2", "cycle:2", "cycle:1", "torus:2x2", "torus:1x1",
+		"grid:-2x3", "ktree:3,4", "random:5,100",
+		"grid:0x4", "path:0", "complete:-1", "ktree:5,0", "random:5,3", "random:0,0",
+	} {
+		if _, _, err := ParseGraph(spec, 1); !errors.Is(err, ErrDegenerateGraph) {
+			t.Errorf("ParseGraph(%q) error = %v, want ErrDegenerateGraph", spec, err)
+		}
+	}
+	// The smallest sizes each family accepts still build.
+	for _, spec := range []string{
+		"wheel:4", "cycle:3", "torus:3x3", "grid:1x1", "path:1", "complete:1",
+		"ktree:2,1", "random:1,0", "random:5,4", "random:5,10",
+	} {
+		g, _, err := ParseGraph(spec, 1)
+		if err != nil {
+			t.Errorf("ParseGraph(%q) error = %v", spec, err)
+			continue
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("ParseGraph(%q): %v", spec, err)
 		}
 	}
 }

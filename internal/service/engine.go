@@ -439,15 +439,17 @@ func (e *Engine) worker() {
 	}
 }
 
+// errSkipped marks a job the worker skipped at pickup because its context
+// was already canceled. It is unexported, so no fn can return it.
+var errSkipped = errors.New("skipped")
+
 // submit runs fn on the worker pool and waits for it, honoring ctx while
 // queued or running and failing fast once the engine closes. A context
 // canceled mid-run abandons the wait; the worker still finishes fn.
 func submit[T any](e *Engine, ctx context.Context, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
 	var res T
-	var err error
-	canceled := errors.New("skipped")
-	err = canceled // overwritten unless the job is skipped at pickup
+	err := errSkipped // overwritten unless the job is skipped at pickup
 	j := &job{ctx: ctx, done: make(chan struct{})}
 	j.run = func(ctx context.Context) { res, err = fn(ctx) }
 	e.counters.queueDepth.Add(1)
@@ -462,7 +464,7 @@ func submit[T any](e *Engine, ctx context.Context, fn func(context.Context) (T, 
 	}
 	select {
 	case <-j.done:
-		if err == canceled {
+		if err == errSkipped {
 			return zero, ctx.Err()
 		}
 		if err != nil {

@@ -52,28 +52,38 @@ func (s *Shortcut) CoveredCount() int {
 	return n
 }
 
-// Validate checks structural sanity: edge IDs in range and, for
-// tree-restricted shortcuts, contained in the tree.
+// Validate checks structural sanity: edge IDs in range, no edge listed
+// twice by one part and, for tree-restricted shortcuts, every edge on the
+// tree. The checks run over one dense per-edge array, so the allocations
+// do not grow with the number of parts or edges listed.
 func (s *Shortcut) Validate() error {
 	if len(s.H) != s.Parts.NumParts() || len(s.Covered) != s.Parts.NumParts() {
 		return fmt.Errorf("shortcut: %d H-sets and %d coverage flags for %d parts",
 			len(s.H), len(s.Covered), s.Parts.NumParts())
 	}
-	var treeEdges map[int]bool
+	m := s.G.NumEdges()
+	type edgeMark struct {
+		part   int  // 1 + the last part that listed the edge, 0 if none
+		onTree bool // a parent edge of s.Tree
+	}
+	marks := make([]edgeMark, m)
 	if s.Tree != nil {
-		treeEdges = s.Tree.EdgeSet()
+		for v, e := range s.Tree.ParentEdge {
+			if s.Tree.Parent[v] >= 0 && e >= 0 && e < m {
+				marks[e].onTree = true
+			}
+		}
 	}
 	for i, h := range s.H {
-		seen := make(map[int]bool, len(h))
 		for _, id := range h {
-			if id < 0 || id >= s.G.NumEdges() {
+			if id < 0 || id >= m {
 				return fmt.Errorf("shortcut: part %d uses out-of-range edge %d", i, id)
 			}
-			if seen[id] {
+			if marks[id].part == i+1 {
 				return fmt.Errorf("shortcut: part %d lists edge %d twice", i, id)
 			}
-			seen[id] = true
-			if treeEdges != nil && !treeEdges[id] {
+			marks[id].part = i + 1
+			if s.Tree != nil && !marks[id].onTree {
 				return fmt.Errorf("shortcut: part %d uses non-tree edge %d in a tree-restricted shortcut", i, id)
 			}
 		}

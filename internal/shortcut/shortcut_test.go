@@ -1,7 +1,9 @@
 package shortcut
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locshort/internal/graph"
@@ -97,25 +99,39 @@ func TestValidateRejectsBadShortcut(t *testing.T) {
 	g := graph.Cycle(6)
 	p := mustPartition(t, g, [][]int{{0, 1, 2}})
 	s := NewEmpty(g, p)
-	s.H[0] = []int{99}
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted out-of-range edge")
-	}
-	s.H[0] = []int{1, 1}
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted duplicate edge")
-	}
-	// Tree-restricted shortcut using a non-tree edge.
-	tr := mustTree(t, g, 0)
-	s2 := &Shortcut{G: g, Parts: p, Tree: tr, H: [][]int{nil}, Covered: []bool{true}}
-	for id := 0; id < g.NumEdges(); id++ {
-		if !tr.EdgeSet()[id] {
-			s2.H[0] = []int{id}
-			break
+	wantErr := func(what, want string) {
+		t.Helper()
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate on %s: %v, want %q", what, err, want)
 		}
 	}
-	if err := s2.Validate(); err == nil {
-		t.Error("Validate accepted non-tree edge in tree-restricted shortcut")
+	s.H[0] = []int{99}
+	wantErr("out-of-range edge", "shortcut: part 0 uses out-of-range edge 99")
+	s.H[0] = []int{1, 1}
+	wantErr("duplicate edge", "shortcut: part 0 lists edge 1 twice")
+	// The first bad listing is the one reported.
+	s.H[0] = []int{1, 1, -1}
+	wantErr("duplicate then out-of-range", "shortcut: part 0 lists edge 1 twice")
+	s.H[0] = []int{-1, 1, 1}
+	wantErr("out-of-range then duplicate", "shortcut: part 0 uses out-of-range edge -1")
+	// Tree-restricted shortcut using a non-tree edge: the one edge of the
+	// 6-cycle no node reaches its parent by.
+	tr := mustTree(t, g, 0)
+	onTree := make([]bool, g.NumEdges())
+	for v, e := range tr.ParentEdge {
+		if tr.Parent[v] >= 0 {
+			onTree[e] = true
+		}
+	}
+	off := slices.Index(onTree, false)
+	s = &Shortcut{G: g, Parts: p, Tree: tr, H: [][]int{{off}}, Covered: []bool{true}}
+	wantErr("non-tree edge", fmt.Sprintf("shortcut: part 0 uses non-tree edge %d in a tree-restricted shortcut", off))
+	// A repeated non-tree edge fails at its first listing, as non-tree.
+	s.H[0] = []int{off, off}
+	wantErr("repeated non-tree edge", fmt.Sprintf("shortcut: part 0 uses non-tree edge %d in a tree-restricted shortcut", off))
+	s.H[0] = nil
+	if err := s.Validate(); err != nil {
+		t.Errorf("Validate on empty tree-restricted shortcut: %v", err)
 	}
 }
 

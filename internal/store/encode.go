@@ -96,14 +96,17 @@ func newEdgePerm(g *graph.Graph) *edgePerm {
 	return p
 }
 
-// partCanonOrder returns each part's canonical rank: the order of first
+// partRanks returns each part's canonical rank — the order of first
 // appearance over nodes 0..n-1, i.e. the part order of the canonical
-// partition encoding. Every partition instance with the same fingerprint
+// partition encoding — and the inverse map byRank from rank to part index,
+// both in one array. Every partition instance with the same fingerprint
 // shares these ranks even when its Parts slice is ordered differently
 // (BFSBlobs orders by seed, FromLabels by first appearance), so shortcut
 // payloads index their per-part data by rank, never by instance order.
-func partCanonOrder(p *partition.Partition) []int32 {
-	rank := make([]int32, p.NumParts())
+func partRanks(p *partition.Partition) (rank, byRank []int32) {
+	k := p.NumParts()
+	buf := make([]int32, 2*k)
+	rank, byRank = buf[:k:k], buf[k:]
 	for i := range rank {
 		rank[i] = -1
 	}
@@ -111,10 +114,11 @@ func partCanonOrder(p *partition.Partition) []int32 {
 	for _, i := range p.PartOf {
 		if i >= 0 && rank[i] < 0 {
 			rank[i] = next
+			byRank[next] = int32(i)
 			next++
 		}
 	}
-	return rank
+	return rank, byRank
 }
 
 // encodeGraph renders the graph payload: version byte + canonical encoding.
@@ -297,11 +301,7 @@ func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
 	}
 	k := len(s.H)
 	b = binary.AppendUvarint(b, uint64(k))
-	rank := partCanonOrder(s.Parts)
-	byRank := make([]int, k) // canonical rank -> instance part index
-	for i, r := range rank {
-		byRank[r] = i
-	}
+	rank, byRank := partRanks(s.Parts)
 	bitmap := make([]byte, (k+7)/8)
 	for i, c := range s.Covered {
 		if c {
@@ -311,14 +311,12 @@ func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
 	}
 	b = append(b, bitmap...)
 	canon := make([]int32, 0, 64)
-	for r := 0; r < k; r++ {
-		i := byRank[r]
-		h := s.H[i]
+	for _, i := range byRank {
 		if !s.Covered[i] {
 			continue
 		}
 		canon = canon[:0]
-		for _, id := range h {
+		for _, id := range s.H[i] {
 			canon = append(canon, perm.toCanon[id])
 		}
 		sort.Slice(canon, func(a, b int) bool { return canon[a] < canon[b] })
@@ -402,6 +400,12 @@ func (r *varintReader) bytes(n int) []byte {
 // structurally, and verifies that the stored (graph, partition, options)
 // triple re-derives the record key — so a record can never be served under
 // a key it does not hash to.
+//
+// A store read runs this on every cache miss, so its allocations are a
+// constant number independent of n and k: parent and parent-edge share one
+// array, and every H set slices one backing array that a pre-pass over the
+// per-part counts sizes — capped by the payload bytes left, which every
+// listed edge takes at least one of, before anything is allocated.
 func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
 
@@ -412,7 +416,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	if err != nil {
 		return fail(err)
 	}
-	r := &varintReader{b: payload[17:]}
+	r := varintReader{b: payload[17:]}
 	var opts shortcut.Options
 	for _, f := range [...]*int{&opts.Delta, &opts.MaxDelta, &opts.CongestionFactor, &opts.BlockFactor, &opts.MaxIterations} {
 		*f = int(r.varint())
@@ -423,8 +427,8 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	}
 	buildNs := r.varint()
 	m := g.NumEdges()
-	liveEdge := func(canon int64) (int, error) {
-		if canon < 0 || canon >= int64(m) {
+	liveEdge := func(canon uint64) (int, error) {
+		if canon >= uint64(m) {
 			return 0, fmt.Errorf("canonical edge %d out of range [0,%d)", canon, m)
 		}
 		return int(perm.fromCanon[canon]), nil
@@ -439,8 +443,8 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 		if n != uint64(g.NumNodes()) || root >= n {
 			return fail(fmt.Errorf("tree covers %d nodes (root %d), graph has %d", n, root, g.NumNodes()))
 		}
-		parent := make([]int, n)
-		parentEdge := make([]int, n)
+		links := make([]int, 2*n)
+		parent, parentEdge := links[:n:n], links[n:]
 		for v := range parent {
 			ce := r.varint()
 			if r.err != nil {
@@ -450,7 +454,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 				parent[v], parentEdge[v] = -1, -1
 				continue
 			}
-			id, err := liveEdge(ce)
+			id, err := liveEdge(uint64(ce))
 			if err != nil {
 				return fail(err)
 			}
@@ -481,6 +485,33 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	if r.err != nil {
 		return fail(r.err)
 	}
+	covered := func(rnk int) bool { return bitmap[rnk/8]&(1<<(rnk%8)) != 0 }
+	_, byRank := partRanks(parts)
+	// Pre-pass: the total H size, from the per-part counts.
+	pre := r
+	total := 0
+	for rnk, i := range byRank {
+		if !covered(rnk) {
+			continue
+		}
+		cnt := pre.uvarint()
+		if pre.err != nil {
+			return fail(pre.err)
+		}
+		if cnt > uint64(m) {
+			return fail(fmt.Errorf("part %d lists %d edges, graph has %d", i, cnt, m))
+		}
+		if cnt > uint64(len(pre.b)) {
+			return fail(fmt.Errorf("part %d lists %d edges in %d remaining payload bytes", i, cnt, len(pre.b)))
+		}
+		total += int(cnt)
+		for ; cnt > 0 && pre.err == nil; cnt-- {
+			pre.uvarint()
+		}
+	}
+	if pre.err != nil {
+		return fail(pre.err)
+	}
 	s := &shortcut.Shortcut{
 		G:       g,
 		Parts:   parts,
@@ -488,46 +519,35 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 		H:       make([][]int, k),
 		Covered: make([]bool, k),
 	}
-	rank := partCanonOrder(parts)
-	byRank := make([]int, k) // canonical rank -> part index of this instance
-	for i, r := range rank {
-		byRank[r] = i
-	}
-	for rnk := 0; rnk < int(k); rnk++ {
-		i := byRank[rnk]
-		if bitmap[rnk/8]&(1<<(rnk%8)) == 0 {
+	edges := make([]int, 0, total)
+	for rnk, i := range byRank {
+		if !covered(rnk) {
 			continue
 		}
 		s.Covered[i] = true
-		cnt := r.uvarint()
-		if r.err != nil {
-			return fail(r.err)
-		}
-		if cnt > uint64(m) {
-			return fail(fmt.Errorf("part %d lists %d edges, graph has %d", i, cnt, m))
-		}
-		h := make([]int, 0, cnt)
-		prev := int64(0)
+		cnt := r.uvarint() // checked by the pre-pass
+		start := len(edges)
+		var prev uint64
 		for j := uint64(0); j < cnt; j++ {
-			gap := int64(r.uvarint())
-			if j == 0 {
+			gap := r.uvarint()
+			switch {
+			case j == 0:
 				prev = gap
-			} else {
-				if gap == 0 {
-					return fail(fmt.Errorf("part %d repeats a canonical edge", i))
-				}
+			case gap == 0:
+				return fail(fmt.Errorf("part %d repeats a canonical edge", i))
+			case gap >= uint64(m):
+				// prev+gap is out of range, and may wrap past it.
+				return fail(fmt.Errorf("part %d skips %d canonical edges, graph has %d", i, gap, m))
+			default:
 				prev += gap
 			}
 			id, err := liveEdge(prev)
 			if err != nil {
 				return fail(err)
 			}
-			h = append(h, id)
+			edges = append(edges, id)
 		}
-		if r.err != nil {
-			return fail(r.err)
-		}
-		s.H[i] = h
+		s.H[i] = edges[start:len(edges):len(edges)]
 	}
 	if r.err != nil {
 		return fail(r.err)

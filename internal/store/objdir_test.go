@@ -236,22 +236,27 @@ func (d *dirPayloads) put(kind byte, key service.Fingerprint, payload []byte) (k
 
 // deleteGraph durably removes the graph object for fp, then the objects of
 // the shortcuts built on it. Once the graph object is gone the delete has
-// happened: a shortcut object left behind is an orphan Open sweeps.
+// happened: a shortcut object left behind is an orphan Open sweeps. The
+// graph unlink and the index drop happen under one exclusive lock, so a
+// reader never finds fp's records indexed after their files are gone.
 func (d *dirPayloads) deleteGraph(fp service.Fingerprint) error {
-	d.c.mu.RLock()
+	d.c.mu.Lock()
 	deps := make([]service.Fingerprint, 0, len(d.c.byGraph[fp]))
 	for key := range d.c.byGraph[fp] {
 		deps = append(deps, key)
 	}
-	d.c.mu.RUnlock()
 	if err := d.fsys.Remove(d.path(kindGraph, fp)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		d.c.mu.Unlock()
 		return err
 	}
 	if !d.noSync {
 		if err := d.fsys.SyncDir(filepath.Join(d.dir, objKindDirs[kindGraph])); err != nil {
+			d.c.mu.Unlock()
 			return err
 		}
 	}
+	d.c.dropGraphLocked(fp)
+	d.c.mu.Unlock()
 	for _, key := range deps {
 		d.fsys.Remove(d.path(kindShortcut, key))
 	}

@@ -32,7 +32,7 @@ func mustOpen(t *testing.T, dir string) *Store {
 }
 
 // buildFixture constructs a (graph, partition, shortcut) triple from specs.
-func buildFixture(t *testing.T, spec, partSpec string, seed int64) (
+func buildFixture(t testing.TB, spec, partSpec string, seed int64) (
 	*graph.Graph, *partition.Partition, *shortcut.Result) {
 	t.Helper()
 	g, _, err := cli.ParseGraph(spec, seed)
@@ -55,7 +55,7 @@ func buildFixture(t *testing.T, spec, partSpec string, seed int64) (
 // shortcut.
 func canonicalH(s *shortcut.Shortcut) [][]int32 {
 	perm := newEdgePerm(s.G)
-	rank := partCanonOrder(s.Parts)
+	rank, _ := partRanks(s.Parts)
 	out := make([][]int32, len(s.H))
 	for i, h := range s.H {
 		if !s.Covered[i] {

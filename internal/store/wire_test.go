@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"locshort/internal/cli"
+	"locshort/internal/graph"
+	"locshort/internal/partition"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 )
@@ -208,6 +212,104 @@ func FuzzDecodePeerRecord(f *testing.F) {
 		total := len(rec.GraphPayload) + len(rec.PartitionPayload) + len(rec.ShortcutPayload)
 		if total > len(b) {
 			t.Fatalf("decoded payloads (%d bytes) exceed input (%d bytes)", total, len(b))
+		}
+	})
+}
+
+// claimedOptions parses the build options a shortcut payload's head
+// claims, zero from a truncation on.
+func claimedOptions(payload []byte) shortcut.Options {
+	var o shortcut.Options
+	if len(payload) < 17 {
+		return o
+	}
+	r := varintReader{b: payload[17:]}
+	for _, f := range [...]*int{&o.Delta, &o.MaxDelta, &o.CongestionFactor, &o.BlockFactor, &o.MaxIterations} {
+		*f = int(r.varint())
+	}
+	return o
+}
+
+// FuzzDecodeShortcutPayload drives the shortcut record decoder — which
+// DecodeShortcutPayload and VerifyPeerRecord feed peer-supplied bytes —
+// with arbitrary payloads against grid, torus and wheel fixtures, picked
+// by the graph fingerprint in the payload's head. Each payload is decoded
+// under the key its own head claims, so mutations get past the key check
+// into the structural decode. The invariants: never panic; an accepted
+// payload yields a shortcut that passes Validate; and encoding the decoded
+// result and decoding that again reproduces it field by field.
+func FuzzDecodeShortcutPayload(f *testing.F) {
+	type fixture struct {
+		g     *graph.Graph
+		parts *partition.Partition
+	}
+	fixtures := make(map[service.Fingerprint]fixture)
+	var fallback fixture
+	for _, c := range []struct{ spec, parts string }{
+		{"grid:6x6", "blobs:4"}, {"torus:5x5", "blobs:5"}, {"wheel:12", "rim"},
+	} {
+		g, p, res := buildFixture(f, c.spec, c.parts, 1)
+		fp := service.FingerprintGraph(g)
+		fixtures[fp] = fixture{g, p}
+		if fallback.g == nil {
+			fallback = fixtures[fp]
+		}
+		payload := encodeShortcut(newEdgePerm(g), fp, service.FingerprintPartition(p),
+			shortcut.Options{}, res, time.Millisecond)
+		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
+			f.Add(payload[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		meta, _ := parseShortcutMeta(payload)
+		fx, ok := fixtures[meta.graphFP]
+		if !ok {
+			fx = fallback
+		}
+		opts := claimedOptions(payload)
+		key := service.ShortcutKey(meta.graphFP, fx.parts, opts)
+		res, bt, err := DecodeShortcutPayload(payload, key, fx.g, fx.parts)
+		if err != nil {
+			return
+		}
+		s := res.Shortcut
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted payload decodes to an invalid shortcut: %v", err)
+		}
+		re := encodeShortcut(newEdgePerm(fx.g), meta.graphFP, meta.partFP, opts, res, bt)
+		if got := claimedOptions(re); got != opts {
+			t.Fatalf("options %+v re-encode as %+v", opts, got)
+		}
+		res2, bt2, err := DecodeShortcutPayload(re, key, fx.g, fx.parts)
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		s2 := res2.Shortcut
+		type metadata struct {
+			delta, threshold, budget, iterations, depth int
+			build                                       time.Duration
+		}
+		m1 := metadata{res.Delta, res.CongestionThreshold, res.BlockBudget, res.Iterations, res.TreeDepth, bt}
+		m2 := metadata{res2.Delta, res2.CongestionThreshold, res2.BlockBudget, res2.Iterations, res2.TreeDepth, bt2}
+		if m1 != m2 {
+			t.Fatalf("metadata %+v round-trips to %+v", m1, m2)
+		}
+		if !reflect.DeepEqual(s.H, s2.H) {
+			t.Fatalf("H %v round-trips to %v", s.H, s2.H)
+		}
+		if !slices.Equal(s.Covered, s2.Covered) {
+			t.Fatalf("Covered %v round-trips to %v", s.Covered, s2.Covered)
+		}
+		if (s.Tree == nil) != (s2.Tree == nil) {
+			t.Fatalf("tree presence %v round-trips to %v", s.Tree != nil, s2.Tree != nil)
+		}
+		if s.Tree == nil {
+			return
+		}
+		a, b := s.Tree, s2.Tree
+		if a.Root != b.Root || !slices.Equal(a.Parent, b.Parent) || !slices.Equal(a.ParentEdge, b.ParentEdge) ||
+			!slices.Equal(a.Depth, b.Depth) || !slices.Equal(a.Order, b.Order) {
+			t.Fatalf("tree rooted at %d round-trips to one rooted at %d, or its arrays differ", a.Root, b.Root)
 		}
 	})
 }

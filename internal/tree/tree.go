@@ -73,62 +73,73 @@ func FromBFSInto(t *Rooted, g *graph.Graph, root int) (*Rooted, error) {
 }
 
 // FromParents builds a Rooted from explicit parent and parent-edge arrays.
-// Used by the distributed algorithms to materialize the tree a protocol
-// computed. It validates acyclicity and depth consistency.
+// The distributed algorithms use it to materialize the tree a protocol
+// computed, and the store to rebuild a persisted restriction tree. It
+// validates acyclicity and depth consistency.
+//
+// The call allocates a constant number of times, independent of n: Depth
+// and Order share one backing array, the upward walks that fill Depth
+// stack their paths in Order's half, and a stable counting sort on depth
+// then overwrites that half with the order, nodes of equal depth in
+// ascending index.
 func FromParents(root int, parent, parentEdge []int) (*Rooted, error) {
 	n := len(parent)
 	if root < 0 || root >= n || parent[root] != -1 {
 		return nil, fmt.Errorf("tree: invalid root %d", root)
 	}
-	t := &Rooted{
-		Root:       root,
-		Parent:     parent,
-		ParentEdge: parentEdge,
-		Depth:      make([]int, n),
+	buf := make([]int, 2*n)
+	depth, order := buf[:n:n], buf[n:]
+	for v := range depth {
+		depth[v] = -1
 	}
-	for v := range t.Depth {
-		t.Depth[v] = -1
-	}
-	t.Depth[root] = 0
+	depth[root] = 0
+	// onPath marks the nodes of the current walk: meeting one again means
+	// the walk went round a cycle. A walk never revisits a node, so its
+	// path holds at most n-1 nodes and fits in order.
+	const onPath = -2
 	for v := 0; v < n; v++ {
-		if t.Depth[v] >= 0 {
+		if depth[v] >= 0 {
 			continue
 		}
 		// Walk up to a node of known depth, then unwind.
-		path := []int{}
+		path := order[:0]
 		u := v
-		for t.Depth[u] < 0 {
+		for depth[u] < 0 {
+			if depth[u] == onPath {
+				return nil, fmt.Errorf("tree: cycle through node %d", v)
+			}
+			depth[u] = onPath
 			path = append(path, u)
 			u = parent[u]
 			if u < 0 || u >= n {
 				return nil, fmt.Errorf("tree: node %d escapes the tree", v)
 			}
-			if len(path) > n {
-				return nil, fmt.Errorf("tree: cycle through node %d", v)
-			}
 		}
-		d := t.Depth[u]
+		d := depth[u]
 		for i := len(path) - 1; i >= 0; i-- {
 			d++
-			t.Depth[path[i]] = d
+			depth[path[i]] = d
 		}
 	}
-	// Build a nondecreasing-depth order by counting sort on depth.
 	maxDepth := 0
-	for _, d := range t.Depth {
+	for _, d := range depth {
 		if d > maxDepth {
 			maxDepth = d
 		}
 	}
-	buckets := make([][]int, maxDepth+1)
-	for v, d := range t.Depth {
-		buckets[d] = append(buckets[d], v)
+	// next[d] is the next free slot of depth d's run in order.
+	next := make([]int, maxDepth+2)
+	for _, d := range depth {
+		next[d+1]++
 	}
-	t.Order = make([]int, 0, n)
-	for _, b := range buckets {
-		t.Order = append(t.Order, b...)
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
 	}
-	return t, nil
+	for v, d := range depth {
+		order[next[d]] = v
+		next[d]++
+	}
+	return &Rooted{Root: root, Parent: parent, ParentEdge: parentEdge, Depth: depth, Order: order}, nil
 }
 
 // NumNodes returns the number of nodes of the underlying graph.
@@ -157,17 +168,6 @@ func (t *Rooted) Children() [][]int {
 		}
 	}
 	return t.children
-}
-
-// EdgeSet returns the set of graph edge IDs used by the tree.
-func (t *Rooted) EdgeSet() map[int]bool {
-	s := make(map[int]bool, len(t.Parent))
-	for v, e := range t.ParentEdge {
-		if t.Parent[v] >= 0 && e >= 0 {
-			s[e] = true
-		}
-	}
-	return s
 }
 
 // IsAncestor reports whether a is an ancestor of v (every node is its own

@@ -115,15 +115,6 @@ func TestFromParentsRejectsBadRoot(t *testing.T) {
 	}
 }
 
-func TestEdgeSet(t *testing.T) {
-	g := graph.Cycle(6)
-	tr := mustBFS(t, g, 0)
-	s := tr.EdgeSet()
-	if len(s) != 5 {
-		t.Errorf("EdgeSet size = %d, want 5", len(s))
-	}
-}
-
 func TestIsAncestorAndLCA(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := mustBFS(t, g, 0)
