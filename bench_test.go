@@ -108,24 +108,6 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildReference measures the preserved map-based construction
-// path on the same workloads, so the Builder's gain is visible in one
-// bench run (the committed BENCH_*.json baselines track it across PRs).
-func BenchmarkBuildReference(b *testing.B) {
-	for _, spec := range perfFamilySpecs {
-		b.Run(spec, func(b *testing.B) {
-			g, p := perfFamily(b, spec)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := locshort.BuildSequentialReference(g, p, locshort.BuildOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMeasure measures shortcut quality measurement (congestion,
 // dilation, blocks) on a prebuilt shortcut. One call before the timer
 // sizes the pooled measurer, as the first cold build does in a server, so

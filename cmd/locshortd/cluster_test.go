@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,10 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"locshort/internal/cli"
 	"locshort/internal/cluster"
+	"locshort/internal/graph"
 	"locshort/internal/jobs"
+	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/store"
+	"locshort/internal/wire"
 )
 
 // clusterSwap lets the test bind listeners (to learn their addresses)
@@ -354,5 +359,323 @@ func TestClusterDriftHoldsReadyz(t *testing.T) {
 	defer r3.Body.Close()
 	if r3.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz after heal: %d, want 200", r3.StatusCode)
+	}
+}
+
+// relayAnswer is one /v1/shortcuts answer reduced to what the relay tests
+// compare across nodes, whichever encoding carried it.
+type relayAnswer struct {
+	key, servedBy, source string
+	// sourceHeader is X-Locshort-Source; body the raw response body.
+	sourceHeader string
+	body         []byte
+}
+
+// encodingName labels a test row by wire encoding.
+func encodingName(binary bool) string {
+	if binary {
+		return "binary"
+	}
+	return "json"
+}
+
+// askShortcut posts one build request to url with the body in JSON (jsonReq)
+// or as a binary frame (frame), asking for a JSON or a binary answer, and
+// fails the test on anything but 200.
+func askShortcut(t *testing.T, url string, jsonReq map[string]any, frame wire.ShortcutRequest,
+	binaryBody, binaryAccept bool) relayAnswer {
+	t.Helper()
+	body := wire.AppendShortcutRequest(nil, frame)
+	ct := wire.ContentType
+	if !binaryBody {
+		var err error
+		if body, err = json.Marshal(jsonReq); err != nil {
+			t.Fatal(err)
+		}
+		ct = "application/json"
+	}
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/shortcuts", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ct)
+	if binaryAccept {
+		req.Header.Set("Accept", wire.ContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s/v1/shortcuts: status %d: %s", url, resp.StatusCode, raw)
+	}
+	a := relayAnswer{sourceHeader: resp.Header.Get(wire.HeaderSource), body: raw}
+	if binaryAccept {
+		if ct := resp.Header.Get("Content-Type"); !wire.IsBinary(ct) {
+			t.Fatalf("binary Accept answered with Content-Type %q", ct)
+		}
+		a.key = resp.Header.Get(wire.HeaderKey)
+		a.servedBy = resp.Header.Get(wire.HeaderServedBy)
+		a.source = a.sourceHeader
+		return a
+	}
+	var out shortcutResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("JSON answer does not decode: %v: %s", err, raw)
+	}
+	a.key, a.servedBy, a.source = out.Shortcut, out.ServedBy, out.Source
+	return a
+}
+
+// TestClusterRelayMatrix pins cluster routing for every request shape and
+// encoding: {JSON, binary} body × {JSON, binary} Accept × {spec, explicit
+// parts}, each row sent to every node of a 3-node ring. The key's ring
+// owner executes every request, the whole cluster builds once per row,
+// non-owners relay the owner's answer (a binary one byte for byte, its
+// source header prefixed "forward:"), and a JSON body's source is the
+// owner's own value.
+func TestClusterRelayMatrix(t *testing.T) {
+	nodes := newNodeCluster(t, 3)
+	var gr graphResponse
+	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := 0
+	for _, shape := range []string{"spec", "parts"} {
+		for _, binaryBody := range []bool{false, true} {
+			for _, binaryAccept := range []bool{false, true} {
+				row++
+				// A fresh seed per row gives every row its own key (and
+				// so, across rows, a spread of owners).
+				seed := int64(100 + row)
+				name := shape + "/body=" + encodingName(binaryBody) + "/accept=" + encodingName(binaryAccept)
+				t.Run(name, func(t *testing.T) {
+					jsonReq := map[string]any{"graph": gr.Graph}
+					frame := wire.ShortcutRequest{Graph: fp}
+					if shape == "spec" {
+						jsonReq["partition"], jsonReq["seed"] = "blobs:8", seed
+						frame.Partition, frame.Seed = "blobs:8", seed
+					} else {
+						p, err := cli.ParsePartition(g, "blobs:8", seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						jsonReq["parts"], frame.Parts = p.Parts, p.Parts
+					}
+					before := totalBuilds(nodes)
+					answers := make([]relayAnswer, len(nodes))
+					for i, n := range nodes {
+						answers[i] = askShortcut(t, n.url, jsonReq, frame, binaryBody, binaryAccept)
+					}
+					key, err := service.ParseFingerprint(answers[0].key)
+					if err != nil {
+						t.Fatalf("answer key %q: %v", answers[0].key, err)
+					}
+					owner, _ := nodes[0].cl.Owner(key)
+					for i, a := range answers {
+						if a.key != answers[0].key {
+							t.Errorf("node %d resolved key %s, node 0 %s", i, a.key, answers[0].key)
+						}
+						if a.servedBy != owner {
+							t.Errorf("node %d: served by %q, want the owner %q", i, a.servedBy, owner)
+						}
+						if !binaryAccept {
+							if strings.HasPrefix(a.source, "forward:") || a.source == "" {
+								t.Errorf("node %d: JSON source %q, want the owner's own source", i, a.source)
+							}
+							continue
+						}
+						if !bytes.Equal(a.body, answers[0].body) {
+							t.Errorf("node %d: binary answer differs from node 0's", i)
+						}
+						src, relayed := strings.CutPrefix(a.source, "forward:")
+						if relayed != (nodes[i].addr != owner) {
+							t.Errorf("node %d (owner %v): source %q", i, nodes[i].addr == owner, a.source)
+						}
+						if src != "built" && src != "cache" {
+							t.Errorf("node %d: source %q, want built or cache", i, a.source)
+						}
+					}
+					if got := totalBuilds(nodes) - before; got != 1 {
+						t.Errorf("cluster-wide builds for this row = %d, want exactly 1", got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// nonOwner returns a node that does not own key.
+func nonOwner(t *testing.T, nodes []*clusterNode, key service.Fingerprint) *clusterNode {
+	t.Helper()
+	owner, _ := nodes[0].cl.Owner(key)
+	for _, n := range nodes {
+		if n.addr != owner {
+			return n
+		}
+	}
+	t.Fatal("every node owns the key")
+	return nil
+}
+
+// specKey computes, client-side, the key a spec-form request resolves to.
+func specKey(t *testing.T, g *graph.Graph, fp service.Fingerprint, spec string, seed int64) service.Fingerprint {
+	t.Helper()
+	p, err := cli.ParsePartition(g, spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := cli.ParseBuildOptions("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return service.ShortcutKey(fp, p, opts)
+}
+
+// TestClusterRelayPushesMissingGraph: an owner that lost the graph answers
+// the relay 404; the entry node pushes its copy and retries once, in
+// either encoding, and the owner serves the retry.
+func TestClusterRelayPushesMissingGraph(t *testing.T) {
+	nodes := newNodeCluster(t, 3)
+	var gr graphResponse
+	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, binary := range []bool{false, true} {
+		t.Run(encodingName(binary), func(t *testing.T) {
+			seed := int64(60 + i)
+			key := specKey(t, g, fp, "blobs:8", seed)
+			owner, _ := nodes[0].cl.Owner(key)
+			var ownerNode *clusterNode
+			for _, n := range nodes {
+				if n.addr == owner {
+					ownerNode = n
+				}
+			}
+			if _, err := ownerNode.eng.RemoveGraph(fp); err != nil {
+				t.Fatal(err)
+			}
+			entry := nonOwner(t, nodes, key)
+			a := askShortcut(t, entry.url,
+				map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": seed},
+				wire.ShortcutRequest{Graph: fp, Partition: "blobs:8", Seed: seed}, binary, binary)
+			if a.key != key.String() || a.servedBy != owner {
+				t.Fatalf("answer key %s served by %q, want %s by the owner %q", a.key, a.servedBy, key, owner)
+			}
+			if _, ok := ownerNode.eng.Graph(fp); !ok {
+				t.Fatal("the owner does not know the graph after the relay's push")
+			}
+		})
+	}
+}
+
+// TestClusterAsyncJobRelays: an async shortcut job accepted by a non-owner
+// executes on the key's owner, and its result says so.
+func TestClusterAsyncJobRelays(t *testing.T) {
+	nodes := newNodeCluster(t, 3)
+	var gr graphResponse
+	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specKey(t, g, fp, "blobs:8", 70)
+	owner, _ := nodes[0].cl.Owner(key)
+	entry := nonOwner(t, nodes, key)
+
+	var sub jobStatus
+	postJSON(t, entry.url+"/v1/shortcuts",
+		map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": 70, "async": true},
+		http.StatusAccepted, &sub)
+	js := waitJob(t, entry.url, sub.ID)
+	if js.State != "done" {
+		t.Fatalf("job = %+v, want done", js)
+	}
+	var res shortcutResponse
+	if err := json.Unmarshal(js.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.ServedBy != owner || res.Shortcut != key.String() || res.Source != "built" {
+		t.Fatalf("job result = %+v, want key %s built by the owner %q", res, key, owner)
+	}
+	if got := totalBuilds(nodes); got != 1 {
+		t.Fatalf("cluster-wide builds = %d, want exactly 1", got)
+	}
+}
+
+// TestClusterRelayLogsOwnerSource: the entry node's request log line for a
+// relayed request names the owner's latency class as forward:<source>, in
+// either encoding.
+func TestClusterRelayLogsOwnerSource(t *testing.T) {
+	nodes := newNodeCluster(t, 3)
+	var gr graphResponse
+	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, binary := range []bool{false, true} {
+		t.Run(encodingName(binary), func(t *testing.T) {
+			seed := int64(80 + i)
+			key := specKey(t, g, fp, "blobs:8", seed)
+			entry := nonOwner(t, nodes, key)
+			logbuf := &syncBuffer{}
+			entry.srv.logger = obs.NewLogger(logbuf)
+			t.Cleanup(func() { entry.srv.logger = nil })
+			a := askShortcut(t, entry.url,
+				map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": seed},
+				wire.ShortcutRequest{Graph: fp, Partition: "blobs:8", Seed: seed}, binary, binary)
+			if a.sourceHeader != "forward:built" {
+				t.Errorf("X-Locshort-Source = %q, want forward:built", a.sourceHeader)
+			}
+			// The owner's own answer carries the header unprefixed.
+			var owner *clusterNode
+			for _, n := range nodes {
+				if n.addr == a.servedBy {
+					owner = n
+				}
+			}
+			direct := askShortcut(t, owner.url,
+				map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": seed},
+				wire.ShortcutRequest{Graph: fp, Partition: "blobs:8", Seed: seed}, binary, binary)
+			if direct.sourceHeader != "cache" {
+				t.Errorf("owner's X-Locshort-Source = %q, want cache", direct.sourceHeader)
+			}
+			eventually(t, "request line with the relayed source", func() bool {
+				for _, line := range strings.Split(logbuf.String(), "\n") {
+					if strings.Contains(line, "shortcut="+key.String()) &&
+						strings.Contains(line, "graph="+gr.Graph) &&
+						strings.Contains(line, "source=forward:built") {
+						return true
+					}
+				}
+				return false
+			})
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"locshort/internal/cluster"
 	"locshort/internal/obs"
+	"locshort/internal/service"
 	"locshort/internal/store"
 )
 
@@ -107,24 +108,26 @@ func (m *httpMetrics) observe(route string, code int, d time.Duration) {
 }
 
 // reqInfo is the per-request annotation record: the middleware plants one
-// in the request context and handlers deep in the shared execution path
-// (buildShortcut) fill in what they learned, so the request log line can
-// say which graph and shortcut a request touched and which latency class
-// served it. One goroutine owns a request, so the fields are unsynchronized.
+// in the request context and the shared execution path (execute, relay)
+// fills in what it learned, so the request log line can say which graph
+// and shortcut a request touched and which latency class served it. The
+// fingerprints are rendered only when a line is logged. One goroutine owns
+// a request, so the fields are unsynchronized.
 type reqInfo struct {
-	graph    string // graph fingerprint
-	shortcut string // shortcut key
-	source   string // "cache" | "store" | "built"
+	graph    service.Fingerprint
+	shortcut service.Fingerprint
+	source   string // "cache" | "store" | "peer" | "built" | "forward:<source>"; "" when unannotated
 }
 
 type reqInfoKey struct{}
 
-// annotate runs fn on the context's reqInfo, if the request came through
-// the instrumented HTTP path. Async dispatcher contexts carry no reqInfo,
-// so job re-execution annotates nothing.
-func annotate(ctx context.Context, fn func(*reqInfo)) {
+// annotate records a shortcut request's graph, key, and latency class on
+// the context's reqInfo, if the request came through the instrumented HTTP
+// path. Async dispatcher contexts carry no reqInfo, so job execution
+// annotates nothing.
+func annotate(ctx context.Context, graph, shortcut service.Fingerprint, source string) {
 	if ri, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
-		fn(ri)
+		ri.graph, ri.shortcut, ri.source = graph, shortcut, source
 	}
 }
 
@@ -193,17 +196,13 @@ func (s *server) logRequest(id, route string, status int, dur time.Duration, ri 
 	}
 	kv := make([]any, 0, 16)
 	kv = append(kv, "id", id, "route", route, "code", status, "dur", dur)
-	if ri.graph != "" {
-		kv = append(kv, "graph", ri.graph)
-	}
-	if ri.shortcut != "" {
-		kv = append(kv, "shortcut", ri.shortcut)
-	}
+	shortcut := ""
 	if ri.source != "" {
-		kv = append(kv, "source", ri.source)
+		shortcut = ri.shortcut.String()
+		kv = append(kv, "graph", ri.graph.String(), "shortcut", shortcut, "source", ri.source)
 	}
 	if s.slowRequest > 0 && dur >= s.slowRequest {
-		if stages := s.stageSummary(ri.shortcut); stages != "" {
+		if stages := s.stageSummary(shortcut); stages != "" {
 			kv = append(kv, "stages", stages)
 		}
 		s.logger.Warn("slow_request", kv...)

@@ -23,22 +23,23 @@ import (
 	"locshort/internal/obs"
 	"locshort/internal/partition"
 	"locshort/internal/service"
+	"locshort/internal/shortcut"
 	"locshort/internal/store"
 	"locshort/internal/wire"
 )
 
 // server wires the service engine and the async job manager to the HTTP
-// JSON API. Handlers are thin: decode, translate fingerprints, call the
-// engine, encode. Request execution is factored into buildShortcut/runJob
-// so the synchronous handlers and the async dispatcher run the identical
-// path; all concurrency control (worker pool, cache, singleflight, job
-// queue) lives in internal/service and internal/jobs.
+// API. Handlers are thin: decode, translate fingerprints, call the engine,
+// encode. Request execution is factored into serveShortcut/runJob so the
+// synchronous handlers and the async dispatcher run the identical path;
+// all concurrency control (worker pool, cache, singleflight, job queue)
+// lives in internal/service and internal/jobs.
 type server struct {
 	eng   *service.Engine
 	mgr   *jobs.Manager
 	start time.Time
 	// cl is the cluster view in multi-node mode (nil single-node): the
-	// request router forwards misdirected build requests to the key's ring
+	// request router relays misdirected build requests to the key's ring
 	// owner, ingested graphs broadcast to peers, and /v1/peer/ serves the
 	// internal record-exchange API.
 	cl *cluster.Cluster
@@ -196,12 +197,16 @@ func (s *server) encodeFailed(err error) {
 	}
 }
 
-// decode reads a JSON request body capped at 64 MiB. The ResponseWriter
+// maxBody caps every request body, JSON or binary. A relayed explicit part
+// list must fit in it.
+const maxBody = 64 << 20
+
+// decode reads a JSON request body capped at maxBody. The ResponseWriter
 // is handed to MaxBytesReader so an oversized body also closes the
 // connection (the client would otherwise keep streaming into a void);
 // decodeStatus maps the resulting error to 413.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -225,7 +230,7 @@ func strictUnmarshal(b []byte, v any) error {
 }
 
 // statusError tags an error with the HTTP status it maps to. The shared
-// execution helpers (buildShortcut, runJob) use it to carry 400-class
+// execution helpers (serveShortcut, runJob) use it to carry 400-class
 // decisions out to whichever caller — the synchronous handler or the
 // async dispatcher, which runs detached from any HTTP request.
 type statusError struct {
@@ -341,7 +346,7 @@ func (s *server) handleGraphsBinary(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		s.httpError(w, decodeStatus(err), err)
 		return
@@ -495,120 +500,283 @@ type shortcutResponse struct {
 	CoveredParts int     `json:"covered_parts"`
 }
 
+// resolved is a shortcut request checked against this node's engine.
+type resolved struct {
+	req   shortcutRequest
+	g     *graph.Graph
+	build service.BuildRequest
+}
+
+// resolve parses the fingerprint and options and resolves the partition,
+// for the JSON body, the binary body, and a re-decoded async job alike.
+// Request-shape problems come back as statusError(400), an unknown graph
+// as service.ErrUnknownGraph (404).
+func (s *server) resolve(req shortcutRequest) (resolved, error) {
+	fp, err := service.ParseFingerprint(req.Graph)
+	if err != nil {
+		return resolved{}, badRequest(err)
+	}
+	g, ok := s.eng.Graph(fp)
+	if !ok {
+		return resolved{}, service.ErrUnknownGraph
+	}
+	opts, err := cli.ParseBuildOptions(req.Options)
+	if err != nil {
+		return resolved{}, badRequest(err)
+	}
+	parts, err := s.resolveParts(g, fp, req)
+	if err != nil {
+		return resolved{}, badRequest(err)
+	}
+	return resolved{req: req, g: g, build: service.BuildRequest{Graph: fp, Options: opts, Parts: parts}}, nil
+}
+
 // resolveParts translates a request's partition description — memoized
-// spec or explicit part list — into a Partition against g. Shared by the
-// JSON and binary shortcut paths; request-shape problems come back as
-// statusError(400).
+// spec or explicit part list — into a Partition against g.
 func (s *server) resolveParts(g *graph.Graph, fp service.Fingerprint, req shortcutRequest) (*partition.Partition, error) {
-	var parts *partition.Partition
-	var err error
 	switch {
 	case req.Partition != "" && req.Parts != nil:
-		return nil, badRequest(errors.New("give either partition or parts, not both"))
-	case req.Partition != "":
-		pkey := req.Graph + "/" + req.Partition + "/" + strconv.FormatInt(req.Seed, 10)
-		if cached, ok := s.parts.Load(pkey); ok {
-			parts = cached.(*partition.Partition)
-		} else if parts, err = cli.ParsePartition(g, req.Partition, req.Seed); err == nil &&
-			s.partCount.Load() < partMemoLimit {
-			if _, loaded := s.parts.LoadOrStore(pkey, parts); !loaded {
-				s.partCount.Add(1)
-				// Re-check the registration: a DELETE that ran between our
-				// Graph(fp) read and this insert has already swept the
-				// memo, so an entry parsed against the removed
-				// representative would be left behind (and silently reused
-				// on re-ingest). Seeing the graph gone here means the
-				// sweep ran; evicting our own insert closes the window.
-				if _, still := s.eng.Graph(fp); !still {
-					if _, loaded := s.parts.LoadAndDelete(pkey); loaded {
-						s.partCount.Add(-1)
-					}
-				}
+		return nil, errors.New("give either partition or parts, not both")
+	case req.Parts != nil:
+		return partition.New(g, req.Parts)
+	case req.Partition == "":
+		return nil, errors.New("need partition spec or parts")
+	}
+	// Keyed by the canonical fingerprint DELETE sweeps by: ParseFingerprint
+	// also accepts uppercase hex, and lowering an accepted spelling gives
+	// fp.String() (free when it already is).
+	pkey := strings.ToLower(req.Graph) + "/" + req.Partition + "/" + strconv.FormatInt(req.Seed, 10)
+	if cached, ok := s.parts.Load(pkey); ok {
+		return cached.(*partition.Partition), nil
+	}
+	parts, err := cli.ParsePartition(g, req.Partition, req.Seed)
+	if err != nil || s.partCount.Load() >= partMemoLimit {
+		return parts, err
+	}
+	if _, loaded := s.parts.LoadOrStore(pkey, parts); !loaded {
+		s.partCount.Add(1)
+		// Re-check the registration: a DELETE that ran between our
+		// Graph(fp) read and this insert has already swept the memo, so an
+		// entry parsed against the removed representative would be left
+		// behind (and silently reused on re-ingest). Seeing the graph gone
+		// here means the sweep ran; evicting our own insert closes the
+		// window.
+		if _, still := s.eng.Graph(fp); !still {
+			if _, loaded := s.parts.LoadAndDelete(pkey); loaded {
+				s.partCount.Add(-1)
 			}
 		}
-	case req.Parts != nil:
-		parts, err = partition.New(g, req.Parts)
-	default:
-		return nil, badRequest(errors.New("need partition spec or parts"))
-	}
-	if err != nil {
-		return nil, badRequest(err)
 	}
 	return parts, nil
 }
 
-// buildShortcut executes one build-or-get request: the path shared by the
-// synchronous POST /v1/shortcuts handler and the async dispatcher.
-// Request-shape problems come back as statusError(400); everything else
-// maps through statusFor.
-func (s *server) buildShortcut(ctx context.Context, req shortcutRequest) (shortcutResponse, error) {
-	var zero shortcutResponse
-	fp, err := service.ParseFingerprint(req.Graph)
+// route names the ring owner to relay a resolved request to, with its
+// key, or owner "" when this node executes it: single-node mode, a request
+// relayed once already (X-Locshort-Forwarded), or a key this node owns.
+func (s *server) route(rs resolved) (owner string, key service.Fingerprint) {
+	if s.cl == nil || rs.req.Forwarded {
+		return "", 0
+	}
+	key = service.ShortcutKey(rs.build.Graph, rs.build.Parts, rs.build.Options)
+	owner, self := s.cl.Owner(key)
+	if self {
+		return "", 0
+	}
+	return owner, key
+}
+
+// served is a build-or-get this node executed, for either writer: the
+// entry, whether it was a cache hit, the latency class ("cache", "store",
+// "peer", or "built"), the executing node (cluster mode only), and the
+// options a non-durable record is encoded with.
+type served struct {
+	entry    *service.Cached
+	hit      bool
+	source   string
+	servedBy string
+	opts     shortcut.Options
+}
+
+// execute is the only place /v1/shortcuts reaches eng.Build. It annotates
+// the request log line with the graph, key, and latency class — the three
+// facts a slow-request investigation starts from.
+func (s *server) execute(ctx context.Context, rs resolved) (served, error) {
+	c, hit, err := s.eng.Build(ctx, rs.build)
 	if err != nil {
-		return zero, badRequest(err)
+		return served{}, err
 	}
-	g, ok := s.eng.Graph(fp)
-	if !ok {
-		return zero, service.ErrUnknownGraph
+	sv := served{entry: c, hit: hit, source: "cache", opts: rs.build.Options}
+	if !hit {
+		sv.source = c.Source.String()
 	}
-	opts, err := cli.ParseBuildOptions(req.Options)
+	if s.cl != nil {
+		sv.servedBy = s.cl.Self()
+	}
+	annotate(ctx, c.GraphFP, c.Key, sv.source)
+	return sv, nil
+}
+
+// relayed is the key owner's answer to a relayed request, verbatim but
+// for the "forward:" prefix on its source header.
+type relayed struct {
+	owner  string
+	status int
+	header http.Header
+	body   []byte
+}
+
+// serveShortcut is the one shortcut request path: resolve → route →
+// execute. A request another node owns comes back as that owner's answer
+// (rel != nil), unless the owner cannot be reached: then this node serves
+// it (peer fetch, then rebuild). accept is what the relay asks the owner
+// for.
+func (s *server) serveShortcut(ctx context.Context, req shortcutRequest, accept string) (served, *relayed, error) {
+	rs, err := s.resolve(req)
 	if err != nil {
-		return zero, badRequest(err)
+		return served{}, nil, err
 	}
-	breq := service.BuildRequest{Graph: fp, Options: opts}
-	if breq.Parts, err = s.resolveParts(g, fp, req); err != nil {
-		return zero, err
-	}
-	// Cluster routing: any node accepts the request, but the key's ring
-	// owner executes it (one singleflight, one build, one persisted record
-	// cluster-wide). A request already relayed once is served here
-	// unconditionally, and an unreachable owner degrades to local serving
-	// (peer fetch, then rebuild) rather than an error.
-	if s.cl != nil && !req.Forwarded {
-		key := service.ShortcutKey(fp, breq.Parts, opts)
-		if owner, self := s.cl.Owner(key); !self {
-			if resp, err, handled := s.forwardShortcut(ctx, owner, fp, g, req); handled {
-				return resp, err
-			}
+	if owner, key := s.route(rs); owner != "" {
+		if rel := s.relay(ctx, owner, key, rs, accept); rel != nil {
+			return served{}, rel, nil
 		}
 	}
-	c, hit, err := s.eng.Build(ctx, breq)
-	if err != nil {
-		return zero, err
+	sv, err := s.execute(ctx, rs)
+	return sv, nil, err
+}
+
+// relay sends a request to the key's owner as a binary frame with the
+// client's accept and returns the owner's answer, whatever its status. It
+// returns nil — serve locally — when the owner is down or unreachable. An
+// owner answering 404 missed the graph's ingest broadcast: relay pushes
+// the graph and retries once.
+func (s *server) relay(ctx context.Context, owner string, key service.Fingerprint, rs resolved, accept string) *relayed {
+	if !s.cl.Available(owner) {
+		return nil
 	}
-	// Quality via the engine so first-touch measurement runs on the
-	// bounded worker pool, not the serving goroutine; memoized, so hits
-	// pay only a cache lookup. Measured on the held entry: re-resolving
-	// c.Key here would race eviction under capacity pressure. Warm hits
-	// take the lock-free memo read and skip the pool round trip entirely.
+	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{
+		Graph: rs.build.Graph, Partition: rs.req.Partition, Seed: rs.req.Seed,
+		Options: rs.req.Options, Parts: rs.req.Parts,
+	})
+	for attempt := 0; ; attempt++ {
+		status, hdr, body, err := s.cl.Forward(ctx, owner, "/v1/shortcuts", frame, accept)
+		if err != nil {
+			if s.logger != nil {
+				s.logger.Warn("forward_failed", "owner", owner, "err", err.Error())
+			}
+			return nil
+		}
+		if status == http.StatusNotFound && attempt == 0 {
+			if err := s.cl.PushGraph(ctx, owner, rs.build.Graph, store.EncodeGraphPayload(rs.g)); err != nil {
+				return nil
+			}
+			continue
+		}
+		if src := hdr[wire.HeaderSource]; len(src) > 0 {
+			src[0] = "forward:" + src[0]
+			annotate(ctx, rs.build.Graph, key, src[0])
+		}
+		return &relayed{owner: owner, status: status, header: hdr, body: body}
+	}
+}
+
+// relayedHeaders are the owner's answer headers copied to the client.
+var relayedHeaders = [...]string{"Content-Type", wire.HeaderKey, wire.HeaderGraph,
+	wire.HeaderSource, wire.HeaderServedBy, wire.HeaderBuildNs}
+
+// writeRelayed copies the owner's answer through to the client.
+func (s *server) writeRelayed(w http.ResponseWriter, rel *relayed) {
+	h := w.Header()
+	for _, k := range relayedHeaders {
+		if v := rel.header[k]; len(v) > 0 {
+			h[k] = v
+		}
+	}
+	w.WriteHeader(rel.status)
+	if _, err := w.Write(rel.body); err != nil {
+		s.encodeFailed(err)
+	}
+}
+
+// jobResult is the async form of the owner's answer: a 200 body is the job
+// result, anything else the error its envelope names.
+func (rel *relayed) jobResult() (json.RawMessage, error) {
+	if rel.status == http.StatusOK {
+		return rel.body, nil
+	}
+	var envelope struct {
+		Error string `json:"error"`
+	}
+	_ = json.Unmarshal(rel.body, &envelope)
+	if envelope.Error == "" {
+		envelope.Error = fmt.Sprintf("owner %s answered %d", rel.owner, rel.status)
+	}
+	return nil, &statusError{status: rel.status, err: errors.New(envelope.Error)}
+}
+
+func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
+	var req shortcutRequest
+	if wire.IsBinary(r.Header.Get("Content-Type")) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err != nil {
+			s.httpError(w, decodeStatus(err), err)
+			return
+		}
+		frame, err := wire.DecodeShortcutRequest(body)
+		if err != nil {
+			s.httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		req = shortcutRequest{Graph: frame.Graph.String(), Partition: frame.Partition,
+			Parts: frame.Parts, Seed: frame.Seed, Options: frame.Options}
+	} else if err := decode(w, r, &req); err != nil {
+		s.httpError(w, decodeStatus(err), err)
+		return
+	}
+	if req.Async {
+		s.submitAsync(w, jobKindShortcut, req)
+		return
+	}
+	req.Forwarded = r.Header.Get(cluster.ForwardedHeader) != ""
+	accept := r.Header.Get("Accept")
+	sv, rel, err := s.serveShortcut(r.Context(), req, accept)
+	switch {
+	case err != nil:
+		s.httpError(w, statusFor(err), err)
+	case rel != nil:
+		s.writeRelayed(w, rel)
+	case wire.IsBinary(accept):
+		s.writeShortcutBinary(w, sv)
+	default:
+		resp, err := s.shortcutJSON(r.Context(), sv)
+		if err != nil {
+			s.httpError(w, statusFor(err), err)
+			return
+		}
+		w.Header().Set(wire.HeaderSource, sv.source)
+		s.writeJSON(w, resp)
+	}
+}
+
+// shortcutJSON renders sv as the JSON answer. Quality comes from the
+// entry's memo once measured (a lock-free read: warm hits skip the pool
+// round trip), else from the engine, so first-touch measurement runs on
+// the bounded worker pool. Measured on the held entry: re-resolving the
+// key would race eviction under capacity pressure.
+func (s *server) shortcutJSON(ctx context.Context, sv served) (shortcutResponse, error) {
+	c := sv.entry
 	q, ok := c.QualityIfReady()
 	if !ok {
+		var err error
 		if q, err = s.eng.MeasureCached(ctx, c); err != nil {
-			return zero, err
+			return shortcutResponse{}, err
 		}
 	}
-	source := "cache"
-	if !hit {
-		source = c.Source.String()
-	}
-	servedBy := ""
-	if s.cl != nil {
-		servedBy = s.cl.Self()
-	}
-	// Annotate the request log (no-op off the HTTP path): which graph and
-	// shortcut this request resolved to, and the latency class that served
-	// it — the three facts a slow-request investigation starts from.
-	annotate(ctx, func(ri *reqInfo) {
-		ri.graph = c.GraphFP.String()
-		ri.shortcut = c.Key.String()
-		ri.source = source
-	})
 	return shortcutResponse{
 		Shortcut:     c.Key.String(),
 		Graph:        c.GraphFP.String(),
-		Cached:       hit,
-		Source:       source,
-		ServedBy:     servedBy,
+		Cached:       sv.hit,
+		Source:       sv.source,
+		ServedBy:     sv.servedBy,
 		BuildMillis:  float64(c.BuildTime.Microseconds()) / 1000,
 		Delta:        c.Result.Delta,
 		Congestion:   q.Congestion,
@@ -618,164 +786,13 @@ func (s *server) buildShortcut(ctx context.Context, req shortcutRequest) (shortc
 	}, nil
 }
 
-// forwardShortcut relays one build request to the key's owner node.
-// handled is false only when the owner is unreachable (down backoff or
-// transport failure): the caller serves locally as the degraded path. A
-// reachable owner's answer — success or error — is final and relayed to
-// the client. An owner that has not seen the graph yet (404: the ingest
-// broadcast raced or was missed) gets the graph payload pushed and the
-// request retried once.
-func (s *server) forwardShortcut(ctx context.Context, owner string, fp service.Fingerprint,
-	g *graph.Graph, req shortcutRequest) (shortcutResponse, error, bool) {
-	var zero shortcutResponse
-	if !s.cl.Available(owner) {
-		return zero, nil, false
-	}
-	// Forwarded requests are always synchronous: async acceptance and the
-	// durable job record belong to the node the client dialed; the job's
-	// execution forwards through here.
-	req.Async = false
-	body, err := json.Marshal(req)
-	if err != nil {
-		return zero, err, true
-	}
-	for attempt := 0; ; attempt++ {
-		status, respBody, err := s.cl.ForwardRequest(ctx, owner, "/v1/shortcuts", body)
-		if err != nil {
-			if s.logger != nil {
-				s.logger.Warn("forward_failed", "owner", owner, "err", err.Error())
-			}
-			return zero, nil, false
-		}
-		switch {
-		case status == http.StatusOK:
-			var resp shortcutResponse
-			if err := json.Unmarshal(respBody, &resp); err != nil {
-				return zero, fmt.Errorf("forward: owner %s sent a malformed response: %w", owner, err), true
-			}
-			annotate(ctx, func(ri *reqInfo) {
-				ri.graph = resp.Graph
-				ri.shortcut = resp.Shortcut
-				ri.source = "forward:" + resp.Source
-			})
-			return resp, nil, true
-		case status == http.StatusNotFound && attempt == 0:
-			// The owner does not know the graph: push our copy and retry.
-			if err := s.cl.PushGraph(ctx, owner, fp, store.EncodeGraphPayload(g)); err != nil {
-				return zero, nil, false
-			}
-		default:
-			var envelope struct {
-				Error string `json:"error"`
-			}
-			_ = json.Unmarshal(respBody, &envelope)
-			if envelope.Error == "" {
-				envelope.Error = fmt.Sprintf("owner %s answered %d", owner, status)
-			}
-			return zero, &statusError{status: status, err: errors.New(envelope.Error)}, true
-		}
-	}
-}
-
-func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
-	var req shortcutRequest
-	if wire.IsBinary(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			s.httpError(w, decodeStatus(err), err)
-			return
-		}
-		breq, err := wire.DecodeShortcutRequest(body)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		req = shortcutRequest{
-			Graph:     breq.Graph.String(),
-			Partition: breq.Partition,
-			Seed:      breq.Seed,
-			Options:   breq.Options,
-		}
-	} else if err := decode(w, r, &req); err != nil {
-		s.httpError(w, decodeStatus(err), err)
-		return
-	}
-	req.Forwarded = r.Header.Get(cluster.ForwardedHeader) != ""
-	if req.Async {
-		s.submitAsync(w, jobKindShortcut, req)
-		return
-	}
-	if wire.IsBinary(r.Header.Get("Accept")) {
-		s.serveShortcutBinary(w, r, req)
-		return
-	}
-	resp, err := s.buildShortcut(r.Context(), req)
-	if err != nil {
-		s.httpError(w, statusFor(err), err)
-		return
-	}
-	s.writeJSON(w, resp)
-}
-
-// serveShortcutBinary answers a build-or-get with the canonical shortcut
-// record payload as the body and the envelope metadata in headers. The
-// warm path this enables: request decode is a fixed-layout parse, the
-// quality measurement round trip is skipped (binary responses don't carry
-// quality numbers), and the body is the stored payload — zero-copy off a
-// mapped segment when the daemon runs with -data — instead of a fresh
-// JSON encode.
-func (s *server) serveShortcutBinary(w http.ResponseWriter, r *http.Request, req shortcutRequest) {
-	ctx := r.Context()
-	fp, err := service.ParseFingerprint(req.Graph)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	g, ok := s.eng.Graph(fp)
-	if !ok {
-		s.httpError(w, statusFor(service.ErrUnknownGraph), service.ErrUnknownGraph)
-		return
-	}
-	opts, err := cli.ParseBuildOptions(req.Options)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	parts, err := s.resolveParts(g, fp, req)
-	if err != nil {
-		s.httpError(w, statusFor(err), err)
-		return
-	}
-	// Cluster routing mirrors buildShortcut: the key's ring owner executes,
-	// an unreachable owner degrades to local serving. Spec-form requests
-	// relay over the binary protocol end to end; explicit part lists have
-	// no binary request form, so a misdirected one is served locally (rare
-	// and cold — the duplicate build is bounded by the replica count).
-	if s.cl != nil && !req.Forwarded && req.Partition != "" {
-		key := service.ShortcutKey(fp, parts, opts)
-		if owner, self := s.cl.Owner(key); !self {
-			if s.forwardShortcutBinary(w, r, owner, fp, g, req) {
-				return
-			}
-		}
-	}
-	c, hit, err := s.eng.Build(ctx, service.BuildRequest{Graph: fp, Options: opts, Parts: parts})
-	if err != nil {
-		s.httpError(w, statusFor(err), err)
-		return
-	}
-	source := "cache"
-	if !hit {
-		source = c.Source.String()
-	}
-	annotate(ctx, func(ri *reqInfo) {
-		ri.graph = c.GraphFP.String()
-		ri.shortcut = c.Key.String()
-		ri.source = source
-	})
-	// Body: prefer the stored record payload (zero-copy when mapped);
-	// encode fresh only when the record is not durable — storeless daemon,
-	// or a detached persist that has not landed yet.
+// writeShortcutBinary renders sv as the binary answer: the canonical
+// shortcut record payload as the body, the metadata in headers, and no
+// quality numbers, so it never measures. The body is the stored payload —
+// zero-copy off a mapped segment — or a fresh encode when the record is
+// not durable: a storeless daemon, or a detached persist not yet landed.
+func (s *server) writeShortcutBinary(w http.ResponseWriter, sv served) {
+	c := sv.entry
 	var payload []byte
 	if s.st != nil {
 		if p, ok, err := s.st.ShortcutPayload(c.Key); err == nil && ok {
@@ -783,72 +800,20 @@ func (s *server) serveShortcutBinary(w http.ResponseWriter, r *http.Request, req
 		}
 	}
 	if payload == nil {
-		payload = store.EncodeShortcutRecordPayload(c.GraphFP, c.Parts, opts, c.Result, c.BuildTime)
+		payload = store.EncodeShortcutRecordPayload(c.GraphFP, c.Parts, sv.opts, c.Result, c.BuildTime)
 	}
 	h := w.Header()
 	h.Set("Content-Type", wire.ContentType)
 	h.Set(wire.HeaderKey, c.Key.String())
 	h.Set(wire.HeaderGraph, c.GraphFP.String())
-	h.Set(wire.HeaderSource, source)
+	h.Set(wire.HeaderSource, sv.source)
 	h.Set(wire.HeaderBuildNs, strconv.FormatInt(c.BuildTime.Nanoseconds(), 10))
-	if s.cl != nil {
-		h.Set(wire.HeaderServedBy, s.cl.Self())
+	if sv.servedBy != "" {
+		h.Set(wire.HeaderServedBy, sv.servedBy)
 	}
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	if _, err := w.Write(payload); err != nil {
 		s.encodeFailed(err)
-	}
-}
-
-// forwardShortcutBinary relays a binary shortcut request to the key's
-// owner and copies its answer — status, metadata headers, payload body —
-// through verbatim. Returns false when the owner is unreachable, in which
-// case the caller serves locally (same degraded path as forwardShortcut);
-// a reachable owner's answer is final. A 404 (owner missed the graph
-// broadcast) gets the graph pushed and one retry.
-func (s *server) forwardShortcutBinary(w http.ResponseWriter, r *http.Request, owner string,
-	fp service.Fingerprint, g *graph.Graph, req shortcutRequest) bool {
-	if !s.cl.Available(owner) {
-		return false
-	}
-	ctx := r.Context()
-	body := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{
-		Graph: fp, Partition: req.Partition, Seed: req.Seed, Options: req.Options,
-	})
-	for attempt := 0; ; attempt++ {
-		status, hdr, respBody, err := s.cl.ForwardRequestBinary(ctx, owner, "/v1/shortcuts", body)
-		if err != nil {
-			if s.logger != nil {
-				s.logger.Warn("forward_failed", "owner", owner, "err", err.Error())
-			}
-			return false
-		}
-		if status == http.StatusNotFound && attempt == 0 {
-			// The owner does not know the graph: push our copy and retry.
-			if err := s.cl.PushGraph(ctx, owner, fp, store.EncodeGraphPayload(g)); err != nil {
-				return false
-			}
-			continue
-		}
-		for _, k := range []string{"Content-Type", wire.HeaderKey, wire.HeaderGraph,
-			wire.HeaderServedBy, wire.HeaderBuildNs} {
-			if v := hdr.Get(k); v != "" {
-				w.Header().Set(k, v)
-			}
-		}
-		if src := hdr.Get(wire.HeaderSource); src != "" {
-			w.Header().Set(wire.HeaderSource, "forward:"+src)
-			annotate(ctx, func(ri *reqInfo) {
-				ri.graph = hdr.Get(wire.HeaderGraph)
-				ri.shortcut = hdr.Get(wire.HeaderKey)
-				ri.source = "forward:" + src
-			})
-		}
-		w.WriteHeader(status)
-		if _, err := w.Write(respBody); err != nil {
-			s.encodeFailed(err)
-		}
-		return true
 	}
 }
 
@@ -1045,7 +1010,15 @@ func (s *server) execAsync(ctx context.Context, kind string, request json.RawMes
 		if err := strictUnmarshal(request, &req); err != nil {
 			return nil, err
 		}
-		resp, err := s.buildShortcut(ctx, req)
+		// A relayed job asks the owner for JSON: its answer is the result.
+		sv, rel, err := s.serveShortcut(ctx, req, "")
+		switch {
+		case err != nil:
+			return nil, err
+		case rel != nil:
+			return rel.jobResult()
+		}
+		resp, err := s.shortcutJSON(ctx, sv)
 		if err != nil {
 			return nil, err
 		}

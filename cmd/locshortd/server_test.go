@@ -18,6 +18,7 @@ import (
 	"locshort/internal/jobs"
 	"locshort/internal/service"
 	"locshort/internal/store"
+	"locshort/internal/wire"
 )
 
 // newTestServer stands up an engine, the HTTP API, and a started async
@@ -755,33 +756,46 @@ func TestAsyncQueueFull(t *testing.T) {
 
 // TestPartitionMemoEvictedOnDelete is the regression test for the memo
 // leak: deleting a graph must drop its partition memo entries and release
-// their budget, and a re-ingested graph must be re-parsed fresh.
+// their budget, and a re-ingested graph must be re-parsed fresh. The
+// uppercase row spells the fingerprint the way ParseFingerprint also
+// accepts: the memo entry must still land under the canonical key the
+// delete sweeps.
 func TestPartitionMemoEvictedOnDelete(t *testing.T) {
-	ts, srv := newTestServer(t, service.Config{Workers: 2}, jobs.Config{})
+	for _, tc := range []struct {
+		name  string
+		spell func(string) string
+	}{
+		{"canonical", func(fp string) string { return fp }},
+		{"uppercase", strings.ToUpper},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, srv := newTestServer(t, service.Config{Workers: 2}, jobs.Config{})
 
-	var g struct {
-		Graph string `json:"graph"`
-	}
-	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
-	build := map[string]any{"graph": g.Graph, "partition": "blobs:8", "seed": 1}
-	postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
-	if n := srv.partCount.Load(); n != 1 {
-		t.Fatalf("partition memo count after build = %d, want 1", n)
-	}
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/"+g.Graph, nil, http.StatusOK, nil)
-	if n := srv.partCount.Load(); n != 0 {
-		t.Fatalf("partition memo count after delete = %d, want 0 (budget released)", n)
-	}
-	leaked := 0
-	srv.parts.Range(func(k, v any) bool { leaked++; return true })
-	if leaked != 0 {
-		t.Fatalf("%d memo entries survived the delete", leaked)
-	}
-	// Re-ingest and rebuild: parsed fresh against the new representative.
-	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
-	postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
-	if n := srv.partCount.Load(); n != 1 {
-		t.Errorf("partition memo count after re-ingest = %d, want 1", n)
+			var g struct {
+				Graph string `json:"graph"`
+			}
+			postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
+			build := map[string]any{"graph": tc.spell(g.Graph), "partition": "blobs:8", "seed": 1}
+			postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
+			if n := srv.partCount.Load(); n != 1 {
+				t.Fatalf("partition memo count after build = %d, want 1", n)
+			}
+			doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/"+g.Graph, nil, http.StatusOK, nil)
+			if n := srv.partCount.Load(); n != 0 {
+				t.Fatalf("partition memo count after delete = %d, want 0 (budget released)", n)
+			}
+			leaked := 0
+			srv.parts.Range(func(k, v any) bool { leaked++; return true })
+			if leaked != 0 {
+				t.Fatalf("%d memo entries survived the delete", leaked)
+			}
+			// Re-ingest and rebuild: parsed fresh against the new representative.
+			postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
+			postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
+			if n := srv.partCount.Load(); n != 1 {
+				t.Errorf("partition memo count after re-ingest = %d, want 1", n)
+			}
+		})
 	}
 }
 
@@ -906,6 +920,31 @@ func TestRequestBodyLimit(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestBinaryRequestBodyCap: a binary shortcut request shares the JSON
+// body cap (64 MiB). A frame well past 1 MiB — an explicit part list a
+// relay might carry — is read and resolved, so a request for a graph the
+// node does not know answers 404, not 413.
+func TestBinaryRequestBodyCap(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	part := make([]int, 300_000)
+	for i := range part {
+		part[i] = 1<<21 + i // four uvarint bytes each
+	}
+	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: 0x1234, Parts: [][]int{part}})
+	if len(frame) <= 1<<20 {
+		t.Fatalf("frame is %d bytes, want more than 1 MiB", len(frame))
+	}
+	resp, err := http.Post(ts.URL+"/v1/shortcuts", wire.ContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("oversized-for-1MiB frame, unknown graph: status %d, want 404: %s", resp.StatusCode, body)
 	}
 }
 

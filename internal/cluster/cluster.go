@@ -405,31 +405,64 @@ func fromPeerRecord(rec store.PeerRecord) Record {
 // errNotFound distinguishes a peer's 404 (clean miss) from real failures.
 var errNotFound = fmt.Errorf("cluster: peer record not found")
 
-// getJSON GETs http://<peer><path> and decodes the JSON response. Transport
-// failures mark the peer down; a reachable peer that answers marks it up.
-func (c *Cluster) getJSON(ctx context.Context, peer, path string, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+// exchange is the one HTTP exchange with a peer, shared by every client
+// call: under timeout it sends body (nil for none) with each header
+// key/value pair whose value is not empty, and reads at most limit bytes
+// of the answer. A transport failure marks the peer down and comes back
+// as an error; an answer, whatever its status, marks the peer up and
+// comes back as status, header, and body.
+func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, peer, path string,
+	body []byte, limit int64, header ...string) (int, http.Header, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+path, nil)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return 0, nil, nil, err
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
+		}
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		c.markDown(peer)
-		return fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
+		return 0, nil, nil, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
 	}
 	defer resp.Body.Close()
 	c.markUp(peer)
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return errNotFound
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cluster: peer %s %s: %s: %s", peer, path, resp.Status, bytes.TrimSpace(body))
+	return resp.StatusCode, resp.Header, answer, nil
+}
+
+// get GETs a peer API path, asking for accept, and returns the body of a
+// 200 answer; a 404 is errNotFound, any other status an error quoting the
+// answer.
+func (c *Cluster) get(ctx context.Context, peer, path, accept string) ([]byte, http.Header, error) {
+	status, hdr, body, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodGet, peer, path, nil, 256<<20,
+		"Accept", accept)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case status == http.StatusNotFound:
+		return nil, nil, errNotFound
+	case status != http.StatusOK:
+		return nil, nil, fmt.Errorf("cluster: peer %s %s: %d %s: %s", peer, path, status,
+			http.StatusText(status), bytes.TrimSpace(body[:min(len(body), 512)]))
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(out)
+	return body, hdr, nil
+}
+
+// getJSON GETs a peer API path and decodes the JSON answer into out.
+func (c *Cluster) getJSON(ctx context.Context, peer, path string, out any) error {
+	body, _, err := c.get(ctx, peer, path, "")
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
 }
 
 // RingInfoOf fetches a peer's ring view.
@@ -446,46 +479,17 @@ func (c *Cluster) InventoryOf(ctx context.Context, peer string) (Inventory, erro
 	return inv, err
 }
 
-// getBinary GETs http://<peer><path> asking for the binary protocol and
-// returns the raw body when the peer answered in it. A peer that answers
-// JSON instead (binary=false) is handled by the caller's JSON path, so the
-// client interoperates with nodes that have not negotiated binary — the
-// fetch just costs the base64 round trip it always did. Transport failures
-// mark the peer down; any answer marks it up.
+// getBinary GETs a peer API path asking for the binary protocol and
+// returns the raw body, and whether the peer answered in it. A peer that
+// answers JSON instead (binary=false) is handled by the caller's JSON
+// path, so the client interoperates with nodes that have not negotiated
+// binary — the fetch just costs the base64 round trip it always did.
 func (c *Cluster) getBinary(ctx context.Context, peer, path string) (body []byte, binary bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+path, nil)
+	body, hdr, err := c.get(ctx, peer, path, wire.ContentType)
 	if err != nil {
 		return nil, false, err
 	}
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.markDown(peer)
-		return nil, false, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	c.markUp(peer)
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, false, errNotFound
-	}
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, false, fmt.Errorf("cluster: peer %s %s: %s: %s", peer, path, resp.Status, bytes.TrimSpace(b))
-	}
-	if !wire.IsBinary(resp.Header.Get("Content-Type")) {
-		// The peer declined binary; hand the JSON body back for the
-		// caller's decoder.
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-		return b, false, err
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, false, err
-	}
-	return b, true, nil
+	return body, wire.IsBinary(hdr.Get("Content-Type")), nil
 }
 
 // recordOf fetches one shortcut record from a peer over the binary
@@ -540,26 +544,12 @@ func (c *Cluster) graphPayloadOf(ctx context.Context, peer string, fp service.Fi
 // PushGraph PUTs a graph record payload to one peer, raw over the binary
 // protocol — no base64 envelope, no decode on our side.
 func (c *Cluster) PushGraph(ctx context.Context, peer string, fp service.Fingerprint, payload []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		"http://"+peer+"/v1/peer/graphs/"+fp.String(), bytes.NewReader(payload))
-	if err != nil {
-		return err
+	status, _, _, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodPut, peer,
+		"/v1/peer/graphs/"+fp.String(), payload, 512, "Content-Type", wire.ContentType)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("cluster: peer %s rejected graph %s: %d %s", peer, fp, status, http.StatusText(status))
 	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.markDown(peer)
-		return fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	c.markUp(peer)
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s rejected graph %s: %s", peer, fp, resp.Status)
-	}
-	return nil
+	return err
 }
 
 // BroadcastGraph best-effort pushes an ingested graph's payload to every
@@ -590,61 +580,27 @@ func (c *Cluster) BroadcastGraph(ctx context.Context, fp service.Fingerprint, pa
 	wg.Wait()
 }
 
-// ForwardRequest relays a JSON request body to the owner node's public API
-// and returns the response. err is non-nil only for transport failures (the
-// owner is down — the caller falls back to serving locally); an HTTP error
-// status from the owner comes back as (status, body, nil) for the caller to
-// interpret. The X-Locshort-Forwarded header stops the owner from
+// Forward relays a binary request frame to the owner node's public API,
+// asking for the caller's accept ("" sends no Accept header, which gets
+// JSON), and returns the owner's answer: status, header, and body. err is
+// non-nil only for transport failures (the owner is down — the caller
+// falls back to serving locally, and the owner enters down backoff); an
+// HTTP error status from the owner comes back as an answer for the caller
+// to pass on. The X-Locshort-Forwarded header stops the owner from
 // forwarding again.
-func (c *Cluster) ForwardRequest(ctx context.Context, owner, path string, body []byte) (int, []byte, error) {
-	status, _, respBody, err := c.forward(ctx, owner, path, body, "application/json", "")
-	return status, respBody, err
-}
-
-// ForwardRequestBinary is ForwardRequest over the binary protocol: the
-// body is a binary request, the Accept header asks for a binary response,
-// and the owner's response headers come back so the relay can copy the
-// metadata headers (key, source, build cost) through to the client.
-func (c *Cluster) ForwardRequestBinary(ctx context.Context, owner, path string, body []byte) (int, http.Header, []byte, error) {
-	return c.forward(ctx, owner, path, body, wire.ContentType, wire.ContentType)
-}
-
-func (c *Cluster) forward(ctx context.Context, owner, path string, body []byte,
-	contentType, accept string) (int, http.Header, []byte, error) {
+func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte, accept string) (int, http.Header, []byte, error) {
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+owner+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
+	status, hdr, body, err := c.exchange(ctx, c.cfg.ForwardTimeout, http.MethodPost, owner, path, frame, 64<<20,
+		"Content-Type", wire.ContentType, "Accept", accept, ForwardedHeader, "1")
+	if c.metrics != nil {
+		c.metrics.forwardSeconds.Observe(time.Since(start))
 	}
-	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	req.Header.Set(ForwardedHeader, "1")
-	resp, err := c.hc.Do(req)
-	d := time.Since(start)
-	if err != nil {
-		c.markDown(owner)
-		c.forwardErrs.Add(1)
-		if c.metrics != nil {
-			c.metrics.forwardSeconds.Observe(d)
-		}
-		return 0, nil, nil, fmt.Errorf("cluster: owner %s unreachable: %w", owner, err)
-	}
-	defer resp.Body.Close()
-	c.markUp(owner)
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		c.forwardErrs.Add(1)
 		return 0, nil, nil, err
 	}
 	c.forwards.Add(1)
-	if c.metrics != nil {
-		c.metrics.forwardSeconds.Observe(d)
-	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	return status, hdr, body, nil
 }
 
 // ForwardedHeader marks a relayed request so the owner serves it locally

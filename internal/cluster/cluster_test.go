@@ -359,7 +359,7 @@ func TestGraphPutRejectsWrongFingerprint(t *testing.T) {
 func TestForwardRequestTransportError(t *testing.T) {
 	nodes := newTestCluster(t, 2)
 	nodes[1].srv.Close()
-	_, _, err := nodes[0].cl.ForwardRequest(context.Background(), nodes[1].addr, "/v1/shortcuts", []byte(`{}`))
+	_, _, _, err := nodes[0].cl.Forward(context.Background(), nodes[1].addr, "/v1/shortcuts", []byte(`{}`), "")
 	if err == nil {
 		t.Fatal("forward to a dead node must error")
 	}

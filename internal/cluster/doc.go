@@ -18,7 +18,8 @@
 // Cluster is one node's runtime view: it implements service.PeerFetcher
 // (the engine's miss chain becomes cache, local store, peer store, cold
 // build), serves the internal peer API under /v1/peer/ (Handler), relays
-// misdirected build requests to the key's owner (ForwardRequest),
+// misdirected build requests to the key's owner as binary request frames
+// (Forward),
 // broadcasts ingested graphs (BroadcastGraph — graphs replicate everywhere,
 // only shortcut records are ring-partitioned), and runs the background
 // anti-entropy loop (Start/SyncNow) that diffs peer inventories and pulls

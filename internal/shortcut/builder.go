@@ -76,7 +76,7 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 // paying per-call allocation for per-node maps.
 //
 // Three ideas replace the map-based bookkeeping of the original path
-// (preserved in reference.go and tested equivalent):
+// (preserved in reference_test.go and tested equivalent):
 //
 //   - Part sets are open-addressing (part, representative) tables drawn
 //     from a per-builder size-class pool, merged small-into-large along

@@ -24,7 +24,7 @@
 // the same harvest (AssembleFromCuts) after its simulated cut waves,
 // internal/service caches Build results behind a singleflight, and
 // internal/store persists them. The pre-Builder construction is preserved
-// in reference.go as the executable specification.
+// in the test file reference_test.go as the executable specification.
 //
 // The package is part of the deterministic core policed by the
 // internal/analysis lint suite (DESIGN.md §12): no map iteration, no

@@ -2,7 +2,9 @@ package shortcut
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"testing"
 
 	"locshort/internal/graph"
 	"locshort/internal/partition"
@@ -10,12 +12,12 @@ import (
 )
 
 // This file preserves the pre-Builder, map-based construction path
-// verbatim. It is the executable specification the flat Builder is tested
-// against: BuildReference must produce the same accepted delta', the same
-// covered parts, and the same canonical H edge sets as Builder.Build on
-// every input (see builder_test.go), and its allocation profile is the
-// baseline the Builder's allocation budget is measured against. It is not
-// used by any production code path.
+// verbatim, as test code only. It is the executable specification the flat
+// Builder is tested against: BuildReference must produce the same accepted
+// delta', the same covered parts, and the same canonical H edge sets as
+// Builder.Build on every input (see builder_test.go), and its allocation
+// profile is the baseline the Builder's allocation budget is measured
+// against (TestBuilderAllocReduction, BenchmarkBuildReference).
 
 // buildPartialReference is the original map-based BuildPartial.
 func buildPartialReference(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b int, active []bool) (*Partial, error) {
@@ -269,5 +271,47 @@ func BuildReference(g *graph.Graph, p *partition.Partition, opts Options) (*Resu
 		if fixed {
 			return res, fmt.Errorf("shortcut: delta' = %d: %w", opts.Delta, ErrDeltaTooSmall)
 		}
+	}
+}
+
+// perfFamily builds the perf workload named by spec, the same graphs and
+// partitions as the root package's perf families.
+func perfFamily(b *testing.B, spec string) (*graph.Graph, *partition.Partition) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var g *graph.Graph
+	var k int
+	switch spec {
+	case "grid:64x64":
+		g, k = graph.Grid(64, 64), 64
+	case "torus:32x32":
+		g, k = graph.Torus(32, 32), 32
+	case "ktree:600,4":
+		g, k = graph.KTree(600, 4, rng), 50
+	default:
+		b.Fatalf("unknown perf family %q", spec)
+	}
+	p, err := partition.BFSBlobs(g, k, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, p
+}
+
+// BenchmarkBuildReference measures the preserved map-based construction
+// path on the perf families, the baseline the root package's
+// BenchmarkBuild (the flat Builder) is compared against.
+func BenchmarkBuildReference(b *testing.B) {
+	for _, spec := range []string{"grid:64x64", "torus:32x32", "ktree:600,4"} {
+		b.Run(spec, func(b *testing.B) {
+			g, p := perfFamily(b, spec)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildReference(g, p, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,31 +1,9 @@
-// Package wire defines the binary HTTP protocol locshortd speaks next to
-// its JSON API. The insight it packages: the store's canonical payload
-// encodings (version byte + the exact bytes the content fingerprints are
-// computed over) already are a wire format — self-describing, self-
-// verifying, and byte-identical on every node. The binary protocol
-// therefore never invents a second encoding; it moves the store payloads
-// verbatim and adds only the two small envelopes the payloads cannot
-// carry themselves: this request body (which names a graph, a partition
-// spec, and options — inputs, not content) and a handful of response
-// headers for the metadata the JSON responses put in their envelope.
-//
-// Negotiation is plain HTTP: a request body in this format is announced
-// with `Content-Type: application/x-locshort`, a response in it is asked
-// for with `Accept: application/x-locshort`. Everything else — routes,
-// status codes, error envelopes (errors are always JSON) — is shared with
-// the JSON protocol, and the two are byte-equivalent where they overlap:
-// the same payload bytes, the same fingerprints.
-//
-// The package is part of the deterministic core policed by the
-// internal/analysis lint suite (DESIGN.md §12) — codec output must be
-// byte-deterministic — and its codec functions carry //locshort:hotpath,
-// arming the per-call allocation rules; cmd/locshortlint enforces both
-// in CI.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"locshort/internal/service"
@@ -69,23 +47,33 @@ func IsBinary(v string) bool {
 	return strings.TrimSpace(v) == ContentType
 }
 
-// shortcutRequestVersion versions the binary shortcut request body.
-const shortcutRequestVersion = 1
+// Versions of the binary shortcut request body: version 1 is the spec
+// form, version 2 appends an explicit part list.
+const (
+	shortcutRequestV1 = 1
+	shortcutRequestV2 = 2
+)
 
-// ShortcutRequest is the binary body of POST /v1/shortcuts. It carries the
-// spec-form request only: a graph fingerprint, a partition spec in the
-// internal/cli language, a seed, and the canonical options text. Requests
-// needing an explicit part list or async submission use the JSON body —
-// those shapes are rare and cold; this one is the warm path.
+// ShortcutRequest is the binary body of POST /v1/shortcuts, and the frame
+// cluster nodes relay misdirected requests in. It carries a graph
+// fingerprint and either a partition spec in the internal/cli language
+// plus a seed, or an explicit part list, and the canonical options text.
+// Async submission has no binary form; it uses the JSON body.
 //
 // Layout: version byte, big-endian uint64 graph fingerprint, uvarint
 // partition-spec length + bytes, varint seed, uvarint options length +
-// bytes. No trailing bytes allowed.
+// bytes. A request with Parts (even an empty list) is version 2 and
+// continues with a uvarint part count, then per part a uvarint size and
+// its uvarint node IDs, in the request's order; one without is version 1
+// and ends there. No trailing bytes allowed.
 type ShortcutRequest struct {
 	Graph     service.Fingerprint
 	Partition string
 	Seed      int64
 	Options   string
+	// Parts is the explicit part list; nil in the spec form. A version-2
+	// frame always decodes to a non-nil Parts.
+	Parts [][]int
 }
 
 // maxRequestString bounds the spec and options strings read from a request
@@ -96,25 +84,41 @@ const maxRequestString = 1 << 16
 //
 //locshort:hotpath
 func AppendShortcutRequest(b []byte, r ShortcutRequest) []byte {
-	b = append(b, shortcutRequestVersion)
+	version := byte(shortcutRequestV1)
+	if r.Parts != nil {
+		version = shortcutRequestV2
+	}
+	b = append(b, version)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Graph))
 	b = binary.AppendUvarint(b, uint64(len(r.Partition)))
 	b = append(b, r.Partition...)
 	b = binary.AppendVarint(b, r.Seed)
 	b = binary.AppendUvarint(b, uint64(len(r.Options)))
 	b = append(b, r.Options...)
+	if r.Parts == nil {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.Parts)))
+	for _, part := range r.Parts {
+		b = binary.AppendUvarint(b, uint64(len(part)))
+		for _, v := range part {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
 	return b
 }
 
-// DecodeShortcutRequest parses a binary shortcut request body. The decoded
-// strings are copies; the caller may recycle b.
+// DecodeShortcutRequest parses a binary shortcut request body of either
+// version. The decoded strings and parts are copies; the caller may
+// recycle b.
 //
 //locshort:hotpath
 func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
 	var r ShortcutRequest
-	if len(b) < 1+8 || b[0] != shortcutRequestVersion {
+	if len(b) < 1+8 || (b[0] != shortcutRequestV1 && b[0] != shortcutRequestV2) {
 		return r, fmt.Errorf("wire: shortcut request: bad version or truncated") //locshort:alloc-ok reject path
 	}
+	version := b[0]
 	r.Graph = service.Fingerprint(binary.BigEndian.Uint64(b[1:]))
 	b = b[9:]
 	var ok bool
@@ -130,10 +134,46 @@ func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
 	if r.Options, b, ok = readLenString(b); !ok {
 		return r, fmt.Errorf("wire: shortcut request: truncated options") //locshort:alloc-ok reject path
 	}
+	if version == shortcutRequestV2 {
+		if r.Parts, b, ok = readParts(b); !ok {
+			return r, fmt.Errorf("wire: shortcut request: truncated or oversized part list") //locshort:alloc-ok reject path
+		}
+	}
 	if len(b) != 0 {
 		return r, fmt.Errorf("wire: shortcut request: %d trailing bytes", len(b)) //locshort:alloc-ok reject path
 	}
 	return r, nil
+}
+
+// readParts decodes a version-2 part list, returning the parts (never
+// nil), the remaining bytes, and whether the list was well-formed. Every
+// count is checked against the bytes left before anything is allocated:
+// a part takes at least one byte (its size), a node ID at least one.
+func readParts(b []byte) ([][]int, []byte, bool) {
+	k, used := binary.Uvarint(b)
+	if used <= 0 || k > uint64(len(b)-used) {
+		return nil, b, false
+	}
+	b = b[used:]
+	parts := make([][]int, k)
+	for i := range parts {
+		size, used := binary.Uvarint(b)
+		if used <= 0 || size > uint64(len(b)-used) {
+			return nil, b, false
+		}
+		b = b[used:]
+		part := make([]int, size)
+		for j := range part {
+			v, used := binary.Uvarint(b)
+			if used <= 0 || v > math.MaxInt {
+				return nil, b, false
+			}
+			part[j] = int(v)
+			b = b[used:]
+		}
+		parts[i] = part
+	}
+	return parts, b, true
 }
 
 // readLenString decodes one uvarint-length-prefixed string field,

@@ -139,10 +139,6 @@ var (
 	EmptyShortcut      = shortcut.NewEmpty
 	ExtractCertificate = shortcut.ExtractCertificate
 	ChooseRoot         = shortcut.ChooseRoot
-	// BuildSequentialReference is the preserved pre-Builder construction
-	// path (map-based state, strictly sequential doubling search), kept as
-	// the executable performance and equivalence baseline.
-	BuildSequentialReference = shortcut.BuildReference
 )
 
 // ErrDeltaTooSmall is returned by Build for infeasible fixed delta levels.
