@@ -242,12 +242,8 @@ func runInspect(s store.Backend, fp service.Fingerprint) error {
 				fmt.Printf("  graph record unavailable (ok=%v err=%v); cannot decode further\n", ok, err)
 				continue
 			}
-			parts, ok, err := s.GetPartition(r.PartitionFP, g)
-			if err != nil || !ok {
-				fmt.Printf("  partition record unavailable (ok=%v err=%v); cannot decode further\n", ok, err)
-				continue
-			}
-			res, buildTime, ok, err := s.GetShortcut(fp, g, parts)
+			// Key only: the record is decoded with its own partition record.
+			res, buildTime, ok, err := s.GetShortcut(fp, g, nil)
 			if err != nil || !ok {
 				fmt.Printf("  shortcut decode failed (ok=%v err=%v)\n", ok, err)
 				continue
@@ -256,7 +252,7 @@ func runInspect(s store.Backend, fp service.Fingerprint) error {
 			fmt.Printf("  delta'=%d iterations=%d tree depth=%d, original build %v\n",
 				res.Delta, res.Iterations, res.TreeDepth, buildTime)
 			fmt.Printf("  parts=%d covered=%d congestion=%d dilation=%d blocks=%d\n",
-				parts.NumParts(), q.CoveredParts, q.Congestion, q.Dilation, q.MaxBlocks)
+				res.Shortcut.Parts.NumParts(), q.CoveredParts, q.Congestion, q.Dilation, q.MaxBlocks)
 		}
 	}
 	if !found {

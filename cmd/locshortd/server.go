@@ -59,22 +59,38 @@ type server struct {
 	metrics     *httpMetrics
 	slowRequest time.Duration
 	ready       func() bool
-	// parts memoizes the (graph, partition spec, seed) → Partition
-	// translation, which is deterministic but costs a BFS per request;
-	// without it, partition parsing dominates cache-hit latency. The memo
-	// stops growing at partMemoLimit entries so unbounded distinct
-	// requests cannot exhaust memory (beyond the limit, parsing just
-	// stays uncached). Entries are keyed by "<fp>/<spec>/<seed>" and
-	// evicted when their graph is deleted — a stale entry would pin the
-	// removed representative and silently serve a partition parsed
-	// against a graph instance the engine no longer holds.
-	parts     sync.Map // string → *partition.Partition
-	partCount atomic.Int64
+	// keys memoizes the (graph, partition spec, seed, options) → shortcut
+	// key translation, which is deterministic but costs a partition parse
+	// (a BFS) and a hash over it per request; without it, partition
+	// parsing dominates cache-hit latency. It holds keys, not partitions:
+	// an entry is a few dozen bytes, and a partition lives only as long
+	// as the cache entry built or loaded with it. The memo stops growing
+	// at keyMemoLimit entries and skips specs longer than keyMemoSpec, so
+	// distinct requests cannot grow it without bound (beyond either,
+	// requests just parse). Entries are evicted when their graph is
+	// deleted: a stale entry would name a key parsed against a graph
+	// instance the engine no longer holds.
+	keysMu sync.RWMutex
+	keys   map[keyMemoKey]service.Fingerprint
 }
 
-// partMemoLimit caps the partition memo; far above any realistic working
-// set (the shortcut cache holds far fewer entries anyway).
-const partMemoLimit = 4096
+// keyMemoKey is one memoized request shape; a struct key, so a lookup
+// allocates nothing. The graph is the parsed fingerprint, so every
+// accepted spelling of it shares one entry, and DELETE sweeps it by value.
+type keyMemoKey struct {
+	graph   service.Fingerprint
+	spec    string
+	seed    int64
+	options string
+}
+
+// keyMemoLimit caps the key memo; far above any realistic working set
+// (the shortcut cache holds far fewer entries anyway). keyMemoSpec caps
+// the spec and options bytes one entry may retain.
+const (
+	keyMemoLimit = 4096
+	keyMemoSpec  = 256
+)
 
 // newServer builds the HTTP API over eng plus an async job manager
 // configured by jcfg. The caller owns the manager lifecycle: Recover
@@ -93,6 +109,7 @@ func newServer(eng *service.Engine, jcfg jobs.Config, o serverOptions) (*server,
 		ready:       o.ready,
 		cl:          o.cluster,
 		st:          o.store,
+		keys:        make(map[keyMemoKey]service.Fingerprint),
 	}
 	if o.reg != nil {
 		o.reg.CounterFunc("locshort_http_encode_errors_total",
@@ -432,9 +449,9 @@ func (s *server) handleGraphList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGraphDelete evicts a graph everywhere: the engine registration,
-// every resident cached shortcut built on it, the partition memo entries
-// parsed against it, and — when the daemon runs with -data — the durable
-// records (reclaimed by the next locshortctl gc).
+// every resident cached shortcut built on it, the key memo entries parsed
+// against it, and — when the daemon runs with -data — the durable records
+// (reclaimed by the next locshortctl gc).
 func (s *server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	fp, err := service.ParseFingerprint(r.PathValue("fp"))
 	if err != nil {
@@ -446,20 +463,17 @@ func (s *server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err)
 		return
 	}
-	// Evict the partition memos keyed under the deleted fingerprint: left
-	// behind they pin the removed graph representative in memory and
-	// would be silently reused (against the wrong graph instance) if the
-	// same content is re-ingested. Decrementing the count per entry keeps
-	// the memo cap from ratcheting shut under ingest/delete churn.
-	prefix := fp.String() + "/"
-	s.parts.Range(func(k, _ any) bool {
-		if strings.HasPrefix(k.(string), prefix) {
-			if _, loaded := s.parts.LoadAndDelete(k); loaded {
-				s.partCount.Add(-1)
-			}
+	// Evict the key memos of the deleted fingerprint: left behind they
+	// would be silently reused (keys parsed against the removed graph
+	// instance) if the same content is re-ingested, and they would hold
+	// memo budget under ingest/delete churn.
+	s.keysMu.Lock()
+	for k := range s.keys {
+		if k.graph == fp {
+			delete(s.keys, k)
 		}
-		return true
-	})
+	}
+	s.keysMu.Unlock()
 	s.writeJSON(w, map[string]any{"graph": fp.String(), "evicted_shortcuts": evicted})
 }
 
@@ -507,10 +521,13 @@ type resolved struct {
 	build service.BuildRequest
 }
 
-// resolve parses the fingerprint and options and resolves the partition,
-// for the JSON body, the binary body, and a re-decoded async job alike.
-// Request-shape problems come back as statusError(400), an unknown graph
-// as service.ErrUnknownGraph (404).
+// resolve parses the fingerprint and options and resolves the partition
+// to the shortcut key, for the JSON body, the binary body, an async
+// submission and a re-decoded async job alike. An explicit part list is
+// validated into a partition; a spec goes through the key memo, so a
+// repeat request carries only its key and the engine makes a partition
+// only if it must construct. Request-shape problems come back as
+// statusError(400), an unknown graph as service.ErrUnknownGraph (404).
 func (s *server) resolve(req shortcutRequest) (resolved, error) {
 	fp, err := service.ParseFingerprint(req.Graph)
 	if err != nil {
@@ -524,50 +541,60 @@ func (s *server) resolve(req shortcutRequest) (resolved, error) {
 	if err != nil {
 		return resolved{}, badRequest(err)
 	}
-	parts, err := s.resolveParts(g, fp, req)
-	if err != nil {
-		return resolved{}, badRequest(err)
-	}
-	return resolved{req: req, g: g, build: service.BuildRequest{Graph: fp, Options: opts, Parts: parts}}, nil
-}
-
-// resolveParts translates a request's partition description — memoized
-// spec or explicit part list — into a Partition against g.
-func (s *server) resolveParts(g *graph.Graph, fp service.Fingerprint, req shortcutRequest) (*partition.Partition, error) {
+	b := service.BuildRequest{Graph: fp, Options: opts, Spec: req.Partition, Seed: req.Seed}
 	switch {
 	case req.Partition != "" && req.Parts != nil:
-		return nil, errors.New("give either partition or parts, not both")
+		return resolved{}, badRequest(errors.New("give either partition or parts, not both"))
 	case req.Parts != nil:
-		return partition.New(g, req.Parts)
+		if b.Parts, err = partition.New(g, req.Parts); err != nil {
+			return resolved{}, badRequest(err)
+		}
+		b.Key = service.ShortcutKey(fp, b.Parts, opts)
 	case req.Partition == "":
-		return nil, errors.New("need partition spec or parts")
-	}
-	// Keyed by the canonical fingerprint DELETE sweeps by: ParseFingerprint
-	// also accepts uppercase hex, and lowering an accepted spelling gives
-	// fp.String() (free when it already is).
-	pkey := strings.ToLower(req.Graph) + "/" + req.Partition + "/" + strconv.FormatInt(req.Seed, 10)
-	if cached, ok := s.parts.Load(pkey); ok {
-		return cached.(*partition.Partition), nil
-	}
-	parts, err := cli.ParsePartition(g, req.Partition, req.Seed)
-	if err != nil || s.partCount.Load() >= partMemoLimit {
-		return parts, err
-	}
-	if _, loaded := s.parts.LoadOrStore(pkey, parts); !loaded {
-		s.partCount.Add(1)
-		// Re-check the registration: a DELETE that ran between our
-		// Graph(fp) read and this insert has already swept the memo, so an
-		// entry parsed against the removed representative would be left
-		// behind (and silently reused on re-ingest). Seeing the graph gone
-		// here means the sweep ran; evicting our own insert closes the
-		// window.
-		if _, still := s.eng.Graph(fp); !still {
-			if _, loaded := s.parts.LoadAndDelete(pkey); loaded {
-				s.partCount.Add(-1)
-			}
+		return resolved{}, badRequest(errors.New("need partition spec or parts"))
+	default:
+		if b.Key, b.Parts, err = s.specKey(g, b, req.Options); err != nil {
+			return resolved{}, badRequest(err)
 		}
 	}
-	return parts, nil
+	return resolved{req: req, g: g, build: b}, nil
+}
+
+// specKey returns the shortcut key of a spec request, from the memo, or
+// by parsing the spec — then the partition comes back too, for the
+// engine to build with.
+func (s *server) specKey(g *graph.Graph, b service.BuildRequest, options string) (service.Fingerprint, *partition.Partition, error) {
+	mk := keyMemoKey{graph: b.Graph, spec: b.Spec, seed: b.Seed, options: options}
+	s.keysMu.RLock()
+	key, ok := s.keys[mk]
+	s.keysMu.RUnlock()
+	if ok {
+		return key, nil, nil
+	}
+	parts, err := cli.ParsePartition(g, b.Spec, b.Seed)
+	if err != nil {
+		return 0, nil, err
+	}
+	key = service.ShortcutKey(b.Graph, parts, b.Options)
+	if len(b.Spec)+len(options) > keyMemoSpec {
+		return key, parts, nil
+	}
+	s.keysMu.Lock()
+	if len(s.keys) < keyMemoLimit {
+		s.keys[mk] = key
+	}
+	s.keysMu.Unlock()
+	// Re-check the registration: a DELETE that ran between our Graph(fp)
+	// read and this insert has already swept the memo, so an entry parsed
+	// against the removed representative would be left behind (and
+	// silently reused on re-ingest). Seeing the graph gone here means the
+	// sweep ran; evicting our own insert closes the window.
+	if _, still := s.eng.Graph(b.Graph); !still {
+		s.keysMu.Lock()
+		delete(s.keys, mk)
+		s.keysMu.Unlock()
+	}
+	return key, parts, nil
 }
 
 // route names the ring owner to relay a resolved request to, with its
@@ -577,12 +604,11 @@ func (s *server) route(rs resolved) (owner string, key service.Fingerprint) {
 	if s.cl == nil || rs.req.Forwarded {
 		return "", 0
 	}
-	key = service.ShortcutKey(rs.build.Graph, rs.build.Parts, rs.build.Options)
-	owner, self := s.cl.Owner(key)
+	owner, self := s.cl.Owner(rs.build.Key)
 	if self {
 		return "", 0
 	}
-	return owner, key
+	return owner, rs.build.Key
 }
 
 // served is a build-or-get this node executed, for either writer: the
@@ -733,6 +759,13 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Async {
+		// Resolve before accepting: a request that cannot resolve answers
+		// 400 or 404 now instead of becoming a job record that can only
+		// fail — or, durably recorded, fail again on every warm start.
+		if _, err := s.resolve(req); err != nil {
+			s.httpError(w, statusFor(err), err)
+			return
+		}
 		s.submitAsync(w, jobKindShortcut, req)
 		return
 	}
@@ -1129,8 +1162,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d requests exceeds the %d-item limit", len(req.Requests), maxBatchItems))
 		return
 	}
-	// Pass 1: validate shape so a malformed item rejects the whole batch
-	// before any job is accepted.
+	// Pass 1: validate shape, and resolve shortcut items as a single
+	// async submission does, so a malformed or unresolvable item rejects
+	// the whole batch before any job is accepted.
 	kinds := make([]string, len(req.Requests))
 	for i, raw := range req.Requests {
 		var probe struct {
@@ -1141,6 +1175,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			var sr shortcutRequest
 			if err := strictUnmarshal(raw, &sr); err != nil {
 				s.httpError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
+				return
+			}
+			if _, err := s.resolve(sr); err != nil {
+				s.httpError(w, statusFor(err), fmt.Errorf("request %d: %w", i, err))
 				return
 			}
 			kinds[i] = jobKindShortcut

@@ -8,14 +8,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"locshort/internal/cli"
 	"locshort/internal/graph"
 	"locshort/internal/jobs"
+	"locshort/internal/partition"
 	"locshort/internal/service"
 	"locshort/internal/store"
 	"locshort/internal/wire"
@@ -35,6 +38,13 @@ func newTestServer(t *testing.T, cfg service.Config, jcfg jobs.Config) (*httptes
 		eng.Close()
 	})
 	return ts, srv
+}
+
+// keyMemoLen counts the server's key memo entries.
+func (s *server) keyMemoLen() int {
+	s.keysMu.RLock()
+	defer s.keysMu.RUnlock()
+	return len(s.keys)
 }
 
 // postJSON round-trips a JSON request against the test server, failing the
@@ -628,10 +638,15 @@ func TestAsyncJobsAndErrors(t *testing.T) {
 		t.Errorf("async mst edges = %d, want 63", mst.Edges)
 	}
 
-	// A job referencing an unknown graph is accepted and then fails, with
-	// the engine error recorded.
+	// A shortcut request on an unknown graph is resolved before
+	// acceptance: 404, no job.
 	postJSON(t, ts.URL+"/v1/shortcuts",
 		map[string]any{"graph": "00000000000000ff", "partition": "blobs:4", "async": true},
+		http.StatusNotFound, nil)
+	// A query job on an unknown graph is accepted and then fails, with
+	// the engine error recorded.
+	postJSON(t, ts.URL+"/v1/jobs",
+		map[string]any{"kind": "mst", "graph": "00000000000000ff", "async": true},
 		http.StatusAccepted, &sub)
 	js = waitJob(t, ts.URL, sub.ID)
 	if js.State != "failed" || js.Error == "" {
@@ -755,11 +770,10 @@ func TestAsyncQueueFull(t *testing.T) {
 }
 
 // TestPartitionMemoEvictedOnDelete is the regression test for the memo
-// leak: deleting a graph must drop its partition memo entries and release
-// their budget, and a re-ingested graph must be re-parsed fresh. The
-// uppercase row spells the fingerprint the way ParseFingerprint also
-// accepts: the memo entry must still land under the canonical key the
-// delete sweeps.
+// leak: deleting a graph must drop its key memo entries and release their
+// budget, and a re-ingested graph must be re-parsed fresh. The uppercase
+// row spells the fingerprint the way ParseFingerprint also accepts: the
+// memo entry must still land under the graph the delete sweeps.
 func TestPartitionMemoEvictedOnDelete(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -777,26 +791,102 @@ func TestPartitionMemoEvictedOnDelete(t *testing.T) {
 			postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
 			build := map[string]any{"graph": tc.spell(g.Graph), "partition": "blobs:8", "seed": 1}
 			postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
-			if n := srv.partCount.Load(); n != 1 {
-				t.Fatalf("partition memo count after build = %d, want 1", n)
+			if n := srv.keyMemoLen(); n != 1 {
+				t.Fatalf("key memo count after build = %d, want 1", n)
 			}
 			doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/"+g.Graph, nil, http.StatusOK, nil)
-			if n := srv.partCount.Load(); n != 0 {
-				t.Fatalf("partition memo count after delete = %d, want 0 (budget released)", n)
-			}
-			leaked := 0
-			srv.parts.Range(func(k, v any) bool { leaked++; return true })
-			if leaked != 0 {
-				t.Fatalf("%d memo entries survived the delete", leaked)
+			if n := srv.keyMemoLen(); n != 0 {
+				t.Fatalf("%d key memo entries survived the delete", n)
 			}
 			// Re-ingest and rebuild: parsed fresh against the new representative.
 			postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:8x8"}, http.StatusOK, &g)
 			postJSON(t, ts.URL+"/v1/shortcuts", build, http.StatusOK, nil)
-			if n := srv.partCount.Load(); n != 1 {
-				t.Errorf("partition memo count after re-ingest = %d, want 1", n)
+			if n := srv.keyMemoLen(); n != 1 {
+				t.Errorf("key memo count after re-ingest = %d, want 1", n)
+			}
+			// A spec past keyMemoSpec bytes is served but never memoized.
+			long := map[string]any{"graph": g.Graph, "partition": "blobs:" + strings.Repeat("0", keyMemoSpec) + "8"}
+			postJSON(t, ts.URL+"/v1/shortcuts", long, http.StatusOK, nil)
+			if n := srv.keyMemoLen(); n != 1 {
+				t.Errorf("key memo count after a %d-byte spec = %d, want 1", keyMemoSpec+7, n)
 			}
 		})
 	}
+}
+
+// TestNoPartitionOutlivesCacheEntry pins what the key memo is for: the
+// daemon remembers a request's shortcut key, never its partition, so a
+// partition is garbage once the cache entry built with it is evicted.
+// With a one-entry cache every new key evicts the previous one; a weak
+// pointer to each evicted entry's partition must be nil after a GC. Each
+// key is requested twice, so the memo holds an entry for all of them.
+func TestNoPartitionOutlivesCacheEntry(t *testing.T) {
+	ts, srv := newTestServer(t, service.Config{Workers: 2, CacheCapacity: 1, CacheShards: 1}, jobs.Config{})
+	var g struct {
+		Graph string `json:"graph"`
+	}
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:16x16"}, http.StatusOK, &g)
+	var evicted []weak.Pointer[partition.Partition]
+	for seed := 1; seed <= 4; seed++ {
+		var resp struct {
+			Shortcut string `json:"shortcut"`
+		}
+		req := map[string]any{"graph": g.Graph, "partition": "blobs:8", "seed": seed}
+		postJSON(t, ts.URL+"/v1/shortcuts", req, http.StatusOK, &resp)
+		postJSON(t, ts.URL+"/v1/shortcuts", req, http.StatusOK, nil)
+		key, err := service.ParseFingerprint(resp.Shortcut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := srv.eng.Shortcut(key)
+		if !ok {
+			t.Fatalf("seed %d: key %s not resident right after its build", seed, key)
+		}
+		if seed < 4 {
+			evicted = append(evicted, weak.Make(c.Parts))
+		}
+	}
+	if n := srv.keyMemoLen(); n != 4 {
+		t.Fatalf("key memo holds %d entries, want 4", n)
+	}
+	runtime.GC()
+	for i, wp := range evicted {
+		if wp.Value() != nil {
+			t.Errorf("seed %d: partition still reachable after its cache entry was evicted", i+1)
+		}
+	}
+}
+
+// TestBadRowsSpec400 is the regression test for a spec that crashed the
+// daemon: rows:-1x-4 passed GridRows' size check on grid:2x2 (-1 x -4 =
+// 4) and panicked in makeslice. It must be a 400 — sync, async and in a
+// batch — with no job record written, and the daemon keeps serving.
+func TestBadRowsSpec400(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 2}, jobs.Config{Workers: 1})
+	var g struct {
+		Graph string `json:"graph"`
+	}
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:2x2"}, http.StatusOK, &g)
+	bad := map[string]any{"graph": g.Graph, "partition": "rows:-1x-4"}
+	postJSON(t, ts.URL+"/v1/shortcuts", bad, http.StatusBadRequest, nil)
+	async := map[string]any{"graph": g.Graph, "partition": "rows:-1x-4", "async": true}
+	postJSON(t, ts.URL+"/v1/shortcuts", async, http.StatusBadRequest, nil)
+	batch := map[string]any{"requests": []any{
+		map[string]any{"graph": g.Graph, "partition": "rows:2x2"},
+		bad,
+	}}
+	postJSON(t, ts.URL+"/v1/batch", batch, http.StatusBadRequest, nil)
+	// An unknown graph is caught before the 202 too.
+	unknown := map[string]any{"graph": "00000000000000ff", "partition": "rows:2x2", "async": true}
+	postJSON(t, ts.URL+"/v1/shortcuts", unknown, http.StatusNotFound, nil)
+	var list struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(list.Jobs))
+	}
+	postJSON(t, ts.URL+"/v1/shortcuts", map[string]any{"graph": g.Graph, "partition": "rows:2x2"}, http.StatusOK, nil)
 }
 
 // TestConcurrentGraphDeleteRace hammers ingest/delete against concurrent
@@ -877,8 +967,9 @@ func TestConcurrentGraphDeleteRace(t *testing.T) {
 			}
 		}(w)
 	}
-	// Async submitter: acceptance must always succeed; the jobs
-	// themselves may fail with unknown-graph, which is fine.
+	// Async submitter: a submission is resolved before acceptance, so it
+	// is accepted, or a 404 while the graph is deleted; an accepted job
+	// may still fail with unknown-graph, which is fine.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -891,7 +982,7 @@ func TestConcurrentGraphDeleteRace(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			allow("async", resp.StatusCode, http.StatusAccepted)
+			allow("async", resp.StatusCode, http.StatusAccepted, http.StatusNotFound)
 		}
 	}()
 	wg.Wait()

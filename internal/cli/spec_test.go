@@ -160,6 +160,35 @@ func TestParsePartitionErrors(t *testing.T) {
 	}
 }
 
+// TestParsePartitionRowsFactors is the regression table for a spec that
+// crashed the daemon: GridRows compared the product of the two factors
+// with the node count, so -1 x -4 passed on a 4-node grid and sized a
+// slice from -1. Every factor pair whose product is not an honest R x C
+// with R, C >= 1 must be an error, never a panic.
+func TestParsePartitionRowsFactors(t *testing.T) {
+	g := graph.Grid(2, 2)
+	for _, spec := range []string{
+		"rows:-1x-4",
+		"rows:-2x-2",
+		"rows:0x4",
+		"rows:4x0",
+		"rows:4x-1",
+		"rows:-4x1",
+		// 2^62+1 times 4 wraps to 4 in 64-bit arithmetic.
+		"rows:4611686018427387905x4",
+		"rows:4x4611686018427387905",
+	} {
+		if _, err := ParsePartition(g, spec, 0); err == nil {
+			t.Errorf("ParsePartition(grid:2x2, %q) succeeded, want error", spec)
+		}
+	}
+	for _, spec := range []string{"rows:2x2", "rows:1x4", "rows:4x1"} {
+		if _, err := ParsePartition(g, spec, 0); err != nil {
+			t.Errorf("ParsePartition(grid:2x2, %q): %v", spec, err)
+		}
+	}
+}
+
 func TestBuildOptionsRoundTrip(t *testing.T) {
 	cases := []shortcut.Options{
 		{},

@@ -611,7 +611,8 @@ const ForwardedHeader = "X-Locshort-Forwarded"
 // (then any remaining peer — during degraded operation a non-replica may
 // hold a record it built as a fallback owner) for the record, re-verify the
 // payloads locally, import the record into the local store, and return the
-// shortcut decoded against this engine's representative. A clean miss
+// shortcut decoded against this engine's representative and parts, or the
+// record's own partition when parts is nil. A clean miss
 // everywhere is (ok=false, err=nil); transport or verification failures
 // report the last error so the engine can count them.
 func (c *Cluster) FetchShortcut(ctx context.Context, key service.Fingerprint,
@@ -645,10 +646,12 @@ func (c *Cluster) FetchShortcut(ctx context.Context, key service.Fingerprint,
 			continue
 		}
 		// Decode against OUR representative graph and the requested
-		// partition: this is the full decodeShortcut verification chain
-		// (structural validation + key re-derivation), so a tampered or
-		// corrupt record is rejected here, before anything is served.
-		res, bt, err := store.DecodeShortcutPayload(rec.ShortcutPayload, key, g, parts)
+		// partition, or the record's own when the request carries only a
+		// key: this is the full verification chain of a store read
+		// (partition fingerprint and connectivity, structural validation,
+		// key re-derivation), so a tampered or corrupt record is rejected
+		// here, before anything is served.
+		res, bt, err := store.DecodePeerShortcut(rec, g, parts)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: record %s from %s failed verification: %w", key, peer, err)
 			if c.log != nil {

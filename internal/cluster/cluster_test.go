@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -195,6 +196,56 @@ func TestFetchShortcutRejectsTamperedRecord(t *testing.T) {
 	}
 	if nodes[1].st.HasShortcut(key) {
 		t.Fatal("tampered record was imported")
+	}
+}
+
+// TestFetchShortcutKeyOnly fetches without a request partition, the way
+// the engine asks for a key the daemon memoized: the record is decoded
+// with its own partition payload, canonical-identical to the stored
+// record, and a partition payload that no longer hashes to the
+// fingerprint the shortcut names is rejected, not imported.
+func TestFetchShortcutKeyOnly(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	g, p, res, gfp, key := clusterFixture(t, "grid:8x8", "blobs:5", 5)
+	seedRecord(t, nodes[0], g, p, res, gfp, key)
+
+	fetched, bt, ok, err := nodes[1].cl.FetchShortcut(context.Background(), key, g, nil)
+	if err != nil || !ok {
+		t.Fatalf("key-only FetchShortcut: ok=%v err=%v", ok, err)
+	}
+	want, ok, err := nodes[0].st.ShortcutPayload(key)
+	if err != nil || !ok {
+		t.Fatalf("ShortcutPayload: ok=%v err=%v", ok, err)
+	}
+	got := store.EncodeShortcutRecordPayload(gfp, fetched.Shortcut.Parts, shortcut.Options{}, fetched, bt)
+	if !bytes.Equal(got, want) {
+		t.Fatal("key-only fetch is not canonical-identical to the stored record")
+	}
+
+	tampered := newTestCluster(t, 2)
+	seedRecord(t, tampered[0], g, p, res, gfp, key)
+	inner := tampered[0].cl.Handler()
+	tampered[0].sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var wire Record
+		if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil || len(wire.PartitionPayload) == 0 {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		wire.PartitionPayload[len(wire.PartitionPayload)-1] ^= 0x01
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(wire)
+	}))
+	if _, _, ok, err := tampered[1].cl.FetchShortcut(context.Background(), key, g, nil); ok || err == nil {
+		t.Fatalf("key-only fetch of a tampered partition payload: ok=%v err=%v", ok, err)
+	}
+	if tampered[1].st.HasShortcut(key) {
+		t.Fatal("record with a tampered partition payload was imported")
 	}
 }
 

@@ -7,7 +7,10 @@
 // cover the partitions the experiments use (BFS-Voronoi blobs, grid rows,
 // the Section 2 wheel rim, singletons for Borůvka) plus FromLabels /
 // FromLabelsInto for label-array re-partitioning inside distributed
-// algorithm phases.
+// algorithm phases, and FromCanonical, which rebuilds a partition from the
+// label sequence of its canonical encoding (a stored partition record).
+// Every constructor checks part connectivity with one BFS per part that
+// marks visits in PartOf itself, on pooled scratch.
 //
 // # Role in the DAG
 //

@@ -3,7 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"sync"
 
 	"locshort/internal/graph"
 )
@@ -15,33 +15,9 @@ type Partition struct {
 	// PartOf maps a node to its part index, or -1 if uncovered.
 	PartOf []int
 
-	// Scratch for the slice-reusing constructors (FromLabelsInto): a dense
-	// label-index table, a visited indicator, and a BFS queue for the flat
-	// connectivity check.
+	// labelIdx is FromLabelsInto's dense label-index table, kept across
+	// rebuilds.
 	labelIdx []int
-	seen     []bool
-	queue    []int
-
-	// canon memoizes a caller-computed canonical byte encoding of the
-	// partition (see CanonMemo). FromLabelsInto invalidates it when it
-	// rebuilds the receiver in place.
-	canon atomic.Pointer[[]byte]
-}
-
-// CanonMemo returns the partition's cached canonical encoding, computing
-// it with f on first use. The encoding format belongs to the caller (the
-// service layer's content addressing); it lives here because a published
-// partition is immutable, so the bytes are computed once instead of per
-// request. f must be a pure function of Parts/PartOf; concurrent first
-// calls may both run f (same bytes, either store wins). Treat the returned
-// slice as read-only.
-func (p *Partition) CanonMemo(f func() []byte) []byte {
-	if b := p.canon.Load(); b != nil {
-		return *b
-	}
-	b := f()
-	p.canon.Store(&b)
-	return b
 }
 
 // New validates that the given parts are node-disjoint, within range, and
@@ -68,19 +44,16 @@ func New(g *graph.Graph, parts [][]int) (*Partition, error) {
 
 // validated builds the partition over parts, taking ownership of them:
 // it fills PartOf, rejecting empty, out-of-range and overlapping parts,
-// then checks that every part induces a connected subgraph of g, all on
-// one seen/queue scratch that the returned partition does not keep.
+// then checks that every part induces a connected subgraph of g.
 func validated(g *graph.Graph, parts [][]int) (*Partition, error) {
 	p := &Partition{Parts: parts, PartOf: make([]int, g.NumNodes())}
 	for v := range p.PartOf {
 		p.PartOf[v] = -1
 	}
-	largest := 0
 	for i, part := range parts {
 		if len(part) == 0 {
 			return nil, fmt.Errorf("partition: part %d is empty", i)
 		}
-		largest = max(largest, len(part))
 		for _, v := range part {
 			if v < 0 || v >= g.NumNodes() {
 				return nil, fmt.Errorf("partition: part %d contains out-of-range node %d", i, v)
@@ -91,19 +64,144 @@ func validated(g *graph.Graph, parts [][]int) (*Partition, error) {
 			p.PartOf[v] = i
 		}
 	}
-	seen := make([]bool, g.NumNodes())
-	p.queue = make([]int, 0, largest)
+	return p.connected(g)
+}
+
+// FromCanonical builds the partition of g whose canonical part assignment
+// is partOf, taking ownership of it as PartOf: partOf[v] is -1 for an
+// uncovered node, else the rank of v's part by first appearance over
+// nodes 0..n-1, and all k ranks appear. That is the label sequence of the
+// canonical encoding (service.AppendPartitionCanonical), so the partition
+// re-encodes to exactly those labels, with Parts[i] the part of rank i.
+// One counting pass lays the parts out in one backing array, nodes
+// ascending within a part; then every part must induce a connected
+// subgraph of g. Labels out of range or out of first-appearance order are
+// rejected, as is a k the labels do not use up. When partOf has spare
+// capacity for the covered nodes, the backing array is carved from it, so
+// a caller that sizes it so pays one allocation for both.
+func FromCanonical(g *graph.Graph, partOf []int, k int) (*Partition, error) {
+	n := g.NumNodes()
+	if len(partOf) != n {
+		return nil, fmt.Errorf("partition: %d labels, want %d", len(partOf), n)
+	}
+	if k < 0 || k > n {
+		return nil, fmt.Errorf("partition: %d parts for %d nodes", k, n)
+	}
+	next := 0
+	for v, l := range partOf {
+		switch {
+		case l < -1 || l >= k:
+			return nil, fmt.Errorf("partition: node %d label %d outside [-1,%d)", v, l, k)
+		case l > next:
+			return nil, fmt.Errorf("partition: node %d label %d precedes label %d (not first-appearance order)", v, l, next)
+		case l == next:
+			next++
+		}
+	}
+	if next != k {
+		return nil, fmt.Errorf("partition: labels use %d of %d parts", next, k)
+	}
+	p := &Partition{Parts: layout(partOf, k), PartOf: partOf[:n:n]}
+	return p.connected(g)
+}
+
+// layout lays out the parts of a label array — label[v] is v's part in
+// [0,k), or -1 — in one backing array with one counting pass, nodes
+// ascending within a part. The backing array is carved from label's spare
+// capacity when it has room.
+func layout(label []int, k int) [][]int {
+	sp := scratchPool.Get().(*[]int)
+	defer scratchPool.Put(sp)
+	// start[i+1] counts part i, then the prefix sums make start[i] where
+	// part i begins in the backing array.
+	start := graph.ResizeInts(*sp, k+1)
+	*sp = start
+	clear(start)
+	for _, l := range label {
+		if l >= 0 {
+			start[l+1]++
+		}
+	}
+	for i := 1; i <= k; i++ {
+		start[i] += start[i-1]
+	}
+	backing := label[len(label):cap(label)]
+	if len(backing) < start[k] {
+		backing = make([]int, start[k])
+	}
+	parts := make([][]int, k)
 	for i := range parts {
-		if !p.connectedPartFlat(g, i, seen) {
+		parts[i] = backing[start[i]:start[i]:start[i+1]]
+	}
+	for v, l := range label {
+		if l >= 0 {
+			parts[l] = append(parts[l], v) // within the part's exact capacity
+		}
+	}
+	return parts
+}
+
+// scratchPool recycles the int scratch of partition construction (the
+// connectivity BFS queue, layout's part offsets), so building a partition
+// allocates only what the partition keeps.
+var scratchPool = sync.Pool{New: func() any { return new([]int) }}
+
+// connected returns p if every part induces a connected subgraph of g,
+// else an error naming the first part that does not. The BFS marks a
+// visited node of part i by setting its PartOf entry to -2-i, which no
+// unvisited node holds, and restores the entries afterwards, so it needs
+// no visited array; its queue comes from scratchPool.
+func (p *Partition) connected(g *graph.Graph) (*Partition, error) {
+	sp := scratchPool.Get().(*[]int)
+	defer scratchPool.Put(sp)
+	for i, part := range p.Parts {
+		mark := -2 - i
+		queue := append((*sp)[:0], part[0])
+		p.PartOf[part[0]] = mark
+		for head := 0; head < len(queue); head++ {
+			for _, a := range g.Neighbors(queue[head]) {
+				if p.PartOf[a.To] == i {
+					p.PartOf[a.To] = mark
+					queue = append(queue, a.To)
+				}
+			}
+		}
+		for _, v := range queue {
+			p.PartOf[v] = i
+		}
+		*sp = queue
+		if len(queue) != len(part) {
 			return nil, fmt.Errorf("partition: part %d does not induce a connected subgraph", i)
 		}
 	}
-	p.queue = nil
 	return p, nil
 }
 
 // NumParts returns the number of parts.
 func (p *Partition) NumParts() int { return len(p.Parts) }
+
+// CanonicalRanks returns each part's rank by first appearance over nodes
+// 0..n-1: its label in the canonical encoding, the order FromCanonical
+// reads back. It fills buf when buf has room for NumParts ranks.
+func (p *Partition) CanonicalRanks(buf []int32) []int32 {
+	k := p.NumParts()
+	rank := buf[:0]
+	if cap(rank) < k {
+		rank = make([]int32, 0, k)
+	}
+	rank = rank[:k]
+	for i := range rank {
+		rank[i] = -1
+	}
+	next := int32(0)
+	for _, i := range p.PartOf {
+		if i >= 0 && rank[i] < 0 {
+			rank[i] = next
+			next++
+		}
+	}
+	return rank
+}
 
 // Covered returns the number of nodes belonging to some part.
 func (p *Partition) Covered() int {
@@ -146,23 +244,9 @@ func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 		queue = append(queue, s)
 	}
 	flood(g, owner, queue)
-	// Counting pass: start[i] is where part i begins in the backing array.
-	start := make([]int, k+1)
-	for _, o := range owner {
-		start[o+1]++
-	}
-	for i := 1; i <= k; i++ {
-		start[i] += start[i-1]
-	}
-	backing := make([]int, n)
-	parts := make([][]int, k)
-	for i := range parts {
-		parts[i] = backing[start[i]:start[i]:start[i+1]]
-	}
-	for v, o := range owner {
-		parts[o] = append(parts[o], v) // within the part's exact capacity
-	}
-	return validated(g, parts)
+	// owner is the finished PartOf: every node joined exactly one region.
+	p := &Partition{Parts: layout(owner, k), PartOf: owner}
+	return p.connected(g)
 }
 
 // flood grows the labeled nodes in queue into the unlabeled (-1) nodes of
@@ -196,7 +280,6 @@ func FromLabelsInto(p *Partition, g *graph.Graph, label []int) (*Partition, erro
 	if p == nil {
 		p = &Partition{}
 	}
-	p.canon.Store(nil) // the rebuild invalidates any memoized encoding
 	n := g.NumNodes()
 	if len(label) != n {
 		return nil, fmt.Errorf("partition: label length %d, want %d", len(label), n)
@@ -206,11 +289,8 @@ func FromLabelsInto(p *Partition, g *graph.Graph, label []int) (*Partition, erro
 			return FromLabels(g, label)
 		}
 	}
-	if cap(p.labelIdx) < n {
-		p.labelIdx = make([]int, n)
-		p.seen = make([]bool, n)
-	}
-	idx := p.labelIdx[:n]
+	idx := graph.ResizeInts(p.labelIdx, n)
+	p.labelIdx = idx
 	for i := range idx {
 		idx[i] = -1
 	}
@@ -237,39 +317,7 @@ func FromLabelsInto(p *Partition, g *graph.Graph, label []int) (*Partition, erro
 		p.PartOf[v] = i
 	}
 	p.Parts = parts
-	seen := p.seen[:n]
-	for i := range parts {
-		ok := p.connectedPartFlat(g, i, seen)
-		if !ok {
-			return nil, fmt.Errorf("partition: part %d does not induce a connected subgraph", i)
-		}
-	}
-	return p, nil
-}
-
-// connectedPartFlat runs a BFS over part i's induced subgraph on reusable
-// scratch, the queue in p.queue: seen must be all-false on entry and is
-// restored to all-false before returning.
-func (p *Partition) connectedPartFlat(g *graph.Graph, i int, seen []bool) bool {
-	part := p.Parts[i]
-	queue := p.queue[:0]
-	seen[part[0]] = true
-	queue = append(queue, part[0])
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, a := range g.Neighbors(v) {
-			if p.PartOf[a.To] == i && !seen[a.To] {
-				seen[a.To] = true
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	ok := len(queue) == len(part)
-	for _, v := range queue {
-		seen[v] = false
-	}
-	p.queue = queue
-	return ok
+	return p.connected(g)
 }
 
 // FromLabels builds a partition from a node-label array: every label >= 0
@@ -295,10 +343,13 @@ func FromLabels(g *graph.Graph, label []int) (*Partition, error) {
 	return validated(g, parts)
 }
 
-// GridRows partitions a Grid(rows, cols) graph into its row paths.
+// GridRows partitions a Grid(rows, cols) graph into its row paths. Each
+// factor is checked before they are multiplied, so a negative pair (-1 x
+// -4) or one whose product wraps cannot pass as the node count.
 func GridRows(g *graph.Graph, rows, cols int) (*Partition, error) {
-	if rows*cols != g.NumNodes() {
-		return nil, fmt.Errorf("partition: grid %dx%d does not match %d nodes", rows, cols, g.NumNodes())
+	n := g.NumNodes()
+	if rows < 1 || cols < 1 || rows > n/cols || rows*cols != n {
+		return nil, fmt.Errorf("partition: grid %dx%d does not match %d nodes", rows, cols, n)
 	}
 	backing := make([]int, rows*cols)
 	parts := make([][]int, rows)

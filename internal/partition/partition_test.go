@@ -117,6 +117,55 @@ func TestFromLabels(t *testing.T) {
 	}
 }
 
+// TestFromCanonical checks the canonical-label constructor: a dense
+// first-appearance labeling round-trips to the partition FromLabels
+// builds, with the parts laid out in partOf's spare capacity when it has
+// room; anything else — a label out of range, out of first-appearance
+// order, a k the labels do not use up, a disconnected part — is rejected.
+func TestFromCanonical(t *testing.T) {
+	g := graph.Path(6)
+	labels := []int{0, 0, -1, 1, 1, 2}
+	want, err := FromLabels(g, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partOf := make([]int, len(labels), 2*len(labels))
+	copy(partOf, labels)
+	p, err := FromCanonical(g, partOf, 3)
+	if err != nil {
+		t.Fatalf("FromCanonical: %v", err)
+	}
+	if !reflect.DeepEqual(p.Parts, want.Parts) || !reflect.DeepEqual(p.PartOf, want.PartOf) {
+		t.Fatalf("FromCanonical = %v / %v, want %v / %v", p.Parts, p.PartOf, want.Parts, want.PartOf)
+	}
+	if &p.Parts[0][0] != &partOf[:cap(partOf)][len(labels)] {
+		t.Error("parts were not laid out in partOf's spare capacity")
+	}
+	if cap(p.PartOf) != len(labels) {
+		t.Errorf("PartOf capacity %d reaches into the parts", cap(p.PartOf))
+	}
+	if _, err := FromCanonical(g, []int{0, 0, -1, 1, 1, 2}, 3); err != nil {
+		t.Errorf("FromCanonical without spare capacity: %v", err)
+	}
+	for _, c := range []struct {
+		labels []int
+		k      int
+	}{
+		{[]int{0, 0, 1, 1, 3, 2}, 4}, // 3 before 2
+		{[]int{1, 1, 0, 0, 2, 2}, 3}, // 1 before 0
+		{[]int{0, 0, 1, 1, 2, 2}, 4}, // k unused
+		{[]int{0, 0, 1, 1, 2, 3}, 3}, // label >= k
+		{[]int{0, 0, 1, -2, 1, 1}, 2},
+		{[]int{0, 1, 0, 2, 2, 2}, 3}, // part 0 disconnected
+		{[]int{0, 0, 0}, 1},          // wrong length
+		{[]int{0, 1, 2, 3, 4, 5}, 7}, // k > n
+	} {
+		if _, err := FromCanonical(g, append([]int(nil), c.labels...), c.k); err == nil {
+			t.Errorf("FromCanonical(%v, %d) succeeded, want an error", c.labels, c.k)
+		}
+	}
+}
+
 func TestGridRows(t *testing.T) {
 	g := graph.Grid(3, 5)
 	p, err := GridRows(g, 3, 5)

@@ -128,6 +128,19 @@ func (c *cache) getOrBuild(ctx context.Context, key Fingerprint, build func() (*
 	}
 }
 
+// get returns the completed entry for key, counting a hit, or false —
+// without building, waiting, or allocating. Engine.Build tries it before
+// it makes getOrBuild's miss closure.
+//
+//locshort:hotpath
+func (c *cache) get(key Fingerprint) (*Cached, bool) {
+	v, ok := c.peek(key)
+	if ok {
+		c.metrics.hits.Add(1)
+	}
+	return v, ok
+}
+
 // peek returns the completed entry for key without building or waiting.
 // It touches the LRU but deliberately does not count toward hits/misses:
 // those counters track build-or-get traffic (the hit-rate denominator),

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locshort/internal/cli"
 	"locshort/internal/dist"
 	"locshort/internal/graph"
 	"locshort/internal/obs"
@@ -115,7 +116,9 @@ type Cached struct {
 	Key     Fingerprint
 	GraphFP Fingerprint
 	// G and Parts are the inputs the shortcut was built from (G is the
-	// engine's representative graph for GraphFP).
+	// engine's representative graph for GraphFP). An entry loaded from a
+	// stored or a peer's record without a request partition carries the
+	// record's own partition, in canonical part order.
 	G     *graph.Graph
 	Parts *partition.Partition
 	// Result is the shortcut.Build outcome.
@@ -480,13 +483,26 @@ func submit[T any](e *Engine, ctx context.Context, fn func(context.Context) (T, 
 	}
 }
 
-// BuildRequest asks for a shortcut on a registered graph.
+// BuildRequest asks for a shortcut on a registered graph. The partition
+// comes as Parts, or — when the caller already holds the shortcut key —
+// as Key plus the spec that makes it: then the engine serves a resident
+// entry, a stored or a peer's record (each decoded with the record's own
+// partition) and parses Spec only if it must construct.
 type BuildRequest struct {
 	// Graph is the fingerprint returned by AddGraph.
 	Graph Fingerprint
+	// Key is ShortcutKey(Graph, partition, Options) when the caller has it
+	// already; zero derives it from Parts.
+	Key Fingerprint
 	// Parts is the partition to cover (validated against the
-	// representative graph by partition construction).
+	// representative graph by partition construction). It may be nil
+	// when Key and Spec are set.
 	Parts *partition.Partition
+	// Spec and Seed are the internal/cli partition spec a construction
+	// parses (cli.ParsePartition) when Parts is nil. The partition it
+	// makes must hash to Key.
+	Spec string
+	Seed int64
 	// Options configures shortcut.Build. Tree, Certify, and Rng must be
 	// unset: the service owns tree choice and never certifies.
 	Options shortcut.Options
@@ -497,7 +513,8 @@ type BuildRequest struct {
 // ask (singleflight). The construction itself runs on the worker pool.
 // hit reports whether the shortcut was already built when the request
 // arrived (the fast path a cache hit buys); singleflight joiners that
-// waited for an in-flight build report hit=false.
+// waited for an in-flight build report hit=false. A hit allocates
+// nothing here: the miss closure is made only on a miss.
 func (e *Engine) Build(ctx context.Context, req BuildRequest) (c *Cached, hit bool, err error) {
 	if req.Options.Tree != nil || req.Options.Certify || req.Options.Rng != nil {
 		return nil, false, fmt.Errorf("service: BuildRequest options must not set Tree, Certify, or Rng")
@@ -506,175 +523,186 @@ func (e *Engine) Build(ctx context.Context, req BuildRequest) (c *Cached, hit bo
 	if !ok {
 		return nil, false, ErrUnknownGraph
 	}
-	if req.Parts == nil {
-		return nil, false, fmt.Errorf("service: BuildRequest needs a partition")
+	key := req.Key
+	switch {
+	case req.Parts != nil:
+		if len(req.Parts.PartOf) != g.NumNodes() {
+			return nil, false, fmt.Errorf("service: partition covers %d nodes, graph has %d",
+				len(req.Parts.PartOf), g.NumNodes())
+		}
+		if key == 0 {
+			key = ShortcutKey(req.Graph, req.Parts, req.Options)
+		}
+	case key == 0 || req.Spec == "":
+		return nil, false, fmt.Errorf("service: BuildRequest needs a partition, or a key and a partition spec")
 	}
-	if len(req.Parts.PartOf) != g.NumNodes() {
-		return nil, false, fmt.Errorf("service: partition covers %d nodes, graph has %d",
-			len(req.Parts.PartOf), g.NumNodes())
+	if c, ok := e.cache.get(key); ok {
+		return c, true, nil
 	}
-	key := ShortcutKey(req.Graph, req.Parts, req.Options)
+	return e.miss(ctx, key, g, req)
+}
+
+// miss is Build past a cache miss: its own function, because the closure
+// it hands getOrBuild captures req, which moves req to the heap on entry.
+func (e *Engine) miss(ctx context.Context, key Fingerprint, g *graph.Graph, req BuildRequest) (*Cached, bool, error) {
 	return e.cache.getOrBuild(ctx, key, func() (*Cached, error) {
 		// The build job deliberately detaches from the triggering caller's
 		// cancellation: every waiter (including the first) abandons
 		// individually via getOrBuild, while the construction itself runs
 		// to completion and warms the cache.
 		return submit(e, context.WithoutCancel(ctx), func(jctx context.Context) (*Cached, error) {
-			// The trace (when tracing is on) is assembled here, behind the
-			// singleflight, so every construction yields exactly one trace
-			// no matter how many callers joined the build. It is published
-			// on the entry's first quality measurement (locshortd measures
-			// immediately after building), which contributes the final
-			// "measure" span.
-			var tb *obs.TraceBuilder
-			if e.cfg.Tracer != nil {
-				tb = obs.StartTrace("build")
-				tb.SetFingerprint(key.String())
-			}
-			// Store-first: a persisted build from a previous process (or
-			// one evicted from the LRU) is reloaded instead of rebuilt.
-			// This sits behind the singleflight, so a restart stampede on
-			// one key costs one store read, not N rebuilds. A failed load
-			// falls through to a fresh construction.
-			if st := e.cfg.Store; st != nil {
-				loadStart := time.Now()
-				res, bt, ok, err := st.GetShortcut(key, g, req.Parts)
-				loadDur := time.Since(loadStart)
-				if tb != nil {
-					tb.Add("store_check", 0, loadDur)
-				}
-				switch {
-				case err != nil:
-					e.counters.storeErrs.Add(1)
-				case ok:
-					e.counters.storeHits.Add(1)
-					if e.metrics != nil {
-						e.metrics.loadSeconds.Observe(loadDur)
-					}
-					return &Cached{
-						Key:        key,
-						GraphFP:    req.Graph,
-						G:          g,
-						Parts:      req.Parts,
-						Result:     res,
-						BuildTime:  bt,
-						Source:     SourceStore,
-						trace:      tb,
-						tracer:     e.cfg.Tracer,
-						engMetrics: e.metrics,
-					}, nil
-				default:
-					e.counters.storeMisses.Add(1)
-				}
-			}
-			// Peer-fetch: after the local store misses, ask the key's
-			// replica peers before paying a cold construction. Behind the
-			// singleflight like the store check, so a cross-node miss
-			// stampede costs one peer round-trip. The fetcher re-verifies
-			// every payload against its fingerprints and imports the record
-			// into the local store itself — no detached persist here. A
-			// fetch error (unreachable peers, failed verification) falls
-			// through to a fresh construction: the cluster degrades to
-			// building locally, never to failing the request.
-			if pf := e.cfg.Peers; pf != nil {
-				// jctx, not ctx: the build job is detached from the
-				// triggering caller, and so is its peer fetch — the
-				// fetcher applies its own per-peer timeouts.
-				fetchStart := time.Now()
-				res, bt, ok, err := pf.FetchShortcut(jctx, key, g, req.Parts)
-				fetchDur := time.Since(fetchStart)
-				if tb != nil {
-					tb.Add("peer_fetch", tb.Elapsed()-fetchDur, fetchDur)
-				}
-				switch {
-				case err != nil:
-					e.counters.peerErrs.Add(1)
-				case ok:
-					e.counters.peerHits.Add(1)
-					if e.metrics != nil {
-						e.metrics.peerFetchSeconds.Observe(fetchDur)
-					}
-					return &Cached{
-						Key:        key,
-						GraphFP:    req.Graph,
-						G:          g,
-						Parts:      req.Parts,
-						Result:     res,
-						BuildTime:  bt,
-						Source:     SourcePeer,
-						trace:      tb,
-						tracer:     e.cfg.Tracer,
-						engMetrics: e.metrics,
-					}, nil
-				default:
-					e.counters.peerMisses.Add(1)
-				}
-			}
-			bld := e.builders.Get().(*shortcut.Builder)
-			defer e.builders.Put(bld)
-			buildOpts := req.Options
-			if tb != nil {
-				// Timing-only: CollectStages never changes the shortcut and
-				// is excluded from content addressing, so the key computed
-				// from req.Options above still matches.
-				buildOpts.CollectStages = true
-			}
-			start := time.Now()
-			res, err := bld.Build(g, req.Parts, buildOpts)
-			if err != nil {
-				e.counters.buildErrs.Add(1)
-				return nil, err
-			}
-			d := time.Since(start)
-			e.counters.builds.Add(1)
-			e.counters.buildNs.Add(d.Nanoseconds())
-			if e.metrics != nil {
-				e.metrics.buildSeconds.Observe(d)
-				e.metrics.observeStages(res.Stages)
-			}
-			if tb != nil {
-				// Stage offsets are relative to the Build call; shift them
-				// onto the trace clock.
-				off := tb.Elapsed() - d
-				for _, st := range res.Stages {
-					tb.Add(st.Name, off+st.Start, st.Dur)
-				}
-			}
-			c := &Cached{
-				Key:        key,
-				GraphFP:    req.Graph,
-				G:          g,
-				Parts:      req.Parts,
-				Result:     res,
-				BuildTime:  d,
-				Source:     SourceBuilt,
-				trace:      tb,
-				tracer:     e.cfg.Tracer,
-				engMetrics: e.metrics,
-			}
-			if st := e.cfg.Store; st != nil {
-				// Persist detached, like the build itself: the caller's
-				// response is not delayed by the fsync, the write happens
-				// exactly once per construction (we are behind the
-				// singleflight), and Close drains the WaitGroup so a
-				// clean shutdown never loses a completed build.
-				e.persists.Add(1)
-				go func() {
-					defer e.persists.Done()
-					pStart := time.Now()
-					if err := st.PutShortcut(key, req.Graph, req.Parts, req.Options, res, d); err != nil {
-						e.counters.storeErrs.Add(1)
-					} else {
-						e.counters.storeWrites.Add(1)
-						if e.metrics != nil {
-							e.metrics.persistSeconds.Observe(time.Since(pStart))
-						}
-					}
-				}()
-			}
-			return c, nil
+			return e.materialize(jctx, key, g, req)
 		})
 	})
+}
+
+// materialize produces the entry for key behind the singleflight, on a
+// worker: from the store, else from a peer, else by construction.
+func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Graph, req BuildRequest) (*Cached, error) {
+	// The trace (when tracing is on) is assembled here, behind the
+	// singleflight, so every construction yields exactly one trace no
+	// matter how many callers joined the build. It is published on the
+	// entry's first quality measurement (locshortd measures immediately
+	// after building), which contributes the final "measure" span.
+	var tb *obs.TraceBuilder
+	if e.cfg.Tracer != nil {
+		tb = obs.StartTrace("build")
+		tb.SetFingerprint(key.String())
+	}
+	entry := func(res *shortcut.Result, bt time.Duration, src BuildSource) *Cached {
+		return &Cached{
+			Key:        key,
+			GraphFP:    req.Graph,
+			G:          g,
+			Parts:      res.Shortcut.Parts,
+			Result:     res,
+			BuildTime:  bt,
+			Source:     src,
+			trace:      tb,
+			tracer:     e.cfg.Tracer,
+			engMetrics: e.metrics,
+		}
+	}
+	// Store-first: a persisted build from a previous process (or one
+	// evicted from the LRU) is reloaded instead of rebuilt. This sits
+	// behind the singleflight, so a restart stampede on one key costs one
+	// store read, not N rebuilds. Without a request partition the record
+	// is decoded with its own. A failed load falls through to a fresh
+	// construction.
+	if st := e.cfg.Store; st != nil {
+		loadStart := time.Now()
+		res, bt, ok, err := st.GetShortcut(key, g, req.Parts)
+		loadDur := time.Since(loadStart)
+		if tb != nil {
+			tb.Add("store_check", 0, loadDur)
+		}
+		switch {
+		case err != nil:
+			e.counters.storeErrs.Add(1)
+		case ok:
+			e.counters.storeHits.Add(1)
+			if e.metrics != nil {
+				e.metrics.loadSeconds.Observe(loadDur)
+			}
+			return entry(res, bt, SourceStore), nil
+		default:
+			e.counters.storeMisses.Add(1)
+		}
+	}
+	// Peer-fetch: after the local store misses, ask the key's replica
+	// peers before paying a cold construction. Behind the singleflight
+	// like the store check, so a cross-node miss stampede costs one peer
+	// round-trip. The fetcher re-verifies every payload against its
+	// fingerprints and imports the record into the local store itself —
+	// no detached persist here. A fetch error (unreachable peers, failed
+	// verification) falls through to a fresh construction: the cluster
+	// degrades to building locally, never to failing the request.
+	if pf := e.cfg.Peers; pf != nil {
+		// jctx: the build job is detached from the triggering caller, and
+		// so is its peer fetch — the fetcher applies its own per-peer
+		// timeouts.
+		fetchStart := time.Now()
+		res, bt, ok, err := pf.FetchShortcut(jctx, key, g, req.Parts)
+		fetchDur := time.Since(fetchStart)
+		if tb != nil {
+			tb.Add("peer_fetch", tb.Elapsed()-fetchDur, fetchDur)
+		}
+		switch {
+		case err != nil:
+			e.counters.peerErrs.Add(1)
+		case ok:
+			e.counters.peerHits.Add(1)
+			if e.metrics != nil {
+				e.metrics.peerFetchSeconds.Observe(fetchDur)
+			}
+			return entry(res, bt, SourcePeer), nil
+		default:
+			e.counters.peerMisses.Add(1)
+		}
+	}
+	parts := req.Parts
+	if parts == nil {
+		var err error
+		if parts, err = cli.ParsePartition(g, req.Spec, req.Seed); err != nil {
+			return nil, err
+		}
+		if got := ShortcutKey(req.Graph, parts, req.Options); got != key {
+			return nil, fmt.Errorf("service: partition spec %q seed %d hashes to key %s, request names %s",
+				req.Spec, req.Seed, got, key)
+		}
+	}
+	bld := e.builders.Get().(*shortcut.Builder)
+	defer e.builders.Put(bld)
+	buildOpts := req.Options
+	if tb != nil {
+		// Timing-only: CollectStages never changes the shortcut and is
+		// excluded from content addressing, so key still matches.
+		buildOpts.CollectStages = true
+	}
+	start := time.Now()
+	res, err := bld.Build(g, parts, buildOpts)
+	if err != nil {
+		e.counters.buildErrs.Add(1)
+		return nil, err
+	}
+	d := time.Since(start)
+	e.counters.builds.Add(1)
+	e.counters.buildNs.Add(d.Nanoseconds())
+	if e.metrics != nil {
+		e.metrics.buildSeconds.Observe(d)
+		e.metrics.observeStages(res.Stages)
+	}
+	if tb != nil {
+		// Stage offsets are relative to the Build call; shift them onto
+		// the trace clock.
+		off := tb.Elapsed() - d
+		for _, st := range res.Stages {
+			tb.Add(st.Name, off+st.Start, st.Dur)
+		}
+	}
+	if st := e.cfg.Store; st != nil {
+		// Persist detached, like the build itself: the caller's response
+		// is not delayed by the fsync, the write happens exactly once per
+		// construction (we are behind the singleflight), and Close drains
+		// the WaitGroup so a clean shutdown never loses a completed build.
+		// The goroutine takes the two fields it needs, not req: capturing
+		// req would move it to the heap on every call, store hits too.
+		graphFP, opts := req.Graph, req.Options
+		e.persists.Add(1)
+		go func() {
+			defer e.persists.Done()
+			pStart := time.Now()
+			if err := st.PutShortcut(key, graphFP, parts, opts, res, d); err != nil {
+				e.counters.storeErrs.Add(1)
+			} else {
+				e.counters.storeWrites.Add(1)
+				if e.metrics != nil {
+					e.metrics.persistSeconds.Observe(time.Since(pStart))
+				}
+			}
+		}()
+	}
+	return entry(res, d, SourceBuilt), nil
 }
 
 // MSTRequest runs the Corollary 1.6 distributed MST on a registered graph.

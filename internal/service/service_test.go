@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"locshort/internal/cli"
 	"locshort/internal/dist"
 	"locshort/internal/graph"
 	"locshort/internal/partition"
@@ -289,6 +290,71 @@ func TestEngineSingleflight(t *testing.T) {
 	}
 	if s.CacheHits != callers-1 || s.CacheMisses != 1 {
 		t.Errorf("hits/misses = %d/%d, want %d/1", s.CacheHits, s.CacheMisses, callers-1)
+	}
+}
+
+// TestEngineKeyRequest drives requests that carry a key and a partition
+// spec instead of a partition, the way locshortd sends a memoized spec: a
+// miss parses the spec and builds; a warm hit allocates nothing, with or
+// without a partition; a stored record serves a key-only request on a
+// fresh engine without building; a spec that hashes to another key, and a
+// request with neither a partition nor a key and a spec, are errors.
+func TestEngineKeyRequest(t *testing.T) {
+	ctx := context.Background()
+	st := newStubStore()
+	e := New(Config{Workers: 2, Store: st})
+	var closeOnce sync.Once
+	t.Cleanup(func() { closeOnce.Do(e.Close) })
+	g := graph.Grid(8, 8)
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cli.ParsePartition(g, "blobs:8", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ShortcutKey(fp, p, shortcut.Options{})
+	req := BuildRequest{Graph: fp, Key: key, Spec: "blobs:8", Seed: 3}
+	c, hit, err := e.Build(ctx, req)
+	if err != nil || hit || c.Source != SourceBuilt || c.Key != key {
+		t.Fatalf("key request miss: hit=%v err=%v entry=%+v", hit, err, c)
+	}
+	if FingerprintPartition(c.Parts) != FingerprintPartition(p) {
+		t.Fatal("the spec parsed inside the engine is not the caller's partition")
+	}
+	for name, r := range map[string]BuildRequest{
+		"key": req, "parts": {Graph: fp, Parts: p},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, hit, err := e.Build(ctx, r); err != nil || !hit {
+				t.Fatalf("%s warm hit: hit=%v err=%v", name, hit, err)
+			}
+		}); n != 0 {
+			t.Errorf("%s warm hit: %.1f allocs/op, want 0", name, n)
+		}
+	}
+	closeOnce.Do(e.Close) // drains the detached persist into st
+
+	fresh := newTestEngine(t, Config{Workers: 2, Store: st})
+	if _, err := fresh.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err = fresh.Build(ctx, req)
+	if err != nil || c.Source != SourceStore {
+		t.Fatalf("key request on a stored record: err=%v entry=%+v", err, c)
+	}
+	if s := fresh.Stats(); s.Builds != 0 {
+		t.Errorf("stored record rebuilt: %d builds", s.Builds)
+	}
+	for name, r := range map[string]BuildRequest{
+		"spec for another key": {Graph: fp, Key: key ^ 1, Spec: "blobs:8", Seed: 3},
+		"no partition":         {Graph: fp},
+		"key without spec":     {Graph: fp, Key: key ^ 2},
+	} {
+		if _, _, err := fresh.Build(ctx, r); err == nil {
+			t.Errorf("%s: Build succeeded, want an error", name)
+		}
 	}
 }
 

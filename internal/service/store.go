@@ -42,8 +42,10 @@ type Store interface {
 	// GetShortcut loads the shortcut stored under key, reconstructed
 	// against g (the engine's representative graph for the record's graph
 	// fingerprint) and parts (the requested partition; same key implies
-	// the same canonical partition). ok is false when no record exists;
-	// a record that exists but fails validation returns an error.
+	// the same canonical partition). A nil parts decodes the record's own
+	// partition payload, so the result's partition is in canonical part
+	// order. ok is false when no record exists; a record that exists but
+	// fails validation returns an error.
 	GetShortcut(key Fingerprint, g *graph.Graph, parts *partition.Partition) (
 		res *shortcut.Result, buildTime time.Duration, ok bool, err error)
 
@@ -75,7 +77,8 @@ type GraphPayloadStore interface {
 type PeerFetcher interface {
 	// FetchShortcut returns the shortcut stored under key on some peer,
 	// reconstructed against g (the engine's representative) and parts (the
-	// requested partition), plus the original construction's cost. ok is
+	// requested partition; nil decodes the record's own, as GetShortcut
+	// does), plus the original construction's cost. ok is
 	// false when no reachable peer holds the record; a fetched record that
 	// fails verification returns an error. The implementation owns
 	// durability: a successfully fetched record is already imported into

@@ -53,8 +53,8 @@ type Backend interface {
 	// GetGraph decodes the live graph record for fp, if any.
 	GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error)
 	// GetPartition decodes the live partition record for fp against g,
-	// validating part connectivity (offline inspection; the serving path
-	// never needs it because requests carry their partition).
+	// validating part connectivity. The serving path decodes the same
+	// records inside GetShortcut, for a request that carries only a key.
 	GetPartition(fp service.Fingerprint, g *graph.Graph) (*partition.Partition, bool, error)
 	// ShortcutPayload returns the raw shortcut record payload for key —
 	// the binary /v1/shortcuts response body. The slice may alias

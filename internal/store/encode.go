@@ -98,25 +98,18 @@ func newEdgePerm(g *graph.Graph) *edgePerm {
 
 // partRanks returns each part's canonical rank — the order of first
 // appearance over nodes 0..n-1, i.e. the part order of the canonical
-// partition encoding — and the inverse map byRank from rank to part index,
-// both in one array. Every partition instance with the same fingerprint
-// shares these ranks even when its Parts slice is ordered differently
-// (BFSBlobs orders by seed, FromLabels by first appearance), so shortcut
-// payloads index their per-part data by rank, never by instance order.
+// partition encoding (Partition.CanonicalRanks) — and the inverse map
+// byRank from rank to part index, both in one array. Every partition
+// instance with the same fingerprint shares these ranks even when its
+// Parts slice is ordered differently (BFSBlobs orders by seed, FromLabels
+// by first appearance), so shortcut payloads index their per-part data by
+// rank, never by instance order.
 func partRanks(p *partition.Partition) (rank, byRank []int32) {
 	k := p.NumParts()
 	buf := make([]int32, 2*k)
-	rank, byRank = buf[:k:k], buf[k:]
-	for i := range rank {
-		rank[i] = -1
-	}
-	next := int32(0)
-	for _, i := range p.PartOf {
-		if i >= 0 && rank[i] < 0 {
-			rank[i] = next
-			byRank[next] = int32(i)
-			next++
-		}
+	rank, byRank = p.CanonicalRanks(buf[:k:k]), buf[k:]
+	for i, r := range rank {
+		byRank[r] = int32(i)
 	}
 	return rank, byRank
 }
@@ -190,9 +183,17 @@ func encodePartition(p *partition.Partition) []byte {
 	return service.AppendPartitionCanonical(b, p)
 }
 
-// decodePartition reconstructs a partition from its payload against g,
-// verifying the content fingerprint and (via partition.FromLabels) that
-// every part induces a connected subgraph of g.
+// decodePartition reconstructs a partition from its payload against g.
+// The payload body must hash to key, and its header must fit both the
+// payload length and g — n nodes in exactly 16+8n bytes, n equal to g's
+// node count, at most n parts — before anything is allocated. The labels
+// are read straight into the partition's PartOf, and
+// partition.FromCanonical lays the parts out in the second half of that
+// same allocation in one counting pass, so a decode allocates the same
+// few times whatever n and k are. FromCanonical also
+// requires the labels to be dense and in first-appearance order, and each
+// part connected: an accepted payload is the canonical encoding of the
+// partition it decodes to, byte for byte.
 func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*partition.Partition, error) {
 	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
 		return nil, fmt.Errorf("store: partition %s: bad payload version", key)
@@ -206,32 +207,53 @@ func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*
 	}
 	n := binary.BigEndian.Uint64(body)
 	k := binary.BigEndian.Uint64(body[8:])
-	if uint64(len(body)) != 16+8*n {
+	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
 		return nil, fmt.Errorf("store: partition %s: payload length %d for %d nodes", key, len(body), n)
 	}
-	if int(n) != g.NumNodes() {
+	if n != uint64(g.NumNodes()) {
 		return nil, fmt.Errorf("store: partition %s: covers %d nodes, graph has %d", key, n, g.NumNodes())
 	}
-	labels := make([]int, n)
-	for v := range labels {
-		l := binary.BigEndian.Uint64(body[16+8*v:])
-		if l == ^uint64(0) {
-			labels[v] = -1
-			continue
-		}
-		if l >= k {
-			return nil, fmt.Errorf("store: partition %s: node %d label %d out of range [0,%d)", key, v, l, k)
-		}
-		labels[v] = int(l)
+	if k > n {
+		return nil, fmt.Errorf("store: partition %s: %d parts for %d nodes", key, k, n)
 	}
-	p, err := partition.FromLabels(g, labels)
+	partOf := make([]int, n, 2*n) // PartOf, then the parts' nodes
+	for v := range partOf {
+		l := binary.BigEndian.Uint64(body[16+8*v:])
+		switch {
+		case l == ^uint64(0):
+			partOf[v] = -1
+		case l >= k:
+			return nil, fmt.Errorf("store: partition %s: node %d label %d out of range [0,%d)", key, v, l, k)
+		default:
+			partOf[v] = int(l)
+		}
+	}
+	p, err := partition.FromCanonical(g, partOf, int(k))
 	if err != nil {
 		return nil, fmt.Errorf("store: partition %s: %w", key, err)
 	}
-	if uint64(p.NumParts()) != k {
-		return nil, fmt.Errorf("store: partition %s: decoded %d parts, header says %d", key, p.NumParts(), k)
-	}
 	return p, nil
+}
+
+// decodeRecord decodes a stored shortcut against g and parts or, with
+// parts nil, against the partition record ppay that the shortcut payload
+// names: ppay must hash to that partition fingerprint and decode to
+// connected parts of g, and the key is re-derived over its bytes. The
+// result's partition is then the record's own, in canonical part order.
+func decodeRecord(spay, ppay []byte, key service.Fingerprint, perm *edgePerm,
+	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
+
+	if parts != nil {
+		return decodeShortcut(spay, key, perm, g, parts, nil)
+	}
+	meta, err := parseShortcutMeta(spay)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
+	}
+	if parts, err = decodePartition(ppay, meta.partFP, g); err != nil {
+		return nil, 0, err
+	}
+	return decodeShortcut(spay, key, perm, g, parts, ppay[1:])
 }
 
 // shortcutMeta is the decoded fixed-size head of a shortcut payload, enough
@@ -395,11 +417,13 @@ func (r *varintReader) bytes(n int) []byte {
 
 // decodeShortcut reconstructs the stored shortcut against g (the serving
 // process's representative for the record's graph fingerprint) and parts
-// (the requested partition). It translates canonical edge IDs back into g's
-// live IDs, rebuilds the restriction tree, validates the result
-// structurally, and verifies that the stored (graph, partition, options)
-// triple re-derives the record key — so a record can never be served under
-// a key it does not hash to.
+// (the requested partition, or the record's own when partCanon holds the
+// canonical encoding it was decoded from). It translates canonical edge
+// IDs back into g's live IDs, rebuilds the restriction tree, validates the
+// result structurally, and verifies that the stored (graph, partition,
+// options) triple re-derives the record key — over partCanon's bytes when
+// given — so a record can never be served under a key it does not hash
+// to.
 //
 // A store read runs this on every cache miss, so its allocations are a
 // constant number independent of n and k: parent and parent-edge share one
@@ -407,7 +431,7 @@ func (r *varintReader) bytes(n int) []byte {
 // per-part counts sizes — capped by the payload bytes left, which every
 // listed edge takes at least one of, before anything is allocated.
 func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
-	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
+	g *graph.Graph, parts *partition.Partition, partCanon []byte) (*shortcut.Result, time.Duration, error) {
 
 	fail := func(err error) (*shortcut.Result, time.Duration, error) {
 		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
@@ -486,14 +510,26 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 		return fail(r.err)
 	}
 	covered := func(rnk int) bool { return bitmap[rnk/8]&(1<<(rnk%8)) != 0 }
-	_, byRank := partRanks(parts)
+	// byRank maps a canonical rank to a part index; nil is the identity,
+	// for the record's own partition, which is in canonical order.
+	var byRank []int32
+	if partCanon == nil {
+		_, byRank = partRanks(parts)
+	}
+	part := func(rnk int) int {
+		if byRank == nil {
+			return rnk
+		}
+		return int(byRank[rnk])
+	}
 	// Pre-pass: the total H size, from the per-part counts.
 	pre := r
 	total := 0
-	for rnk, i := range byRank {
+	for rnk := 0; rnk < int(k); rnk++ {
 		if !covered(rnk) {
 			continue
 		}
+		i := part(rnk)
 		cnt := pre.uvarint()
 		if pre.err != nil {
 			return fail(pre.err)
@@ -520,10 +556,11 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 		Covered: make([]bool, k),
 	}
 	edges := make([]int, 0, total)
-	for rnk, i := range byRank {
+	for rnk := 0; rnk < int(k); rnk++ {
 		if !covered(rnk) {
 			continue
 		}
+		i := part(rnk)
 		s.Covered[i] = true
 		cnt := r.uvarint() // checked by the pre-pass
 		start := len(edges)
@@ -558,7 +595,13 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	if err := s.Validate(); err != nil {
 		return fail(err)
 	}
-	if got := service.ShortcutKey(meta.graphFP, parts, opts); got != key {
+	var got service.Fingerprint
+	if partCanon != nil {
+		got = service.ShortcutKeyCanonical(meta.graphFP, partCanon, opts)
+	} else {
+		got = service.ShortcutKey(meta.graphFP, parts, opts)
+	}
+	if got != key {
 		return fail(fmt.Errorf("stored inputs re-derive key %s", got))
 	}
 	res.Shortcut = s

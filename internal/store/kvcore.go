@@ -351,8 +351,8 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 }
 
 // GetPartition decodes the live partition record for fp against g,
-// validating part connectivity. Used by offline inspection (the serving
-// path never needs it: requests carry their partition).
+// validating part connectivity. The serving path decodes the same records
+// inside GetShortcut, for a request that carries only a key.
 func (c *kvCore) GetPartition(fp service.Fingerprint, g *graph.Graph) (*partition.Partition, bool, error) {
 	payload, ok, err := c.payloadOf(kindPartition, fp)
 	if err != nil || !ok {
@@ -389,22 +389,46 @@ func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.
 }
 
 // GetShortcut loads and reconstructs the shortcut stored under key against
-// the live representative g and the requested partition. Implements
+// the live representative g and the requested partition, or — parts nil —
+// the record's own partition record, read under the same lock as the
+// shortcut record and fully checked (decodeRecord). Implements
 // service.Store.
 //
 //locshort:hotpath
 func (c *kvCore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) (
 	*shortcut.Result, time.Duration, bool, error) {
 
-	payload, ok, err := c.payloadOf(kindShortcut, key)
+	spay, ppay, ok, err := c.shortcutPayloads(key, parts == nil)
 	if err != nil || !ok {
 		return nil, 0, false, err
 	}
-	res, bt, err := decodeShortcut(payload, key, c.perms.get(g), g, parts)
+	res, bt, err := decodeRecord(spay, ppay, key, c.perms.get(g), g, parts)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	return res, bt, true, nil
+}
+
+// shortcutPayloads reads a live shortcut record's payload and, withPart,
+// its partition record's payload, under one shared lock. A shortcut whose
+// partition record is missing is an integrity error, not a miss.
+func (c *kvCore) shortcutPayloads(key service.Fingerprint, withPart bool) (spay, ppay []byte, ok bool, err error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ik := indexKey{kind: kindShortcut, key: key}
+	meta, ok := c.index[ik]
+	if !ok {
+		return nil, nil, false, nil
+	}
+	if spay, err = c.ps.read(ik, meta); err != nil || !withPart {
+		return spay, nil, err == nil, err
+	}
+	if ppay, ok, err = c.lookupLocked(kindPartition, meta.partFP); err != nil {
+		return nil, nil, false, err
+	} else if !ok {
+		return nil, nil, false, fmt.Errorf("store: shortcut %s references missing partition %s", key, meta.partFP)
+	}
+	return spay, ppay, true, nil
 }
 
 // DeleteGraph removes the graph record for fp and every shortcut built on
@@ -610,11 +634,7 @@ func (c *kvCore) Verify() []Problem {
 				bad(ik, fmt.Errorf("references missing partition %s", e.meta.partFP))
 				continue
 			}
-			parts, err := decodePartition(ppay, e.meta.partFP, g)
-			if err == nil {
-				_, _, err = decodeShortcut(payload, ik.key, c.perms.get(g), g, parts)
-			}
-			if err != nil {
+			if _, _, err := decodeRecord(payload, ppay, ik.key, c.perms.get(g), g, nil); err != nil {
 				bad(ik, err)
 			}
 		case kindJob:

@@ -76,7 +76,19 @@ func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, e
 // validation plus re-derivation of key from the stored inputs.
 func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
-	return decodeShortcut(payload, key, newEdgePerm(g), g, parts)
+	return decodeShortcut(payload, key, newEdgePerm(g), g, parts, nil)
+}
+
+// DecodePeerShortcut reconstructs a fetched record's shortcut against the
+// caller's representative graph: against parts when the caller has the
+// requested partition (DecodeShortcutPayload), else against the record's
+// own partition payload, with every check GetShortcut runs on a key-only
+// read — the partition payload must hash to the fingerprint the shortcut
+// payload names and decode to connected parts of g, and the key is
+// re-derived over its bytes.
+func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partition) (
+	*shortcut.Result, time.Duration, error) {
+	return decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, newEdgePerm(g), g, parts)
 }
 
 // VerifyPeerRecord fully verifies a fetched record against its claimed
@@ -104,7 +116,7 @@ func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shor
 			"store: shortcut %s payload references (%s, %s), record claims (%s, %s)",
 			rec.Key, meta.graphFP, meta.partFP, rec.GraphFP, rec.PartitionFP)
 	}
-	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, newEdgePerm(g), g, parts)
+	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, newEdgePerm(g), g, parts, rec.PartitionPayload[1:])
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -145,9 +146,10 @@ func TestSegmentBytesGolden(t *testing.T) {
 
 // getShortcutAllocs bounds GetShortcut's allocations — the decode of the
 // stored H sets and tree into a fresh Result, with the permutation memo
-// warm. The decode allocates a constant number of times, so one bound
-// holds for the grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the
-// store-mixed benchmark's shape (measured 12 on both).
+// warm, and on a key-only read the decode of the record's partition too.
+// The decode allocates a constant number of times, so one bound holds for
+// the grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the
+// store-mixed benchmark's shape.
 const getShortcutAllocs = 20
 
 // TestStoreReadAllocs pins the read path's allocation counts on both
@@ -245,15 +247,115 @@ func TestStoreReadAllocs(t *testing.T) {
 					t.Errorf("%s: %.1f allocs/op, want 0", name, n)
 				}
 			}
-			n := testing.AllocsPerRun(20, func() {
-				if _, _, ok, err := fx.b.GetShortcut(fx.key, g, fx.parts); err != nil || !ok {
-					t.Fatalf("GetShortcut: ok=%v err=%v", ok, err)
+			// With the request's partition, and key-only: the read then
+			// decodes the record's own partition as well.
+			for _, parts := range []*partition.Partition{fx.parts, nil} {
+				n := testing.AllocsPerRun(20, func() {
+					if _, _, ok, err := fx.b.GetShortcut(fx.key, g, parts); err != nil || !ok {
+						t.Fatalf("GetShortcut(key-only=%v): ok=%v err=%v", parts == nil, ok, err)
+					}
+				})
+				if n > getShortcutAllocs {
+					t.Errorf("GetShortcut(key-only=%v): %.1f allocs/op, want <= %d", parts == nil, n, getShortcutAllocs)
 				}
-			})
-			if n > getShortcutAllocs {
-				t.Errorf("GetShortcut: %.1f allocs/op, want <= %d", n, getShortcutAllocs)
+				t.Logf("GetShortcut(key-only=%v): %.1f allocs/op", parts == nil, n)
 			}
-			t.Logf("GetShortcut: %.1f allocs/op", n)
+		})
+	}
+}
+
+// TestGetShortcutKeyOnly pins the key-only read, on both backends: with
+// a nil partition GetShortcut decodes the record's own partition record,
+// and the result is canonical-identical to the read given the request's
+// partition, with the record's partition in canonical part order. A
+// partition record that is missing, or whose bytes no longer hash to the
+// fingerprint the shortcut names, fails the key-only read cleanly — an
+// error, no result — while the partition-given read does not need it.
+func TestGetShortcutKeyOnly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		open func(t *testing.T) (Backend, *kvCore)
+	}{
+		{"segment", func(t *testing.T) (Backend, *kvCore) {
+			s := mustOpen(t, t.TempDir())
+			t.Cleanup(func() { s.Close() })
+			return s, &s.kvCore
+		}},
+		{"mem", func(t *testing.T) (Backend, *kvCore) {
+			m := OpenMem()
+			t.Cleanup(func() { m.Close() })
+			return m, &m.kvCore
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b, core := c.open(t)
+			g, p, res := buildFixture(t, "torus:7x7", "blobs:6", 2)
+			fp := service.FingerprintGraph(g)
+			pfp := service.FingerprintPartition(p)
+			key := service.ShortcutKey(fp, p, shortcut.Options{})
+			if err := b.PutGraph(fp, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.PutShortcut(key, fp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			given, bt, ok, err := b.GetShortcut(key, g, p)
+			if err != nil || !ok {
+				t.Fatalf("GetShortcut(parts): ok=%v err=%v", ok, err)
+			}
+			own, bt2, ok, err := b.GetShortcut(key, g, nil)
+			if err != nil || !ok {
+				t.Fatalf("GetShortcut(key only): ok=%v err=%v", ok, err)
+			}
+			want := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, given, bt)
+			got := EncodeShortcutRecordPayload(fp, own.Shortcut.Parts, shortcut.Options{}, own, bt2)
+			if !bytes.Equal(got, want) {
+				t.Fatal("key-only read is not canonical-identical to the partition-given read")
+			}
+			op := own.Shortcut.Parts
+			if service.FingerprintPartition(op) != pfp {
+				t.Fatal("key-only read decoded a partition with another fingerprint")
+			}
+			next := 0
+			for _, i := range op.PartOf {
+				if i > next {
+					t.Fatalf("record partition not in canonical part order: part %d before %d", i, next)
+				}
+				if i == next {
+					next++
+				}
+			}
+
+			// Tampered: the partition record's bytes no longer hash to pfp.
+			good, ok, err := b.GetPartition(pfp, g)
+			if err != nil || !ok || service.FingerprintPartition(good) != pfp {
+				t.Fatalf("GetPartition: ok=%v err=%v", ok, err)
+			}
+			bad := encodePartition(good)
+			bad[len(bad)-1] ^= 1
+			core.writeMu.Lock()
+			err = core.putRecord(kindPartition, pfp, bad)
+			core.writeMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
+				t.Fatalf("key-only read of a tampered partition record: ok=%v err=%v", ok, err)
+			}
+			if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
+				t.Fatalf("partition-given read after tampering: ok=%v err=%v", ok, err)
+			}
+
+			// Missing: the partition record leaves the index.
+			core.mu.Lock()
+			core.removeLocked(indexKey{kind: kindPartition, key: pfp})
+			core.mu.Unlock()
+			if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
+				t.Fatalf("key-only read without a partition record: ok=%v err=%v", ok, err)
+			}
+			if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
+				t.Fatalf("partition-given read without a partition record: ok=%v err=%v", ok, err)
+			}
 		})
 	}
 }

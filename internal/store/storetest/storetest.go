@@ -149,6 +149,15 @@ func (fx *fixture) checkGet(t testing.TB, b store.Backend) {
 	if !bytes.Equal(got, fx.canonicalPayload()) {
 		t.Fatalf("%s: GetShortcut round-trip is not canonical-identical", fx.spec)
 	}
+	// Key only: the record is decoded with its own partition record.
+	res3, bt3, ok, err := b.GetShortcut(fx.key, fx.g, nil)
+	if err != nil || !ok {
+		t.Fatalf("%s: key-only GetShortcut: ok=%v err=%v", fx.spec, ok, err)
+	}
+	got = store.EncodeShortcutRecordPayload(fx.gfp, res3.Shortcut.Parts, fx.opts, res3, bt3)
+	if !bytes.Equal(got, fx.canonicalPayload()) {
+		t.Fatalf("%s: key-only GetShortcut round-trip is not canonical-identical", fx.spec)
+	}
 }
 
 // jobPayload renders a valid job record payload (Verify decodes job

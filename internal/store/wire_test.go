@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"testing"
@@ -310,6 +311,120 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if a.Root != b.Root || !slices.Equal(a.Parent, b.Parent) || !slices.Equal(a.ParentEdge, b.ParentEdge) ||
 			!slices.Equal(a.Depth, b.Depth) || !slices.Equal(a.Order, b.Order) {
 			t.Fatalf("tree rooted at %d round-trips to one rooted at %d, or its arrays differ", a.Root, b.Root)
+		}
+	})
+}
+
+// partitionFuzzSeeds are the canonical partition payloads the partition
+// decoder fuzz starts from, each decoded against its own graph.
+var partitionFuzzSeeds = []struct{ spec, parts string }{
+	{"grid:6x6", "blobs:4"}, {"torus:5x5", "blobs:5"}, {"wheel:12", "rim"},
+}
+
+// FuzzDecodePartitionPayload drives the partition record decoder, which
+// every key-only store read and peer fetch runs on stored or
+// peer-supplied bytes, against grid, torus and wheel graphs picked by the
+// node count in the payload's header. Each payload is decoded under the
+// key its own body hashes to, so mutations get past the hash check. The
+// invariants: never panic; an accepted payload's n and k fit its length
+// (17 + 8n bytes, k <= n); its parts are non-empty, connected, ascending,
+// consistent with PartOf, and labelled densely in first-appearance order;
+// and encodePartition of the decoded partition is the payload itself.
+func FuzzDecodePartitionPayload(f *testing.F) {
+	graphs := make(map[uint64]*graph.Graph)
+	var fallback *graph.Graph
+	for _, c := range partitionFuzzSeeds {
+		g, _, err := cli.ParseGraph(c.spec, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, err := cli.ParsePartition(g, c.parts, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		graphs[uint64(g.NumNodes())] = g
+		if fallback == nil {
+			fallback = g
+		}
+		payload := encodePartition(p)
+		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 17, 16, 1} {
+			f.Add(payload[:n])
+		}
+		k := binary.BigEndian.Uint64(payload[9:])
+		labelK := slices.Clone(payload)
+		binary.BigEndian.PutUint64(labelK[17:], k) // node 0's label = k
+		f.Add(labelK)
+		kOverN := slices.Clone(payload)
+		binary.BigEndian.PutUint64(kOverN[9:], uint64(g.NumNodes())+1)
+		f.Add(kOverN)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		g := fallback
+		if len(payload) >= 9 {
+			if gg, ok := graphs[binary.BigEndian.Uint64(payload[1:])]; ok {
+				g = gg
+			}
+		}
+		var key service.Fingerprint
+		if len(payload) > 0 {
+			key = service.FingerprintBytes(payload[1:])
+		}
+		p, err := decodePartition(payload, key, g)
+		if err != nil {
+			return
+		}
+		n, k := g.NumNodes(), p.NumParts()
+		if len(payload) != 17+8*n || k > n || len(p.PartOf) != n {
+			t.Fatalf("accepted %d bytes as n=%d k=%d with %d labels", len(payload), n, k, len(p.PartOf))
+		}
+		next, covered := 0, 0
+		for v, l := range p.PartOf {
+			switch {
+			case l == -1:
+				continue
+			case l < 0 || l > next || l >= k:
+				t.Fatalf("node %d label %d: not dense first-appearance order (next %d, k %d)", v, l, next, k)
+			case l == next:
+				next++
+			}
+			covered++
+		}
+		if next != k {
+			t.Fatalf("labels use %d of %d parts", next, k)
+		}
+		sum := 0
+		for i, part := range p.Parts {
+			if len(part) == 0 {
+				t.Fatalf("part %d is empty", i)
+			}
+			sum += len(part)
+			for j, v := range part {
+				if p.PartOf[v] != i || (j > 0 && part[j-1] >= v) {
+					t.Fatalf("part %d lists node %d out of order or of part %d", i, v, p.PartOf[v])
+				}
+			}
+			// Connectivity, by a BFS independent of the decoder's.
+			seen := map[int]bool{part[0]: true}
+			queue := []int{part[0]}
+			for len(queue) > 0 {
+				v := queue[0]
+				queue = queue[1:]
+				for _, a := range g.Neighbors(v) {
+					if p.PartOf[a.To] == i && !seen[a.To] {
+						seen[a.To] = true
+						queue = append(queue, a.To)
+					}
+				}
+			}
+			if len(seen) != len(part) {
+				t.Fatalf("part %d: %d of %d nodes reachable inside it", i, len(seen), len(part))
+			}
+		}
+		if sum != covered {
+			t.Fatalf("parts list %d nodes, PartOf covers %d", sum, covered)
+		}
+		if re := encodePartition(p); !bytes.Equal(re, payload) {
+			t.Fatalf("decoded partition re-encodes to different bytes")
 		}
 	})
 }
