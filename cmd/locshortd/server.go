@@ -408,6 +408,9 @@ func graphFromEdges(nodes int, edges [][]float64) (*graph.Graph, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("nodes must be positive, got %d", nodes)
 	}
+	if err := graph.CheckSize(nodes, len(edges)); err != nil {
+		return nil, err
+	}
 	g := graph.New(nodes)
 	for i, e := range edges {
 		if len(e) != 2 && len(e) != 3 {

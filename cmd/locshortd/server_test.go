@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -282,6 +283,96 @@ func TestDegenerateGraphSpecs400(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "wheel:4"}, http.StatusOK, &g)
 	postJSON(t, ts.URL+"/v1/shortcuts",
 		map[string]any{"graph": g.Graph, "partition": "rim"}, http.StatusOK, nil)
+}
+
+// TestOversizedGraphsRefused sends graphs over graph.MaxNodes or
+// graph.MaxEdges down every ingest path: specs whose sizes pass the limits
+// or wrap int, a JSON edge list with a huge node count, and a 17-byte
+// binary payload claiming 2^26 nodes. Each is refused before anything is
+// sized from it (any of them used to exhaust memory or panic), and the
+// daemon keeps serving.
+func TestOversizedGraphsRefused(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	for _, body := range []map[string]any{
+		{"spec": "grid:70000x70000"},
+		{"spec": "complete:200000"},
+		{"spec": "torus:4294967297x4294967297"},
+		{"spec": "grid:3037000500x3037000500"},
+		{"nodes": 2000000000, "edges": [][]int{}},
+		{"nodes": 2000000000, "edges": [][]int{{0, 1}}},
+	} {
+		var e map[string]string
+		postJSON(t, ts.URL+"/v1/graphs", body, http.StatusBadRequest, &e)
+		if !strings.Contains(e["error"], graph.ErrTooLarge.Error()) {
+			t.Errorf("%v: error %q, want one naming the size limit", body, e["error"])
+		}
+	}
+	payload := make([]byte, 17) // version, n = 2^26, m = 0
+	payload[0] = 1
+	payload[5] = 4
+	resp := doBinary(t, "POST", ts.URL+"/v1/graphs", payload, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("2^26-node binary payload: status %d, want 422", resp.StatusCode)
+	}
+	resp.Body.Close()
+	var g struct {
+		Graph string `json:"graph"`
+	}
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:4x4"}, http.StatusOK, &g)
+	postJSON(t, ts.URL+"/v1/shortcuts",
+		map[string]any{"graph": g.Graph, "partition": "blobs:4"}, http.StatusOK, nil)
+}
+
+// TestWarmStartOverIngestLimits persists a graph record over
+// graph.MaxNodes, as a release without ingest limits could have, and
+// restarts on it: the store's own records are read under the store's
+// looser bound, so warm start, serving and `locshortctl verify -data`
+// still accept it. The same bytes posted over the network are refused.
+func TestWarmStartOverIngestLimits(t *testing.T) {
+	dir := t.TempDir()
+	payload := make([]byte, 17) // version, n = graph.MaxNodes+1, m = 0
+	payload[0] = 1
+	binary.BigEndian.PutUint64(payload[1:], graph.MaxNodes+1)
+	fp := service.FingerprintBytes(payload[1:])
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutGraphPayload(fp, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if problems := st2.Verify(); len(problems) != 0 {
+		t.Errorf("Verify = %v, want a clean store", problems)
+	}
+	runtime.GC() // drop Verify's decoded copy before warm start decodes another
+	ts, srv := newTestServer(t, service.Config{Workers: 1, Store: st2}, jobs.Config{})
+	if n, err := srv.eng.WarmStart(); err != nil || n != 1 {
+		t.Fatalf("WarmStart = (%d, %v), want (1, nil)", n, err)
+	}
+	var list struct {
+		Graphs []struct {
+			Graph string `json:"graph"`
+			Nodes int    `json:"nodes"`
+		} `json:"graphs"`
+	}
+	getJSON(t, ts.URL+"/v1/graphs", &list)
+	if len(list.Graphs) != 1 || list.Graphs[0].Graph != fp.String() || list.Graphs[0].Nodes != graph.MaxNodes+1 {
+		t.Errorf("graph list = %+v, want the stored %d-node graph", list, graph.MaxNodes+1)
+	}
+	resp := doBinary(t, "POST", ts.URL+"/v1/graphs", payload, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("binary ingest of the stored payload: status %d, want 422", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // getJSON decodes a GET endpoint.

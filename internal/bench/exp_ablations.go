@@ -42,7 +42,7 @@ func runA1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := tree.FromBFS(g, shortcut.ChooseRoot(g))
+	tr, err := tree.Shared(g)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func runA3(cfg Config) (*Table, error) {
 }
 
 // runA4 compares rooting the shortcut tree at the double-sweep center
-// (ChooseRoot) against the naive minimum-ID corner root: depth roughly
+// (graph.ChooseRoot) against the naive minimum-ID corner root: depth roughly
 // halves, and with it every quality bound — the reason Definition 2.3 asks
 // for depth-D trees and the builder centers its root.
 func runA4(cfg Config) (*Table, error) {
@@ -194,9 +194,6 @@ func runA4(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		insts = []inst{{name: "grid 10x10", g: graph.Grid(10, 10), k: 10}}
 	}
-	// Each candidate root's tree and shortcut are measured then discarded,
-	// so one reused tree serves the whole sweep.
-	var tr *tree.Rooted
 	for _, in := range insts {
 		p, err := partition.BFSBlobs(in.g, in.k, newRand(cfg.Seed+51))
 		if err != nil {
@@ -206,10 +203,10 @@ func runA4(cfg Config) (*Table, error) {
 			name string
 			node int
 		}{
-			{name: "center", node: shortcut.ChooseRoot(in.g)},
+			{name: "center", node: graph.ChooseRoot(in.g)},
 			{name: "node 0", node: 0},
 		} {
-			tr, err = tree.FromBFSInto(tr, in.g, root.node)
+			tr, err := tree.FromBFS(in.g, root.node)
 			if err != nil {
 				return nil, err
 			}

@@ -36,7 +36,7 @@ func runE1(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, f := range fams {
-		tr, err := tree.FromBFS(f.g, shortcut.ChooseRoot(f.g))
+		tr, err := tree.Shared(f.g)
 		if err != nil {
 			return nil, err
 		}

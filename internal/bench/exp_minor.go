@@ -88,7 +88,7 @@ func runE10(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := tree.FromBFS(lb.G, shortcut.ChooseRoot(lb.G))
+	tr, err := tree.Shared(lb.G)
 	if err != nil {
 		return nil, err
 	}

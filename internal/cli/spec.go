@@ -26,8 +26,10 @@ var ErrDegenerateGraph = errors.New("cli: degenerate graph spec")
 //	ktree:N,K    N > K >= 1         random:N,M  N-1 <= M <= N(N-1)/2
 //	lb:DELTA,DIAM  see graph.LowerBound
 //
-// Sizes outside these ranges fail with ErrDegenerateGraph. For lb it also
-// returns the row parts; rows is nil otherwise.
+// Sizes outside these ranges fail with ErrDegenerateGraph, and a graph
+// over graph.MaxNodes or graph.MaxEdges fails with graph.ErrTooLarge before
+// anything is allocated. For lb it also returns the row parts; rows is nil
+// otherwise.
 func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err error) {
 	kind, arg, _ := strings.Cut(spec, ":")
 	degenerate := func(need string) error {
@@ -48,6 +50,25 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		}
 		return x, y, nil
 	}
+	// limit refuses a graph of n nodes and m edges over graph.MaxNodes or
+	// graph.MaxEdges. CheckSize looks at n first, so an m that wrapped
+	// because n is far over the limit is never read; for n <= MaxNodes no
+	// family's edge count can wrap.
+	limit := func(n, m int) error {
+		if err := graph.CheckSize(n, m); err != nil {
+			return fmt.Errorf("cli: spec %q: %w", spec, err)
+		}
+		return nil
+	}
+	// area is r*c for r, c >= 1, with each factor checked before the
+	// multiply.
+	area := func(r, c int) (int, error) {
+		if r > graph.MaxNodes || c > graph.MaxNodes/r {
+			return 0, fmt.Errorf("cli: spec %q: %w: %d x %d nodes, limit %d",
+				spec, graph.ErrTooLarge, r, c, graph.MaxNodes)
+		}
+		return r * c, nil
+	}
 	one := func() (int, error) {
 		n, err := strconv.Atoi(arg)
 		if err != nil {
@@ -64,6 +85,13 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if r < 1 || c < 1 {
 			return nil, nil, degenerate("grid needs R, C >= 1")
 		}
+		n, err := area(r, c)
+		if err == nil {
+			err = limit(n, 2*n-r-c)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
 		return graph.Grid(r, c), nil, nil
 	case "torus":
 		r, c, err := dims("x")
@@ -72,6 +100,13 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		}
 		if r < 3 || c < 3 {
 			return nil, nil, degenerate("torus needs R, C >= 3")
+		}
+		n, err := area(r, c)
+		if err == nil {
+			err = limit(n, 2*n)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		return graph.Torus(r, c), nil, nil
 	case "wheel":
@@ -82,6 +117,9 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if n < 4 {
 			return nil, nil, degenerate("wheel needs N >= 4")
 		}
+		if err := limit(n, 2*(n-1)); err != nil {
+			return nil, nil, err
+		}
 		return graph.Wheel(n), nil, nil
 	case "cycle":
 		n, err := one()
@@ -90,6 +128,9 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		}
 		if n < 3 {
 			return nil, nil, degenerate("cycle needs N >= 3")
+		}
+		if err := limit(n, n); err != nil {
+			return nil, nil, err
 		}
 		return graph.Cycle(n), nil, nil
 	case "path":
@@ -100,6 +141,9 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if n < 1 {
 			return nil, nil, degenerate("path needs N >= 1")
 		}
+		if err := limit(n, n-1); err != nil {
+			return nil, nil, err
+		}
 		return graph.Path(n), nil, nil
 	case "complete":
 		n, err := one()
@@ -108,6 +152,9 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		}
 		if n < 1 {
 			return nil, nil, degenerate("complete needs N >= 1")
+		}
+		if err := limit(n, n*(n-1)/2); err != nil {
+			return nil, nil, err
 		}
 		return graph.Complete(n), nil, nil
 	case "ktree":
@@ -118,15 +165,34 @@ func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err erro
 		if k < 1 || n < k+1 {
 			return nil, nil, degenerate("ktree needs N > K >= 1")
 		}
+		// A seed clique, then K edges per further node.
+		m := k*(k+1)/2 + (n-k-1)*k
+		if err := limit(n, m); err != nil {
+			return nil, nil, err
+		}
+		// The generator keeps every K-clique it makes, about one per edge,
+		// so its table holds about K*M nodes.
+		if k > graph.MaxEdges/m {
+			return nil, nil, fmt.Errorf("cli: spec %q: %w: the generator's clique table holds K*M = %d nodes, limit %d",
+				spec, graph.ErrTooLarge, k*m, graph.MaxEdges)
+		}
 		return graph.KTree(n, k, rand.New(rand.NewSource(seed))), nil, nil
 	case "random":
 		n, m, err := dims(",")
 		if err != nil {
 			return nil, nil, err
 		}
-		// The same bounds graph.RandomConnected enforces by panicking.
-		if n < 1 || m < n-1 || m > n*(n-1)/2 {
-			return nil, nil, degenerate("random needs N >= 1 and N-1 <= M <= N(N-1)/2")
+		// The same bounds graph.RandomConnected enforces by panicking; N is
+		// bounded before N(N-1)/2 is computed, so the product cannot wrap.
+		need := "random needs N >= 1 and N-1 <= M <= N(N-1)/2"
+		if n < 1 || m < n-1 {
+			return nil, nil, degenerate(need)
+		}
+		if err := limit(n, m); err != nil {
+			return nil, nil, err
+		}
+		if m > n*(n-1)/2 {
+			return nil, nil, degenerate(need)
 		}
 		return graph.RandomConnected(n, m, rand.New(rand.NewSource(seed))), nil, nil
 	case "lb":

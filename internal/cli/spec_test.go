@@ -2,6 +2,8 @@ package cli
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"locshort/internal/graph"
@@ -85,6 +87,45 @@ func TestParseGraphDegenerateSizes(t *testing.T) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Errorf("ParseGraph(%q): %v", spec, err)
+		}
+	}
+}
+
+// TestParseGraphSizeLimits feeds every family sizes over graph.MaxNodes or
+// graph.MaxEdges: factor pairs whose product wraps int, and sizes just
+// over each limit. Each must fail with graph.ErrTooLarge before the graph
+// is allocated.
+func TestParseGraphSizeLimits(t *testing.T) {
+	over := graph.MaxNodes + 1
+	for _, spec := range []string{
+		// Products that wrap int64, and far over the node limit.
+		"grid:3037000500x3037000500", "torus:4294967297x4294967297",
+		"grid:70000x70000", "complete:200000", "random:4294967296,4294967295",
+		"ktree:9223372036854775807,4611686018427387904",
+		"lb:9223372036854775807,9223372036854775807",
+		// Just over the node limit.
+		fmt.Sprintf("grid:1x%d", over), fmt.Sprintf("grid:%dx1", over),
+		fmt.Sprintf("torus:3x%d", graph.MaxNodes/3+1), fmt.Sprintf("wheel:%d", over),
+		fmt.Sprintf("cycle:%d", over), fmt.Sprintf("path:%d", over),
+		fmt.Sprintf("ktree:%d,1", over), fmt.Sprintf("random:%d,%d", over, over-1),
+		"lb:5,2052",
+		// Under the node limit, just over the edge limit.
+		"grid:2048x2048", fmt.Sprintf("torus:3x%d", graph.MaxEdges/6+1),
+		fmt.Sprintf("wheel:%d", graph.MaxEdges/2+2), "complete:2897",
+		fmt.Sprintf("ktree:%d,2", graph.MaxEdges/2+2), fmt.Sprintf("random:100000,%d", graph.MaxEdges+1),
+		"lb:5,2046",
+		// Under both, but over the k-tree generator's clique table.
+		"ktree:4000,1000",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ParseGraph(spec, 1)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, graph.ErrTooLarge) {
+			t.Errorf("ParseGraph(%q) error = %v, want graph.ErrTooLarge", spec, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("ParseGraph(%q) allocated %d bytes before refusing", spec, grew)
 		}
 	}
 }

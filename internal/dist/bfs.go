@@ -5,7 +5,6 @@ import (
 
 	"locshort/internal/congest"
 	"locshort/internal/graph"
-	"locshort/internal/shortcut"
 	"locshort/internal/tree"
 )
 
@@ -59,7 +58,7 @@ func (p *bfsProc) Step(ctx *congest.Context) {
 // root (the leader; leader election is assumed, as throughout the paper)
 // and returns the materialized tree. maxRounds bounds the simulation.
 func BuildBFSTree(g *graph.Graph, maxRounds int) (*BFSTreeResult, error) {
-	return buildBFSTreeFrom(g, shortcut.ChooseRoot(g), maxRounds)
+	return buildBFSTreeFrom(g, graph.ChooseRoot(g), maxRounds)
 }
 
 func buildBFSTreeFrom(g *graph.Graph, root, maxRounds int) (*BFSTreeResult, error) {

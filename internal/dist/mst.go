@@ -95,13 +95,13 @@ func runBoruvka(g *graph.Graph, restrict []bool, weighted bool, opts MSTOptions)
 	run := &boruvkaRun{comp: make([]int, n)}
 	dsu := graph.NewDSU(n)
 
-	// The charged providers restrict every phase's shortcut to the same
-	// BFS tree; the root search is partition-independent, so compute it
-	// once per run instead of once per phase.
+	// The charged providers restrict every phase's shortcut to the graph's
+	// shared BFS tree; it is partition-independent, so one header serves
+	// every phase.
 	var tr *tree.Rooted
 	if opts.Provider != ProviderDistributed {
 		var err error
-		tr, err = tree.FromBFS(g, shortcut.ChooseRoot(g))
+		tr, err = tree.Shared(g)
 		if err != nil {
 			return nil, fmt.Errorf("dist: shortcut tree: %w", err)
 		}

@@ -23,9 +23,12 @@
 //
 // Root of the internal package DAG: every other internal package depends on
 // graph and graph depends on nothing. Hot-path machinery (the memoized CSR
-// packed-adjacency view, the MultiBFSInto slice-reuse constructor, and the
-// CSR diameter routines with their reusable DiameterScratch) lives here so
-// that the layers above can stay allocation-free; see DESIGN.md §5.
+// packed-adjacency view, the memoized BFS tree from the chosen root that
+// every shortcut on the graph shares, the MultiBFSInto slice-reuse
+// constructor, and the CSR diameter routines with their reusable
+// DiameterScratch) lives here so that the layers above can stay
+// allocation-free; see DESIGN.md §5. MaxNodes and MaxEdges bound every
+// graph built from sizes that arrive from outside the process.
 //
 // The package is part of the deterministic core policed by the
 // internal/analysis lint suite (DESIGN.md §12): no map iteration, no

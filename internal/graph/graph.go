@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -29,6 +30,11 @@ type Graph struct {
 	// csr memoizes the packed adjacency view; see (*Graph).CSR. It is
 	// invalidated whenever an edge is added.
 	csr atomic.Pointer[CSR]
+	// tree memoizes the BFS tree from the chosen root; see (*Graph).BFSTree.
+	// treeMu serializes its first computation. It is invalidated whenever
+	// an edge is added.
+	tree   atomic.Pointer[BFSTree]
+	treeMu sync.Mutex
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -85,7 +91,9 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) int {
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
 	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: id})
 	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
-	g.csr.Store(nil) // topology changed: drop the memoized CSR view
+	// Topology changed: drop the memoized CSR view and BFS tree.
+	g.csr.Store(nil)
+	g.tree.Store(nil)
 	return id
 }
 

@@ -52,6 +52,12 @@ func LowerBound(deltaPrime, diamPrime int) (*LowerBoundGraph, error) {
 	if deltaPrime < 5 {
 		return nil, fmt.Errorf("graph: lower bound needs deltaPrime >= 5, got %d", deltaPrime)
 	}
+	// Every row has about deltaPrime*diamPrime/2 nodes and there are as
+	// many rows, so either parameter over MaxNodes is far over the limit;
+	// bounding them first keeps the size arithmetic below from wrapping.
+	if deltaPrime > MaxNodes || diamPrime > MaxNodes {
+		return nil, fmt.Errorf("graph: lower bound LB(%d,%d): %w", deltaPrime, diamPrime, ErrTooLarge)
+	}
 	delta := deltaPrime - 2
 	if diamPrime < 4*delta {
 		return nil, fmt.Errorf("graph: lower bound needs diamPrime >= 4*(deltaPrime-2) = %d, got %d",
@@ -63,6 +69,14 @@ func LowerBound(deltaPrime, diamPrime int) (*LowerBoundGraph, error) {
 	topLen := (delta-1)*k + 1    // number of p-nodes
 	rowLen := (delta-1)*bigD + 1 // nodes per row == number of rows
 	numRows := rowLen
+	if rowLen > MaxNodes/rowLen {
+		return nil, fmt.Errorf("graph: lower bound LB(%d,%d): %w: %d rows of %d nodes",
+			deltaPrime, diamPrime, ErrTooLarge, numRows, rowLen)
+	}
+	// Edges: the top path, the rows, delta column paths, delta^2 connectors.
+	if err := CheckSize(topLen+numRows*rowLen, topLen-1+numRows*(rowLen-1)+delta*(numRows-1)+delta*delta); err != nil {
+		return nil, fmt.Errorf("graph: lower bound LB(%d,%d): %w", deltaPrime, diamPrime, err)
+	}
 
 	lb := &LowerBoundGraph{
 		DeltaPrime:        deltaPrime,

@@ -19,7 +19,7 @@ import (
 func Trivial(g *graph.Graph, p *partition.Partition, t *tree.Rooted) (*Shortcut, error) {
 	if t == nil {
 		var err error
-		t, err = tree.FromBFS(g, ChooseRoot(g))
+		t, err = tree.Shared(g)
 		if err != nil {
 			return nil, fmt.Errorf("shortcut: build tree: %w", err)
 		}

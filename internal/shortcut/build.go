@@ -15,7 +15,8 @@ import (
 // Options configures Build.
 type Options struct {
 	// Tree is the rooted spanning tree to restrict the shortcut to. If nil,
-	// a BFS tree rooted near the graph center is used (depth <= diameter).
+	// the graph's shared BFS tree (tree.Shared) is used: rooted near the
+	// graph center, depth <= diameter.
 	Tree *tree.Rooted
 	// Delta fixes the minor-density parameter delta'. If zero, Build runs
 	// the parameter-free doubling search of the Section 3.1 remark: the
@@ -111,58 +112,6 @@ var ErrDeltaTooSmall = errors.New("shortcut: construction failed at the requeste
 // of Builders) and call its Build method to reuse scratch memory.
 func Build(g *graph.Graph, p *partition.Partition, opts Options) (*Result, error) {
 	return NewBuilder().Build(g, p, opts)
-}
-
-// ChooseRoot picks a BFS root near the graph center: it finds an
-// approximately longest shortest path by double sweep and returns the
-// minimum-eccentricity node on it. (Taking the path midpoint instead is a
-// known trap: the BFS path between two grid corners can run along the
-// boundary, whose midpoint is another corner with eccentricity equal to the
-// diameter.) Cost is O(D*m) preprocessing; the resulting BFS tree has depth
-// close to the radius. All sweeps share one BFS scratch, so the search
-// allocates O(n) total regardless of how many candidates it examines.
-func ChooseRoot(g *graph.Graph) int {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	var ecc graph.BFSResult // scratch for eccentricity probes
-	_, a := graph.EccentricityInto(&ecc, g, 0)
-	r := graph.BFS(g, a) // held across the probes below: needs its own result
-	far, dist := a, 0
-	for v, d := range r.Dist {
-		if d > dist {
-			far, dist = v, d
-		}
-	}
-	best, bestEcc := far, -1
-	for v := far; v != -1; v = r.Parent[v] {
-		e, _ := graph.EccentricityInto(&ecc, g, v)
-		if bestEcc == -1 || e < bestEcc {
-			best, bestEcc = v, e
-		}
-	}
-	// Greedy descent on eccentricity: the path argmin can still sit on the
-	// boundary (e.g. an edge-middle of a grid); stepping to any neighbor
-	// that strictly lowers the eccentricity converges to a near-central
-	// node in at most diameter steps. Each step examines at most
-	// maxDescentNeighbors neighbors so that high-degree hubs (a wheel
-	// center has n-1 neighbors, each check a full BFS) stay cheap.
-	const maxDescentNeighbors = 32
-	for improved := true; improved; {
-		improved = false
-		for i, a := range g.Neighbors(best) {
-			if i >= maxDescentNeighbors {
-				break
-			}
-			e, _ := graph.EccentricityInto(&ecc, g, a.To)
-			if e < bestEcc {
-				best, bestEcc = a.To, e
-				improved = true
-				break
-			}
-		}
-	}
-	return best
 }
 
 // CeilLog2 returns ⌈log₂x⌉ (0 for x ≤ 1); shared by the iteration and

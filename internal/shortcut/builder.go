@@ -92,20 +92,12 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 // A Builder is NOT safe for concurrent use; it is itself the unit pooled
 // by concurrent callers (internal/service keeps a sync.Pool of Builders).
 // Everything a Build call returns — the Result, the Shortcut, its H
-// slices, the BFS tree — is freshly allocated and never aliased by the
-// builder's scratch, so results stay valid across subsequent Build calls
-// on the same Builder.
+// slices — is freshly allocated and never aliased by the builder's
+// scratch, so results stay valid across subsequent Build calls on the
+// same Builder. The BFS tree is the graph's shared read-only tree
+// (tree.Shared) under a header of the result's own.
 type Builder struct {
 	states []*levelState
-
-	// Root-choice memo: ChooseRoot is a multi-BFS sweep and depends only
-	// on the graph topology, so repeated builds against the same graph
-	// (the service layer's steady state) reuse the previous answer. The
-	// edge/node counts guard against mutation between calls.
-	lastG    *graph.Graph
-	lastN    int
-	lastM    int
-	lastRoot int
 }
 
 // NewBuilder returns an empty Builder; scratch is allocated lazily and
@@ -117,15 +109,6 @@ func (b *Builder) state(i int) *levelState {
 		b.states = append(b.states, new(levelState))
 	}
 	return b.states[i]
-}
-
-func (b *Builder) chooseRoot(g *graph.Graph) int {
-	if g == b.lastG && g.NumNodes() == b.lastN && g.NumEdges() == b.lastM {
-		return b.lastRoot
-	}
-	root := ChooseRoot(g)
-	b.lastG, b.lastN, b.lastM, b.lastRoot = g, g.NumNodes(), g.NumEdges(), root
-	return root
 }
 
 // Build is Builder-backed shortcut construction; see the package-level
@@ -145,12 +128,15 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 	}
 	t := opts.Tree
 	if t == nil {
+		// The graph memoizes its root and BFS tree: the first build on a
+		// graph pays the root search and the BFS inside choose_root, and
+		// every build after it times two memo reads.
 		done := sc.span("choose_root")
-		root := b.chooseRoot(g)
+		graph.ChooseRoot(g)
 		done()
 		done = sc.span("bfs_tree")
 		var err error
-		t, err = tree.FromBFS(g, root)
+		t, err = tree.Shared(g)
 		done()
 		if err != nil {
 			return nil, fmt.Errorf("shortcut: build tree: %w", err)

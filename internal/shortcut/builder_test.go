@@ -126,7 +126,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 func TestBuildPartialMatchesReference(t *testing.T) {
 	for _, f := range testFamilies(t) {
 		t.Run(f.name, func(t *testing.T) {
-			tr, err := tree.FromBFS(f.g, ChooseRoot(f.g))
+			tr, err := tree.FromBFS(f.g, graph.ChooseRoot(f.g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,5 +340,77 @@ func TestCollectStages(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuildsShareGraphTree: builds on one graph by separate Builders share
+// the graph's BFS tree arrays but not the Rooted header, and a new edge
+// makes the next build root a new BFS.
+func TestBuildsShareGraphTree(t *testing.T) {
+	g := graph.Grid(8, 8)
+	p, err := partition.BFSBlobs(g, 8, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *tree.Rooted {
+		t.Helper()
+		res, err := NewBuilder().Build(g, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Shortcut.Tree
+	}
+	sameArrays := func(a, b *tree.Rooted) bool {
+		return &a.Parent[0] == &b.Parent[0] && &a.ParentEdge[0] == &b.ParentEdge[0] &&
+			&a.Depth[0] == &b.Depth[0] && &a.Order[0] == &b.Order[0]
+	}
+	t1, t2 := build(), build()
+	if t1 == t2 {
+		t.Fatal("two builds share one Rooted header")
+	}
+	if !sameArrays(t1, t2) {
+		t.Fatal("two builds on one graph carry separate tree arrays")
+	}
+	// The chord joins opposite corners: the next tree must see it.
+	g.AddEdge(0, 63)
+	t3 := build()
+	if sameArrays(t1, t3) {
+		t.Fatal("build after AddEdge reused the old tree")
+	}
+	want, err := tree.FromBFS(g, t3.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(t3.Parent, want.Parent) || !reflect.DeepEqual(t3.Depth, want.Depth) {
+		t.Fatal("tree after AddEdge is not a BFS of the new graph")
+	}
+	// Adjacent nodes' BFS depths differ by at most one; before the chord
+	// the corners sat 6 and 8 deep.
+	if d := t3.Depth[0] - t3.Depth[63]; d < -1 || d > 1 {
+		t.Errorf("tree after AddEdge ignores the new edge: depths %d, %d", t3.Depth[0], t3.Depth[63])
+	}
+}
+
+// memoizedBuildAllocs pins the allocations of a fresh Builder's sequential
+// Build on grid:64x64 blobs:32 once the graph's tree is memoized. A build
+// that ran the root search and rooted a BFS tree of its own would allocate
+// 12 more, so a count over the pin means a build stopped reading the memo.
+const memoizedBuildAllocs = 474
+
+func TestFreshBuilderAllocsOnMemoizedGraph(t *testing.T) {
+	g := graph.Grid(64, 64)
+	p, err := partition.BFSBlobs(g, 32, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph.ChooseRoot(g)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewBuilder().Build(g, p, Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("fresh-Builder Build on a memoized grid:64x64: %.0f allocs/op", allocs)
+	if allocs > memoizedBuildAllocs {
+		t.Errorf("fresh-Builder Build allocates %.0f objects/op, want <= %d", allocs, memoizedBuildAllocs)
 	}
 }

@@ -29,7 +29,7 @@ func TestExtractCertificateOnLowerBound(t *testing.T) {
 	// guarantee only fails at >10^6-node scales; see
 	// TestBuildFixedDeltaFailsWhenTooSmall for the scale argument.)
 	g, p := lowerBoundSetup(t, 6, 32)
-	tr := mustTree(t, g, ChooseRoot(g))
+	tr := mustTree(t, g, graph.ChooseRoot(g))
 	depth := tr.MaxDepth()
 	pr, err := BuildPartial(g, tr, p, depth, 1, nil)
 	if err != nil {

@@ -208,7 +208,7 @@ func BuildReference(g *graph.Graph, p *partition.Partition, opts Options) (*Resu
 	t := opts.Tree
 	if t == nil {
 		var err error
-		t, err = tree.FromBFS(g, ChooseRoot(g))
+		t, err = tree.FromBFS(g, graph.ChooseRoot(g))
 		if err != nil {
 			return nil, fmt.Errorf("shortcut: build tree: %w", err)
 		}

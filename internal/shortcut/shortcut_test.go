@@ -314,19 +314,32 @@ func TestBuildPartialActiveMask(t *testing.T) {
 	}
 }
 
+// buildRootedOn runs a default Build of g's singleton partition and returns
+// the tree the shortcut is restricted to, checking the Result's TreeDepth
+// against it.
+func buildRootedOn(t *testing.T, g *graph.Graph) *tree.Rooted {
+	t.Helper()
+	p, err := partition.Singletons(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Build(g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Shortcut.Tree
+	if res.TreeDepth != tr.MaxDepth() {
+		t.Errorf("Result.TreeDepth = %d, tree depth %d", res.TreeDepth, tr.MaxDepth())
+	}
+	return tr
+}
+
 func TestChooseRoot(t *testing.T) {
-	// On a path the chosen root must be the middle node, halving tree depth.
-	g := graph.Path(21)
-	root := ChooseRoot(g)
-	if root != 10 {
-		t.Errorf("ChooseRoot(path21) = %d, want 10", root)
-	}
-	tr := mustTree(t, g, root)
-	if tr.MaxDepth() != 10 {
-		t.Errorf("tree depth = %d, want 10", tr.MaxDepth())
-	}
-	if got := ChooseRoot(graph.New(0)); got != 0 {
-		t.Errorf("ChooseRoot(empty) = %d, want 0", got)
+	// The choose_root stage: with no Options.Tree, a build on a path runs on
+	// the tree rooted at the middle node, halving the D of its dilation.
+	tr := buildRootedOn(t, graph.Path(21))
+	if tr.Root != 10 || tr.MaxDepth() != 10 {
+		t.Errorf("build tree root %d depth %d, want root 10 depth 10", tr.Root, tr.MaxDepth())
 	}
 }
 
@@ -400,8 +413,8 @@ func TestPartDilation(t *testing.T) {
 }
 
 func TestChooseRootNearRadius(t *testing.T) {
-	// The chosen root's BFS depth must be close to the radius, not the
-	// diameter — the property every δD bound depends on.
+	// A build's tree depth D must be close to the radius, not the
+	// diameter: every δD bound the build reports depends on it.
 	tests := []struct {
 		name     string
 		g        *graph.Graph
@@ -413,8 +426,7 @@ func TestChooseRootNearRadius(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			tr := mustTree(t, tt.g, ChooseRoot(tt.g))
-			if tr.MaxDepth() > tt.maxDepth {
+			if tr := buildRootedOn(t, tt.g); tr.MaxDepth() > tt.maxDepth {
 				t.Errorf("depth = %d, want <= %d", tr.MaxDepth(), tt.maxDepth)
 			}
 		})

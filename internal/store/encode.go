@@ -39,19 +39,14 @@ const (
 	shortcutPayloadVersion  = 1
 )
 
-// maxReasonableCount bounds node/edge/part counts read from disk before any
-// allocation is sized from them, so a corrupt length cannot OOM the opener.
-const maxReasonableCount = 1 << 40
-
-// maxGraphNodes bounds the node count of a decoded graph payload. Unlike
-// the edge count — which the payload length pins down exactly — the node
-// count is a bare header field that sizes graph.New's allocations, and
-// since the binary ingest path feeds decodeGraph straight from the network
-// a loose bound is an amplification lever: a 20-byte payload claiming 2^38
-// nodes would OOM the daemon before edge validation sees a single byte.
-// 2^26 nodes is far beyond what the 64 MiB request body cap admits for any
-// connected graph (n <= edges+1 ~ 2.8M) while staying a bounded allocation.
-const maxGraphNodes = 1 << 26
+// maxStoredGraphNodes bounds the node count of a graph record read back
+// from the store's own files. It is looser than graph.MaxNodes, which
+// bounds payloads that arrive from the network, because earlier releases
+// registered specs without a size limit: a data directory they wrote may
+// hold a graph over graph.MaxNodes, and such a directory must still warm
+// start. The bound keeps a corrupt header from sizing an unbounded
+// allocation.
+const maxStoredGraphNodes = 1 << 26
 
 // edgePerm is the bijection between a graph's live edge IDs and canonical
 // edge order (the sort order of graph.AppendCanonical, ties broken by live
@@ -122,9 +117,13 @@ func encodeGraph(g *graph.Graph) []byte {
 }
 
 // decodeGraph reconstructs a graph from its payload and verifies that the
-// content fingerprint of the payload matches key. The decoded graph's edge
-// IDs follow canonical edge order.
-func decodeGraph(payload []byte, key service.Fingerprint) (*graph.Graph, error) {
+// content fingerprint of the payload matches key. A header claiming more
+// than maxNodes nodes is refused before anything is allocated: the node
+// count is a bare header field that sizes graph.New, so without the bound
+// a 17-byte payload could claim enough nodes to exhaust memory. The edge
+// count needs no bound of its own; the payload length pins it exactly. The
+// decoded graph's edge IDs follow canonical edge order.
+func decodeGraph(payload []byte, key service.Fingerprint, maxNodes uint64) (*graph.Graph, error) {
 	if len(payload) < 1 || payload[0] != graphPayloadVersion {
 		return nil, fmt.Errorf("store: graph %s: bad payload version", key)
 	}
@@ -137,10 +136,12 @@ func decodeGraph(payload []byte, key service.Fingerprint) (*graph.Graph, error) 
 	}
 	n := binary.BigEndian.Uint64(body)
 	m := binary.BigEndian.Uint64(body[8:])
-	if n > maxGraphNodes || m > maxReasonableCount {
-		return nil, fmt.Errorf("store: graph %s: implausible sizes n=%d m=%d", key, n, m)
+	if n > maxNodes {
+		return nil, fmt.Errorf("store: graph %s: %w: %d nodes, limit %d", key, graph.ErrTooLarge, n, maxNodes)
 	}
-	if uint64(len(body)) != 16+24*m {
+	// Divide rather than multiply: 16+24*m wraps for m near 2^64, and a
+	// wrapped product could match the length of a short payload.
+	if edgeBytes := uint64(len(body)) - 16; edgeBytes%24 != 0 || m != edgeBytes/24 {
 		return nil, fmt.Errorf("store: graph %s: payload length %d for %d edges", key, len(body), m)
 	}
 	g := graph.New(int(n))

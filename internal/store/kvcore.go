@@ -343,7 +343,7 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	g, err := decodeGraph(payload, fp)
+	g, err := decodeGraph(payload, fp, maxStoredGraphNodes)
 	if err != nil {
 		return nil, false, err
 	}
@@ -604,7 +604,7 @@ func (c *kvCore) Verify() []Problem {
 		}
 		switch ik.kind {
 		case kindGraph:
-			g, err := decodeGraph(payload, ik.key)
+			g, err := decodeGraph(payload, ik.key, maxStoredGraphNodes)
 			if err == nil {
 				err = g.Validate()
 			}

@@ -63,10 +63,12 @@ func inRange(key, lo, hi uint64) bool {
 // to what PutGraph persists (so a pushed graph deduplicates on the peer).
 func EncodeGraphPayload(g *graph.Graph) []byte { return encodeGraph(g) }
 
-// DecodeGraphPayload reconstructs a graph from a record payload, verifying
-// that the payload hashes to fp.
+// DecodeGraphPayload reconstructs a graph from a record payload that
+// arrived from the network (binary ingest, a peer push or fetch),
+// verifying that the payload hashes to fp. A payload over graph.MaxNodes
+// nodes is refused with an error wrapping graph.ErrTooLarge.
 func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, error) {
-	return decodeGraph(payload, fp)
+	return decodeGraph(payload, fp, graph.MaxNodes)
 }
 
 // DecodeShortcutPayload reconstructs a shortcut record payload against the
@@ -96,10 +98,11 @@ func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partiti
 // payload to PartitionFP (and decode to connected parts of that graph), the
 // shortcut payload must reference exactly those dependencies, validate
 // structurally, and re-derive Key from its stored (graph, partition,
-// options). On success it returns the decoded objects; nothing about the
-// record was taken on trust.
+// options). The graph payload is held to DecodeGraphPayload's node limit.
+// On success it returns the decoded objects; nothing about the record was
+// taken on trust.
 func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shortcut.Result, time.Duration, error) {
-	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP)
+	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP, graph.MaxNodes)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

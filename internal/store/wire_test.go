@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -157,6 +159,36 @@ func TestPutGraphPayloadVerifies(t *testing.T) {
 	}
 	if st := s.OpenStats(); st.Graphs != 1 {
 		t.Errorf("Graphs = %d, want 1 after dedup", st.Graphs)
+	}
+}
+
+// TestDecodeGraphPayloadHeader feeds the network decoder headers that must
+// be refused before anything is sized from them: a node count over
+// graph.MaxNodes, and an edge count for which 16+24m wraps around to the
+// payload's true length.
+func TestDecodeGraphPayloadHeader(t *testing.T) {
+	header := func(n, m uint64, edges int) []byte {
+		b := make([]byte, 17+24*edges)
+		b[0] = graphPayloadVersion
+		binary.BigEndian.PutUint64(b[1:], n)
+		binary.BigEndian.PutUint64(b[9:], m)
+		return b
+	}
+	big := header(graph.MaxNodes+1, 0, 0)
+	if _, err := DecodeGraphPayload(big, service.FingerprintBytes(big[1:])); !errors.Is(err, graph.ErrTooLarge) {
+		t.Errorf("%d-node header: err = %v, want graph.ErrTooLarge", uint64(graph.MaxNodes+1), err)
+	}
+	// One edge {0,1} is 24 bytes, and 24·(1+2^61) ≡ 24 mod 2^64.
+	wrap := header(2, 1+1<<61, 1)
+	binary.BigEndian.PutUint64(wrap[25:], 1)
+	binary.BigEndian.PutUint64(wrap[33:], math.Float64bits(1))
+	if _, err := DecodeGraphPayload(wrap, service.FingerprintBytes(wrap[1:])); err == nil {
+		t.Error("edge count 1+2^61 accepted for a one-edge payload")
+	}
+	ok := header(2, 1, 1)
+	copy(ok[17:], wrap[17:])
+	if _, err := DecodeGraphPayload(ok, service.FingerprintBytes(ok[1:])); err != nil {
+		t.Errorf("one-edge payload rejected: %v", err)
 	}
 }
 

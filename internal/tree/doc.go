@@ -7,10 +7,11 @@
 // # Role in the DAG
 //
 // Depends only on internal/graph. internal/shortcut restricts Theorem 3.1
-// shortcuts to a Rooted tree; internal/dist materializes protocol-computed
-// trees through FromParents and aggregates over them; internal/store
-// persists a shortcut's restriction tree as parent-edge IDs and rebuilds it
-// with FromParents on load.
+// shortcuts to a Rooted tree, by default the graph's memoized BFS tree,
+// which Shared wraps in a header of the caller's own; internal/dist
+// materializes protocol-computed trees through FromParents and aggregates
+// over them; internal/store persists a shortcut's restriction tree as
+// parent-edge IDs and rebuilds it with FromParents on load.
 //
 // The package is part of the deterministic core policed by the
 // internal/analysis lint suite (DESIGN.md §12): no map iteration, no

@@ -7,7 +7,9 @@ import (
 )
 
 // Rooted is a rooted spanning tree (or forest fragment) of a graph, stored
-// as parent pointers. Node IDs are those of the underlying graph.
+// as parent pointers. Node IDs are those of the underlying graph. Trees
+// from Shared share their arrays with every other tree on the same graph,
+// so nothing writes a Rooted's arrays once it is built.
 type Rooted struct {
 	Root int
 	// Parent[v] is the parent node of v, or -1 for the root and for nodes
@@ -42,34 +44,25 @@ func FromBFS(g *graph.Graph, root int) (*Rooted, error) {
 	return t, nil
 }
 
-// FromBFSInto is FromBFS reusing t's slices — the slice-reuse constructor
-// for loops that root many trees and discard each after use (root-choice
-// sweeps, per-candidate measurements). Rebuilding invalidates every
-// previously returned view of t, including shortcuts restricted to it, so
-// those must already be discarded. A nil t allocates fresh.
-//
-// On error the receiver's contents are unspecified (the BFS has already
-// overwritten its backing arrays): do not traverse it, only pass it to a
-// future FromBFSInto call.
-func FromBFSInto(t *Rooted, g *graph.Graph, root int) (*Rooted, error) {
-	if t == nil {
-		t = &Rooted{}
-	}
-	// Invalidate the derived state first, so a tree left half-written by
-	// the error path below is at least not self-inconsistent with a stale
-	// memo of the previous tree.
-	t.children = nil
-	t.Root = root
-	r := graph.BFSResult{Dist: t.Depth, Parent: t.Parent, ParentEdge: t.ParentEdge, Order: t.Order}
-	graph.MultiBFSInto(&r, g, []int{root})
-	t.Parent = r.Parent
-	t.ParentEdge = r.ParentEdge
-	t.Depth = r.Dist
-	t.Order = r.Order
+// Shared returns g's BFS tree from its chosen root (graph.ChooseRoot): a
+// fresh Rooted header around the arrays the graph memoizes (see
+// (*graph.Graph).BFSTree). Every caller on one graph shares those arrays,
+// so they must be treated as read-only; the header, and with it the lazy
+// Children memo, belongs to the caller. The first call on a graph pays the
+// root search and one BFS; later calls allocate only the header. It
+// returns an error if g is not connected, like FromBFS.
+func Shared(g *graph.Graph) (*Rooted, error) {
+	r := g.BFSTree()
 	if len(r.Order) != g.NumNodes() {
 		return nil, graph.ErrDisconnected
 	}
-	return t, nil
+	return &Rooted{
+		Root:       r.Root,
+		Parent:     r.Parent,
+		ParentEdge: r.ParentEdge,
+		Depth:      r.Dist,
+		Order:      r.Order,
+	}, nil
 }
 
 // FromParents builds a Rooted from explicit parent and parent-edge arrays.
@@ -168,31 +161,6 @@ func (t *Rooted) Children() [][]int {
 		}
 	}
 	return t.children
-}
-
-// IsAncestor reports whether a is an ancestor of v (every node is its own
-// ancestor), by walking parent pointers; use Intervals for bulk queries.
-func (t *Rooted) IsAncestor(a, v int) bool {
-	for v != -1 {
-		if v == a {
-			return true
-		}
-		if t.Depth[v] <= t.Depth[a] {
-			return false
-		}
-		v = t.Parent[v]
-	}
-	return false
-}
-
-// PathToRoot returns the node sequence v, parent(v), ..., root.
-func (t *Rooted) PathToRoot(v int) []int {
-	var path []int
-	for v != -1 {
-		path = append(path, v)
-		v = t.Parent[v]
-	}
-	return path
 }
 
 // Intervals holds Euler-tour interval labels: u is an ancestor of v iff

@@ -115,16 +115,22 @@ func TestFromParentsRejectsBadRoot(t *testing.T) {
 	}
 }
 
-func TestIsAncestorAndLCA(t *testing.T) {
+// isAncestor reports whether a is an ancestor of v (every node is its own
+// ancestor) by walking parent pointers: the oracle for the Euler-interval
+// and LCA checks.
+func isAncestor(tr *Rooted, a, v int) bool {
+	for ; v != -1; v = tr.Parent[v] {
+		if v == a {
+			return true
+		}
+	}
+	return false
+}
+
+func TestLCA(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := mustBFS(t, g, 0)
 	for v := 0; v < g.NumNodes(); v++ {
-		if !tr.IsAncestor(tr.Root, v) {
-			t.Errorf("root is not an ancestor of %d", v)
-		}
-		if !tr.IsAncestor(v, v) {
-			t.Errorf("node %d is not its own ancestor", v)
-		}
 		if l := tr.LCA(v, v); l != v {
 			t.Errorf("LCA(%d,%d) = %d, want %d", v, v, l, v)
 		}
@@ -133,7 +139,7 @@ func TestIsAncestorAndLCA(t *testing.T) {
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := 0; v < g.NumNodes(); v++ {
 			l := tr.LCA(u, v)
-			if !tr.IsAncestor(l, u) || !tr.IsAncestor(l, v) {
+			if !isAncestor(tr, l, u) || !isAncestor(tr, l, v) {
 				t.Fatalf("LCA(%d,%d) = %d is not a common ancestor", u, v, l)
 			}
 		}
@@ -147,7 +153,7 @@ func TestEulerIntervalsMatchIsAncestor(t *testing.T) {
 	iv := tr.EulerIntervals()
 	for u := 0; u < 40; u++ {
 		for v := 0; v < 40; v++ {
-			if got, want := iv.Ancestor(u, v), tr.IsAncestor(u, v); got != want {
+			if got, want := iv.Ancestor(u, v), isAncestor(tr, u, v); got != want {
 				t.Fatalf("Ancestor(%d,%d) = %v, want %v", u, v, got, want)
 			}
 		}
@@ -163,21 +169,6 @@ func TestSubtreeSum(t *testing.T) {
 	for v := range want {
 		if got[v] != want[v] {
 			t.Errorf("SubtreeSum[%d] = %d, want %d", v, got[v], want[v])
-		}
-	}
-}
-
-func TestPathToRoot(t *testing.T) {
-	g := graph.Path(5)
-	tr := mustBFS(t, g, 0)
-	p := tr.PathToRoot(4)
-	want := []int{4, 3, 2, 1, 0}
-	if len(p) != len(want) {
-		t.Fatalf("PathToRoot length = %d, want %d", len(p), len(want))
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Errorf("PathToRoot[%d] = %d, want %d", i, p[i], want[i])
 		}
 	}
 }
@@ -229,41 +220,39 @@ func TestRootedInvariantsQuick(t *testing.T) {
 	}
 }
 
-// FromBFSInto must produce the same tree as FromBFS while reusing the
-// receiver's slices, and must reset the memoized child lists.
-func TestFromBFSIntoMatchesFromBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var tr *Rooted
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(40)
-		g := graph.RandomConnected(n, n-1+rng.Intn(n), rng)
-		root := rng.Intn(n)
-		want, err := FromBFS(g, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err = FromBFSInto(tr, g, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Root != want.Root ||
-			!reflect.DeepEqual(tr.Parent, want.Parent) ||
-			!reflect.DeepEqual(tr.ParentEdge, want.ParentEdge) ||
-			!reflect.DeepEqual(tr.Depth, want.Depth) ||
-			!reflect.DeepEqual(tr.Order, want.Order) {
-			t.Fatalf("trial %d: reused tree differs from fresh tree", trial)
-		}
-		if !reflect.DeepEqual(tr.Children(), want.Children()) {
-			t.Fatalf("trial %d: child lists differ after reuse", trial)
-		}
+// Shared hands every caller its own header around the graph's one set of
+// arrays, equal to a BFS tree from the chosen root.
+func TestShared(t *testing.T) {
+	g := graph.Grid(6, 7)
+	a, err := Shared(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestFromBFSIntoDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	if _, err := FromBFSInto(nil, g, 0); err == nil {
-		t.Error("FromBFSInto accepted a disconnected graph")
+	b, err := Shared(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("Shared returned one header twice")
+	}
+	if &a.Parent[0] != &b.Parent[0] || &a.ParentEdge[0] != &b.ParentEdge[0] ||
+		&a.Depth[0] != &b.Depth[0] || &a.Order[0] != &b.Order[0] {
+		t.Fatal("Shared trees do not share their arrays")
+	}
+	want := mustBFS(t, g, graph.ChooseRoot(g))
+	if a.Root != want.Root || !reflect.DeepEqual(a.Parent, want.Parent) ||
+		!reflect.DeepEqual(a.ParentEdge, want.ParentEdge) ||
+		!reflect.DeepEqual(a.Depth, want.Depth) || !reflect.DeepEqual(a.Order, want.Order) {
+		t.Fatal("Shared tree differs from FromBFS at the chosen root")
+	}
+	// The Children memo belongs to the header.
+	a.Children()
+	if b.children != nil {
+		t.Error("Children memo leaked to another header")
+	}
+	d := graph.New(3)
+	d.AddEdge(0, 1)
+	if _, err := Shared(d); err != graph.ErrDisconnected {
+		t.Errorf("Shared on a disconnected graph: error %v, want ErrDisconnected", err)
 	}
 }

@@ -88,6 +88,9 @@ var (
 	StoerWagner       = graph.StoerWagner
 	TorusChain        = graph.TorusChain
 	SequentialBridges = graph.Bridges
+	// ChooseRoot returns the near-central root of the graph's memoized
+	// BFS tree; the first call on a graph runs the search.
+	ChooseRoot = graph.ChooseRoot
 )
 
 // Partition types and constructors (see internal/partition).
@@ -138,7 +141,6 @@ var (
 	TrivialShortcut    = shortcut.Trivial
 	EmptyShortcut      = shortcut.NewEmpty
 	ExtractCertificate = shortcut.ExtractCertificate
-	ChooseRoot         = shortcut.ChooseRoot
 )
 
 // ErrDeltaTooSmall is returned by Build for infeasible fixed delta levels.
