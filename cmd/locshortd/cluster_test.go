@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +18,9 @@ import (
 	"locshort/internal/graph"
 	"locshort/internal/jobs"
 	"locshort/internal/obs"
+	"locshort/internal/partition"
 	"locshort/internal/service"
+	"locshort/internal/shortcut"
 	"locshort/internal/store"
 	"locshort/internal/wire"
 )
@@ -59,7 +62,7 @@ type clusterNode struct {
 // newNodeCluster stands up n complete locshortd nodes — store, cluster
 // view, engine with peer fetch, HTTP API with forwarding — sharing one
 // ring, exactly as -cluster-self/-cluster-peers wires them in main.
-func newNodeCluster(t *testing.T, n int) []*clusterNode {
+func newNodeCluster(t *testing.T, n int, configs ...nodeConfig) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	swaps := make([]*clusterSwap, n)
@@ -89,9 +92,13 @@ func newNodeCluster(t *testing.T, n int) []*clusterNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := service.New(service.Config{Workers: 2, Store: st, Peers: cl})
+		cfg, jcfg := service.Config{Workers: 2, Store: st, Peers: cl}, jobs.Config{Store: st}
+		for _, c := range configs {
+			c(i, &cfg, &jcfg)
+		}
+		eng := service.New(cfg)
 		cl.SetRegistrar(eng)
-		srv, h := newServer(eng, jobs.Config{Store: st}, serverOptions{cluster: cl})
+		srv, h := newServer(eng, jcfg, serverOptions{cluster: cl})
 		srv.mgr.Start()
 		node.st, node.cl, node.eng, node.srv = st, cl, eng, srv
 		swaps[i].set(h)
@@ -102,6 +109,26 @@ func newNodeCluster(t *testing.T, n int) []*clusterNode {
 		})
 	}
 	return nodes
+}
+
+// nodeConfig adjusts node i's engine and job manager configuration before
+// newNodeCluster starts the node.
+type nodeConfig func(i int, cfg *service.Config, jcfg *jobs.Config)
+
+// panickyStore is a node's store with a bug on the build path: while
+// armed, GetShortcut panics inside the engine's build job.
+type panickyStore struct {
+	service.Store
+	armed *atomic.Bool
+}
+
+func (p panickyStore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) (
+	*shortcut.Result, time.Duration, bool, error) {
+
+	if p.armed.Load() {
+		panic("store bug")
+	}
+	return p.Store.GetShortcut(key, g, parts)
 }
 
 // totalBuilds sums completed constructions across every node's engine.
@@ -589,7 +616,11 @@ func TestClusterRelayPushesMissingGraph(t *testing.T) {
 // TestClusterAsyncJobRelays: an async shortcut job accepted by a non-owner
 // executes on the key's owner, and its result says so.
 func TestClusterAsyncJobRelays(t *testing.T) {
-	nodes := newNodeCluster(t, 3)
+	var armed [3]atomic.Bool
+	nodes := newNodeCluster(t, 3, func(i int, cfg *service.Config, jcfg *jobs.Config) {
+		cfg.Store = panickyStore{Store: cfg.Store, armed: &armed[i]}
+		jcfg.Retries = 2
+	})
 	var gr graphResponse
 	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
 	fp, err := service.ParseFingerprint(gr.Graph)
@@ -621,6 +652,37 @@ func TestClusterAsyncJobRelays(t *testing.T) {
 	}
 	if got := totalBuilds(nodes); got != 1 {
 		t.Fatalf("cluster-wide builds = %d, want exactly 1", got)
+	}
+
+	// A panicking owner answers 500 "panic: …"; the entry treats that as
+	// a panic too: the job ends failed on its first attempt, whatever
+	// the retries allow, so the owner panics once.
+	key = specKey(t, g, fp, "blobs:8", 71)
+	owner, _ = nodes[0].cl.Owner(key)
+	entry = nonOwner(t, nodes, key)
+	var ownerNode *clusterNode
+	for i, n := range nodes {
+		if n.addr == owner {
+			armed[i].Store(true)
+			ownerNode = n
+		}
+	}
+	postJSON(t, entry.url+"/v1/shortcuts",
+		map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": 71, "async": true},
+		http.StatusAccepted, &sub)
+	js = waitJob(t, entry.url, sub.ID)
+	if js.State != "failed" || js.Error != "panic: store bug" {
+		t.Fatalf("job = %+v, want failed with the owner's panic", js)
+	}
+	var rec struct {
+		Attempts int `json:"attempts"`
+	}
+	getJSON(t, entry.url+"/v1/jobs/"+sub.ID, &rec)
+	if rec.Attempts != 1 {
+		t.Errorf("job ran %d attempts, want 1", rec.Attempts)
+	}
+	if got := ownerNode.eng.Stats().JobPanics; got != 1 {
+		t.Errorf("owner panicked %d times, want once", got)
 	}
 }
 

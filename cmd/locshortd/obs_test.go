@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -336,5 +337,31 @@ func TestReadyzGate(t *testing.T) {
 	}
 	if got := status("POST", "/v1/graphs"); got != http.StatusOK {
 		t.Errorf("POST /v1/graphs after ready = %d, want 200", got)
+	}
+}
+
+// TestPanicAnswers500WithoutStack sends a recovered panic, wrapped as a
+// request error, through the daemon's error path: the client gets a 500
+// naming the panic but not its stack, and the log gets the stack once.
+func TestPanicAnswers500WithoutStack(t *testing.T) {
+	logbuf := &syncBuffer{}
+	s := &server{logger: obs.NewLogger(logbuf)}
+	var pe *obs.PanicError
+	func() {
+		defer func() { pe = obs.Recovered(recover()) }()
+		panic("index out of range")
+	}()
+	err := fmt.Errorf("request 0: %w", pe)
+	rec := httptest.NewRecorder()
+	s.httpError(rec, statusFor(err), err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "panic: index out of range") || strings.Contains(body, "goroutine") {
+		t.Errorf("body %q: want the panic without its stack", body)
+	}
+	logs := logbuf.String()
+	if n := strings.Count(logs, "msg=panic"); n != 1 || !strings.Contains(logs, "goroutine") {
+		t.Errorf("log %q: want one panic line carrying the stack", logs)
 	}
 }

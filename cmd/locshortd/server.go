@@ -125,6 +125,9 @@ func newServer(eng *service.Engine, jcfg jobs.Config, o serverOptions) (*server,
 				return float64(ms.Mallocs)
 			})
 	}
+	if jcfg.Logger == nil {
+		jcfg.Logger = o.logger
+	}
 	s.mgr = jobs.New(jcfg, s.execAsync)
 	mux := http.NewServeMux()
 	if s.cl != nil {
@@ -204,6 +207,11 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) { s.writeJSONStatus(w, 
 
 // httpError is the uniform error envelope.
 func (s *server) httpError(w http.ResponseWriter, code int, err error) {
+	var pe *obs.PanicError
+	if errors.As(err, &pe) {
+		// The body names the panic; only the log carries its stack.
+		s.logger.Error("panic", "err", err.Error(), "stack", string(pe.Stack))
+	}
 	s.writeJSONStatus(w, code, map[string]string{"error": err.Error()})
 }
 
@@ -260,10 +268,14 @@ func (e *statusError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &statusError{status: http.StatusBadRequest, err: err} }
 
-// statusFor maps engine errors to HTTP statuses.
+// statusFor maps engine errors to HTTP statuses; a recovered panic is a
+// 500.
 func statusFor(err error) int {
 	var se *statusError
+	var pe *obs.PanicError
 	switch {
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError
 	case errors.As(err, &se):
 		return se.status
 	case errors.Is(err, service.ErrUnknownGraph), errors.Is(err, service.ErrUnknownShortcut):
@@ -727,7 +739,10 @@ func (s *server) writeRelayed(w http.ResponseWriter, rel *relayed) {
 }
 
 // jobResult is the async form of the owner's answer: a 200 body is the job
-// result, anything else the error its envelope names.
+// result, anything else the error its envelope names. The owner answers a
+// panic 500 with "panic: <value>" (httpError); that comes back as an
+// *obs.PanicError, so the job ends failed without a retry here too
+// instead of making the owner panic again.
 func (rel *relayed) jobResult() (json.RawMessage, error) {
 	if rel.status == http.StatusOK {
 		return rel.body, nil
@@ -738,6 +753,9 @@ func (rel *relayed) jobResult() (json.RawMessage, error) {
 	_ = json.Unmarshal(rel.body, &envelope)
 	if envelope.Error == "" {
 		envelope.Error = fmt.Sprintf("owner %s answered %d", rel.owner, rel.status)
+	}
+	if v, ok := strings.CutPrefix(envelope.Error, "panic: "); ok && rel.status == http.StatusInternalServerError {
+		return nil, &obs.PanicError{Value: v}
 	}
 	return nil, &statusError{status: rel.status, err: errors.New(envelope.Error)}
 }
@@ -1313,6 +1331,7 @@ func (s *server) snapshotStats() service.Stats {
 		st.AsyncRetries = js.Retries
 		st.AsyncPersistErrors = js.PersistErrors
 		st.AsyncRecoverSkip = js.RecoverSkipped
+		st.AsyncPanics = js.Panics
 	}
 	if s.cl != nil {
 		cs := s.cl.Stats()

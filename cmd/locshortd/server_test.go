@@ -980,6 +980,52 @@ func TestBadRowsSpec400(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/shortcuts", map[string]any{"graph": g.Graph, "partition": "rows:2x2"}, http.StatusOK, nil)
 }
 
+// TestWrappingBuildOptions400 sends build options whose level products
+// c = cf·delta'·D and b = bf·delta' overflow an int64 on grid:16x16 (tree
+// depth 16). Over their bounds, each is a 400 naming the option, sync,
+// async and in a batch, before anything is built or a job is recorded;
+// the daemon keeps serving.
+func TestWrappingBuildOptions400(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 2}, jobs.Config{Workers: 1})
+	var g struct {
+		Graph string `json:"graph"`
+	}
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:16x16"}, http.StatusOK, &g)
+	for _, opts := range []string{"delta=576460752303423489,cf=16", "delta=2305843009213693952,cf=4"} {
+		bad := map[string]any{"graph": g.Graph, "partition": "blobs:16", "options": opts}
+		var e struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, ts.URL+"/v1/shortcuts", bad, http.StatusBadRequest, &e)
+		if !strings.Contains(e.Error, "delta ") {
+			t.Errorf("options %q: error %q does not name delta", opts, e.Error)
+		}
+		async := map[string]any{"graph": g.Graph, "partition": "blobs:16", "options": opts, "async": true}
+		postJSON(t, ts.URL+"/v1/shortcuts", async, http.StatusBadRequest, nil)
+		batch := map[string]any{"requests": []any{
+			map[string]any{"graph": g.Graph, "partition": "blobs:16"},
+			bad,
+		}}
+		postJSON(t, ts.URL+"/v1/batch", batch, http.StatusBadRequest, nil)
+	}
+	var list struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(list.Jobs))
+	}
+	var st struct {
+		Stats service.Stats `json:"stats"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.Stats.Builds != 0 {
+		t.Fatalf("rejected requests ran %d builds", st.Stats.Builds)
+	}
+	ok := map[string]any{"graph": g.Graph, "partition": "blobs:16", "options": "delta=1,cf=16"}
+	postJSON(t, ts.URL+"/v1/shortcuts", ok, http.StatusOK, nil)
+}
+
 // TestConcurrentGraphDeleteRace hammers ingest/delete against concurrent
 // sync builds and async submissions. Run under -race: the nil-dereference
 // window in handleGraphs and any engine/memo race shows up here. Every

@@ -283,10 +283,20 @@ func FormatBuildOptions(o shortcut.Options) string {
 	return strings.Join(parts, ",")
 }
 
+// MaxBuildFactor bounds the cf, bf and iters build options (the paper's
+// constant is 8). With delta and maxdelta at most graph.MaxNodes (2^22),
+// and a tree depth D below the node count, the level products
+// c = cf·delta'·D < 2^52 and b = bf·delta' ≤ 2^30 fit in an int64, and
+// so do the E1 congestion bound c·iterations < 2^60 and the E2 dilation
+// bound (b+1)(2D+1) < 2^54. The bound holds for the graphs an older store
+// may warm start with up to 2^26 nodes, too: c < 2^60 there.
+const MaxBuildFactor = 256
+
 // ParseBuildOptions parses the FormatBuildOptions form. Keys may appear in
 // any order and any subset (missing keys stay zero, i.e. paper defaults);
-// duplicate or unknown keys are errors. The empty string is the zero
-// Options.
+// duplicate or unknown keys are errors, and so is a value over its bound:
+// graph.MaxNodes for delta and maxdelta, MaxBuildFactor for cf, bf and
+// iters. The empty string is the zero Options.
 func ParseBuildOptions(s string) (shortcut.Options, error) {
 	var o shortcut.Options
 	if s == "" {
@@ -313,6 +323,13 @@ func ParseBuildOptions(s string) (shortcut.Options, error) {
 		}
 		if n < 0 {
 			return o, fmt.Errorf("cli: build options %q: %s must be non-negative", s, k)
+		}
+		limit := MaxBuildFactor
+		if k == "delta" || k == "maxdelta" {
+			limit = graph.MaxNodes
+		}
+		if n > limit {
+			return o, fmt.Errorf("cli: build options %q: %s %d is over its limit %d", s, k, n, limit)
 		}
 		*f = n
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"locshort/internal/graph"
@@ -273,6 +274,49 @@ func TestParseBuildOptionsForms(t *testing.T) {
 	} {
 		if _, err := ParseBuildOptions(bad); err == nil {
 			t.Errorf("ParseBuildOptions(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestParseBuildOptionsBounds puts every option at its bound and one past
+// it: delta and maxdelta stop at graph.MaxNodes, cf, bf and iters at
+// MaxBuildFactor, so no level's c = cf·delta'·D or b = bf·delta' can wrap.
+func TestParseBuildOptionsBounds(t *testing.T) {
+	for _, c := range []struct {
+		key   string
+		limit int
+	}{
+		{"delta", graph.MaxNodes},
+		{"maxdelta", graph.MaxNodes},
+		{"cf", MaxBuildFactor},
+		{"bf", MaxBuildFactor},
+		{"iters", MaxBuildFactor},
+	} {
+		at := fmt.Sprintf("%s=%d", c.key, c.limit)
+		o, err := ParseBuildOptions(at)
+		if err != nil {
+			t.Errorf("ParseBuildOptions(%q): %v", at, err)
+		} else if got := *buildOptionField(&o, c.key); got != c.limit {
+			t.Errorf("ParseBuildOptions(%q) sets %s = %d", at, c.key, got)
+		}
+		past := fmt.Sprintf("%s=%d", c.key, c.limit+1)
+		if _, err := ParseBuildOptions(past); err == nil || !strings.Contains(err.Error(), c.key+" ") {
+			t.Errorf("ParseBuildOptions(%q) = %v, want an error naming %s", past, err, c.key)
+		}
+	}
+	for _, bad := range []string{"delta=576460752303423489,cf=16", "delta=2305843009213693952,cf=4"} {
+		if _, err := ParseBuildOptions(bad); err == nil || !strings.Contains(err.Error(), "delta ") {
+			t.Errorf("ParseBuildOptions(%q) = %v, want an error naming delta", bad, err)
+		}
+	}
+	// Every options string the tests, examples and docs use still parses.
+	for _, ok := range []string{
+		"", "delta=1", "delta=2", "delta=3", "delta=4", "bf=2, delta=3",
+		"delta=0,maxdelta=0,cf=0,bf=0,iters=0",
+		"delta=8,maxdelta=64,cf=8,bf=8,iters=12", "cf=16",
+	} {
+		if _, err := ParseBuildOptions(ok); err != nil {
+			t.Errorf("ParseBuildOptions(%q): %v", ok, err)
 		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"locshort/internal/graph"
+	"locshort/internal/obs"
 )
 
 // Msg is a CONGEST message: a kind tag plus four machine words, i.e.
@@ -259,6 +261,7 @@ func (n *Network) step(round int) {
 	}
 	if n.workers > 1 && numNodes >= 64 {
 		var wg sync.WaitGroup
+		var panicked atomic.Pointer[obs.PanicError]
 		chunk := (numNodes + n.workers - 1) / n.workers
 		for w := 0; w < n.workers; w++ {
 			lo := w * chunk
@@ -272,12 +275,23 @@ func (n *Network) step(round int) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
+				// A panicking Step would end the process, out of reach
+				// of the caller's recover; it is re-raised on the
+				// calling goroutine after the round instead.
+				defer func() {
+					if v := recover(); v != nil {
+						panicked.CompareAndSwap(nil, obs.Recovered(v))
+					}
+				}()
 				for v := lo; v < hi; v++ {
 					run(v)
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
+		if pe := panicked.Load(); pe != nil {
+			obs.Repanic(pe)
+		}
 	} else {
 		for v := 0; v < numNodes; v++ {
 			run(v)

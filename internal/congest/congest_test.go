@@ -2,9 +2,11 @@ package congest
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"locshort/internal/graph"
+	"locshort/internal/obs"
 )
 
 // floodProc floods a token from node 0 and records the round it was first
@@ -467,4 +469,43 @@ func TestSendToNoUnusedEdgePanics(t *testing.T) {
 		}
 	}()
 	_, _ = net.Run(2)
+}
+
+// panickingStep is a node program with a bug: node 40 panics in round 1.
+func panickingStep(ctx *Context) {
+	if ctx.Node == 40 && ctx.Round == 1 {
+		panic("step bug")
+	}
+	if ctx.Round == 3 {
+		ctx.Halt()
+	}
+}
+
+// TestStepPanicReraisedOnCaller runs a 64-node network on worker
+// goroutines, where a panicking Step used to end the process out of any
+// caller's reach. Run re-raises it on the calling goroutine instead, and
+// the recovered value keeps the stack of the Step that panicked.
+func TestStepPanicReraisedOnCaller(t *testing.T) {
+	g := graph.Grid(8, 8)
+	procs := make([]Proc, g.NumNodes())
+	for v := range procs {
+		procs[v] = ProcFunc(panickingStep)
+	}
+	net, err := NewNetwork(g, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.workers = 4 // the worker path, whatever GOMAXPROCS is
+	var pe *obs.PanicError
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				pe = obs.Recovered(v)
+			}
+		}()
+		net.Run(10)
+	}()
+	if pe == nil || pe.Value != "step bug" || !strings.Contains(string(pe.Stack), "panickingStep") {
+		t.Fatalf("recovered %+v, want the step bug with panickingStep on its stack", pe)
+	}
 }

@@ -13,10 +13,14 @@
 //
 // # Role in the DAG
 //
-// Depends only on internal/graph. internal/dist runs every distributed
-// protocol — BFS waves, the Theorem 1.5 cut waves, part-wise aggregation
-// schedules — on this simulator, and its measured round counts are the
-// "Measured" column of the DESIGN.md round-accounting discipline.
+// Depends on internal/graph, and on internal/obs for its panic type: a
+// Step that panics on a worker goroutine is recovered there and re-raised
+// (obs.Repanic) on the goroutine running the round, so a caller's recover,
+// such as the service engine worker's, still catches it. internal/dist
+// runs every distributed protocol — BFS waves, the Theorem 1.5 cut waves,
+// part-wise aggregation schedules — on this simulator, and its measured
+// round counts are the "Measured" column of the DESIGN.md
+// round-accounting discipline.
 //
 // The package is part of the deterministic core policed by the
 // internal/analysis lint suite (DESIGN.md §12): no map iteration, no

@@ -66,6 +66,9 @@ type Config struct {
 	// scrape time) plus execution, queue-wait, and persist latency
 	// histograms.
 	Obs *obs.Registry
+	// Logger, when non-nil, logs the stack of every job that fails with a
+	// panic, its Executor's own or one it returns as an *obs.PanicError.
+	Logger *obs.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -102,6 +105,9 @@ type Stats struct {
 	// RecoverSkipped counts durable records Recover could not decode and
 	// left on disk untouched (visible to locshortctl, never re-run).
 	RecoverSkipped uint64 `json:"recover_skipped"`
+	// Panics counts Executor calls that panicked; each such job also
+	// counts in Failed.
+	Panics uint64 `json:"panics"`
 }
 
 // Errors returned by Submit, Cancel, and lookup paths. The HTTP layer maps
@@ -173,9 +179,11 @@ type Manager struct {
 	recSkipped uint64
 
 	// persistMu serializes durable writes; persistErrs is atomic so the
-	// flush path never touches mu.
+	// flush path never touches mu, and panics so the dispatcher's recover
+	// does not either.
 	persistMu   sync.Mutex
 	persistErrs atomic.Uint64
+	panics      atomic.Uint64
 
 	quit chan struct{} // closed by Close; unblocks Wait
 	wg   sync.WaitGroup
@@ -218,6 +226,8 @@ func newManagerMetrics(r *obs.Registry, m *Manager) *managerMetrics {
 		stat(func(s Stats) float64 { return float64(s.PersistErrors) }))
 	r.CounterFunc("locshort_jobs_recover_skipped_total", "Durable job records Recover could not decode.", nil,
 		stat(func(s Stats) float64 { return float64(s.RecoverSkipped) }))
+	r.CounterFunc("locshort_jobs_panics_total", "Async job executions that panicked (recovered; each ends failed).", nil,
+		stat(func(s Stats) float64 { return float64(s.Panics) }))
 	r.GaugeFunc("locshort_jobs_queued", "Async jobs accepted but not yet dispatched.", nil,
 		stat(func(s Stats) float64 { return float64(s.Queued) }))
 	r.GaugeFunc("locshort_jobs_running", "Async jobs currently executing.", nil,
@@ -550,6 +560,7 @@ func (m *Manager) Stats() Stats {
 		Retries:        m.retries,
 		PersistErrors:  m.persistErrs.Load(),
 		RecoverSkipped: m.recSkipped,
+		Panics:         m.panics.Load(),
 	}
 }
 
@@ -634,6 +645,18 @@ func (m *Manager) persistNowLocked(j *managed) {
 	m.flush(m.snapshotLocked(j))
 }
 
+// execute calls the Executor under a recover: a panic comes back as the
+// job's *obs.PanicError, so it fails that job instead of the process.
+func (m *Manager) execute(ctx context.Context, kind string, request json.RawMessage) (result json.RawMessage, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.panics.Add(1)
+			err = obs.Recovered(v)
+		}
+	}()
+	return m.exec(ctx, kind, request)
+}
+
 // dispatcher is one worker: pop a queued job, execute it, finalize.
 func (m *Manager) dispatcher() {
 	defer m.wg.Done()
@@ -672,7 +695,7 @@ func (m *Manager) dispatcher() {
 		m.flush(pp)
 
 		execStart := time.Now()
-		result, err := m.exec(ctx, kind, request)
+		result, err := m.execute(ctx, kind, request)
 		if m.metrics != nil {
 			m.metrics.execSeconds.Observe(time.Since(execStart))
 		}
@@ -681,6 +704,12 @@ func (m *Manager) dispatcher() {
 		// while a shutdown happened to be in progress.
 		interrupted := ctx.Err() != nil
 		cancel()
+
+		var pe *obs.PanicError
+		panicked := errors.As(err, &pe)
+		if panicked {
+			m.cfg.Logger.Error("job_panic", "id", id.String(), "kind", kind, "err", err.Error(), "stack", string(pe.Stack))
+		}
 
 		m.mu.Lock()
 		j.cancel = nil
@@ -692,6 +721,12 @@ func (m *Manager) dispatcher() {
 			j.rec.Result = result
 			j.rec.Error = ""
 			m.countTerminalLocked(Done)
+		case panicked:
+			// A panic is a bug, not a transient failure: no retry, and
+			// the durable record is terminal, so Recover never re-runs it.
+			j.rec.State = Failed
+			j.rec.Error = err.Error()
+			m.countTerminalLocked(Failed)
 		case m.closing && interrupted && !j.rec.CancelRequested:
 			// Shutdown interrupted the run: durably back to queued so
 			// Recover re-enqueues it after the next start. Not charged as

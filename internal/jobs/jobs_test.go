@@ -628,3 +628,71 @@ func TestCloseDoesNotRequeueGenuineFailure(t *testing.T) {
 		t.Fatalf("plain failure = %+v, want failed/boom", got3)
 	}
 }
+
+// TestExecutorPanicFailsJob runs a job whose Executor panics. The job ends
+// failed after one attempt, retries notwithstanding; the dispatcher lives
+// on to run the next job; and the durable record is terminal, so Recover
+// on a restart neither re-enqueues nor re-runs it.
+func TestExecutorPanicFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	exec := func(ctx context.Context, kind string, req json.RawMessage) (json.RawMessage, error) {
+		calls.Add(1)
+		if kind == "poison" {
+			panic("poisoned request")
+		}
+		return req, nil
+	}
+	m := jobs.New(jobs.Config{Workers: 1, Retries: 2, Store: st}, exec)
+	m.Start()
+	poison, err := m.Submit("poison", json.RawMessage(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitTerminal(t, m, poison.ID)
+	if got.State != jobs.Failed || got.Attempts != 1 || got.Error != "panic: poisoned request" {
+		t.Fatalf("poisoned job = %+v, want failed in 1 attempt with the panic as its error", got)
+	}
+	next, err := m.Submit("shortcut", json.RawMessage(`{"n":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, m, next.ID); got.State != jobs.Done {
+		t.Fatalf("job after the panic = %+v, want done", got)
+	}
+	if s := m.Stats(); s.Panics != 1 || s.Failed != 1 || s.Retries != 0 {
+		t.Errorf("stats = %+v, want 1 panic, 1 failed, 0 retries", s)
+	}
+	m.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	before := calls.Load()
+	m2 := jobs.New(jobs.Config{Workers: 1, Store: st2}, exec)
+	requeued, err := m2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if requeued != 0 {
+		t.Fatalf("Recover re-enqueued %d jobs, want 0", requeued)
+	}
+	m2.Start()
+	defer m2.Close()
+	if rec, ok := m2.Get(poison.ID); !ok || rec.State != jobs.Failed {
+		t.Fatalf("recovered poisoned record = (%+v, %v), want failed", rec, ok)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if calls.Load() != before {
+		t.Errorf("recovery re-ran the poisoned job: %d → %d calls", before, calls.Load())
+	}
+}

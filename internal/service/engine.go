@@ -448,13 +448,25 @@ var errSkipped = errors.New("skipped")
 
 // submit runs fn on the worker pool and waits for it, honoring ctx while
 // queued or running and failing fast once the engine closes. A context
-// canceled mid-run abandons the wait; the worker still finishes fn.
+// canceled mid-run abandons the wait; the worker still finishes fn. A
+// panic in fn is recovered on the worker and returned as the job's
+// *obs.PanicError.
 func submit[T any](e *Engine, ctx context.Context, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
 	var res T
 	err := errSkipped // overwritten unless the job is skipped at pickup
 	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.run = func(ctx context.Context) { res, err = fn(ctx) }
+	j.run = func(ctx context.Context) {
+		// A panicking fn fails its own job, not the process: the worker
+		// goroutine lives on, and the caller gets an *obs.PanicError.
+		defer func() {
+			if v := recover(); v != nil {
+				e.counters.jobPanics.Add(1)
+				err = obs.Recovered(v)
+			}
+		}()
+		res, err = fn(ctx)
+	}
 	e.counters.queueDepth.Add(1)
 	select {
 	case e.jobs <- j:
@@ -652,7 +664,6 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 		}
 	}
 	bld := e.builders.Get().(*shortcut.Builder)
-	defer e.builders.Put(bld)
 	buildOpts := req.Options
 	if tb != nil {
 		// Timing-only: CollectStages never changes the shortcut and is
@@ -661,6 +672,9 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 	}
 	start := time.Now()
 	res, err := bld.Build(g, parts, buildOpts)
+	// Back to the pool only from a normal return: a Build that panics
+	// may leave its scratch half written.
+	e.builders.Put(bld)
 	if err != nil {
 		e.counters.buildErrs.Add(1)
 		return nil, err

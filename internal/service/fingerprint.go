@@ -106,7 +106,11 @@ func AppendPartitionCanonical(b []byte, p *partition.Partition) []byte {
 // to 128 parts.
 func hashPartition(h uint64, p *partition.Partition) uint64 {
 	var stack [128]int32
-	rank := p.CanonicalRanks(stack[:])
+	return hashRanked(h, p, p.CanonicalRanks(stack[:]))
+}
+
+// hashRanked is hashPartition over p's rank table (p.CanonicalRanks).
+func hashRanked(h uint64, p *partition.Partition, rank []int32) uint64 {
 	h = fnvWord(h, uint64(len(p.PartOf)))
 	h = fnvWord(h, uint64(len(rank)))
 	for _, i := range p.PartOf {
@@ -123,6 +127,13 @@ func hashPartition(h uint64, p *partition.Partition) uint64 {
 // assignment.
 func FingerprintPartition(p *partition.Partition) Fingerprint {
 	return Fingerprint(hashPartition(fnvOffset, p))
+}
+
+// FingerprintPartitionRanks is FingerprintPartition for a caller that
+// already holds p's canonical ranks (p.CanonicalRanks), such as the
+// store's shortcut encoder: past 128 parts it saves a second rank table.
+func FingerprintPartitionRanks(p *partition.Partition, rank []int32) Fingerprint {
+	return Fingerprint(hashRanked(fnvOffset, p, rank))
 }
 
 // hashOptions feeds the canonical encoding of the shortcut.Options fields

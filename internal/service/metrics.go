@@ -65,6 +65,7 @@ func newEngineMetrics(r *obs.Registry, e *Engine) *engineMetrics {
 	counter("locshort_engine_jobs_total", "Worker-pool jobs by outcome.", obs.Labels{"outcome": "done"}, c.jobsDone.Load)
 	counter("locshort_engine_jobs_total", "Worker-pool jobs by outcome.", obs.Labels{"outcome": "failed"}, c.jobsFailed.Load)
 	counter("locshort_engine_jobs_total", "Worker-pool jobs by outcome.", obs.Labels{"outcome": "canceled"}, c.jobsCanceled.Load)
+	counter("locshort_engine_job_panics_total", "Worker-pool jobs that panicked (recovered; each also counts as failed).", nil, c.jobPanics.Load)
 	counter("locshort_engine_store_reads_total", "Durable-store shortcut lookups by outcome.", obs.Labels{"outcome": "hit"}, c.storeHits.Load)
 	counter("locshort_engine_store_reads_total", "Durable-store shortcut lookups by outcome.", obs.Labels{"outcome": "miss"}, c.storeMisses.Load)
 	counter("locshort_engine_peer_reads_total", "Cluster peer shortcut fetches by outcome.", obs.Labels{"outcome": "hit"}, c.peerHits.Load)

@@ -5,14 +5,18 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"locshort/internal/cli"
+	"locshort/internal/congest"
 	"locshort/internal/dist"
 	"locshort/internal/graph"
+	"locshort/internal/obs"
 	"locshort/internal/partition"
 	"locshort/internal/shortcut"
 )
@@ -459,6 +463,68 @@ func TestEngineQueuedJobCancellation(t *testing.T) {
 	close(block)
 	if ran {
 		t.Error("canceled queued job still ran")
+	}
+}
+
+// TestEnginePanicFailsJob submits a panicking function to the worker pool,
+// then a Build whose speculative level panics on its own goroutine (a
+// part naming a node the graph does not have), then a job that simulates
+// a CONGEST protocol on 64 nodes, as MST, MinCut and Aggregate jobs do,
+// with a Step that panics on one of the simulator's round workers. Each
+// comes back as that job's *obs.PanicError, with the stack where the
+// panic began, and the engine keeps serving.
+func TestEnginePanicFailsJob(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the simulator's worker path
+	e := newTestEngine(t, Config{Workers: 1})
+	_, err := submit(e, context.Background(), func(context.Context) (int, error) { panic("boom") })
+	var pe *obs.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking job returned %v, want an *obs.PanicError for boom with a stack", err)
+	}
+
+	g, p := testGraph(t)
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &partition.Partition{PartOf: make([]int, g.NumNodes()), Parts: [][]int{{g.NumNodes() + 5}}}
+	_, _, err = e.Build(context.Background(), BuildRequest{Graph: fp, Parts: bad, Options: shortcut.Options{Parallelism: 2}})
+	if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "assemble") {
+		t.Fatalf("Build with a panicking level returned %v, want an *obs.PanicError raised in assemble", err)
+	}
+	_, err = submit(e, context.Background(), func(context.Context) (*congest.Stats, error) {
+		procs := make([]congest.Proc, g.NumNodes())
+		for v := range procs {
+			procs[v] = congest.ProcFunc(panickingStep)
+		}
+		net, err := congest.NewNetwork(g, procs)
+		if err != nil {
+			return nil, err
+		}
+		return net.Run(10)
+	})
+	if !errors.As(err, &pe) || pe.Value != "step bug" || !strings.Contains(string(pe.Stack), "panickingStep") {
+		t.Fatalf("job with a panicking Step returned %v, want an *obs.PanicError raised in panickingStep", err)
+	}
+	if _, _, err := e.Build(context.Background(), BuildRequest{Graph: fp, Parts: p}); err != nil {
+		t.Fatalf("Build after the panics: %v", err)
+	}
+	if _, err := e.MST(context.Background(), MSTRequest{Graph: fp}); err != nil {
+		t.Fatalf("MST after the panics: %v", err)
+	}
+	if st := e.Stats(); st.JobPanics != 3 || st.JobsFailed != 3 || st.Builds != 1 {
+		t.Errorf("stats = %+v, want 3 job panics, 3 failed jobs, 1 build", st)
+	}
+}
+
+// panickingStep is a CONGEST node program with a bug: node 40 panics in
+// round 1.
+func panickingStep(ctx *congest.Context) {
+	if ctx.Node == 40 && ctx.Round == 1 {
+		panic("step bug")
+	}
+	if ctx.Round == 3 {
+		ctx.Halt()
 	}
 }
 

@@ -15,6 +15,7 @@ type counters struct {
 	jobsDone     atomic.Uint64
 	jobsFailed   atomic.Uint64
 	jobsCanceled atomic.Uint64
+	jobPanics    atomic.Uint64
 	jobNs        atomic.Int64
 	queueDepth   atomic.Int64
 	running      atomic.Int64
@@ -48,10 +49,12 @@ type Stats struct {
 	BuildTotalNs  int64  `json:"build_total_ns"`
 	AvgBuildNanos int64  `json:"avg_build_ns"`
 
-	// Job counters for the worker pool.
+	// Job counters for the worker pool. JobPanics counts jobs that
+	// panicked; each also counts in JobsFailed.
 	JobsDone     uint64 `json:"jobs_done"`
 	JobsFailed   uint64 `json:"jobs_failed"`
 	JobsCanceled uint64 `json:"jobs_canceled"`
+	JobPanics    uint64 `json:"job_panics"`
 	JobTotalNs   int64  `json:"job_total_ns"`
 	QueueDepth   int64  `json:"queue_depth"`
 	RunningJobs  int64  `json:"running_jobs"`
@@ -102,6 +105,8 @@ type Stats struct {
 	// queue is AsyncQueued == AsyncRunning == 0. AsyncSubmitted,
 	// AsyncRetries, and AsyncPersistErrors count events in the current
 	// process lifetime; alert on AsyncPersistErrors like StoreErrors.
+	// AsyncPanics counts executions that panicked (each also counts in
+	// AsyncFailed).
 	AsyncSubmitted     uint64 `json:"async_submitted"`
 	AsyncQueued        int64  `json:"async_queued"`
 	AsyncRunning       int64  `json:"async_running"`
@@ -111,6 +116,7 @@ type Stats struct {
 	AsyncRetries       uint64 `json:"async_retries"`
 	AsyncPersistErrors uint64 `json:"async_persist_errors"`
 	AsyncRecoverSkip   uint64 `json:"async_recover_skipped"`
+	AsyncPanics        uint64 `json:"async_panics"`
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -133,6 +139,7 @@ func (c *counters) snapshot() Stats {
 		JobsDone:       c.jobsDone.Load(),
 		JobsFailed:     c.jobsFailed.Load(),
 		JobsCanceled:   c.jobsCanceled.Load(),
+		JobPanics:      c.jobPanics.Load(),
 		JobTotalNs:     c.jobNs.Load(),
 		QueueDepth:     c.queueDepth.Load(),
 		RunningJobs:    c.running.Load(),

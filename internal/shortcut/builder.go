@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"locshort/internal/graph"
+	"locshort/internal/obs"
 	"locshort/internal/partition"
 	"locshort/internal/tree"
 )
@@ -94,8 +96,11 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 // Everything a Build call returns — the Result, the Shortcut, its H
 // slices — is freshly allocated and never aliased by the builder's
 // scratch, so results stay valid across subsequent Build calls on the
-// same Builder. The BFS tree is the graph's shared read-only tree
-// (tree.Shared) under a header of the result's own.
+// same Builder. A level collects its H runs in scratch, and only the
+// accepted level copies them out, into one exact-size array: a warm
+// Build allocates the same few objects whatever the number of parts.
+// The BFS tree is the graph's shared read-only tree (tree.Shared) under a
+// header of the result's own.
 type Builder struct {
 	states []*levelState
 }
@@ -181,20 +186,30 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 
 	for delta := 1; ; {
 		// One wave: race the next up-to-par levels of the doubling search.
-		var levels []int
+		// A level whose (c, b) would overflow ends the wave, and fails the
+		// search once it heads one, as it would sequentially.
+		type level struct{ delta, c, b int }
+		var levels []level
 		next := delta
 		for len(levels) < par && next <= maxDelta {
-			levels = append(levels, next)
+			c, bb, err := levelParams(cf, bf, next, depth)
+			if err != nil {
+				if len(levels) == 0 {
+					return nil, err
+				}
+				break
+			}
+			levels = append(levels, level{next, c, bb})
 			next *= 2
 		}
 		if len(levels) == 0 {
 			return nil, fmt.Errorf("shortcut: doubling search exhausted at delta' = %d (max %d)", delta, maxDelta)
 		}
 		type outcome struct {
-			s     *Shortcut
-			iters int
-			ok    bool
-			err   error
+			iters    int
+			ok       bool
+			err      error
+			panicked *obs.PanicError
 		}
 		outs := make([]outcome, len(levels))
 		var lts []levelTimes
@@ -206,21 +221,31 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 		var accepted atomic.Int32
 		accepted.Store(int32(len(levels)))
 		var wg sync.WaitGroup
-		for i, dl := range levels {
+		for i, lv := range levels {
 			ls := b.state(i)
 			wg.Add(1)
-			go func(i int, dl int, ls *levelState) {
+			// t, maxIter and sc go in as arguments: captured, they would
+			// move to the heap on every Build, sequential ones too.
+			go func(i int, lv level, ls *levelState, t *tree.Rooted, maxIter int, sc *stageClock) {
 				defer wg.Done()
+				// A panic on a level goroutine would end the process, out
+				// of reach of the caller's recover; it is re-raised on the
+				// calling goroutine after the wave instead.
+				defer func() {
+					if v := recover(); v != nil {
+						outs[i].panicked = obs.Recovered(v)
+					}
+				}()
 				var lt *levelTimes
 				if lts != nil {
 					lt = &lts[i]
 					lt.start = sc.since()
 				}
-				s, iters, _, ok, err := ls.runLevel(g, t, p, cf*dl*depth, bf*dl, maxIter, false, &accepted, int32(i), lt)
+				iters, _, ok, err := ls.runLevel(g, t, p, lv.c, lv.b, maxIter, false, &accepted, int32(i), lt)
 				if lt != nil {
 					lt.total = sc.since() - lt.start
 				}
-				outs[i] = outcome{s: s, iters: iters, ok: ok, err: err}
+				outs[i] = outcome{iters: iters, ok: ok, err: err}
 				if ok {
 					for {
 						cur := accepted.Load()
@@ -229,21 +254,26 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 						}
 					}
 				}
-			}(i, dl, ls)
+			}(i, lv, ls, t, maxIter, sc)
 		}
 		wg.Wait()
+		for _, o := range outs {
+			if o.panicked != nil {
+				obs.Repanic(o.panicked)
+			}
+		}
 		// Scan in level order: the smallest accepted level wins, exactly
 		// as in the sequential search. Levels below it ran to completion
 		// (they never abandon), so their errors, had the sequential
 		// search hit them first, surface here too.
-		for i, dl := range levels {
+		for i, lv := range levels {
 			o := outs[i]
 			if o.err != nil {
 				return nil, o.err
 			}
 			if sc != nil {
-				res.LevelsTried = append(res.LevelsTried, dl)
-				sc.add(levelStageName(dl), lts[i].start, lts[i].total)
+				res.LevelsTried = append(res.LevelsTried, lv.delta)
+				sc.add(levelStageName(lv.delta), lts[i].start, lts[i].total)
 				if o.ok {
 					sc.add("sweep", lts[i].start, lts[i].sweep)
 					sc.add("assemble", lts[i].start, lts[i].assemble)
@@ -251,10 +281,12 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 				}
 			}
 			if o.ok {
-				res.Shortcut = o.s
-				res.Delta = dl
-				res.CongestionThreshold = cf * dl * depth
-				res.BlockBudget = bf * dl
+				// Only the accepted level copies its H out; the levels
+				// that lost the race leave theirs in scratch.
+				res.Shortcut = b.state(i).finish(g, t, p)
+				res.Delta = lv.delta
+				res.CongestionThreshold = lv.c
+				res.BlockBudget = lv.b
 				res.Iterations = o.iters
 				return res, nil
 			}
@@ -281,13 +313,15 @@ func (b *Builder) buildSequential(g *graph.Graph, t *tree.Rooted, p *partition.P
 		if !fixed && delta > maxDelta {
 			return nil, fmt.Errorf("shortcut: doubling search exhausted at delta' = %d (max %d)", delta, maxDelta)
 		}
-		c := cf * delta * depth
-		bb := bf * delta
+		c, bb, err := levelParams(cf, bf, delta, depth)
+		if err != nil {
+			return nil, err
+		}
 		var lt *levelTimes
 		if sc != nil {
 			lt = &levelTimes{start: sc.since()}
 		}
-		s, iters, lastPartial, ok, err := ls.runLevel(g, t, p, c, bb, maxIter, opts.Certify, nil, 0, lt)
+		iters, lastPartial, ok, err := ls.runLevel(g, t, p, c, bb, maxIter, opts.Certify, nil, 0, lt)
 		if sc != nil {
 			lt.total = sc.since() - lt.start
 			res.LevelsTried = append(res.LevelsTried, delta)
@@ -302,7 +336,7 @@ func (b *Builder) buildSequential(g *graph.Graph, t *tree.Rooted, p *partition.P
 				sc.add("assemble", lt.start, lt.assemble)
 				res.Stages = sc.stages
 			}
-			res.Shortcut = s
+			res.Shortcut = ls.finish(g, t, p)
 			res.Delta = delta
 			res.CongestionThreshold = c
 			res.BlockBudget = bb
@@ -319,6 +353,32 @@ func (b *Builder) buildSequential(g *graph.Graph, t *tree.Rooted, p *partition.P
 			return res, fmt.Errorf("shortcut: delta' = %d: %w", opts.Delta, ErrDeltaTooSmall)
 		}
 	}
+}
+
+// levelParams returns the congestion threshold c = cf·delta'·D and the
+// block budget b = bf·delta' of one doubling-search level, or an error
+// when either product overflows an int: a wrapped product would build at
+// a level that is not the one Result reports.
+func levelParams(cf, bf, delta, depth int) (c, b int, err error) {
+	c, okC := mulInt(cf, delta)
+	if okC {
+		c, okC = mulInt(c, depth)
+	}
+	b, okB := mulInt(bf, delta)
+	if !okC || !okB {
+		return 0, 0, fmt.Errorf("shortcut: delta' = %d overflows c = cf·delta'·D or b = bf·delta' (cf %d, bf %d, D %d)",
+			delta, cf, bf, depth)
+	}
+	return c, b, nil
+}
+
+// mulInt returns x·y and whether the product fits in an int.
+func mulInt(x, y int) (int, bool) {
+	p := x * y
+	if x != 0 && (p/x != y || (x == -1 && y == math.MinInt)) {
+		return 0, false
+	}
+	return p, true
 }
 
 // levelState is the scratch memory for one run of the Observation 2.7
@@ -339,11 +399,17 @@ type levelState struct {
 	stampRoot []int32
 	epoch     int32
 	active    []bool
-	// hBuf accumulates one part's H edges before they are copied into an
-	// exact-size result slice, so growth reallocation is paid once per
-	// levelState instead of per part.
+	// hBuf holds the level's H runs back to back: assemble appends each
+	// covered part's sorted run and bounds it in runs (start -1: not
+	// covered at this level). finish copies the buffer into the result's
+	// one array, so the buffer's growth is paid once per levelState and a
+	// level that is abandoned or fails allocates no H.
 	hBuf []int
+	runs []hRun
 }
+
+// hRun bounds one part's H edges in levelState.hBuf.
+type hRun struct{ start, end int }
 
 // prepare sizes the scratch for an n-node graph. Stamp slices keep their
 // stale contents: epochs only grow, so stale stamps never collide.
@@ -376,22 +442,24 @@ func (ls *levelState) nextEpoch() int32 {
 	return ls.epoch
 }
 
-// runLevel runs the Observation 2.7 loop at a fixed (c, b) level. cancel,
-// when non-nil, is the speculative search's accepted-level watermark: once
-// a lower level accepts, this run abandons (its outcome is moot). lt, when
-// non-nil, accumulates the sweep/assemble wall-clock split across
-// iterations; timing never changes what is built. The returned Shortcut
-// and Partial are freshly allocated; scratch never escapes.
-func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b, maxIter int,
-	certify bool, cancel *atomic.Int32, self int32, lt *levelTimes) (*Shortcut, int, *Partial, bool, error) {
-	if c < 1 {
-		return nil, 0, nil, false, fmt.Errorf("shortcut: congestion threshold %d < 1", c)
+// beginLevel empties the H runs for a k-part level.
+func (ls *levelState) beginLevel(k int) {
+	ls.hBuf = ls.hBuf[:0]
+	if cap(ls.runs) < k {
+		ls.runs = make([]hRun, k)
 	}
-	if b < 0 {
-		return nil, 0, nil, false, fmt.Errorf("shortcut: negative block budget %d", b)
+	ls.runs = ls.runs[:k]
+	for i := range ls.runs {
+		ls.runs[i] = hRun{start: -1}
 	}
+}
+
+// finish returns the shortcut the level's runs describe. All H sets share
+// one exact-size array, each carved with a full slice expression, so an
+// append to one H[i] reallocates it instead of overwriting its neighbour;
+// uncovered parts keep a nil H[i].
+func (ls *levelState) finish(g *graph.Graph, t *tree.Rooted, p *partition.Partition) *Shortcut {
 	k := p.NumParts()
-	ls.prepare(g.NumNodes())
 	s := &Shortcut{
 		G:       g,
 		Parts:   p,
@@ -399,6 +467,35 @@ func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Part
 		H:       make([][]int, k),
 		Covered: make([]bool, k),
 	}
+	all := make([]int, len(ls.hBuf))
+	copy(all, ls.hBuf)
+	for i, r := range ls.runs {
+		if r.start >= 0 {
+			s.Covered[i] = true
+			s.H[i] = all[r.start:r.end:r.end]
+		}
+	}
+	return s
+}
+
+// runLevel runs the Observation 2.7 loop at a fixed (c, b) level, leaving
+// the covered parts' H runs in the level's scratch for finish. cancel,
+// when non-nil, is the speculative search's accepted-level watermark: once
+// a lower level accepts, this run abandons (its outcome is moot). lt, when
+// non-nil, accumulates the sweep/assemble wall-clock split across
+// iterations; timing never changes what is built. The returned Partial is
+// freshly allocated; scratch never escapes.
+func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b, maxIter int,
+	certify bool, cancel *atomic.Int32, self int32, lt *levelTimes) (int, *Partial, bool, error) {
+	if c < 1 {
+		return 0, nil, false, fmt.Errorf("shortcut: congestion threshold %d < 1", c)
+	}
+	if b < 0 {
+		return 0, nil, false, fmt.Errorf("shortcut: negative block budget %d", b)
+	}
+	k := p.NumParts()
+	ls.prepare(g.NumNodes())
+	ls.beginLevel(k)
 	if cap(ls.active) < k {
 		ls.active = make([]bool, k)
 	}
@@ -410,7 +507,7 @@ func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Part
 	var last *Partial
 	for iter := 1; iter <= maxIter; iter++ {
 		if cancel != nil && cancel.Load() < self {
-			return nil, 0, nil, false, nil
+			return 0, nil, false, nil
 		}
 		var pr *Partial
 		if certify {
@@ -420,24 +517,24 @@ func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Part
 		var progress int
 		if lt == nil {
 			ls.sweep(t, p, c, active, pr)
-			progress = ls.assemble(g, t, p, active, b, s, true)
+			progress = ls.assemble(t, p, active, b, true)
 		} else {
 			t0 := time.Now() //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
 			ls.sweep(t, p, c, active, pr)
 			t1 := time.Now() //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
-			progress = ls.assemble(g, t, p, active, b, s, true)
+			progress = ls.assemble(t, p, active, b, true)
 			lt.sweep += t1.Sub(t0)
 			lt.assemble += time.Since(t1) //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
 		}
 		remaining -= progress
 		if remaining == 0 {
-			return s, iter, last, true, nil
+			return iter, last, true, nil
 		}
 		if progress == 0 {
-			return s, iter, last, false, nil
+			return iter, last, false, nil
 		}
 	}
-	return s, maxIter, last, false, nil
+	return maxIter, last, false, nil
 }
 
 // sweep runs the bottom-up overcongested-edge process, leaving the cut
@@ -518,13 +615,13 @@ func (ls *levelState) sweep(t *tree.Rooted, p *partition.Partition, c int, activ
 
 // assemble performs Case (I) of the Theorem 3.1 proof over ls.cutAbove:
 // every active part touching at most b non-root components of T\O is
-// covered with all its ancestor edges in the forest, written into s. When
-// deactivate is set, covered parts are removed from active (the harvest
-// step of the level loop). Returns the number of parts covered.
+// covered with all its ancestor edges in the forest, appended to ls.hBuf
+// as a sorted run. When deactivate is set, covered parts are removed from
+// active (the harvest step of the level loop). Returns the number of
+// parts covered.
 //
 //locshort:hotpath
-func (ls *levelState) assemble(g *graph.Graph, t *tree.Rooted, p *partition.Partition, active []bool, b int,
-	s *Shortcut, deactivate bool) int {
+func (ls *levelState) assemble(t *tree.Rooted, p *partition.Partition, active []bool, b int, deactivate bool) int {
 	// Component roots of T\O, top-down.
 	compRoot := ls.compRoot
 	for _, v := range t.Order {
@@ -555,10 +652,9 @@ func (ls *levelState) assemble(g *graph.Graph, t *tree.Rooted, p *partition.Part
 		if degB > b {
 			continue
 		}
-		s.Covered[i] = true
 		progress++
 		epoch = ls.nextEpoch()
-		hb := ls.hBuf[:0]
+		hb, start := ls.hBuf, len(ls.hBuf)
 		for _, u := range p.Parts[i] {
 			for u != -1 && !ls.cutAbove[u] && t.Parent[u] != -1 && ls.stampNode[u] != epoch {
 				ls.stampNode[u] = epoch
@@ -567,10 +663,8 @@ func (ls *levelState) assemble(g *graph.Graph, t *tree.Rooted, p *partition.Part
 			}
 		}
 		ls.hBuf = hb
-		sort.Ints(hb)
-		h := make([]int, len(hb))
-		copy(h, hb)
-		s.H[i] = h
+		slices.Sort(hb[start:])
+		ls.runs[i] = hRun{start: start, end: len(hb)}
 		if deactivate {
 			active[i] = false
 		}

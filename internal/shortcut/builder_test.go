@@ -3,9 +3,12 @@ package shortcut
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"locshort/internal/graph"
@@ -395,7 +398,7 @@ func TestBuildsShareGraphTree(t *testing.T) {
 // Build on grid:64x64 blobs:32 once the graph's tree is memoized. A build
 // that ran the root search and rooted a BFS tree of its own would allocate
 // 12 more, so a count over the pin means a build stopped reading the memo.
-const memoizedBuildAllocs = 474
+const memoizedBuildAllocs = 445
 
 func TestFreshBuilderAllocsOnMemoizedGraph(t *testing.T) {
 	g := graph.Grid(64, 64)
@@ -412,5 +415,102 @@ func TestFreshBuilderAllocsOnMemoizedGraph(t *testing.T) {
 	t.Logf("fresh-Builder Build on a memoized grid:64x64: %.0f allocs/op", allocs)
 	if allocs > memoizedBuildAllocs {
 		t.Errorf("fresh-Builder Build allocates %.0f objects/op, want <= %d", allocs, memoizedBuildAllocs)
+	}
+}
+
+// TestWarmBuildAllocsFlatInParts pins that a warm Build allocates per
+// build, not per part: the accepted level copies its H runs out into one
+// array, so 32 and 256 parts cost the same number of objects.
+func TestWarmBuildAllocsFlatInParts(t *testing.T) {
+	g := graph.Grid(64, 64)
+	b := NewBuilder()
+	var counts []float64
+	for _, k := range []int{32, 256} {
+		p, err := partition.BFSBlobs(g, k, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Parallelism: 1}
+		if _, err := b.Build(g, p, opts); err != nil { // warm the scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := b.Build(g, p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm Build on grid:64x64 blobs:%d: %.0f allocs/op", k, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("warm Build allocates %.0f objects for 32 parts and %.0f for 256, want equal", counts[0], counts[1])
+	}
+}
+
+// TestHSetsAppendIndependently checks the carved layout: the H sets of a
+// result share one array, but each is capacity-capped, so appending to one
+// reallocates it and leaves every other set as it was.
+func TestHSetsAppendIndependently(t *testing.T) {
+	for _, f := range testFamilies(t) {
+		res, err := NewBuilder().Build(f.g, f.p, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		h := res.Shortcut.H
+		before := make([][]int, len(h))
+		for i := range h {
+			before[i] = append([]int(nil), h[i]...)
+		}
+		for i := range h {
+			if len(h[i]) != cap(h[i]) {
+				t.Fatalf("%s: H[%d] has len %d, cap %d", f.name, i, len(h[i]), cap(h[i]))
+			}
+			grown := append(h[i], -1)
+			for j := range h {
+				if !slices.Equal(h[j], before[j]) {
+					t.Fatalf("%s: appending to H[%d] changed H[%d]", f.name, i, j)
+				}
+			}
+			if !slices.Equal(grown[:len(h[i])], before[i]) {
+				t.Fatalf("%s: append to H[%d] lost its edges", f.name, i)
+			}
+		}
+	}
+}
+
+// TestBuildRefusesWrappingLevels feeds Build options whose level products
+// c = cf·delta'·D and b = bf·delta' overflow an int. Either used to wrap:
+// the first to a small positive threshold that built and reported a
+// wrapped block budget, the second to a threshold of 0.
+func TestBuildRefusesWrappingLevels(t *testing.T) {
+	g := graph.Grid(16, 16)
+	p, err := partition.BFSBlobs(g, 16, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.Shared(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.MaxDepth(); d != 16 {
+		t.Fatalf("grid:16x16 tree depth %d, want 16", d)
+	}
+	for _, opts := range []Options{
+		{Delta: 576460752303423489, CongestionFactor: 16},
+		{Delta: 2305843009213693952, CongestionFactor: 4},
+		{Delta: 1 << 58, CongestionFactor: 1, BlockFactor: 64}, // only b wraps
+	} {
+		res, err := Build(g, p, opts)
+		if err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("Build(%+v) = %+v, %v; want an overflow error", opts, res, err)
+		}
+	}
+	// The doubling search refuses a level as it reaches it, sequentially
+	// and in a speculative wave alike; a search that accepts below the
+	// wrapping levels is unaffected.
+	for _, par := range []int{1, 4} {
+		if _, err := Build(g, p, Options{MaxDelta: math.MaxInt, Parallelism: par}); err != nil {
+			t.Errorf("par=%d: doubling search with an unbounded MaxDelta: %v", par, err)
+		}
 	}
 }

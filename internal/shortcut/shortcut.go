@@ -18,7 +18,11 @@ type Shortcut struct {
 	Parts *partition.Partition
 	// Tree is the rooted tree the shortcut is restricted to, or nil.
 	Tree *tree.Rooted
-	// H[i] lists the edge IDs of H_i, without duplicates.
+	// H[i] lists the edge IDs of H_i, without duplicates. The
+	// construction (Build, BuildPartial, AssembleFromCuts) lists each in
+	// ascending order and, like a store decode, lays all of them in one
+	// array, each capped at its own length: appending to one H[i]
+	// reallocates it instead of overwriting its neighbour.
 	H [][]int
 	// Covered[i] reports whether part i was given a shortcut. Uncovered
 	// parts (possible only for partial shortcuts) have H[i] == nil.
@@ -177,25 +181,14 @@ func Measure(s *Shortcut) Quality {
 	return q
 }
 
-// PartDilation returns the diameter of G[P_i]+H_i for a single part (exact,
-// regardless of size), or -1 if the augmented subgraph is disconnected.
-func PartDilation(s *Shortcut, i int) int {
-	m := measurers.Get().(*measurer)
-	m.reserve(s.G)
-	m.buildAugmented(s, i)
-	d := m.csr.Diameter(&m.diam)
-	measurers.Put(m)
-	return d
-}
-
 // measurers pools Measure's scratch; its arrays only grow, so steady-state
 // measurement of same-sized graphs does not touch the allocator.
 var measurers = sync.Pool{New: func() any { return new(measurer) }}
 
-// measurer is the scratch of Measure and PartDilation: a
-// global-node-to-local-index table (cleared by walking the previous node
-// list, so clearing is O(sub)), the node list itself, the augmented edge
-// list and its CSR, diameter scratch, and a union-find array.
+// measurer is the scratch of Measure: a global-node-to-local-index table
+// (cleared by walking the previous node list, so clearing is O(sub)), the
+// node list itself, the augmented edge list and its CSR, diameter scratch,
+// and a union-find array.
 type measurer struct {
 	load  []int32 // per-edge count of covered parts whose H_i holds it
 	idx   []int32 // global node -> local index + 1; 0 = absent
@@ -334,19 +327,4 @@ func find(parent []int32, x int32) int32 {
 		x = parent[x]
 	}
 	return x
-}
-
-// EdgeLoads returns, for every edge with nonzero load, the number of covered
-// parts whose H_i contains it.
-func EdgeLoads(s *Shortcut) map[int]int {
-	load := make(map[int]int)
-	for i, h := range s.H {
-		if !s.Covered[i] {
-			continue
-		}
-		for _, id := range h {
-			load[id]++
-		}
-	}
-	return load
 }

@@ -73,8 +73,9 @@ func BuildPartial(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b i
 
 	// Case (I): cover parts whose bipartite degree is within budget, giving
 	// them every ancestor edge in the forest T\O.
-	pr.Shortcut = newEmptyUncovered(g, t, p)
-	ls.assemble(g, t, p, active, b, pr.Shortcut, false)
+	ls.beginLevel(p.NumParts())
+	ls.assemble(t, p, active, b, false)
+	pr.Shortcut = ls.finish(g, t, p)
 	return pr, nil
 }
 
@@ -94,22 +95,9 @@ func AssembleFromCuts(g *graph.Graph, t *tree.Rooted, p *partition.Partition, cu
 	defer statePool.Put(ls)
 	ls.prepare(g.NumNodes())
 	copy(ls.cutAbove, cutAbove)
-	s := newEmptyUncovered(g, t, p)
-	ls.assemble(g, t, p, active, b, s, false)
-	return s
-}
-
-// newEmptyUncovered returns a tree-restricted shortcut shell with no part
-// covered yet.
-func newEmptyUncovered(g *graph.Graph, t *tree.Rooted, p *partition.Partition) *Shortcut {
-	k := p.NumParts()
-	return &Shortcut{
-		G:       g,
-		Parts:   p,
-		Tree:    t,
-		H:       make([][]int, k),
-		Covered: make([]bool, k),
-	}
+	ls.beginLevel(p.NumParts())
+	ls.assemble(t, p, active, b, false)
+	return ls.finish(g, t, p)
 }
 
 // CutAbove reconstructs, for certificate extraction, whether each node's

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,8 +279,10 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 	}, nil
 }
 
-// encodeShortcut renders a shortcut payload. Layout after the version byte
-// and the two big-endian dependency fingerprints (graph, partition):
+// encodeShortcut renders a shortcut payload and returns it with the
+// fingerprint of the partition it names, that of res.Shortcut.Parts.
+// Layout after the version byte and the two big-endian dependency
+// fingerprints (graph, partition):
 //
 //	varint x5   build options (delta, maxdelta, cf, bf, iters)
 //	varint x5   result metadata (delta', congestion threshold, block
@@ -293,11 +297,35 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 //	[per covered part, in canonical rank order] uvarint edge count, then
 //	            ascending canonical edge IDs delta-encoded as uvarints
 //	            (first absolute, rest gaps)
-func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
-	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) []byte {
+//
+// Every cold build is persisted through here, so the allocations are a
+// constant few whatever n and k are: the payload is sized once from n, k
+// and Σ|H_i|, the canonical-ID scratch from the largest H_i, and the part
+// rank table also yields the partition fingerprint.
+func encodeShortcut(perm *edgePerm, graphFP service.Fingerprint,
+	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) ([]byte, service.Fingerprint) {
 
 	s := res.Shortcut
-	b := make([]byte, 1, 64+len(s.H)*8)
+	k := len(s.H)
+	rank, byRank := partRanks(s.Parts)
+	partFP := service.FingerprintPartitionRanks(s.Parts, rank)
+	total, widest := 0, 0
+	for i, h := range s.H {
+		if s.Covered[i] {
+			total += len(h)
+			widest = max(widest, len(h))
+		}
+	}
+	// Upper bound on the payload: the head, the tree flag and 14 varints
+	// of any size (options, metadata, build time, tree root and size, k),
+	// then the bitmap; every tree entry is a zigzagged ID below m, and
+	// every edge count, first ID and gap is below m.
+	m := uint64(s.G.NumEdges())
+	size := 1 + 16 + 1 + 14*binary.MaxVarintLen64 + (k+7)/8 + (k+total)*uvarintLen(m)
+	if s.Tree != nil {
+		size += len(s.Tree.Parent) * uvarintLen(2*m)
+	}
+	b := make([]byte, 1, size)
 	b[0] = shortcutPayloadVersion
 	b = binary.BigEndian.AppendUint64(b, uint64(graphFP))
 	b = binary.BigEndian.AppendUint64(b, uint64(partFP))
@@ -322,18 +350,18 @@ func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
 	} else {
 		b = append(b, 0)
 	}
-	k := len(s.H)
 	b = binary.AppendUvarint(b, uint64(k))
-	rank, byRank := partRanks(s.Parts)
-	bitmap := make([]byte, (k+7)/8)
+	bitmap := len(b)
+	for range (k + 7) / 8 {
+		b = append(b, 0)
+	}
 	for i, c := range s.Covered {
 		if c {
 			r := rank[i]
-			bitmap[r/8] |= 1 << (r % 8)
+			b[bitmap+int(r/8)] |= 1 << (r % 8)
 		}
 	}
-	b = append(b, bitmap...)
-	canon := make([]int32, 0, 64)
+	canon := make([]int32, 0, widest)
 	for _, i := range byRank {
 		if !s.Covered[i] {
 			continue
@@ -342,7 +370,8 @@ func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
 		for _, id := range s.H[i] {
 			canon = append(canon, perm.toCanon[id])
 		}
-		sort.Slice(canon, func(a, b int) bool { return canon[a] < canon[b] })
+		// The IDs are distinct, so any sort yields this one order.
+		slices.Sort(canon)
 		b = binary.AppendUvarint(b, uint64(len(canon)))
 		prev := int32(0)
 		for j, id := range canon {
@@ -354,8 +383,11 @@ func encodeShortcut(perm *edgePerm, graphFP, partFP service.Fingerprint,
 			prev = id
 		}
 	}
-	return b
+	return b, partFP
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // varintReader pulls varints off a payload tail with uniform error
 // handling.

@@ -373,8 +373,7 @@ func (c *kvCore) GetPartition(fp service.Fingerprint, g *graph.Graph) (*partitio
 func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error {
 
-	partFP := service.FingerprintPartition(parts)
-	payload := encodeShortcut(c.perms.get(res.Shortcut.G), graphFP, partFP, opts, res, buildTime)
+	payload, partFP := encodeShortcut(c.perms.get(res.Shortcut.G), graphFP, opts, res, buildTime)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if !c.has(kindGraph, graphFP) || c.has(kindShortcut, key) {

@@ -264,6 +264,31 @@ func TestStoreReadAllocs(t *testing.T) {
 	}
 }
 
+// encodeAllocs pins EncodeShortcutRecordPayload: the edge permutation's
+// sort, the payload, the part rank table and the canonical-ID scratch. A
+// payload that outgrows its size bound and regrows shows up here.
+const encodeAllocs = 8
+
+// TestEncodeAllocsFlatInParts pins the write path's encode: the payload
+// is sized once and each part's IDs sort in place, so encoding a record of
+// 256 parts allocates exactly as often as one of 32.
+func TestEncodeAllocsFlatInParts(t *testing.T) {
+	var counts []float64
+	for _, partSpec := range []string{"blobs:32", "blobs:256"} {
+		g, p, res := buildFixture(t, "grid:64x64", partSpec, 1)
+		fp := service.FingerprintGraph(g)
+		n := testing.AllocsPerRun(20, func() {
+			EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, res, time.Millisecond)
+		})
+		t.Logf("EncodeShortcutRecordPayload on grid:64x64 %s: %.0f allocs/op", partSpec, n)
+		counts = append(counts, n)
+	}
+	if counts[0] != counts[1] || counts[1] > encodeAllocs {
+		t.Errorf("encode allocates %.0f objects for 32 parts and %.0f for 256, want equal and <= %d",
+			counts[0], counts[1], encodeAllocs)
+	}
+}
+
 // TestGetShortcutKeyOnly pins the key-only read, on both backends: with
 // a nil partition GetShortcut decodes the record's own partition record,
 // and the result is canonical-identical to the read given the request's

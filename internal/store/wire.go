@@ -52,12 +52,15 @@ func (c *kvCore) PutGraphPayload(fp service.Fingerprint, payload []byte) error {
 // the fallback for serving a binary shortcut response when the record is
 // not (yet) durable: a storeless daemon, or a freshly built result whose
 // detached persist has not landed. It pays a fresh edge-permutation sort;
-// the store-backed path (ShortcutPayload) is the fast one.
-func EncodeShortcutRecordPayload(graphFP service.Fingerprint, parts *partition.Partition,
+// the store-backed path (ShortcutPayload) is the fast one. The payload
+// names res.Shortcut.Parts, the partition the result was built over; the
+// partition argument, which must describe that same partition, is not
+// read.
+func EncodeShortcutRecordPayload(graphFP service.Fingerprint, _ *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) []byte {
 
-	partFP := service.FingerprintPartition(parts)
-	return encodeShortcut(newEdgePerm(res.Shortcut.G), graphFP, partFP, opts, res, buildTime)
+	payload, _ := encodeShortcut(newEdgePerm(res.Shortcut.G), graphFP, opts, res, buildTime)
+	return payload
 }
 
 // peerRecordVersion versions the binary PeerRecord framing.

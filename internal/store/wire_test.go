@@ -287,8 +287,7 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if fallback.g == nil {
 			fallback = fixtures[fp]
 		}
-		payload := encodeShortcut(newEdgePerm(g), fp, service.FingerprintPartition(p),
-			shortcut.Options{}, res, time.Millisecond)
+		payload, _ := encodeShortcut(newEdgePerm(g), fp, shortcut.Options{}, res, time.Millisecond)
 		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
 			f.Add(payload[:n])
 		}
@@ -309,7 +308,7 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted payload decodes to an invalid shortcut: %v", err)
 		}
-		re := encodeShortcut(newEdgePerm(fx.g), meta.graphFP, meta.partFP, opts, res, bt)
+		re, _ := encodeShortcut(newEdgePerm(fx.g), meta.graphFP, opts, res, bt)
 		if got := claimedOptions(re); got != opts {
 			t.Fatalf("options %+v re-encode as %+v", opts, got)
 		}
