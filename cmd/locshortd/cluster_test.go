@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -739,5 +741,68 @@ func TestClusterRelayLogsOwnerSource(t *testing.T) {
 				return false
 			})
 		})
+	}
+}
+
+// slowStore is a node's store that, while slow is set, takes 300 ms to
+// look a shortcut up: an owner still working on a request.
+type slowStore struct {
+	service.Store
+	slow *atomic.Bool
+}
+
+func (s slowStore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) (
+	*shortcut.Result, time.Duration, bool, error) {
+
+	if s.slow.Load() {
+		time.Sleep(300 * time.Millisecond)
+	}
+	return s.Store.GetShortcut(key, g, parts)
+}
+
+// TestClusterRelayCallerGone: a relayed request whose caller gives up
+// while the owner is still working gets its context's error. The entry
+// node does not build it in the owner's place, and the owner stays in
+// rotation: the next request for the key is relayed to it again.
+func TestClusterRelayCallerGone(t *testing.T) {
+	var slow [3]atomic.Bool
+	nodes := newNodeCluster(t, 3, func(i int, cfg *service.Config, _ *jobs.Config) {
+		cfg.Store = slowStore{Store: cfg.Store, slow: &slow[i]}
+	})
+	var gr graphResponse
+	postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specKey(t, g, fp, "blobs:8", 80)
+	owner, _ := nodes[0].cl.Owner(key)
+	entry := nonOwner(t, nodes, key)
+	for i, n := range nodes {
+		slow[i].Store(n.addr == owner)
+	}
+
+	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
+	defer cancel()
+	req := shortcutRequest{Graph: gr.Graph, Partition: "blobs:8", Seed: 80}
+	if _, rel, err := entry.srv.serveShortcut(ctx, req, ""); !errors.Is(err, context.DeadlineExceeded) || rel != nil {
+		t.Fatalf("serveShortcut past the caller's deadline: relayed %v, err %v; want context.DeadlineExceeded", rel != nil, err)
+	}
+	if got := entry.eng.Stats().Builds; got != 0 {
+		t.Fatalf("the entry node built %d shortcuts for a caller that had gone", got)
+	}
+	if !entry.cl.Available(owner) {
+		t.Fatal("a caller giving up marked the owner down")
+	}
+	for i := range slow {
+		slow[i].Store(false)
+	}
+	resp := postShortcut(t, entry.url, map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": 80}, false)
+	if resp.ServedBy != owner || resp.Shortcut != key.String() {
+		t.Fatalf("next request: key %s served by %q, want %s by the owner %q", resp.Shortcut, resp.ServedBy, key, owner)
 	}
 }

@@ -677,8 +677,8 @@ func (s *server) serveShortcut(ctx context.Context, req shortcutRequest, accept 
 		return served{}, nil, err
 	}
 	if owner, key := s.route(rs); owner != "" {
-		if rel := s.relay(ctx, owner, key, rs, accept); rel != nil {
-			return served{}, rel, nil
+		if rel, err := s.relay(ctx, owner, key, rs, accept); rel != nil || err != nil {
+			return served{}, rel, err
 		}
 	}
 	sv, err := s.execute(ctx, rs)
@@ -687,12 +687,13 @@ func (s *server) serveShortcut(ctx context.Context, req shortcutRequest, accept 
 
 // relay sends a request to the key's owner as a binary frame with the
 // client's accept and returns the owner's answer, whatever its status. It
-// returns nil — serve locally — when the owner is down or unreachable. An
-// owner answering 404 missed the graph's ingest broadcast: relay pushes
-// the graph and retries once.
-func (s *server) relay(ctx context.Context, owner string, key service.Fingerprint, rs resolved, accept string) *relayed {
+// returns nil, nil — serve locally — when the owner is down or
+// unreachable, and the error when ctx ended first: a caller that has gone
+// is not served here in the owner's place. An owner answering 404 missed
+// the graph's ingest broadcast: relay pushes the graph and retries once.
+func (s *server) relay(ctx context.Context, owner string, key service.Fingerprint, rs resolved, accept string) (*relayed, error) {
 	if !s.cl.Available(owner) {
-		return nil
+		return nil, nil
 	}
 	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{
 		Graph: rs.build.Graph, Partition: rs.req.Partition, Seed: rs.req.Seed,
@@ -700,23 +701,25 @@ func (s *server) relay(ctx context.Context, owner string, key service.Fingerprin
 	})
 	for attempt := 0; ; attempt++ {
 		status, hdr, body, err := s.cl.Forward(ctx, owner, "/v1/shortcuts", frame, accept)
+		if err == nil && status == http.StatusNotFound && attempt == 0 {
+			if err = s.cl.PushGraph(ctx, owner, rs.build.Graph, store.EncodeGraphPayload(rs.g)); err == nil {
+				continue
+			}
+		}
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, err
+			}
 			if s.logger != nil {
 				s.logger.Warn("forward_failed", "owner", owner, "err", err.Error())
 			}
-			return nil
-		}
-		if status == http.StatusNotFound && attempt == 0 {
-			if err := s.cl.PushGraph(ctx, owner, rs.build.Graph, store.EncodeGraphPayload(rs.g)); err != nil {
-				return nil
-			}
-			continue
+			return nil, nil
 		}
 		if src := hdr[wire.HeaderSource]; len(src) > 0 {
 			src[0] = "forward:" + src[0]
 			annotate(ctx, rs.build.Graph, key, src[0])
 		}
-		return &relayed{owner: owner, status: status, header: hdr, body: body}
+		return &relayed{owner: owner, status: status, header: hdr, body: body}, nil
 	}
 }
 

@@ -48,9 +48,10 @@ type Config struct {
 	// pay a full cold construction on the owner).
 	ForwardTimeout time.Duration
 	// DownBackoff is how long a peer stays marked down after a transport
-	// failure before it is dialed again (default 2s). This is what bounds
-	// the kill-one-node degradation window: after the first failed dial,
-	// requests stop paying the dead peer's connect latency.
+	// failure or a call past its timeout before it is dialed again
+	// (default 2s); a caller giving up does not mark it down. This is what
+	// bounds the kill-one-node degradation window: after the first failed
+	// dial, requests stop paying the dead peer's connect latency.
 	DownBackoff time.Duration
 	// Store is the node's durable store; fetched records import into it.
 	Store store.Backend
@@ -58,8 +59,6 @@ type Config struct {
 	Obs *obs.Registry
 	// Logger, when non-nil, receives forward/sync/drift log lines.
 	Logger *obs.Logger
-	// Client overrides the HTTP client used for all peer calls.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -83,18 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownBackoff <= 0 {
 		c.DownBackoff = 2 * time.Second
-	}
-	if c.Client == nil {
-		// Peer traffic is many small requests to a handful of fixed
-		// addresses; the stock Transport's two idle connections per host
-		// forces re-dials under concurrency. Keep a generous idle pool so
-		// forwards, fetches, and anti-entropy rounds ride persistent
-		// connections.
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	return c
 }
@@ -123,17 +110,16 @@ type Cluster struct {
 	ring  *Ring
 	self  string
 	peers []string // Nodes minus Self, sorted
-	hc    *http.Client
 	st    store.Backend
 	log   *obs.Logger
 
 	mu        sync.RWMutex
 	registrar GraphRegistrar
 
-	// downUntil[peer] is the unix-nano deadline before which the peer is
-	// not dialed (0: up). Keys are fixed at construction, so reads are
-	// lock-free map lookups on an immutable map of atomics.
-	downUntil map[string]*atomic.Int64
+	// links[peer] holds the peer's down backoff and idle connections.
+	// Keys are fixed at construction, so reads are lock-free lookups in
+	// an immutable map.
+	links map[string]*link
 
 	drift     atomic.Bool
 	reachable atomic.Int64
@@ -183,19 +169,18 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: self %q is not in the node list %v", cfg.Self, cfg.Nodes)
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		ring:      ring,
-		self:      cfg.Self,
-		peers:     peers,
-		hc:        cfg.Client,
-		st:        cfg.Store,
-		log:       cfg.Logger,
-		downUntil: make(map[string]*atomic.Int64, len(peers)),
-		loopStop:  make(chan struct{}),
-		loopDone:  make(chan struct{}),
+		cfg:      cfg,
+		ring:     ring,
+		self:     cfg.Self,
+		peers:    peers,
+		st:       cfg.Store,
+		log:      cfg.Logger,
+		links:    make(map[string]*link, len(peers)),
+		loopStop: make(chan struct{}),
+		loopDone: make(chan struct{}),
 	}
 	for _, p := range peers {
-		c.downUntil[p] = &atomic.Int64{}
+		c.links[p] = &link{}
 	}
 	if cfg.Obs != nil {
 		c.metrics = newClusterMetrics(cfg.Obs, c)
@@ -271,25 +256,26 @@ func (c *Cluster) Available(peer string) bool { return c.available(peer) }
 
 // available reports whether peer is currently dialable (not in backoff).
 func (c *Cluster) available(peer string) bool {
-	d, ok := c.downUntil[peer]
+	l, ok := c.links[peer]
 	if !ok {
 		return false
 	}
-	until := d.Load()
+	until := l.downUntil.Load()
 	return until == 0 || time.Now().UnixNano() >= until
 }
 
-// markDown puts peer in dial backoff after a transport failure.
+// markDown puts peer in dial backoff after a transport failure or a call
+// past its timeout.
 func (c *Cluster) markDown(peer string) {
-	if d, ok := c.downUntil[peer]; ok {
-		d.Store(time.Now().Add(c.cfg.DownBackoff).UnixNano())
+	if l, ok := c.links[peer]; ok {
+		l.downUntil.Store(time.Now().Add(c.cfg.DownBackoff).UnixNano())
 	}
 }
 
-// markUp clears peer's backoff after a successful exchange.
+// markUp clears peer's backoff after it answered.
 func (c *Cluster) markUp(peer string) {
-	if d, ok := c.downUntil[peer]; ok {
-		d.Store(0)
+	if l, ok := c.links[peer]; ok {
+		l.downUntil.Store(0)
 	}
 }
 
@@ -404,39 +390,6 @@ func fromPeerRecord(rec store.PeerRecord) Record {
 
 // errNotFound distinguishes a peer's 404 (clean miss) from real failures.
 var errNotFound = fmt.Errorf("cluster: peer record not found")
-
-// exchange is the one HTTP exchange with a peer, shared by every client
-// call: under timeout it sends body (nil for none) with each header
-// key/value pair whose value is not empty, and reads at most limit bytes
-// of the answer. A transport failure marks the peer down and comes back
-// as an error; an answer, whatever its status, marks the peer up and
-// comes back as status, header, and body.
-func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, peer, path string,
-	body []byte, limit int64, header ...string) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	for i := 0; i+1 < len(header); i += 2 {
-		if header[i+1] != "" {
-			req.Header.Set(header[i], header[i+1])
-		}
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.markDown(peer)
-		return 0, nil, nil, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	c.markUp(peer)
-	answer, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, answer, nil
-}
 
 // get GETs a peer API path, asking for accept, and returns the body of a
 // 200 answer; a 404 is errNotFound, any other status an error quoting the
@@ -583,11 +536,13 @@ func (c *Cluster) BroadcastGraph(ctx context.Context, fp service.Fingerprint, pa
 // Forward relays a binary request frame to the owner node's public API,
 // asking for the caller's accept ("" sends no Accept header, which gets
 // JSON), and returns the owner's answer: status, header, and body. err is
-// non-nil only for transport failures (the owner is down — the caller
-// falls back to serving locally, and the owner enters down backoff); an
-// HTTP error status from the owner comes back as an answer for the caller
-// to pass on. The X-Locshort-Forwarded header stops the owner from
-// forwarding again.
+// non-nil when no whole answer came back: the owner is down or timed out
+// (the caller falls back to serving locally, and the owner enters down
+// backoff), its answer ran past 64 MiB, or ctx ended first. A call whose
+// ctx ended counts as neither a forward nor a forward error, and the
+// caller should not serve it in the owner's place. An HTTP error status
+// from the owner comes back as an answer for the caller to pass on. The
+// X-Locshort-Forwarded header stops the owner from forwarding again.
 func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte, accept string) (int, http.Header, []byte, error) {
 	start := time.Now()
 	status, hdr, body, err := c.exchange(ctx, c.cfg.ForwardTimeout, http.MethodPost, owner, path, frame, 64<<20,
@@ -596,7 +551,9 @@ func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte,
 		c.metrics.forwardSeconds.Observe(time.Since(start))
 	}
 	if err != nil {
-		c.forwardErrs.Add(1)
+		if ctx.Err() == nil {
+			c.forwardErrs.Add(1)
+		}
 		return 0, nil, nil, err
 	}
 	c.forwards.Add(1)

@@ -26,6 +26,21 @@
 // every record this node should own but does not, which is how replicas
 // converge after a node dies or rejoins.
 //
+// # Peer transport
+//
+// Every peer call goes through one exchange over a per-peer pool of
+// keep-alive HTTP/1.1 connections that the Cluster owns (at most 64 idle
+// per peer), not net/http's client Transport. The request is written from
+// the connection's reused buffer in one Write; the answer is parsed by
+// http.ReadResponse, and a body longer than the call's limit is an error.
+// The call's timeout is the connection's deadline, and the caller's
+// context expires it early. A reused connection that fails before any
+// byte of the answer was stale: the peer's whole idle list is dropped and
+// the call is retried once on a fresh dial, which is safe because every
+// peer call is idempotent. Only a transport failure or the timeout puts a
+// peer in down backoff; a caller whose context ended has learned nothing
+// about the peer.
+//
 // Nothing received from a peer is trusted: graph and partition payloads are
 // re-hashed to their fingerprints, shortcut payloads are structurally
 // re-validated and their keys re-derived from (graph, partition, options)
