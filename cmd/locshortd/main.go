@@ -166,6 +166,7 @@ func run() error {
 		AsyncRetention:  *asyncKeep,
 		Obs:             reg,
 		Tracer:          tracer,
+		Logger:          logger,
 	}
 	var st store.Backend
 	if *storeKind == store.KindMem && *data != "" {

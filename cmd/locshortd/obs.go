@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -107,36 +106,34 @@ func (m *httpMetrics) observe(route string, code int, d time.Duration) {
 	c.Inc()
 }
 
-// reqInfo is the per-request annotation record: the middleware plants one
-// in the request context and the shared execution path (execute, relay)
-// fills in what it learned, so the request log line can say which graph
-// and shortcut a request touched and which latency class served it. The
-// fingerprints are rendered only when a line is logged. One goroutine owns
-// a request, so the fields are unsynchronized.
+// reqInfo is the per-request annotation record: it lives inline in the
+// middleware's statusRecorder, and the shortcut handler fills it in from
+// what execute and relay returned (annotate), so the request log line can
+// say which graph and shortcut a request touched and which latency class
+// served it. The fingerprints are rendered only when a line is logged. One
+// goroutine owns a request, so the fields are unsynchronized.
 type reqInfo struct {
 	graph    service.Fingerprint
 	shortcut service.Fingerprint
 	source   string // "cache" | "store" | "peer" | "built" | "forward:<source>"; "" when unannotated
 }
 
-type reqInfoKey struct{}
-
 // annotate records a shortcut request's graph, key, and latency class on
-// the context's reqInfo, if the request came through the instrumented HTTP
-// path. Async dispatcher contexts carry no reqInfo, so job execution
-// annotates nothing.
-func annotate(ctx context.Context, graph, shortcut service.Fingerprint, source string) {
-	if ri, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
-		ri.graph, ri.shortcut, ri.source = graph, shortcut, source
+// the writer's reqInfo, if w is the middleware's statusRecorder. The async
+// dispatcher has no writer, so job execution annotates nothing.
+func annotate(w http.ResponseWriter, graph, shortcut service.Fingerprint, source string) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.info = reqInfo{graph: graph, shortcut: shortcut, source: source}
 	}
 }
 
 // statusRecorder captures the response status for the request log and the
-// per-(route, code) counters. A handler that never calls WriteHeader
-// implicitly wrote 200.
+// per-(route, code) counters, and carries the request's annotation. A
+// handler that never calls WriteHeader implicitly wrote 200.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	info   reqInfo
 }
 
 func (w *statusRecorder) WriteHeader(code int) {
@@ -148,7 +145,9 @@ func (w *statusRecorder) WriteHeader(code int) {
 // per-route metrics, and one structured log line per request. It reads
 // r.Pattern after the mux ran, so the route label is the registered
 // pattern ("POST /v1/shortcuts"), never the raw URL — label cardinality
-// stays bounded by the route table.
+// stays bounded by the route table. It hands the mux the request it was
+// given: the annotation rides on the writer, not in a context value, so
+// no per-request context or request copy is made.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.ready != nil && !s.ready() && strings.HasPrefix(r.URL.Path, "/v1/") &&
@@ -167,12 +166,10 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		start := time.Now()
-		ri := &reqInfo{}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if s.metrics != nil {
 			s.metrics.inFlight.Add(1)
 		}
-		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri))
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
 		route := r.Pattern // set by the mux during ServeHTTP
@@ -183,7 +180,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			s.metrics.inFlight.Add(-1)
 			s.metrics.observe(route, rec.status, dur)
 		}
-		s.logRequest(id, route, rec.status, dur, ri)
+		s.logRequest(id, route, rec.status, dur, &rec.info)
 	})
 }
 

@@ -229,11 +229,56 @@ const maxBody = 64 << 20
 // decode reads a JSON request body capped at maxBody. The ResponseWriter
 // is handed to MaxBytesReader so an oversized body also closes the
 // connection (the client would otherwise keep streaming into a void);
-// decodeStatus maps the resulting error to 413.
+// decodeStatus maps the resulting error to 413. The body is closed once
+// decoded: a body read to its end and closed leaves net/http nothing to
+// drain after the handler.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	defer r.Body.Close()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// bodyChunk is as much of a declared Content-Length as readBody makes room
+// for before any byte arrives. The header is the client's word: past this,
+// room grows only with the bytes received, so a client that declares
+// 64 MiB and sends nothing holds 64 KiB, not 64 MiB.
+const bodyChunk = 64 << 10
+
+// readBody reads a request body of at most maxBody bytes into buf's
+// backing array, growing it as needed, and closes the body. A declared
+// Content-Length is read in exact ReadFulls, one for a body that fits in
+// buf or in bodyChunk, and at most doubling what has arrived otherwise;
+// the last one hits the end of the body, so net/http has nothing to drain
+// after the handler. A chunked body is read to EOF through the cap. A
+// declared length over the cap fails before anything is read, with the
+// *http.MaxBytesError decodeStatus maps to 413.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	defer r.Body.Close()
+	n := r.ContentLength
+	if n < 0 {
+		bb := bytes.NewBuffer(buf[:0])
+		_, err := bb.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+		return bb.Bytes(), err
+	}
+	if n > maxBody {
+		return buf[:0], &http.MaxBytesError{Limit: maxBody}
+	}
+	size := int(n)
+	buf = buf[:0]
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(size, max(2*len(buf), bodyChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r.Body, buf[len(buf):min(cap(buf), size)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // decodeStatus maps a decode error to its status: 413 when the body cap
@@ -375,7 +420,8 @@ func (s *server) handleGraphsBinary(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	// A fresh buffer, not a pooled one: the engine keeps the payload.
+	payload, err := readBody(w, r, nil)
 	if err != nil {
 		s.httpError(w, decodeStatus(err), err)
 		return
@@ -638,9 +684,7 @@ type served struct {
 	opts     shortcut.Options
 }
 
-// execute is the only place /v1/shortcuts reaches eng.Build. It annotates
-// the request log line with the graph, key, and latency class — the three
-// facts a slow-request investigation starts from.
+// execute is the only place /v1/shortcuts reaches eng.Build.
 func (s *server) execute(ctx context.Context, rs resolved) (served, error) {
 	c, hit, err := s.eng.Build(ctx, rs.build)
 	if err != nil {
@@ -653,17 +697,19 @@ func (s *server) execute(ctx context.Context, rs resolved) (served, error) {
 	if s.cl != nil {
 		sv.servedBy = s.cl.Self()
 	}
-	annotate(ctx, c.GraphFP, c.Key, sv.source)
 	return sv, nil
 }
 
 // relayed is the key owner's answer to a relayed request, verbatim but
-// for the "forward:" prefix on its source header.
+// for the "forward:" prefix on its source header, with the graph and key
+// it was asked for.
 type relayed struct {
 	owner  string
 	status int
 	header http.Header
 	body   []byte
+	graph  service.Fingerprint
+	key    service.Fingerprint
 }
 
 // serveShortcut is the one shortcut request path: resolve → route →
@@ -717,9 +763,9 @@ func (s *server) relay(ctx context.Context, owner string, key service.Fingerprin
 		}
 		if src := hdr[wire.HeaderSource]; len(src) > 0 {
 			src[0] = "forward:" + src[0]
-			annotate(ctx, rs.build.Graph, key, src[0])
 		}
-		return &relayed{owner: owner, status: status, header: hdr, body: body}, nil
+		return &relayed{owner: owner, status: status, header: hdr, body: body,
+			graph: rs.build.Graph, key: key}, nil
 	}
 }
 
@@ -765,21 +811,14 @@ func (rel *relayed) jobResult() (json.RawMessage, error) {
 
 func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 	var req shortcutRequest
+	var err error
 	if wire.IsBinary(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			s.httpError(w, decodeStatus(err), err)
-			return
-		}
-		frame, err := wire.DecodeShortcutRequest(body)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		req = shortcutRequest{Graph: frame.Graph.String(), Partition: frame.Partition,
-			Parts: frame.Parts, Seed: frame.Seed, Options: frame.Options}
-	} else if err := decode(w, r, &req); err != nil {
-		s.httpError(w, decodeStatus(err), err)
+		req, err = readShortcutFrame(w, r)
+	} else {
+		req, err = decodeShortcutJSON(w, r)
+	}
+	if err != nil {
+		s.httpError(w, statusFor(err), err)
 		return
 	}
 	if req.Async {
@@ -799,19 +838,62 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err != nil:
 		s.httpError(w, statusFor(err), err)
+		return
 	case rel != nil:
-		s.writeRelayed(w, rel)
-	case wire.IsBinary(accept):
-		s.writeShortcutBinary(w, sv)
-	default:
-		resp, err := s.shortcutJSON(r.Context(), sv)
-		if err != nil {
-			s.httpError(w, statusFor(err), err)
-			return
+		if src := rel.header[wire.HeaderSource]; len(src) > 0 {
+			annotate(w, rel.graph, rel.key, src[0])
 		}
-		w.Header().Set(wire.HeaderSource, sv.source)
-		s.writeJSON(w, resp)
+		s.writeRelayed(w, rel)
+		return
 	}
+	annotate(w, sv.entry.GraphFP, sv.entry.Key, sv.source)
+	if wire.IsBinary(accept) {
+		s.writeShortcutBinary(w, sv)
+		return
+	}
+	resp, err := s.shortcutJSON(r.Context(), sv)
+	if err != nil {
+		s.httpError(w, statusFor(err), err)
+		return
+	}
+	// The name is canonical already: Set would only canonicalize it again.
+	w.Header()[wire.HeaderSource] = []string{sv.source}
+	s.writeJSON(w, resp)
+}
+
+// decodeShortcutJSON decodes a JSON shortcut request body. The request is
+// decoded in here, not in the handler: a pointer handed to encoding/json
+// moves its target to the heap, and binary requests should not pay that.
+func decodeShortcutJSON(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
+	var req shortcutRequest
+	if err := decode(w, r, &req); err != nil {
+		return req, &statusError{status: decodeStatus(err), err: err}
+	}
+	return req, nil
+}
+
+// framePool recycles binary request bodies: a frame is decoded into fresh
+// values and dropped, so its buffer can take the next request's frame.
+// Buffers over maxPooledBuf are not kept.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readShortcutFrame reads and decodes a binary shortcut request body.
+func readShortcutFrame(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
+	bp := framePool.Get().(*[]byte)
+	body, err := readBody(w, r, *bp)
+	if err != nil {
+		return shortcutRequest{}, &statusError{status: decodeStatus(err), err: err}
+	}
+	frame, err := wire.DecodeShortcutRequest(body)
+	if cap(body) <= maxPooledBuf {
+		*bp = body
+		framePool.Put(bp)
+	}
+	if err != nil {
+		return shortcutRequest{}, badRequest(err)
+	}
+	return shortcutRequest{Graph: frame.Graph.String(), Partition: frame.Partition,
+		Parts: frame.Parts, Seed: frame.Seed, Options: frame.Options}, nil
 }
 
 // shortcutJSON renders sv as the JSON answer. Quality comes from the
@@ -859,18 +941,41 @@ func (s *server) writeShortcutBinary(w http.ResponseWriter, sv served) {
 	if payload == nil {
 		payload = store.EncodeShortcutRecordPayload(c.GraphFP, c.Parts, sv.opts, c.Result, c.BuildTime)
 	}
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentType)
-	h.Set(wire.HeaderKey, c.Key.String())
-	h.Set(wire.HeaderGraph, c.GraphFP.String())
-	h.Set(wire.HeaderSource, sv.source)
-	h.Set(wire.HeaderBuildNs, strconv.FormatInt(c.BuildTime.Nanoseconds(), 10))
-	if sv.servedBy != "" {
-		h.Set(wire.HeaderServedBy, sv.servedBy)
-	}
-	h.Set("Content-Length", strconv.Itoa(len(payload)))
+	setBinaryAnswerHeaders(w.Header(), c.Key, c.GraphFP, sv.source, sv.servedBy, c.BuildTime, len(payload))
 	if _, err := w.Write(payload); err != nil {
 		s.encodeFailed(err)
+	}
+}
+
+// setBinaryAnswerHeaders sets the binary answer's headers: content type,
+// key, graph, source, build time, payload length and, in cluster mode, the
+// executing node. Key, graph, build time and length are rendered into one
+// string, and every value slices one array, assigned to the header map
+// directly: Header.Set would canonicalize each name, which these already
+// are (textproto.CanonicalMIMEHeaderKey), and allocate a []string per
+// value.
+//
+//locshort:hotpath
+func setBinaryAnswerHeaders(h http.Header, key, graph service.Fingerprint, source, servedBy string,
+	buildTime time.Duration, length int) {
+
+	var buf [16 + 16 + 20 + 20]byte
+	b := key.Append(buf[:0])
+	b = graph.Append(b)
+	b = strconv.AppendInt(b, buildTime.Nanoseconds(), 10)
+	ns := len(b)
+	b = strconv.AppendInt(b, int64(length), 10)
+	rendered := string(b)
+	vals := &[7]string{wire.ContentType, rendered[:16], rendered[16:32], source,
+		rendered[32:ns], rendered[ns:], servedBy}
+	h["Content-Type"] = vals[0:1:1]
+	h[wire.HeaderKey] = vals[1:2:2]
+	h[wire.HeaderGraph] = vals[2:3:3]
+	h[wire.HeaderSource] = vals[3:4:4]
+	h[wire.HeaderBuildNs] = vals[4:5:5]
+	h["Content-Length"] = vals[5:6:6]
+	if servedBy != "" {
+		h[wire.HeaderServedBy] = vals[6:7:7]
 	}
 }
 

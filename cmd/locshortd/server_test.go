@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -1135,7 +1137,9 @@ func TestConcurrentGraphDeleteRace(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestRequestBodyLimit proves an oversized body maps to 413, not 400.
+// TestRequestBodyLimit proves an oversized body maps to 413, not 400: a
+// JSON body past the cap, and a binary request declaring more than the
+// cap, which answers 413 on both binary routes before a body byte is sent.
 func TestRequestBodyLimit(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
 	// 65 MiB of spec, past the 64 MiB cap.
@@ -1148,6 +1152,12 @@ func TestRequestBodyLimit(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	for _, path := range binaryRoutes {
+		resp := sendDeclared(t, ts.Listener.Addr().String(), path, maxBody+1, nil, false)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: declared %d bytes: status %d, want 413", path, maxBody+1, resp.StatusCode)
+		}
 	}
 }
 
@@ -1173,6 +1183,82 @@ func TestBinaryRequestBodyCap(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("oversized-for-1MiB frame, unknown graph: status %d, want 404: %s", resp.StatusCode, body)
+	}
+}
+
+// binaryRoutes are the two routes that read a binary body with readBody.
+var binaryRoutes = []string{"/v1/shortcuts", "/v1/graphs"}
+
+// sendDeclared writes a binary POST to path whose Content-Length header
+// declares declared bytes, then the body bytes and, if closeWrite, a
+// half-close, and returns the answer.
+func sendDeclared(t *testing.T, addr, path string, declared int64, body []byte, closeWrite bool) *http.Response {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	req := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		path, addr, wire.ContentType, declared)
+	if _, err := c.Write(append([]byte(req), body...)); err != nil {
+		t.Fatal(err)
+	}
+	if closeWrite {
+		if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// TestBinaryBodyDeclaredLengthNotTrusted: a binary body's buffer grows with
+// the bytes that arrive, not with the Content-Length the client declares.
+// A request declaring 64 MiB that sends a few bytes and stops answers 400
+// without the server ever allocating anything near 64 MiB, on both
+// binary routes.
+func TestBinaryBodyDeclaredLengthNotTrusted(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	addr := ts.Listener.Addr().String()
+	for _, path := range binaryRoutes {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := sendDeclared(t, addr, path, maxBody, []byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: truncated body: status %d, want 400", path, resp.StatusCode)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: a body declaring %d bytes that sent 8 allocated %d bytes", path, maxBody, grew)
+		}
+	}
+}
+
+// TestReadBodyGrowsToDeclaredLength: a body longer than bodyChunk arrives
+// whole through readBody's doubling reads, into a buffer no larger than
+// the body, both fresh and over a pooled buffer too small for it.
+func TestReadBodyGrowsToDeclaredLength(t *testing.T) {
+	body := make([]byte, 5*bodyChunk+123)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	for _, buf := range [][]byte{nil, make([]byte, 0, 100)} {
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		got, err := readBody(httptest.NewRecorder(), r, buf)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("readBody(cap %d): %d bytes, err %v; want the %d-byte body", cap(buf), len(got), err, len(body))
+		}
+		if cap(got) > len(body) {
+			t.Errorf("readBody(cap %d): cap %d for a %d-byte body", cap(buf), cap(got), len(body))
+		}
 	}
 }
 
@@ -1254,5 +1340,100 @@ func TestRestartQueuedJobCompletes(t *testing.T) {
 	// job is listed done.
 	if problems := st2.Verify(); len(problems) != 0 {
 		t.Errorf("store verify after drain: %v", problems)
+	}
+}
+
+// TestRestartPoisonJobFails: a durable shortcut job whose spec cannot
+// resolve, as a daemon that did not resolve before accepting recorded it
+// (rows:-1x-4 on grid:2x2 used to panic in partition.GridRows), fails on
+// the warm start that re-enqueues it with the 400 a synchronous request
+// gets. The daemon keeps serving, and a second restart does not run the
+// terminal job again.
+func TestRestartPoisonJobFails(t *testing.T) {
+	dir := t.TempDir()
+	// boot opens the store in dir and stands the daemon up over it: warm
+	// start, job recovery, then the dispatchers if start is set.
+	boot := func(start bool) (*server, *httptest.Server, int, func()) {
+		t.Helper()
+		st, err := store.Open(dir, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := service.New(service.Config{Workers: 2, Store: st})
+		if _, err := eng.WarmStart(); err != nil {
+			t.Fatal(err)
+		}
+		srv, h := newServer(eng, jobs.Config{Store: st}, serverOptions{})
+		requeued, err := srv.mgr.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start {
+			srv.mgr.Start()
+		}
+		ts := httptest.NewServer(h)
+		return srv, ts, requeued, func() {
+			ts.Close()
+			srv.mgr.Close()
+			eng.Close()
+			if err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	srv, ts, requeued, stop := boot(false) // dispatchers never started
+	var g graphResponse
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:2x2"}, http.StatusOK, &g)
+	poison := map[string]any{"graph": g.Graph, "partition": "rows:-1x-4"}
+	payload, err := json.Marshal(poison)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Straight to the manager: the handler would resolve the spec and
+	// answer 400 before any record is written.
+	rec, err := srv.mgr.Submit(jobKindShortcut, payload)
+	if err != nil || requeued != 0 {
+		t.Fatalf("submit to a fresh store: %v (%d re-enqueued)", err, requeued)
+	}
+	stop()
+
+	_, ts, requeued, stop = boot(true)
+	if requeued != 1 {
+		t.Fatalf("first restart re-enqueued %d jobs, want the poison job", requeued)
+	}
+	js := waitJob(t, ts.URL, rec.ID.String())
+	var sync struct {
+		Error string `json:"error"`
+	}
+	postJSON(t, ts.URL+"/v1/shortcuts", poison, http.StatusBadRequest, &sync)
+	if js.State != "failed" || js.Error == "" || js.Error != sync.Error {
+		t.Fatalf("poison job after restart = %+v, want failed with the synchronous 400's error %q", js, sync.Error)
+	}
+	var ok shortcutResponse
+	postJSON(t, ts.URL+"/v1/shortcuts", map[string]any{"graph": g.Graph, "partition": "blobs:2", "seed": 1},
+		http.StatusOK, &ok)
+	var stats struct {
+		Stats service.Stats `json:"stats"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if s := stats.Stats; s.AsyncFailed != 1 || s.AsyncPanics != 0 || s.AsyncRetries != 0 {
+		t.Errorf("stats after the poison job: failed %d, panics %d, retries %d; want 1, 0, 0",
+			s.AsyncFailed, s.AsyncPanics, s.AsyncRetries)
+	}
+	stop()
+
+	_, ts, requeued, stop = boot(true)
+	defer stop()
+	if requeued != 0 {
+		t.Fatalf("second restart re-enqueued %d jobs, want none", requeued)
+	}
+	var again struct {
+		jobStatus
+		Attempts int `json:"attempts"`
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+rec.ID.String(), nil, http.StatusOK, &again)
+	if again.State != "failed" || again.Error != js.Error || again.Attempts != 1 {
+		t.Errorf("poison job after the second restart = %+v, want failed once with %q", again, js.Error)
 	}
 }

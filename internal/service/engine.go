@@ -78,6 +78,10 @@ type Config struct {
 	// forced on for instrumented builds) and published when the entry is
 	// first measured.
 	Tracer *obs.Tracer
+	// Logger, when non-nil, logs the stack of a panic in a detached store
+	// persist, once per panic. Nil counts the panic (Stats.PersistPanics)
+	// without logging it.
+	Logger *obs.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -248,7 +252,8 @@ func New(cfg Config) *Engine {
 // jobs finish; queued and future submissions fail with ErrClosed. Close is
 // idempotent per engine lifetime and must not be called twice. When a Store
 // is configured, every build that completed before Close returns is durably
-// persisted (or counted in Stats.StoreErrors).
+// persisted (or counted in Stats.StoreErrors, a panicking persist in
+// Stats.PersistPanics too).
 func (e *Engine) Close() {
 	close(e.quit)
 	e.wg.Wait()
@@ -705,6 +710,17 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 		e.persists.Add(1)
 		go func() {
 			defer e.persists.Done()
+			// A panic in the encode or the store fails this persist, not
+			// the process: nothing above a detached goroutine recovers it.
+			defer func() {
+				if v := recover(); v != nil {
+					e.counters.storeErrs.Add(1)
+					e.counters.persistPanics.Add(1)
+					pe := obs.Recovered(v)
+					e.cfg.Logger.Error("persist_panic", "shortcut", key.String(),
+						"err", pe.Error(), "stack", string(pe.Stack))
+				}
+			}()
 			pStart := time.Now()
 			if err := st.PutShortcut(key, graphFP, parts, opts, res, d); err != nil {
 				e.counters.storeErrs.Add(1)

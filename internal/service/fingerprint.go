@@ -25,8 +25,23 @@ import (
 type Fingerprint uint64
 
 // String renders the fingerprint as 16 lowercase hex digits, the wire form
-// used by the locshortd API.
-func (f Fingerprint) String() string { return fmt.Sprintf("%016x", uint64(f)) }
+// used by the locshortd API. It allocates the string and nothing else.
+func (f Fingerprint) String() string {
+	var b [16]byte
+	return string(f.Append(b[:0]))
+}
+
+// Append appends String's 16 hex digits to b, so a caller rendering
+// several values can build them into one buffer.
+//
+//locshort:hotpath
+func (f Fingerprint) Append(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[uint64(f)>>shift&0xf])
+	}
+	return b
+}
 
 // ParseFingerprint parses the 16-hex-digit wire form.
 func ParseFingerprint(s string) (Fingerprint, error) {

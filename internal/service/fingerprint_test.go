@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -153,5 +154,32 @@ func TestStreamedKeyMatchesCanonicalBytes(t *testing.T) {
 			}
 		}
 		check("random labels", g, p)
+	}
+}
+
+var fingerprintSink string
+
+// TestFingerprintStringMatchesSprintf pins the wire form: String and
+// Append render exactly what fmt's %016x does, and String allocates only
+// its result.
+func TestFingerprintStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	values := []uint64{0, 1, 0xf, 1 << 63, ^uint64(0)}
+	for i := 0; i < 1000; i++ {
+		values = append(values, rng.Uint64(), uint64(rng.Int63n(1<<20)))
+	}
+	for _, v := range values {
+		want := fmt.Sprintf("%016x", v)
+		f := Fingerprint(v)
+		if got := f.String(); got != want {
+			t.Fatalf("Fingerprint(%#x).String() = %q, want %q", v, got, want)
+		}
+		if got := string(f.Append([]byte("key="))); got != "key="+want {
+			t.Fatalf("Fingerprint(%#x).Append = %q, want %q", v, got, "key="+want)
+		}
+	}
+	f := Fingerprint(rng.Uint64())
+	if n := testing.AllocsPerRun(100, func() { fingerprintSink = f.String() }); n != 1 {
+		t.Errorf("Fingerprint.String: %v allocs, want 1", n)
 	}
 }

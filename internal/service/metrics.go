@@ -73,6 +73,7 @@ func newEngineMetrics(r *obs.Registry, e *Engine) *engineMetrics {
 	counter("locshort_engine_peer_reads_total", "Cluster peer shortcut fetches by outcome.", obs.Labels{"outcome": "error"}, c.peerErrs.Load)
 	counter("locshort_engine_store_writes_total", "Persisted shortcut builds.", nil, c.storeWrites.Load)
 	counter("locshort_engine_store_errors_total", "Failed durable-store reads and writes (best-effort persistence; alert here).", nil, c.storeErrs.Load)
+	counter("locshort_engine_persist_panics_total", "Detached shortcut persists that panicked (recovered; each also counts as a store error).", nil, c.persistPanics.Load)
 
 	r.GaugeFunc("locshort_engine_queue_depth", "Accepted-but-unstarted worker-pool jobs.", nil,
 		func() float64 { return float64(c.queueDepth.Load()) })

@@ -669,6 +669,68 @@ func (s *stubStore) DeleteGraph(fp Fingerprint) error {
 	return nil
 }
 
+// panickyPutStore is a stub store with a bug in its encode: PutShortcut
+// panics.
+type panickyPutStore struct{ *stubStore }
+
+func (panickyPutStore) PutShortcut(Fingerprint, Fingerprint, *partition.Partition,
+	shortcut.Options, *shortcut.Result, time.Duration) error {
+	panic("encode bug")
+}
+
+// TestPersistPanicCounted: a panic in the detached persist fails that
+// persist, not the process. It counts as a store error and a persist
+// panic, in Stats and in /metrics; its stack is logged once through
+// Config.Logger, and with no logger it is counted all the same. The engine
+// keeps serving and Close still drains.
+func TestPersistPanicCounted(t *testing.T) {
+	g, p := testGraph(t)
+	p2, err := partition.BFSBlobs(g, 4, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, logged := range []bool{true, false} {
+		var logbuf strings.Builder
+		reg := obs.NewRegistry()
+		cfg := Config{Workers: 1, Store: panickyPutStore{newStubStore()}, Obs: reg}
+		if logged {
+			cfg.Logger = obs.NewLogger(&logbuf)
+		}
+		e := New(cfg)
+		fp, err := e.AddGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []*partition.Partition{p, p2} {
+			if c, _, err := e.Build(context.Background(), BuildRequest{Graph: fp, Parts: parts}); err != nil || c.Source != SourceBuilt {
+				t.Fatalf("Build beside a panicking persist: %v", err)
+			}
+		}
+		e.Close() // drains both persists, panics included
+		st := e.Stats()
+		if st.PersistPanics != 2 || st.StoreErrors != 2 || st.StoreWrites != 0 || st.Builds != 2 {
+			t.Errorf("logged=%v: stats = %+v, want 2 persist panics, 2 store errors, 0 writes, 2 builds", logged, st)
+		}
+		var metrics strings.Builder
+		if err := reg.WritePrometheus(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(metrics.String(), "\nlocshort_engine_persist_panics_total 2\n") {
+			t.Errorf("logged=%v: /metrics lacks locshort_engine_persist_panics_total 2", logged)
+		}
+		lines := strings.Count(logbuf.String(), "msg=persist_panic")
+		switch {
+		case !logged && logbuf.Len() != 0:
+			t.Errorf("no logger, yet something was logged: %s", logbuf.String())
+		case logged && lines != 2:
+			t.Errorf("%d persist_panic lines, want one per panic:\n%s", lines, logbuf.String())
+		case logged && !strings.Contains(logbuf.String(), "encode bug") ||
+			logged && !strings.Contains(logbuf.String(), "panickyPutStore.PutShortcut"):
+			t.Errorf("persist_panic lines lack the value or the stack:\n%s", logbuf.String())
+		}
+	}
+}
+
 // TestEngineStorePersistAndWarmStart drives the full durability cycle
 // through the engine against the stub: persist on build, warm-start a
 // second engine, serve the key store-first without rebuilding.

@@ -20,10 +20,11 @@ type counters struct {
 	queueDepth   atomic.Int64
 	running      atomic.Int64
 
-	storeHits   atomic.Uint64
-	storeMisses atomic.Uint64
-	storeWrites atomic.Uint64
-	storeErrs   atomic.Uint64
+	storeHits     atomic.Uint64
+	storeMisses   atomic.Uint64
+	storeWrites   atomic.Uint64
+	storeErrs     atomic.Uint64
+	persistPanics atomic.Uint64
 
 	peerHits   atomic.Uint64
 	peerMisses atomic.Uint64
@@ -64,11 +65,13 @@ type Stats struct {
 	// rebuild (the warm-start path); StoreMisses counts misses that went
 	// on to build; StoreWrites counts persisted builds; StoreErrors counts
 	// failed store reads and writes (persistence is best-effort — alert on
-	// this counter).
-	StoreHits   uint64 `json:"store_hits"`
-	StoreMisses uint64 `json:"store_misses"`
-	StoreWrites uint64 `json:"store_writes"`
-	StoreErrors uint64 `json:"store_errors"`
+	// this counter). PersistPanics counts detached persists that panicked
+	// (recovered; each also counts in StoreErrors).
+	StoreHits     uint64 `json:"store_hits"`
+	StoreMisses   uint64 `json:"store_misses"`
+	StoreWrites   uint64 `json:"store_writes"`
+	StoreErrors   uint64 `json:"store_errors"`
+	PersistPanics uint64 `json:"persist_panics"`
 
 	// Cluster peer-fetch counters, all zero unless Config.Peers is set.
 	// PeerHits counts store misses served by fetching a peer's record
@@ -147,6 +150,7 @@ func (c *counters) snapshot() Stats {
 		StoreMisses:    c.storeMisses.Load(),
 		StoreWrites:    c.storeWrites.Load(),
 		StoreErrors:    c.storeErrs.Load(),
+		PersistPanics:  c.persistPanics.Load(),
 		PeerHits:       c.peerHits.Load(),
 		PeerMisses:     c.peerMisses.Load(),
 		PeerErrors:     c.peerErrs.Load(),
