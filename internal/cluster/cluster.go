@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -644,6 +645,7 @@ func (c *Cluster) FetchShortcut(ctx context.Context, key service.Fingerprint,
 //	GET /v1/peer/records/{key} one shortcut record + dependency payloads
 //	GET /v1/peer/graphs/{fp}   one graph record payload
 //	PUT /v1/peer/graphs/{fp}   ingest-broadcast receiver: verify + register
+//	                           (413 past the longest legal graph payload)
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/peer/ring", c.handleRing)
@@ -764,22 +766,39 @@ func (c *Cluster) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 	c.peerJSON(w, GraphPayload{Payload: payload})
 }
 
+// maxGraphPayload is the longest graph payload store.DecodeGraphPayload
+// accepts: a version byte, the 16-byte header and MaxEdges edges of 24
+// bytes. maxGraphJSON is the same payload base64-encoded in a GraphPayload
+// envelope, with room for whitespace. A peer graph PUT may be no longer.
+const (
+	maxGraphPayload = 17 + 24*graph.MaxEdges
+	maxGraphJSON    = (maxGraphPayload+2)/3*4 + 64
+)
+
 func (c *Cluster) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	fp, err := service.ParseFingerprint(r.PathValue("fp"))
 	if err != nil {
 		c.peerError(w, http.StatusBadRequest, err)
 		return
 	}
-	var payload []byte
-	if wire.IsBinary(r.Header.Get("Content-Type")) {
-		payload, err = io.ReadAll(io.LimitReader(r.Body, 256<<20))
-		if err != nil {
-			c.peerError(w, http.StatusBadRequest, err)
-			return
+	binary := wire.IsBinary(r.Header.Get("Content-Type"))
+	limit := int64(maxGraphJSON)
+	if binary {
+		limit = maxGraphPayload
+	}
+	payload, err := readLimited(w, r, limit)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
 		}
-	} else {
+		c.peerError(w, code, err)
+		return
+	}
+	if !binary {
 		var wr GraphPayload
-		if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&wr); err != nil {
+		if err := json.Unmarshal(payload, &wr); err != nil {
 			c.peerError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -797,6 +816,16 @@ func (c *Cluster) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.peerJSON(w, map[string]string{"graph": fp.String()})
+}
+
+// readLimited reads a request body of at most limit bytes. A longer body
+// fails with an *http.MaxBytesError: at once when its declared length is
+// over the limit, else once limit+1 bytes have arrived.
+func readLimited(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
 // registerGraph installs a verified graph: through the engine when wired

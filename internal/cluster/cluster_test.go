@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
+	"locshort/internal/wire"
 )
 
 // swapHandler lets a test bind httptest servers (to learn their addresses)
@@ -404,6 +406,66 @@ func TestGraphPutRejectsWrongFingerprint(t *testing.T) {
 	}
 	if nodes[1].st.GraphKnown(bogus) || nodes[1].st.GraphKnown(gfp) {
 		t.Fatal("rejected push still left a record behind")
+	}
+}
+
+// TestGraphPutOverLimit: a peer graph PUT declared longer than the longest
+// legal graph payload (binary) or its JSON envelope gets 413 before its
+// body is read, and registers nothing; the same payload within the limits
+// registers, in either encoding. A body of undeclared length is cut off
+// once it passes the limit.
+func TestGraphPutOverLimit(t *testing.T) {
+	nodes := newTestCluster(t, 1)
+	h := nodes[0].cl.Handler()
+	g, _, _, gfp, _ := clusterFixture(t, "grid:6x6", "blobs:3", 8)
+	payload := store.EncodeGraphPayload(g)
+	envelope, err := json.Marshal(GraphPayload{Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(ctype string, body []byte, declared int64) int {
+		req := httptest.NewRequest(http.MethodPut, "/v1/peer/graphs/"+gfp.String(), bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for _, tc := range []struct {
+		ctype string
+		body  []byte
+		limit int64
+	}{
+		{wire.ContentType, payload, maxGraphPayload},
+		{"application/json", envelope, maxGraphJSON},
+	} {
+		if code := put(tc.ctype, tc.body, tc.limit+1); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s PUT declaring %d bytes: %d, want 413", tc.ctype, tc.limit+1, code)
+		}
+		if nodes[0].st.GraphKnown(gfp) {
+			t.Fatalf("%s PUT over the limit registered the graph", tc.ctype)
+		}
+	}
+	for _, tc := range []struct {
+		ctype string
+		body  []byte
+	}{{"application/json", envelope}, {wire.ContentType, payload}} {
+		if code := put(tc.ctype, tc.body, int64(len(tc.body))); code != http.StatusOK {
+			t.Fatalf("%s PUT of a legal payload: %d, want 200", tc.ctype, code)
+		}
+	}
+	if !nodes[0].st.GraphKnown(gfp) {
+		t.Error("legal PUTs did not register the graph")
+	}
+
+	for limit, want := range map[int64]bool{8: false, 9: true} {
+		req := httptest.NewRequest(http.MethodPut, "/", strings.NewReader("123456789"))
+		req.ContentLength = -1
+		b, err := readLimited(httptest.NewRecorder(), req, limit)
+		var tooLarge *http.MaxBytesError
+		if ok := err == nil && len(b) == 9; ok != want || !want && !errors.As(err, &tooLarge) {
+			t.Errorf("9 undeclared bytes at limit %d: %d bytes, err %v", limit, len(b), err)
+		}
 	}
 }
 

@@ -6,15 +6,16 @@ import (
 )
 
 // MaxNodes and MaxEdges bound every graph built from sizes that arrive
-// from outside the process: a family spec (cli.ParseGraph) and a JSON edge
-// list check both, and a binary graph payload from the network
-// (store.DecodeGraphPayload) checks its header's node count; its edge
-// count is pinned by its length. Each path checks before it allocates
-// anything sized from them. MaxEdges admits the ~2.8M edges a 64 MiB
-// binary body can carry (24 bytes each), and MaxNodes every connected
-// graph with that many edges. The store's own records are held to a
-// looser node bound, since earlier releases stored graphs without these
-// limits.
+// from outside the process: a family spec (cli.ParseGraph), a JSON edge
+// list, and the header of a binary graph payload from the network
+// (store.DecodeGraphPayload, store.VerifyPeerRecord) check both. Each path
+// checks before it allocates anything sized from them; a payload's length
+// bounds nothing, since the peer API reads payloads of up to 17+24·MaxEdges
+// bytes. A 64 MiB binary ingest body holds only ~2.8M edges (24 bytes
+// each), so there the body cap binds first. MaxNodes admits every
+// connected graph with MaxEdges edges. The store's own records are held
+// to a looser node bound and no edge bound, since earlier releases stored
+// graphs without these limits.
 const (
 	MaxNodes = 1 << 22
 	MaxEdges = 1 << 22

@@ -13,7 +13,9 @@ import (
 
 // NewRequestID returns a 16-hex-char random ID for correlating log lines,
 // traces, and responses. Collisions across a daemon's lifetime are
-// astronomically unlikely (64 random bits); IDs are not secrets.
+// astronomically unlikely (64 random bits); IDs are not secrets. The hex
+// digits are written into an array and copied out once, so an ID costs
+// one allocation.
 func NewRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -21,7 +23,9 @@ func NewRequestID() string {
 		// process-local sequence rather than crashing the request path.
 		return fmt.Sprintf("seq-%d", seqID.next())
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 var seqID idSeq

@@ -295,7 +295,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
-		b := StartTrace("build")
+		b := StartTrace("build", time.Now())
 		b.Add("csr", 0, time.Millisecond)
 		b.SetGraph("grid:8x8")
 		tr.Publish(b.Finish())
@@ -327,7 +327,7 @@ func TestTracerRing(t *testing.T) {
 }
 
 func TestTraceBuilderSpans(t *testing.T) {
-	b := StartTrace("build")
+	b := StartTrace("build", time.Now())
 	done := b.Span("bfs_tree")
 	time.Sleep(2 * time.Millisecond)
 	done()
@@ -375,7 +375,31 @@ func TestNewRequestID(t *testing.T) {
 	if a == b {
 		t.Error("consecutive request IDs collide")
 	}
-	if len(a) != 16 {
-		t.Errorf("ID %q: want 16 hex chars", a)
+	for _, id := range []string{a, b} {
+		if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+			t.Errorf("ID %q: want 16 lowercase hex chars", id)
+		}
+	}
+	want := 1.0
+	if raceEnabled {
+		want = 2 // crypto/rand's buffer escapes in race builds
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewRequestID() }); n != want {
+		t.Errorf("NewRequestID: %.1f allocs/op, want %.0f", n, want)
+	}
+}
+
+// TestStartTraceBackdated: a trace made after its operation began counts
+// its start and every offset from the start it was given.
+func TestStartTraceBackdated(t *testing.T) {
+	start := time.Now().Add(-5 * time.Millisecond)
+	b := StartTrace("build", start)
+	if el := b.Elapsed(); el < 5*time.Millisecond {
+		t.Errorf("Elapsed = %v on a trace begun 5ms ago", el)
+	}
+	b.Add("store_check", 0, time.Millisecond)
+	tr := b.Finish()
+	if tr.Start != start.UnixNano() || tr.DurNs < (5*time.Millisecond).Nanoseconds() {
+		t.Errorf("trace start %d dur %d, want start %d and >= 5ms", tr.Start, tr.DurNs, start.UnixNano())
 	}
 }

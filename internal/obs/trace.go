@@ -36,12 +36,13 @@ type TraceBuilder struct {
 	start time.Time
 }
 
-// StartTrace begins a trace for the named operation.
-func StartTrace(op string) *TraceBuilder {
-	now := time.Now()
+// StartTrace begins a trace for the named operation, which began at start:
+// a caller that decides late whether an operation is worth a trace makes
+// it then, backdated, and every offset still counts from start.
+func StartTrace(op string, start time.Time) *TraceBuilder {
 	return &TraceBuilder{
-		t:     Trace{ID: NewRequestID(), Op: op, Start: now.UnixNano()},
-		start: now,
+		t:     Trace{ID: NewRequestID(), Op: op, Start: start.UnixNano()},
+		start: start,
 	}
 }
 

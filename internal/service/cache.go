@@ -2,8 +2,9 @@ package service
 
 import (
 	"container/list"
-	"context"
 	"sync"
+
+	"locshort/internal/graph"
 )
 
 // cache is a sharded, singleflight, in-memory LRU keyed by Fingerprint.
@@ -11,15 +12,13 @@ import (
 // Each shard guards a map plus an LRU list with one mutex; a fingerprint's
 // shard is its low bits, which FNV-1a mixes well.
 // Lookups of a completed entry touch the LRU and return immediately.
-// Lookups of an in-flight entry wait for the single builder (or the
-// caller's context, whichever finishes first). Lookups of a missing entry
-// install an in-flight marker and start exactly one builder goroutine —
-// the singleflight guarantee — which the caller can abandon on context
-// cancellation without aborting the build: the result still lands in the
-// cache for everyone who asks next.
+// Lookups of an in-flight entry join it. A lookup of a missing entry
+// installs an in-flight one — the singleflight guarantee — and its caller
+// hands that entry to a worker as the fill job (Engine.miss); the worker
+// completes it with fill, whoever still waits.
 //
-// Failed builds are not cached; eviction only considers completed entries,
-// so an in-flight build can never be evicted out from under its waiters.
+// Failed fills are not cached; eviction only considers completed entries,
+// so an in-flight entry can never be evicted out from under its waiters.
 type cache struct {
 	shards  []*cacheShard
 	mask    uint64
@@ -33,12 +32,19 @@ type cacheShard struct {
 	lru *list.List // front = most recently used; completed entries only
 }
 
+// cacheEntry is one key's slot. While in flight it is also the worker job
+// that fills it: g and req are what the fill materializes from, set by the
+// caller that installed the entry before it queues it, and cleared by the
+// fill, so a resident entry holds no request.
 type cacheEntry struct {
 	key   Fingerprint
 	ready chan struct{} // closed once val/err are set
 	val   *Cached
 	err   error
 	elem  *list.Element // non-nil once completed and resident
+
+	g   *graph.Graph
+	req BuildRequest
 }
 
 // newCache sizes the shard array to a power of two and splits the total
@@ -65,72 +71,60 @@ func newCache(shards, capacity int, metrics *counters) *cache {
 //locshort:hotpath
 func (c *cache) shard(key Fingerprint) *cacheShard { return c.shards[uint64(key)&c.mask] }
 
-// getOrBuild returns the cached value for key, waiting on an in-flight
-// build or starting one via build. ctx cancels the wait, never the build.
-// hit reports whether the entry was already complete at lookup — the
-// latency-relevant distinction: singleflight joiners wait out most of a
-// build, so they report hit=false even though they count as cache hits.
+// join returns key's entry: a completed one (done, a hit that touches the
+// LRU), an in-flight one to wait on (a hit too), or — on a miss — a fresh
+// in-flight entry this call installed (fresh), which the caller must hand
+// to a worker that fills it.
 //
 //locshort:hotpath
-func (c *cache) getOrBuild(ctx context.Context, key Fingerprint, build func() (*Cached, error)) (v *Cached, hit bool, err error) {
+func (c *cache) join(key Fingerprint) (e *cacheEntry, done, fresh bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
 		select {
-		case <-e.ready: // completed: hit
+		case <-e.ready:
+			done = true
 			if e.elem != nil {
 				s.lru.MoveToFront(e.elem)
 			}
-			s.mu.Unlock()
-			c.metrics.hits.Add(1)
-			return e.val, true, e.err
 		default: // in flight: join the single flight
-			s.mu.Unlock()
-			c.metrics.hits.Add(1)
-			select {
-			case <-e.ready:
-				return e.val, false, e.err
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
 		}
+		s.mu.Unlock()
+		c.metrics.hits.Add(1)
+		return e, done, false
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	e = &cacheEntry{key: key, ready: make(chan struct{})}
 	s.m[key] = e
 	s.mu.Unlock()
 	c.metrics.misses.Add(1)
+	return e, false, true
+}
 
-	//locshort:alloc-ok miss path: the build this goroutine runs dwarfs the closure
-	go func() {
-		val, err := build()
-		s.mu.Lock()
-		e.val, e.err = val, err
-		if err != nil {
-			delete(s.m, key) // failed builds are not cached
-		} else {
-			e.elem = s.lru.PushFront(e)
-			for s.lru.Len() > c.perCap {
-				old := s.lru.Back()
-				s.lru.Remove(old)
-				delete(s.m, old.Value.(*cacheEntry).key)
-				c.metrics.evictions.Add(1)
-			}
+// fill completes an in-flight entry and releases its waiters: a value
+// becomes resident, evicting the shard's least recently used entries past
+// capacity; an error removes the entry, so the next lookup fills afresh.
+func (c *cache) fill(e *cacheEntry, val *Cached, err error) {
+	s := c.shard(e.key)
+	s.mu.Lock()
+	e.val, e.err = val, err
+	if err != nil {
+		delete(s.m, e.key)
+	} else {
+		e.elem = s.lru.PushFront(e)
+		for s.lru.Len() > c.perCap {
+			old := s.lru.Back()
+			s.lru.Remove(old)
+			delete(s.m, old.Value.(*cacheEntry).key)
+			c.metrics.evictions.Add(1)
 		}
-		s.mu.Unlock()
-		close(e.ready)
-	}()
-
-	select {
-	case <-e.ready:
-		return e.val, false, e.err
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
 	}
+	s.mu.Unlock()
+	close(e.ready)
 }
 
 // get returns the completed entry for key, counting a hit, or false —
 // without building, waiting, or allocating. Engine.Build tries it before
-// it makes getOrBuild's miss closure.
+// it takes the miss path.
 //
 //locshort:hotpath
 func (c *cache) get(key Fingerprint) (*Cached, bool) {

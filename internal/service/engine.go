@@ -76,7 +76,8 @@ type Config struct {
 	// level's sweep/assemble split, and the first quality measurement. The
 	// trace is assembled on the cold path only (Options.CollectStages is
 	// forced on for instrumented builds) and published when the entry is
-	// first measured.
+	// first measured. A store hit's trace (store check and measurement) is
+	// made only then, backdated to the miss.
 	Tracer *obs.Tracer
 	// Logger, when non-nil, logs the stack of a panic in a detached store
 	// persist, once per panic. Nil counts the panic (Stats.PersistPanics)
@@ -142,10 +143,16 @@ type Cached struct {
 	routing     *dist.PARouting
 	routingErr  error
 
-	// trace is the construction's pending stage trace (nil when tracing is
-	// off); the first Quality call appends the "measure" span, publishes to
-	// tracer, and clears it. qualityOnce guarantees a single publisher.
+	// trace is the pending stage trace of a construction or a peer fetch
+	// (nil when tracing is off, and for a store hit); the first Quality
+	// call appends the "measure" span, publishes to tracer, and clears it.
+	// qualityOnce guarantees a single publisher. A store hit keeps only
+	// when its miss began and how long the store check took: its trace is
+	// made at that first Quality, so a hit that no one measures (a binary
+	// answer) makes none.
 	trace      *obs.TraceBuilder
+	missStart  time.Time
+	storeCheck time.Duration
 	tracer     *obs.Tracer
 	engMetrics *engineMetrics
 }
@@ -161,9 +168,13 @@ func (c *Cached) Quality() shortcut.Quality {
 		if m := c.engMetrics; m != nil {
 			m.measureSeconds.Observe(d)
 		}
-		if c.trace != nil {
-			c.trace.Add("measure", c.trace.Elapsed()-d, d)
-			c.tracer.Publish(c.trace.Finish())
+		if c.tracer != nil {
+			tb := c.trace
+			if tb == nil {
+				tb = missTrace(c.Key, c.missStart, true, c.storeCheck)
+			}
+			tb.Add("measure", tb.Elapsed()-d, d)
+			c.tracer.Publish(tb.Finish())
 			c.trace = nil
 		}
 		c.qualityDone.Store(true)
@@ -190,15 +201,29 @@ func (c *Cached) Routing() (*dist.PARouting, error) {
 	return c.routing, c.routingErr
 }
 
+// missTrace makes the build trace of a cache miss that began at start,
+// backdated to it, with the store check as its first span when a store was
+// checked.
+func missTrace(key Fingerprint, start time.Time, checked bool, storeCheck time.Duration) *obs.TraceBuilder {
+	tb := obs.StartTrace("build", start)
+	tb.SetFingerprint(key.String())
+	if checked {
+		tb.Add("store_check", 0, storeCheck)
+	}
+	return tb
+}
+
 // Engine is the concurrent shortcut-serving engine. All exported methods
 // are safe for concurrent use; query methods block until a worker has
 // executed the job, the context is canceled, or the engine closes.
 type Engine struct {
 	cfg   Config
 	cache *cache
-	jobs  chan *job
+	jobs  chan task
 	quit  chan struct{}
-	wg    sync.WaitGroup
+	// wg counts the engine's goroutines: the workers, and any fill send
+	// waiting for room in a full queue.
+	wg sync.WaitGroup
 
 	mu     sync.RWMutex
 	graphs map[Fingerprint]*graph.Graph
@@ -232,7 +257,7 @@ func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:    cfg,
-		jobs:   make(chan *job, cfg.QueueDepth),
+		jobs:   make(chan task, cfg.QueueDepth),
 		quit:   make(chan struct{}),
 		graphs: make(map[Fingerprint]*graph.Graph),
 	}
@@ -249,15 +274,39 @@ func New(cfg Config) *Engine {
 }
 
 // Close stops the worker pool and drains detached store writes. In-flight
-// jobs finish; queued and future submissions fail with ErrClosed. Close is
-// idempotent per engine lifetime and must not be called twice. When a Store
-// is configured, every build that completed before Close returns is durably
-// persisted (or counted in Stats.StoreErrors, a panicking persist in
+// jobs finish; queued and future submissions fail with ErrClosed, and so
+// does every waiter of a cache fill still queued (nothing is cached for
+// it). Close must not be called twice. When a Store is configured, every
+// build that completed before Close returns is durably persisted (or
+// counted in Stats.StoreErrors, a panicking persist in
 // Stats.PersistPanics too).
 func (e *Engine) Close() {
 	close(e.quit)
 	e.wg.Wait()
+	// Every worker and every waiting send has exited, so no one runs what
+	// is left in the queue.
+	for drained := false; !drained; {
+		select {
+		case t := <-e.jobs:
+			e.counters.queueDepth.Add(-1)
+			t.drop(e)
+		default:
+			drained = true
+		}
+	}
 	e.persists.Wait()
+}
+
+// closed reports whether Close has begun.
+//
+//locshort:hotpath
+func (e *Engine) closed() bool {
+	select {
+	case <-e.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stats returns an atomic snapshot of the engine counters.
@@ -411,12 +460,21 @@ func (e *Engine) Shortcut(key Fingerprint) (*Cached, bool) {
 	return e.cache.peek(key)
 }
 
-// job is one unit of worker-pool work. run executes with the submitter's
-// context; done is closed when the job has finished (or been skipped
-// because its context was already canceled at pickup).
+// task is what the worker queue carries: a submitted *job, or the
+// *cacheEntry of a cache miss, which is its own fill job.
+type task interface {
+	// run executes the task on a worker.
+	run(e *Engine)
+	// drop discards the task unrun, because the engine closed.
+	drop(e *Engine)
+}
+
+// job is one submitted unit of worker-pool work. fn executes with the
+// submitter's context; done is closed when the job has finished (or been
+// skipped because its context was already canceled at pickup).
 type job struct {
 	ctx  context.Context
-	run  func(context.Context)
+	fn   func(context.Context)
 	done chan struct{}
 }
 
@@ -426,25 +484,81 @@ func (e *Engine) worker() {
 		select {
 		case <-e.quit:
 			return
-		case j := <-e.jobs:
+		case t := <-e.jobs:
 			e.counters.queueDepth.Add(-1)
-			if j.ctx.Err() != nil {
-				e.counters.jobsCanceled.Add(1)
-				close(j.done)
-				continue
+			if e.closed() {
+				// Picked in the same instant Close began: Close drops
+				// what is still queued, and this task with it.
+				t.drop(e)
+				return
 			}
-			e.counters.running.Add(1)
-			start := time.Now()
-			j.run(j.ctx)
-			d := time.Since(start)
-			e.counters.jobNs.Add(d.Nanoseconds())
-			if e.metrics != nil {
-				e.metrics.jobSeconds.Observe(d)
-			}
-			e.counters.running.Add(-1)
-			close(j.done)
+			t.run(e)
 		}
 	}
+}
+
+// jobStarted and jobFinished bracket a task's execution in the job
+// counters: running_jobs, job_total_ns and the job histogram.
+func (e *Engine) jobStarted() time.Time {
+	e.counters.running.Add(1)
+	return time.Now()
+}
+
+func (e *Engine) jobFinished(start time.Time) {
+	d := time.Since(start)
+	e.counters.jobNs.Add(d.Nanoseconds())
+	if e.metrics != nil {
+		e.metrics.jobSeconds.Observe(d)
+	}
+	e.counters.running.Add(-1)
+}
+
+// run executes the job, or skips it if its context was canceled while it
+// was queued.
+func (j *job) run(e *Engine) {
+	if j.ctx.Err() != nil {
+		e.counters.jobsCanceled.Add(1)
+	} else {
+		start := e.jobStarted()
+		j.fn(j.ctx)
+		e.jobFinished(start)
+	}
+	close(j.done)
+}
+
+// drop leaves the job unrun: its submitter has returned ErrClosed.
+func (j *job) drop(*Engine) {}
+
+// run fills the entry. The fill is detached from every caller, so it
+// always runs; its job counters are settled before its waiters are
+// released, and a resident entry keeps no request.
+func (ent *cacheEntry) run(e *Engine) {
+	start := e.jobStarted()
+	val, err := e.materializeEntry(ent)
+	e.jobFinished(start)
+	if err != nil {
+		e.counters.jobsFailed.Add(1)
+	} else {
+		e.counters.jobsDone.Add(1)
+	}
+	ent.g, ent.req = nil, BuildRequest{}
+	e.cache.fill(ent, val, err)
+}
+
+// drop fails the fill: its waiters get ErrClosed, and nothing is cached.
+func (ent *cacheEntry) drop(e *Engine) { e.cache.fill(ent, nil, ErrClosed) }
+
+// materializeEntry runs a fill's materialize. A panic fails this entry
+// alone, as the job's *obs.PanicError: the worker lives on, nothing is
+// cached, and the next request for the key fills afresh.
+func (e *Engine) materializeEntry(ent *cacheEntry) (val *Cached, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			e.counters.jobPanics.Add(1)
+			val, err = nil, obs.Recovered(v)
+		}
+	}()
+	return e.materialize(ent.key, ent.g, &ent.req)
 }
 
 // errSkipped marks a job the worker skipped at pickup because its context
@@ -461,7 +575,7 @@ func submit[T any](e *Engine, ctx context.Context, fn func(context.Context) (T, 
 	var res T
 	err := errSkipped // overwritten unless the job is skipped at pickup
 	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.run = func(ctx context.Context) {
+	j.fn = func(ctx context.Context) {
 		// A panicking fn fails its own job, not the process: the worker
 		// goroutine lives on, and the caller gets an *obs.PanicError.
 		defer func() {
@@ -531,7 +645,7 @@ type BuildRequest struct {
 // hit reports whether the shortcut was already built when the request
 // arrived (the fast path a cache hit buys); singleflight joiners that
 // waited for an in-flight build report hit=false. A hit allocates
-// nothing here: the miss closure is made only on a miss.
+// nothing here.
 func (e *Engine) Build(ctx context.Context, req BuildRequest) (c *Cached, hit bool, err error) {
 	if req.Options.Tree != nil || req.Options.Certify || req.Options.Rng != nil {
 		return nil, false, fmt.Errorf("service: BuildRequest options must not set Tree, Certify, or Rng")
@@ -559,33 +673,79 @@ func (e *Engine) Build(ctx context.Context, req BuildRequest) (c *Cached, hit bo
 	return e.miss(ctx, key, g, req)
 }
 
-// miss is Build past a cache miss: its own function, because the closure
-// it hands getOrBuild captures req, which moves req to the heap on entry.
+// miss is Build past a cache miss. It joins key's in-flight entry, or
+// installs one and queues it as its own fill job; then it waits for the
+// entry, its context or Close, whichever comes first. The fill is detached
+// from every caller, so any waiter, the first included, can give up
+// without aborting it: the result still lands in the cache.
+//
+//locshort:hotpath
 func (e *Engine) miss(ctx context.Context, key Fingerprint, g *graph.Graph, req BuildRequest) (*Cached, bool, error) {
-	return e.cache.getOrBuild(ctx, key, func() (*Cached, error) {
-		// The build job deliberately detaches from the triggering caller's
-		// cancellation: every waiter (including the first) abandons
-		// individually via getOrBuild, while the construction itself runs
-		// to completion and warms the cache.
-		return submit(e, context.WithoutCancel(ctx), func(jctx context.Context) (*Cached, error) {
-			return e.materialize(jctx, key, g, req)
-		})
-	})
+	ent, done, fresh := e.cache.join(key)
+	if done {
+		return ent.val, true, ent.err
+	}
+	if fresh {
+		ent.g, ent.req = g, req
+		e.enqueue(ent)
+	}
+	select {
+	case <-ent.ready:
+		return ent.val, false, ent.err
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	case <-e.quit:
+		return nil, false, ErrClosed
+	}
+}
+
+// enqueue puts a fresh entry on the worker queue as its fill job. Only
+// when the queue is full does the send wait, on a goroutine of its own, so
+// no caller waits on the queue past its context.
+//
+//locshort:hotpath
+func (e *Engine) enqueue(ent *cacheEntry) {
+	if e.closed() {
+		ent.drop(e)
+		return
+	}
+	e.counters.queueDepth.Add(1)
+	select {
+	case e.jobs <- ent:
+	default:
+		e.wg.Add(1)
+		//locshort:alloc-ok a full queue: the send waits on its own goroutine
+		go e.enqueueWait(ent)
+	}
+}
+
+// enqueueWait is enqueue's send to a full queue. If the engine closes
+// first, the fill fails with ErrClosed.
+func (e *Engine) enqueueWait(ent *cacheEntry) {
+	defer e.wg.Done()
+	select {
+	case e.jobs <- ent:
+	case <-e.quit:
+		e.counters.queueDepth.Add(-1)
+		ent.drop(e)
+	}
 }
 
 // materialize produces the entry for key behind the singleflight, on a
 // worker: from the store, else from a peer, else by construction.
-func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Graph, req BuildRequest) (*Cached, error) {
+func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest) (*Cached, error) {
 	// The trace (when tracing is on) is assembled here, behind the
-	// singleflight, so every construction yields exactly one trace no
-	// matter how many callers joined the build. It is published on the
-	// entry's first quality measurement (locshortd measures immediately
-	// after building), which contributes the final "measure" span.
-	var tb *obs.TraceBuilder
-	if e.cfg.Tracer != nil {
-		tb = obs.StartTrace("build")
-		tb.SetFingerprint(key.String())
-	}
+	// singleflight, so every miss yields at most one trace no matter how
+	// many callers joined it. It is published on the entry's first quality
+	// measurement (locshortd measures a JSON answer right after building),
+	// which contributes the final "measure" span. Until the miss does more
+	// than a store check, only its start and the check's duration are
+	// kept: a store hit makes its trace when it is measured, if ever.
+	var (
+		tb         *obs.TraceBuilder
+		storeCheck time.Duration
+	)
+	missStart := time.Now()
 	entry := func(res *shortcut.Result, bt time.Duration, src BuildSource) *Cached {
 		return &Cached{
 			Key:        key,
@@ -596,6 +756,8 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 			BuildTime:  bt,
 			Source:     src,
 			trace:      tb,
+			missStart:  missStart,
+			storeCheck: storeCheck,
 			tracer:     e.cfg.Tracer,
 			engMetrics: e.metrics,
 		}
@@ -607,24 +769,24 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 	// is decoded with its own. A failed load falls through to a fresh
 	// construction.
 	if st := e.cfg.Store; st != nil {
-		loadStart := time.Now()
 		res, bt, ok, err := st.GetShortcut(key, g, req.Parts)
-		loadDur := time.Since(loadStart)
-		if tb != nil {
-			tb.Add("store_check", 0, loadDur)
-		}
+		storeCheck = time.Since(missStart)
 		switch {
 		case err != nil:
 			e.counters.storeErrs.Add(1)
 		case ok:
 			e.counters.storeHits.Add(1)
 			if e.metrics != nil {
-				e.metrics.loadSeconds.Observe(loadDur)
+				e.metrics.loadSeconds.Observe(storeCheck)
 			}
 			return entry(res, bt, SourceStore), nil
 		default:
 			e.counters.storeMisses.Add(1)
 		}
+	}
+	// Past the store, the miss does work worth a trace: make it now.
+	if e.cfg.Tracer != nil {
+		tb = missTrace(key, missStart, e.cfg.Store != nil, storeCheck)
 	}
 	// Peer-fetch: after the local store misses, ask the key's replica
 	// peers before paying a cold construction. Behind the singleflight
@@ -635,11 +797,10 @@ func (e *Engine) materialize(jctx context.Context, key Fingerprint, g *graph.Gra
 	// verification) falls through to a fresh construction: the cluster
 	// degrades to building locally, never to failing the request.
 	if pf := e.cfg.Peers; pf != nil {
-		// jctx: the build job is detached from the triggering caller, and
-		// so is its peer fetch — the fetcher applies its own per-peer
-		// timeouts.
+		// The fill is detached from every caller, and so is its peer
+		// fetch: the fetcher applies its own per-peer timeouts.
 		fetchStart := time.Now()
-		res, bt, ok, err := pf.FetchShortcut(jctx, key, g, req.Parts)
+		res, bt, ok, err := pf.FetchShortcut(context.Background(), key, g, req.Parts)
 		fetchDur := time.Since(fetchStart)
 		if tb != nil {
 			tb.Add("peer_fetch", tb.Elapsed()-fetchDur, fetchDur)

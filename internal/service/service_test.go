@@ -123,6 +123,27 @@ func TestFingerprintWireForm(t *testing.T) {
 	}
 }
 
+// getOrBuild drives the cache the way Engine.miss does, with a goroutine
+// running build in place of the worker that fills a fresh entry.
+func getOrBuild(ctx context.Context, c *cache, key Fingerprint, build func() (*Cached, error)) (*Cached, bool, error) {
+	ent, done, fresh := c.join(key)
+	if done {
+		return ent.val, true, ent.err
+	}
+	if fresh {
+		go func() {
+			val, err := build()
+			c.fill(ent, val, err)
+		}()
+	}
+	select {
+	case <-ent.ready:
+		return ent.val, false, ent.err
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+}
+
 // TestCacheSingleflight hammers one key from many goroutines and asserts
 // exactly one build ran.
 func TestCacheSingleflight(t *testing.T) {
@@ -137,7 +158,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _, err := c.getOrBuild(context.Background(), 42, func() (*Cached, error) {
+			v, _, err := getOrBuild(context.Background(), c, 42, func() (*Cached, error) {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond)
 				return &Cached{Key: 42}, nil
@@ -163,7 +184,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, _, err := c.getOrBuild(context.Background(), 7, func() (*Cached, error) {
+		_, _, err := getOrBuild(context.Background(), c, 7, func() (*Cached, error) {
 			calls++
 			return nil, boom
 		})
@@ -191,7 +212,7 @@ func TestCacheEviction(t *testing.T) {
 		wg.Add(1)
 		go func(k Fingerprint) {
 			defer wg.Done()
-			_, _, err := c.getOrBuild(context.Background(), k, func() (*Cached, error) {
+			_, _, err := getOrBuild(context.Background(), c, k, func() (*Cached, error) {
 				return &Cached{Key: k}, nil
 			})
 			if err != nil {
@@ -209,11 +230,11 @@ func TestCacheEviction(t *testing.T) {
 	// LRU: the most recently inserted keys of each shard survive; an
 	// evicted key rebuilds.
 	rebuilt := false
-	c.getOrBuild(context.Background(), 0, func() (*Cached, error) {
+	getOrBuild(context.Background(), c, 0, func() (*Cached, error) {
 		rebuilt = true
 		return &Cached{}, nil
 	})
-	c.getOrBuild(context.Background(), 1, func() (*Cached, error) {
+	getOrBuild(context.Background(), c, 1, func() (*Cached, error) {
 		rebuilt = true
 		return &Cached{}, nil
 	})
@@ -232,7 +253,7 @@ func TestCacheCancelMidBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := c.getOrBuild(ctx, 9, func() (*Cached, error) {
+		_, _, err := getOrBuild(ctx, c, 9, func() (*Cached, error) {
 			<-release
 			return &Cached{Key: 9}, nil
 		})
@@ -249,7 +270,7 @@ func TestCacheCancelMidBuild(t *testing.T) {
 		t.Fatal("canceled waiter did not return")
 	}
 	close(release)
-	v, _, err := c.getOrBuild(context.Background(), 9, func() (*Cached, error) {
+	v, _, err := getOrBuild(context.Background(), c, 9, func() (*Cached, error) {
 		t.Error("abandoned build did not populate the cache")
 		return nil, nil
 	})
@@ -515,6 +536,242 @@ func TestEnginePanicFailsJob(t *testing.T) {
 	if st := e.Stats(); st.JobPanics != 3 || st.JobsFailed != 3 || st.Builds != 1 {
 		t.Errorf("stats = %+v, want 3 job panics, 3 failed jobs, 1 build", st)
 	}
+	jobsSettle(t, e)
+
+	// A store read that panics fails its own fill: the request gets the
+	// panic, nothing is cached, and the next Build of the key reads again.
+	ps := panickyGetStore{newStubStore()}
+	se := newTestEngine(t, Config{Workers: 1, Store: ps})
+	sfp, err := se.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		_, _, err := se.Build(context.Background(), BuildRequest{Graph: sfp, Parts: p})
+		if !errors.As(err, &pe) || pe.Value != "decode bug" || !strings.Contains(string(pe.Stack), "panickyGetStore.GetShortcut") {
+			t.Fatalf("Build %d over a panicking store read returned %v, want an *obs.PanicError raised in GetShortcut", i, err)
+		}
+	}
+	ps.mu.Lock()
+	gets := ps.gets
+	ps.mu.Unlock()
+	if st := se.Stats(); gets != 2 || st.JobPanics != 2 || st.JobsFailed != 2 || st.CachedEntries != 0 || st.Builds != 0 {
+		t.Errorf("%d store reads, stats = %+v; want 2 reads, 2 job panics, 2 failed jobs, nothing cached or built", gets, st)
+	}
+	jobsSettle(t, se)
+}
+
+// eventually polls cond until it holds, failing the test after 5s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// jobsSettle waits until the engine's queue is empty and no job runs.
+func jobsSettle(t *testing.T, e *Engine) {
+	t.Helper()
+	eventually(t, "queue_depth and running_jobs return to 0", func() bool {
+		s := e.Stats()
+		return s.QueueDepth == 0 && s.RunningJobs == 0
+	})
+}
+
+// occupy submits a job that holds e's only worker until release is
+// called, and waits until the worker runs it.
+func occupy(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	go submit(e, context.Background(), func(context.Context) (int, error) {
+		<-block
+		return 0, nil
+	})
+	eventually(t, "the worker runs the blocking job", func() bool { return e.Stats().RunningJobs == 1 })
+	return func() { close(block) }
+}
+
+// TestEngineMissCanceledOnFullQueue: with the one worker busy and the
+// one-slot queue full, a miss whose caller gives up returns its context's
+// error at once, yet its fill still runs once the worker frees up, and the
+// next Build of the key is a cache hit.
+func TestEngineMissCanceledOnFullQueue(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 1})
+	g, p := testGraph(t)
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := occupy(t, e)
+	go submit(e, context.Background(), func(context.Context) (int, error) { return 0, nil })
+	eventually(t, "a job fills the queue", func() bool { return e.Stats().QueueDepth == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: p})
+		errc <- err
+	}()
+	eventually(t, "the fill waits for room in the queue", func() bool { return e.Stats().QueueDepth == 2 })
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled miss returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a caller whose context ended stayed blocked on the full queue")
+	}
+	release()
+	key := ShortcutKey(fp, p, shortcut.Options{})
+	eventually(t, "the abandoned fill lands in the cache", func() bool {
+		_, ok := e.Shortcut(key)
+		return ok
+	})
+	if c, hit, err := e.Build(context.Background(), BuildRequest{Graph: fp, Parts: p}); err != nil || !hit || c.Key != key {
+		t.Fatalf("Build after the abandoned fill: hit=%v err=%v, want a cache hit", hit, err)
+	}
+	if st := e.Stats(); st.Builds != 1 || st.CacheMisses != 1 {
+		t.Errorf("stats = %+v, want 1 build for 1 miss", st)
+	}
+	jobsSettle(t, e)
+}
+
+// TestEngineCloseFailsQueuedFills closes the engine while three fills wait
+// behind a busy worker, two in the queue and one for room in it: every
+// waiter returns ErrClosed within a deadline, Close returns once the
+// worker is released, and nothing is cached.
+func TestEngineCloseFailsQueuedFills(t *testing.T) {
+	e := New(Config{Workers: 1, QueueDepth: 2})
+	g, _ := testGraph(t)
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := occupy(t, e)
+	const fills = 3
+	keys := make(map[Fingerprint]bool, fills)
+	errc := make(chan error, fills)
+	for seed := int64(1); seed <= fills; seed++ {
+		p, err := partition.BFSBlobs(g, 4, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[ShortcutKey(fp, p, shortcut.Options{})] = true
+		go func() {
+			_, _, err := e.Build(context.Background(), BuildRequest{Graph: fp, Parts: p})
+			errc <- err
+		}()
+	}
+	if len(keys) != fills {
+		t.Fatalf("%d distinct keys, want %d", len(keys), fills)
+	}
+	eventually(t, "every fill is queued", func() bool { return e.Stats().QueueDepth == fills })
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	for i := 0; i < fills; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("waiter of a queued fill returned %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a waiter of a queued fill hung through Close")
+		}
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the worker was released")
+	}
+	for key := range keys {
+		if _, ok := e.Shortcut(key); ok {
+			t.Errorf("a fill queued at Close was cached under %s", key)
+		}
+	}
+	if st := e.Stats(); st.CachedEntries != 0 {
+		t.Errorf("stats = %+v, want nothing cached", st)
+	}
+	jobsSettle(t, e)
+}
+
+// TestEngineTracesPublished pins what /v1/traces shows. A cold build's
+// trace has the store check, the Builder's stages and the measurement. A
+// store hit publishes nothing until a JSON answer measures it; then its
+// trace has the store check, at offset 0, and the measurement.
+func TestEngineTracesPublished(t *testing.T) {
+	ctx := context.Background()
+	st := newStubStore()
+	g, p := testGraph(t)
+	checkTrace := func(tr *obs.Tracer, key Fingerprint) []string {
+		t.Helper()
+		traces := tr.Recent(0)
+		if len(traces) != 1 {
+			t.Fatalf("%d traces published, want 1", len(traces))
+		}
+		x := traces[0]
+		if x.Op != "build" || x.Fingerprint != key.String() || x.ID == "" {
+			t.Errorf("trace op=%q fp=%q id=%q, want build/%s with an ID", x.Op, x.Fingerprint, x.ID, key)
+		}
+		names := make([]string, len(x.Spans))
+		for i, sp := range x.Spans {
+			names[i] = sp.Name
+			if sp.StartNs < 0 || sp.DurNs < 0 || sp.StartNs+sp.DurNs > x.DurNs {
+				t.Errorf("span %+v lies outside the trace's %d ns", sp, x.DurNs)
+			}
+		}
+		if len(x.Spans) < 2 || x.Spans[0].Name != "store_check" || x.Spans[0].StartNs != 0 ||
+			x.Spans[len(x.Spans)-1].Name != "measure" {
+			t.Errorf("spans %v: want store_check at offset 0 first and measure last", x.Spans)
+		}
+		return names
+	}
+
+	tr := obs.NewTracer(8)
+	cold := New(Config{Workers: 1, Store: st, Tracer: tr})
+	fp, err := cold.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := cold.Build(ctx, BuildRequest{Graph: fp, Parts: p})
+	if err != nil || c.Source != SourceBuilt {
+		t.Fatalf("cold build: %v", err)
+	}
+	if _, err := cold.MeasureCached(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	cold.Close() // drains the persist the store hit below reads
+	names := strings.Join(checkTrace(tr, c.Key), " ")
+	for _, want := range []string{"choose_root", "bfs_tree", "level(d=", "sweep", "assemble"} {
+		if !strings.Contains(names, want) {
+			t.Errorf("cold build's spans %q lack %s", names, want)
+		}
+	}
+
+	tr = obs.NewTracer(8)
+	warm := newTestEngine(t, Config{Workers: 1, Store: st, Tracer: tr})
+	if _, err := warm.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err = warm.Build(ctx, BuildRequest{Graph: fp, Parts: p})
+	if err != nil || c.Source != SourceStore {
+		t.Fatalf("store hit: %v", err)
+	}
+	if n := tr.Published(); n != 0 {
+		t.Fatalf("an unmeasured store hit published %d traces", n)
+	}
+	if _, err := warm.MeasureCached(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	if names := checkTrace(tr, c.Key); len(names) != 2 {
+		t.Errorf("store hit's spans %v, want store_check and measure", names)
+	}
 }
 
 // panickingStep is a CONGEST node program with a bug: node 40 panics in
@@ -676,6 +933,18 @@ type panickyPutStore struct{ *stubStore }
 func (panickyPutStore) PutShortcut(Fingerprint, Fingerprint, *partition.Partition,
 	shortcut.Options, *shortcut.Result, time.Duration) error {
 	panic("encode bug")
+}
+
+// panickyGetStore is a stub store with a bug in its decode: GetShortcut
+// counts the read, then panics.
+type panickyGetStore struct{ *stubStore }
+
+func (s panickyGetStore) GetShortcut(Fingerprint, *graph.Graph, *partition.Partition) (
+	*shortcut.Result, time.Duration, bool, error) {
+	s.mu.Lock()
+	s.gets++
+	s.mu.Unlock()
+	panic("decode bug")
 }
 
 // TestPersistPanicCounted: a panic in the detached persist fails that

@@ -58,19 +58,22 @@ func (s *Shortcut) CoveredCount() int {
 
 // Validate checks structural sanity: edge IDs in range, no edge listed
 // twice by one part and, for tree-restricted shortcuts, every edge on the
-// tree. The checks run over one dense per-edge array, so the allocations
-// do not grow with the number of parts or edges listed.
+// tree. The checks run over one dense per-edge array from a pool (every
+// store read validates its decode), so once the pool holds an array the
+// size of the graph's edge set, a call allocates nothing.
 func (s *Shortcut) Validate() error {
 	if len(s.H) != s.Parts.NumParts() || len(s.Covered) != s.Parts.NumParts() {
 		return fmt.Errorf("shortcut: %d H-sets and %d coverage flags for %d parts",
 			len(s.H), len(s.Covered), s.Parts.NumParts())
 	}
 	m := s.G.NumEdges()
-	type edgeMark struct {
-		part   int  // 1 + the last part that listed the edge, 0 if none
-		onTree bool // a parent edge of s.Tree
+	sc := edgeMarkPool.Get().(*edgeMarks)
+	defer edgeMarkPool.Put(sc)
+	if cap(sc.marks) < m {
+		sc.marks = make([]edgeMark, m)
 	}
-	marks := make([]edgeMark, m)
+	marks := sc.marks[:m]
+	clear(marks)
 	if s.Tree != nil {
 		for v, e := range s.Tree.ParentEdge {
 			if s.Tree.Parent[v] >= 0 && e >= 0 && e < m {
@@ -94,6 +97,17 @@ func (s *Shortcut) Validate() error {
 	}
 	return nil
 }
+
+// edgeMark is Validate's per-edge state.
+type edgeMark struct {
+	part   int  // 1 + the last part that listed the edge, 0 if none
+	onTree bool // a parent edge of s.Tree
+}
+
+// edgeMarks is Validate's pooled scratch; the array only grows.
+type edgeMarks struct{ marks []edgeMark }
+
+var edgeMarkPool = sync.Pool{New: func() any { return new(edgeMarks) }}
 
 // Quality summarizes the measured quality of a shortcut.
 type Quality struct {

@@ -119,27 +119,34 @@ func encodeGraph(g *graph.Graph) []byte {
 }
 
 // decodeGraph reconstructs a graph from its payload and verifies that the
-// content fingerprint of the payload matches key. A header claiming more
-// than maxNodes nodes is refused before anything is allocated: the node
-// count is a bare header field that sizes graph.New, so without the bound
-// a 17-byte payload could claim enough nodes to exhaust memory. The edge
-// count needs no bound of its own; the payload length pins it exactly. The
-// decoded graph's edge IDs follow canonical edge order.
-func decodeGraph(payload []byte, key service.Fingerprint, maxNodes uint64) (*graph.Graph, error) {
+// content fingerprint of the payload matches key. The header's node and
+// edge counts size graph.New and the edge loop, so they are bounded first,
+// before the hash and the length check: a payload from the network
+// (network true) is held to graph.CheckSize, and the store's own records to
+// maxStoredGraphNodes nodes, with no edge bound, so a data directory an
+// earlier release wrote still warm starts. Refusals wrap graph.ErrTooLarge.
+// The decoded graph's edge IDs follow canonical edge order.
+func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.Graph, error) {
 	if len(payload) < 1 || payload[0] != graphPayloadVersion {
 		return nil, fmt.Errorf("store: graph %s: bad payload version", key)
 	}
 	body := payload[1:]
-	if got := service.FingerprintBytes(body); got != key {
-		return nil, fmt.Errorf("store: graph %s: content hashes to %s", key, got)
-	}
 	if len(body) < 16 {
 		return nil, fmt.Errorf("store: graph %s: short payload", key)
 	}
 	n := binary.BigEndian.Uint64(body)
 	m := binary.BigEndian.Uint64(body[8:])
-	if n > maxNodes {
-		return nil, fmt.Errorf("store: graph %s: %w: %d nodes, limit %d", key, graph.ErrTooLarge, n, maxNodes)
+	if network {
+		// Counts past MaxInt32 are over either limit; capping them keeps
+		// the conversion to int from wrapping.
+		if err := graph.CheckSize(int(min(n, math.MaxInt32)), int(min(m, math.MaxInt32))); err != nil {
+			return nil, fmt.Errorf("store: graph %s: %w", key, err)
+		}
+	} else if n > maxStoredGraphNodes {
+		return nil, fmt.Errorf("store: graph %s: %w: %d nodes, limit %d", key, graph.ErrTooLarge, n, maxStoredGraphNodes)
+	}
+	if got := service.FingerprintBytes(body); got != key {
+		return nil, fmt.Errorf("store: graph %s: content hashes to %s", key, got)
 	}
 	// Divide rather than multiply: 16+24*m wraps for m near 2^64, and a
 	// wrapped product could match the length of a short payload.
@@ -459,10 +466,11 @@ func (r *varintReader) bytes(n int) []byte {
 // to.
 //
 // A store read runs this on every cache miss, so its allocations are a
-// constant number independent of n and k: parent and parent-edge share one
-// array, and every H set slices one backing array that a pre-pass over the
-// per-part counts sizes — capped by the payload bytes left, which every
-// listed edge takes at least one of, before anything is allocated.
+// constant number independent of n and k: the Result and its Shortcut are
+// one object, parent and parent-edge share one array, and every H set
+// slices one backing array that a pre-pass over the per-part counts sizes
+// — capped by the payload bytes left, which every listed edge takes at
+// least one of, before anything is allocated.
 func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	g *graph.Graph, parts *partition.Partition, partCanon []byte) (*shortcut.Result, time.Duration, error) {
 
@@ -478,7 +486,11 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	for _, f := range [...]*int{&opts.Delta, &opts.MaxDelta, &opts.CongestionFactor, &opts.BlockFactor, &opts.MaxIterations} {
 		*f = int(r.varint())
 	}
-	res := &shortcut.Result{}
+	both := &struct {
+		res shortcut.Result
+		s   shortcut.Shortcut
+	}{}
+	res, s := &both.res, &both.s
 	for _, f := range [...]*int{&res.Delta, &res.CongestionThreshold, &res.BlockBudget, &res.Iterations, &res.TreeDepth} {
 		*f = int(r.varint())
 	}
@@ -581,7 +593,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	if pre.err != nil {
 		return fail(pre.err)
 	}
-	s := &shortcut.Shortcut{
+	*s = shortcut.Shortcut{
 		G:       g,
 		Parts:   parts,
 		Tree:    rooted,

@@ -343,7 +343,7 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	g, err := decodeGraph(payload, fp, maxStoredGraphNodes)
+	g, err := decodeGraph(payload, fp, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -603,7 +603,7 @@ func (c *kvCore) Verify() []Problem {
 		}
 		switch ik.kind {
 		case kindGraph:
-			g, err := decodeGraph(payload, ik.key, maxStoredGraphNodes)
+			g, err := decodeGraph(payload, ik.key, false)
 			if err == nil {
 				err = g.Validate()
 			}

@@ -65,10 +65,11 @@ func EncodeGraphPayload(g *graph.Graph) []byte { return encodeGraph(g) }
 
 // DecodeGraphPayload reconstructs a graph from a record payload that
 // arrived from the network (binary ingest, a peer push or fetch),
-// verifying that the payload hashes to fp. A payload over graph.MaxNodes
-// nodes is refused with an error wrapping graph.ErrTooLarge.
+// verifying that the payload hashes to fp. A header claiming more than
+// graph.MaxNodes nodes or graph.MaxEdges edges is refused, before the hash
+// and the length check, with an error wrapping graph.ErrTooLarge.
 func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, error) {
-	return decodeGraph(payload, fp, graph.MaxNodes)
+	return decodeGraph(payload, fp, true)
 }
 
 // DecodeShortcutPayload reconstructs a shortcut record payload against the
@@ -98,11 +99,11 @@ func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partiti
 // payload to PartitionFP (and decode to connected parts of that graph), the
 // shortcut payload must reference exactly those dependencies, validate
 // structurally, and re-derive Key from its stored (graph, partition,
-// options). The graph payload is held to DecodeGraphPayload's node limit.
+// options). The graph payload is held to DecodeGraphPayload's size limits.
 // On success it returns the decoded objects; nothing about the record was
 // taken on trust.
 func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shortcut.Result, time.Duration, error) {
-	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP, graph.MaxNodes)
+	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP, true)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

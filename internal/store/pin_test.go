@@ -149,8 +149,10 @@ func TestSegmentBytesGolden(t *testing.T) {
 // warm, and on a key-only read the decode of the record's partition too.
 // The decode allocates a constant number of times, so one bound holds for
 // the grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the
-// store-mixed benchmark's shape.
-const getShortcutAllocs = 20
+// store-mixed benchmark's shape: 11 key-only (the bound is that plus
+// one), 9 with the request's partition. Race builds drop pooled scratch
+// at random, so they get a looser bound.
+const getShortcutAllocs, getShortcutAllocsRace = 12, 20
 
 // TestStoreReadAllocs pins the read path's allocation counts on both
 // backends: raw payload reads and existence checks allocate nothing (on
@@ -247,6 +249,10 @@ func TestStoreReadAllocs(t *testing.T) {
 					t.Errorf("%s: %.1f allocs/op, want 0", name, n)
 				}
 			}
+			bound := getShortcutAllocs
+			if raceEnabled {
+				bound = getShortcutAllocsRace
+			}
 			// With the request's partition, and key-only: the read then
 			// decodes the record's own partition as well.
 			for _, parts := range []*partition.Partition{fx.parts, nil} {
@@ -255,8 +261,8 @@ func TestStoreReadAllocs(t *testing.T) {
 						t.Fatalf("GetShortcut(key-only=%v): ok=%v err=%v", parts == nil, ok, err)
 					}
 				})
-				if n > getShortcutAllocs {
-					t.Errorf("GetShortcut(key-only=%v): %.1f allocs/op, want <= %d", parts == nil, n, getShortcutAllocs)
+				if n > float64(bound) {
+					t.Errorf("GetShortcut(key-only=%v): %.1f allocs/op, want <= %d", parts == nil, n, bound)
 				}
 				t.Logf("GetShortcut(key-only=%v): %.1f allocs/op", parts == nil, n)
 			}

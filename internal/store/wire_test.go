@@ -164,8 +164,9 @@ func TestPutGraphPayloadVerifies(t *testing.T) {
 
 // TestDecodeGraphPayloadHeader feeds the network decoder headers that must
 // be refused before anything is sized from them: a node count over
-// graph.MaxNodes, and an edge count for which 16+24m wraps around to the
-// payload's true length.
+// graph.MaxNodes, an edge count over graph.MaxEdges, counts past MaxInt,
+// and an edge count for which 16+24m wraps around to the payload's true
+// length.
 func TestDecodeGraphPayloadHeader(t *testing.T) {
 	header := func(n, m uint64, edges int) []byte {
 		b := make([]byte, 17+24*edges)
@@ -177,6 +178,22 @@ func TestDecodeGraphPayloadHeader(t *testing.T) {
 	big := header(graph.MaxNodes+1, 0, 0)
 	if _, err := DecodeGraphPayload(big, service.FingerprintBytes(big[1:])); !errors.Is(err, graph.ErrTooLarge) {
 		t.Errorf("%d-node header: err = %v, want graph.ErrTooLarge", uint64(graph.MaxNodes+1), err)
+	}
+	// A header claiming one edge too many is refused before the hash and
+	// the length check: under any fingerprint, and in a peer record too.
+	wide := header(2, graph.MaxEdges+1, 0)
+	for _, fp := range []service.Fingerprint{service.FingerprintBytes(wide[1:]), 0} {
+		if _, err := DecodeGraphPayload(wide, fp); !errors.Is(err, graph.ErrTooLarge) {
+			t.Errorf("%d-edge header under %s: err = %v, want graph.ErrTooLarge", graph.MaxEdges+1, fp, err)
+		}
+	}
+	if _, _, _, _, err := VerifyPeerRecord(PeerRecord{GraphPayload: wide}); !errors.Is(err, graph.ErrTooLarge) {
+		t.Errorf("peer record with a %d-edge graph header: err = %v, want graph.ErrTooLarge", graph.MaxEdges+1, err)
+	}
+	for _, huge := range [][]byte{header(1<<63, 0, 0), header(2, 1<<63, 0)} {
+		if _, err := DecodeGraphPayload(huge, service.FingerprintBytes(huge[1:])); !errors.Is(err, graph.ErrTooLarge) {
+			t.Errorf("header counts past MaxInt: err = %v, want graph.ErrTooLarge", err)
+		}
 	}
 	// One edge {0,1} is 24 bytes, and 24·(1+2^61) ≡ 24 mod 2^64.
 	wrap := header(2, 1+1<<61, 1)
