@@ -552,6 +552,11 @@ type shortcutRequest struct {
 	// Forwarded is set from the X-Locshort-Forwarded header, never the
 	// body: a relayed request is served locally, not routed again.
 	Forwarded bool `json:"-"`
+	// A binary frame carries its graph fingerprint parsed: fromFrame is
+	// set, frameGraph holds it and Graph stays empty. Binary frames are
+	// never async, so no frame is marshaled back to JSON.
+	frameGraph service.Fingerprint
+	fromFrame  bool
 }
 
 type shortcutResponse struct {
@@ -590,9 +595,12 @@ type resolved struct {
 // only if it must construct. Request-shape problems come back as
 // statusError(400), an unknown graph as service.ErrUnknownGraph (404).
 func (s *server) resolve(req shortcutRequest) (resolved, error) {
-	fp, err := service.ParseFingerprint(req.Graph)
-	if err != nil {
-		return resolved{}, badRequest(err)
+	fp := req.frameGraph
+	if !req.fromFrame {
+		var err error
+		if fp, err = service.ParseFingerprint(req.Graph); err != nil {
+			return resolved{}, badRequest(err)
+		}
 	}
 	g, ok := s.eng.Graph(fp)
 	if !ok {
@@ -892,7 +900,7 @@ func readShortcutFrame(w http.ResponseWriter, r *http.Request) (shortcutRequest,
 	if err != nil {
 		return shortcutRequest{}, badRequest(err)
 	}
-	return shortcutRequest{Graph: frame.Graph.String(), Partition: frame.Partition,
+	return shortcutRequest{frameGraph: frame.Graph, fromFrame: true, Partition: frame.Partition,
 		Parts: frame.Parts, Seed: frame.Seed, Options: frame.Options}, nil
 }
 
@@ -939,7 +947,11 @@ func (s *server) writeShortcutBinary(w http.ResponseWriter, sv served) {
 		}
 	}
 	if payload == nil {
-		payload = store.EncodeShortcutRecordPayload(c.GraphFP, c.Parts, sv.opts, c.Result, c.BuildTime)
+		var err error
+		if payload, err = store.EncodeShortcutRecordPayload(c.GraphFP, c.Parts, sv.opts, c.Result, c.BuildTime); err != nil {
+			s.httpError(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
 	setBinaryAnswerHeaders(w.Header(), c.Key, c.GraphFP, sv.source, sv.servedBy, c.BuildTime, len(payload))
 	if _, err := w.Write(payload); err != nil {

@@ -398,6 +398,14 @@ func getJSON(t *testing.T, url string, out any) {
 // without invoking Build at all — asserted through the engine Stats
 // counters — and with identical measured quality.
 func TestRestartWarmStart(t *testing.T) {
+	// A torus, unlike a grid, is generated out of canonical edge order:
+	// its spec ingest and its warm-started decode must still agree.
+	for _, spec := range []string{"grid:12x12", "torus:12x12"} {
+		t.Run(spec, func(t *testing.T) { testRestartWarmStart(t, spec) })
+	}
+}
+
+func testRestartWarmStart(t *testing.T, spec string) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
@@ -411,7 +419,7 @@ func TestRestartWarmStart(t *testing.T) {
 	var g struct {
 		Graph string `json:"graph"`
 	}
-	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &g)
+	postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": spec}, http.StatusOK, &g)
 	build := map[string]any{"graph": g.Graph, "partition": "blobs:12", "seed": 5}
 	var s1 struct {
 		Shortcut   string `json:"shortcut"`
@@ -459,7 +467,7 @@ func TestRestartWarmStart(t *testing.T) {
 	}
 	getJSON(t, ts2.URL+"/v1/graphs", &list)
 	if len(list.Graphs) != 1 || list.Graphs[0].Graph != g.Graph || list.Graphs[0].Nodes != 144 {
-		t.Fatalf("post-restart graph list = %+v, want the persisted 12x12 grid", list)
+		t.Fatalf("post-restart graph list = %+v, want the persisted %s", list, spec)
 	}
 
 	var s2 struct {

@@ -10,11 +10,13 @@ import (
 	"locshort/internal/tree"
 )
 
-// goldenRoots are the roots the root search chose, before it was memoized
-// on the graph, for the nine families at the sizes the benchmark, CI and
-// the tests use, at seeds 0 and 1 (only ktree and random depend on the
+// goldenRoots are the roots the root search chooses on ParseGraph's
+// canonical form, for the nine families at the sizes the benchmark, CI
+// and the tests use, at seeds 0 and 1 (only ktree and random depend on the
 // seed). A change that moves one moves every tree, shortcut and stored
-// record built on that graph.
+// record built on that graph. The search follows adjacency order, so the
+// random rows moved when ParseGraph started returning canonical edge
+// order; none of the new roots has a larger eccentricity than the old.
 var goldenRoots = []struct {
 	spec string
 	seed int64
@@ -122,14 +124,14 @@ var goldenRoots = []struct {
 	{"ktree:600,4", 1, 0},
 	{"random:20,40", 0, 16},
 	{"random:20,40", 1, 0},
-	{"random:50,120", 0, 0},
+	{"random:50,120", 0, 20},
 	{"random:50,120", 1, 0},
 	{"random:120,300", 0, 74},
-	{"random:120,300", 1, 14},
-	{"random:300,700", 0, 54},
-	{"random:300,700", 1, 260},
-	{"random:600,2400", 0, 420},
-	{"random:600,2400", 1, 477},
+	{"random:120,300", 1, 77},
+	{"random:300,700", 0, 93},
+	{"random:300,700", 1, 244},
+	{"random:600,2400", 0, 357},
+	{"random:600,2400", 1, 317},
 	{"lb:5,12", 0, 2},
 	{"lb:5,12", 1, 2},
 	{"lb:6,16", 0, 3},

@@ -30,7 +30,20 @@ var ErrDegenerateGraph = errors.New("cli: degenerate graph spec")
 // over graph.MaxNodes or graph.MaxEdges fails with graph.ErrTooLarge before
 // anything is allocated. For lb it also returns the row parts; rows is nil
 // otherwise.
-func ParseGraph(spec string, seed int64) (g *graph.Graph, rows [][]int, err error) {
+//
+// The graph is in canonical form (graph.Canonical), the form a graph
+// payload decodes to, so a graph has the same edge IDs, adjacency order
+// and BFS tree whether it arrives as a spec or as a payload.
+func ParseGraph(spec string, seed int64) (*graph.Graph, [][]int, error) {
+	g, rows, err := generate(spec, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return graph.Canonical(g), rows, nil
+}
+
+// generate builds the graph a spec names, in its generator's edge order.
+func generate(spec string, seed int64) (g *graph.Graph, rows [][]int, err error) {
 	kind, arg, _ := strings.Cut(spec, ":")
 	degenerate := func(need string) error {
 		return fmt.Errorf("%w %q: %s", ErrDegenerateGraph, spec, need)

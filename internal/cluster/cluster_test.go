@@ -219,7 +219,10 @@ func TestFetchShortcutKeyOnly(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ShortcutPayload: ok=%v err=%v", ok, err)
 	}
-	got := store.EncodeShortcutRecordPayload(gfp, fetched.Shortcut.Parts, shortcut.Options{}, fetched, bt)
+	got, err := store.EncodeShortcutRecordPayload(gfp, fetched.Shortcut.Parts, shortcut.Options{}, fetched, bt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("key-only fetch is not canonical-identical to the stored record")
 	}

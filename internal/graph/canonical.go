@@ -1,48 +1,81 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 )
 
-// AppendCanonical appends a canonical binary encoding of the graph to b and
-// returns the extended buffer. Two graphs produce identical encodings if and
-// only if they have the same node count and the same multiset of weighted
-// edges: endpoints are normalized to (min, max) and the edge list is sorted
-// by (u, v, w), so neither the orientation nor the insertion order of edges
-// affects the encoding. Edge IDs are deliberately not encoded — callers that
-// address graphs by content (internal/service) keep the first-seen graph as
-// the representative for its fingerprint, and all ID-bearing answers refer
-// to that representative.
-func (g *Graph) AppendCanonical(b []byte) []byte {
-	type cedge struct {
-		u, v int
-		w    float64
+// compareEdges is the canonical edge order: by (U, V, W) on edges
+// normalized to U < V. Weights compare by cmp.Compare, so +0 and −0 tie.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
 	}
-	ce := make([]cedge, len(g.edges))
+	if c := cmp.Compare(a.V, b.V); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.W, b.W)
+}
+
+// IsCanonical reports whether g is in canonical form: every edge has
+// U < V and no −0 weight, and the edge list is nondecreasing in (U, V, W).
+// That is the order store payloads hold edges in, so a canonical graph's
+// edge IDs are its canonical edge indexes. The check is one pass and
+// allocates nothing.
+func IsCanonical(g *Graph) bool {
 	for i, e := range g.edges {
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
+		if e.U >= e.V || (e.W == 0 && math.Signbit(e.W)) {
+			return false
 		}
-		ce[i] = cedge{u, v, e.W}
+		if i > 0 && compareEdges(g.edges[i-1], e) > 0 {
+			return false
+		}
 	}
-	sort.Slice(ce, func(i, j int) bool {
-		if ce[i].u != ce[j].u {
-			return ce[i].u < ce[j].u
+	return true
+}
+
+// Canonical returns g in canonical form: g itself when IsCanonical(g),
+// else a new graph whose edges are g's, normalized to U < V with −0
+// weights stored as +0, in canonical order. Node IDs do not change, and
+// both graphs have the same AppendCanonical encoding.
+func Canonical(g *Graph) *Graph {
+	if IsCanonical(g) {
+		return g
+	}
+	edges := make([]Edge, len(g.edges))
+	for i, e := range g.edges {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
-		if ce[i].v != ce[j].v {
-			return ce[i].v < ce[j].v
+		if e.W == 0 {
+			e.W = 0 // −0 becomes +0
 		}
-		return ce[i].w < ce[j].w
-	})
+		edges[i] = e
+	}
+	slices.SortStableFunc(edges, compareEdges)
+	c := New(g.n)
+	for _, e := range edges {
+		c.AddWeightedEdge(e.U, e.V, e.W)
+	}
+	return c
+}
+
+// AppendCanonical appends a canonical binary encoding of the graph to b and
+// returns the extended buffer: the node count, the edge count, then the
+// edges of Canonical(g) in edge-ID order. Two graphs produce identical
+// encodings if and only if they have the same node count and the same
+// multiset of weighted edges, with +0 and −0 the same weight, so neither
+// the orientation nor the insertion order of edges affects the encoding.
+func (g *Graph) AppendCanonical(b []byte) []byte {
+	edges := Canonical(g).edges
 	b = binary.BigEndian.AppendUint64(b, uint64(g.n))
-	b = binary.BigEndian.AppendUint64(b, uint64(len(ce)))
-	for _, e := range ce {
-		b = binary.BigEndian.AppendUint64(b, uint64(e.u))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.v))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.w))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(edges)))
+	for _, e := range edges {
+		b = binary.BigEndian.AppendUint64(b, uint64(e.U))
+		b = binary.BigEndian.AppendUint64(b, uint64(e.V))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.W))
 	}
 	return b
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -140,8 +141,9 @@ func (g *Graph) Clone() *Graph {
 // ErrDisconnected is returned by operations that require a connected graph.
 var ErrDisconnected = errors.New("graph: graph is not connected")
 
-// Validate checks internal consistency (adjacency matches the edge list) and
-// returns an error describing the first inconsistency found.
+// Validate checks internal consistency (adjacency matches the edge list,
+// no self-loops) and that no weight is NaN, and returns an error describing
+// the first problem found.
 func (g *Graph) Validate() error {
 	deg := make([]int, g.n)
 	for id, e := range g.edges {
@@ -150,6 +152,9 @@ func (g *Graph) Validate() error {
 		}
 		if e.U == e.V {
 			return fmt.Errorf("graph: edge %d is a self-loop at %d", id, e.U)
+		}
+		if math.IsNaN(e.W) {
+			return fmt.Errorf("graph: edge %d has NaN weight", id)
 		}
 		deg[e.U]++
 		deg[e.V]++

@@ -319,17 +319,20 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// AddGraph validates and registers g under its content fingerprint and
-// returns the fingerprint. The first graph registered for a fingerprint
-// becomes the representative all jobs run against; re-registering the same
-// content is a cheap no-op that returns the same fingerprint. Registered
-// graphs are pinned for the engine's lifetime (only built shortcuts are
-// LRU-bounded); deployments with unbounded distinct-graph traffic should
-// recycle engines or front them with an ingest quota.
+// AddGraph validates g (refusing NaN weights) and registers its canonical
+// form, graph.Canonical(g), under its content fingerprint, which it
+// returns. That form is the representative all jobs run against, however
+// the graph arrived, so edge IDs in results refer to Graph(fp), which may
+// be a different instance from g. Re-registering the same content is a
+// cheap no-op that returns the same fingerprint. Registered graphs are
+// pinned for the engine's lifetime (only built shortcuts are LRU-bounded);
+// deployments with unbounded distinct-graph traffic should recycle
+// engines or front them with an ingest quota.
 func (e *Engine) AddGraph(g *graph.Graph) (Fingerprint, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
+	g = graph.Canonical(g)
 	fp := FingerprintGraph(g)
 	e.mu.Lock()
 	_, known := e.graphs[fp]
@@ -354,9 +357,10 @@ func (e *Engine) AddGraph(g *graph.Graph) (Fingerprint, error) {
 // skipping the validation and fingerprinting AddGraph pays: g must be the
 // decode of payload and fp the fingerprint of its body, which is exactly
 // what store.DecodeGraphPayload establishes (structural validation plus
-// the content-hash check). The canonical payload is persisted verbatim
-// when the store supports it (GraphPayloadStore), so binary ingest never
-// re-encodes what it just decoded; other stores fall back to PutGraph.
+// the content-hash check), and a decode is in canonical form already. The
+// canonical payload is persisted verbatim when the store supports it
+// (GraphPayloadStore), so binary ingest never re-encodes what it just
+// decoded; other stores fall back to PutGraph.
 // Registration semantics match AddGraph: first registration wins, known
 // content is a cheap no-op, persistence failures surface in
 // Stats.StoreErrors rather than to the caller.
@@ -447,7 +451,7 @@ func (e *Engine) RemoveGraph(fp Fingerprint) (int, error) {
 	return evicted, nil
 }
 
-// Graph returns the representative graph for fp.
+// Graph returns the representative graph for fp, in canonical form.
 func (e *Engine) Graph(fp Fingerprint) (*graph.Graph, bool) {
 	e.mu.RLock()
 	g, ok := e.graphs[fp]

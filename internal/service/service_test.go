@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -815,6 +816,35 @@ func TestEngineAddGraphDeduplicates(t *testing.T) {
 	}
 	if s := e.Stats(); s.Graphs != 1 {
 		t.Errorf("Graphs = %d, want 1", s.Graphs)
+	}
+}
+
+// AddGraph registers the canonical form of what it is given: a graph out
+// of canonical order, with a −0 weight, is registered as a canonical copy
+// with +0 under the fingerprint of its content, and a NaN weight is
+// refused.
+func TestEngineAddGraphCanonical(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	g := graph.New(4)
+	g.AddWeightedEdge(2, 3, 1)
+	g.AddWeightedEdge(1, 0, math.Copysign(0, -1))
+	g.AddWeightedEdge(1, 2, 2)
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != FingerprintGraph(graph.Canonical(g)) {
+		t.Error("the fingerprint is not the canonical form's")
+	}
+	rep, _ := e.Graph(fp)
+	want := []graph.Edge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 1}}
+	if rep == g || !slices.Equal(rep.EdgeSlice(), want) || math.Signbit(rep.Edge(0).W) {
+		t.Errorf("representative edges %v, want a canonical copy %v", rep.EdgeSlice(), want)
+	}
+	nan := graph.New(2)
+	nan.AddWeightedEdge(0, 1, math.NaN())
+	if _, err := e.AddGraph(nan); err == nil {
+		t.Error("AddGraph accepted a NaN weight")
 	}
 }
 

@@ -5,11 +5,51 @@ import (
 	"testing"
 
 	"locshort/internal/cli"
+	"locshort/internal/graph"
 	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
+	"locshort/internal/tree"
 )
+
+// twoRecordStore opens a segment store holding grid:32x32 and two of its
+// blobs:16 shortcut records, at seeds 1 and 2, and returns it with the
+// key-only requests for the two.
+func twoRecordStore(tb testing.TB) (*store.Store, [2]service.BuildRequest) {
+	tb.Helper()
+	st, err := store.Open(tb.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	g, _, err := cli.ParseGraph("grid:32x32", 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fp := service.FingerprintGraph(g)
+	if err := st.PutGraph(fp, g); err != nil {
+		tb.Fatal(err)
+	}
+	var reqs [2]service.BuildRequest
+	for i := range reqs {
+		seed := int64(i + 1)
+		p, err := cli.ParsePartition(g, "blobs:16", seed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := shortcut.Build(g, p, shortcut.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		key := service.ShortcutKey(fp, p, shortcut.Options{})
+		if err := st.PutShortcut(key, fp, p, shortcut.Options{}, res, 0); err != nil {
+			tb.Fatal(err)
+		}
+		reqs[i] = service.BuildRequest{Graph: fp, Key: key, Spec: "blobs:16", Seed: seed}
+	}
+	return st, reqs
+}
 
 // BenchmarkEngineStoreHit times one cache miss served from the durable
 // store, the request the store-mixed workload is mostly made of: two
@@ -19,36 +59,7 @@ import (
 // one measures the entries, as with binary answers. CI gates its
 // allocs/op.
 func BenchmarkEngineStoreHit(b *testing.B) {
-	st, err := store.Open(b.TempDir(), store.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	g, _, err := cli.ParseGraph("grid:32x32", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp := service.FingerprintGraph(g)
-	if err := st.PutGraph(fp, g); err != nil {
-		b.Fatal(err)
-	}
-	var reqs [2]service.BuildRequest
-	for i := range reqs {
-		seed := int64(i + 1)
-		p, err := cli.ParsePartition(g, "blobs:16", seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := shortcut.Build(g, p, shortcut.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := service.ShortcutKey(fp, p, shortcut.Options{})
-		if err := st.PutShortcut(key, fp, p, shortcut.Options{}, res, 0); err != nil {
-			b.Fatal(err)
-		}
-		reqs[i] = service.BuildRequest{Graph: fp, Key: key, Spec: "blobs:16", Seed: seed}
-	}
+	st, reqs := twoRecordStore(b)
 	e := service.New(service.Config{
 		CacheCapacity: 1, CacheShards: 1, Store: st,
 		Obs: obs.NewRegistry(), Tracer: obs.NewTracer(128),
@@ -69,5 +80,89 @@ func BenchmarkEngineStoreHit(b *testing.B) {
 	b.StopTimer()
 	if s := e.Stats(); s.Builds != 0 || s.StoreHits < uint64(b.N) {
 		b.Fatalf("stats %+v: want %d store hits and no builds", s, b.N)
+	}
+}
+
+// TestStoreReadsShareGraphTree: an entry decoded from the store carries
+// the graph's memoized BFS tree, not a copy of it: two store reads on one
+// graph return trees whose Parent and ParentEdge are the memo's arrays.
+func TestStoreReadsShareGraphTree(t *testing.T) {
+	st, reqs := twoRecordStore(t)
+	e := service.New(service.Config{CacheCapacity: 1, CacheShards: 1, Store: st})
+	defer e.Close()
+	if _, err := e.WarmStart(); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := e.Graph(reqs[0].Graph)
+	if !ok {
+		t.Fatal("graph not warm-started")
+	}
+	memo := g.BFSTree()
+	for _, req := range reqs {
+		c, _, err := e.Build(context.Background(), req)
+		if err != nil || c.Source != service.SourceStore {
+			t.Fatalf("Build: err=%v, want a store hit", err)
+		}
+		tr := c.Result.Shortcut.Tree
+		if &tr.Parent[0] != &memo.Parent[0] || &tr.ParentEdge[0] != &memo.ParentEdge[0] {
+			t.Errorf("key %s: the decoded tree does not alias the graph's BFS tree", req.Key)
+		}
+	}
+}
+
+// TestEngineReplacesRefusedRecord: a record whose tree is not the graph's
+// BFS tree fails the store read, so the engine counts one store error and
+// rebuilds, and the persist replaces the record: the next miss on the key
+// is a store hit.
+func TestEngineReplacesRefusedRecord(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := service.FingerprintGraph(g)
+	if err := st.PutGraph(fp, g); err != nil {
+		t.Fatal(err)
+	}
+	p, err := cli.ParsePartition(g, "blobs:8", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := tree.FromBFS(g, (graph.ChooseRoot(g)+1)%g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := shortcut.Build(g, p, shortcut.Options{Tree: other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := service.ShortcutKey(fp, p, shortcut.Options{})
+	if err := st.PutShortcut(key, fp, p, shortcut.Options{}, forged, 0); err != nil {
+		t.Fatal(err)
+	}
+	req := service.BuildRequest{Graph: fp, Key: key, Spec: "blobs:8", Seed: 3}
+	serve := func(want service.BuildSource) service.Stats {
+		t.Helper()
+		e := service.New(service.Config{Store: st})
+		defer e.Close() // drains the detached persist
+		if _, err := e.WarmStart(); err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := e.Build(context.Background(), req)
+		if err != nil || c.Source != want {
+			t.Fatalf("Build: err=%v source=%v, want %v", err, c.Source, want)
+		}
+		return e.Stats()
+	}
+	if s := serve(service.SourceBuilt); s.StoreErrors != 1 || s.Builds != 1 {
+		t.Errorf("refused record: %d store errors and %d builds, want 1 and 1", s.StoreErrors, s.Builds)
+	}
+	if s := serve(service.SourceStore); s.StoreErrors != 0 || s.Builds != 0 || s.StoreHits != 1 {
+		t.Errorf("after the rebuild: %d store errors, %d builds, %d store hits; want 0, 0, 1",
+			s.StoreErrors, s.Builds, s.StoreHits)
 	}
 }

@@ -11,9 +11,10 @@
 // identity. Graph and partition payloads are exactly the canonical byte
 // encodings their fingerprints hash (graph.AppendCanonical,
 // service.AppendPartitionCanonical) — the store is self-verifying: FNV-1a
-// over the payload is the record key. Shortcut payloads express every edge
-// ID in canonical edge order so they decode correctly against whatever
-// representative graph a future process holds.
+// over the payload is the record key. Every graph a shortcut is built on
+// is in canonical form (graph.Canonical), so its edge IDs are canonical
+// edge indexes: a shortcut payload holds them as they are, and decodes
+// against the representative any process holds for the fingerprint.
 //
 // The store also carries the async job records of internal/jobs ('J'
 // frames in the same segments). Those are the one non-content-addressed

@@ -2,11 +2,11 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"locshort/internal/graph"
@@ -27,14 +27,15 @@ import (
 // `locshortctl verify` can prove content-addressing integrity without any
 // side information, and a decoded object re-encodes to the identical bytes.
 //
-// Shortcut payloads cannot use the in-memory edge IDs of the engine's
-// representative graph — those depend on ingestion order, which is not
-// reproduced after a restart (the warm-started representative is decoded
-// from the canonical graph record). All edge IDs in a shortcut payload are
-// therefore expressed in *canonical edge order*: the order of the edges in
-// the canonical graph encoding. encodeShortcut translates from the live
-// representative into canonical order; decodeShortcut translates back into
-// whatever representative the serving process holds.
+// Shortcut payloads hold edge IDs, and an edge ID is an index into the
+// canonical graph encoding: every graph a shortcut is encoded over or
+// decoded against is in canonical form (graph.IsCanonical), which is the
+// form every engine representative has (spec, JSON or binary ingest, peer
+// push, warm start alike), so live IDs are canonical IDs and move
+// untranslated. encodeShortcut refuses a graph that is not canonical. The
+// restriction tree a payload carries must be the graph's own BFS tree
+// ((*graph.Graph).BFSTree); decodeShortcut checks that and hands out the
+// graph's memoized tree instead of a copy.
 const (
 	graphPayloadVersion     = 1
 	partitionPayloadVersion = 1
@@ -49,49 +50,6 @@ const (
 // start. The bound keeps a corrupt header from sizing an unbounded
 // allocation.
 const maxStoredGraphNodes = 1 << 26
-
-// edgePerm is the bijection between a graph's live edge IDs and canonical
-// edge order (the sort order of graph.AppendCanonical, ties broken by live
-// ID — any tie order is equivalent because tied edges are identical).
-type edgePerm struct {
-	toCanon   []int32 // live edge ID -> canonical index
-	fromCanon []int32 // canonical index -> live edge ID
-}
-
-// newEdgePerm computes the canonical edge permutation of g.
-func newEdgePerm(g *graph.Graph) *edgePerm {
-	edges := g.EdgeSlice()
-	m := len(edges)
-	p := &edgePerm{toCanon: make([]int32, m), fromCanon: make([]int32, m)}
-	for i := range p.fromCanon {
-		p.fromCanon[i] = int32(i)
-	}
-	sort.Slice(p.fromCanon, func(a, b int) bool {
-		ea, eb := edges[p.fromCanon[a]], edges[p.fromCanon[b]]
-		ua, va := ea.U, ea.V
-		if ua > va {
-			ua, va = va, ua
-		}
-		ub, vb := eb.U, eb.V
-		if ub > vb {
-			ub, vb = vb, ub
-		}
-		if ua != ub {
-			return ua < ub
-		}
-		if va != vb {
-			return va < vb
-		}
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return p.fromCanon[a] < p.fromCanon[b]
-	})
-	for canon, live := range p.fromCanon {
-		p.toCanon[live] = int32(canon)
-	}
-	return p
-}
 
 // partRanks returns each part's canonical rank — the order of first
 // appearance over nodes 0..n-1, i.e. the part order of the canonical
@@ -125,7 +83,13 @@ func encodeGraph(g *graph.Graph) []byte {
 // (network true) is held to graph.CheckSize, and the store's own records to
 // maxStoredGraphNodes nodes, with no edge bound, so a data directory an
 // earlier release wrote still warm starts. Refusals wrap graph.ErrTooLarge.
-// The decoded graph's edge IDs follow canonical edge order.
+// The decoded graph is in canonical form (graph.IsCanonical).
+//
+// A −0 weight compares equal to +0 but encodes differently, so one graph
+// would have two content addresses: a network payload carrying one is
+// refused, like NaN. Earlier releases could store one; such a record still
+// decodes, with the weight stored as +0, which keeps the decoded graph
+// canonical.
 func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.Graph, error) {
 	if len(payload) < 1 || payload[0] != graphPayloadVersion {
 		return nil, fmt.Errorf("store: graph %s: bad payload version", key)
@@ -170,6 +134,12 @@ func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.
 		}
 		if math.IsNaN(w) {
 			return nil, fmt.Errorf("store: graph %s: edge %d has NaN weight", key, i)
+		}
+		if w == 0 && math.Signbit(w) {
+			if network {
+				return nil, fmt.Errorf("store: graph %s: edge %d has weight -0", key, i)
+			}
+			w = 0
 		}
 		// The payload must be the canonical encoding — nondecreasing in
 		// (u, v, w) — or its fingerprint is not the graph's true content
@@ -250,11 +220,11 @@ func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*
 // names: ppay must hash to that partition fingerprint and decode to
 // connected parts of g, and the key is re-derived over its bytes. The
 // result's partition is then the record's own, in canonical part order.
-func decodeRecord(spay, ppay []byte, key service.Fingerprint, perm *edgePerm,
+func decodeRecord(spay, ppay []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
 
 	if parts != nil {
-		return decodeShortcut(spay, key, perm, g, parts, nil)
+		return decodeShortcut(spay, key, g, parts, nil)
 	}
 	meta, err := parseShortcutMeta(spay)
 	if err != nil {
@@ -263,7 +233,7 @@ func decodeRecord(spay, ppay []byte, key service.Fingerprint, perm *edgePerm,
 	if parts, err = decodePartition(ppay, meta.partFP, g); err != nil {
 		return nil, 0, err
 	}
-	return decodeShortcut(spay, key, perm, g, parts, ppay[1:])
+	return decodeShortcut(spay, key, g, parts, ppay[1:])
 }
 
 // shortcutMeta is the decoded fixed-size head of a shortcut payload, enough
@@ -286,8 +256,19 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 	}, nil
 }
 
+// errNotCanonical refuses a shortcut over a graph that is not in canonical
+// form: its edge IDs are not the payload's.
+var errNotCanonical = errors.New("graph is not in canonical form (graph.Canonical)")
+
+// errTreeNotCanonical refuses a record whose restriction tree is not the
+// graph's BFS tree: it was written against another edge order, by a
+// release that kept a non-canonical representative.
+var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree")
+
 // encodeShortcut renders a shortcut payload and returns it with the
-// fingerprint of the partition it names, that of res.Shortcut.Parts.
+// fingerprint of the partition it names, that of res.Shortcut.Parts. The
+// shortcut's graph must be canonical (errNotCanonical otherwise), so its
+// edge IDs are written as they are.
 // Layout after the version byte and the two big-endian dependency
 // fingerprints (graph, partition):
 //
@@ -297,30 +278,33 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 //	varint      build cost in nanoseconds
 //	byte        1 if a restriction tree follows, else 0
 //	[tree]      uvarint root, uvarint node count n, then n varints:
-//	            canonical parent-edge ID, or -1 for the root / non-tree nodes
+//	            parent-edge ID, or -1 for the root / non-tree nodes
 //	uvarint     part count k
 //	k bits      coverage bitmap, little-endian within bytes, indexed by
 //	            canonical part rank (see partCanonOrder)
 //	[per covered part, in canonical rank order] uvarint edge count, then
-//	            ascending canonical edge IDs delta-encoded as uvarints
-//	            (first absolute, rest gaps)
+//	            ascending edge IDs delta-encoded as uvarints (first
+//	            absolute, rest gaps)
 //
 // Every cold build is persisted through here, so the allocations are a
 // constant few whatever n and k are: the payload is sized once from n, k
-// and Σ|H_i|, the canonical-ID scratch from the largest H_i, and the part
-// rank table also yields the partition fingerprint.
-func encodeShortcut(perm *edgePerm, graphFP service.Fingerprint,
-	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) ([]byte, service.Fingerprint) {
+// and Σ|H_i|, and the part rank table also yields the partition
+// fingerprint. The construction lists every H_i in ascending order; only
+// an H_i that is not is sorted, in a scratch copy.
+func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *shortcut.Result,
+	buildTime time.Duration) ([]byte, service.Fingerprint, error) {
 
 	s := res.Shortcut
+	if !graph.IsCanonical(s.G) {
+		return nil, 0, errNotCanonical
+	}
 	k := len(s.H)
 	rank, byRank := partRanks(s.Parts)
 	partFP := service.FingerprintPartitionRanks(s.Parts, rank)
-	total, widest := 0, 0
+	total := 0
 	for i, h := range s.H {
 		if s.Covered[i] {
 			total += len(h)
-			widest = max(widest, len(h))
 		}
 	}
 	// Upper bound on the payload: the head, the tree flag and 14 varints
@@ -351,7 +335,7 @@ func encodeShortcut(perm *edgePerm, graphFP service.Fingerprint,
 			if t.Parent[v] < 0 || t.ParentEdge[v] < 0 {
 				b = binary.AppendVarint(b, -1)
 			} else {
-				b = binary.AppendVarint(b, int64(perm.toCanon[t.ParentEdge[v]]))
+				b = binary.AppendVarint(b, int64(t.ParentEdge[v]))
 			}
 		}
 	} else {
@@ -368,20 +352,18 @@ func encodeShortcut(perm *edgePerm, graphFP service.Fingerprint,
 			b[bitmap+int(r/8)] |= 1 << (r % 8)
 		}
 	}
-	canon := make([]int32, 0, widest)
 	for _, i := range byRank {
 		if !s.Covered[i] {
 			continue
 		}
-		canon = canon[:0]
-		for _, id := range s.H[i] {
-			canon = append(canon, perm.toCanon[id])
+		h := s.H[i]
+		if !slices.IsSorted(h) {
+			// The IDs are distinct, so any sort yields this one order.
+			h = slices.Sorted(slices.Values(h))
 		}
-		// The IDs are distinct, so any sort yields this one order.
-		slices.Sort(canon)
-		b = binary.AppendUvarint(b, uint64(len(canon)))
-		prev := int32(0)
-		for j, id := range canon {
+		b = binary.AppendUvarint(b, uint64(len(h)))
+		prev := 0
+		for j, id := range h {
 			if j == 0 {
 				b = binary.AppendUvarint(b, uint64(id))
 			} else {
@@ -390,7 +372,7 @@ func encodeShortcut(perm *edgePerm, graphFP service.Fingerprint,
 			prev = id
 		}
 	}
-	return b, partFP
+	return b, partFP, nil
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -456,26 +438,29 @@ func (r *varintReader) bytes(n int) []byte {
 }
 
 // decodeShortcut reconstructs the stored shortcut against g (the serving
-// process's representative for the record's graph fingerprint) and parts
-// (the requested partition, or the record's own when partCanon holds the
-// canonical encoding it was decoded from). It translates canonical edge
-// IDs back into g's live IDs, rebuilds the restriction tree, validates the
-// result structurally, and verifies that the stored (graph, partition,
-// options) triple re-derives the record key — over partCanon's bytes when
-// given — so a record can never be served under a key it does not hash
-// to.
+// process's representative for the record's graph fingerprint, which must
+// be canonical) and parts (the requested partition, or the record's own
+// when partCanon holds the canonical encoding it was decoded from). It
+// checks that the stored restriction tree is g's BFS tree and shares g's
+// memoized one, validates the result structurally, and verifies that the
+// stored (graph, partition, options) triple re-derives the record key —
+// over partCanon's bytes when given — so a record can never be served
+// under a key it does not hash to.
 //
 // A store read runs this on every cache miss, so its allocations are a
 // constant number independent of n and k: the Result and its Shortcut are
-// one object, parent and parent-edge share one array, and every H set
-// slices one backing array that a pre-pass over the per-part counts sizes
-// — capped by the payload bytes left, which every listed edge takes at
-// least one of, before anything is allocated.
-func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
+// one object, the tree is a header over the graph's arrays, and every H
+// set slices one backing array that a pre-pass over the per-part counts
+// sizes — capped by the payload bytes left, which every listed edge takes
+// at least one of, before anything is allocated.
+func decodeShortcut(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition, partCanon []byte) (*shortcut.Result, time.Duration, error) {
 
 	fail := func(err error) (*shortcut.Result, time.Duration, error) {
 		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
+	}
+	if !graph.IsCanonical(g) {
+		return fail(errNotCanonical)
 	}
 	meta, err := parseShortcutMeta(payload)
 	if err != nil {
@@ -496,12 +481,6 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 	}
 	buildNs := r.varint()
 	m := g.NumEdges()
-	liveEdge := func(canon uint64) (int, error) {
-		if canon >= uint64(m) {
-			return 0, fmt.Errorf("canonical edge %d out of range [0,%d)", canon, m)
-		}
-		return int(perm.fromCanon[canon]), nil
-	}
 	var rooted *tree.Rooted
 	if r.byte() == 1 {
 		root := r.uvarint()
@@ -512,34 +491,20 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 		if n != uint64(g.NumNodes()) || root >= n {
 			return fail(fmt.Errorf("tree covers %d nodes (root %d), graph has %d", n, root, g.NumNodes()))
 		}
-		links := make([]int, 2*n)
-		parent, parentEdge := links[:n:n], links[n:]
-		for v := range parent {
-			ce := r.varint()
-			if r.err != nil {
-				return fail(r.err)
-			}
-			if ce < 0 {
-				parent[v], parentEdge[v] = -1, -1
-				continue
-			}
-			id, err := liveEdge(uint64(ce))
-			if err != nil {
-				return fail(err)
-			}
-			e := g.Edge(id)
-			switch v {
-			case e.U:
-				parent[v] = e.V
-			case e.V:
-				parent[v] = e.U
-			default:
-				return fail(fmt.Errorf("node %d is not an endpoint of its parent edge %d", v, id))
-			}
-			parentEdge[v] = id
+		// The tree must be g's BFS tree, entry for entry; then it is the
+		// memo every build on g shares, and the decode hands that out.
+		bt := g.BFSTree()
+		if root != uint64(bt.Root) {
+			return fail(fmt.Errorf("%w: tree root %d, the graph's BFS tree is rooted at %d", errTreeNotCanonical, root, bt.Root))
 		}
-		rooted, err = tree.FromParents(int(root), parent, parentEdge)
-		if err != nil {
+		for v, want := range bt.ParentEdge {
+			if id := r.varint(); r.err != nil {
+				return fail(r.err)
+			} else if id != int64(want) {
+				return fail(fmt.Errorf("%w: node %d has parent edge %d, the graph's BFS tree %d", errTreeNotCanonical, v, id, want))
+			}
+		}
+		if rooted, err = tree.Shared(g); err != nil {
 			return fail(err)
 		}
 	}
@@ -616,18 +581,17 @@ func decodeShortcut(payload []byte, key service.Fingerprint, perm *edgePerm,
 			case j == 0:
 				prev = gap
 			case gap == 0:
-				return fail(fmt.Errorf("part %d repeats a canonical edge", i))
+				return fail(fmt.Errorf("part %d repeats an edge", i))
 			case gap >= uint64(m):
 				// prev+gap is out of range, and may wrap past it.
-				return fail(fmt.Errorf("part %d skips %d canonical edges, graph has %d", i, gap, m))
+				return fail(fmt.Errorf("part %d skips %d edges, graph has %d", i, gap, m))
 			default:
 				prev += gap
 			}
-			id, err := liveEdge(prev)
-			if err != nil {
-				return fail(err)
+			if prev >= uint64(m) {
+				return fail(fmt.Errorf("edge %d out of range [0,%d)", prev, m))
 			}
-			edges = append(edges, id)
+			edges = append(edges, int(prev))
 		}
 		s.H[i] = edges[start:len(edges):len(edges)]
 	}

@@ -40,8 +40,6 @@ type kvCore struct {
 	index   map[indexKey]kvMeta
 	byGraph map[service.Fingerprint]map[service.Fingerprint]struct{} // graphFP -> shortcut keys
 	live    OpenStats                                                // record counts by kind, kept current
-
-	perms permCache
 }
 
 type indexKey struct {
@@ -369,14 +367,20 @@ func (c *kvCore) GetPartition(fp service.Fingerprint, g *graph.Graph) (*partitio
 // record. Implements service.Store. A shortcut whose graph record is no
 // longer live is silently dropped: a detached engine persist can race a
 // DeleteGraph, and writing the record after the delete would resurrect a
-// shortcut whose graph is gone (an orphan that fails Verify).
+// shortcut whose graph is gone (an orphan that fails Verify). A live
+// record under key is kept if it decodes and replaced if it does not, so
+// the rebuild that follows a refused read heals the key. The shortcut's
+// graph must be canonical.
 func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error {
 
-	payload, partFP := encodeShortcut(c.perms.get(res.Shortcut.G), graphFP, opts, res, buildTime)
+	payload, partFP, err := encodeShortcut(graphFP, opts, res, buildTime)
+	if err != nil {
+		return fmt.Errorf("store: shortcut %s: %w", key, err)
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if !c.has(kindGraph, graphFP) || c.has(kindShortcut, key) {
+	if !c.has(kindGraph, graphFP) || c.holdsShortcut(key, res.Shortcut.G, parts) {
 		return nil
 	}
 	if !c.has(kindPartition, partFP) {
@@ -401,11 +405,23 @@ func (c *kvCore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *par
 	if err != nil || !ok {
 		return nil, 0, false, err
 	}
-	res, bt, err := decodeRecord(spay, ppay, key, c.perms.get(g), g, parts)
+	res, bt, err := decodeRecord(spay, ppay, key, g, parts)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	return res, bt, true, nil
+}
+
+// holdsShortcut reports whether a live record under key decodes against g
+// and parts (nil: the record's own partition). Writers call it under
+// writeMu, to keep a good record and replace one a read would refuse.
+func (c *kvCore) holdsShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) bool {
+	spay, ppay, ok, err := c.shortcutPayloads(key, parts == nil)
+	if err != nil || !ok {
+		return false
+	}
+	_, _, err = decodeRecord(spay, ppay, key, g, parts)
+	return err == nil
 }
 
 // shortcutPayloads reads a live shortcut record's payload and, withPart,
@@ -633,7 +649,7 @@ func (c *kvCore) Verify() []Problem {
 				bad(ik, fmt.Errorf("references missing partition %s", e.meta.partFP))
 				continue
 			}
-			if _, _, err := decodeRecord(payload, ppay, ik.key, c.perms.get(g), g, nil); err != nil {
+			if _, _, err := decodeRecord(payload, ppay, ik.key, g, nil); err != nil {
 				bad(ik, err)
 			}
 		case kindJob:
@@ -665,37 +681,4 @@ func (c *kvCore) Close() error {
 	}
 	c.closed = true
 	return c.ps.close()
-}
-
-// permCache memoizes canonical edge permutations per graph *instance* —
-// deliberately not per fingerprint: two representations of the same
-// content (a live representative and its canonical decode, or a re-ingest
-// after DeleteGraph with a different edge order) share a fingerprint but
-// need different permutations, and a fingerprint key would silently serve
-// the wrong one. The map is cleared past a size bound so transient graphs
-// (Verify decodes) cannot grow it forever.
-type permCache struct {
-	mu sync.Mutex
-	m  map[*graph.Graph]*edgePerm
-}
-
-// permCacheLimit bounds the perm memo; engines pin far fewer
-// representatives than this, so clearing only ever drops transient
-// entries.
-const permCacheLimit = 256
-
-// get returns the memoized canonical edge permutation for this exact graph
-// instance.
-func (pc *permCache) get(g *graph.Graph) *edgePerm {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	p := pc.m[g]
-	if p == nil {
-		if pc.m == nil || len(pc.m) >= permCacheLimit {
-			pc.m = make(map[*graph.Graph]*edgePerm)
-		}
-		p = newEdgePerm(g)
-		pc.m[g] = p
-	}
-	return p
 }

@@ -73,13 +73,13 @@ func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, e
 }
 
 // DecodeShortcutPayload reconstructs a shortcut record payload against the
-// caller's representative graph and requested partition — the peer-fetch
-// serving path, where the engine needs the result expressed in its own live
-// edge IDs. All of decodeShortcut's verification applies: structural
-// validation plus re-derivation of key from the stored inputs.
+// caller's representative graph, which must be canonical, and requested
+// partition. All of decodeShortcut's verification applies: the stored tree
+// must be g's BFS tree, the result must validate structurally, and the
+// stored inputs must re-derive key.
 func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
-	return decodeShortcut(payload, key, newEdgePerm(g), g, parts, nil)
+	return decodeShortcut(payload, key, g, parts, nil)
 }
 
 // DecodePeerShortcut reconstructs a fetched record's shortcut against the
@@ -91,7 +91,7 @@ func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 // re-derived over its bytes.
 func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partition) (
 	*shortcut.Result, time.Duration, error) {
-	return decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, newEdgePerm(g), g, parts)
+	return decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, g, parts)
 }
 
 // VerifyPeerRecord fully verifies a fetched record against its claimed
@@ -120,7 +120,7 @@ func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shor
 			"store: shortcut %s payload references (%s, %s), record claims (%s, %s)",
 			rec.Key, meta.graphFP, meta.partFP, rec.GraphFP, rec.PartitionFP)
 	}
-	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, newEdgePerm(g), g, parts, rec.PartitionPayload[1:])
+	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, g, parts, rec.PartitionPayload[1:])
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -203,18 +203,19 @@ func (c *kvCore) GraphFingerprints() []service.Fingerprint {
 // node is missing: the graph and partition payloads are written only if
 // absent, then the shortcut record. It returns the decoded graph (so the
 // caller can register it with a serving engine) and whether the shortcut was
-// actually written — false means a record for the key already existed and
-// nothing was written. The verify-then-write order plus writeMu makes the
-// import atomic with respect to a concurrent DeleteGraph: a record can
-// never be resurrected under a delete that happened first.
+// actually written — false means a record for the key that decodes already
+// existed and nothing was written; one that does not decode is replaced.
+// The verify-then-write order plus writeMu makes the import atomic with
+// respect to a concurrent DeleteGraph: a record can never be resurrected
+// under a delete that happened first.
 func (c *kvCore) ImportShortcut(rec PeerRecord) (*graph.Graph, bool, error) {
-	g, _, _, _, err := VerifyPeerRecord(rec)
+	g, parts, _, _, err := VerifyPeerRecord(rec)
 	if err != nil {
 		return nil, false, err
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if c.has(kindShortcut, rec.Key) {
+	if c.holdsShortcut(rec.Key, g, parts) {
 		return g, false, nil
 	}
 	if !c.has(kindGraph, rec.GraphFP) {

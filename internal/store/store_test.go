@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"locshort/internal/partition"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
+	"locshort/internal/tree"
 )
 
 // testOpts skips fsync so the suite is not bound by disk flush latency.
@@ -50,11 +53,10 @@ func buildFixture(t testing.TB, spec, partSpec string, seed int64) (
 	return g, p, res
 }
 
-// canonicalH returns the per-part H sets in canonical edge order, indexed
-// by canonical part rank — the representation-independent identity of a
-// shortcut.
+// canonicalH returns the per-part H sets, sorted and indexed by canonical
+// part rank — the representation-independent identity of a shortcut on a
+// canonical graph, whose edge IDs are canonical.
 func canonicalH(s *shortcut.Shortcut) [][]int32 {
-	perm := newEdgePerm(s.G)
 	rank, _ := partRanks(s.Parts)
 	out := make([][]int32, len(s.H))
 	for i, h := range s.H {
@@ -63,9 +65,9 @@ func canonicalH(s *shortcut.Shortcut) [][]int32 {
 		}
 		c := make([]int32, len(h))
 		for j, id := range h {
-			c[j] = perm.toCanon[id]
+			c[j] = int32(id)
 		}
-		sort.Slice(c, func(a, b int) bool { return c[a] < c[b] })
+		slices.Sort(c)
 		out[rank[i]] = c
 	}
 	return out
@@ -576,14 +578,16 @@ func TestPutShortcutRequiresLiveGraph(t *testing.T) {
 	}
 }
 
-// TestPermInvalidatedOnDelete pins the stale-permutation fix: after
-// DeleteGraph, re-ingesting the same content with a different edge
-// insertion order must translate shortcut edge IDs through a fresh
-// permutation, not the deleted representative's.
-func TestPermInvalidatedOnDelete(t *testing.T) {
+// TestShortcutsNeedCanonicalGraphs pins the invariant that replaced the
+// edge permutations: a shortcut is encoded and decoded only over a graph
+// in canonical form, whose edge IDs are the payload's. Two insertion
+// orders of one weighted 6-cycle canonicalize to the same graph, so a
+// delete, a re-ingest in the other order and a rebuild store the same
+// bytes; a graph left in insertion order is refused on both sides.
+func TestShortcutsNeedCanonicalGraphs(t *testing.T) {
 	mk := func(reversed bool) *graph.Graph {
-		// A weighted 6-cycle; distinct weights make every edge's canonical
-		// position unique, so a stale permutation would visibly misroute.
+		// Distinct weights make every edge's canonical position unique,
+		// so a mistranslated ID would visibly misroute.
 		g := graph.New(6)
 		type e struct {
 			u, v int
@@ -591,68 +595,155 @@ func TestPermInvalidatedOnDelete(t *testing.T) {
 		}
 		es := []e{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {3, 4, 4}, {4, 5, 5}, {5, 0, 6}}
 		if reversed {
-			for i, j := 0, len(es)-1; i < j; i, j = i+1, j-1 {
-				es[i], es[j] = es[j], es[i]
-			}
+			slices.Reverse(es)
 		}
 		for _, x := range es {
 			g.AddWeightedEdge(x.u, x.v, x.w)
 		}
 		return g
 	}
-	gA, gB := mk(false), mk(true)
-	fp := service.FingerprintGraph(gA)
-	if service.FingerprintGraph(gB) != fp {
-		t.Fatal("fixture graphs must share a fingerprint")
-	}
-	parts := func(g *graph.Graph) *partition.Partition {
+	build := func(g *graph.Graph) (*partition.Partition, *shortcut.Result) {
 		p, err := partition.FromLabels(g, []int{0, 0, 0, 1, 1, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		res, err := shortcut.Build(g, p, shortcut.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, res
 	}
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
+	raw := mk(false)
+	if graph.IsCanonical(raw) {
+		t.Fatal("fixture must start out of canonical order")
+	}
+	gA, gB := graph.Canonical(raw), graph.Canonical(mk(true))
+	fp := service.FingerprintGraph(gA)
+	if service.FingerprintGraph(gB) != fp || service.FingerprintGraph(raw) != fp {
+		t.Fatal("fixture graphs must share a fingerprint")
+	}
+	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-
-	pA := parts(gA)
-	resA, err := shortcut.Build(gA, pA, shortcut.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := service.ShortcutKey(fp, pA, shortcut.Options{})
 	if err := s.PutGraph(fp, gA); err != nil {
 		t.Fatal(err)
 	}
+
+	pRaw, resRaw := build(raw)
+	key := service.ShortcutKey(fp, pRaw, shortcut.Options{})
+	if err := s.PutShortcut(key, fp, pRaw, shortcut.Options{}, resRaw, time.Millisecond); !errors.Is(err, errNotCanonical) {
+		t.Fatalf("PutShortcut over a non-canonical graph: %v, want errNotCanonical", err)
+	}
+	if _, err := EncodeShortcutRecordPayload(fp, pRaw, shortcut.Options{}, resRaw, time.Millisecond); !errors.Is(err, errNotCanonical) {
+		t.Fatalf("EncodeShortcutRecordPayload over a non-canonical graph: %v, want errNotCanonical", err)
+	}
+
+	pA, resA := build(gA)
 	if err := s.PutShortcut(key, fp, pA, shortcut.Options{}, resA, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteGraph(fp); err != nil {
-		t.Fatal(err)
+	if _, _, _, err := s.GetShortcut(key, raw, pRaw); !errors.Is(err, errNotCanonical) {
+		t.Fatalf("GetShortcut against a non-canonical graph: %v, want errNotCanonical", err)
 	}
+	first, _, _ := s.ShortcutPayload(key)
+	first = slices.Clone(first)
 
-	// Re-ingest with reversed edge order and persist a fresh build.
-	pB := parts(gB)
-	resB, err := shortcut.Build(gB, pB, shortcut.Options{})
-	if err != nil {
+	// Delete, re-ingest the reversed order, rebuild.
+	if err := s.DeleteGraph(fp); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutGraph(fp, gB); err != nil {
 		t.Fatal(err)
 	}
+	pB, resB := build(gB)
 	if err := s.PutShortcut(key, fp, pB, shortcut.Options{}, resB, time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+	again, ok, err := s.ShortcutPayload(key)
+	if err != nil || !ok {
+		t.Fatalf("ShortcutPayload ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Error("the rebuild on the re-ingested graph stored different bytes")
 	}
 	got, _, ok, err := s.GetShortcut(key, gB, pB)
 	if err != nil || !ok {
 		t.Fatalf("GetShortcut ok=%v err=%v", ok, err)
 	}
-	if !sameCanonicalH(canonicalH(got.Shortcut), canonicalH(resB.Shortcut)) {
-		t.Error("round trip through re-ingested representative corrupted the H sets")
+	if !sameCanonicalH(canonicalH(got.Shortcut), canonicalH(resA.Shortcut)) {
+		t.Error("round trip through the re-ingested representative changed the H sets")
 	}
 	if problems := s.Verify(); len(problems) != 0 {
 		t.Errorf("verify: %v", problems)
+	}
+}
+
+// forgedTreeFixture builds spec's shortcut restricted to a BFS tree rooted
+// one node past the graph's chosen root: under the key of the canonical
+// build, a record whose tree is not the graph's BFS tree, as a release
+// that kept another edge order could have written.
+func forgedTreeFixture(t testing.TB, spec, partSpec string, seed int64) (
+	*graph.Graph, *partition.Partition, *shortcut.Result) {
+	t.Helper()
+	g, p, _ := buildFixture(t, spec, partSpec, seed)
+	other, err := tree.FromBFS(g, (graph.ChooseRoot(g)+1)%g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := shortcut.Build(g, p, shortcut.Options{Tree: other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, p, res
+}
+
+// TestForgedTreeRefused: a record whose tree is not the graph's BFS tree
+// is refused by every decoder — a store read with or without the
+// partition, Verify, DecodeShortcutPayload, VerifyPeerRecord — and the
+// canonical build replaces it under its key.
+func TestForgedTreeRefused(t *testing.T) {
+	g, p, forged := forgedTreeFixture(t, "grid:6x6", "blobs:4", 1)
+	fp := service.FingerprintGraph(g)
+	key := service.ShortcutKey(fp, p, shortcut.Options{})
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	if err := s.PutGraph(fp, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutShortcut(key, fp, p, shortcut.Options{}, forged, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []*partition.Partition{p, nil} {
+		if _, _, _, err := s.GetShortcut(key, g, parts); !errors.Is(err, errTreeNotCanonical) {
+			t.Errorf("GetShortcut (partition given: %v): %v, want errTreeNotCanonical", parts != nil, err)
+		}
+	}
+	rec, ok, err := s.ShortcutRecord(key)
+	if err != nil || !ok {
+		t.Fatalf("ShortcutRecord ok=%v err=%v", ok, err)
+	}
+	if _, _, err := DecodeShortcutPayload(rec.ShortcutPayload, key, g, p); !errors.Is(err, errTreeNotCanonical) {
+		t.Errorf("DecodeShortcutPayload: %v, want errTreeNotCanonical", err)
+	}
+	if _, _, _, _, err := VerifyPeerRecord(rec); !errors.Is(err, errTreeNotCanonical) {
+		t.Errorf("VerifyPeerRecord: %v, want errTreeNotCanonical", err)
+	}
+	if problems := s.Verify(); len(problems) != 1 || problems[0].Kind != "shortcut" {
+		t.Errorf("verify = %v, want the one shortcut", problems)
+	}
+
+	_, _, built := buildFixture(t, "grid:6x6", "blobs:4", 1)
+	if err := s.PutShortcut(key, fp, p, shortcut.Options{}, built, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	got, _, ok, err := s.GetShortcut(key, g, nil)
+	if err != nil || !ok {
+		t.Fatalf("GetShortcut after the rebuild: ok=%v err=%v", ok, err)
+	}
+	if !sameCanonicalH(canonicalH(got.Shortcut), canonicalH(built.Shortcut)) {
+		t.Error("the replacing record does not hold the rebuild")
+	}
+	if problems := s.Verify(); len(problems) != 0 {
+		t.Errorf("verify after the rebuild: %v", problems)
 	}
 }
 

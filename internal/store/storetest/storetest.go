@@ -120,8 +120,20 @@ func (fx *fixture) put(t testing.TB, b store.Backend) {
 
 // canonicalPayload is the representation-independent identity of the
 // fixture's shortcut: the canonical record payload.
-func (fx *fixture) canonicalPayload() []byte {
-	return store.EncodeShortcutRecordPayload(fx.gfp, fx.parts, fx.opts, fx.res, fx.bt)
+func (fx *fixture) canonicalPayload(t testing.TB) []byte {
+	t.Helper()
+	return fx.encode(t, fx.parts, fx.res, fx.bt)
+}
+
+// encode renders res, a shortcut on the fixture's graph, as its record
+// payload.
+func (fx *fixture) encode(t testing.TB, parts *partition.Partition, res *shortcut.Result, bt time.Duration) []byte {
+	t.Helper()
+	payload, err := store.EncodeShortcutRecordPayload(fx.gfp, parts, fx.opts, res, bt)
+	if err != nil {
+		t.Fatalf("%s: %v", fx.spec, err)
+	}
+	return payload
 }
 
 // checkGet round-trips every record of the fixture through b.
@@ -145,8 +157,8 @@ func (fx *fixture) checkGet(t testing.TB, b store.Backend) {
 	if err != nil || !ok {
 		t.Fatalf("%s: GetShortcut: ok=%v err=%v", fx.spec, ok, err)
 	}
-	got := store.EncodeShortcutRecordPayload(fx.gfp, fx.parts, fx.opts, res2, bt2)
-	if !bytes.Equal(got, fx.canonicalPayload()) {
+	got := fx.encode(t, fx.parts, res2, bt2)
+	if !bytes.Equal(got, fx.canonicalPayload(t)) {
 		t.Fatalf("%s: GetShortcut round-trip is not canonical-identical", fx.spec)
 	}
 	// Key only: the record is decoded with its own partition record.
@@ -154,8 +166,8 @@ func (fx *fixture) checkGet(t testing.TB, b store.Backend) {
 	if err != nil || !ok {
 		t.Fatalf("%s: key-only GetShortcut: ok=%v err=%v", fx.spec, ok, err)
 	}
-	got = store.EncodeShortcutRecordPayload(fx.gfp, res3.Shortcut.Parts, fx.opts, res3, bt3)
-	if !bytes.Equal(got, fx.canonicalPayload()) {
+	got = fx.encode(t, res3.Shortcut.Parts, res3, bt3)
+	if !bytes.Equal(got, fx.canonicalPayload(t)) {
 		t.Fatalf("%s: key-only GetShortcut round-trip is not canonical-identical", fx.spec)
 	}
 }
@@ -722,8 +734,8 @@ func runTamper(t *testing.T, f Factory) {
 		}
 		res2, bt2, ok, err := b2.GetShortcut(fx.key, fx.g, fx.parts)
 		if err == nil && ok {
-			got := store.EncodeShortcutRecordPayload(fx.gfp, fx.parts, fx.opts, res2, bt2)
-			if !bytes.Equal(got, fx.canonicalPayload()) {
+			got := fx.encode(t, fx.parts, res2, bt2)
+			if !bytes.Equal(got, fx.canonicalPayload(t)) {
 				t.Fatalf("%s: tampered shortcut served as a wrong answer", fx.spec)
 			}
 		}

@@ -51,16 +51,16 @@ func (c *kvCore) PutGraphPayload(fp service.Fingerprint, payload []byte) error {
 // for a built result, byte-identical to what PutShortcut persists. It is
 // the fallback for serving a binary shortcut response when the record is
 // not (yet) durable: a storeless daemon, or a freshly built result whose
-// detached persist has not landed. It pays a fresh edge-permutation sort;
-// the store-backed path (ShortcutPayload) is the fast one. The payload
-// names res.Shortcut.Parts, the partition the result was built over; the
-// partition argument, which must describe that same partition, is not
-// read.
+// detached persist has not landed. The payload names res.Shortcut.Parts,
+// the partition the result was built over; the partition argument, which
+// must describe that same partition, is not read. A result over a graph
+// that is not canonical (graph.IsCanonical) is an error: its edge IDs are
+// not the payload's.
 func EncodeShortcutRecordPayload(graphFP service.Fingerprint, _ *partition.Partition,
-	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) []byte {
+	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) ([]byte, error) {
 
-	payload, _ := encodeShortcut(newEdgePerm(res.Shortcut.G), graphFP, opts, res, buildTime)
-	return payload
+	payload, _, err := encodeShortcut(graphFP, opts, res, buildTime)
+	return payload, err
 }
 
 // peerRecordVersion versions the binary PeerRecord framing.

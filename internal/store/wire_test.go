@@ -113,7 +113,10 @@ func TestEncodeShortcutRecordPayloadMatchesStore(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("ShortcutPayload: ok=%v err=%v", ok, err)
 	}
-	fresh := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, res, 42*time.Millisecond)
+	fresh, err := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, res, 42*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(stored, fresh) {
 		t.Error("fresh encoding differs from the stored payload")
 	}
@@ -206,6 +209,34 @@ func TestDecodeGraphPayloadHeader(t *testing.T) {
 	copy(ok[17:], wrap[17:])
 	if _, err := DecodeGraphPayload(ok, service.FingerprintBytes(ok[1:])); err != nil {
 		t.Errorf("one-edge payload rejected: %v", err)
+	}
+}
+
+// TestNegativeZeroWeight: a graph payload with a −0 weight, a second
+// content address for the graph with +0, is refused from the network, but
+// a stored record an earlier release wrote with one still decodes, to a
+// canonical graph with +0.
+func TestNegativeZeroWeight(t *testing.T) {
+	g := graph.New(3)
+	g.AddWeightedEdge(0, 1, 0)
+	g.AddWeightedEdge(1, 2, 1)
+	payload := EncodeGraphPayload(g)
+	payload[1+16+16] |= 0x80 // the first edge's weight, now −0
+	fp := service.FingerprintBytes(payload[1:])
+	if _, err := DecodeGraphPayload(payload, fp); err == nil {
+		t.Error("DecodeGraphPayload accepted a -0 weight")
+	}
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	if err := s.PutGraphPayload(fp, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.GetGraph(fp)
+	if err != nil || !ok {
+		t.Fatalf("GetGraph: ok=%v err=%v", ok, err)
+	}
+	if !graph.IsCanonical(got) || math.Signbit(got.Edge(0).W) {
+		t.Errorf("stored -0 record decodes to %v, want a canonical graph with +0", got.EdgeSlice())
 	}
 }
 
@@ -304,7 +335,10 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if fallback.g == nil {
 			fallback = fixtures[fp]
 		}
-		payload, _ := encodeShortcut(newEdgePerm(g), fp, shortcut.Options{}, res, time.Millisecond)
+		payload, _, err := encodeShortcut(fp, shortcut.Options{}, res, time.Millisecond)
+		if err != nil {
+			f.Fatal(err)
+		}
 		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
 			f.Add(payload[:n])
 		}
@@ -325,7 +359,10 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted payload decodes to an invalid shortcut: %v", err)
 		}
-		re, _ := encodeShortcut(newEdgePerm(fx.g), meta.graphFP, opts, res, bt)
+		re, _, err := encodeShortcut(meta.graphFP, opts, res, bt)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
 		if got := claimedOptions(re); got != opts {
 			t.Fatalf("options %+v re-encode as %+v", opts, got)
 		}

@@ -235,6 +235,10 @@ const (
 // content-addressed cache (see internal/service and cmd/locshortd).
 type (
 	// ServiceEngine caches and concurrently serves shortcut constructions.
+	// AddGraph registers the canonical form of the graph it is given
+	// (edges normalized to u < v and sorted), so the edge IDs in results
+	// refer to Graph(fp), which may be a different instance from the graph
+	// passed in.
 	ServiceEngine = service.Engine
 	// ServiceConfig tunes the engine's worker pool and cache.
 	ServiceConfig = service.Config
