@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -239,20 +238,14 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// bodyChunk is as much of a declared Content-Length as readBody makes room
-// for before any byte arrives. The header is the client's word: past this,
-// room grows only with the bytes received, so a client that declares
-// 64 MiB and sends nothing holds 64 KiB, not 64 MiB.
-const bodyChunk = 64 << 10
-
 // readBody reads a request body of at most maxBody bytes into buf's
 // backing array, growing it as needed, and closes the body. A declared
-// Content-Length is read in exact ReadFulls, one for a body that fits in
-// buf or in bodyChunk, and at most doubling what has arrived otherwise;
-// the last one hits the end of the body, so net/http has nothing to drain
-// after the handler. A chunked body is read to EOF through the cap. A
-// declared length over the cap fails before anything is read, with the
-// *http.MaxBytesError decodeStatus maps to 413.
+// Content-Length is the client's word: wire.ReadDeclared makes room for it
+// only as the bytes arrive, and its last exact read hits the end of the
+// body, so net/http has nothing to drain after the handler. A chunked body
+// is read to EOF through the cap. A declared length over the cap fails
+// before anything is read, with the *http.MaxBytesError decodeStatus maps
+// to 413.
 func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	defer r.Body.Close()
 	n := r.ContentLength
@@ -264,21 +257,7 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 	if n > maxBody {
 		return buf[:0], &http.MaxBytesError{Limit: maxBody}
 	}
-	size := int(n)
-	buf = buf[:0]
-	for len(buf) < size {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(size, max(2*len(buf), bodyChunk)))
-			copy(grown, buf)
-			buf = grown
-		}
-		m, err := io.ReadFull(r.Body, buf[len(buf):min(cap(buf), size)])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
+	return wire.ReadDeclared(r.Body, buf, int(n))
 }
 
 // decodeStatus maps a decode error to its status: 413 when the body cap

@@ -1250,11 +1250,11 @@ func TestBinaryBodyDeclaredLengthNotTrusted(t *testing.T) {
 	}
 }
 
-// TestReadBodyGrowsToDeclaredLength: a body longer than bodyChunk arrives
+// TestReadBodyGrowsToDeclaredLength: a body longer than wire.DeclaredChunk arrives
 // whole through readBody's doubling reads, into a buffer no larger than
 // the body, both fresh and over a pooled buffer too small for it.
 func TestReadBodyGrowsToDeclaredLength(t *testing.T) {
-	body := make([]byte, 5*bodyChunk+123)
+	body := make([]byte, 5*wire.DeclaredChunk+123)
 	for i := range body {
 		body[i] = byte(i * 7)
 	}

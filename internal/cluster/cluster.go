@@ -392,11 +392,16 @@ func fromPeerRecord(rec store.PeerRecord) Record {
 // errNotFound distinguishes a peer's 404 (clean miss) from real failures.
 var errNotFound = fmt.Errorf("cluster: peer record not found")
 
+// maxPeerGet bounds a peer GET answer that has no tighter bound: the ring,
+// the inventory, and a shortcut record, which the ingest limits do not
+// bound (k parts of up to n-1 tree edges each).
+const maxPeerGet = 256 << 20
+
 // get GETs a peer API path, asking for accept, and returns the body of a
-// 200 answer; a 404 is errNotFound, any other status an error quoting the
-// answer.
-func (c *Cluster) get(ctx context.Context, peer, path, accept string) ([]byte, http.Header, error) {
-	status, hdr, body, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodGet, peer, path, nil, 256<<20,
+// 200 answer of at most limit bytes; a 404 is errNotFound, any other
+// status an error quoting the answer.
+func (c *Cluster) get(ctx context.Context, peer, path, accept string, limit int64) ([]byte, http.Header, error) {
+	status, hdr, body, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodGet, peer, path, nil, limit,
 		"Accept", accept)
 	switch {
 	case err != nil:
@@ -412,7 +417,7 @@ func (c *Cluster) get(ctx context.Context, peer, path, accept string) ([]byte, h
 
 // getJSON GETs a peer API path and decodes the JSON answer into out.
 func (c *Cluster) getJSON(ctx context.Context, peer, path string, out any) error {
-	body, _, err := c.get(ctx, peer, path, "")
+	body, _, err := c.get(ctx, peer, path, "", maxPeerGet)
 	if err != nil {
 		return err
 	}
@@ -434,12 +439,13 @@ func (c *Cluster) InventoryOf(ctx context.Context, peer string) (Inventory, erro
 }
 
 // getBinary GETs a peer API path asking for the binary protocol and
-// returns the raw body, and whether the peer answered in it. A peer that
-// answers JSON instead (binary=false) is handled by the caller's JSON
-// path, so the client interoperates with nodes that have not negotiated
-// binary — the fetch just costs the base64 round trip it always did.
-func (c *Cluster) getBinary(ctx context.Context, peer, path string) (body []byte, binary bool, err error) {
-	body, hdr, err := c.get(ctx, peer, path, wire.ContentType)
+// returns the raw body, of at most limit bytes, and whether the peer
+// answered in it. A peer that answers JSON instead (binary=false) is
+// handled by the caller's JSON path, so the client interoperates with
+// nodes that have not negotiated binary — the fetch just costs the base64
+// round trip it always did.
+func (c *Cluster) getBinary(ctx context.Context, peer, path string, limit int64) (body []byte, binary bool, err error) {
+	body, hdr, err := c.get(ctx, peer, path, wire.ContentType, limit)
 	if err != nil {
 		return nil, false, err
 	}
@@ -450,7 +456,7 @@ func (c *Cluster) getBinary(ctx context.Context, peer, path string) (body []byte
 // protocol (JSON fallback when the peer answers in it). found is false on
 // a clean 404.
 func (c *Cluster) recordOf(ctx context.Context, peer string, key service.Fingerprint) (store.PeerRecord, bool, error) {
-	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/records/"+key.String())
+	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/records/"+key.String(), maxPeerGet)
 	if err == errNotFound {
 		return store.PeerRecord{}, false, nil
 	}
@@ -476,9 +482,10 @@ func (c *Cluster) recordOf(ctx context.Context, peer string, key service.Fingerp
 }
 
 // graphPayloadOf fetches one graph record payload from a peer over the
-// binary protocol (JSON fallback).
+// binary protocol (JSON fallback). The answer is held to maxGraphJSON, the
+// longer of a legal graph's two forms, as a peer graph PUT is.
 func (c *Cluster) graphPayloadOf(ctx context.Context, peer string, fp service.Fingerprint) ([]byte, bool, error) {
-	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/graphs/"+fp.String())
+	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/graphs/"+fp.String(), maxGraphJSON)
 	if err == errNotFound {
 		return nil, false, nil
 	}

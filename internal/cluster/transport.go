@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"locshort/internal/wire"
 )
 
 // maxIdlePerPeer bounds each peer's list of idle keep-alive connections.
@@ -24,9 +26,13 @@ const maxIdlePerPeer = 64
 // payload-sized allocation.
 const maxKeptRequestBuf = 64 << 10
 
-// errAnswerTooLong is an answer whose body runs past the caller's limit.
-// The peer answered, so it is not a transport failure.
-var errAnswerTooLong = errors.New("cluster: peer answer over its size limit")
+// errAnswerTooLong is an answer whose body runs past the caller's limit,
+// and errAnswerShort one whose body ends before its declared length. The
+// peer answered, so neither is a transport failure.
+var (
+	errAnswerTooLong = errors.New("cluster: peer answer over its size limit")
+	errAnswerShort   = errors.New("cluster: peer answer shorter than its declared length")
+)
 
 // link is this node's client side of one peer: its down backoff and its
 // idle keep-alive connections. Links are made once, in New, one per peer.
@@ -125,7 +131,8 @@ func validHeaderValue(v string) bool {
 // call. It sends method and path with body (nil for none) and each header
 // key/value pair whose value is not empty, and returns the answer's
 // status, header and body, whatever the status. The body is at most limit
-// bytes; a longer one is an error.
+// bytes; a longer one is an error. A declared length reserves no more
+// than wire.ReadDeclared makes room for before the body arrives.
 //
 // The request goes out on one of the peer's pooled keep-alive connections
 // (or a fresh dial) in a single Write, and the answer is parsed by
@@ -179,6 +186,9 @@ func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, p
 		case errors.Is(err, errAnswerTooLong):
 			c.markUp(peer)
 			return 0, nil, nil, fmt.Errorf("%w: %s %s over %d bytes", errAnswerTooLong, peer, path, limit)
+		case errors.Is(err, errAnswerShort):
+			c.markUp(peer)
+			return 0, nil, nil, fmt.Errorf("%w: %s %s", errAnswerShort, peer, path)
 		case reused && a.unanswered && !errors.Is(err, os.ErrDeadlineExceeded):
 			l.dropIdle()
 			pc = nil
@@ -261,8 +271,12 @@ func (pc *peerConn) roundTrip(ctx context.Context, deadline time.Time, method, h
 	case resp.ContentLength > limit:
 		return a, errAnswerTooLong
 	case resp.ContentLength >= 0:
-		a.body = make([]byte, resp.ContentLength)
-		_, err = io.ReadFull(resp.Body, a.body)
+		// The declared length is the peer's word: room grows with the
+		// bytes that arrive, not with what was declared.
+		a.body, err = wire.ReadDeclared(resp.Body, nil, int(resp.ContentLength))
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			err = errAnswerShort
+		}
 	default:
 		// Chunked, or read until the peer closes: at most limit bytes,
 		// plus one to tell a body of exactly limit bytes from a longer one.

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -254,6 +257,69 @@ func TestTransportAnswerOverLimit(t *testing.T) {
 		}
 		if !cl.available(peer) {
 			t.Fatalf("%s: a peer that answered was marked down", tc.path)
+		}
+	}
+}
+
+// TestTransportDeclaredLengthNotTrusted: a peer answers with a declared
+// length it never sends — 3 bytes, then it closes. A graph GET declaring
+// more than the longest legal graph fails at once; one declaring less, and
+// a forward, fail when the body ends. Each costs the node what arrived,
+// well under 1 MiB, not what was declared, and the peer, which answered,
+// is not marked down.
+func TestTransportDeclaredLengthNotTrusted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	declared := make(chan int, 1)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := http.ReadRequest(bufio.NewReader(nc)); err == nil {
+				fmt.Fprintf(nc, "HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\nabc",
+					wire.ContentType, <-declared)
+			}
+			nc.Close()
+		}
+	}()
+	peer := ln.Addr().String()
+	cl := newPeerOf(t, peer, Config{DownBackoff: time.Minute})
+	for _, tc := range []struct {
+		name string
+		n    int
+		call func() error
+	}{
+		{"graph GET over the graph limit", 200_000_000, func() error {
+			_, _, err := cl.graphPayloadOf(t.Context(), peer, 1)
+			return err
+		}},
+		{"graph GET under the graph limit", 100_000_000, func() error {
+			_, _, err := cl.graphPayloadOf(t.Context(), peer, 1)
+			return err
+		}},
+		{"forward", 60 << 20, func() error {
+			_, _, _, err := cl.Forward(t.Context(), peer, "/v1/shortcuts", testFrame, wire.ContentType)
+			return err
+		}},
+	} {
+		declared <- tc.n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.call()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a 3-byte answer declaring %d bytes succeeded", tc.name, tc.n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: a 3-byte answer declaring %d bytes allocated %d bytes", tc.name, tc.n, grew)
+		}
+		if !cl.available(peer) {
+			t.Errorf("%s: a peer that answered was marked down (%v)", tc.name, err)
 		}
 	}
 }

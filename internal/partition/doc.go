@@ -17,7 +17,7 @@
 // Depends only on internal/graph. Everything that builds or serves
 // shortcuts (internal/shortcut, internal/dist, internal/service,
 // internal/store) consumes partitions; internal/service additionally
-// defines their canonical byte encoding (AppendPartitionCanonical) for
+// defines their canonical byte encoding (FingerprintPartition) for
 // content addressing and persistence.
 //
 // The package is part of the deterministic core policed by the

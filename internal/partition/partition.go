@@ -71,7 +71,7 @@ func validated(g *graph.Graph, parts [][]int) (*Partition, error) {
 // is partOf, taking ownership of it as PartOf: partOf[v] is -1 for an
 // uncovered node, else the rank of v's part by first appearance over
 // nodes 0..n-1, and all k ranks appear. That is the label sequence of the
-// canonical encoding (service.AppendPartitionCanonical), so the partition
+// canonical encoding (service.FingerprintPartition), so the partition
 // re-encodes to exactly those labels, with Parts[i] the part of rank i.
 // One counting pass lays the parts out in one backing array, nodes
 // ascending within a part; then every part must induce a connected

@@ -21,7 +21,7 @@
 // Depends on internal/graph, internal/partition, internal/shortcut,
 // internal/dist, and internal/cli (a construction whose request carries
 // a key and a partition spec parses the spec). It defines the canonical content-addressing scheme
-// (Fingerprint, ShortcutKey, AppendPartitionCanonical) that internal/store
+// (Fingerprint, ShortcutKey, FingerprintPartition) that internal/store
 // keys its records by; the Store interface lives here and internal/store
 // implements it, keeping the dependency pointed downward. cmd/locshortd
 // exposes the engine over HTTP; cmd/loadgen drives it. See DESIGN.md §4

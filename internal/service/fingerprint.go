@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -93,30 +92,7 @@ func FingerprintGraph(g *graph.Graph) Fingerprint {
 	return FingerprintBytes(g.AppendCanonical(nil))
 }
 
-// AppendPartitionCanonical appends the canonical binary encoding of a
-// partition to b: node count, part count, then the per-node part assignment
-// with part labels canonicalized by first appearance over nodes 0..n-1
-// (Partition.CanonicalRanks), so the encoding is invariant under part
-// reordering and node-order permutations within a part. It is the
-// partition counterpart of graph.AppendCanonical and doubles as the
-// on-disk partition payload of internal/store. Fingerprints and shortcut
-// keys hash the same bytes streamed (hashPartition) and never build them.
-func AppendPartitionCanonical(b []byte, p *partition.Partition) []byte {
-	var stack [128]int32
-	rank := p.CanonicalRanks(stack[:])
-	b = binary.BigEndian.AppendUint64(b, uint64(len(p.PartOf)))
-	b = binary.BigEndian.AppendUint64(b, uint64(len(rank)))
-	for _, i := range p.PartOf {
-		l := ^uint64(0) // uncovered
-		if i >= 0 {
-			l = uint64(rank[i])
-		}
-		b = binary.BigEndian.AppendUint64(b, l)
-	}
-	return b
-}
-
-// hashPartition feeds p's canonical encoding (AppendPartitionCanonical)
+// hashPartition feeds p's canonical encoding (see FingerprintPartition)
 // into h without building it; the rank table lives on the stack for up
 // to 128 parts.
 func hashPartition(h uint64, p *partition.Partition) uint64 {
@@ -139,9 +115,29 @@ func hashRanked(h uint64, p *partition.Partition, rank []int32) uint64 {
 }
 
 // FingerprintPartition fingerprints a partition's canonical part
-// assignment.
+// assignment: FNV-1a over its canonical encoding, the node count n, the
+// part count k, then each node's label, all as big-endian uint64s. A
+// node's label is the rank of its part by first appearance over nodes
+// 0..n-1 (Partition.CanonicalRanks), or 2^64-1 for an uncovered node, so
+// the encoding is invariant under part reordering. It is the partition
+// counterpart of graph.AppendCanonical; the hash is streamed and the
+// 16+8n bytes are never built.
 func FingerprintPartition(p *partition.Partition) Fingerprint {
 	return Fingerprint(hashPartition(fnvOffset, p))
+}
+
+// FingerprintLabels is FingerprintPartition over a partition given by its
+// node count n, its part count k and its labels: label(v), called once for
+// each node v in ascending order, is v's canonical part rank, or -1 for an
+// uncovered node. A stored partition record holds exactly that, so the
+// store re-derives a record's fingerprint from its labels without a
+// partition or the 16+8n-byte encoding.
+func FingerprintLabels(n, k int, label func(v int) int) Fingerprint {
+	h := fnvWord(fnvWord(fnvOffset, uint64(n)), uint64(k))
+	for v := range n {
+		h = fnvWord(h, uint64(int64(label(v))))
+	}
+	return Fingerprint(h)
 }
 
 // FingerprintPartitionRanks is FingerprintPartition for a caller that
@@ -168,16 +164,9 @@ func hashOptions(h uint64, o shortcut.Options) uint64 {
 // build options. Up to hash collisions (see Fingerprint), two requests
 // share a key exactly when Build would produce the same shortcut. The
 // hash is streamed over p's PartOf (no allocation up to 128 parts) and
-// covers exactly the bytes of the big-endian graph fingerprint,
-// AppendPartitionCanonical(p) and the options, in that order.
+// covers exactly the bytes of the big-endian graph fingerprint, p's
+// canonical encoding (FingerprintPartition) and the options, in that
+// order.
 func ShortcutKey(g Fingerprint, p *partition.Partition, o shortcut.Options) Fingerprint {
 	return Fingerprint(hashOptions(hashPartition(fnvWord(fnvOffset, uint64(g)), p), o))
-}
-
-// ShortcutKeyCanonical is ShortcutKey over a partition given as its
-// canonical encoding (AppendPartitionCanonical, the body of a stored
-// partition record) instead of as a decoded partition: the store
-// re-derives a record's key from the payload bytes it already holds.
-func ShortcutKeyCanonical(g Fingerprint, partCanon []byte, o shortcut.Options) Fingerprint {
-	return Fingerprint(hashOptions(fnvBytes(fnvWord(fnvOffset, uint64(g)), partCanon), o))
 }

@@ -74,6 +74,25 @@ func TestPartitionFingerprintsGolden(t *testing.T) {
 	}
 }
 
+// AppendPartitionCanonical appends the canonical encoding of a partition
+// to b (see FingerprintPartition): big-endian uint64 node count and part
+// count, then each node's canonical label, 2^64-1 for an uncovered node.
+// The streamed hashes never build these bytes; the tests hash them as the
+// oracle.
+func AppendPartitionCanonical(b []byte, p *partition.Partition) []byte {
+	rank := p.CanonicalRanks(nil)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(p.PartOf)))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(rank)))
+	for _, i := range p.PartOf {
+		l := ^uint64(0) // uncovered
+		if i >= 0 {
+			l = uint64(rank[i])
+		}
+		b = binary.BigEndian.AppendUint64(b, l)
+	}
+	return b
+}
+
 // byteKey is ShortcutKey computed the way it was before it was streamed:
 // FNV-1a over the materialized bytes.
 func byteKey(g Fingerprint, p *partition.Partition, o shortcut.Options) Fingerprint {
@@ -89,9 +108,9 @@ func byteKey(g Fingerprint, p *partition.Partition, o shortcut.Options) Fingerpr
 
 // TestStreamedKeyMatchesCanonicalBytes checks the streamed derivations
 // against FNV-1a over AppendPartitionCanonical's bytes: ShortcutKey,
-// ShortcutKeyCanonical and FingerprintPartition, over spec-made
-// partitions and over random label arrays — parts out of first-appearance
-// order, uncovered nodes, and more parts than the stack rank table holds.
+// FingerprintPartition and FingerprintLabels, over spec-made partitions
+// and over random label arrays — parts out of first-appearance order,
+// uncovered nodes, and more parts than the stack rank table holds.
 func TestStreamedKeyMatchesCanonicalBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	check := func(name string, g *graph.Graph, p *partition.Partition) {
@@ -103,12 +122,20 @@ func TestStreamedKeyMatchesCanonicalBytes(t *testing.T) {
 			if got := ShortcutKey(gfp, p, o); got != want {
 				t.Fatalf("%s %+v: ShortcutKey %s, bytes hash to %s", name, o, got, want)
 			}
-			if got := ShortcutKeyCanonical(gfp, canon, o); got != want {
-				t.Fatalf("%s %+v: ShortcutKeyCanonical %s, bytes hash to %s", name, o, got, want)
-			}
 		}
-		if got, want := FingerprintPartition(p), FingerprintBytes(canon); got != want {
+		want := FingerprintBytes(canon)
+		if got := FingerprintPartition(p); got != want {
 			t.Fatalf("%s: FingerprintPartition %s, bytes hash to %s", name, got, want)
+		}
+		rank := p.CanonicalRanks(nil)
+		label := func(v int) int {
+			if i := p.PartOf[v]; i >= 0 {
+				return int(rank[i])
+			}
+			return -1
+		}
+		if got := FingerprintLabels(len(p.PartOf), len(rank), label); got != want {
+			t.Fatalf("%s: FingerprintLabels %s, bytes hash to %s", name, got, want)
 		}
 	}
 	for _, c := range []struct{ graph, parts string }{

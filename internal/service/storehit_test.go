@@ -5,12 +5,10 @@ import (
 	"testing"
 
 	"locshort/internal/cli"
-	"locshort/internal/graph"
 	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
-	"locshort/internal/tree"
 )
 
 // twoRecordStore opens a segment store holding grid:32x32 and two of its
@@ -107,62 +105,5 @@ func TestStoreReadsShareGraphTree(t *testing.T) {
 		if &tr.Parent[0] != &memo.Parent[0] || &tr.ParentEdge[0] != &memo.ParentEdge[0] {
 			t.Errorf("key %s: the decoded tree does not alias the graph's BFS tree", req.Key)
 		}
-	}
-}
-
-// TestEngineReplacesRefusedRecord: a record whose tree is not the graph's
-// BFS tree fails the store read, so the engine counts one store error and
-// rebuilds, and the persist replaces the record: the next miss on the key
-// is a store hit.
-func TestEngineReplacesRefusedRecord(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	g, _, err := cli.ParseGraph("grid:12x12", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := service.FingerprintGraph(g)
-	if err := st.PutGraph(fp, g); err != nil {
-		t.Fatal(err)
-	}
-	p, err := cli.ParsePartition(g, "blobs:8", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := tree.FromBFS(g, (graph.ChooseRoot(g)+1)%g.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged, err := shortcut.Build(g, p, shortcut.Options{Tree: other})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := service.ShortcutKey(fp, p, shortcut.Options{})
-	if err := st.PutShortcut(key, fp, p, shortcut.Options{}, forged, 0); err != nil {
-		t.Fatal(err)
-	}
-	req := service.BuildRequest{Graph: fp, Key: key, Spec: "blobs:8", Seed: 3}
-	serve := func(want service.BuildSource) service.Stats {
-		t.Helper()
-		e := service.New(service.Config{Store: st})
-		defer e.Close() // drains the detached persist
-		if _, err := e.WarmStart(); err != nil {
-			t.Fatal(err)
-		}
-		c, _, err := e.Build(context.Background(), req)
-		if err != nil || c.Source != want {
-			t.Fatalf("Build: err=%v source=%v, want %v", err, c.Source, want)
-		}
-		return e.Stats()
-	}
-	if s := serve(service.SourceBuilt); s.StoreErrors != 1 || s.Builds != 1 {
-		t.Errorf("refused record: %d store errors and %d builds, want 1 and 1", s.StoreErrors, s.Builds)
-	}
-	if s := serve(service.SourceStore); s.StoreErrors != 0 || s.Builds != 0 || s.StoreHits != 1 {
-		t.Errorf("after the rebuild: %d store errors, %d builds, %d store hits; want 0, 0, 1",
-			s.StoreErrors, s.Builds, s.StoreHits)
 	}
 }

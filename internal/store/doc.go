@@ -8,13 +8,18 @@
 // (DESIGN.md §4, following the shortcut-framework treatment of
 // Ghaffari–Haeupler, PODC 2021): a shortcut is a pure function of
 // (graph, partition, build options), so its content address is a durable
-// identity. Graph and partition payloads are exactly the canonical byte
-// encodings their fingerprints hash (graph.AppendCanonical,
-// service.AppendPartitionCanonical) — the store is self-verifying: FNV-1a
-// over the payload is the record key. Every graph a shortcut is built on
-// is in canonical form (graph.Canonical), so its edge IDs are canonical
-// edge indexes: a shortcut payload holds them as they are, and decodes
-// against the representative any process holds for the fingerprint.
+// identity. The store is self-verifying: every payload re-derives its
+// record key. A graph payload is exactly the canonical byte encoding its
+// fingerprint hashes (graph.AppendCanonical), so FNV-1a over the payload
+// is the record key. A partition payload holds its labels as varints and
+// hashes their canonical expansion (service.FingerprintPartition),
+// streamed without building it. Every graph a shortcut is built on is in
+// canonical form (graph.Canonical), so its edge IDs are canonical edge
+// indexes: a shortcut payload holds them as they are, and decodes against
+// the representative any process holds for the fingerprint. It holds no
+// restriction tree: that is the graph's own BFS tree, and the decode takes
+// it from the graph. Payload version 2 is written and version 1, from
+// earlier releases, still read (encode.go).
 //
 // The store also carries the async job records of internal/jobs ('J'
 // frames in the same segments). Those are the one non-content-addressed

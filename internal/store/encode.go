@@ -20,12 +20,16 @@ import (
 // format can evolve record kind by record kind; decoders reject unknown
 // versions instead of misreading them.
 //
-// Graphs and partitions persist as exactly the canonical byte encodings the
-// fingerprints are computed over (graph.AppendCanonical,
-// service.AppendPartitionCanonical). That makes the store self-verifying:
-// for these kinds, FNV-1a over the payload body *is* the record key, so
-// `locshortctl verify` can prove content-addressing integrity without any
-// side information, and a decoded object re-encodes to the identical bytes.
+// The store is self-verifying: every payload re-derives its record key
+// without side information, so `locshortctl verify` can prove
+// content-addressing integrity. A graph payload is exactly the canonical
+// encoding its fingerprint hashes (graph.AppendCanonical): FNV-1a over the
+// body is the key. A partition payload holds the labels of the canonical
+// partition encoding (service.FingerprintPartition) as varints: its key is
+// FNV-1a over the 16+8n-byte canonical expansion of those labels, streamed
+// (service.FingerprintLabels) and never built. A shortcut payload names
+// its graph and partition and re-derives its key from them and its
+// options.
 //
 // Shortcut payloads hold edge IDs, and an edge ID is an index into the
 // canonical graph encoding: every graph a shortcut is encoded over or
@@ -33,13 +37,24 @@ import (
 // form every engine representative has (spec, JSON or binary ingest, peer
 // push, warm start alike), so live IDs are canonical IDs and move
 // untranslated. encodeShortcut refuses a graph that is not canonical. The
-// restriction tree a payload carries must be the graph's own BFS tree
-// ((*graph.Graph).BFSTree); decodeShortcut checks that and hands out the
-// graph's memoized tree instead of a copy.
+// restriction tree of every H_i is the graph's own BFS tree
+// ((*graph.Graph).BFSTree), which the graph alone determines, so a payload
+// stores neither the tree nor its depth: decodeShortcut hands out the
+// graph's memoized tree.
+//
+// Version 2 of the partition and shortcut payloads is the only one
+// written. Version 1, which earlier releases wrote, is still read, so old
+// data directories and peers that have not been upgraded keep working: a
+// version 1 partition payload is the 16+8n-byte canonical encoding itself,
+// and a version 1 shortcut payload also stores the tree and its depth,
+// which must be the graph's.
 const (
 	graphPayloadVersion     = 1
-	partitionPayloadVersion = 1
-	shortcutPayloadVersion  = 1
+	partitionPayloadVersion = 2
+	shortcutPayloadVersion  = 2
+
+	partitionPayloadV1 = 1
+	shortcutPayloadV1  = 1
 )
 
 // maxStoredGraphNodes bounds the node count of a graph record read back
@@ -155,46 +170,193 @@ func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.
 	return g, nil
 }
 
-// encodePartition renders the partition payload: version byte + canonical
-// assignment encoding.
+// encodePartition renders the partition payload: the version byte,
+// uvarint n, uvarint k, then one uvarint per node, its canonical label
+// (the rank of its part by first appearance, Partition.CanonicalRanks)
+// plus one, or 0 for an uncovered node.
 func encodePartition(p *partition.Partition) []byte {
-	b := make([]byte, 1, 1+16+8*len(p.PartOf))
+	var stack [128]int32
+	rank := p.CanonicalRanks(stack[:])
+	n, k := uint64(len(p.PartOf)), uint64(len(rank))
+	b := make([]byte, 1, 1+uvarintLen(n)+uvarintLen(k)+int(n)*uvarintLen(k))
 	b[0] = partitionPayloadVersion
-	return service.AppendPartitionCanonical(b, p)
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, k)
+	for _, i := range p.PartOf {
+		var l uint64 // uncovered
+		if i >= 0 {
+			l = uint64(rank[i]) + 1
+		}
+		b = binary.AppendUvarint(b, l)
+	}
+	return b
+}
+
+// partitionLabels is a partition payload's header and the label varints
+// that follow it, not yet read.
+type partitionLabels struct {
+	n, k int
+	b    []byte
+}
+
+// parsePartition reads a partition payload's header. n is held to the
+// bytes that follow, since every label takes at least one, and k to n,
+// before anything is sized by either.
+func parsePartition(payload []byte) (partitionLabels, error) {
+	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
+		return partitionLabels{}, errors.New("bad payload version")
+	}
+	b := payload[1:]
+	n, used := shortestUvarint(b)
+	if used <= 0 {
+		return partitionLabels{}, errors.New("truncated or overlong node count")
+	}
+	b = b[used:]
+	k, used := shortestUvarint(b)
+	if used <= 0 {
+		return partitionLabels{}, errors.New("truncated or overlong part count")
+	}
+	b = b[used:]
+	switch {
+	case n > uint64(len(b)):
+		return partitionLabels{}, fmt.Errorf("%d nodes in %d label bytes", n, len(b))
+	case k > n:
+		return partitionLabels{}, fmt.Errorf("%d parts for %d nodes", k, n)
+	}
+	return partitionLabels{n: int(n), k: int(k), b: b}, nil
+}
+
+// next reads node v's label off the front of the label varints: its part
+// rank, or -1 for an uncovered node. A label must be below k and in its
+// shortest varint form, so a partition has exactly one payload.
+func (l *partitionLabels) next(v int) (int, error) {
+	x, used := shortestUvarint(l.b)
+	switch {
+	case used <= 0:
+		return 0, fmt.Errorf("node %d: truncated or overlong label", v)
+	case x > uint64(l.k):
+		return 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, x-1, l.k)
+	}
+	l.b = l.b[used:]
+	return int(x) - 1, nil
+}
+
+// end fails when bytes are left after the last label.
+func (l *partitionLabels) end() error {
+	if len(l.b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(l.b))
+	}
+	return nil
+}
+
+// shortestUvarint is binary.Uvarint, but a value not in its shortest form
+// is refused like a truncated one (used 0).
+func shortestUvarint(b []byte) (uint64, int) {
+	x, used := binary.Uvarint(b)
+	if used > 0 && used != uvarintLen(x) {
+		return 0, 0
+	}
+	return x, used
+}
+
+// partitionKey re-derives a partition payload's fingerprint without its
+// graph, for Verify. A version 2 payload's labels are checked as
+// decodePartition checks them and streamed through the hash of their
+// canonical expansion, which is never built; a version 1 body is that
+// expansion, and is hashed as it is.
+func partitionKey(payload []byte) (service.Fingerprint, error) {
+	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
+		return service.FingerprintBytes(payload[1:]), nil
+	}
+	lab, err := parsePartition(payload)
+	if err != nil {
+		return 0, err
+	}
+	fp := service.FingerprintLabels(lab.n, lab.k, func(v int) int {
+		l, lerr := lab.next(v)
+		if err == nil {
+			err = lerr
+		}
+		return l
+	})
+	if err == nil {
+		err = lab.end()
+	}
+	return fp, err
 }
 
 // decodePartition reconstructs a partition from its payload against g.
-// The payload body must hash to key, and its header must fit both the
-// payload length and g — n nodes in exactly 16+8n bytes, n equal to g's
-// node count, at most n parts — before anything is allocated. The labels
-// are read straight into the partition's PartOf, and
+// Before anything is allocated the header must fit both the payload and
+// g: n at most the label bytes left (version 1: exactly 16+8n bytes), n
+// equal to g's node count, at most n parts. Every label must be below k,
+// no bytes may trail, and the labels must hash to key (version 1: the
+// body, first). They are read straight into the partition's PartOf, and
 // partition.FromCanonical lays the parts out in the second half of that
 // same allocation in one counting pass, so a decode allocates the same
-// few times whatever n and k are. FromCanonical also
-// requires the labels to be dense and in first-appearance order, and each
-// part connected: an accepted payload is the canonical encoding of the
-// partition it decodes to, byte for byte.
+// few times whatever n and k are. FromCanonical also requires the labels
+// to be dense and in first-appearance order, and each part connected: an
+// accepted payload is the encoding of the partition it decodes to, byte
+// for byte.
 func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*partition.Partition, error) {
-	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
-		return nil, fmt.Errorf("store: partition %s: bad payload version", key)
+	labels := readLabels
+	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
+		labels = readLabelsV1
 	}
+	partOf, k, err := labels(payload, key, g)
+	if err == nil {
+		var p *partition.Partition
+		if p, err = partition.FromCanonical(g, partOf, k); err == nil {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("store: partition %s: %w", key, err)
+}
+
+// readLabels reads a version 2 payload's labels into a PartOf with room
+// for the parts' nodes after it, and returns it with the part count.
+func readLabels(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
+	lab, err := parsePartition(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	if lab.n != g.NumNodes() {
+		return nil, 0, fmt.Errorf("covers %d nodes, graph has %d", lab.n, g.NumNodes())
+	}
+	partOf := make([]int, lab.n, 2*lab.n) // PartOf, then the parts' nodes
+	for v := range partOf {
+		if partOf[v], err = lab.next(v); err != nil {
+			return nil, 0, err
+		}
+	}
+	if err := lab.end(); err != nil {
+		return nil, 0, err
+	}
+	if got := service.FingerprintLabels(lab.n, lab.k, func(v int) int { return partOf[v] }); got != key {
+		return nil, 0, fmt.Errorf("content hashes to %s", got)
+	}
+	return partOf, lab.k, nil
+}
+
+// readLabelsV1 is readLabels for a version 1 payload, whose body is the
+// canonical encoding itself.
+func readLabelsV1(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
 	body := payload[1:]
 	if got := service.FingerprintBytes(body); got != key {
-		return nil, fmt.Errorf("store: partition %s: content hashes to %s", key, got)
+		return nil, 0, fmt.Errorf("content hashes to %s", got)
 	}
 	if len(body) < 16 {
-		return nil, fmt.Errorf("store: partition %s: short payload", key)
+		return nil, 0, errors.New("short payload")
 	}
 	n := binary.BigEndian.Uint64(body)
 	k := binary.BigEndian.Uint64(body[8:])
 	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
-		return nil, fmt.Errorf("store: partition %s: payload length %d for %d nodes", key, len(body), n)
+		return nil, 0, fmt.Errorf("payload length %d for %d nodes", len(body), n)
 	}
 	if n != uint64(g.NumNodes()) {
-		return nil, fmt.Errorf("store: partition %s: covers %d nodes, graph has %d", key, n, g.NumNodes())
+		return nil, 0, fmt.Errorf("covers %d nodes, graph has %d", n, g.NumNodes())
 	}
 	if k > n {
-		return nil, fmt.Errorf("store: partition %s: %d parts for %d nodes", key, k, n)
+		return nil, 0, fmt.Errorf("%d parts for %d nodes", k, n)
 	}
 	partOf := make([]int, n, 2*n) // PartOf, then the parts' nodes
 	for v := range partOf {
@@ -203,28 +365,25 @@ func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*
 		case l == ^uint64(0):
 			partOf[v] = -1
 		case l >= k:
-			return nil, fmt.Errorf("store: partition %s: node %d label %d out of range [0,%d)", key, v, l, k)
+			return nil, 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, l, k)
 		default:
 			partOf[v] = int(l)
 		}
 	}
-	p, err := partition.FromCanonical(g, partOf, int(k))
-	if err != nil {
-		return nil, fmt.Errorf("store: partition %s: %w", key, err)
-	}
-	return p, nil
+	return partOf, int(k), nil
 }
 
 // decodeRecord decodes a stored shortcut against g and parts or, with
 // parts nil, against the partition record ppay that the shortcut payload
 // names: ppay must hash to that partition fingerprint and decode to
-// connected parts of g, and the key is re-derived over its bytes. The
-// result's partition is then the record's own, in canonical part order.
+// connected parts of g, and the key is re-derived over the partition it
+// decodes to. The result's partition is then the record's own, in
+// canonical part order.
 func decodeRecord(spay, ppay []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
 
 	if parts != nil {
-		return decodeShortcut(spay, key, g, parts, nil)
+		return decodeShortcut(spay, key, g, parts, false)
 	}
 	meta, err := parseShortcutMeta(spay)
 	if err != nil {
@@ -233,7 +392,7 @@ func decodeRecord(spay, ppay []byte, key service.Fingerprint,
 	if parts, err = decodePartition(ppay, meta.partFP, g); err != nil {
 		return nil, 0, err
 	}
-	return decodeShortcut(spay, key, g, parts, ppay[1:])
+	return decodeShortcut(spay, key, g, parts, true)
 }
 
 // shortcutMeta is the decoded fixed-size head of a shortcut payload, enough
@@ -245,9 +404,10 @@ type shortcutMeta struct {
 	partFP  service.Fingerprint
 }
 
-// parseShortcutMeta reads the dependency head of a shortcut payload.
+// parseShortcutMeta reads the dependency head of a shortcut payload, which
+// both versions share.
 func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
-	if len(payload) < 17 || payload[0] != shortcutPayloadVersion {
+	if len(payload) < 17 || (payload[0] != shortcutPayloadVersion && payload[0] != shortcutPayloadV1) {
 		return shortcutMeta{}, fmt.Errorf("store: shortcut payload: bad version or truncated head")
 	}
 	return shortcutMeta{
@@ -260,43 +420,52 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 // form: its edge IDs are not the payload's.
 var errNotCanonical = errors.New("graph is not in canonical form (graph.Canonical)")
 
-// errTreeNotCanonical refuses a record whose restriction tree is not the
-// graph's BFS tree: it was written against another edge order, by a
-// release that kept a non-canonical representative.
+// errTreeNotCanonical refuses a shortcut whose restriction tree is not the
+// graph's BFS tree: a result built on another tree or on none, which a
+// payload without a tree would read back on the wrong one; or a version 1
+// record whose stored tree or depth is not the graph's, written against
+// another edge order by a release that kept a non-canonical
+// representative, or forged.
 var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree")
 
 // encodeShortcut renders a shortcut payload and returns it with the
 // fingerprint of the partition it names, that of res.Shortcut.Parts. The
 // shortcut's graph must be canonical (errNotCanonical otherwise), so its
-// edge IDs are written as they are.
+// edge IDs are written as they are, and its tree must be the graph's BFS
+// tree — the same root and the same parent edge at every node — which
+// decodeShortcut takes from the graph (errTreeNotCanonical otherwise).
 // Layout after the version byte and the two big-endian dependency
 // fingerprints (graph, partition):
 //
 //	varint x5   build options (delta, maxdelta, cf, bf, iters)
-//	varint x5   result metadata (delta', congestion threshold, block
-//	            budget, iterations, tree depth)
+//	varint x4   result metadata (delta', congestion threshold, block
+//	            budget, iterations); the tree depth is the graph's
 //	varint      build cost in nanoseconds
-//	byte        1 if a restriction tree follows, else 0
-//	[tree]      uvarint root, uvarint node count n, then n varints:
-//	            parent-edge ID, or -1 for the root / non-tree nodes
 //	uvarint     part count k
 //	k bits      coverage bitmap, little-endian within bytes, indexed by
-//	            canonical part rank (see partCanonOrder)
+//	            canonical part rank (see partRanks)
 //	[per covered part, in canonical rank order] uvarint edge count, then
 //	            ascending edge IDs delta-encoded as uvarints (first
 //	            absolute, rest gaps)
 //
+// Version 1 also stored the tree depth after the iterations, and after
+// the build cost a flag byte and the tree: uvarint root, uvarint node
+// count n, then n varints, each node's parent-edge ID or -1.
+//
 // Every cold build is persisted through here, so the allocations are a
-// constant few whatever n and k are: the payload is sized once from n, k
-// and Σ|H_i|, and the part rank table also yields the partition
-// fingerprint. The construction lists every H_i in ascending order; only
-// an H_i that is not is sorted, in a scratch copy.
+// constant few whatever n and k are: the payload is sized once from k and
+// Σ|H_i|, and the part rank table also yields the partition fingerprint.
+// The construction lists every H_i in ascending order; only an H_i that
+// is not is sorted, in a scratch copy.
 func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *shortcut.Result,
 	buildTime time.Duration) ([]byte, service.Fingerprint, error) {
 
 	s := res.Shortcut
 	if !graph.IsCanonical(s.G) {
 		return nil, 0, errNotCanonical
+	}
+	if bt := s.G.BFSTree(); s.Tree == nil || s.Tree.Root != bt.Root || !slices.Equal(s.Tree.ParentEdge, bt.ParentEdge) {
+		return nil, 0, errTreeNotCanonical
 	}
 	k := len(s.H)
 	rank, byRank := partRanks(s.Parts)
@@ -307,15 +476,11 @@ func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *sho
 			total += len(h)
 		}
 	}
-	// Upper bound on the payload: the head, the tree flag and 14 varints
-	// of any size (options, metadata, build time, tree root and size, k),
-	// then the bitmap; every tree entry is a zigzagged ID below m, and
-	// every edge count, first ID and gap is below m.
+	// Upper bound on the payload: the head and 11 varints of any size
+	// (options, metadata, build time, k), then the bitmap; every edge
+	// count, first ID and gap is below m.
 	m := uint64(s.G.NumEdges())
-	size := 1 + 16 + 1 + 14*binary.MaxVarintLen64 + (k+7)/8 + (k+total)*uvarintLen(m)
-	if s.Tree != nil {
-		size += len(s.Tree.Parent) * uvarintLen(2*m)
-	}
+	size := 1 + 16 + 11*binary.MaxVarintLen64 + (k+7)/8 + (k+total)*uvarintLen(m)
 	b := make([]byte, 1, size)
 	b[0] = shortcutPayloadVersion
 	b = binary.BigEndian.AppendUint64(b, uint64(graphFP))
@@ -323,24 +488,10 @@ func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *sho
 	for _, v := range [...]int{opts.Delta, opts.MaxDelta, opts.CongestionFactor, opts.BlockFactor, opts.MaxIterations} {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	for _, v := range [...]int{res.Delta, res.CongestionThreshold, res.BlockBudget, res.Iterations, res.TreeDepth} {
+	for _, v := range [...]int{res.Delta, res.CongestionThreshold, res.BlockBudget, res.Iterations} {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	b = binary.AppendVarint(b, buildTime.Nanoseconds())
-	if t := s.Tree; t != nil {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(t.Root))
-		b = binary.AppendUvarint(b, uint64(len(t.Parent)))
-		for v := range t.Parent {
-			if t.Parent[v] < 0 || t.ParentEdge[v] < 0 {
-				b = binary.AppendVarint(b, -1)
-			} else {
-				b = binary.AppendVarint(b, int64(t.ParentEdge[v]))
-			}
-		}
-	} else {
-		b = append(b, 0)
-	}
 	b = binary.AppendUvarint(b, uint64(k))
 	bitmap := len(b)
 	for range (k + 7) / 8 {
@@ -439,13 +590,13 @@ func (r *varintReader) bytes(n int) []byte {
 
 // decodeShortcut reconstructs the stored shortcut against g (the serving
 // process's representative for the record's graph fingerprint, which must
-// be canonical) and parts (the requested partition, or the record's own
-// when partCanon holds the canonical encoding it was decoded from). It
-// checks that the stored restriction tree is g's BFS tree and shares g's
-// memoized one, validates the result structurally, and verifies that the
-// stored (graph, partition, options) triple re-derives the record key —
-// over partCanon's bytes when given — so a record can never be served
-// under a key it does not hash to.
+// be canonical) and parts (the requested partition or, own, the record's
+// own, in canonical part order). Its tree is g's memoized BFS tree and its
+// tree depth that tree's height, at least 1, as the Builder computes it; a
+// version 1 payload's stored tree (readTreeV1) and depth must equal them.
+// It validates the result structurally, and verifies that the stored
+// (graph, partition, options) triple re-derives the record key, so a
+// record can never be served under a key it does not hash to.
 //
 // A store read runs this on every cache miss, so its allocations are a
 // constant number independent of n and k: the Result and its Shortcut are
@@ -454,7 +605,7 @@ func (r *varintReader) bytes(n int) []byte {
 // sizes — capped by the payload bytes left, which every listed edge takes
 // at least one of, before anything is allocated.
 func decodeShortcut(payload []byte, key service.Fingerprint,
-	g *graph.Graph, parts *partition.Partition, partCanon []byte) (*shortcut.Result, time.Duration, error) {
+	g *graph.Graph, parts *partition.Partition, own bool) (*shortcut.Result, time.Duration, error) {
 
 	fail := func(err error) (*shortcut.Result, time.Duration, error) {
 		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
@@ -466,6 +617,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 	if err != nil {
 		return fail(err)
 	}
+	v1 := payload[0] == shortcutPayloadV1
 	r := varintReader{b: payload[17:]}
 	var opts shortcut.Options
 	for _, f := range [...]*int{&opts.Delta, &opts.MaxDelta, &opts.CongestionFactor, &opts.BlockFactor, &opts.MaxIterations} {
@@ -476,36 +628,27 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 		s   shortcut.Shortcut
 	}{}
 	res, s := &both.res, &both.s
-	for _, f := range [...]*int{&res.Delta, &res.CongestionThreshold, &res.BlockBudget, &res.Iterations, &res.TreeDepth} {
+	for _, f := range [...]*int{&res.Delta, &res.CongestionThreshold, &res.BlockBudget, &res.Iterations} {
 		*f = int(r.varint())
+	}
+	var depth int64
+	if v1 {
+		depth = r.varint()
 	}
 	buildNs := r.varint()
 	m := g.NumEdges()
-	var rooted *tree.Rooted
-	if r.byte() == 1 {
-		root := r.uvarint()
-		n := r.uvarint()
-		if r.err != nil {
-			return fail(r.err)
-		}
-		if n != uint64(g.NumNodes()) || root >= n {
-			return fail(fmt.Errorf("tree covers %d nodes (root %d), graph has %d", n, root, g.NumNodes()))
-		}
-		// The tree must be g's BFS tree, entry for entry; then it is the
-		// memo every build on g shares, and the decode hands that out.
-		bt := g.BFSTree()
-		if root != uint64(bt.Root) {
-			return fail(fmt.Errorf("%w: tree root %d, the graph's BFS tree is rooted at %d", errTreeNotCanonical, root, bt.Root))
-		}
-		for v, want := range bt.ParentEdge {
-			if id := r.varint(); r.err != nil {
-				return fail(r.err)
-			} else if id != int64(want) {
-				return fail(fmt.Errorf("%w: node %d has parent edge %d, the graph's BFS tree %d", errTreeNotCanonical, v, id, want))
-			}
-		}
-		if rooted, err = tree.Shared(g); err != nil {
+	rooted, err := tree.Shared(g)
+	if err != nil {
+		return fail(err)
+	}
+	res.TreeDepth = max(1, rooted.MaxDepth())
+	if v1 {
+		if err := readTreeV1(&r, g, rooted); err != nil {
 			return fail(err)
+		}
+		if depth != int64(res.TreeDepth) {
+			return fail(fmt.Errorf("%w: tree depth %d stored, the graph's BFS tree has depth %d",
+				errTreeNotCanonical, depth, res.TreeDepth))
 		}
 	}
 	k := r.uvarint()
@@ -523,7 +666,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 	// byRank maps a canonical rank to a part index; nil is the identity,
 	// for the record's own partition, which is in canonical order.
 	var byRank []int32
-	if partCanon == nil {
+	if !own {
 		_, byRank = partRanks(parts)
 	}
 	part := func(rnk int) int {
@@ -604,15 +747,41 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 	if err := s.Validate(); err != nil {
 		return fail(err)
 	}
-	var got service.Fingerprint
-	if partCanon != nil {
-		got = service.ShortcutKeyCanonical(meta.graphFP, partCanon, opts)
-	} else {
-		got = service.ShortcutKey(meta.graphFP, parts, opts)
-	}
-	if got != key {
+	if got := service.ShortcutKey(meta.graphFP, parts, opts); got != key {
 		return fail(fmt.Errorf("stored inputs re-derive key %s", got))
 	}
 	res.Shortcut = s
 	return res, time.Duration(buildNs), nil
+}
+
+// readTreeV1 reads a version 1 payload's tree section — a flag byte, then
+// the root, the node count and every node's parent-edge ID — and checks
+// that the stored tree is shared, g's memoized BFS tree, entry for entry.
+// A record stored without a tree is refused: every H_i must be restricted
+// to g's tree, and version 2 reads every record on it.
+func readTreeV1(r *varintReader, g *graph.Graph, shared *tree.Rooted) error {
+	if flag := r.byte(); r.err != nil {
+		return r.err
+	} else if flag != 1 {
+		return fmt.Errorf("%w: record stored without a tree", errTreeNotCanonical)
+	}
+	root := r.uvarint()
+	n := r.uvarint()
+	if r.err != nil {
+		return r.err
+	}
+	if n != uint64(g.NumNodes()) || root >= n {
+		return fmt.Errorf("tree covers %d nodes (root %d), graph has %d", n, root, g.NumNodes())
+	}
+	if root != uint64(shared.Root) {
+		return fmt.Errorf("%w: tree root %d, the graph's BFS tree is rooted at %d", errTreeNotCanonical, root, shared.Root)
+	}
+	for v, want := range shared.ParentEdge {
+		if id := r.varint(); r.err != nil {
+			return r.err
+		} else if id != int64(want) {
+			return fmt.Errorf("%w: node %d has parent edge %d, the graph's BFS tree %d", errTreeNotCanonical, v, id, want)
+		}
+	}
+	return nil
 }

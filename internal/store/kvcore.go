@@ -629,9 +629,9 @@ func (c *kvCore) Verify() []Problem {
 			}
 			graphs[ik.key] = g
 		case kindPartition:
-			if len(payload) < 1 || payload[0] != partitionPayloadVersion {
-				bad(ik, fmt.Errorf("bad payload version"))
-			} else if got := service.FingerprintBytes(payload[1:]); got != ik.key {
+			if got, err := partitionKey(payload); err != nil {
+				bad(ik, err)
+			} else if got != ik.key {
 				bad(ik, fmt.Errorf("content hash mismatch"))
 			}
 		case kindShortcut:

@@ -72,14 +72,15 @@ func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, e
 	return decodeGraph(payload, fp, true)
 }
 
-// DecodeShortcutPayload reconstructs a shortcut record payload against the
-// caller's representative graph, which must be canonical, and requested
-// partition. All of decodeShortcut's verification applies: the stored tree
-// must be g's BFS tree, the result must validate structurally, and the
-// stored inputs must re-derive key.
+// DecodeShortcutPayload reconstructs a shortcut record payload, of either
+// version, against the caller's representative graph, which must be
+// canonical, and requested partition. All of decodeShortcut's verification
+// applies: the result is restricted to g's BFS tree (a version 1 payload's
+// stored tree and depth must be that tree's), it must validate
+// structurally, and the stored inputs must re-derive key.
 func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
-	return decodeShortcut(payload, key, g, parts, nil)
+	return decodeShortcut(payload, key, g, parts, false)
 }
 
 // DecodePeerShortcut reconstructs a fetched record's shortcut against the
@@ -88,7 +89,7 @@ func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 // own partition payload, with every check GetShortcut runs on a key-only
 // read — the partition payload must hash to the fingerprint the shortcut
 // payload names and decode to connected parts of g, and the key is
-// re-derived over its bytes.
+// re-derived over the partition it decodes to.
 func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partition) (
 	*shortcut.Result, time.Duration, error) {
 	return decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, g, parts)
@@ -120,7 +121,7 @@ func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shor
 			"store: shortcut %s payload references (%s, %s), record claims (%s, %s)",
 			rec.Key, meta.graphFP, meta.partFP, rec.GraphFP, rec.PartitionFP)
 	}
-	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, g, parts, rec.PartitionPayload[1:])
+	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, g, parts, true)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

@@ -54,15 +54,90 @@ func sameHashes(a, b map[string]string) bool {
 	return true
 }
 
+// segmentGolden is what TestSegmentBytesGolden pins for one payload
+// version: the segment file hashes before and after the GC, the Records
+// listing digests, and the GCStats.
+type segmentGolden struct {
+	before         map[string]string
+	records        string
+	gc             GCStats
+	after          map[string]string
+	recordsAfterGC string
+}
+
 // TestSegmentBytesGolden pins the exact on-disk bytes a fixed write
 // sequence produces — graph puts, shortcut puts with their partitions, a
 // superseded job, a tombstone, a verbatim graph payload, rotation across
 // small segments, and a GC — together with the Records listing (record
 // locations included) and the GCStats. A change that alters any of them
-// would make existing data directories replay differently; the hashes were
-// recorded before the record index and the segment log were separated, so
-// this test is the proof that old directories still open unchanged.
+// would make existing data directories replay differently. The sequence
+// runs twice. Once with the shortcuts written as earlier releases wrote
+// them, through the version 1 encoders: those hashes were recorded before
+// the record index and the segment log were separated, so they are the
+// proof that old directories still open and compact unchanged. And once
+// through PutShortcut, which writes version 2, pinning the live format.
 func TestSegmentBytesGolden(t *testing.T) {
+	type putFunc func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration)
+	for _, c := range []struct {
+		name string
+		put  putFunc
+		want segmentGolden
+	}{
+		{"v1", func(s *Store, key, fp service.Fingerprint, _ *partition.Partition, res *shortcut.Result, bt time.Duration) {
+			putShortcutV1(t, &s.kvCore, key, fp, shortcut.Options{}, res, bt)
+		}, segmentGolden{
+			before: map[string]string{
+				"000001.seg": "dee643b7a8a42866",
+				"000002.seg": "4770323bc1c89dc5",
+				"000003.seg": "c7c81673ca13a3c4",
+			},
+			records:        "12/bf703e9c7969e91e",
+			gc:             GCStats{LiveRecords: 11, LiveBytes: 6933, DroppedRecords: 1, ReclaimedBytes: 1310, Segments: 1},
+			after:          map[string]string{"000004.seg": "c9f744106c7ed849"},
+			recordsAfterGC: "11/b2d03b199eac7f3b",
+		}},
+		{"v2", func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration) {
+			if err := s.PutShortcut(key, fp, p, shortcut.Options{}, res, bt); err != nil {
+				t.Fatal(err)
+			}
+		}, segmentGolden{
+			before: map[string]string{
+				"000001.seg": "20498b3e754e6d26",
+				"000002.seg": "b8614cf94cb20ced",
+				"000003.seg": "27b9aae1a85135a7",
+			},
+			records:        "12/45ab065d8425ca3d",
+			gc:             GCStats{LiveRecords: 11, LiveBytes: 6071, DroppedRecords: 1, ReclaimedBytes: 1052, Segments: 1},
+			after:          map[string]string{"000004.seg": "05ef24901aeaac17"},
+			recordsAfterGC: "11/2845df564564195b",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := writeGoldenSequence(t, c.put)
+			if !sameHashes(got.before, c.want.before) {
+				t.Errorf("segment bytes before GC = %#v, want %#v", got.before, c.want.before)
+			}
+			if got.records != c.want.records {
+				t.Errorf("Records before GC = %s, want %s", got.records, c.want.records)
+			}
+			if got.gc != c.want.gc {
+				t.Errorf("GCStats = %+v, want %+v", got.gc, c.want.gc)
+			}
+			if !sameHashes(got.after, c.want.after) {
+				t.Errorf("segment bytes after GC = %#v, want %#v", got.after, c.want.after)
+			}
+			if got.recordsAfterGC != c.want.recordsAfterGC {
+				t.Errorf("Records after GC = %s, want %s", got.recordsAfterGC, c.want.recordsAfterGC)
+			}
+		})
+	}
+}
+
+// writeGoldenSequence runs TestSegmentBytesGolden's write sequence in a
+// fresh directory, writing each shortcut through put, and returns what the
+// test pins. Replay must rebuild the identical index, locations included.
+func writeGoldenSequence(t *testing.T,
+	put func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration)) segmentGolden {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{NoSync: true, SegmentBytes: 2 << 10})
 	if err != nil {
@@ -78,10 +153,7 @@ func TestSegmentBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := service.ShortcutKey(fp, p, shortcut.Options{})
-		bt := time.Duration(i+1) * time.Millisecond
-		if err := s.PutShortcut(key, fp, p, shortcut.Options{}, res, bt); err != nil {
-			t.Fatal(err)
-		}
+		put(s, key, fp, p, res, time.Duration(i+1)*time.Millisecond)
 		fps = append(fps, fp)
 	}
 	for _, state := range []jobs.State{jobs.Queued, jobs.Done} {
@@ -104,49 +176,29 @@ func TestSegmentBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantBefore := map[string]string{
-		"000001.seg": "dee643b7a8a42866",
-		"000002.seg": "4770323bc1c89dc5",
-		"000003.seg": "c7c81673ca13a3c4",
-	}
-	if got := segHashes(t, dir); !sameHashes(got, wantBefore) {
-		t.Errorf("segment bytes before GC = %#v, want %#v", got, wantBefore)
-	}
-	const wantRecords = "12/bf703e9c7969e91e"
-	if got := recordsHash(s.Records()); got != wantRecords {
-		t.Errorf("Records before GC = %s, want %s", got, wantRecords)
-	}
-	// Replay must rebuild the identical index, locations included.
+	var got segmentGolden
+	got.before = segHashes(t, dir)
+	got.records = recordsHash(s.Records())
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if s, err = Open(dir, Options{NoSync: true, SegmentBytes: 2 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := recordsHash(s.Records()); got != wantRecords {
-		t.Errorf("Records after reopen = %s, want %s", got, wantRecords)
+	if replayed := recordsHash(s.Records()); replayed != got.records {
+		t.Errorf("Records after reopen = %s, before %s", replayed, got.records)
 	}
-
-	st, err := s.GC()
-	if err != nil {
+	if got.gc, err = s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	want := GCStats{LiveRecords: 11, LiveBytes: 6933, DroppedRecords: 1, ReclaimedBytes: 1310, Segments: 1}
-	if st != want {
-		t.Errorf("GCStats = %+v, want %+v", st, want)
-	}
-	wantAfter := map[string]string{"000004.seg": "c9f744106c7ed849"}
-	if got := segHashes(t, dir); !sameHashes(got, wantAfter) {
-		t.Errorf("segment bytes after GC = %#v, want %#v", got, wantAfter)
-	}
-	if got, want := recordsHash(s.Records()), "11/b2d03b199eac7f3b"; got != want {
-		t.Errorf("Records after GC = %s, want %s", got, want)
-	}
+	got.after = segHashes(t, dir)
+	got.recordsAfterGC = recordsHash(s.Records())
+	return got
 }
 
 // getShortcutAllocs bounds GetShortcut's allocations — the decode of the
-// stored H sets and tree into a fresh Result, with the permutation memo
-// warm, and on a key-only read the decode of the record's partition too.
+// stored H sets into a fresh Result, and on a key-only read the decode of
+// the record's partition too.
 // The decode allocates a constant number of times, so one bound holds for
 // the grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the
 // store-mixed benchmark's shape: 8 key-only (the bound is that plus

@@ -679,8 +679,8 @@ func TestShortcutsNeedCanonicalGraphs(t *testing.T) {
 
 // forgedTreeFixture builds spec's shortcut restricted to a BFS tree rooted
 // one node past the graph's chosen root: under the key of the canonical
-// build, a record whose tree is not the graph's BFS tree, as a release
-// that kept another edge order could have written.
+// build, a version 1 record of it has a tree that is not the graph's BFS
+// tree, as a release that kept another edge order could have written.
 func forgedTreeFixture(t testing.TB, spec, partSpec string, seed int64) (
 	*graph.Graph, *partition.Partition, *shortcut.Result) {
 	t.Helper()
@@ -696,10 +696,11 @@ func forgedTreeFixture(t testing.TB, spec, partSpec string, seed int64) (
 	return g, p, res
 }
 
-// TestForgedTreeRefused: a record whose tree is not the graph's BFS tree
-// is refused by every decoder — a store read with or without the
+// TestForgedTreeRefused: a version 1 record whose tree is not the graph's
+// BFS tree is refused by every decoder — a store read with or without the
 // partition, Verify, DecodeShortcutPayload, VerifyPeerRecord — and the
-// canonical build replaces it under its key.
+// canonical build replaces it under its key. The forged result itself is
+// never written: version 2 stores no tree, and encoding refuses it.
 func TestForgedTreeRefused(t *testing.T) {
 	g, p, forged := forgedTreeFixture(t, "grid:6x6", "blobs:4", 1)
 	fp := service.FingerprintGraph(g)
@@ -709,9 +710,10 @@ func TestForgedTreeRefused(t *testing.T) {
 	if err := s.PutGraph(fp, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutShortcut(key, fp, p, shortcut.Options{}, forged, time.Millisecond); err != nil {
-		t.Fatal(err)
+	if err := s.PutShortcut(key, fp, p, shortcut.Options{}, forged, time.Millisecond); !errors.Is(err, errTreeNotCanonical) {
+		t.Fatalf("PutShortcut of the forged result: %v, want errTreeNotCanonical", err)
 	}
+	putShortcutV1(t, &s.kvCore, key, fp, shortcut.Options{}, forged, time.Millisecond)
 	for _, parts := range []*partition.Partition{p, nil} {
 		if _, _, _, err := s.GetShortcut(key, g, parts); !errors.Is(err, errTreeNotCanonical) {
 			t.Errorf("GetShortcut (partition given: %v): %v, want errTreeNotCanonical", parts != nil, err)

@@ -15,6 +15,7 @@ import (
 	"locshort/internal/partition"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
+	"locshort/internal/tree"
 )
 
 // TestPeerRecordBinaryFraming round-trips a full dependency closure through
@@ -313,12 +314,13 @@ func claimedOptions(payload []byte) shortcut.Options {
 
 // FuzzDecodeShortcutPayload drives the shortcut record decoder — which
 // DecodeShortcutPayload and VerifyPeerRecord feed peer-supplied bytes —
-// with arbitrary payloads against grid, torus and wheel fixtures, picked
-// by the graph fingerprint in the payload's head. Each payload is decoded
-// under the key its own head claims, so mutations get past the key check
-// into the structural decode. The invariants: never panic; an accepted
-// payload yields a shortcut that passes Validate; and encoding the decoded
-// result and decoding that again reproduces it field by field.
+// with arbitrary payloads of both versions against grid, torus and wheel
+// fixtures, picked by the graph fingerprint in the payload's head. Each
+// payload is decoded under the key its own head claims, so mutations get
+// past the key check into the structural decode. The invariants: never
+// panic; an accepted payload yields a shortcut on the graph's memoized BFS
+// tree that passes Validate; and encoding the decoded result (as version
+// 2) and decoding that again reproduces it field by field.
 func FuzzDecodeShortcutPayload(f *testing.F) {
 	type fixture struct {
 		g     *graph.Graph
@@ -339,8 +341,10 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
-			f.Add(payload[:n])
+		for _, payload := range [][]byte{payload, encodeShortcutV1(fp, shortcut.Options{}, res, time.Millisecond)} {
+			for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
+				f.Add(payload[:n])
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -386,16 +390,11 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if !slices.Equal(s.Covered, s2.Covered) {
 			t.Fatalf("Covered %v round-trips to %v", s.Covered, s2.Covered)
 		}
-		if (s.Tree == nil) != (s2.Tree == nil) {
-			t.Fatalf("tree presence %v round-trips to %v", s.Tree != nil, s2.Tree != nil)
-		}
-		if s.Tree == nil {
-			return
-		}
-		a, b := s.Tree, s2.Tree
-		if a.Root != b.Root || !slices.Equal(a.Parent, b.Parent) || !slices.Equal(a.ParentEdge, b.ParentEdge) ||
-			!slices.Equal(a.Depth, b.Depth) || !slices.Equal(a.Order, b.Order) {
-			t.Fatalf("tree rooted at %d round-trips to one rooted at %d, or its arrays differ", a.Root, b.Root)
+		bfs := fx.g.BFSTree()
+		for _, tr := range []*tree.Rooted{s.Tree, s2.Tree} {
+			if tr == nil || tr.Root != bfs.Root || &tr.ParentEdge[0] != &bfs.ParentEdge[0] || &tr.Depth[0] != &bfs.Dist[0] {
+				t.Fatal("decoded shortcut is not on the graph's memoized BFS tree")
+			}
 		}
 	})
 }
@@ -408,13 +407,15 @@ var partitionFuzzSeeds = []struct{ spec, parts string }{
 
 // FuzzDecodePartitionPayload drives the partition record decoder, which
 // every key-only store read and peer fetch runs on stored or
-// peer-supplied bytes, against grid, torus and wheel graphs picked by the
-// node count in the payload's header. Each payload is decoded under the
-// key its own body hashes to, so mutations get past the hash check. The
-// invariants: never panic; an accepted payload's n and k fit its length
-// (17 + 8n bytes, k <= n); its parts are non-empty, connected, ascending,
-// consistent with PartOf, and labelled densely in first-appearance order;
-// and encodePartition of the decoded partition is the payload itself.
+// peer-supplied bytes of either version, against grid, torus and wheel
+// graphs picked by the node count in the payload's header. Each payload
+// is decoded under the key partitionKey re-derives from it without the
+// graph, as Verify does, so mutations get past the hash check. The
+// invariants: never panic; an accepted payload's key is its partition's
+// fingerprint; its parts are non-empty, connected, ascending, consistent
+// with PartOf, and labelled densely in first-appearance order, k <= n; and
+// the encoder of its version renders the decoded partition as the payload
+// itself (version 1: 17 + 8n bytes).
 func FuzzDecodePartitionPayload(f *testing.F) {
 	graphs := make(map[uint64]*graph.Graph)
 	var fallback *graph.Graph
@@ -431,35 +432,52 @@ func FuzzDecodePartitionPayload(f *testing.F) {
 		if fallback == nil {
 			fallback = g
 		}
-		payload := encodePartition(p)
-		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 17, 16, 1} {
-			f.Add(payload[:n])
+		n, k := g.NumNodes(), p.NumParts()
+		payload := encodePartitionV1(p)
+		for _, cut := range []int{len(payload), len(payload) - 1, len(payload) / 2, 17, 16, 1} {
+			f.Add(payload[:cut])
 		}
-		k := binary.BigEndian.Uint64(payload[9:])
 		labelK := slices.Clone(payload)
-		binary.BigEndian.PutUint64(labelK[17:], k) // node 0's label = k
+		binary.BigEndian.PutUint64(labelK[17:], uint64(k)) // node 0's label = k
 		f.Add(labelK)
 		kOverN := slices.Clone(payload)
-		binary.BigEndian.PutUint64(kOverN[9:], uint64(g.NumNodes())+1)
+		binary.BigEndian.PutUint64(kOverN[9:], uint64(n)+1)
+		f.Add(kOverN)
+
+		// Version 2: every fixture's n, k and labels fit one byte each.
+		payload = encodePartition(p)
+		for _, cut := range []int{len(payload), len(payload) - 1, len(payload) / 2, 4, 3, 1} {
+			f.Add(payload[:cut])
+		}
+		labelK = slices.Clone(payload)
+		labelK[3] = byte(k) + 1 // node 0's label = k
+		f.Add(labelK)
+		kOverN = slices.Clone(payload)
+		kOverN[2] = byte(n) + 1
 		f.Add(kOverN)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		g := fallback
-		if len(payload) >= 9 {
-			if gg, ok := graphs[binary.BigEndian.Uint64(payload[1:])]; ok {
-				g = gg
-			}
+		v1 := len(payload) > 0 && payload[0] == partitionPayloadV1
+		var n uint64
+		if v1 && len(payload) >= 9 {
+			n = binary.BigEndian.Uint64(payload[1:])
+		} else if len(payload) > 1 {
+			n, _ = binary.Uvarint(payload[1:])
 		}
-		var key service.Fingerprint
-		if len(payload) > 0 {
-			key = service.FingerprintBytes(payload[1:])
+		if gg, ok := graphs[n]; ok {
+			g = gg
 		}
+		key, _ := partitionKey(payload)
 		p, err := decodePartition(payload, key, g)
 		if err != nil {
 			return
 		}
-		n, k := g.NumNodes(), p.NumParts()
-		if len(payload) != 17+8*n || k > n || len(p.PartOf) != n {
+		if got := service.FingerprintPartition(p); got != key {
+			t.Fatalf("accepted payload's key %s, its partition's fingerprint %s", key, got)
+		}
+		n, k := uint64(g.NumNodes()), p.NumParts()
+		if uint64(k) > n || uint64(len(p.PartOf)) != n || (v1 && uint64(len(payload)) != 17+8*n) {
 			t.Fatalf("accepted %d bytes as n=%d k=%d with %d labels", len(payload), n, k, len(p.PartOf))
 		}
 		next, covered := 0, 0
@@ -508,7 +526,11 @@ func FuzzDecodePartitionPayload(f *testing.F) {
 		if sum != covered {
 			t.Fatalf("parts list %d nodes, PartOf covers %d", sum, covered)
 		}
-		if re := encodePartition(p); !bytes.Equal(re, payload) {
+		re := encodePartition(p)
+		if v1 {
+			re = encodePartitionV1(p)
+		}
+		if !bytes.Equal(re, payload) {
 			t.Fatalf("decoded partition re-encodes to different bytes")
 		}
 	})
