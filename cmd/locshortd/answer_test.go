@@ -86,7 +86,8 @@ func checkAnswerHeaders(t *testing.T, hdr http.Header, want map[string]string) {
 // source, build time or the payload length, and the payload as the body;
 // a JSON answer has exactly Content-Type and the source header, and the
 // body encoding/json renders for the entry. Every name is canonical, as
-// Set would have made it.
+// Set would have made it. A relayed answer carries the owner's headers
+// and body (see checkRelayedAnswers).
 func TestShortcutAnswerHeaders(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := store.Open(t.TempDir(), store.Options{Obs: reg, NoSync: true})
@@ -110,6 +111,65 @@ func TestShortcutAnswerHeaders(t *testing.T) {
 		n := nodes[0]
 		checkWarmAnswers(t, n.eng, n.st, n.ts.Config.Handler, true, n.addr)
 	})
+	t.Run("relayed", func(t *testing.T) {
+		checkRelayedAnswers(t, nodes)
+	})
+}
+
+// checkRelayedAnswers asks the node of a two-node cluster that does not
+// own grid:64x64 blobs:32 seed 6 for a warm binary and a warm JSON
+// answer, and the owner for the same answers directly. The relayed
+// answer has exactly the owner's headers, with the source prefixed
+// "forward:" and Content-Length equal to the body's length (net/http
+// fills it in on the owner's JSON answer), and the owner's body: for the
+// binary answer, the stored payload byte for byte. Before the relay
+// copied Content-Length, net/http chunked every relayed body over 2 KiB.
+func checkRelayedAnswers(t *testing.T, nodes []*clusterNode) {
+	g, _, err := cli.ParseGraph("grid:64x64", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fp service.Fingerprint
+	for _, n := range nodes {
+		if fp, err = n.eng.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := specKey(t, g, fp, "blobs:32", 6)
+	entry := nonOwner(t, nodes, key)
+	owner := nodes[0]
+	if owner == entry {
+		owner = nodes[1]
+	}
+	frame := wire.ShortcutRequest{Graph: fp, Partition: "blobs:32", Seed: 6}
+	serveRecorded(t, entry.ts.Config.Handler, frame, false, false) // build on the owner and measure
+	var payload []byte
+	eventually(t, "the shortcut record in the owner's store", func() bool {
+		p, ok, err := owner.st.ShortcutPayload(key)
+		payload = p
+		return err == nil && ok
+	})
+	if len(payload) <= 2048 {
+		t.Fatalf("a %d-byte payload is not over net/http's 2 KiB chunking threshold", len(payload))
+	}
+
+	for _, binary := range []bool{true, false} {
+		direct := serveRecorded(t, owner.ts.Config.Handler, frame, binary, true)
+		relayed := serveRecorded(t, entry.ts.Config.Handler, frame, binary, false)
+		want := make(map[string]string)
+		for name, vals := range direct.Header() {
+			want[name] = vals[0]
+		}
+		want[wire.HeaderSource] = "forward:" + want[wire.HeaderSource]
+		want["Content-Length"] = strconv.Itoa(direct.Body.Len())
+		checkAnswerHeaders(t, relayed.Header(), want)
+		if !bytes.Equal(relayed.Body.Bytes(), direct.Body.Bytes()) {
+			t.Errorf("%s: relayed body\n%q\nwant the owner's\n%q", encodingName(binary), relayed.Body, direct.Body)
+		}
+		if binary && !bytes.Equal(relayed.Body.Bytes(), payload) {
+			t.Errorf("relayed binary body: %d bytes, not the stored %d-byte payload", relayed.Body.Len(), len(payload))
+		}
+	}
 }
 
 // checkWarmAnswers builds grid:12x12 blobs:8 seed 5 on eng behind h, waits

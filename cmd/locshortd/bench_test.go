@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"locshort/internal/cli"
+	"locshort/internal/graph"
 	"locshort/internal/jobs"
 	"locshort/internal/obs"
 	"locshort/internal/service"
@@ -111,7 +112,9 @@ func (c *rawClient) do(req []byte) (status int, body []byte, err error) {
 // under -quiet), behind a loopback http.Server. Four warm grid:16x16
 // blobs:16 keys are asked for in turn, each record already in the store,
 // by a rawClient, so allocs/op is net/http's server work plus the
-// handler's own.
+// handler's own. The relay-* sub-benchmarks ask for the same keys, each
+// through the node of a two-node cluster that does not own it, so they
+// count the entry node's relay, one forward hop, and the owner's answer.
 func BenchmarkServeHit(b *testing.B) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(128)
@@ -152,40 +155,24 @@ func BenchmarkServeHit(b *testing.B) {
 	var jsonReqs, binReqs [4][]byte
 	for i := range jsonReqs {
 		seed := int64(i + 1)
-		body, err := json.Marshal(shortcutRequest{Graph: fp.String(), Partition: "blobs:16", Seed: seed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jsonReqs[i] = rawRequest(addr, "application/json", "", body)
-		frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: "blobs:16", Seed: seed})
-		binReqs[i] = rawRequest(addr, wire.ContentType, wire.ContentType, frame)
-		// Build, measure and persist the key before the timed loops.
-		if status, body, err := c.do(jsonReqs[i]); err != nil || status != http.StatusOK {
-			b.Fatalf("warm-up: status %d, err %v: %s", status, err, body)
-		}
-		parts, err := cli.ParsePartition(g, "blobs:16", seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := service.ShortcutKey(fp, parts, shortcut.Options{})
-		for {
-			if _, ok, err := st.ShortcutPayload(key); err != nil {
-				b.Fatal(err)
-			} else if ok {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		jsonReqs[i], binReqs[i] = warmHit(b, c, addr, fp, hitKey(b, g, fp, seed), seed, st)
 	}
+	clients := [4]*rawClient{c, c, c, c}
+	relayClients, relayJSON, relayBin := relayRequests(b, g)
 	for _, enc := range []struct {
-		name string
-		reqs [4][]byte
-	}{{"json", jsonReqs}, {"binary", binReqs}} {
+		name    string
+		clients [4]*rawClient
+		reqs    [4][]byte
+	}{
+		{"json", clients, jsonReqs}, {"binary", clients, binReqs},
+		{"relay-json", relayClients, relayJSON}, {"relay-binary", relayClients, relayBin},
+	} {
 		b.Run(enc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			i := 0
 			for b.Loop() {
-				status, body, err := c.do(enc.reqs[i%len(enc.reqs)])
+				k := i % len(enc.reqs)
+				status, body, err := enc.clients[k].do(enc.reqs[k])
 				if err != nil || status != http.StatusOK || len(body) == 0 {
 					b.Fatalf("status %d, %d bytes, err %v", status, len(body), err)
 				}
@@ -193,4 +180,69 @@ func BenchmarkServeHit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// hitKey is the key of BenchmarkServeHit's request for seed on g.
+func hitKey(b *testing.B, g *graph.Graph, fp service.Fingerprint, seed int64) service.Fingerprint {
+	parts, err := cli.ParsePartition(g, "blobs:16", seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return service.ShortcutKey(fp, parts, shortcut.Options{})
+}
+
+// warmHit renders BenchmarkServeHit's JSON and binary requests for seed
+// to addr, and sends the JSON one through c, so that key is built and
+// measured before the timed loops, then waits until st holds its record.
+func warmHit(b *testing.B, c *rawClient, addr string, fp, key service.Fingerprint, seed int64,
+	st store.Backend) (jsonReq, binReq []byte) {
+
+	body, err := json.Marshal(shortcutRequest{Graph: fp.String(), Partition: "blobs:16", Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jsonReq = rawRequest(addr, "application/json", "", body)
+	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: "blobs:16", Seed: seed})
+	binReq = rawRequest(addr, wire.ContentType, wire.ContentType, frame)
+	if status, body, err := c.do(jsonReq); err != nil || status != http.StatusOK {
+		b.Fatalf("warm-up: status %d, err %v: %s", status, err, body)
+	}
+	for {
+		if _, ok, err := st.ShortcutPayload(key); err != nil {
+			b.Fatal(err)
+		} else if ok {
+			return jsonReq, binReq
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// relayRequests starts a two-node cluster holding g and warms
+// BenchmarkServeHit's four keys on their owners. It returns, for each
+// key, a client of the node that does not own it and the key's JSON and
+// binary requests to that node.
+func relayRequests(b *testing.B, g *graph.Graph) (clients [4]*rawClient, jsonReqs, binReqs [4][]byte) {
+	nodes := newNodeCluster(b, 2)
+	var fp service.Fingerprint
+	for _, n := range nodes {
+		var err error
+		if fp, err = n.eng.AddGraph(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	byAddr := make(map[string]*rawClient)
+	for i := range clients {
+		seed := int64(i + 1)
+		key := hitKey(b, g, fp, seed)
+		owner, entry := nodes[0], nodes[1]
+		if addr, _ := owner.cl.Owner(key); addr != owner.addr {
+			owner, entry = entry, owner
+		}
+		if byAddr[entry.addr] == nil {
+			byAddr[entry.addr] = dialRaw(b, entry.addr)
+		}
+		clients[i] = byAddr[entry.addr]
+		jsonReqs[i], binReqs[i] = warmHit(b, clients[i], entry.addr, fp, key, seed, owner.st)
+	}
+	return clients, jsonReqs, binReqs
 }

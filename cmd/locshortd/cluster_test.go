@@ -64,7 +64,7 @@ type clusterNode struct {
 // newNodeCluster stands up n complete locshortd nodes — store, cluster
 // view, engine with peer fetch, HTTP API with forwarding — sharing one
 // ring, exactly as -cluster-self/-cluster-peers wires them in main.
-func newNodeCluster(t *testing.T, n int, configs ...nodeConfig) []*clusterNode {
+func newNodeCluster(t testing.TB, n int, configs ...nodeConfig) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	swaps := make([]*clusterSwap, n)
@@ -100,7 +100,7 @@ func newNodeCluster(t *testing.T, n int, configs ...nodeConfig) []*clusterNode {
 		}
 		eng := service.New(cfg)
 		cl.SetRegistrar(eng)
-		srv, h := newServer(eng, jcfg, serverOptions{cluster: cl})
+		srv, h := newServer(eng, jcfg, serverOptions{cluster: cl, store: st})
 		srv.mgr.Start()
 		node.st, node.cl, node.eng, node.srv = st, cl, eng, srv
 		swaps[i].set(h)

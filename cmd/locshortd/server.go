@@ -689,11 +689,12 @@ func (s *server) execute(ctx context.Context, rs resolved) (served, error) {
 
 // relayed is the key owner's answer to a relayed request, verbatim but
 // for the "forward:" prefix on its source header, with the graph and key
-// it was asked for.
+// it was asked for. writeRelayed hands slices of its header array to the
+// client's header map, so the headers cost no allocation of their own.
 type relayed struct {
 	owner  string
 	status int
-	header http.Header
+	header cluster.Header
 	body   []byte
 	graph  service.Fingerprint
 	key    service.Fingerprint
@@ -728,10 +729,13 @@ func (s *server) relay(ctx context.Context, owner string, key service.Fingerprin
 	if !s.cl.Available(owner) {
 		return nil, nil
 	}
-	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{
+	bp := framePool.Get().(*[]byte)
+	frame := wire.AppendShortcutRequest((*bp)[:0], wire.ShortcutRequest{
 		Graph: rs.build.Graph, Partition: rs.req.Partition, Seed: rs.req.Seed,
 		Options: rs.req.Options, Parts: rs.req.Parts,
 	})
+	// Forward copies the frame into its connection's buffer.
+	defer putFrame(bp, frame)
 	for attempt := 0; ; attempt++ {
 		status, hdr, body, err := s.cl.Forward(ctx, owner, "/v1/shortcuts", frame, accept)
 		if err == nil && status == http.StatusNotFound && attempt == 0 {
@@ -748,24 +752,29 @@ func (s *server) relay(ctx context.Context, owner string, key service.Fingerprin
 			}
 			return nil, nil
 		}
-		if src := hdr[wire.HeaderSource]; len(src) > 0 {
-			src[0] = "forward:" + src[0]
+		if src := hdr.Get(wire.HeaderSource); src != "" {
+			hdr.Set(wire.HeaderSource, "forward:"+src)
 		}
 		return &relayed{owner: owner, status: status, header: hdr, body: body,
 			graph: rs.build.Graph, key: key}, nil
 	}
 }
 
-// relayedHeaders are the owner's answer headers copied to the client.
-var relayedHeaders = [...]string{"Content-Type", wire.HeaderKey, wire.HeaderGraph,
-	wire.HeaderSource, wire.HeaderServedBy, wire.HeaderBuildNs}
-
-// writeRelayed copies the owner's answer through to the client.
+// writeRelayed copies the owner's answer through to the client: its
+// status, its body, and the headers the transport keeps
+// (cluster.AnswerHeaders), with Content-Length equal to the body's
+// length, so a relayed answer is no more chunked than the owner's. Every
+// value slices rel's header array, assigned to the header map directly
+// as in setBinaryAnswerHeaders; the names are canonical already.
 func (s *server) writeRelayed(w http.ResponseWriter, rel *relayed) {
+	vals := &rel.header
+	if vals.Get("Content-Length") == "" {
+		vals.Set("Content-Length", strconv.Itoa(len(rel.body)))
+	}
 	h := w.Header()
-	for _, k := range relayedHeaders {
-		if v := rel.header[k]; len(v) > 0 {
-			h[k] = v
+	for i, name := range cluster.AnswerHeaders {
+		if vals[i] != "" {
+			h[name] = vals[i : i+1 : i+1]
 		}
 	}
 	w.WriteHeader(rel.status)
@@ -827,8 +836,8 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err)
 		return
 	case rel != nil:
-		if src := rel.header[wire.HeaderSource]; len(src) > 0 {
-			annotate(w, rel.graph, rel.key, src[0])
+		if src := rel.header.Get(wire.HeaderSource); src != "" {
+			annotate(w, rel.graph, rel.key, src)
 		}
 		s.writeRelayed(w, rel)
 		return
@@ -859,10 +868,19 @@ func decodeShortcutJSON(w http.ResponseWriter, r *http.Request) (shortcutRequest
 	return req, nil
 }
 
-// framePool recycles binary request bodies: a frame is decoded into fresh
-// values and dropped, so its buffer can take the next request's frame.
-// Buffers over maxPooledBuf are not kept.
+// framePool recycles binary request frames: the bodies of binary
+// requests, decoded into fresh values and dropped, and the frames relay
+// sends to an owner, copied into the connection's buffer. Either way the
+// buffer can take the next frame. Buffers over maxPooledBuf are not kept.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putFrame returns frame, taken from framePool as *bp, to the pool.
+func putFrame(bp *[]byte, frame []byte) {
+	if cap(frame) <= maxPooledBuf {
+		*bp = frame
+		framePool.Put(bp)
+	}
+}
 
 // readShortcutFrame reads and decodes a binary shortcut request body.
 func readShortcutFrame(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
@@ -872,10 +890,7 @@ func readShortcutFrame(w http.ResponseWriter, r *http.Request) (shortcutRequest,
 		return shortcutRequest{}, &statusError{status: decodeStatus(err), err: err}
 	}
 	frame, err := wire.DecodeShortcutRequest(body)
-	if cap(body) <= maxPooledBuf {
-		*bp = body
-		framePool.Put(bp)
-	}
+	putFrame(bp, body)
 	if err != nil {
 		return shortcutRequest{}, badRequest(err)
 	}

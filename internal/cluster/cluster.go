@@ -332,8 +332,8 @@ type InventoryEntry struct {
 }
 
 // Inventory is GET /v1/peer/inventory: the node's live record keys,
-// optionally restricted to a fingerprint arc (?lo=&hi=, the (lo, hi]
-// wrapping convention of cluster.Range).
+// optionally restricted to the fingerprint arc (lo, hi] (?lo=&hi=, the
+// wrapping convention of store.Backend.ShortcutInventory).
 type Inventory struct {
 	Shortcuts []InventoryEntry `json:"shortcuts"`
 	Graphs    []string         `json:"graphs"`
@@ -398,18 +398,18 @@ var errNotFound = fmt.Errorf("cluster: peer record not found")
 const maxPeerGet = 256 << 20
 
 // get GETs a peer API path, asking for accept, and returns the body of a
-// 200 answer of at most limit bytes; a 404 is errNotFound, any other
-// status an error quoting the answer.
-func (c *Cluster) get(ctx context.Context, peer, path, accept string, limit int64) ([]byte, http.Header, error) {
+// 200 answer of at most limit bytes, with its kept header values; a 404
+// is errNotFound, any other status an error quoting the answer.
+func (c *Cluster) get(ctx context.Context, peer, path, accept string, limit int64) ([]byte, Header, error) {
 	status, hdr, body, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodGet, peer, path, nil, limit,
 		"Accept", accept)
 	switch {
 	case err != nil:
-		return nil, nil, err
+		return nil, Header{}, err
 	case status == http.StatusNotFound:
-		return nil, nil, errNotFound
+		return nil, Header{}, errNotFound
 	case status != http.StatusOK:
-		return nil, nil, fmt.Errorf("cluster: peer %s %s: %d %s: %s", peer, path, status,
+		return nil, Header{}, fmt.Errorf("cluster: peer %s %s: %d %s: %s", peer, path, status,
 			http.StatusText(status), bytes.TrimSpace(body[:min(len(body), 512)]))
 	}
 	return body, hdr, nil
@@ -543,7 +543,8 @@ func (c *Cluster) BroadcastGraph(ctx context.Context, fp service.Fingerprint, pa
 
 // Forward relays a binary request frame to the owner node's public API,
 // asking for the caller's accept ("" sends no Accept header, which gets
-// JSON), and returns the owner's answer: status, header, and body. err is
+// JSON), and returns the owner's answer: status, the values of
+// AnswerHeaders, and body. err is
 // non-nil when no whole answer came back: the owner is down or timed out
 // (the caller falls back to serving locally, and the owner enters down
 // backoff), its answer ran past 64 MiB, or ctx ended first. A call whose
@@ -551,7 +552,7 @@ func (c *Cluster) BroadcastGraph(ctx context.Context, fp service.Fingerprint, pa
 // caller should not serve it in the owner's place. An HTTP error status
 // from the owner comes back as an answer for the caller to pass on. The
 // X-Locshort-Forwarded header stops the owner from forwarding again.
-func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte, accept string) (int, http.Header, []byte, error) {
+func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte, accept string) (int, Header, []byte, error) {
 	start := time.Now()
 	status, hdr, body, err := c.exchange(ctx, c.cfg.ForwardTimeout, http.MethodPost, owner, path, frame, 64<<20,
 		"Content-Type", wire.ContentType, "Accept", accept, ForwardedHeader, "1")
@@ -562,7 +563,7 @@ func (c *Cluster) Forward(ctx context.Context, owner, path string, frame []byte,
 		if ctx.Err() == nil {
 			c.forwardErrs.Add(1)
 		}
-		return 0, nil, nil, err
+		return 0, Header{}, nil, err
 	}
 	c.forwards.Add(1)
 	return status, hdr, body, nil

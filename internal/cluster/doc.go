@@ -10,8 +10,7 @@
 // first point at or after it, wrapping. Ties are broken by rendezvous
 // weight so the ring is a pure function of the membership set, independent
 // of configuration order. Owners(key, n) walks forward to the next n-1
-// distinct nodes, giving the replica set; ReplicaRanges inverts that into
-// the fingerprint arcs a node is responsible for.
+// distinct nodes, giving the replica set.
 //
 // # Cluster
 //
@@ -31,8 +30,15 @@
 // Every peer call goes through one exchange over a per-peer pool of
 // keep-alive HTTP/1.1 connections that the Cluster owns (at most 64 idle
 // per peer), not net/http's client Transport. The request is written from
-// the connection's reused buffer in one Write; the answer is parsed by
-// http.ReadResponse, and a body longer than the call's limit is an error.
+// the connection's reused buffer in one Write. The answer is parsed in the
+// connection's read buffer by readAnswer, not net/http: a status line of
+// HTTP/1.x and three digits (no 1xx), at most 64 header lines of one read
+// buffer each, no folded line, token names and values without control
+// characters. It acts on Content-Length, chunked Transfer-Encoding and
+// Connection, and copies only the values of AnswerHeaders, into one
+// string; whatever it accepts, http.ReadResponse accepts too
+// (FuzzReadAnswer). A body longer than the call's limit is an error, and
+// a declared length reserves memory only as the body arrives.
 // The call's timeout is the connection's deadline, and the caller's
 // context expires it early. A reused connection that fails before any
 // byte of the answer was stale: the peer's whole idle list is dropped and

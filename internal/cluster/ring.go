@@ -197,76 +197,6 @@ func (r *Ring) Share(node string) float64 {
 	return float64(total) / math.Pow(2, 64)
 }
 
-// Range is an arc of the fingerprint circle: the keys k with From < k <= To,
-// wrapping when From >= To. The degenerate From == To arc means the full
-// circle (a single-point ring owns everything), matching the store's
-// inventory-range convention.
-type Range struct {
-	From, To uint64
-}
-
-// Contains reports whether key falls in the arc.
-func (a Range) Contains(key uint64) bool {
-	switch {
-	case a.From == a.To:
-		return true
-	case a.From < a.To:
-		return key > a.From && key <= a.To
-	default:
-		return key > a.From || key <= a.To
-	}
-}
-
-// ReplicaRanges returns the arcs whose replica set (the first n distinct
-// nodes from the arc's owning point) includes node — i.e. the fingerprint
-// ranges this node is responsible for holding at replication n. Adjacent
-// arcs merge, so the slice is minimal.
-func (r *Ring) ReplicaRanges(node string, n int) []Range {
-	if len(r.points) == 1 {
-		if r.nodes[r.points[0].node] == node {
-			p := r.points[0].pos
-			return []Range{{From: p, To: p}}
-		}
-		return nil
-	}
-	var arcs []Range
-	for i, p := range r.points {
-		owners := r.Owners(service.Fingerprint(p.pos), n)
-		mine := false
-		for _, o := range owners {
-			if o == node {
-				mine = true
-				break
-			}
-		}
-		if !mine {
-			continue
-		}
-		prev := r.points[(i+len(r.points)-1)%len(r.points)].pos
-		arcs = append(arcs, Range{From: prev, To: p.pos})
-	}
-	// Merge adjacent arcs (an arc whose From is the previous arc's To).
-	if len(arcs) < 2 {
-		return arcs
-	}
-	merged := arcs[:1]
-	for _, a := range arcs[1:] {
-		last := &merged[len(merged)-1]
-		if last.To == a.From {
-			last.To = a.To
-		} else {
-			merged = append(merged, a)
-		}
-	}
-	// The walk starts at an arbitrary point, so the first and last arc can
-	// be the two halves of one wrapping arc.
-	if len(merged) > 1 && merged[len(merged)-1].To == merged[0].From {
-		merged[0].From = merged[len(merged)-1].From
-		merged = merged[:len(merged)-1]
-	}
-	return merged
-}
-
 // ConfigHash digests the ring configuration (membership and vnode count);
 // two nodes whose hashes differ are not in the same cluster and must not
 // sync. The cluster layer folds replication in on top.

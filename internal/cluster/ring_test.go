@@ -133,45 +133,6 @@ func TestRingOwners(t *testing.T) {
 	}
 }
 
-// TestRingReplicaRanges checks that the per-node replica ranges agree with
-// the per-key replica sets: a key is in node N's ranges iff N is in the
-// key's replica set.
-func TestRingReplicaRanges(t *testing.T) {
-	nodes := []string{"a:1", "b:1", "c:1"}
-	r := mustRing(t, nodes, 16)
-	const repl = 2
-	ranges := make(map[string][]Range)
-	for _, n := range nodes {
-		ranges[n] = r.ReplicaRanges(n, repl)
-		if len(ranges[n]) == 0 {
-			t.Fatalf("node %s has no replica ranges", n)
-		}
-	}
-	inRanges := func(n string, key uint64) bool {
-		for _, a := range ranges[n] {
-			if a.Contains(key) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, k := range sampleKeys(5000, 5) {
-		owners := r.Owners(k, repl)
-		for _, n := range nodes {
-			want := false
-			for _, o := range owners {
-				if o == n {
-					want = true
-				}
-			}
-			if got := inRanges(n, uint64(k)); got != want {
-				t.Fatalf("key %s: node %s in replica ranges = %v, in Owners = %v",
-					k, n, got, want)
-			}
-		}
-	}
-}
-
 // TestRingDeterminism: ring construction must not depend on input order.
 func TestRingDeterminism(t *testing.T) {
 	a := mustRing(t, []string{"a:1", "b:1", "c:1"}, 32)
@@ -227,9 +188,5 @@ func TestRingSingleNode(t *testing.T) {
 		if r.Owner(k) != "only:1" {
 			t.Fatalf("single node does not own %s", k)
 		}
-	}
-	ranges := r.ReplicaRanges("only:1", 2)
-	if len(ranges) != 1 || ranges[0].From != ranges[0].To {
-		t.Fatalf("single node replica ranges = %v, want one full-circle arc", ranges)
 	}
 }

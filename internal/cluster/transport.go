@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -13,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"locshort/internal/wire"
 )
 
 // maxIdlePerPeer bounds each peer's list of idle keep-alive connections.
@@ -115,10 +112,10 @@ func (pc *peerConn) expireNow() { _ = pc.nc.SetDeadline(aLongTimeAgo) }
 
 func (pc *peerConn) close() { _ = pc.nc.Close() }
 
-// validHeaderValue reports whether v may be sent as a header value: no
-// control character but tab, the rule net/http's Transport applies, so a
-// value cannot end the header early and smuggle in lines of its own.
-func validHeaderValue(v string) bool {
+// validHeaderValue reports whether v may be a header value: no control
+// character but tab, the rule net/http applies both ways. A value sent
+// cannot end the header early and smuggle in lines of its own.
+func validHeaderValue[T string | []byte](v T) bool {
 	for i := 0; i < len(v); i++ {
 		if b := v[i]; (b < ' ' && b != '\t') || b == 0x7f {
 			return false
@@ -130,33 +127,34 @@ func validHeaderValue(v string) bool {
 // exchange is the one HTTP exchange with a peer, shared by every client
 // call. It sends method and path with body (nil for none) and each header
 // key/value pair whose value is not empty, and returns the answer's
-// status, header and body, whatever the status. The body is at most limit
-// bytes; a longer one is an error. A declared length reserves no more
-// than wire.ReadDeclared makes room for before the body arrives.
+// status, the values of AnswerHeaders, and the body, whatever the status.
+// The body is at most limit bytes; a longer one is an error. A declared
+// length reserves no more than wire.ReadDeclared makes room for before
+// the body arrives.
 //
 // The request goes out on one of the peer's pooled keep-alive connections
-// (or a fresh dial) in a single Write, and the answer is parsed by
-// http.ReadResponse. The call's timeout is the connection's deadline, and
-// the caller's context expires that deadline early. A transport failure or
-// the timeout marks the peer down; an answer marks it up; a call whose
-// context ended leaves the mark alone, because a caller giving up says
-// nothing about the peer. A reused connection that fails before any byte
-// of the answer was stale: the peer's whole idle list is dropped and the
-// call is retried once on a fresh dial. Every peer call is idempotent, so
-// the retry is safe.
+// (or a fresh dial) in a single Write, and readAnswer parses the answer in
+// the connection's read buffer. The call's timeout is the connection's
+// deadline, and the caller's context expires that deadline early. A
+// transport failure or the timeout marks the peer down; an answer marks it
+// up; a call whose context ended leaves the mark alone, because a caller
+// giving up says nothing about the peer. A reused connection that fails
+// before any byte of the answer was stale: the peer's whole idle list is
+// dropped and the call is retried once on a fresh dial. Every peer call is
+// idempotent, so the retry is safe.
 func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, peer, path string,
-	body []byte, limit int64, header ...string) (int, http.Header, []byte, error) {
+	body []byte, limit int64, header ...string) (int, Header, []byte, error) {
 	l, ok := c.links[peer]
 	if !ok {
-		return 0, nil, nil, fmt.Errorf("cluster: %s is not a peer", peer)
+		return 0, Header{}, nil, fmt.Errorf("cluster: %s is not a peer", peer)
 	}
 	for i := 0; i+1 < len(header); i += 2 {
 		if !validHeaderValue(header[i+1]) {
-			return 0, nil, nil, fmt.Errorf("cluster: invalid %s header value %q", header[i], header[i+1])
+			return 0, Header{}, nil, fmt.Errorf("cluster: invalid %s header value %q", header[i], header[i+1])
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, nil, nil, fmt.Errorf("cluster: peer %s %s: %w", peer, path, err)
+		return 0, Header{}, nil, fmt.Errorf("cluster: peer %s %s: %w", peer, path, err)
 	}
 	deadline := time.Now().Add(timeout)
 	pc := l.get()
@@ -182,20 +180,20 @@ func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, p
 		}
 		switch {
 		case ctx.Err() != nil:
-			return 0, nil, nil, fmt.Errorf("cluster: peer %s %s: %w", peer, path, ctx.Err())
+			return 0, Header{}, nil, fmt.Errorf("cluster: peer %s %s: %w", peer, path, ctx.Err())
 		case errors.Is(err, errAnswerTooLong):
 			c.markUp(peer)
-			return 0, nil, nil, fmt.Errorf("%w: %s %s over %d bytes", errAnswerTooLong, peer, path, limit)
+			return 0, Header{}, nil, fmt.Errorf("%w: %s %s over %d bytes", errAnswerTooLong, peer, path, limit)
 		case errors.Is(err, errAnswerShort):
 			c.markUp(peer)
-			return 0, nil, nil, fmt.Errorf("%w: %s %s", errAnswerShort, peer, path)
+			return 0, Header{}, nil, fmt.Errorf("%w: %s %s", errAnswerShort, peer, path)
 		case reused && a.unanswered && !errors.Is(err, os.ErrDeadlineExceeded):
 			l.dropIdle()
 			pc = nil
 			continue
 		}
 		c.markDown(peer)
-		return 0, nil, nil, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
+		return 0, Header{}, nil, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
 	}
 }
 
@@ -204,7 +202,7 @@ func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, p
 // byte of the answer arrived.
 type answer struct {
 	status     int
-	header     http.Header
+	header     Header
 	body       []byte
 	keep       bool
 	unanswered bool
@@ -261,35 +259,5 @@ func (pc *peerConn) roundTrip(ctx context.Context, deadline time.Time, method, h
 	if _, err := pc.br.Peek(1); err != nil {
 		return a, err
 	}
-	a.unanswered = false
-
-	resp, err := http.ReadResponse(pc.br, nil)
-	if err != nil {
-		return a, err
-	}
-	switch {
-	case resp.ContentLength > limit:
-		return a, errAnswerTooLong
-	case resp.ContentLength >= 0:
-		// The declared length is the peer's word: room grows with the
-		// bytes that arrive, not with what was declared.
-		a.body, err = wire.ReadDeclared(resp.Body, nil, int(resp.ContentLength))
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			err = errAnswerShort
-		}
-	default:
-		// Chunked, or read until the peer closes: at most limit bytes,
-		// plus one to tell a body of exactly limit bytes from a longer one.
-		a.body, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
-		if err == nil && int64(len(a.body)) > limit {
-			err = errAnswerTooLong
-		}
-	}
-	if err != nil {
-		return a, err
-	}
-	a.status, a.header = resp.StatusCode, resp.Header
-	// A body that ran until the peer closed leaves nothing to reuse.
-	a.keep = !resp.Close && (resp.ContentLength >= 0 || len(resp.TransferEncoding) > 0)
-	return a, nil
+	return readAnswer(pc.br, limit)
 }

@@ -46,8 +46,9 @@ type InventoryEntry struct {
 
 // inRange reports whether key lies on the arc (lo, hi] of the fingerprint
 // circle, wrapping when lo >= hi; lo == hi means the full circle. The
-// convention matches cluster.Range, so ring ownership arcs filter the
-// inventory directly.
+// convention matches the ring's (a key belongs to the first point at or
+// after it), so an arc between two ring points filters the inventory
+// directly.
 func inRange(key, lo, hi uint64) bool {
 	switch {
 	case lo == hi:
