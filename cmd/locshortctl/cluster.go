@@ -3,12 +3,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"locshort/internal/cluster"
 	"locshort/internal/service"
 	"locshort/internal/store"
+	"locshort/internal/wire"
 )
 
 // peerClient is the tiny HTTP client over a daemon's /v1/peer/ API. The
@@ -23,12 +25,20 @@ func newPeerClient(timeout time.Duration) *peerClient {
 	return &peerClient{hc: &http.Client{Timeout: timeout}}
 }
 
-// get fetches one peer API resource. A non-2xx status decodes the JSON
-// error envelope so failures read like the daemon's own message.
-func (pc *peerClient) get(addr, path string, out any) error {
-	resp, err := pc.hc.Get("http://" + addr + path)
+// fetch GETs one peer API resource, asking for accept, and returns the
+// body of a 200 answer and its Content-Type. A non-2xx status decodes the
+// JSON error envelope so failures read like the daemon's own message.
+func (pc *peerClient) fetch(addr, path, accept string) ([]byte, string, error) {
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
 	if err != nil {
-		return err
+		return nil, "", err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := pc.hc.Do(req)
+	if err != nil {
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -36,11 +46,32 @@ func (pc *peerClient) get(addr, path string, out any) error {
 			Error string `json:"error"`
 		}
 		if json.NewDecoder(resp.Body).Decode(&envelope) == nil && envelope.Error != "" {
-			return fmt.Errorf("GET %s: %s (status %d)", path, envelope.Error, resp.StatusCode)
+			return nil, "", fmt.Errorf("GET %s: %s (status %d)", path, envelope.Error, resp.StatusCode)
 		}
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+		return nil, "", fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	body, err := io.ReadAll(resp.Body)
+	return body, resp.Header.Get("Content-Type"), err
+}
+
+// get fetches the ring or the inventory, which the peer API serves as
+// JSON, into out.
+func (pc *peerClient) get(addr, path string, out any) error {
+	body, _, err := pc.fetch(addr, path, "")
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
+}
+
+// getBinary fetches a record or a graph payload, which the peer API serves
+// only in the binary form.
+func (pc *peerClient) getBinary(addr, path string) ([]byte, error) {
+	body, ctype, err := pc.fetch(addr, path, wire.ContentType)
+	if err == nil && !wire.IsBinary(ctype) {
+		return nil, fmt.Errorf("GET %s: answer is %q, not %s", path, ctype, wire.ContentType)
+	}
+	return body, err
 }
 
 // runClusterStatus renders the ring as seen from one node: membership,
@@ -120,17 +151,23 @@ func runRemoteVerify(addr string) error {
 			problem("inventory lists unparseable graph fingerprint %q: %v", hexFP, err)
 			continue
 		}
-		var gp cluster.GraphPayload
-		if err := pc.get(addr, "/v1/peer/graphs/"+hexFP, &gp); err != nil {
+		payload, err := pc.getBinary(addr, "/v1/peer/graphs/"+hexFP)
+		if err != nil {
 			problem("graph %s: %v", hexFP, err)
 			continue
 		}
-		if _, err := store.DecodeGraphPayload(gp.Payload, fp); err != nil {
+		if _, err := store.DecodeGraphPayload(payload, fp); err != nil {
 			problem("graph %s: %v", hexFP, err)
 		}
 	}
 	for _, e := range inv.Shortcuts {
-		rec, err := fetchPeerRecord(pc, addr, e.Key)
+		frame, err := pc.getBinary(addr, "/v1/peer/records/"+e.Key)
+		if err != nil {
+			problem("shortcut %s: %v", e.Key, err)
+			continue
+		}
+		// The frame's identities are parsed, not yet trusted.
+		rec, err := store.DecodePeerRecord(frame)
 		if err != nil {
 			problem("shortcut %s: %v", e.Key, err)
 			continue
@@ -155,28 +192,4 @@ func runRemoteVerify(addr string) error {
 	fmt.Printf("node %s clean: %d records verified remotely (%d graphs, %d shortcuts)\n",
 		addr, total, len(inv.Graphs), len(inv.Shortcuts))
 	return nil
-}
-
-// fetchPeerRecord pulls one shortcut record and parses its wire identities
-// into store fingerprints, without trusting any of them yet.
-func fetchPeerRecord(pc *peerClient, addr, key string) (store.PeerRecord, error) {
-	var rec store.PeerRecord
-	var wire cluster.Record
-	if err := pc.get(addr, "/v1/peer/records/"+key, &wire); err != nil {
-		return rec, err
-	}
-	var err error
-	if rec.Key, err = service.ParseFingerprint(wire.Key); err != nil {
-		return rec, fmt.Errorf("record key: %w", err)
-	}
-	if rec.GraphFP, err = service.ParseFingerprint(wire.Graph); err != nil {
-		return rec, fmt.Errorf("record graph: %w", err)
-	}
-	if rec.PartitionFP, err = service.ParseFingerprint(wire.Partition); err != nil {
-		return rec, fmt.Errorf("record partition: %w", err)
-	}
-	rec.GraphPayload = wire.GraphPayload
-	rec.PartitionPayload = wire.PartitionPayload
-	rec.ShortcutPayload = wire.ShortcutPayload
-	return rec, nil
 }

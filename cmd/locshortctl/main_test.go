@@ -2,8 +2,11 @@ package main
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +16,6 @@ import (
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
-
-	"net/http/httptest"
 )
 
 // ctlBackend is one backend kind the admin subcommands run against.
@@ -153,7 +154,9 @@ func TestAdminSubcommandsPerBackend(t *testing.T) {
 
 // TestRemoteVerifyPerBackend serves each backend's records over the peer
 // API with httptest and re-verifies them client-side, the way
-// `locshortctl verify -addr` does against a live node.
+// `locshortctl verify -addr` does against a live node: clean, then with
+// one byte flipped in every graph payload and record frame the node
+// serves, which must fail with one PROBLEM line per bad record.
 func TestRemoteVerifyPerBackend(t *testing.T) {
 	for _, bk := range ctlBackends() {
 		t.Run(bk.name, func(t *testing.T) {
@@ -169,7 +172,22 @@ func TestRemoteVerifyPerBackend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(cl.Handler())
+			h := cl.Handler()
+			var corrupt atomic.Bool
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !corrupt.Load() || !strings.HasPrefix(r.URL.Path, "/v1/peer/graphs/") &&
+					!strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
+					h.ServeHTTP(w, r)
+					return
+				}
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, r)
+				body := rr.Body.Bytes()
+				body[len(body)/2] ^= 0x01
+				w.Header().Set("Content-Type", rr.Header().Get("Content-Type"))
+				w.WriteHeader(rr.Code)
+				w.Write(body)
+			}))
 			defer srv.Close()
 			addr := strings.TrimPrefix(srv.URL, "http://")
 
@@ -179,6 +197,27 @@ func TestRemoteVerifyPerBackend(t *testing.T) {
 			}
 			if !strings.Contains(out, "clean") {
 				t.Errorf("remote verify output not clean:\n%s", out)
+			}
+
+			corrupt.Store(true)
+			out, err = capture(t, func() error { return runRemoteVerify(addr) })
+			if err == nil || !strings.Contains(err.Error(), "2 of 2 records failed") {
+				t.Fatalf("remote verify of a corrupt node: %v, want 2 of 2 records failed", err)
+			}
+			var problems []string
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "PROBLEM: ") {
+					problems = append(problems, line)
+				}
+			}
+			if len(problems) != 2 || !strings.HasPrefix(problems[0], "PROBLEM: graph ") ||
+				!strings.HasPrefix(problems[1], "PROBLEM: shortcut ") {
+				t.Fatalf("want one PROBLEM line for the graph and one for the shortcut:\n%s", out)
+			}
+			for _, line := range problems {
+				if !strings.Contains(line, "hashes to") {
+					t.Errorf("problem is not a failed content hash: %s", line)
+				}
 			}
 		})
 	}

@@ -87,18 +87,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// GraphRegistrar registers a decoded graph with a serving engine so records
-// pulled by anti-entropy become requestable without a restart.
+// GraphRegistrar registers a graph a peer handed over with a serving
+// engine, so pushed graphs and records pulled by anti-entropy become
+// requestable without a restart. Every such graph arrives as canonical
+// payload bytes that have already been verified to hash to fp and decode
+// to g, so the registrar skips the re-fingerprint and re-encode.
 // *service.Engine implements it.
 type GraphRegistrar interface {
-	AddGraph(g *graph.Graph) (service.Fingerprint, error)
-}
-
-// GraphPayloadRegistrar is the optional fast path of GraphRegistrar: a
-// registrar that can take the already-decoded graph together with the
-// canonical payload bytes it came from, skipping the re-fingerprint and
-// re-encode AddGraph would pay. *service.Engine implements it.
-type GraphPayloadRegistrar interface {
 	AddGraphDecoded(fp service.Fingerprint, g *graph.Graph, payload []byte)
 }
 
@@ -339,54 +334,6 @@ type Inventory struct {
 	Graphs    []string         `json:"graphs"`
 }
 
-// Record is GET /v1/peer/records/{key}: a shortcut and its dependency
-// payloads, the canonical store encodings verbatim ([]byte marshals as
-// base64). Nothing in it is trusted by the receiver: every payload is
-// re-hashed and the key re-derived before the record is served or stored.
-type Record struct {
-	Key              string `json:"key"`
-	Graph            string `json:"graph"`
-	Partition        string `json:"partition"`
-	GraphPayload     []byte `json:"graph_payload"`
-	PartitionPayload []byte `json:"partition_payload"`
-	ShortcutPayload  []byte `json:"shortcut_payload"`
-}
-
-// GraphPayload is GET/PUT /v1/peer/graphs/{fp}: one graph record payload.
-type GraphPayload struct {
-	Payload []byte `json:"payload"`
-}
-
-// toPeerRecord parses the wire record back into store fingerprints.
-func toPeerRecord(r Record) (store.PeerRecord, error) {
-	var rec store.PeerRecord
-	var err error
-	if rec.Key, err = service.ParseFingerprint(r.Key); err != nil {
-		return rec, fmt.Errorf("cluster: record key: %w", err)
-	}
-	if rec.GraphFP, err = service.ParseFingerprint(r.Graph); err != nil {
-		return rec, fmt.Errorf("cluster: record graph: %w", err)
-	}
-	if rec.PartitionFP, err = service.ParseFingerprint(r.Partition); err != nil {
-		return rec, fmt.Errorf("cluster: record partition: %w", err)
-	}
-	rec.GraphPayload = r.GraphPayload
-	rec.PartitionPayload = r.PartitionPayload
-	rec.ShortcutPayload = r.ShortcutPayload
-	return rec, nil
-}
-
-func fromPeerRecord(rec store.PeerRecord) Record {
-	return Record{
-		Key:              rec.Key.String(),
-		Graph:            rec.GraphFP.String(),
-		Partition:        rec.PartitionFP.String(),
-		GraphPayload:     rec.GraphPayload,
-		PartitionPayload: rec.PartitionPayload,
-		ShortcutPayload:  rec.ShortcutPayload,
-	}
-}
-
 // ---- peer API client ----
 
 // errNotFound distinguishes a peer's 404 (clean miss) from real failures.
@@ -438,40 +385,28 @@ func (c *Cluster) InventoryOf(ctx context.Context, peer string) (Inventory, erro
 	return inv, err
 }
 
-// getBinary GETs a peer API path asking for the binary protocol and
-// returns the raw body, of at most limit bytes, and whether the peer
-// answered in it. A peer that answers JSON instead (binary=false) is
-// handled by the caller's JSON path, so the client interoperates with
-// nodes that have not negotiated binary — the fetch just costs the base64
-// round trip it always did.
-func (c *Cluster) getBinary(ctx context.Context, peer, path string, limit int64) (body []byte, binary bool, err error) {
+// getBinary GETs a record or a graph payload, which the peer API serves
+// only in the binary form, and returns the raw body, of at most limit
+// bytes. An answer in any other form is an error.
+func (c *Cluster) getBinary(ctx context.Context, peer, path string, limit int64) ([]byte, error) {
 	body, hdr, err := c.get(ctx, peer, path, wire.ContentType, limit)
-	if err != nil {
-		return nil, false, err
+	if ct := hdr.Get("Content-Type"); err == nil && !wire.IsBinary(ct) {
+		return nil, fmt.Errorf("cluster: peer %s %s: answer is %q, not %s", peer, path, ct, wire.ContentType)
 	}
-	return body, wire.IsBinary(hdr.Get("Content-Type")), nil
+	return body, err
 }
 
-// recordOf fetches one shortcut record from a peer over the binary
-// protocol (JSON fallback when the peer answers in it). found is false on
-// a clean 404.
+// recordOf fetches one shortcut record from a peer as a binary peer-record
+// frame (store.AppendPeerRecord). found is false on a clean 404.
 func (c *Cluster) recordOf(ctx context.Context, peer string, key service.Fingerprint) (store.PeerRecord, bool, error) {
-	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/records/"+key.String(), maxPeerGet)
+	body, err := c.getBinary(ctx, peer, "/v1/peer/records/"+key.String(), maxPeerGet)
 	if err == errNotFound {
 		return store.PeerRecord{}, false, nil
 	}
 	if err != nil {
 		return store.PeerRecord{}, false, err
 	}
-	var rec store.PeerRecord
-	if binary {
-		rec, err = store.DecodePeerRecord(body)
-	} else {
-		var wr Record
-		if err = json.Unmarshal(body, &wr); err == nil {
-			rec, err = toPeerRecord(wr)
-		}
-	}
+	rec, err := store.DecodePeerRecord(body)
 	if err != nil {
 		return store.PeerRecord{}, false, err
 	}
@@ -481,29 +416,21 @@ func (c *Cluster) recordOf(ctx context.Context, peer string, key service.Fingerp
 	return rec, true, nil
 }
 
-// graphPayloadOf fetches one graph record payload from a peer over the
-// binary protocol (JSON fallback). The answer is held to maxGraphJSON, the
-// longer of a legal graph's two forms, as a peer graph PUT is.
+// graphPayloadOf fetches one graph record payload from a peer. The answer
+// is held to maxGraphPayload, as a peer graph PUT is.
 func (c *Cluster) graphPayloadOf(ctx context.Context, peer string, fp service.Fingerprint) ([]byte, bool, error) {
-	body, binary, err := c.getBinary(ctx, peer, "/v1/peer/graphs/"+fp.String(), maxGraphJSON)
+	body, err := c.getBinary(ctx, peer, "/v1/peer/graphs/"+fp.String(), maxGraphPayload)
 	if err == errNotFound {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	if binary {
-		return body, true, nil
-	}
-	var wr GraphPayload
-	if err := json.Unmarshal(body, &wr); err != nil {
-		return nil, false, err
-	}
-	return wr.Payload, true, nil
+	return body, true, nil
 }
 
-// PushGraph PUTs a graph record payload to one peer, raw over the binary
-// protocol — no base64 envelope, no decode on our side.
+// PushGraph PUTs a graph record payload to one peer, raw, in the binary
+// form the peer API takes.
 func (c *Cluster) PushGraph(ctx context.Context, peer string, fp service.Fingerprint, payload []byte) error {
 	status, _, _, err := c.exchange(ctx, c.cfg.FetchTimeout, http.MethodPut, peer,
 		"/v1/peer/graphs/"+fp.String(), payload, 512, "Content-Type", wire.ContentType)
@@ -648,12 +575,16 @@ func (c *Cluster) FetchShortcut(ctx context.Context, key service.Fingerprint,
 // node's public mux; it is exempt from the readiness gate (peers must be
 // able to compare configs and pull records while a node warms up).
 //
-//	GET /v1/peer/ring          ring config + inventory counts
-//	GET /v1/peer/inventory     live record keys (?lo=&hi= restricts the arc)
+//	GET /v1/peer/ring          ring config + inventory counts (JSON)
+//	GET /v1/peer/inventory     live record keys (JSON; ?lo=&hi= restricts the arc)
 //	GET /v1/peer/records/{key} one shortcut record + dependency payloads
-//	GET /v1/peer/graphs/{fp}   one graph record payload
+//	                           (binary peer-record frame, store.AppendPeerRecord)
+//	GET /v1/peer/graphs/{fp}   one graph record payload (binary, raw)
 //	PUT /v1/peer/graphs/{fp}   ingest-broadcast receiver: verify + register
-//	                           (413 past the longest legal graph payload)
+//	                           (binary, raw; 413 past maxGraphPayload)
+//
+// Records and graph payloads travel only as application/x-locshort,
+// whatever the request's Accept says; errors are JSON envelopes.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/peer/ring", c.handleRing)
@@ -739,14 +670,15 @@ func (c *Cluster) handleRecord(w http.ResponseWriter, r *http.Request) {
 		c.peerError(w, http.StatusNotFound, fmt.Errorf("no record for %s", key))
 		return
 	}
-	if wire.IsBinary(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		if _, err := w.Write(store.AppendPeerRecord(nil, rec)); err != nil && c.log != nil {
-			c.log.Warn("cluster_encode_failed", "err", err.Error())
-		}
-		return
+	c.peerBinary(w, store.AppendPeerRecord(nil, rec))
+}
+
+// peerBinary writes a 200 answer whose body is b, in the binary form.
+func (c *Cluster) peerBinary(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", wire.ContentType)
+	if _, err := w.Write(b); err != nil && c.log != nil {
+		c.log.Warn("cluster_encode_failed", "err", err.Error())
 	}
-	c.peerJSON(w, fromPeerRecord(rec))
 }
 
 func (c *Cluster) handleGraphGet(w http.ResponseWriter, r *http.Request) {
@@ -764,24 +696,13 @@ func (c *Cluster) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		c.peerError(w, http.StatusNotFound, fmt.Errorf("no graph record for %s", fp))
 		return
 	}
-	if wire.IsBinary(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		if _, err := w.Write(payload); err != nil && c.log != nil {
-			c.log.Warn("cluster_encode_failed", "err", err.Error())
-		}
-		return
-	}
-	c.peerJSON(w, GraphPayload{Payload: payload})
+	c.peerBinary(w, payload)
 }
 
 // maxGraphPayload is the longest graph payload store.DecodeGraphPayload
 // accepts: a version byte, the 16-byte header and MaxEdges edges of 24
-// bytes. maxGraphJSON is the same payload base64-encoded in a GraphPayload
-// envelope, with room for whitespace. A peer graph PUT may be no longer.
-const (
-	maxGraphPayload = 17 + 24*graph.MaxEdges
-	maxGraphJSON    = (maxGraphPayload+2)/3*4 + 64
-)
+// bytes. A peer graph PUT, and a graph GET's answer, may be no longer.
+const maxGraphPayload = 17 + 24*graph.MaxEdges
 
 func (c *Cluster) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	fp, err := service.ParseFingerprint(r.PathValue("fp"))
@@ -789,12 +710,11 @@ func (c *Cluster) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		c.peerError(w, http.StatusBadRequest, err)
 		return
 	}
-	binary := wire.IsBinary(r.Header.Get("Content-Type"))
-	limit := int64(maxGraphJSON)
-	if binary {
-		limit = maxGraphPayload
+	if ct := r.Header.Get("Content-Type"); !wire.IsBinary(ct) {
+		c.peerError(w, http.StatusUnsupportedMediaType, fmt.Errorf("graph body is %q, not %s", ct, wire.ContentType))
+		return
 	}
-	payload, err := readLimited(w, r, limit)
+	payload, err := readLimited(w, r, maxGraphPayload)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -803,14 +723,6 @@ func (c *Cluster) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		}
 		c.peerError(w, code, err)
 		return
-	}
-	if !binary {
-		var wr GraphPayload
-		if err := json.Unmarshal(payload, &wr); err != nil {
-			c.peerError(w, http.StatusBadRequest, err)
-			return
-		}
-		payload = wr.Payload
 	}
 	// Decode verifies the payload hashes to fp — a peer cannot plant a
 	// graph under a fingerprint it does not own.
@@ -838,19 +750,11 @@ func readLimited(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, e
 
 // registerGraph installs a verified graph: through the engine when wired
 // (which also persists it), else straight into the store. Payload is the
-// canonical bytes g decoded from; carrying it through lets the engine and
-// store persist it verbatim instead of paying a re-encode.
+// canonical bytes g decoded from, persisted verbatim.
 func (c *Cluster) registerGraph(fp service.Fingerprint, g *graph.Graph, payload []byte) error {
 	if reg := c.getRegistrar(); reg != nil {
-		if pr, ok := reg.(GraphPayloadRegistrar); ok && len(payload) > 0 {
-			pr.AddGraphDecoded(fp, g, payload)
-			return nil
-		}
-		_, err := reg.AddGraph(g)
-		return err
+		reg.AddGraphDecoded(fp, g, payload)
+		return nil
 	}
-	if len(payload) > 0 {
-		return c.st.PutGraphPayload(fp, payload)
-	}
-	return c.st.PutGraph(fp, g)
+	return c.st.PutGraphPayload(fp, payload)
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +15,7 @@ import (
 
 	"locshort/internal/cli"
 	"locshort/internal/graph"
+	"locshort/internal/obs"
 	"locshort/internal/partition"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
@@ -164,38 +164,65 @@ func TestFetchShortcutCleanMiss(t *testing.T) {
 	}
 }
 
+// byzantine makes node serve its records and graph payloads with one byte
+// flipped: the middle byte of the record payload pick selects, re-framed
+// with store.AppendPeerRecord, and of every graph payload when flipGraphs
+// is set. A record frame the node cannot parse is answered 500, so a test
+// that expects a verification error fails if the tampered frame never
+// reaches the verifier. Every other call is served as usual.
+func byzantine(node *testNode, pick func(*store.PeerRecord) []byte, flipGraphs bool) {
+	inner := node.cl.Handler()
+	node.sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		records := pick != nil && strings.HasPrefix(r.URL.Path, "/v1/peer/records/")
+		graphs := flipGraphs && r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/peer/graphs/")
+		if !records && !graphs {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rr := httptest.NewRecorder()
+		inner.ServeHTTP(rr, r)
+		body := rr.Body.Bytes()
+		if records {
+			rec, err := store.DecodePeerRecord(body)
+			if err != nil {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			p := pick(&rec)
+			p[len(p)/2] ^= 0x01
+			body = store.AppendPeerRecord(nil, rec)
+		} else {
+			body[len(body)/2] ^= 0x01
+		}
+		w.Header().Set("Content-Type", rr.Header().Get("Content-Type"))
+		w.WriteHeader(rr.Code)
+		w.Write(body)
+	}))
+}
+
+// wantVerificationError fails t unless err is FetchShortcut's verification
+// error, not a transport or status error.
+func wantVerificationError(t *testing.T, ok bool, err error) {
+	t.Helper()
+	if ok || err == nil || !strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("fetch of a tampered record: ok=%v err=%v, want a failed verification", ok, err)
+	}
+}
+
 func TestFetchShortcutRejectsTamperedRecord(t *testing.T) {
 	nodes := newTestCluster(t, 2)
 	g, p, res, gfp, key := clusterFixture(t, "grid:8x8", "blobs:4", 3)
 	seedRecord(t, nodes[0], g, p, res, gfp, key)
 
-	// Byzantine node 0: serve the real record with one payload byte
-	// flipped. Verification on the fetching side must reject it.
-	inner := nodes[0].cl.Handler()
-	nodes[0].sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		var wire Record
-		if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil || len(wire.ShortcutPayload) == 0 {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		wire.ShortcutPayload[len(wire.ShortcutPayload)/2] ^= 0x01
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(wire)
-	}))
+	// Byzantine node 0: serve the real record with one byte of the
+	// shortcut payload flipped. Verification on the fetching side must
+	// reject it. The middle byte lies in an edge list, and the flip names
+	// a non-tree edge; the key does not cover the edge lists, so a flip
+	// that still named tree edges only would pass.
+	byzantine(nodes[0], func(rec *store.PeerRecord) []byte { return rec.ShortcutPayload }, false)
 
 	_, _, ok, err := nodes[1].cl.FetchShortcut(context.Background(), key, g, p)
-	if ok {
-		t.Fatal("tampered record was accepted")
-	}
-	if err == nil {
-		t.Fatal("tampered record must surface as an error, not a clean miss")
-	}
+	wantVerificationError(t, ok, err)
 	if nodes[1].st.HasShortcut(key) {
 		t.Fatal("tampered record was imported")
 	}
@@ -229,26 +256,9 @@ func TestFetchShortcutKeyOnly(t *testing.T) {
 
 	tampered := newTestCluster(t, 2)
 	seedRecord(t, tampered[0], g, p, res, gfp, key)
-	inner := tampered[0].cl.Handler()
-	tampered[0].sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		var wire Record
-		if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil || len(wire.PartitionPayload) == 0 {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		wire.PartitionPayload[len(wire.PartitionPayload)-1] ^= 0x01
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(wire)
-	}))
-	if _, _, ok, err := tampered[1].cl.FetchShortcut(context.Background(), key, g, nil); ok || err == nil {
-		t.Fatalf("key-only fetch of a tampered partition payload: ok=%v err=%v", ok, err)
-	}
+	byzantine(tampered[0], func(rec *store.PeerRecord) []byte { return rec.PartitionPayload }, false)
+	_, _, ok, err = tampered[1].cl.FetchShortcut(context.Background(), key, g, nil)
+	wantVerificationError(t, ok, err)
 	if tampered[1].st.HasShortcut(key) {
 		t.Fatal("record with a tampered partition payload was imported")
 	}
@@ -318,6 +328,39 @@ func TestSyncPullsOwnedRecords(t *testing.T) {
 		}
 		if n.st.HasShortcut(key) {
 			t.Fatalf("non-replica %s pulled the record", n.addr)
+		}
+	}
+}
+
+// TestSyncRefusesTamperedPayloads: an anti-entropy round against a peer
+// that flips one byte of every graph payload and shortcut record it serves
+// counts both pulls as errors, pulls nothing, and leaves neither record in
+// the puller's store. The log shows that both payloads reached the
+// verifier.
+func TestSyncRefusesTamperedPayloads(t *testing.T) {
+	nodes := newTestCluster(t, 2) // replication 2: node 1 replicates every key
+	g, p, res, gfp, key := clusterFixture(t, "grid:8x8", "blobs:4", 3)
+	seedRecord(t, nodes[0], g, p, res, gfp, key)
+	byzantine(nodes[0], func(rec *store.PeerRecord) []byte { return rec.ShortcutPayload }, true)
+	var logbuf bytes.Buffer
+	nodes[1].cl.log = obs.NewLogger(&logbuf)
+
+	sr := nodes[1].cl.SyncNow(context.Background())
+	if sr.Reachable != 1 || sr.Drift {
+		t.Fatalf("sync round: %+v, want one reachable peer and no drift", sr)
+	}
+	if sr.Errors != 2 || sr.PulledGraphs != 0 || sr.PulledShortcuts != 0 {
+		t.Fatalf("sync round: %+v, want 2 errors and nothing pulled", sr)
+	}
+	if s := nodes[1].cl.Stats(); s.SyncErrors != 2 || s.SyncPulls != 0 {
+		t.Fatalf("sync counters: %+v", s)
+	}
+	if nodes[1].st.GraphKnown(gfp) || nodes[1].st.HasShortcut(key) {
+		t.Fatal("a tampered payload was stored")
+	}
+	for _, msg := range []string{"msg=cluster_sync_graph_rejected", "msg=cluster_sync_record_rejected"} {
+		if !strings.Contains(logbuf.String(), msg) {
+			t.Errorf("no %s line; log:\n%s", msg, logbuf.String())
 		}
 	}
 }
@@ -413,21 +456,17 @@ func TestGraphPutRejectsWrongFingerprint(t *testing.T) {
 }
 
 // TestGraphPutOverLimit: a peer graph PUT declared longer than the longest
-// legal graph payload (binary) or its JSON envelope gets 413 before its
-// body is read, and registers nothing; the same payload within the limits
-// registers, in either encoding. A body of undeclared length is cut off
-// once it passes the limit.
+// legal graph payload gets 413 before its body is read, and one whose body
+// is not in the binary form gets 415; neither registers anything. The same
+// payload within the limit registers. A body of undeclared length is cut
+// off once it passes the limit.
 func TestGraphPutOverLimit(t *testing.T) {
 	nodes := newTestCluster(t, 1)
 	h := nodes[0].cl.Handler()
 	g, _, _, gfp, _ := clusterFixture(t, "grid:6x6", "blobs:3", 8)
 	payload := store.EncodeGraphPayload(g)
-	envelope, err := json.Marshal(GraphPayload{Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(ctype string, body []byte, declared int64) int {
-		req := httptest.NewRequest(http.MethodPut, "/v1/peer/graphs/"+gfp.String(), bytes.NewReader(body))
+	put := func(ctype string, declared int64) int {
+		req := httptest.NewRequest(http.MethodPut, "/v1/peer/graphs/"+gfp.String(), bytes.NewReader(payload))
 		req.Header.Set("Content-Type", ctype)
 		req.ContentLength = declared
 		rec := httptest.NewRecorder()
@@ -435,30 +474,26 @@ func TestGraphPutOverLimit(t *testing.T) {
 		return rec.Code
 	}
 	for _, tc := range []struct {
-		ctype string
-		body  []byte
-		limit int64
+		ctype    string
+		declared int64
+		want     int
 	}{
-		{wire.ContentType, payload, maxGraphPayload},
-		{"application/json", envelope, maxGraphJSON},
+		{wire.ContentType, maxGraphPayload + 1, http.StatusRequestEntityTooLarge},
+		{"application/json", int64(len(payload)), http.StatusUnsupportedMediaType},
+		{"", int64(len(payload)), http.StatusUnsupportedMediaType},
 	} {
-		if code := put(tc.ctype, tc.body, tc.limit+1); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s PUT declaring %d bytes: %d, want 413", tc.ctype, tc.limit+1, code)
+		if code := put(tc.ctype, tc.declared); code != tc.want {
+			t.Errorf("%q PUT declaring %d bytes: %d, want %d", tc.ctype, tc.declared, code, tc.want)
 		}
 		if nodes[0].st.GraphKnown(gfp) {
-			t.Fatalf("%s PUT over the limit registered the graph", tc.ctype)
+			t.Fatalf("refused %q PUT registered the graph", tc.ctype)
 		}
 	}
-	for _, tc := range []struct {
-		ctype string
-		body  []byte
-	}{{"application/json", envelope}, {wire.ContentType, payload}} {
-		if code := put(tc.ctype, tc.body, int64(len(tc.body))); code != http.StatusOK {
-			t.Fatalf("%s PUT of a legal payload: %d, want 200", tc.ctype, code)
-		}
+	if code := put(wire.ContentType, int64(len(payload))); code != http.StatusOK {
+		t.Fatalf("PUT of a legal payload: %d, want 200", code)
 	}
 	if !nodes[0].st.GraphKnown(gfp) {
-		t.Error("legal PUTs did not register the graph")
+		t.Error("the legal PUT did not register the graph")
 	}
 
 	for limit, want := range map[int64]bool{8: false, 9: true} {
@@ -469,6 +504,62 @@ func TestGraphPutOverLimit(t *testing.T) {
 		if ok := err == nil && len(b) == 9; ok != want || !want && !errors.As(err, &tooLarge) {
 			t.Errorf("9 undeclared bytes at limit %d: %d bytes, err %v", limit, len(b), err)
 		}
+	}
+}
+
+// TestPeerAnswersBinaryOnly: record and graph GETs answer the binary form
+// whatever Accept asks for, and a peer that answers them in another form
+// is a fetch error, not a fallback.
+func TestPeerAnswersBinaryOnly(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	g, p, res, gfp, key := clusterFixture(t, "grid:6x6", "blobs:3", 9)
+	seedRecord(t, nodes[0], g, p, res, gfp, key)
+	rec, ok, err := nodes[0].st.ShortcutRecord(key)
+	if err != nil || !ok {
+		t.Fatalf("ShortcutRecord: ok=%v err=%v", ok, err)
+	}
+	payload, ok, err := nodes[0].st.GraphPayload(gfp)
+	if err != nil || !ok {
+		t.Fatalf("GraphPayload: ok=%v err=%v", ok, err)
+	}
+	h := nodes[0].cl.Handler()
+	for _, tc := range []struct {
+		path string
+		want []byte
+	}{
+		{"/v1/peer/records/" + key.String(), store.AppendPeerRecord(nil, rec)},
+		{"/v1/peer/graphs/" + gfp.String(), payload},
+	} {
+		for _, accept := range []string{"", "application/json", "*/*", wire.ContentType} {
+			req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, req)
+			if ct := rr.Header().Get("Content-Type"); rr.Code != http.StatusOK || ct != wire.ContentType ||
+				!bytes.Equal(rr.Body.Bytes(), tc.want) {
+				t.Errorf("GET %s, Accept %q: %d %q, %d bytes; want the %d-byte binary answer",
+					tc.path, accept, rr.Code, ct, rr.Body.Len(), len(tc.want))
+			}
+		}
+	}
+
+	// Node 0 answers in JSON, as nodes from before the binary peer API
+	// could: both fetches fail, and nothing is registered or imported.
+	nodes[0].sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{}\n"))
+	}))
+	_, _, ok, err = nodes[1].cl.FetchShortcut(context.Background(), key, g, p)
+	if ok || err == nil || !strings.Contains(err.Error(), "not "+wire.ContentType) {
+		t.Errorf("record fetch from a JSON peer: ok=%v err=%v, want a form error", ok, err)
+	}
+	if _, ok, err := nodes[1].cl.graphPayloadOf(context.Background(), nodes[0].addr, gfp); ok || err == nil {
+		t.Errorf("graph fetch from a JSON peer: ok=%v err=%v, want an error", ok, err)
+	}
+	if nodes[1].st.HasShortcut(key) || nodes[1].st.GraphKnown(gfp) {
+		t.Error("a JSON answer left a record behind")
 	}
 }
 

@@ -47,6 +47,12 @@
 // peer in down backoff; a caller whose context ended has learned nothing
 // about the peer.
 //
+// Records and graphs cross the peer API only in the binary form, a record
+// as one store.AppendPeerRecord frame and a graph as its raw canonical
+// payload, whatever a request's Accept says; a peer answer in any other
+// form is a fetch error, not a fallback. The ring, the inventory and
+// error envelopes are JSON.
+//
 // Nothing received from a peer is trusted: graph and partition payloads are
 // re-hashed to their fingerprints, shortcut payloads are structurally
 // re-validated and their keys re-derived from (graph, partition, options)

@@ -138,6 +138,8 @@ func (c *Cluster) pullGraph(ctx context.Context, peer string, fp service.Fingerp
 
 // pullShortcut fetches one shortcut record, verifies and imports it, and
 // registers its graph with the engine so the record is servable right away.
+// ImportShortcut has verified that the record's graph payload hashes to
+// its GraphFP and decodes to g, so both register as they came.
 func (c *Cluster) pullShortcut(ctx context.Context, peer string, key service.Fingerprint) bool {
 	rec, found, err := c.recordOf(ctx, peer, key)
 	if err != nil || !found {
@@ -153,7 +155,7 @@ func (c *Cluster) pullShortcut(ctx context.Context, peer string, key service.Fin
 	if imported {
 		c.syncPulls.Add(1)
 		if reg := c.getRegistrar(); reg != nil {
-			reg.AddGraph(g)
+			reg.AddGraphDecoded(rec.GraphFP, g, rec.GraphPayload)
 		}
 	}
 	return true

@@ -348,21 +348,6 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 	return g, true, nil
 }
 
-// GetPartition decodes the live partition record for fp against g,
-// validating part connectivity. The serving path decodes the same records
-// inside GetShortcut, for a request that carries only a key.
-func (c *kvCore) GetPartition(fp service.Fingerprint, g *graph.Graph) (*partition.Partition, bool, error) {
-	payload, ok, err := c.payloadOf(kindPartition, fp)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p, err := decodePartition(payload, fp, g)
-	if err != nil {
-		return nil, false, err
-	}
-	return p, true, nil
-}
-
 // PutShortcut persists the partition record (deduplicated) and the shortcut
 // record. Implements service.Store. A shortcut whose graph record is no
 // longer live is silently dropped: a detached engine persist can race a

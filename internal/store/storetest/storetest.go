@@ -146,13 +146,6 @@ func (fx *fixture) checkGet(t testing.TB, b store.Backend) {
 	if got := service.FingerprintGraph(g2); got != fx.gfp {
 		t.Fatalf("%s: GetGraph returned graph with fingerprint %s, want %s", fx.spec, got, fx.gfp)
 	}
-	p2, ok, err := b.GetPartition(fx.pfp, fx.g)
-	if err != nil || !ok {
-		t.Fatalf("%s: GetPartition: ok=%v err=%v", fx.spec, ok, err)
-	}
-	if got := service.FingerprintPartition(p2); got != fx.pfp {
-		t.Fatalf("%s: GetPartition returned partition with fingerprint %s, want %s", fx.spec, got, fx.pfp)
-	}
 	res2, bt2, ok, err := b.GetShortcut(fx.key, fx.g, fx.parts)
 	if err != nil || !ok {
 		t.Fatalf("%s: GetShortcut: ok=%v err=%v", fx.spec, ok, err)

@@ -14,8 +14,7 @@ import (
 // is built from. The principle throughout is that canonical record payloads
 // move verbatim — the bytes a fingerprint was computed over are the bytes
 // on the wire — so the receiving side verifies exactly what the store's
-// own decoders already verify, and "binary" can never drift from "JSON"
-// (the JSON peer API base64-wraps these same payloads).
+// own decoders already verify.
 
 // ShortcutPayload returns the raw shortcut record payload for key — the
 // binary /v1/shortcuts response body. On a mapped segment the slice is
@@ -69,8 +68,8 @@ const peerRecordVersion = 1
 // AppendPeerRecord renders rec in the binary peer-exchange framing,
 // appending to b: version byte, the three big-endian fingerprints (key,
 // graph, partition), then the graph, partition, and shortcut payloads each
-// prefixed with a uvarint length. The JSON peer API carries the same five
-// facts with base64-wrapped payloads; this framing carries them raw.
+// prefixed with a uvarint length. It is the only form in which a record
+// crosses the peer API.
 func AppendPeerRecord(b []byte, rec PeerRecord) []byte {
 	b = append(b, peerRecordVersion)
 	b = binary.BigEndian.AppendUint64(b, uint64(rec.Key))
@@ -86,8 +85,7 @@ func AppendPeerRecord(b []byte, rec PeerRecord) []byte {
 // DecodePeerRecord parses a binary peer-record frame. The payload slices
 // alias b — the caller owns the buffer and must not recycle it while the
 // record is in use. Nothing is verified here beyond framing: the claimed
-// fingerprints are untrusted until VerifyPeerRecord re-derives them, same
-// as a record that arrived via the JSON peer API.
+// fingerprints are untrusted until VerifyPeerRecord re-derives them.
 func DecodePeerRecord(b []byte) (PeerRecord, error) {
 	var rec PeerRecord
 	if len(b) < 1+24 || b[0] != peerRecordVersion {
