@@ -88,12 +88,11 @@ var perfFamilySpecs = []string{"grid:64x64", "torus:32x32", "ktree:600,4"}
 
 // BenchmarkBuild measures the full Theorem 3.1 construction (doubling
 // search included) on a reused Builder — the service layer's cold-build
-// configuration. Builds before the timer size the Builder's scratch, as a
-// server's first cold builds do, so allocs/op is the per-build cost even
-// at -benchtime 20x; CI fails above 24 at -cpu 2. There are four, because
-// a speculative level that loses a race before its first sweep sizes no
-// scratch. Marked //locshort:hotpath so the CI bench smoke reports its
-// allocs/op (it drives the Builder's hotpath-annotated stage funcs).
+// configuration. One build before the timer sizes the Builder's scratch,
+// as a server's first cold build does, so allocs/op is the per-build cost
+// even at -benchtime 20x; CI fails above 9. Marked //locshort:hotpath so
+// the CI bench smoke reports its allocs/op (it drives the Builder's
+// hotpath-annotated stage funcs).
 //
 //locshort:hotpath
 func BenchmarkBuild(b *testing.B) {
@@ -101,10 +100,8 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			g, p := perfFamily(b, spec)
 			bld := locshort.NewShortcutBuilder()
-			for i := 0; i < 4; i++ {
-				if _, err := bld.Build(g, p, locshort.BuildOptions{}); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := bld.Build(g, p, locshort.BuildOptions{}); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -688,6 +688,27 @@ func TestClusterAsyncJobRelays(t *testing.T) {
 	}
 }
 
+// sourceSink keeps TestForwardSource's results on the heap, where a relayed
+// answer's header puts them.
+var sourceSink string
+
+// TestForwardSource: a relayed answer's source is the owner's with the
+// "forward:" prefix, and the four sources an owner names cost no
+// allocation.
+func TestForwardSource(t *testing.T) {
+	for _, src := range []string{"cache", "store", "peer", "built", "other"} {
+		if got := forwardSource(src); got != "forward:"+src {
+			t.Errorf("forwardSource(%q) = %q", src, got)
+		}
+	}
+	for _, src := range []string{"cache", "store", "peer", "built"} {
+		src := strings.Clone(src) // the owner's value arrives in a buffer of its own
+		if n := testing.AllocsPerRun(100, func() { sourceSink = forwardSource(src) }); n != 0 {
+			t.Errorf("forwardSource(%q) allocates %.0f times, want 0", src, n)
+		}
+	}
+}
+
 // TestClusterRelayLogsOwnerSource: the entry node's request log line for a
 // relayed request names the owner's latency class as forward:<source>, in
 // either encoding.

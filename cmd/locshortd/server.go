@@ -753,11 +753,28 @@ func (s *server) relay(ctx context.Context, owner string, key service.Fingerprin
 			return nil, nil
 		}
 		if src := hdr.Get(wire.HeaderSource); src != "" {
-			hdr.Set(wire.HeaderSource, "forward:"+src)
+			hdr.Set(wire.HeaderSource, forwardSource(src))
 		}
 		return &relayed{owner: owner, status: status, header: hdr, body: body,
 			graph: rs.build.Graph, key: key}, nil
 	}
+}
+
+// forwardSource is the source a relayed answer reports: the owner's, with
+// the "forward:" prefix. The four sources an owner names are constants, so
+// only another value costs a concatenation.
+func forwardSource(src string) string {
+	switch src {
+	case "cache":
+		return "forward:cache"
+	case "store":
+		return "forward:store"
+	case "peer":
+		return "forward:peer"
+	case "built":
+		return "forward:built"
+	}
+	return "forward:" + src
 }
 
 // writeRelayed copies the owner's answer through to the client: its

@@ -86,12 +86,12 @@ func measureObsOverhead(cfg Config) (*ObsOverhead, error) {
 	bestPlain, bestStaged := int64(-1), int64(-1)
 	for i := 0; i < iters; i++ {
 		start := time.Now()
-		if _, err := shortcut.Build(g, p, shortcut.Options{Parallelism: 1}); err != nil {
+		if _, err := shortcut.Build(g, p, shortcut.Options{}); err != nil {
 			return nil, err
 		}
 		plain := time.Since(start).Nanoseconds()
 		start = time.Now()
-		if _, err := shortcut.Build(g, p, shortcut.Options{Parallelism: 1, CollectStages: true}); err != nil {
+		if _, err := shortcut.Build(g, p, shortcut.Options{CollectStages: true}); err != nil {
 			return nil, err
 		}
 		staged := time.Since(start).Nanoseconds()
@@ -181,12 +181,7 @@ func JSONReport(cfg Config, now time.Time) (*Report, error) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < buildTimingIters; i++ {
 			start := time.Now()
-			// Sequential on purpose: the speculative search's abandoned
-			// levels would make the allocation numbers depend on core
-			// count and scheduling, and the accepted shortcut is
-			// identical either way. The parallel path's gain is tracked
-			// by BenchmarkBuild instead.
-			r, err := shortcut.Build(f.g, f.p, shortcut.Options{Parallelism: 1})
+			r, err := shortcut.Build(f.g, f.p, shortcut.Options{})
 			ns := time.Since(start).Nanoseconds()
 			if err != nil {
 				return nil, err

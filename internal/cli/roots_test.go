@@ -151,7 +151,7 @@ func TestGoldenRoots(t *testing.T) {
 }
 
 // Builds that read the graph's memoized tree are identical to builds
-// handed a tree rooted at the golden root, sequential and speculative.
+// handed a tree rooted at the golden root.
 func TestMemoBuildsMatchGoldenTree(t *testing.T) {
 	for _, gr := range goldenRoots {
 		if gr.seed != 0 {
@@ -170,23 +170,21 @@ func TestMemoBuildsMatchGoldenTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 8} {
-			memo, err := shortcut.NewBuilder().Build(g, p, shortcut.Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s par %d: %v", gr.spec, par, err)
-			}
-			want, err := shortcut.NewBuilder().Build(g, p, shortcut.Options{Parallelism: par, Tree: golden})
-			if err != nil {
-				t.Fatalf("%s par %d: %v", gr.spec, par, err)
-			}
-			mt, wt := memo.Shortcut.Tree, want.Shortcut.Tree
-			if memo.Delta != want.Delta || memo.Iterations != want.Iterations || memo.TreeDepth != want.TreeDepth ||
-				mt.Root != wt.Root || !reflect.DeepEqual(mt.Parent, wt.Parent) ||
-				!reflect.DeepEqual(mt.ParentEdge, wt.ParentEdge) || !reflect.DeepEqual(mt.Order, wt.Order) ||
-				!reflect.DeepEqual(memo.Shortcut.Covered, want.Shortcut.Covered) ||
-				!reflect.DeepEqual(memo.Shortcut.H, want.Shortcut.H) {
-				t.Errorf("%s par %d: memoized-tree build differs from the golden-tree build", gr.spec, par)
-			}
+		memo, err := shortcut.NewBuilder().Build(g, p, shortcut.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", gr.spec, err)
+		}
+		want, err := shortcut.NewBuilder().Build(g, p, shortcut.Options{Tree: golden})
+		if err != nil {
+			t.Fatalf("%s: %v", gr.spec, err)
+		}
+		mt, wt := memo.Shortcut.Tree, want.Shortcut.Tree
+		if memo.Delta != want.Delta || memo.Iterations != want.Iterations || memo.TreeDepth != want.TreeDepth ||
+			mt.Root != wt.Root || !reflect.DeepEqual(mt.Parent, wt.Parent) ||
+			!reflect.DeepEqual(mt.ParentEdge, wt.ParentEdge) || !reflect.DeepEqual(mt.Order, wt.Order) ||
+			!reflect.DeepEqual(memo.Shortcut.Covered, want.Shortcut.Covered) ||
+			!reflect.DeepEqual(memo.Shortcut.H, want.Shortcut.H) {
+			t.Errorf("%s: memoized-tree build differs from the golden-tree build", gr.spec)
 		}
 	}
 }

@@ -230,16 +230,11 @@ type Engine struct {
 
 	// builders pools shortcut.Builders across cold builds: a Builder owns
 	// the flat scratch of the Theorem 3.1 construction (part-set tables,
-	// epoch-stamped slices, per-level states of the speculative doubling
-	// search), so concurrent cold builds stop re-allocating it per
-	// request. Builders are not safe for concurrent use; the pool hands
-	// each build an exclusive one. Note the CPU bound: with the default
-	// speculative search each cold build may run up to GOMAXPROCS level
-	// goroutines, so a burst can occupy Workers x GOMAXPROCS goroutines
-	// (measurably faster end to end under loadgen, since losing levels
-	// abandon at their next iteration); deployments that need strict
-	// Workers-bounded CPU set BuildRequest.Options.Parallelism = 1 — the
-	// built shortcut is identical either way.
+	// epoch-stamped slices), so concurrent cold builds stop re-allocating
+	// it per request. Builders are not safe for concurrent use; the pool
+	// hands each build an exclusive one. A cold build runs on the worker
+	// that picked it up and starts no goroutine of its own, so Workers
+	// bounds the CPU that builds use.
 	builders sync.Pool
 
 	// persists tracks detached store writes so Close can drain them: a

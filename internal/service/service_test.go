@@ -489,7 +489,7 @@ func TestEngineQueuedJobCancellation(t *testing.T) {
 }
 
 // TestEnginePanicFailsJob submits a panicking function to the worker pool,
-// then a Build whose speculative level panics on its own goroutine (a
+// then a Build that panics in the construction on the worker itself (a
 // part naming a node the graph does not have), then a job that simulates
 // a CONGEST protocol on 64 nodes, as MST, MinCut and Aggregate jobs do,
 // with a Step that panics on one of the simulator's round workers. Each
@@ -510,9 +510,9 @@ func TestEnginePanicFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &partition.Partition{PartOf: make([]int, g.NumNodes()), Parts: [][]int{{g.NumNodes() + 5}}}
-	_, _, err = e.Build(context.Background(), BuildRequest{Graph: fp, Parts: bad, Options: shortcut.Options{Parallelism: 2}})
+	_, _, err = e.Build(context.Background(), BuildRequest{Graph: fp, Parts: bad})
 	if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "assemble") {
-		t.Fatalf("Build with a panicking level returned %v, want an *obs.PanicError raised in assemble", err)
+		t.Fatalf("Build with a panicking construction returned %v, want an *obs.PanicError raised in assemble", err)
 	}
 	_, err = submit(e, context.Background(), func(context.Context) (*congest.Stats, error) {
 		procs := make([]congest.Proc, g.NumNodes())

@@ -32,14 +32,11 @@ type Options struct {
 	BlockFactor      int
 	// MaxIterations caps the Observation 2.7 loop (default ceil(log2 k)+2).
 	MaxIterations int
-	// Parallelism caps the number of delta' levels the doubling search
-	// races speculatively (default GOMAXPROCS; 1 forces the sequential
-	// search). The accepted level and the canonical shortcut are identical
-	// at every setting — levels are pure functions of their inputs and the
-	// smallest completing level wins — so Parallelism is an execution hint,
-	// not part of the result's identity (the service layer excludes it
-	// from content addressing). Certify and fixed-Delta builds always run
-	// sequentially.
+	// Parallelism has no effect: the doubling search runs one level at a
+	// time on the calling goroutine (DESIGN.md §5.3). The field stays so
+	// that callers setting it still compile.
+	//
+	// Deprecated: ignored.
 	Parallelism int
 	// Certify requests dense-minor certificate extraction whenever a
 	// delta' level fails; extracted certificates are returned in the result.
@@ -53,13 +50,12 @@ type Options struct {
 	// level's sweep/assemble split — into Result.Stages and the level
 	// sequence into Result.LevelsTried. Timing-only: the constructed
 	// shortcut is identical with or without it, so the service layer
-	// excludes it from content addressing exactly like Parallelism.
+	// excludes it from content addressing.
 	CollectStages bool
 }
 
 // Stage is one timed phase of a Build call: Start is the offset from the
-// start of the call, Dur the phase's wall-clock cost. For the speculative
-// parallel search, level stages overlap in time; the accepted level's
+// start of the call, Dur the phase's wall-clock cost. The accepted level's
 // cumulative "sweep" and "assemble" stages share its start offset.
 type Stage struct {
 	Name  string

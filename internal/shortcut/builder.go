@@ -4,32 +4,39 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locshort/internal/graph"
-	"locshort/internal/obs"
 	"locshort/internal/partition"
 	"locshort/internal/tree"
 )
 
-// stageClock collects the Result.Stages breakdown of one Build call. A nil
-// clock (Options.CollectStages unset) makes every method a no-op, so the
-// uninstrumented path pays only nil checks. Methods other than since must
-// only be called from the coordinating goroutine; speculative levels read
-// the clock through since (start is immutable) and write their own
-// levelTimes slots instead.
+// stageClock collects the Result.Stages breakdown of one Build call. It
+// lives on Build's stack and keeps its first stages inline — every stage of
+// a build that accepts within four levels — so a traced build allocates only
+// the copy Result.Stages gets. A nil clock (Options.CollectStages unset)
+// makes since, end and level no-ops, so the uninstrumented path pays only
+// nil checks; add and stages are called on a live clock only.
 type stageClock struct {
-	start  time.Time
-	stages []Stage
+	start time.Time
+	// sweep and assemble accumulate the current level's split across its
+	// Observation 2.7 iterations; level zeroes them.
+	sweep, assemble time.Duration
+	n               int
+	inline          [8]Stage
+	more            []Stage // the stages after the inline ones
 }
 
+// begin starts the clock and returns it.
+//
 //locshort:nondeterministic-ok timing-only instrumentation: stage clocks feed traces and metrics, never the construction
-func newStageClock() *stageClock { return &stageClock{start: time.Now()} }
+func (sc *stageClock) begin() *stageClock {
+	sc.start = time.Now()
+	return sc
+}
 
 //locshort:nondeterministic-ok timing-only instrumentation: stage clocks feed traces and metrics, never the construction
 func (sc *stageClock) since() time.Duration {
@@ -39,37 +46,57 @@ func (sc *stageClock) since() time.Duration {
 	return time.Since(sc.start)
 }
 
-func (sc *stageClock) add(name string, start, dur time.Duration) {
+// end records the stage that began at offset begin and ends now.
+func (sc *stageClock) end(name string, begin time.Duration) {
 	if sc == nil {
 		return
 	}
-	sc.stages = append(sc.stages, Stage{Name: name, Start: start, Dur: dur})
+	sc.add(name, begin, sc.since()-begin)
 }
 
-// span times an inline stage: call at the stage start, invoke the returned
-// func at its end.
-//
-//locshort:nondeterministic-ok timing-only instrumentation: stage clocks feed traces and metrics, never the construction
-func (sc *stageClock) span(name string) func() {
-	if sc == nil {
-		return func() {}
+func (sc *stageClock) add(name string, start, dur time.Duration) {
+	st := Stage{Name: name, Start: start, Dur: dur}
+	if sc.n < len(sc.inline) {
+		sc.inline[sc.n] = st
+		sc.n++
+		return
 	}
-	begin := time.Since(sc.start)
-	return func() { sc.add(name, begin, time.Since(sc.start)-begin) }
+	sc.more = append(sc.more, st)
 }
 
-// levelTimes is one doubling-search level's timing slot: its start offset
-// and total duration, plus the cumulative sweep/assemble split across the
-// level's Observation 2.7 iterations. Each speculative level owns its slot;
-// the coordinator reads them only after the wave's WaitGroup barrier.
-type levelTimes struct {
-	start    time.Duration
-	total    time.Duration
-	sweep    time.Duration
-	assemble time.Duration
+// stages copies the recorded stages out, in order, into one allocation.
+func (sc *stageClock) stages() []Stage {
+	out := make([]Stage, 0, sc.n+len(sc.more))
+	return append(append(out, sc.inline[:sc.n]...), sc.more...)
 }
 
-func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta) }
+// level starts timing one doubling-search level: it zeroes the level's
+// sweep/assemble split and returns the level's start offset.
+func (sc *stageClock) level() time.Duration {
+	if sc == nil {
+		return 0
+	}
+	sc.sweep, sc.assemble = 0, 0
+	return sc.since()
+}
+
+// levelStageNames holds the stage names of the power-of-two levels the
+// doubling search tries, so naming a level allocates nothing.
+var levelStageNames = func() (names [bits.UintSize - 1]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("level(d=%d)", 1<<i)
+	}
+	return names
+}()
+
+// levelStageName names the stage of the level at delta; only a fixed
+// Options.Delta that is not a power of two formats a name of its own.
+func levelStageName(delta int) string {
+	if delta > 0 && delta&(delta-1) == 0 {
+		return levelStageNames[bits.TrailingZeros(uint(delta))]
+	}
+	return fmt.Sprintf("level(d=%d)", delta)
+}
 
 // Builder is the flat-state construction core behind Build: it owns every
 // piece of scratch memory the Theorem 3.1 overcongested-edge process and
@@ -77,7 +104,7 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 // search's levels, the service layer's cold builds, benchmark loops — stop
 // paying per-call allocation for per-node maps.
 //
-// Three ideas replace the map-based bookkeeping of the original path
+// Two ideas replace the map-based bookkeeping of the original path
 // (preserved in reference_test.go and tested equivalent):
 //
 //   - Part sets are open-addressing (part, representative) tables drawn
@@ -86,10 +113,9 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 //   - Component roots, bipartite degrees, and ancestor-walk dedup use
 //     dense epoch-stamped slices keyed by node and part ID, cleared by
 //     bumping an epoch instead of reallocating.
-//   - The doubling search over delta' is speculative: up to
-//     Options.Parallelism levels race on independent levelStates, and the
-//     smallest level that completes is accepted — the same level, and the
-//     same canonical shortcut, the sequential search accepts.
+//
+// The doubling search over delta' runs one level at a time on the calling
+// goroutine, every level on the same scratch.
 //
 // A Builder is NOT safe for concurrent use; it is itself the unit pooled
 // by concurrent callers (internal/service keeps a sync.Pool of Builders).
@@ -102,24 +128,17 @@ func levelStageName(delta int) string { return fmt.Sprintf("level(d=%d)", delta)
 // The BFS tree is the graph's shared read-only tree (tree.Shared) under a
 // header of the result's own.
 type Builder struct {
-	states []*levelState
+	ls levelState
 }
 
 // NewBuilder returns an empty Builder; scratch is allocated lazily and
 // grows to the largest (graph, partition) seen.
 func NewBuilder() *Builder { return &Builder{} }
 
-func (b *Builder) state(i int) *levelState {
-	for len(b.states) <= i {
-		b.states = append(b.states, new(levelState))
-	}
-	return b.states[i]
-}
-
 // Build is Builder-backed shortcut construction; see the package-level
 // Build for the contract. The accepted delta', covered parts, and
-// canonical H edge sets are identical to the sequential map-based path
-// for every input and any Parallelism setting.
+// canonical H edge sets are identical to the map-based reference path for
+// every input.
 func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*Result, error) {
 	if p.NumParts() == 0 {
 		return nil, fmt.Errorf("shortcut: no parts")
@@ -127,22 +146,23 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 	if opts.Certify && opts.Rng == nil {
 		return nil, fmt.Errorf("shortcut: Certify requires Options.Rng")
 	}
+	var clock stageClock
 	var sc *stageClock
 	if opts.CollectStages {
-		sc = newStageClock()
+		sc = clock.begin()
 	}
 	t := opts.Tree
 	if t == nil {
 		// The graph memoizes its root and BFS tree: the first build on a
 		// graph pays the root search and the BFS inside choose_root, and
 		// every build after it times two memo reads.
-		done := sc.span("choose_root")
+		begin := sc.since()
 		graph.ChooseRoot(g)
-		done()
-		done = sc.span("bfs_tree")
+		sc.end("choose_root", begin)
+		begin = sc.since()
 		var err error
 		t, err = tree.Shared(g)
-		done()
+		sc.end("bfs_tree", begin)
 		if err != nil {
 			return nil, fmt.Errorf("shortcut: build tree: %w", err)
 		}
@@ -170,140 +190,12 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 	if maxDelta == 0 {
 		maxDelta = g.NumNodes()
 	}
-
-	res := &Result{TreeDepth: depth}
-	fixed := opts.Delta != 0
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	// The speculative search needs independent levels: a fixed delta' has
-	// only one, and certificate extraction consumes Options.Rng draws in
-	// failed-level order, which only the sequential schedule preserves.
-	if fixed || opts.Certify || par == 1 {
-		return b.buildSequential(g, t, p, res, opts, cf, bf, maxIter, maxDelta, depth, sc)
-	}
-
-	for delta := 1; ; {
-		// One wave: race the next up-to-par levels of the doubling search.
-		// A level whose (c, b) would overflow ends the wave, and fails the
-		// search once it heads one, as it would sequentially.
-		type level struct{ delta, c, b int }
-		var levels []level
-		next := delta
-		for len(levels) < par && next <= maxDelta {
-			c, bb, err := levelParams(cf, bf, next, depth)
-			if err != nil {
-				if len(levels) == 0 {
-					return nil, err
-				}
-				break
-			}
-			levels = append(levels, level{next, c, bb})
-			next *= 2
-		}
-		if len(levels) == 0 {
-			return nil, fmt.Errorf("shortcut: doubling search exhausted at delta' = %d (max %d)", delta, maxDelta)
-		}
-		type outcome struct {
-			iters    int
-			ok       bool
-			err      error
-			panicked *obs.PanicError
-		}
-		outs := make([]outcome, len(levels))
-		var lts []levelTimes
-		if sc != nil {
-			lts = make([]levelTimes, len(levels))
-		}
-		// accepted is the lowest wave index that has completed with full
-		// coverage; higher levels poll it and abandon their (moot) runs.
-		var accepted atomic.Int32
-		accepted.Store(int32(len(levels)))
-		var wg sync.WaitGroup
-		for i, lv := range levels {
-			ls := b.state(i)
-			wg.Add(1)
-			// t, maxIter and sc go in as arguments: captured, they would
-			// move to the heap on every Build, sequential ones too.
-			go func(i int, lv level, ls *levelState, t *tree.Rooted, maxIter int, sc *stageClock) {
-				defer wg.Done()
-				// A panic on a level goroutine would end the process, out
-				// of reach of the caller's recover; it is re-raised on the
-				// calling goroutine after the wave instead.
-				defer func() {
-					if v := recover(); v != nil {
-						outs[i].panicked = obs.Recovered(v)
-					}
-				}()
-				var lt *levelTimes
-				if lts != nil {
-					lt = &lts[i]
-					lt.start = sc.since()
-				}
-				iters, _, ok, err := ls.runLevel(g, t, p, lv.c, lv.b, maxIter, false, &accepted, int32(i), lt)
-				if lt != nil {
-					lt.total = sc.since() - lt.start
-				}
-				outs[i] = outcome{iters: iters, ok: ok, err: err}
-				if ok {
-					for {
-						cur := accepted.Load()
-						if int32(i) >= cur || accepted.CompareAndSwap(cur, int32(i)) {
-							break
-						}
-					}
-				}
-			}(i, lv, ls, t, maxIter, sc)
-		}
-		wg.Wait()
-		for _, o := range outs {
-			if o.panicked != nil {
-				obs.Repanic(o.panicked)
-			}
-		}
-		// Scan in level order: the smallest accepted level wins, exactly
-		// as in the sequential search. Levels below it ran to completion
-		// (they never abandon), so their errors, had the sequential
-		// search hit them first, surface here too.
-		for i, lv := range levels {
-			o := outs[i]
-			if o.err != nil {
-				return nil, o.err
-			}
-			if sc != nil {
-				res.LevelsTried = append(res.LevelsTried, lv.delta)
-				sc.add(levelStageName(lv.delta), lts[i].start, lts[i].total)
-				if o.ok {
-					sc.add("sweep", lts[i].start, lts[i].sweep)
-					sc.add("assemble", lts[i].start, lts[i].assemble)
-					res.Stages = sc.stages
-				}
-			}
-			if o.ok {
-				// Only the accepted level copies its H out; the levels
-				// that lost the race leave theirs in scratch.
-				res.Shortcut = b.state(i).finish(g, t, p)
-				res.Delta = lv.delta
-				res.CongestionThreshold = lv.c
-				res.BlockBudget = lv.b
-				res.Iterations = o.iters
-				return res, nil
-			}
-		}
-		delta = next
-	}
-}
-
-// buildSequential runs the classic one-level-at-a-time doubling search on
-// the builder's first levelState, including the certifying variant.
-func (b *Builder) buildSequential(g *graph.Graph, t *tree.Rooted, p *partition.Partition, res *Result,
-	opts Options, cf, bf, maxIter, maxDelta, depth int, sc *stageClock) (*Result, error) {
 	certAttempts := opts.CertAttempts
 	if certAttempts == 0 {
 		certAttempts = 8 * depth
 	}
-	ls := b.state(0)
+
+	res := &Result{TreeDepth: depth}
 	start := opts.Delta
 	fixed := start != 0
 	if !fixed {
@@ -317,26 +209,22 @@ func (b *Builder) buildSequential(g *graph.Graph, t *tree.Rooted, p *partition.P
 		if err != nil {
 			return nil, err
 		}
-		var lt *levelTimes
+		begin := sc.level()
+		iters, lastPartial, ok, err := b.ls.runLevel(g, t, p, c, bb, maxIter, opts.Certify, sc)
 		if sc != nil {
-			lt = &levelTimes{start: sc.since()}
-		}
-		iters, lastPartial, ok, err := ls.runLevel(g, t, p, c, bb, maxIter, opts.Certify, nil, 0, lt)
-		if sc != nil {
-			lt.total = sc.since() - lt.start
 			res.LevelsTried = append(res.LevelsTried, delta)
-			sc.add(levelStageName(delta), lt.start, lt.total)
+			sc.end(levelStageName(delta), begin)
 		}
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			if sc != nil {
-				sc.add("sweep", lt.start, lt.sweep)
-				sc.add("assemble", lt.start, lt.assemble)
-				res.Stages = sc.stages
+				sc.add("sweep", begin, sc.sweep)
+				sc.add("assemble", begin, sc.assemble)
+				res.Stages = sc.stages()
 			}
-			res.Shortcut = ls.finish(g, t, p)
+			res.Shortcut = b.ls.finish(g, t, p)
 			res.Delta = delta
 			res.CongestionThreshold = c
 			res.BlockBudget = bb
@@ -383,9 +271,8 @@ func mulInt(x, y int) (int, bool) {
 
 // levelState is the scratch memory for one run of the Observation 2.7
 // level loop: the per-node part sets of the bottom-up sweep, the cut
-// indicator, and the epoch-stamped slices of the Case (I) harvest. One
-// levelState serves one goroutine; the Builder keeps one per speculative
-// level.
+// indicator, and the epoch-stamped slices of the Case (I) harvest. A
+// Builder owns one; the stateless entry points borrow one from statePool.
 type levelState struct {
 	sets     setPool
 	setOf    []*partSet
@@ -403,7 +290,7 @@ type levelState struct {
 	// covered part's sorted run and bounds it in runs (start -1: not
 	// covered at this level). finish copies the buffer into the result's
 	// one array, so the buffer's growth is paid once per levelState and a
-	// level that is abandoned or fails allocates no H.
+	// level that fails allocates no H.
 	hBuf []int
 	runs []hRun
 }
@@ -479,14 +366,12 @@ func (ls *levelState) finish(g *graph.Graph, t *tree.Rooted, p *partition.Partit
 }
 
 // runLevel runs the Observation 2.7 loop at a fixed (c, b) level, leaving
-// the covered parts' H runs in the level's scratch for finish. cancel,
-// when non-nil, is the speculative search's accepted-level watermark: once
-// a lower level accepts, this run abandons (its outcome is moot). lt, when
+// the covered parts' H runs in the level's scratch for finish. sc, when
 // non-nil, accumulates the sweep/assemble wall-clock split across
 // iterations; timing never changes what is built. The returned Partial is
 // freshly allocated; scratch never escapes.
 func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b, maxIter int,
-	certify bool, cancel *atomic.Int32, self int32, lt *levelTimes) (int, *Partial, bool, error) {
+	certify bool, sc *stageClock) (int, *Partial, bool, error) {
 	if c < 1 {
 		return 0, nil, false, fmt.Errorf("shortcut: congestion threshold %d < 1", c)
 	}
@@ -506,25 +391,22 @@ func (ls *levelState) runLevel(g *graph.Graph, t *tree.Rooted, p *partition.Part
 	remaining := k
 	var last *Partial
 	for iter := 1; iter <= maxIter; iter++ {
-		if cancel != nil && cancel.Load() < self {
-			return 0, nil, false, nil
-		}
 		var pr *Partial
 		if certify {
 			pr = &Partial{IE: make(map[int][]PartRep), DegB: make([]int, k)}
 			last = pr
 		}
 		var progress int
-		if lt == nil {
+		if sc == nil {
 			ls.sweep(t, p, c, active, pr)
 			progress = ls.assemble(t, p, active, b, true)
 		} else {
-			t0 := time.Now() //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
+			t0 := time.Now() //locshort:nondeterministic-ok timing-only: the split feeds the stage trace, never the construction
 			ls.sweep(t, p, c, active, pr)
-			t1 := time.Now() //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
+			t1 := time.Now() //locshort:nondeterministic-ok timing-only: the split feeds the stage trace, never the construction
 			progress = ls.assemble(t, p, active, b, true)
-			lt.sweep += t1.Sub(t0)
-			lt.assemble += time.Since(t1) //locshort:nondeterministic-ok timing-only: levelTimes feeds the stage trace, never the construction
+			sc.sweep += t1.Sub(t0)
+			sc.assemble += time.Since(t1) //locshort:nondeterministic-ok timing-only: the split feeds the stage trace, never the construction
 		}
 		remaining -= progress
 		if remaining == 0 {

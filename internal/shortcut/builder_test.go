@@ -6,10 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"locshort/internal/graph"
 	"locshort/internal/partition"
@@ -89,18 +89,41 @@ func shortcutFingerprint(res *Result) uint64 {
 // (same covered parts, same sorted edge-ID sets, same accepted delta' and
 // level parameters) between the flat Builder and the preserved map-based
 // reference path, with one Builder reused across all families to exercise
-// scratch recycling.
+// scratch recycling. The lb-deep row's tight factors make the low delta'
+// levels fail, so the doubling search rejects levels before it accepts.
 func TestBuilderMatchesReference(t *testing.T) {
-	b := NewBuilder()
+	type row struct {
+		name string
+		g    *graph.Graph
+		p    *partition.Partition
+		opts Options
+	}
+	var rows []row
 	for _, f := range testFamilies(t) {
+		rows = append(rows, row{f.name, f.g, f.p, Options{}})
+	}
+	lb, err := graph.LowerBound(6, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := partition.New(lb.G, lb.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, row{"lb-deep", lb.G, lp, Options{CongestionFactor: 1, BlockFactor: 1}})
+	b := NewBuilder()
+	for _, f := range rows {
 		t.Run(f.name, func(t *testing.T) {
-			want, err := BuildReference(f.g, f.p, Options{})
+			want, err := BuildReference(f.g, f.p, f.opts)
 			if err != nil {
 				t.Fatalf("reference Build: %v", err)
 			}
-			got, err := b.Build(f.g, f.p, Options{})
+			got, err := b.Build(f.g, f.p, f.opts)
 			if err != nil {
 				t.Fatalf("Builder.Build: %v", err)
+			}
+			if f.name == "lb-deep" && got.Delta < 2 {
+				t.Fatalf("accepted at delta'=%d; the row needs a deeper doubling search", got.Delta)
 			}
 			if got.Delta != want.Delta || got.CongestionThreshold != want.CongestionThreshold ||
 				got.BlockBudget != want.BlockBudget || got.Iterations != want.Iterations ||
@@ -180,67 +203,6 @@ func TestBuildPartialMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelDoublingMatchesSequential pins the speculative search: under
-// fixed seeds, every Parallelism setting must accept the same delta' and
-// produce the same canonical shortcut fingerprint as the sequential
-// search. CI additionally runs this test under -race.
-func TestParallelDoublingMatchesSequential(t *testing.T) {
-	b := NewBuilder()
-	for _, f := range testFamilies(t) {
-		t.Run(f.name, func(t *testing.T) {
-			seq, err := b.Build(f.g, f.p, Options{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			want := shortcutFingerprint(seq)
-			for _, par := range []int{0, 2, runtime.GOMAXPROCS(0) + 3} {
-				got, err := b.Build(f.g, f.p, Options{Parallelism: par})
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				if got.Delta != seq.Delta {
-					t.Fatalf("parallelism %d accepted delta' %d, sequential %d", par, got.Delta, seq.Delta)
-				}
-				if fp := shortcutFingerprint(got); fp != want {
-					t.Fatalf("parallelism %d fingerprint %016x, sequential %016x", par, fp, want)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelSearchDeeperDoubling forces a multi-level doubling search
-// (tight factors make low delta' levels fail) so the speculative waves
-// actually race and reject levels before accepting.
-func TestParallelSearchDeeperDoubling(t *testing.T) {
-	lb, err := graph.LowerBound(6, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := partition.New(lb.G, lb.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{CongestionFactor: 1, BlockFactor: 1}
-	seqOpts := opts
-	seqOpts.Parallelism = 1
-	seq, err := NewBuilder().Build(lb.G, p, seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Delta < 2 {
-		t.Fatalf("test instance accepted at delta'=%d; need a deeper doubling search", seq.Delta)
-	}
-	par, err := NewBuilder().Build(lb.G, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shortcutFingerprint(par) != shortcutFingerprint(seq) {
-		t.Fatalf("parallel accepted delta'=%d with different canonical shortcut than sequential delta'=%d",
-			par.Delta, seq.Delta)
-	}
-}
-
 // TestBuilderAllocReduction is the acceptance gate for the flat Builder:
 // a reused Builder must allocate at least 2x fewer objects per Build than
 // the preserved map-based reference path on a grid workload.
@@ -257,9 +219,9 @@ func TestBuilderAllocReduction(t *testing.T) {
 		}
 	})
 	b := NewBuilder()
-	b.Build(g, p, Options{Parallelism: 1}) // warm the scratch
+	b.Build(g, p, Options{}) // warm the scratch
 	flat := testing.AllocsPerRun(5, func() {
-		if _, err := b.Build(g, p, Options{Parallelism: 1}); err != nil {
+		if _, err := b.Build(g, p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -298,50 +260,74 @@ func TestBuilderResultsSurviveReuse(t *testing.T) {
 }
 
 // TestCollectStages asserts that stage collection is timing-only — the
-// canonical shortcut is identical with and without it, in both the
-// sequential and speculative search — and that the breakdown carries every
-// expected stage: tree construction, one level stage per LevelsTried entry,
-// and the accepted level's sweep/assemble split.
+// canonical shortcut is identical with and without it — and that the
+// breakdown carries every expected stage: tree construction, one level
+// stage per LevelsTried entry, and the accepted level's sweep/assemble
+// split.
 func TestCollectStages(t *testing.T) {
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, f := range testFamilies(t) {
-			plain, err := Build(f.g, f.p, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", f.name, par, err)
+	for _, f := range testFamilies(t) {
+		plain, err := Build(f.g, f.p, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		staged, err := Build(f.g, f.p, Options{CollectStages: true})
+		if err != nil {
+			t.Fatalf("%s staged: %v", f.name, err)
+		}
+		if shortcutFingerprint(plain) != shortcutFingerprint(staged) {
+			t.Errorf("%s: CollectStages changed the canonical shortcut", f.name)
+		}
+		if plain.Stages != nil || plain.LevelsTried != nil {
+			t.Errorf("%s: stages recorded without CollectStages", f.name)
+		}
+		if len(staged.LevelsTried) == 0 ||
+			staged.LevelsTried[len(staged.LevelsTried)-1] != staged.Delta {
+			t.Errorf("%s: LevelsTried %v does not end at accepted delta %d",
+				f.name, staged.LevelsTried, staged.Delta)
+		}
+		names := make(map[string]int)
+		for _, st := range staged.Stages {
+			names[st.Name]++
+			if st.Dur < 0 || st.Start < 0 {
+				t.Errorf("%s: negative timing in stage %+v", f.name, st)
 			}
-			staged, err := Build(f.g, f.p, Options{Parallelism: par, CollectStages: true})
-			if err != nil {
-				t.Fatalf("%s par=%d staged: %v", f.name, par, err)
+		}
+		for _, want := range []string{"choose_root", "bfs_tree", "sweep", "assemble"} {
+			if names[want] != 1 {
+				t.Errorf("%s: stage %q appears %d times, want 1 (stages %v)",
+					f.name, want, names[want], staged.Stages)
 			}
-			if shortcutFingerprint(plain) != shortcutFingerprint(staged) {
-				t.Errorf("%s par=%d: CollectStages changed the canonical shortcut", f.name, par)
+		}
+		for _, dl := range staged.LevelsTried {
+			if names[levelStageName(dl)] != 1 {
+				t.Errorf("%s: no stage for tried level %d", f.name, dl)
 			}
-			if plain.Stages != nil || plain.LevelsTried != nil {
-				t.Errorf("%s par=%d: stages recorded without CollectStages", f.name, par)
-			}
-			if len(staged.LevelsTried) == 0 ||
-				staged.LevelsTried[len(staged.LevelsTried)-1] != staged.Delta {
-				t.Errorf("%s par=%d: LevelsTried %v does not end at accepted delta %d",
-					f.name, par, staged.LevelsTried, staged.Delta)
-			}
-			names := make(map[string]int)
-			for _, st := range staged.Stages {
-				names[st.Name]++
-				if st.Dur < 0 || st.Start < 0 {
-					t.Errorf("%s par=%d: negative timing in stage %+v", f.name, par, st)
-				}
-			}
-			for _, want := range []string{"choose_root", "bfs_tree", "sweep", "assemble"} {
-				if names[want] != 1 {
-					t.Errorf("%s par=%d: stage %q appears %d times, want 1 (stages %v)",
-						f.name, par, want, names[want], staged.Stages)
-				}
-			}
-			for _, dl := range staged.LevelsTried {
-				if names[levelStageName(dl)] != 1 {
-					t.Errorf("%s par=%d: no stage for tried level %d", f.name, par, dl)
-				}
-			}
+		}
+	}
+}
+
+// TestStageClockKeepsOrder records more stages than the clock keeps
+// inline: Result.Stages must list them all, in the order they were added.
+func TestStageClockKeepsOrder(t *testing.T) {
+	var clock stageClock
+	sc := clock.begin()
+	var want []Stage
+	for i := 0; i < 2*len(clock.inline)+3; i++ {
+		st := Stage{Name: levelStageName(1 << i), Start: time.Duration(i), Dur: time.Duration(2 * i)}
+		sc.add(st.Name, st.Start, st.Dur)
+		want = append(want, st)
+	}
+	if got := sc.stages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stages() = %v, want %v", got, want)
+	}
+}
+
+// TestLevelStageName: the table's power-of-two names and the formatted
+// name of any other fixed delta' read as they always have.
+func TestLevelStageName(t *testing.T) {
+	for _, d := range []int{1, 2, 3, 4, 6, 1 << 20, 1<<20 + 1, 1 << 62, -4} {
+		if got, want := levelStageName(d), fmt.Sprintf("level(d=%d)", d); got != want {
+			t.Errorf("levelStageName(%d) = %q, want %q", d, got, want)
 		}
 	}
 }
@@ -394,11 +380,11 @@ func TestBuildsShareGraphTree(t *testing.T) {
 	}
 }
 
-// memoizedBuildAllocs pins the allocations of a fresh Builder's sequential
-// Build on grid:64x64 blobs:32 once the graph's tree is memoized. A build
-// that ran the root search and rooted a BFS tree of its own would allocate
-// 12 more, so a count over the pin means a build stopped reading the memo.
-const memoizedBuildAllocs = 445
+// memoizedBuildAllocs pins the allocations of a fresh Builder's Build on
+// grid:64x64 blobs:32 once the graph's tree is memoized. A build that ran
+// the root search and rooted a BFS tree of its own would allocate 12 more,
+// so a count over the pin means a build stopped reading the memo.
+const memoizedBuildAllocs = 443
 
 func TestFreshBuilderAllocsOnMemoizedGraph(t *testing.T) {
 	g := graph.Grid(64, 64)
@@ -408,7 +394,7 @@ func TestFreshBuilderAllocsOnMemoizedGraph(t *testing.T) {
 	}
 	graph.ChooseRoot(g)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := NewBuilder().Build(g, p, Options{Parallelism: 1}); err != nil {
+		if _, err := NewBuilder().Build(g, p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -430,12 +416,11 @@ func TestWarmBuildAllocsFlatInParts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Parallelism: 1}
-		if _, err := b.Build(g, p, opts); err != nil { // warm the scratch
+		if _, err := b.Build(g, p, Options{}); err != nil { // warm the scratch
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := b.Build(g, p, opts); err != nil {
+			if _, err := b.Build(g, p, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -444,6 +429,64 @@ func TestWarmBuildAllocsFlatInParts(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("warm Build allocates %.0f objects for 32 parts and %.0f for 256, want equal", counts[0], counts[1])
+	}
+}
+
+// Warm Builder allocation bounds on grid:64x64 blobs:32. An untraced build
+// allocates the Result, the Shortcut with its H and Covered headers and
+// its one H array, and the tree header; stage collection adds the
+// Result.Stages copy and LevelsTried.
+const (
+	warmBuildAllocs  = 6
+	warmTracedAllocs = 8
+)
+
+// TestWarmBuildAllocs pins what a warm Builder allocates per build, traced
+// and untraced, and that the ignored Parallelism field changes neither the
+// shortcut nor the count. The race detector changes allocation counts, so
+// under -race the counts are only logged.
+func TestWarmBuildAllocs(t *testing.T) {
+	g := graph.Grid(64, 64)
+	p, err := partition.BFSBlobs(g, 32, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder()
+	base, err := b.Build(g, p, Options{}) // warm the scratch
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shortcutFingerprint(base)
+	allocs := make(map[string]float64)
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		bound float64
+	}{
+		{"untraced", Options{}, warmBuildAllocs},
+		{"parallelism-8", Options{Parallelism: 8}, warmBuildAllocs},
+		{"traced", Options{CollectStages: true}, warmTracedAllocs},
+	} {
+		res, err := b.Build(g, p, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fp := shortcutFingerprint(res); fp != want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, fp, want)
+		}
+		allocs[c.name] = testing.AllocsPerRun(20, func() {
+			if _, err := b.Build(g, p, c.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm %s Build on grid:64x64 blobs:32: %.0f allocs/op", c.name, allocs[c.name])
+		if !raceEnabled && allocs[c.name] > c.bound {
+			t.Errorf("warm %s Build allocates %.0f objects/op, want <= %.0f", c.name, allocs[c.name], c.bound)
+		}
+	}
+	if !raceEnabled && allocs["parallelism-8"] != allocs["untraced"] {
+		t.Errorf("Parallelism 8 allocates %.0f objects/op, Options{} %.0f; want equal",
+			allocs["parallelism-8"], allocs["untraced"])
 	}
 }
 
@@ -505,12 +548,9 @@ func TestBuildRefusesWrappingLevels(t *testing.T) {
 			t.Errorf("Build(%+v) = %+v, %v; want an overflow error", opts, res, err)
 		}
 	}
-	// The doubling search refuses a level as it reaches it, sequentially
-	// and in a speculative wave alike; a search that accepts below the
-	// wrapping levels is unaffected.
-	for _, par := range []int{1, 4} {
-		if _, err := Build(g, p, Options{MaxDelta: math.MaxInt, Parallelism: par}); err != nil {
-			t.Errorf("par=%d: doubling search with an unbounded MaxDelta: %v", par, err)
-		}
+	// The doubling search refuses a level as it reaches it; a search that
+	// accepts below the wrapping levels is unaffected.
+	if _, err := Build(g, p, Options{MaxDelta: math.MaxInt}); err != nil {
+		t.Errorf("doubling search with an unbounded MaxDelta: %v", err)
 	}
 }

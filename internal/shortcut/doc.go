@@ -12,7 +12,7 @@
 //     process,
 //   - the Observation 2.7 loop turning partial shortcuts into full ones,
 //   - the parameter-free doubling search over δ' of the Section 3.1 remark
-//     (Build), sped up by the speculative parallel Builder (DESIGN.md §5),
+//     (Build), on the flat-state Builder (DESIGN.md §5),
 //   - the certifying variant of the Section 3.1 remark, which extracts a
 //     dense bipartite minor whenever the construction fails, and
 //   - the folklore D+sqrt(n) baseline shortcut for general graphs (§1.3).

@@ -126,9 +126,9 @@ type (
 	// Partial is one run of the Theorem 3.1 overcongested-edge process.
 	Partial = shortcut.Partial
 	// ShortcutBuilder is the reusable flat-state construction core: it
-	// owns the scratch memory of the Theorem 3.1 process and races the
-	// doubling search's delta' levels speculatively. Not safe for
-	// concurrent use; pool Builders instead (the service engine does).
+	// owns the scratch memory of the Theorem 3.1 process and runs the
+	// doubling search over delta' on it, one level at a time. Not safe
+	// for concurrent use; pool Builders instead (the service engine does).
 	ShortcutBuilder = shortcut.Builder
 )
 
