@@ -109,7 +109,7 @@ func TestShortcutAnswerHeaders(t *testing.T) {
 	nodes := newNodeCluster(t, 2)
 	t.Run("cluster", func(t *testing.T) {
 		n := nodes[0]
-		checkWarmAnswers(t, n.eng, n.st, n.ts.Config.Handler, true, n.addr)
+		checkWarmAnswers(t, n.eng, n.st, n.ts.Handler, true, n.addr)
 	})
 	t.Run("relayed", func(t *testing.T) {
 		checkRelayedAnswers(t, nodes)
@@ -142,7 +142,7 @@ func checkRelayedAnswers(t *testing.T, nodes []*clusterNode) {
 		owner = nodes[1]
 	}
 	frame := wire.ShortcutRequest{Graph: fp, Partition: "blobs:32", Seed: 6}
-	serveRecorded(t, entry.ts.Config.Handler, frame, false, false) // build on the owner and measure
+	serveRecorded(t, entry.ts.Handler, frame, false, false) // build on the owner and measure
 	var payload []byte
 	eventually(t, "the shortcut record in the owner's store", func() bool {
 		p, ok, err := owner.st.ShortcutPayload(key)
@@ -154,8 +154,8 @@ func checkRelayedAnswers(t *testing.T, nodes []*clusterNode) {
 	}
 
 	for _, binary := range []bool{true, false} {
-		direct := serveRecorded(t, owner.ts.Config.Handler, frame, binary, true)
-		relayed := serveRecorded(t, entry.ts.Config.Handler, frame, binary, false)
+		direct := serveRecorded(t, owner.ts.Handler, frame, binary, true)
+		relayed := serveRecorded(t, entry.ts.Handler, frame, binary, false)
 		want := make(map[string]string)
 		for name, vals := range direct.Header() {
 			want[name] = vals[0]

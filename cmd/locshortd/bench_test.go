@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -109,56 +110,16 @@ func (c *rawClient) do(req []byte) (status int, body []byte, err error) {
 // BenchmarkServeHit is one warm POST /v1/shortcuts answer through the
 // daemon's whole HTTP stack: the handler newServer returns, wired as main
 // wires it (segment store, metrics registry, tracer, and no logger, as
-// under -quiet), behind a loopback http.Server. Four warm grid:16x16
-// blobs:16 keys are asked for in turn, each record already in the store,
-// by a rawClient, so allocs/op is net/http's server work plus the
-// handler's own. The relay-* sub-benchmarks ask for the same keys, each
+// under -quiet), served by the connection loop on a loopback port. Four
+// warm grid:16x16 blobs:16 keys are asked for in turn, each record
+// already in the store, by a rawClient, so allocs/op is the loop's work
+// plus the handler's own. The relay-* sub-benchmarks ask for the same keys, each
 // through the node of a two-node cluster that does not own it, so they
 // count the entry node's relay, one forward hop, and the owner's answer.
 func BenchmarkServeHit(b *testing.B) {
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(128)
-	st, err := store.OpenBackend(store.KindSegment, b.TempDir(), store.Options{Obs: reg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := service.New(service.Config{Store: st, Obs: reg, Tracer: tracer})
-	var ready atomic.Bool
-	srv, h := newServer(eng, jobs.Config{Store: st, Obs: reg}, serverOptions{
-		reg: reg, tracer: tracer, ready: ready.Load, store: st,
-	})
-	srv.mgr.Start()
-	ready.Store(true)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	go hs.Serve(ln)
-	b.Cleanup(func() {
-		hs.Close()
-		srv.mgr.Close()
-		eng.Close()
-		st.Close()
-	})
-	addr := ln.Addr().String()
-
-	g, _, err := cli.ParseGraph("grid:16x16", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp, err := eng.AddGraph(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := dialRaw(b, addr)
-	var jsonReqs, binReqs [4][]byte
-	for i := range jsonReqs {
-		seed := int64(i + 1)
-		jsonReqs[i], binReqs[i] = warmHit(b, c, addr, fp, hitKey(b, g, fp, seed), seed, st)
-	}
+	c, jsonReqs, binReqs := hitServer(b)
 	clients := [4]*rawClient{c, c, c, c}
-	relayClients, relayJSON, relayBin := relayRequests(b, g)
+	relayClients, relayJSON, relayBin := relayRequests(b)
 	for _, enc := range []struct {
 		name    string
 		clients [4]*rawClient
@@ -182,11 +143,86 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
+// TestServeHitAllocs pins a warm binary answer through the connection
+// loop and the handler, both counted, as BenchmarkServeHit/binary serves
+// it: at most 10 allocations, where net/http's server alone made 20.
+func TestServeHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	c, _, binReqs := hitServer(t)
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		status, body, err := c.do(binReqs[i%len(binReqs)])
+		if err != nil || status != http.StatusOK || len(body) == 0 {
+			t.Fatalf("status %d, %d bytes, err %v", status, len(body), err)
+		}
+		i++
+	})
+	t.Logf("%.2f allocs per warm binary answer", allocs)
+	if allocs > 10 {
+		t.Fatalf("%.2f allocs per warm binary answer, want at most 10", allocs)
+	}
+}
+
+// hitServer serves BenchmarkServeHit's single node and warms its four
+// keys; it returns a client of the node and each key's JSON and binary
+// request.
+func hitServer(tb testing.TB) (c *rawClient, jsonReqs, binReqs [4][]byte) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(128)
+	st, err := store.OpenBackend(store.KindSegment, tb.TempDir(), store.Options{Obs: reg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := service.New(service.Config{Store: st, Obs: reg, Tracer: tracer})
+	var ready atomic.Bool
+	srv, h := newServer(eng, jobs.Config{Store: st, Obs: reg}, serverOptions{
+		reg: reg, tracer: tracer, ready: ready.Load, store: st,
+	})
+	srv.mgr.Start()
+	ready.Store(true)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hs := newHTTP1Server(h, nil, nil)
+	go func() { _ = hs.Serve(ln) }() // http.ErrServerClosed at the cleanup
+	tb.Cleanup(func() {
+		_ = hs.Shutdown(context.Background())
+		srv.mgr.Close()
+		eng.Close()
+		st.Close()
+	})
+	addr := ln.Addr().String()
+
+	g := hitGraph(tb)
+	fp, err := eng.AddGraph(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c = dialRaw(tb, addr)
+	for i := range jsonReqs {
+		seed := int64(i + 1)
+		jsonReqs[i], binReqs[i] = warmHit(tb, c, addr, fp, hitKey(tb, g, fp, seed), seed, st)
+	}
+	return c, jsonReqs, binReqs
+}
+
+// hitGraph is the graph BenchmarkServeHit's keys are on.
+func hitGraph(tb testing.TB) *graph.Graph {
+	g, _, err := cli.ParseGraph("grid:16x16", 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // hitKey is the key of BenchmarkServeHit's request for seed on g.
-func hitKey(b *testing.B, g *graph.Graph, fp service.Fingerprint, seed int64) service.Fingerprint {
+func hitKey(tb testing.TB, g *graph.Graph, fp service.Fingerprint, seed int64) service.Fingerprint {
 	parts, err := cli.ParsePartition(g, "blobs:16", seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return service.ShortcutKey(fp, parts, shortcut.Options{})
 }
@@ -194,22 +230,22 @@ func hitKey(b *testing.B, g *graph.Graph, fp service.Fingerprint, seed int64) se
 // warmHit renders BenchmarkServeHit's JSON and binary requests for seed
 // to addr, and sends the JSON one through c, so that key is built and
 // measured before the timed loops, then waits until st holds its record.
-func warmHit(b *testing.B, c *rawClient, addr string, fp, key service.Fingerprint, seed int64,
+func warmHit(tb testing.TB, c *rawClient, addr string, fp, key service.Fingerprint, seed int64,
 	st store.Backend) (jsonReq, binReq []byte) {
 
 	body, err := json.Marshal(shortcutRequest{Graph: fp.String(), Partition: "blobs:16", Seed: seed})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	jsonReq = rawRequest(addr, "application/json", "", body)
 	frame := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: "blobs:16", Seed: seed})
 	binReq = rawRequest(addr, wire.ContentType, wire.ContentType, frame)
 	if status, body, err := c.do(jsonReq); err != nil || status != http.StatusOK {
-		b.Fatalf("warm-up: status %d, err %v: %s", status, err, body)
+		tb.Fatalf("warm-up: status %d, err %v: %s", status, err, body)
 	}
 	for {
 		if _, ok, err := st.ShortcutPayload(key); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		} else if ok {
 			return jsonReq, binReq
 		}
@@ -221,7 +257,8 @@ func warmHit(b *testing.B, c *rawClient, addr string, fp, key service.Fingerprin
 // BenchmarkServeHit's four keys on their owners. It returns, for each
 // key, a client of the node that does not own it and the key's JSON and
 // binary requests to that node.
-func relayRequests(b *testing.B, g *graph.Graph) (clients [4]*rawClient, jsonReqs, binReqs [4][]byte) {
+func relayRequests(b *testing.B) (clients [4]*rawClient, jsonReqs, binReqs [4][]byte) {
+	g := hitGraph(b)
 	nodes := newNodeCluster(b, 2)
 	var fp service.Fingerprint
 	for _, n := range nodes {

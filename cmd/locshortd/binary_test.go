@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"locshort/internal/cli"
@@ -54,7 +53,7 @@ func TestBinaryProtocolEndToEnd(t *testing.T) {
 	eng := service.New(service.Config{Workers: 2, Store: st})
 	srv, h := newServer(eng, jobs.Config{Store: st}, serverOptions{store: st})
 	srv.mgr.Start()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.mgr.Close()
@@ -252,7 +251,7 @@ func TestBinaryVsJSONIngestFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := ts.Client()
+	client := http.DefaultClient
 	post := func(body []byte, ct string) error {
 		req, err := http.NewRequest("POST", ts.URL+"/v1/graphs", bytes.NewReader(body))
 		if err != nil {

@@ -5,9 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -57,7 +58,7 @@ type clusterNode struct {
 	cl   *cluster.Cluster
 	eng  *service.Engine
 	srv  *server
-	ts   *httptest.Server
+	ts   *testServer
 	url  string
 }
 
@@ -71,46 +72,60 @@ func newNodeCluster(t testing.TB, n int, configs ...nodeConfig) []*clusterNode {
 	addrs := make([]string, n)
 	for i := range nodes {
 		swaps[i] = &clusterSwap{}
-		ts := httptest.NewServer(swaps[i])
-		t.Cleanup(ts.Close)
-		addr := strings.TrimPrefix(ts.URL, "http://")
-		nodes[i] = &clusterNode{addr: addr, ts: ts, url: ts.URL}
-		addrs[i] = addr
+		nodes[i] = listenNode(t, "127.0.0.1:0", swaps[i])
+		addrs[i] = nodes[i].addr
 	}
 	for i, node := range nodes {
-		st, err := store.Open(filepath.Join(t.TempDir(), "data"), store.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := cluster.New(cluster.Config{
-			Self:         node.addr,
-			Nodes:        addrs,
-			VNodes:       16,
-			SyncInterval: time.Hour, // tests drive SyncNow explicitly
-			FetchTimeout: 5 * time.Second,
-			DownBackoff:  time.Minute, // a killed node stays skipped for the whole test
-			Store:        st,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, jcfg := service.Config{Workers: 2, Store: st, Peers: cl}, jobs.Config{Store: st}
-		for _, c := range configs {
-			c(i, &cfg, &jcfg)
-		}
-		eng := service.New(cfg)
-		cl.SetRegistrar(eng)
-		srv, h := newServer(eng, jcfg, serverOptions{cluster: cl, store: st})
-		srv.mgr.Start()
-		node.st, node.cl, node.eng, node.srv = st, cl, eng, srv
-		swaps[i].set(h)
-		t.Cleanup(func() {
-			srv.mgr.Close()
-			eng.Close()
-			st.Close()
-		})
+		swaps[i].set(node.start(t, i, addrs, configs))
 	}
 	return nodes
+}
+
+// listenNode binds a node's listener on addr and serves h on it through
+// the connection loop, before the node behind h is built.
+func listenNode(t testing.TB, addr string, h http.Handler) *clusterNode {
+	t.Helper()
+	ts := serveLoopAt(t, addr, h)
+	t.Cleanup(ts.Close)
+	return &clusterNode{addr: ts.Listener.Addr().String(), ts: ts, url: ts.URL}
+}
+
+// start builds node i of the cluster whose members are addrs — store,
+// cluster view, engine with peer fetch, HTTP API with forwarding — and
+// returns its API handler.
+func (node *clusterNode) start(t testing.TB, i int, addrs []string, configs []nodeConfig) http.Handler {
+	t.Helper()
+	st, err := store.Open(filepath.Join(t.TempDir(), "data"), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Self:         node.addr,
+		Nodes:        addrs,
+		VNodes:       16,
+		SyncInterval: time.Hour, // tests drive SyncNow explicitly
+		FetchTimeout: 5 * time.Second,
+		DownBackoff:  time.Minute, // a killed node is dialed ever more rarely, at last once a minute
+		Store:        st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, jcfg := service.Config{Workers: 2, Store: st, Peers: cl}, jobs.Config{Store: st}
+	for _, c := range configs {
+		c(i, &cfg, &jcfg)
+	}
+	eng := service.New(cfg)
+	cl.SetRegistrar(eng)
+	srv, h := newServer(eng, jcfg, serverOptions{cluster: cl, store: st})
+	srv.mgr.Start()
+	node.st, node.cl, node.eng, node.srv = st, cl, eng, srv
+	t.Cleanup(func() {
+		srv.mgr.Close()
+		eng.Close()
+		st.Close()
+	})
+	return h
 }
 
 // nodeConfig adjusts node i's engine and job manager configuration before
@@ -826,4 +841,182 @@ func TestClusterRelayCallerGone(t *testing.T) {
 	if resp.ServedBy != owner || resp.Shortcut != key.String() {
 		t.Fatalf("next request: key %s served by %q, want %s by the owner %q", resp.Shortcut, resp.ServedBy, key, owner)
 	}
+}
+
+// TestClusterPeerBindsAfterReady: at a cluster's start, a node probes a
+// peer that has not bound yet, flips ready, and the peer binds. The
+// refused dial holds the peer down only for the first step of the
+// doubling backoff, so within 500 ms the first node forwards the peer's
+// keys to it and writes none of their records itself.
+func TestClusterPeerBindsAfterReady(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateAddr := ln.Addr().String()
+	ln.Close()
+	swap := &clusterSwap{}
+	first := listenNode(t, "127.0.0.1:0", swap)
+	addrs := []string{first.addr, lateAddr}
+	swap.set(first.start(t, 0, addrs, nil))
+	// main's config probe before the ready flip: the peer's port is closed.
+	if _, reachable := first.cl.CheckConfig(t.Context()); reachable != 0 {
+		t.Fatalf("%d peers reachable before the second node bound", reachable)
+	}
+	probed := time.Now()
+
+	swap2 := &clusterSwap{}
+	second := listenNode(t, lateAddr, swap2)
+	swap2.set(second.start(t, 1, addrs, nil))
+	for !first.cl.Available(lateAddr) {
+		if time.Since(probed) > 500*time.Millisecond {
+			t.Fatal("the peer is still held down 500 ms after the refused probe")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var gr graphResponse
+	postJSON(t, first.url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+	fp, err := service.ParseFingerprint(gr.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cli.ParseGraph("grid:12x12", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded := 0
+	for seed := int64(1); forwarded < 3; seed++ {
+		key := specKey(t, g, fp, "blobs:8", seed)
+		if owner, _ := first.cl.Owner(key); owner != lateAddr {
+			continue
+		}
+		resp := postShortcut(t, first.url, map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": seed}, false)
+		if resp.ServedBy != lateAddr || resp.Shortcut != key.String() {
+			t.Fatalf("key %s served by %q, want its owner %q", key, resp.ServedBy, lateAddr)
+		}
+		if first.st.HasShortcut(key) {
+			t.Fatalf("the first node wrote a record of %s, which %s owns", key, lateAddr)
+		}
+		forwarded++
+	}
+	if b := first.eng.Stats().Builds; b != 0 {
+		t.Fatalf("the first node built %d shortcuts its peer owns", b)
+	}
+}
+
+// sendAndHangUp writes one JSON shortcut request to addr over a raw
+// connection, waits until until reports the request is being worked on,
+// and closes the connection without reading the answer.
+func sendAndHangUp(t *testing.T, addr string, body map[string]any, until func() bool) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := fmt.Fprintf(nc, "POST /v1/shortcuts HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\n\r\n%s", addr, len(b), b); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the request reached the engine", until)
+}
+
+// TestCallerGoneOverHTTP: a client that closes its connection while its
+// request waits is gone for the daemon. Relayed, the entry node counts
+// neither a forward nor a forward error, builds nothing and keeps the
+// owner available; on one node, the waiter is released before the
+// build ends, and the build still lands in the cache.
+func TestCallerGoneOverHTTP(t *testing.T) {
+	t.Run("relayed", func(t *testing.T) {
+		var slow [3]atomic.Bool
+		nodes := newNodeCluster(t, 3, func(i int, cfg *service.Config, _ *jobs.Config) {
+			cfg.Store = slowStore{Store: cfg.Store, slow: &slow[i]}
+		})
+		var gr graphResponse
+		postJSON(t, nodes[0].url+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+		fp, err := service.ParseFingerprint(gr.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := cli.ParseGraph("grid:12x12", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := specKey(t, g, fp, "blobs:8", 81)
+		owner, _ := nodes[0].cl.Owner(key)
+		entry := nonOwner(t, nodes, key)
+		var ownerNode *clusterNode
+		for i, n := range nodes {
+			slow[i].Store(n.addr == owner)
+			if n.addr == owner {
+				ownerNode = n
+			}
+		}
+		body := map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": 81}
+		sendAndHangUp(t, entry.addr, body, func() bool { return ownerNode.eng.Stats().CacheMisses > 0 })
+		eventually(t, "the owner's build", func() bool { return ownerNode.eng.Stats().Builds == 1 })
+		for i := range slow {
+			slow[i].Store(false)
+		}
+		// A second request for the key is relayed: only it may count.
+		if resp := postShortcut(t, entry.url, body, false); resp.ServedBy != owner {
+			t.Fatalf("next request served by %q, want the owner %q", resp.ServedBy, owner)
+		}
+		if s := entry.cl.Stats(); s.Forwards != 1 || s.ForwardErrors != 0 {
+			t.Fatalf("entry counted %d forwards and %d forward errors, want 1 (the second request) and 0",
+				s.Forwards, s.ForwardErrors)
+		}
+		if b := entry.eng.Stats().Builds; b != 0 {
+			t.Fatalf("the entry node built %d shortcuts for a caller that had gone", b)
+		}
+		if !entry.cl.Available(owner) {
+			t.Fatal("a caller hanging up marked the owner down")
+		}
+	})
+	t.Run("cold build", func(t *testing.T) {
+		var slow atomic.Bool
+		st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := service.New(service.Config{Workers: 2, Store: slowStore{Store: st, slow: &slow}})
+		srv, h := newServer(eng, jobs.Config{}, serverOptions{})
+		srv.mgr.Start()
+		returned := make(chan uint64, 1)
+		ts := serveLoop(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path == "/v1/shortcuts" {
+				returned <- eng.Stats().Builds
+			}
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			srv.mgr.Close()
+			eng.Close()
+			st.Close()
+		})
+		var gr graphResponse
+		postJSON(t, ts.URL+"/v1/graphs", map[string]any{"spec": "grid:12x12"}, http.StatusOK, &gr)
+		slow.Store(true)
+		body := map[string]any{"graph": gr.Graph, "partition": "blobs:8", "seed": 82}
+		sendAndHangUp(t, ts.Listener.Addr().String(), body, func() bool { return eng.Stats().CacheMisses > 0 })
+		select {
+		case builds := <-returned:
+			if builds != 0 {
+				t.Fatal("the handler waited for the build its client had left")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the handler of a client that hung up never returned")
+		}
+		eventually(t, "the fill", func() bool { return eng.Stats().Builds == 1 })
+		slow.Store(false)
+		if resp := postShortcut(t, ts.URL, body, false); resp.Source != "cache" {
+			t.Fatalf("after the fill: source %q, want cache", resp.Source)
+		}
+	})
 }

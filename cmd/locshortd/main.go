@@ -7,6 +7,14 @@
 // ordinary Content-Type/Accept headers, no flag needed. See OPERATIONS.md
 // §Wire protocol.
 //
+// The API listener speaks HTTP/1.1 through the daemon's own connection
+// loop (http1.go), which parses each request in the connection's read
+// buffer and reuses one request and writer per connection; it accepts a
+// subset of what net/http's server does and refuses the rest with 400,
+// 417, 431, 501 or 505 (OPERATIONS.md §2). A request head must arrive
+// within 10 s of its first byte; idle keep-alive connections do not
+// time out.
+//
 // Usage:
 //
 //	locshortd [-addr 127.0.0.1:8080] [-workers N] [-cache N] [-queue N]
@@ -80,14 +88,15 @@
 //
 // -addr :0 picks a free port; the bound address is printed on stdout and,
 // with -addrfile, written to PATH so scripts (CI, cmd/loadgen) can find
-// the daemon without racing for a port. SIGINT/SIGTERM drain in-flight
-// requests before exit; pending store writes are flushed before the
-// process exits, so a clean shutdown never loses a completed build.
+// the daemon without racing for a port. SIGINT/SIGTERM stop accepting,
+// close idle connections and drain in-flight requests before exit;
+// pending store writes are flushed before the process exits, so a clean
+// shutdown never loses a completed build.
 //
 // -pprof ADDR serves net/http/pprof on a second listener (e.g.
-// -pprof 127.0.0.1:6060), kept off the API listener so profiling is never
-// exposed where the API is. Capture cold-build CPU and allocation
-// profiles against the live daemon with
+// -pprof 127.0.0.1:6060) through net/http's own server, kept off the API
+// listener so profiling is never exposed where the API is. Capture
+// cold-build CPU and allocation profiles against the live daemon with
 //
 //	go tool pprof http://ADDR/debug/pprof/profile?seconds=10
 //	go tool pprof http://ADDR/debug/pprof/allocs
@@ -286,10 +295,7 @@ func run() error {
 		}()
 	}
 
-	hsrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	hsrv := newHTTP1Server(handler, reg, logger)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -95,7 +95,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		logger: obs.NewLogger(logbuf),
 	})
 	srv.mgr.Start()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.mgr.Close()
@@ -274,7 +274,7 @@ func TestSlowRequestWarn(t *testing.T) {
 		slowRequest: time.Nanosecond,
 	})
 	srv.mgr.Start()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.mgr.Close()
@@ -302,7 +302,7 @@ func TestReadyzGate(t *testing.T) {
 	eng := service.New(service.Config{Workers: 1})
 	srv, h := newServer(eng, jobs.Config{}, serverOptions{ready: ready.Load})
 	srv.mgr.Start()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.mgr.Close()

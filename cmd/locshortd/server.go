@@ -184,12 +184,12 @@ func (s *server) writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	if err := e.enc.Encode(v); err != nil {
 		encPool.Put(e)
 		s.encodeFailed(err)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintf(w, "{\"error\":%q}\n", "encode: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if code != 0 {
 		w.WriteHeader(code)
 	}
@@ -203,6 +203,33 @@ func (s *server) writeJSONStatus(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, v any) { s.writeJSONStatus(w, 0, v) }
+
+// Header values shared by every answer that sends them. Each is full to
+// its capacity, so an append copies it, and assigning one straight into a
+// header map costs no allocation, where Header.Set makes a slice per call.
+var (
+	jsonContentType = []string{"application/json"}
+	sourceCache     = []string{"cache"}
+	sourceStore     = []string{"store"}
+	sourcePeer      = []string{"peer"}
+	sourceBuilt     = []string{"built"}
+)
+
+// sourceHeader is the X-Locshort-Source value of a locally served answer:
+// one of the four shared slices, or a new one for any other source.
+func sourceHeader(src string) []string {
+	switch src {
+	case "cache":
+		return sourceCache
+	case "store":
+		return sourceStore
+	case "peer":
+		return sourcePeer
+	case "built":
+		return sourceBuilt
+	}
+	return []string{src}
+}
 
 // httpError is the uniform error envelope.
 func (s *server) httpError(w http.ResponseWriter, code int, err error) {
@@ -870,7 +897,7 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The name is canonical already: Set would only canonicalize it again.
-	w.Header()[wire.HeaderSource] = []string{sv.source}
+	w.Header()[wire.HeaderSource] = sourceHeader(sv.source)
 	s.writeJSON(w, resp)
 }
 

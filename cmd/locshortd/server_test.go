@@ -29,12 +29,12 @@ import (
 
 // newTestServer stands up an engine, the HTTP API, and a started async
 // job manager, torn down in reverse order with the test.
-func newTestServer(t *testing.T, cfg service.Config, jcfg jobs.Config) (*httptest.Server, *server) {
+func newTestServer(t *testing.T, cfg service.Config, jcfg jobs.Config) (*testServer, *server) {
 	t.Helper()
 	eng := service.New(cfg)
 	srv, h := newServer(eng, jcfg, serverOptions{})
 	srv.mgr.Start()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.mgr.Close()
@@ -414,7 +414,7 @@ func testRestartWarmStart(t *testing.T, spec string) {
 	eng := service.New(service.Config{Workers: 2, Store: st})
 	srv1, h1 := newServer(eng, jobs.Config{Store: st}, serverOptions{})
 	srv1.mgr.Start()
-	ts := httptest.NewServer(h1)
+	ts := serveLoop(t, h1)
 
 	var g struct {
 		Graph string `json:"graph"`
@@ -455,7 +455,7 @@ func testRestartWarmStart(t *testing.T, spec string) {
 	srv2, h2 := newServer(eng2, jobs.Config{Store: st2}, serverOptions{})
 	srv2.mgr.Start()
 	defer srv2.mgr.Close()
-	ts2 := httptest.NewServer(h2)
+	ts2 := serveLoop(t, h2)
 	defer ts2.Close()
 
 	// The warm-started catalog lists the graph without re-ingesting.
@@ -523,7 +523,7 @@ func TestGraphListAndDelete(t *testing.T) {
 	srv, h := newServer(eng, jobs.Config{Store: st}, serverOptions{})
 	srv.mgr.Start()
 	defer srv.mgr.Close()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	defer ts.Close()
 
 	var g struct {
@@ -835,7 +835,7 @@ func TestAsyncQueueFull(t *testing.T) {
 	// queue saturates deterministically.
 	srv, h := newServer(eng, jobs.Config{QueueDepth: 2}, serverOptions{})
 	defer srv.mgr.Close()
-	ts := httptest.NewServer(h)
+	ts := serveLoop(t, h)
 	defer ts.Close()
 
 	var g struct {
@@ -1282,7 +1282,7 @@ func TestRestartQueuedJobCompletes(t *testing.T) {
 	}
 	eng := service.New(service.Config{Workers: 2, Store: st})
 	srv1, h1 := newServer(eng, jobs.Config{Store: st}, serverOptions{}) // dispatchers never started
-	ts := httptest.NewServer(h1)
+	ts := serveLoop(t, h1)
 
 	var g struct {
 		Graph string `json:"graph"`
@@ -1327,7 +1327,7 @@ func TestRestartQueuedJobCompletes(t *testing.T) {
 	}
 	srv2.mgr.Start()
 	defer srv2.mgr.Close()
-	ts2 := httptest.NewServer(h2)
+	ts2 := serveLoop(t, h2)
 	defer ts2.Close()
 
 	js := waitJob(t, ts2.URL, sub.ID)
@@ -1361,7 +1361,7 @@ func TestRestartPoisonJobFails(t *testing.T) {
 	dir := t.TempDir()
 	// boot opens the store in dir and stands the daemon up over it: warm
 	// start, job recovery, then the dispatchers if start is set.
-	boot := func(start bool) (*server, *httptest.Server, int, func()) {
+	boot := func(start bool) (*server, *testServer, int, func()) {
 		t.Helper()
 		st, err := store.Open(dir, store.Options{NoSync: true})
 		if err != nil {
@@ -1379,7 +1379,7 @@ func TestRestartPoisonJobFails(t *testing.T) {
 		if start {
 			srv.mgr.Start()
 		}
-		ts := httptest.NewServer(h)
+		ts := serveLoop(t, h)
 		return srv, ts, requeued, func() {
 			ts.Close()
 			srv.mgr.Close()

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"locshort/internal/wire"
 )
 
 // binaryAnswer is an owner's warm binary shortcut answer as net/http's
@@ -87,17 +89,17 @@ var answerCases = []struct {
 	{name: "Content-Length as a trailer field", in: "HTTP/1.1 200 OK\r\nTrailer: Content-Length\r\n" +
 		"Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\nContent-Length: 3\r\n\r\n", err: errFraming},
 	{name: "body on a 304", in: "HTTP/1.1 304 Not Modified\r\nContent-Length: 2\r\n\r\nok", err: errFraming},
-	{name: "control character in a kept value", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source: ca\x01che\r\nContent-Length: 2\r\n\r\nok", err: errHeaderLine},
-	{name: "control character in another value", in: "HTTP/1.1 200 OK\r\nX-Other: \x7f\r\nContent-Length: 2\r\n\r\nok", err: errHeaderLine},
-	{name: "folded line", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source: cache\r\n forward\r\nContent-Length: 2\r\n\r\nok", err: errHeaderLine},
-	{name: "no colon", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source cache\r\nContent-Length: 2\r\n\r\nok", err: errHeaderLine},
-	{name: "space before the colon", in: "HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\nok", err: errHeaderLine},
+	{name: "control character in a kept value", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source: ca\x01che\r\nContent-Length: 2\r\n\r\nok", err: wire.ErrHeaderLine},
+	{name: "control character in another value", in: "HTTP/1.1 200 OK\r\nX-Other: \x7f\r\nContent-Length: 2\r\n\r\nok", err: wire.ErrHeaderLine},
+	{name: "folded line", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source: cache\r\n forward\r\nContent-Length: 2\r\n\r\nok", err: wire.ErrHeaderLine},
+	{name: "no colon", in: "HTTP/1.1 200 OK\r\nX-Locshort-Source cache\r\nContent-Length: 2\r\n\r\nok", err: wire.ErrHeaderLine},
+	{name: "space before the colon", in: "HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\nok", err: wire.ErrHeaderLine},
 	{name: "65 header lines", in: "HTTP/1.1 200 OK\r\n" + strings.Repeat("X-Pad: 1\r\n", 64) +
-		"Content-Length: 2\r\n\r\nok", err: errHeaderTooLong},
+		"Content-Length: 2\r\n\r\nok", err: wire.ErrHeaderTooLong},
 	{name: "line longer than the buffer", in: "HTTP/1.1 200 OK\r\nX-Pad: " + strings.Repeat("a", 4096) +
-		"\r\nContent-Length: 2\r\n\r\nok", err: errLongLine},
+		"\r\nContent-Length: 2\r\n\r\nok", err: wire.ErrLongLine},
 	{name: "trailer longer than the buffer", in: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n" +
-		strings.Repeat("X-Pad: "+strings.Repeat("a", 1000)+"\r\n", 5) + "\r\n", err: errHeaderTooLong},
+		strings.Repeat("X-Pad: "+strings.Repeat("a", 1000)+"\r\n", 5) + "\r\n", err: wire.ErrHeaderTooLong},
 	{name: "body shorter than declared", in: "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nok", err: errAnswerShort},
 	{name: "body over the limit", in: "HTTP/1.1 200 OK\r\n\r\n" + strings.Repeat("a", answerLimit+1), err: errAnswerTooLong},
 	{name: "chunked body over the limit", in: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +

@@ -48,11 +48,14 @@ type Config struct {
 	// ForwardTimeout bounds a forwarded build request (default 2m — it may
 	// pay a full cold construction on the owner).
 	ForwardTimeout time.Duration
-	// DownBackoff is how long a peer stays marked down after a transport
+	// DownBackoff caps how long a peer stays marked down after a transport
 	// failure or a call past its timeout before it is dialed again
-	// (default 2s); a caller giving up does not mark it down. This is what
-	// bounds the kill-one-node degradation window: after the first failed
-	// dial, requests stop paying the dead peer's connect latency.
+	// (default 2s); a caller giving up does not mark it down. The first
+	// failure holds the peer down for firstDownBackoff, and each further
+	// consecutive one doubles that, up to DownBackoff; an answer resets it.
+	// A peer that is not up yet at a cluster's start is thus tried again
+	// within tens of milliseconds, while a dead one costs one refused dial
+	// per DownBackoff once the doubling reaches it.
 	DownBackoff time.Duration
 	// Store is the node's durable store; fetched records import into it.
 	Store store.Backend
@@ -260,17 +263,27 @@ func (c *Cluster) available(peer string) bool {
 	return until == 0 || time.Now().UnixNano() >= until
 }
 
+// firstDownBackoff is how long the first of a peer's consecutive
+// failures holds it down.
+const firstDownBackoff = 50 * time.Millisecond
+
 // markDown puts peer in dial backoff after a transport failure or a call
-// past its timeout.
+// past its timeout: firstDownBackoff, doubled for each consecutive
+// failure before it, at most DownBackoff.
 func (c *Cluster) markDown(peer string) {
 	if l, ok := c.links[peer]; ok {
-		l.downUntil.Store(time.Now().Add(c.cfg.DownBackoff).UnixNano())
+		backoff := c.cfg.DownBackoff
+		if n := l.failures.Add(1); n <= 16 {
+			backoff = min(backoff, firstDownBackoff<<(n-1))
+		}
+		l.downUntil.Store(time.Now().Add(backoff).UnixNano())
 	}
 }
 
 // markUp clears peer's backoff after it answered.
 func (c *Cluster) markUp(peer string) {
 	if l, ok := c.links[peer]; ok {
+		l.failures.Store(0)
 		l.downUntil.Store(0)
 	}
 }

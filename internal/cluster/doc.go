@@ -44,8 +44,9 @@
 // byte of the answer was stale: the peer's whole idle list is dropped and
 // the call is retried once on a fresh dial, which is safe because every
 // peer call is idempotent. Only a transport failure or the timeout puts a
-// peer in down backoff; a caller whose context ended has learned nothing
-// about the peer.
+// peer in down backoff, which starts at 50 ms and doubles with each
+// consecutive failure up to Config.DownBackoff; a caller whose context
+// ended has learned nothing about the peer.
 //
 // Records and graphs cross the peer API only in the binary form, a record
 // as one store.AppendPeerRecord frame and a graph as its raw canonical

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"locshort/internal/wire"
 )
 
 // maxIdlePerPeer bounds each peer's list of idle keep-alive connections.
@@ -35,8 +37,10 @@ var (
 // idle keep-alive connections. Links are made once, in New, one per peer.
 type link struct {
 	// downUntil is the unix-nano deadline before which the peer is not
-	// dialed (0: up).
+	// dialed (0: up), and failures the number of consecutive failures
+	// that set it.
 	downUntil atomic.Int64
+	failures  atomic.Int32
 
 	mu   sync.Mutex
 	idle []*peerConn // most recently used last; get takes from the end
@@ -112,18 +116,6 @@ func (pc *peerConn) expireNow() { _ = pc.nc.SetDeadline(aLongTimeAgo) }
 
 func (pc *peerConn) close() { _ = pc.nc.Close() }
 
-// validHeaderValue reports whether v may be a header value: no control
-// character but tab, the rule net/http applies both ways. A value sent
-// cannot end the header early and smuggle in lines of its own.
-func validHeaderValue[T string | []byte](v T) bool {
-	for i := 0; i < len(v); i++ {
-		if b := v[i]; (b < ' ' && b != '\t') || b == 0x7f {
-			return false
-		}
-	}
-	return true
-}
-
 // exchange is the one HTTP exchange with a peer, shared by every client
 // call. It sends method and path with body (nil for none) and each header
 // key/value pair whose value is not empty, and returns the answer's
@@ -149,7 +141,7 @@ func (c *Cluster) exchange(ctx context.Context, timeout time.Duration, method, p
 		return 0, Header{}, nil, fmt.Errorf("cluster: %s is not a peer", peer)
 	}
 	for i := 0; i+1 < len(header); i += 2 {
-		if !validHeaderValue(header[i+1]) {
+		if !wire.ValidFieldValue(header[i+1]) {
 			return 0, Header{}, nil, fmt.Errorf("cluster: invalid %s header value %q", header[i], header[i+1])
 		}
 	}

@@ -323,3 +323,28 @@ func TestTransportDeclaredLengthNotTrusted(t *testing.T) {
 		}
 	}
 }
+
+// TestDownBackoffDoubles: a peer's first failure holds it down for
+// firstDownBackoff, each consecutive one for twice the one before, at
+// most DownBackoff; an answer resets the count.
+func TestDownBackoffDoubles(t *testing.T) {
+	const peer = "127.0.0.1:2"
+	cl := newPeerOf(t, peer, Config{DownBackoff: 300 * time.Millisecond})
+	held := func() time.Duration {
+		return time.Duration(cl.links[peer].downUntil.Load() - time.Now().UnixNano())
+	}
+	for i, want := range []time.Duration{50, 100, 200, 300, 300, 300} {
+		cl.markDown(peer)
+		if got := held(); got > want*time.Millisecond || got < want*time.Millisecond-20*time.Millisecond {
+			t.Fatalf("failure %d holds the peer down %v, want %v", i+1, got, want*time.Millisecond)
+		}
+	}
+	cl.markUp(peer)
+	if !cl.Available(peer) {
+		t.Fatal("an answer did not clear the down mark")
+	}
+	cl.markDown(peer)
+	if got := held(); got > firstDownBackoff {
+		t.Fatalf("the first failure after an answer holds the peer down %v, want %v", got, firstDownBackoff)
+	}
+}
