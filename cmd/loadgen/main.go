@@ -1,717 +1,309 @@
-// Command loadgen is a closed-loop load generator for locshortd: N
-// connections issue build-or-get shortcut requests (optionally mixed with
-// MST jobs) against a catalog of graph families, with Zipf-skewed graph
-// popularity and a bounded partition-seed space so the cache sees a
-// realistic mix of cold builds and hits.
+// Command loadgen is the smoke-test client for locshortd. It waits for every
+// node to answer GET /readyz, ingests a catalog of graph families through
+// every node, runs eight closed-loop connections of shortcut requests for
+// -duration, and sums the nodes' own counters from GET /v1/stats. CI's
+// smoke steps run it, and so does the restart drill of OPERATIONS.md §5,
+// which holds the flag table.
 //
-// Usage:
-//
-//	loadgen [-addr 127.0.0.1:8080] [-addrs A:1,B:2,C:3] [-duration 10s]
-//	        [-conns 8]
+//	loadgen [-addr 127.0.0.1:8080[,HOST:PORT...]] [-duration 10s]
 //	        [-catalog "grid:32x32;torus:16x16;wheel:200;ktree:300,4"]
-//	        [-parts blobs:32] [-seeds 4] [-zipf 1.3] [-job-frac 0]
-//	        [-seed 1] [-async] [-require-hits] [-require-store-hits]
+//	        [-parts blobs:32] [-seeds 4] [-mode json|binary|async]
+//	        [-require-hits] [-require-store-hits]
 //
-// Flags (all of them — the README table mirrors this list):
+// The catalog's graphs times -seeds partition seeds make K shortcut keys,
+// and -addr lists N nodes. Request n of connection w asks for key
+// (w+n) mod K through node ⌊(w+n)/K⌋ mod N, so every key repeats and
+// enters through every node, whatever K and N are. In -mode binary the
+// catalog goes up as canonical payloads behind If-None-Match and answers
+// are stored payloads; in -mode async each request is submitted with
+// "async": true and long-polled at GET /v1/jobs/{id}, and a job that ends
+// failed or canceled is a failed request. A run prints what the clients
+// saw, by the source each answer names, and the nodes' counters, summed:
 //
-//	-addr      locshortd address (host:port or URL)
-//	-addrs     comma-separated addresses of a locshortd cluster (overrides -addr)
-//	-duration  how long to generate load
-//	-conns     concurrent closed-loop connections
-//	-catalog   semicolon-separated graph family specs, hottest first
-//	-parts     partition spec sent with every request
-//	-seeds     distinct partition seeds per graph (shortcut universe size)
-//	-zipf      Zipf skew across catalog ranks (> 1)
-//	-job-frac  fraction of requests that are MST jobs instead of builds
-//	-seed      generator seed
-//	-async     submit with "async": true and long-poll GET /v1/jobs/{id}
-//	-require-hits        exit nonzero unless the server reports cache hits
-//	-require-store-hits  exit nonzero unless the server reports store hits
+//	requests: 25245 ok, 0 errors (cache 25244, store 0, peer 0, built 1)
+//	server: 1 builds, 25244 cache hits, 0 store hits, 0 peer hits on 1 nodes
 //
-// -addrs points loadgen at a multi-node cluster: each connection rotates
-// through the listed nodes round-robin, so every node takes ingest and
-// build traffic and the consistent-hash router is exercised from every
-// entry point. Readiness is awaited on every node, the catalog is ingested
-// through every node (idempotent — content addressing dedupes), and the
-// end-of-run report adds a per-node source split scraped from each node's
-// /metrics (builds, cache/store/peer hits, forwards, sync pulls) next to
-// the cluster-wide totals. The latency report gains a "peer fetches"
-// bucket for requests a node served by pulling another node's record.
-//
-// -async switches every request to asynchronous submission: the closed
-// loop POSTs with "async": true, records the 202 acknowledgement latency
-// ("async submits" in the report — what head-of-line blocking costs a
-// synchronous client), then long-polls GET /v1/jobs/{id}?wait= until the
-// job is terminal and records the end-to-end completion latency, split by
-// source exactly like the synchronous report. A job that ends failed or
-// canceled counts as an error, so `-async` finishing with "0 errors" is
-// the async-serving health assertion CI uses after a daemon restart.
-//
-// Each request picks a catalog graph by Zipf rank (rank 1 is hottest) and
-// a partition seed uniformly from [0, seeds); the (graph, partition seed)
-// pair determines the shortcut fingerprint, so `seeds` controls how many
-// distinct shortcuts exist per graph. The report splits request latency by
-// the server's `source` field — cold constructions, durable-store loads,
-// and resident cache hits — which is how both the cache-hit speedup and
-// the restart-recovery (warm-start) speedup are measured:
-//
-//	requests: 1243 ok, 0 errors, 124.3 req/s
-//	cold builds:   11   p50 41.2ms   p99 98.0ms
-//	store hits:    16   p50 3.1ms    p99 5.9ms
-//	cache hits:    1216 p50 0.8ms    p99 2.1ms
-//	hit/cold median speedup: 51.5x
-//	store/cold median speedup: 13.3x (warm start vs rebuild)
-//	server: 11 builds, ... 16 store hits / 11 store misses
-//	server POST /v1/shortcuts:  1243  p50 0.9ms  p99 40.1ms
-//
-// Before generating load, loadgen polls the daemon's GET /readyz (warm
-// start and job recovery run behind the live listener); at the end of the
-// run it scrapes GET /metrics and prints the server-side per-route p50/p99
-// next to the client-side numbers above — the difference between the two
-// is queueing and transport cost the handlers never saw. Both probes
-// degrade silently against a daemon that predates them.
-//
-// The restart-recovery scenario: run loadgen against a daemon started with
-// -data, SIGTERM the daemon, restart it on the same directory, and run the
-// same loadgen line again with -require-store-hits. Every first touch of a
-// shortcut in the second run is served from the store ("store hits"
-// above), so its p50 against the first run's "cold builds" p50 is the
-// measured warm-start advantage, and `server: 0 builds` proves nothing was
-// rebuilt. CI automates exactly this (see .github/workflows/ci.yml);
-// OPERATIONS.md documents the operator runbook.
+// It exits nonzero on any failed request, when no request completed, or
+// when the counter a -require-* flag names is zero. Latency, throughput
+// and allocations are cmd/locshortbench's to measure.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"locshort/internal/cli"
-	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/store"
 	"locshort/internal/wire"
 )
 
+const (
+	// conns is the number of closed-loop connections.
+	conns = 8
+	// timeout bounds one request, and how long one async job is polled, so
+	// a wedged daemon or job queue shows as failed requests, not a hang.
+	timeout = 5 * time.Minute
+)
+
+// sources are the latency classes an answer can name, in report order.
+var sources = [...]string{"cache", "store", "peer", "built"}
+
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-type sample struct {
-	latency time.Duration
-	source  string // "built", "store", "peer", or "cache" (empty for jobs)
-	job     bool
-}
-
-type client struct {
-	name string // the address as given, for per-node report lines
-	base string
-	hc   *http.Client
-}
-
-func (c *client) post(path string, body, out any) error {
-	return c.postStatus(path, body, http.StatusOK, out)
-}
-
-func (c *client) postStatus(path string, body any, wantStatus int, out any) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
-// postGraphBinary ingests a canonical graph payload over the binary
-// protocol. The If-None-Match probe makes re-ingest of known content a
-// 304 before the server reads the body.
-func (c *client) postGraphBinary(payload []byte, fp string) error {
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/graphs", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set("Accept", wire.ContentType)
-	req.Header.Set("If-None-Match", `"`+fp+`"`)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotModified {
-		return fmt.Errorf("POST /v1/graphs: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
-}
-
-// postShortcutBinary issues one binary-protocol build-or-get. The latency
-// class comes back in a response header; the payload body is fully
-// drained so the connection goes back to the keep-alive pool.
-func (c *client) postShortcutBinary(fp service.Fingerprint, partSpec string, seed int64) (source string, err error) {
-	body := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: partSpec, Seed: seed})
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/shortcuts", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return "", fmt.Errorf("POST /v1/shortcuts: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.Header.Get(wire.HeaderSource), nil
-}
-
-func (c *client) get(path string, out any) error {
-	resp, err := c.hc.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// asyncJobTimeout bounds how long one submitted job is polled before it
-// counts as an error — matching the HTTP client timeout a synchronous
-// request gets, so a wedged queue surfaces as errors, not a hang.
-const asyncJobTimeout = 5 * time.Minute
-
-// runAsync submits one request with "async": true and long-polls the job
-// to completion. It returns the acknowledgement latency and the source
-// class of the final result ("" for query jobs).
-func (c *client) runAsync(path string, body map[string]any) (submit time.Duration, source string, err error) {
-	body["async"] = true
-	var sub struct {
-		ID string `json:"id"`
-	}
-	start := time.Now()
-	if err := c.postStatus(path, body, http.StatusAccepted, &sub); err != nil {
-		return 0, "", err
-	}
-	submit = time.Since(start)
-	var js struct {
-		State  string `json:"state"`
-		Error  string `json:"error"`
-		Result struct {
-			Source string `json:"source"`
-		} `json:"result"`
-	}
-	for {
-		if err := c.get("/v1/jobs/"+sub.ID+"?wait=30s", &js); err != nil {
-			return submit, "", err
-		}
-		switch js.State {
-		case "done":
-			return submit, js.Result.Source, nil
-		case "failed", "canceled":
-			return submit, "", fmt.Errorf("job %s %s: %s", sub.ID, js.State, js.Error)
-		}
-		if time.Since(start) > asyncJobTimeout {
-			return submit, "", fmt.Errorf("job %s still %s after %v", sub.ID, js.State, asyncJobTimeout)
-		}
-	}
-}
-
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "locshortd address (host:port or URL)")
-		addrs    = flag.String("addrs", "", "comma-separated cluster addresses; connections rotate through them round-robin (overrides -addr)")
-		duration = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		conns    = flag.Int("conns", 8, "concurrent closed-loop connections")
-		catalog  = flag.String("catalog", "grid:32x32;torus:16x16;wheel:200;ktree:300,4",
-			"semicolon-separated graph family specs, hottest first")
-		partSpec         = flag.String("parts", "blobs:32", "partition spec sent with every request")
-		seeds            = flag.Int("seeds", 4, "distinct partition seeds per graph (shortcut universe size)")
-		zipfS            = flag.Float64("zipf", 1.3, "Zipf skew across catalog ranks (>1)")
-		jobFrac          = flag.Float64("job-frac", 0, "fraction of requests that are MST jobs instead of shortcut builds")
-		seed             = flag.Int64("seed", 1, "generator seed")
-		encoding         = flag.String("encoding", "json", "wire encoding for ingest and synchronous shortcut requests: json or binary (async and job requests always use JSON)")
-		async            = flag.Bool("async", false, "submit with \"async\": true and long-poll GET /v1/jobs/{id}; report submit vs complete latency")
-		requireHits      = flag.Bool("require-hits", false, "exit nonzero unless the server reports cache hits")
-		requireStoreHits = flag.Bool("require-store-hits", false, "exit nonzero unless the server reports durable-store hits (restart-recovery assertion)")
+		addr             = fs.String("addr", "127.0.0.1:8080", "locshortd address (host:port or URL); a comma-separated list for a cluster")
+		duration         = fs.Duration("duration", 10*time.Second, "how long to send requests")
+		catalog          = fs.String("catalog", "grid:32x32;torus:16x16;wheel:200;ktree:300,4", "semicolon-separated graph family specs")
+		parts            = fs.String("parts", "blobs:32", "partition spec sent with every request")
+		seeds            = fs.Int("seeds", 4, "partition seeds per graph; the catalog times this many shortcut keys")
+		mode             = fs.String("mode", "json", `json, binary (binary ingest and answers) or async ("async": true, long-polled)`)
+		requireHits      = fs.Bool("require-hits", false, "exit nonzero unless the servers count cache hits")
+		requireStoreHits = fs.Bool("require-store-hits", false, "exit nonzero unless the servers count durable-store hits")
 	)
-	flag.Parse()
-	if *zipfS <= 1 {
-		return fmt.Errorf("-zipf must be > 1, got %v", *zipfS)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
 	}
-	if *conns < 1 {
-		return fmt.Errorf("-conns must be >= 1, got %d", *conns)
-	}
-	if *jobFrac < 0 || *jobFrac > 1 {
-		return fmt.Errorf("-job-frac must be in [0,1], got %v", *jobFrac)
-	}
-	if *encoding != "json" && *encoding != "binary" {
-		return fmt.Errorf("-encoding must be json or binary, got %q", *encoding)
-	}
-	binary := *encoding == "binary"
-
-	// Resolve the target list: -addrs (a cluster) wins over -addr (one
-	// daemon). Every node gets its own client; connections rotate through
-	// them per request, so the router is exercised from every entry point.
-	targetAddrs := []string{*addr}
-	if *addrs != "" {
-		targetAddrs = targetAddrs[:0]
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				targetAddrs = append(targetAddrs, a)
-			}
-		}
-		if len(targetAddrs) == 0 {
-			return fmt.Errorf("-addrs lists no addresses")
-		}
-	}
-	clients := make([]*client, len(targetAddrs))
-	for i, a := range targetAddrs {
-		base := a
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		clients[i] = &client{name: a, base: base, hc: &http.Client{Timeout: 5 * time.Minute}}
-	}
-	c := clients[0]
-
-	// Wait out each daemon's warm start: the listener binds before the store
-	// replays, and /v1/ requests 503 until GET /readyz flips. A 404 means a
-	// pre-readiness daemon — proceed as before. In cluster mode this also
-	// waits out the config-drift gate, so load never starts against a node
-	// serving a disagreeing ring.
-	for _, tc := range clients {
-		if err := awaitReady(tc, 30*time.Second); err != nil {
-			return fmt.Errorf("node %s: %w", tc.name, err)
-		}
+	if !slices.Contains([]string{"json", "binary", "async"}, *mode) {
+		return fmt.Errorf("-mode must be json, binary or async, got %q", *mode)
 	}
 
-	// Register the catalog up front and keep the fingerprints. Ingest goes
-	// through every node: content addressing makes it idempotent, and it
-	// keeps the run independent of the cluster's ingest broadcast having
-	// reached everyone before load starts.
-	specs := strings.Split(*catalog, ";")
-	fps := make([]string, len(specs))
-	binFPs := make([]service.Fingerprint, len(specs))
-	for i, spec := range specs {
-		spec = strings.TrimSpace(spec)
-		if binary {
-			// Binary ingest: encode the canonical payload client-side, hash
-			// it to the fingerprint the server will agree on, and send the
-			// bytes with an If-None-Match probe (re-ingest on later nodes or
-			// runs is a 304).
-			g, _, err := cli.ParseGraph(spec, 0)
-			if err != nil {
-				return fmt.Errorf("parse %q: %w", spec, err)
-			}
-			payload := store.EncodeGraphPayload(g)
-			binFPs[i] = service.FingerprintBytes(payload[1:])
-			fps[i] = binFPs[i].String()
-			for _, tc := range clients {
-				if err := tc.postGraphBinary(payload, fps[i]); err != nil {
-					return fmt.Errorf("ingest %q on %s: %w", spec, tc.name, err)
-				}
-			}
-			fmt.Printf("ingested %-16s %s (%d nodes, binary)\n", spec, fps[i], g.NumNodes())
-			continue
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = conns
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr, Timeout: timeout}
+	var nodes []*node
+	for _, a := range strings.Split(*addr, ",") {
+		if a = strings.TrimSpace(a); !strings.Contains(a, "://") {
+			a = "http://" + a
 		}
-		var g struct {
-			Graph string `json:"graph"`
-			Nodes int    `json:"nodes"`
+		n := &node{base: a, hc: hc}
+		if err := n.awaitReady(30 * time.Second); err != nil {
+			return err
 		}
-		for _, tc := range clients {
-			if err := tc.post("/v1/graphs", map[string]any{"spec": spec}, &g); err != nil {
-				return fmt.Errorf("ingest %q on %s: %w", spec, tc.name, err)
-			}
-		}
-		fps[i] = g.Graph
-		fmt.Printf("ingested %-16s %s (%d nodes)\n", spec, g.Graph, g.Nodes)
+		nodes = append(nodes, n)
+	}
+	graphs, err := ingest(nodes, *catalog, *mode == "binary", out)
+	if err != nil {
+		return err
 	}
 
-	// Cumulative server-side counters before the run: the delta across the
-	// run gives server allocations per request (see the summary line).
-	allocs0, reqs0, allocsOK := sampleServerAllocs(clients)
-
-	// Closed loop: each connection issues the next request as soon as the
-	// previous one returns (in -async mode: as soon as the previous job
-	// completes, keeping the comparison closed-loop).
 	var (
 		mu       sync.Mutex
-		samples  []sample
-		submits  []time.Duration
-		errs     int
+		counts   [len(sources)]int
+		failed   int
 		firstErr error
+		wg       sync.WaitGroup
 	)
+	s := *seeds
+	keys := len(graphs) * s
 	deadline := time.Now().Add(*duration)
-	var wg sync.WaitGroup
-	for w := 0; w < *conns; w++ {
+	for w := 0; w < conns; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(w)))
-			zipf := rand.NewZipf(rng, *zipfS, 1, uint64(len(fps)-1))
-			for n := w; time.Now().Before(deadline); n++ {
-				// Round-robin across the targets, offset by the connection
-				// index so concurrent connections spread over the nodes.
-				tc := clients[n%len(clients)]
-				gi := int(zipf.Uint64())
-				ps := rng.Int63n(int64(*seeds))
-				isJob := rng.Float64() < *jobFrac
-				start := time.Now()
-				var err error
-				var submit time.Duration
-				s := sample{job: isJob}
-				switch {
-				case *async && isJob:
-					submit, _, err = tc.runAsync("/v1/jobs", map[string]any{
-						"kind": "mst", "graph": fps[gi], "seed": ps,
-					})
-				case *async:
-					submit, s.source, err = tc.runAsync("/v1/shortcuts", map[string]any{
-						"graph": fps[gi], "partition": *partSpec, "seed": ps,
-					})
-				case isJob:
-					err = tc.post("/v1/jobs", map[string]any{
-						"kind": "mst", "graph": fps[gi], "seed": ps,
-					}, nil)
-				case binary:
-					s.source, err = tc.postShortcutBinary(binFPs[gi], *partSpec, ps)
-				default:
-					var resp struct {
-						Cached bool   `json:"cached"`
-						Source string `json:"source"`
-					}
-					err = tc.post("/v1/shortcuts", map[string]any{
-						"graph": fps[gi], "partition": *partSpec, "seed": ps,
-					}, &resp)
-					s.source = resp.Source
-					if s.source == "" { // pre-source servers: fall back to the cached flag
-						if resp.Cached {
-							s.source = "cache"
-						} else {
-							s.source = "built"
-						}
-					}
+			for i := w; time.Now().Before(deadline); i++ {
+				k, nd := i%keys, nodes[i/keys%len(nodes)]
+				src, err := nd.shortcut(*mode, graphs[k/s], *parts, int64(k%s))
+				// A relayed answer names the owner's class behind "forward:".
+				c := slices.Index(sources[:], strings.TrimPrefix(src, "forward:"))
+				if err == nil && c < 0 {
+					err = fmt.Errorf("%s: answer names no known source (%q)", nd.base, src)
 				}
-				// A forwarded answer reports "forward:<owner's source>"; the
-				// latency class is the owner's, plus one hop.
-				s.source = strings.TrimPrefix(s.source, "forward:")
-				s.latency = time.Since(start)
 				mu.Lock()
-				if err != nil {
-					errs++
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					samples = append(samples, s)
-					if *async {
-						submits = append(submits, submit)
-					}
+				if err == nil {
+					counts[c]++
+				} else if failed++; firstErr == nil {
+					firstErr = err
 				}
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
+	ok := counts[0] + counts[1] + counts[2] + counts[3]
+	fmt.Fprintf(out, "requests: %d ok, %d errors (cache %d, store %d, peer %d, built %d)\n",
+		ok, failed, counts[0], counts[1], counts[2], counts[3])
 
-	if len(samples) == 0 {
-		if firstErr != nil {
-			return fmt.Errorf("no request succeeded: %w", firstErr)
+	// The servers' own accounting, summed: in a cluster, which node's
+	// cache or store served a key depends on ring ownership, not on the
+	// node a request entered through.
+	var sum service.Stats
+	for _, n := range nodes {
+		var st struct{ Stats service.Stats }
+		if _, err := n.call(http.MethodGet, "/v1/stats", nil, "", http.StatusOK, &st); err != nil {
+			return err
 		}
+		sum.Builds += st.Stats.Builds
+		sum.CacheHits += st.Stats.CacheHits
+		sum.StoreHits += st.Stats.StoreHits
+		sum.PeerHits += st.Stats.PeerHits
+	}
+	fmt.Fprintf(out, "server: %d builds, %d cache hits, %d store hits, %d peer hits on %d nodes\n",
+		sum.Builds, sum.CacheHits, sum.StoreHits, sum.PeerHits, len(nodes))
+	switch {
+	case failed > 0:
+		return fmt.Errorf("%d of %d requests failed, the first: %w", failed, ok+failed, firstErr)
+	case ok == 0:
 		return fmt.Errorf("no request completed within %v", *duration)
-	}
-	report(samples, submits, errs, *duration)
-	// Server-side allocations per request across the run, from the
-	// locshort_go_mallocs_total delta over the request-count delta — the
-	// cheap always-on stand-in for an allocation profile, and the number
-	// the binary protocol exists to shrink.
-	if a1, r1, ok := sampleServerAllocs(clients); ok && allocsOK && r1 > reqs0 {
-		fmt.Printf("encoding: %s, server allocs/request: %.0f (over %.0f requests)\n",
-			*encoding, (a1-allocs0)/(r1-reqs0), r1-reqs0)
-	} else {
-		fmt.Printf("encoding: %s\n", *encoding)
-	}
-	if firstErr != nil {
-		fmt.Printf("first error: %v\n", firstErr)
-	}
-
-	// Ask each server for its own accounting. The require-* assertions sum
-	// across the targets: in a cluster, which node's cache or store served
-	// a request depends on ring ownership, not on which node we asked.
-	var agg service.Stats
-	for _, tc := range clients {
-		var stats struct {
-			Stats   service.Stats `json:"stats"`
-			HitRate float64       `json:"hit_rate"`
-		}
-		if err := tc.get("/v1/stats", &stats); err != nil {
-			if len(clients) == 1 {
-				return err
-			}
-			fmt.Printf("node %s: stats unavailable: %v\n", tc.name, err)
-			continue
-		}
-		agg.Builds += stats.Stats.Builds
-		agg.CacheHits += stats.Stats.CacheHits
-		agg.StoreHits += stats.Stats.StoreHits
-		agg.PeerHits += stats.Stats.PeerHits
-		if len(clients) > 1 {
-			continue // single-node report below; cluster gets the /metrics table
-		}
-		fmt.Printf("server: %d builds, %d hits / %d misses (hit rate %.2f), %d evictions, %d graphs\n",
-			stats.Stats.Builds, stats.Stats.CacheHits, stats.Stats.CacheMisses,
-			stats.HitRate, stats.Stats.CacheEvictions, stats.Stats.Graphs)
-		if stats.Stats.StoreHits+stats.Stats.StoreMisses+stats.Stats.StoreWrites+stats.Stats.StoreErrors > 0 {
-			fmt.Printf("server store: %d hits / %d misses, %d writes, %d errors\n",
-				stats.Stats.StoreHits, stats.Stats.StoreMisses,
-				stats.Stats.StoreWrites, stats.Stats.StoreErrors)
-		}
-		if stats.Stats.PeerHits+stats.Stats.PeerMisses+stats.Stats.PeerErrors > 0 {
-			fmt.Printf("server peer: %d hits / %d misses, %d errors, %d forwards, %d sync pulls\n",
-				stats.Stats.PeerHits, stats.Stats.PeerMisses, stats.Stats.PeerErrors,
-				stats.Stats.Forwards, stats.Stats.SyncPulls)
-		}
-		if stats.Stats.AsyncSubmitted > 0 || stats.Stats.AsyncQueued+stats.Stats.AsyncRunning > 0 {
-			fmt.Printf("server async: %d submitted, %d queued / %d running, %d done, %d failed, %d canceled\n",
-				stats.Stats.AsyncSubmitted, stats.Stats.AsyncQueued, stats.Stats.AsyncRunning,
-				stats.Stats.AsyncDone, stats.Stats.AsyncFailed, stats.Stats.AsyncCanceled)
-		}
-	}
-	if len(clients) > 1 {
-		fmt.Printf("cluster: %d builds, %d cache hits, %d store hits, %d peer hits across %d nodes\n",
-			agg.Builds, agg.CacheHits, agg.StoreHits, agg.PeerHits, len(clients))
-		// Per-node source split scraped from each node's /metrics: where
-		// the builds happened, which caches served, how much traffic was
-		// forwarded to owners, and what anti-entropy moved.
-		reportClusterMetrics(clients)
-	} else {
-		// End-of-run /metrics scrape: the server-side per-route latency view
-		// next to the client-side one above. A gap between the two is queueing
-		// or transport cost the server never saw; matching numbers mean the
-		// latency lives in the handlers. Daemons without /metrics skip this.
-		reportServerMetrics(c, c.base)
-	}
-	if *requireHits && agg.CacheHits == 0 {
-		return fmt.Errorf("require-hits: server reports zero cache hits")
-	}
-	if *requireStoreHits && agg.StoreHits == 0 {
-		return fmt.Errorf("require-store-hits: server reports zero durable-store hits")
+	case *requireHits && sum.CacheHits == 0:
+		return errors.New("-require-hits: the servers count no cache hits")
+	case *requireStoreHits && sum.StoreHits == 0:
+		return errors.New("-require-store-hits: the servers count no store hits")
 	}
 	return nil
 }
 
-// reportClusterMetrics prints the per-node source split from each node's
-// /metrics — builds, cache/store/peer hits, forwards, sync pulls — so a
-// cluster run shows where the work landed, not just the totals. Best
-// effort: an unreachable node (the kill-one scenario) prints as such.
-func reportClusterMetrics(clients []*client) {
-	fmt.Println("per-node split (from /metrics):")
-	for _, tc := range clients {
-		resp, err := tc.hc.Get(tc.base + "/metrics")
-		if err != nil {
-			fmt.Printf("  %s: unreachable: %v\n", tc.name, err)
-			continue
+// ingest registers the catalog through every node and returns the graphs'
+// fingerprints. Content addressing makes the repeats no-ops, and ingesting
+// everywhere keeps the run from depending on a cluster's ingest broadcast.
+// In binary mode the fingerprint is computed here from the canonical
+// payload, which goes up behind If-None-Match: a node that holds the graph
+// answers 304 before it reads the body.
+func ingest(nodes []*node, catalog string, binary bool, out io.Writer) ([]service.Fingerprint, error) {
+	var fps []service.Fingerprint
+	for _, spec := range strings.Split(catalog, ";") {
+		spec = strings.TrimSpace(spec)
+		var ans struct {
+			Graph string `json:"graph"`
 		}
-		sc, perr := obs.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || perr != nil {
-			fmt.Printf("  %s: /metrics unavailable (status %d, err %v)\n", tc.name, resp.StatusCode, perr)
-			continue
-		}
-		v := func(name string, labels obs.Labels) float64 {
-			x, _ := sc.Value(name, labels)
-			return x
-		}
-		fmt.Printf("  %s: builds %.0f  cache hits %.0f  store hits %.0f  peer hits %.0f  forwards %.0f  sync pulls %.0f\n",
-			tc.name,
-			v("locshort_engine_builds_total", nil),
-			v("locshort_engine_cache_hits_total", nil),
-			v("locshort_engine_store_reads_total", obs.Labels{"outcome": "hit"}),
-			v("locshort_engine_peer_reads_total", obs.Labels{"outcome": "hit"}),
-			v("locshort_cluster_forwards_total", obs.Labels{"outcome": "ok"}),
-			v("locshort_cluster_sync_pulls_total", nil))
-	}
-}
-
-// sampleServerAllocs reads the cumulative server-side allocation and HTTP
-// request counters from every node's /metrics. Best effort: a node without
-// the metrics (pre-metrics daemon, or /metrics disabled) reports ok=false
-// and the summary's allocs/request line is skipped.
-func sampleServerAllocs(clients []*client) (mallocs, requests float64, ok bool) {
-	for _, tc := range clients {
-		resp, err := tc.hc.Get(tc.base + "/metrics")
-		if err != nil {
-			return 0, 0, false
-		}
-		sc, perr := obs.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || perr != nil {
-			return 0, 0, false
-		}
-		m, found := sc.Value("locshort_go_mallocs_total", nil)
-		if !found {
-			return 0, 0, false
-		}
-		mallocs += m
-		for _, s := range sc.Matching("locshort_http_requests_total", nil) {
-			requests += s.Value
-		}
-	}
-	return mallocs, requests, true
-}
-
-// awaitReady polls GET /readyz until the daemon reports ready, the probe
-// 404s (daemon predates /readyz), or the deadline passes.
-func awaitReady(c *client, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
-	for {
-		resp, err := c.hc.Get(c.base + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound {
-				return nil
+		var body, dst any = map[string]string{"spec": spec}, &ans
+		etag := ""
+		if binary {
+			g, _, err := cli.ParseGraph(spec, 0)
+			if err != nil {
+				return nil, fmt.Errorf("parse %q: %w", spec, err)
 			}
+			payload := store.EncodeGraphPayload(g)
+			body, dst, ans.Graph = payload, nil, service.FingerprintBytes(payload[1:]).String()
+			etag = `"` + ans.Graph + `"`
+		}
+		for _, n := range nodes {
+			if _, err := n.call(http.MethodPost, "/v1/graphs", body, etag, http.StatusOK, dst); err != nil {
+				return nil, fmt.Errorf("ingest %q: %w", spec, err)
+			}
+		}
+		fp, err := service.ParseFingerprint(ans.Graph)
+		if err != nil {
+			return nil, fmt.Errorf("ingest %q: %w", spec, err)
+		}
+		fps = append(fps, fp)
+		fmt.Fprintf(out, "ingested %s as %s\n", spec, fp)
+	}
+	return fps, nil
+}
+
+// node is one daemon the run talks to.
+type node struct {
+	base string // http://host:port
+	hc   *http.Client
+}
+
+// awaitReady polls GET /readyz until it answers 200: the listener binds
+// before the warm start, and in a cluster readiness also waits out a
+// ring-config drift.
+func (n *node) awaitReady(wait time.Duration) error {
+	for deadline := time.Now().Add(wait); ; time.Sleep(100 * time.Millisecond) {
+		_, err := n.call(http.MethodGet, "/readyz", nil, "", http.StatusOK, nil)
+		if err == nil {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("daemon never became ready within %v: %w", wait, err)
-			}
-			return fmt.Errorf("daemon never became ready within %v", wait)
+			return fmt.Errorf("not ready after %v: %w", wait, err)
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// reportServerMetrics prints the daemon's own per-route latency quantiles
-// from /metrics, best-effort: absence (pre-metrics daemon) is silent,
-// parse failures are reported but never fail the run.
-func reportServerMetrics(c *client, base string) {
-	resp, err := c.hc.Get(base + "/metrics")
+// shortcut asks the node for one shortcut in the given mode and returns
+// the source its answer names.
+func (n *node) shortcut(mode string, fp service.Fingerprint, parts string, seed int64) (string, error) {
+	if mode == "binary" {
+		body := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: parts, Seed: seed})
+		h, err := n.call(http.MethodPost, "/v1/shortcuts", body, "", http.StatusOK, nil)
+		return h.Get(wire.HeaderSource), err
+	}
+	req := map[string]any{"graph": fp.String(), "partition": parts, "seed": seed}
+	var ans struct {
+		ID, State, Error, Source string
+		Result                   struct{ Source string }
+	}
+	if mode == "json" {
+		_, err := n.call(http.MethodPost, "/v1/shortcuts", req, "", http.StatusOK, &ans)
+		return ans.Source, err
+	}
+	req["async"] = true
+	if _, err := n.call(http.MethodPost, "/v1/shortcuts", req, "", http.StatusAccepted, &ans); err != nil {
+		return "", err
+	}
+	for start := time.Now(); time.Since(start) < timeout; {
+		if _, err := n.call(http.MethodGet, "/v1/jobs/"+ans.ID+"?wait=30s", nil, "", http.StatusOK, &ans); err != nil {
+			return "", err
+		}
+		switch ans.State {
+		case "done":
+			return ans.Result.Source, nil
+		case "failed", "canceled":
+			return "", fmt.Errorf("%s: job %s %s: %s", n.base, ans.ID, ans.State, ans.Error)
+		}
+	}
+	return "", fmt.Errorf("%s: job %s still %s after %v", n.base, ans.ID, ans.State, timeout)
+}
+
+// call sends one request and checks that the answer's status is want; a
+// request with an etag (sent as If-None-Match) takes 304 too. body is
+// JSON-encoded, or sent as it is in the binary protocol when it is a
+// []byte. A JSON answer is decoded into out when out is not nil, and the
+// body is always read to its end, so the connection goes back to the pool.
+func (n *node) call(method, path string, body any, etag string, want int, out any) (http.Header, error) {
+	b, ctype := []byte(nil), "application/json"
+	if raw, ok := body.([]byte); ok {
+		b, ctype = raw, wire.ContentType
+	} else if body != nil {
+		b, _ = json.Marshal(body) // maps of strings and numbers always encode
+	}
+	req, err := http.NewRequest(method, n.base+path, bytes.NewReader(b))
 	if err != nil {
-		return
+		return nil, err
+	}
+	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Accept", ctype)
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
+	resp, err := n.hc.Do(req)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
+	if resp.StatusCode != want && (etag == "" || resp.StatusCode != http.StatusNotModified) {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("%s %s%s: %s: %s", method, n.base, path, resp.Status, bytes.TrimSpace(msg))
 	}
-	sc, err := obs.ParsePrometheus(resp.Body)
-	if err != nil {
-		fmt.Printf("server metrics: unparseable: %v\n", err)
-		return
-	}
-	routes := map[string]bool{}
-	for _, s := range sc.Matching("locshort_http_request_seconds_count", nil) {
-		if r := s.Label("route"); r != "" {
-			routes[r] = true
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return nil, fmt.Errorf("%s %s%s: %w", method, n.base, path, err)
 		}
 	}
-	names := make([]string, 0, len(routes))
-	for r := range routes {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	for _, route := range names {
-		h, ok := sc.Histogram("locshort_http_request_seconds", obs.Labels{"route": route})
-		if !ok || h.Count() == 0 {
-			continue
-		}
-		fmt.Printf("server %-22s %-6d p50 %-10v p99 %v\n",
-			route+":", h.Count(),
-			time.Duration(h.Quantile(0.5)*float64(time.Second)).Round(10*time.Microsecond),
-			time.Duration(h.Quantile(0.99)*float64(time.Second)).Round(10*time.Microsecond))
-	}
-}
-
-func report(samples []sample, submits []time.Duration, errs int, d time.Duration) {
-	var cold, stored, peer, hit, jobs []time.Duration
-	for _, s := range samples {
-		switch {
-		case s.job:
-			jobs = append(jobs, s.latency)
-		case s.source == "cache":
-			hit = append(hit, s.latency)
-		case s.source == "store":
-			stored = append(stored, s.latency)
-		case s.source == "peer":
-			peer = append(peer, s.latency)
-		default:
-			cold = append(cold, s.latency)
-		}
-	}
-	fmt.Printf("requests: %d ok, %d errors, %.1f req/s\n",
-		len(samples), errs, float64(len(samples))/d.Seconds())
-	line := func(name string, ls []time.Duration) {
-		if len(ls) == 0 {
-			fmt.Printf("%-14s 0\n", name+":")
-			return
-		}
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-		fmt.Printf("%-14s %-6d p50 %-10v p99 %v\n",
-			name+":", len(ls), quantile(ls, 0.50), quantile(ls, 0.99))
-	}
-	// The async split: acknowledgement latency (what the submitter waits)
-	// vs the completion latencies below (submit → terminal, classified by
-	// source like the synchronous report).
-	if len(submits) > 0 {
-		line("async submits", submits)
-	}
-	line("cold builds", cold)
-	if len(stored) > 0 {
-		line("store hits", stored)
-	}
-	if len(peer) > 0 {
-		line("peer fetches", peer)
-	}
-	line("cache hits", hit)
-	if len(jobs) > 0 {
-		line("mst jobs", jobs)
-	}
-	if len(cold) > 0 && len(hit) > 0 {
-		ratio := float64(quantile(cold, 0.50)) / float64(quantile(hit, 0.50))
-		fmt.Printf("hit/cold median speedup: %.1fx\n", ratio)
-	}
-	if len(cold) > 0 && len(stored) > 0 {
-		ratio := float64(quantile(cold, 0.50)) / float64(quantile(stored, 0.50))
-		fmt.Printf("store/cold median speedup: %.1fx (warm start vs rebuild)\n", ratio)
-	}
-}
-
-// quantile returns the q-th quantile of sorted latencies (nearest rank).
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i].Round(10 * time.Microsecond)
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.Header, err
 }

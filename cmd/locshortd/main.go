@@ -87,7 +87,7 @@
 // (backup, gc, verify, jobs).
 //
 // -addr :0 picks a free port; the bound address is printed on stdout and,
-// with -addrfile, written to PATH so scripts (CI, cmd/loadgen) can find
+// with -addrfile, written to PATH so scripts (CI's smoke steps) can find
 // the daemon without racing for a port. SIGINT/SIGTERM stop accepting,
 // close idle connections and drain in-flight requests before exit;
 // pending store writes are flushed before the process exits, so a clean

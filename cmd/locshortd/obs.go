@@ -170,17 +170,27 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		if s.metrics != nil {
 			s.metrics.inFlight.Add(1)
 		}
+		// Deferred, so a handler panic, which the connection loop recovers
+		// and answers 500, still lowers the in-flight gauge and is counted
+		// and logged as a 500.
+		returned := false
+		defer func() {
+			if !returned {
+				rec.status = http.StatusInternalServerError
+			}
+			dur := time.Since(start)
+			route := r.Pattern // set by the mux during ServeHTTP
+			if route == "" {
+				route = "unmatched"
+			}
+			if s.metrics != nil {
+				s.metrics.inFlight.Add(-1)
+				s.metrics.observe(route, rec.status, dur)
+			}
+			s.logRequest(id, route, rec.status, dur, &rec.info)
+		}()
 		next.ServeHTTP(rec, r)
-		dur := time.Since(start)
-		route := r.Pattern // set by the mux during ServeHTTP
-		if route == "" {
-			route = "unmatched"
-		}
-		if s.metrics != nil {
-			s.metrics.inFlight.Add(-1)
-			s.metrics.observe(route, rec.status, dur)
-		}
-		s.logRequest(id, route, rec.status, dur, &rec.info)
+		returned = true
 	})
 }
 

@@ -365,3 +365,47 @@ func TestPanicAnswers500WithoutStack(t *testing.T) {
 		t.Errorf("log %q: want one panic line carrying the stack", logs)
 	}
 }
+
+// TestInstrumentCountsPanics serves a panicking route through
+// instrument and the connection loop: after the panic's 500, the
+// in-flight gauge is back where it was before the request, and the
+// request is counted and logged as a 500.
+func TestInstrumentCountsPanics(t *testing.T) {
+	reg := obs.NewRegistry()
+	logbuf := &syncBuffer{}
+	s := &server{obsReg: reg, metrics: newHTTPMetrics(reg), logger: obs.NewLogger(logbuf)}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /panic", func(http.ResponseWriter, *http.Request) { panic("handler bug") })
+	ts := serveLoop(t, s.instrument(mux))
+	ts.srv.logger = s.logger
+	t.Cleanup(ts.Close)
+
+	inFlight := func() float64 {
+		t.Helper()
+		v, ok := scrape(t, ts.URL).Value("locshort_http_in_flight", nil)
+		if !ok {
+			t.Fatal("no locshort_http_in_flight in /metrics")
+		}
+		return v
+	}
+	before := inFlight() // the scrape itself is in flight
+	resp, err := http.Get(ts.URL + "/panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET /panic: %d, want 500", resp.StatusCode)
+	}
+	if after := inFlight(); after != before {
+		t.Errorf("locshort_http_in_flight %v after the panic, %v before it", after, before)
+	}
+	if n, _ := scrape(t, ts.URL).Value("locshort_http_requests_total",
+		obs.Labels{"route": "GET /panic", "code": "500"}); n != 1 {
+		t.Errorf(`locshort_http_requests_total{route="GET /panic",code="500"} = %v, want 1`, n)
+	}
+	if logs := logbuf.String(); !strings.Contains(logs, `route="GET /panic" code=500`) {
+		t.Errorf("no request line for the panic:\n%s", logs)
+	}
+}

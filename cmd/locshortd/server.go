@@ -114,8 +114,9 @@ func newServer(eng *service.Engine, jcfg jobs.Config, o serverOptions) (*server,
 		o.reg.CounterFunc("locshort_http_encode_errors_total",
 			"Response encode or write failures (previously dropped silently).",
 			nil, func() float64 { return float64(s.encodeErrs.Load()) })
-		// Cumulative heap allocation count: loadgen samples it around a run
-		// to report allocs per request without attaching a profiler.
+		// Cumulative heap allocation count: cmd/locshortbench samples it
+		// around a run for server_allocs_per_req without attaching a
+		// profiler.
 		o.reg.CounterFunc("locshort_go_mallocs_total",
 			"Cumulative heap objects allocated (runtime.MemStats.Mallocs).",
 			nil, func() float64 {

@@ -263,9 +263,8 @@ func ParsePartition(g *graph.Graph, spec string, seed int64) (*partition.Partiti
 	}
 }
 
-// buildOptionKeys lists, in canonical order, the textual keys of the
-// shortcut.Options fields the service layer exchanges; accessor pairs keep
-// Format and Parse in lockstep.
+// buildOptionKeys lists the textual keys of the shortcut.Options fields a
+// request may set, in the order an unknown-key error names them.
 var buildOptionKeys = []string{"delta", "maxdelta", "cf", "bf", "iters"}
 
 func buildOptionField(o *shortcut.Options, key string) *int {
@@ -284,18 +283,6 @@ func buildOptionField(o *shortcut.Options, key string) *int {
 	return nil
 }
 
-// FormatBuildOptions renders the service-relevant fields of opts in the
-// canonical spec form "delta=0,maxdelta=0,cf=0,bf=0,iters=0" — every key
-// present, fixed order — so equal options always format identically.
-// Tree, Certify, and Rng have no textual form (the service rejects them).
-func FormatBuildOptions(o shortcut.Options) string {
-	parts := make([]string, len(buildOptionKeys))
-	for i, k := range buildOptionKeys {
-		parts[i] = fmt.Sprintf("%s=%d", k, *buildOptionField(&o, k))
-	}
-	return strings.Join(parts, ",")
-}
-
 // MaxBuildFactor bounds the cf, bf and iters build options (the paper's
 // constant is 8). With delta and maxdelta at most graph.MaxNodes (2^22),
 // and a tree depth D below the node count, the level products
@@ -305,8 +292,9 @@ func FormatBuildOptions(o shortcut.Options) string {
 // may warm start with up to 2^26 nodes, too: c < 2^60 there.
 const MaxBuildFactor = 256
 
-// ParseBuildOptions parses the FormatBuildOptions form. Keys may appear in
-// any order and any subset (missing keys stay zero, i.e. paper defaults);
+// ParseBuildOptions parses comma-separated key=value build options
+// ("delta=8,maxdelta=64,cf=8,bf=8,iters=12"). Keys may appear in any
+// order and any subset (missing keys stay zero, i.e. paper defaults);
 // duplicate or unknown keys are errors, and so is a value over its bound:
 // graph.MaxNodes for delta and maxdelta, MaxBuildFactor for cf, bf and
 // iters. The empty string is the zero Options.

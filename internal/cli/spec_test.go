@@ -231,15 +231,28 @@ func TestParsePartitionRowsFactors(t *testing.T) {
 	}
 }
 
+// TestBuildOptionsRoundTrip renders Options through the key table that
+// ParseBuildOptions reads (buildOptionKeys and buildOptionField) and
+// parses them back: each key must name a field of its own, so no option is
+// dropped or set twice.
 func TestBuildOptionsRoundTrip(t *testing.T) {
 	cases := []shortcut.Options{
 		{},
 		{Delta: 4},
 		{Delta: 8, MaxDelta: 64, CongestionFactor: 8, BlockFactor: 8, MaxIterations: 12},
 		{CongestionFactor: 16},
+		{Delta: 1, MaxDelta: 2, CongestionFactor: 3, BlockFactor: 4, MaxIterations: 5},
 	}
 	for _, o := range cases {
-		s := FormatBuildOptions(o)
+		parts := make([]string, len(buildOptionKeys))
+		for i, k := range buildOptionKeys {
+			f := buildOptionField(&o, k)
+			if f == nil {
+				t.Fatalf("key %q names no field", k)
+			}
+			parts[i] = fmt.Sprintf("%s=%d", k, *f)
+		}
+		s := strings.Join(parts, ",")
 		got, err := ParseBuildOptions(s)
 		if err != nil {
 			t.Fatalf("ParseBuildOptions(%q) error = %v", s, err)
@@ -247,23 +260,23 @@ func TestBuildOptionsRoundTrip(t *testing.T) {
 		if got != o {
 			t.Errorf("round trip %q: got %+v, want %+v", s, got, o)
 		}
-		// Formatting is canonical: a second round trip is a fixed point.
-		if s2 := FormatBuildOptions(got); s2 != s {
-			t.Errorf("format not canonical: %q then %q", s, s2)
-		}
 	}
 }
 
 func TestParseBuildOptionsForms(t *testing.T) {
-	// Empty string is the zero options (paper defaults).
-	o, err := ParseBuildOptions("")
-	if err != nil || o != (shortcut.Options{}) {
-		t.Errorf("empty spec = %+v, %v", o, err)
-	}
-	// Any key order and subsets are fine.
-	o, err = ParseBuildOptions("bf=2, delta=3")
-	if err != nil || o.BlockFactor != 2 || o.Delta != 3 {
-		t.Errorf("subset spec = %+v, %v", o, err)
+	// The empty string is the zero options (paper defaults); any key
+	// order and any subset of the keys are fine.
+	for s, want := range map[string]shortcut.Options{
+		"":                                     {},
+		"delta=0,maxdelta=0,cf=0,bf=0,iters=0": {},
+		"bf=2, delta=3":                        {BlockFactor: 2, Delta: 3},
+		"cf=16":                                {CongestionFactor: 16},
+		"delta=8,maxdelta=64,cf=8,bf=8,iters=12": {
+			Delta: 8, MaxDelta: 64, CongestionFactor: 8, BlockFactor: 8, MaxIterations: 12},
+	} {
+		if got, err := ParseBuildOptions(s); err != nil || got != want {
+			t.Errorf("ParseBuildOptions(%q) = %+v, %v; want %+v", s, got, err, want)
+		}
 	}
 	for _, bad := range []string{
 		"delta",           // not key=value

@@ -149,18 +149,6 @@ func Diameter(g *Graph) (int, error) {
 	return d, nil
 }
 
-// DiameterApprox returns lower and upper bounds on the diameter of a
-// connected graph using the double-sweep heuristic: lo is the distance found
-// by two BFS sweeps, hi is twice the eccentricity of the second sweep's
-// source (a valid upper bound since ecc(v) <= diam <= 2*ecc(v)).
-func DiameterApprox(g *Graph) (lo, hi int, err error) {
-	e := g.CSR().DoubleSweep(new(DiameterScratch))
-	if e < 0 {
-		return 0, 0, ErrDisconnected
-	}
-	return e, 2 * e, nil
-}
-
 // InducedDiameter returns the exact diameter of the subgraph induced by the
 // node set nodes, augmented with the extra edges extra (given as node pairs;
 // both endpoints must be members of nodes). It returns -1 if the augmented

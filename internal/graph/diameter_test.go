@@ -35,7 +35,8 @@ func doubleSweepReference(g *Graph) (int, error) {
 	return ecc, nil
 }
 
-// checkDiameter compares Diameter and DiameterApprox with the references.
+// checkDiameter compares Diameter and the CSR double sweep with the
+// references.
 func checkDiameter(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	want, wantErr := diameterAllPairs(g)
@@ -44,9 +45,11 @@ func checkDiameter(t *testing.T, name string, g *Graph) {
 		t.Errorf("%s: Diameter = %d, %v; all-pairs = %d, %v", name, got, err, want, wantErr)
 	}
 	wantE, wantErr := doubleSweepReference(g)
-	lo, hi, err := DiameterApprox(g)
-	if !errors.Is(err, wantErr) || lo != wantE || hi != 2*wantE {
-		t.Errorf("%s: DiameterApprox = [%d,%d], %v; reference sweep = %d, %v", name, lo, hi, err, wantE, wantErr)
+	if wantErr != nil {
+		wantE = -1
+	}
+	if e := g.CSR().DoubleSweep(new(DiameterScratch)); e != wantE {
+		t.Errorf("%s: DoubleSweep = %d; reference sweep = %d, %v", name, e, wantE, wantErr)
 	}
 }
 

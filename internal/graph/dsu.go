@@ -42,11 +42,5 @@ func (d *DSU) Union(x, y int) bool {
 	return true
 }
 
-// Same reports whether x and y are in the same set.
-func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
 // Sets returns the current number of disjoint sets.
 func (d *DSU) Sets() int { return d.sets }
-
-// SizeOf returns the size of the set containing x.
-func (d *DSU) SizeOf(x int) int { return d.size[d.Find(x)] }

@@ -194,6 +194,8 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
+// TestDiameterApproxBounds: the double sweep's e bounds the exact
+// diameter as e <= diam <= 2e.
 func TestDiameterApproxBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
@@ -208,12 +210,8 @@ func TestDiameterApproxBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Diameter() error = %v", err)
 		}
-		lo, hi, err := DiameterApprox(g)
-		if err != nil {
-			t.Fatalf("DiameterApprox() error = %v", err)
-		}
-		if lo > exact || hi < exact {
-			t.Errorf("n=%d m=%d: approx bounds [%d,%d] exclude exact %d", n, m, lo, hi, exact)
+		if e := g.CSR().DoubleSweep(new(DiameterScratch)); e > exact || 2*e < exact {
+			t.Errorf("n=%d m=%d: double sweep bounds [%d,%d] exclude exact %d", n, m, e, 2*e, exact)
 		}
 	}
 }
@@ -253,14 +251,11 @@ func TestDSU(t *testing.T) {
 	if d.Union(1, 2) {
 		t.Error("redundant union reported true")
 	}
-	if !d.Same(0, 2) || d.Same(0, 4) {
-		t.Error("Same() disagrees with unions")
+	if d.Find(0) != d.Find(2) || d.Find(0) == d.Find(4) {
+		t.Error("Find() disagrees with unions")
 	}
 	if d.Sets() != 3 {
 		t.Errorf("Sets() = %d, want 3", d.Sets())
-	}
-	if d.SizeOf(3) != 4 {
-		t.Errorf("SizeOf(3) = %d, want 4", d.SizeOf(3))
 	}
 }
 
@@ -293,32 +288,6 @@ func TestKruskalForest(t *testing.T) {
 	ids, total := Kruskal(g)
 	if len(ids) != 2 || total != 3 {
 		t.Errorf("Kruskal forest: %d edges weight %v, want 2 edges weight 3", len(ids), total)
-	}
-}
-
-func TestSpanningTree(t *testing.T) {
-	g := Grid(5, 5)
-	ids, err := SpanningTree(g)
-	if err != nil {
-		t.Fatalf("SpanningTree() error = %v", err)
-	}
-	if len(ids) != 24 {
-		t.Errorf("spanning tree has %d edges, want 24", len(ids))
-	}
-	d := NewDSU(25)
-	for _, id := range ids {
-		e := g.Edge(id)
-		if !d.Union(e.U, e.V) {
-			t.Errorf("spanning tree edge %d creates a cycle", id)
-		}
-	}
-	if d.Sets() != 1 {
-		t.Errorf("spanning tree leaves %d components, want 1", d.Sets())
-	}
-
-	dis := New(3)
-	if _, err := SpanningTree(dis); err != ErrDisconnected {
-		t.Errorf("SpanningTree on disconnected = %v, want ErrDisconnected", err)
 	}
 }
 

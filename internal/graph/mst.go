@@ -29,22 +29,3 @@ func Kruskal(g *Graph) (edgeIDs []int, total float64) {
 	}
 	return edgeIDs, total
 }
-
-// SpanningTree returns the edge IDs of an arbitrary spanning tree (BFS tree
-// from node 0). It returns ErrDisconnected if g is not connected.
-func SpanningTree(g *Graph) ([]int, error) {
-	if g.NumNodes() == 0 {
-		return nil, nil
-	}
-	r := BFS(g, 0)
-	if len(r.Order) != g.NumNodes() {
-		return nil, ErrDisconnected
-	}
-	var ids []int
-	for v := 0; v < g.NumNodes(); v++ {
-		if r.ParentEdge[v] >= 0 {
-			ids = append(ids, r.ParentEdge[v])
-		}
-	}
-	return ids, nil
-}

@@ -106,19 +106,6 @@ func branchSetsAdjacent(g *graph.Graph, from []int, ownerOf map[int]int, to int)
 	return false
 }
 
-// Identity returns the trivial mapping of g onto itself (every node its own
-// branch set), whose density is |E|/|V|.
-func Identity(g *graph.Graph) *Mapping {
-	m := &Mapping{BranchSets: make([][]int, g.NumNodes())}
-	for v := 0; v < g.NumNodes(); v++ {
-		m.BranchSets[v] = []int{v}
-	}
-	for _, e := range g.EdgeSlice() {
-		m.Edges = append(m.Edges, [2]int{e.U, e.V})
-	}
-	return m
-}
-
 // PlanarDensityBound is the Euler-formula density bound for planar graphs
 // (and hence all their minors): fewer than 3 edges per node.
 const PlanarDensityBound = 3.0

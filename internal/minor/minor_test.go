@@ -9,20 +9,6 @@ import (
 	"locshort/internal/graph"
 )
 
-func TestIdentityMapping(t *testing.T) {
-	g := graph.Cycle(5)
-	m := Identity(g)
-	if err := m.Validate(g); err != nil {
-		t.Fatalf("Validate(identity) = %v", err)
-	}
-	if m.NumNodes() != 5 || m.NumEdges() != 5 {
-		t.Errorf("identity shape = (%d,%d), want (5,5)", m.NumNodes(), m.NumEdges())
-	}
-	if m.Density() != 1 {
-		t.Errorf("Density = %v, want 1", m.Density())
-	}
-}
-
 func TestDensityEmpty(t *testing.T) {
 	var m Mapping
 	if m.Density() != 0 {

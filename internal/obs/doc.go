@@ -10,9 +10,9 @@
 // internal/store segment instrumentation, the locshortd HTTP layer — can
 // record into one Registry without new dependency edges. The daemon
 // exposes the Registry at GET /metrics and the Tracer at GET /v1/traces;
-// cmd/locshortctl (`top`) and cmd/loadgen scrape and re-parse that output
-// through ParsePrometheus, so the exposition and the consumers share one
-// implementation of the format.
+// cmd/locshortctl (`top`) and cmd/locshortbench scrape and re-parse that
+// output through ParsePrometheus, so the exposition and the consumers share
+// one implementation of the format.
 //
 // Design constraints, in order:
 //

@@ -175,24 +175,6 @@ func (s HistogramSnapshot) Count() uint64 {
 	return n
 }
 
-// Merge adds other's counts and sum into s. The bucket layouts must be
-// identical — histograms merge bucket-by-bucket or not at all.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(s.Bounds) != len(other.Bounds) {
-		return fmt.Errorf("obs: merge of %d-bucket histogram into %d-bucket histogram", len(other.Bounds), len(s.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != other.Bounds[i] {
-			return fmt.Errorf("obs: merge with mismatched bound %d: %v vs %v", i, s.Bounds[i], other.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.SumNs += other.SumNs
-	return nil
-}
-
 // Sub subtracts an earlier snapshot of the same histogram, yielding the
 // interval histogram between two scrapes (what `locshortctl top` shows per
 // refresh). Counts that would go negative clamp to zero (a counter reset —

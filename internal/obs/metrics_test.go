@@ -41,36 +41,6 @@ func TestHistogramBoundsMustIncrease(t *testing.T) {
 	newHistogram([]float64{0.1, 0.1})
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := newHistogram([]float64{0.001, 0.01})
-	b := newHistogram([]float64{0.001, 0.01})
-	a.Observe(500 * time.Microsecond)
-	b.Observe(5 * time.Millisecond)
-	b.Observe(50 * time.Millisecond)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sa.Counts, []uint64{1, 1, 1}; got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("merged counts %v, want %v", got, want)
-	}
-	if sa.Count() != 3 {
-		t.Errorf("merged count %d, want 3", sa.Count())
-	}
-	if sa.SumNs != (55*time.Millisecond + 500*time.Microsecond).Nanoseconds() {
-		t.Errorf("merged SumNs = %d", sa.SumNs)
-	}
-	// Mismatched layouts refuse to merge.
-	c := newHistogram([]float64{0.002, 0.01}).Snapshot()
-	if err := sa.Merge(c); err == nil {
-		t.Error("merge with mismatched bounds did not error")
-	}
-	d := newHistogram([]float64{0.001}).Snapshot()
-	if err := sa.Merge(d); err == nil {
-		t.Error("merge with fewer buckets did not error")
-	}
-}
-
 func TestHistogramSub(t *testing.T) {
 	h := newHistogram([]float64{0.001, 0.01})
 	h.Observe(500 * time.Microsecond)
@@ -297,7 +267,6 @@ func TestTracerRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b := StartTrace("build", time.Now())
 		b.Add("csr", 0, time.Millisecond)
-		b.SetGraph("grid:8x8")
 		tr.Publish(b.Finish())
 	}
 	if tr.Published() != 5 {
@@ -308,7 +277,7 @@ func TestTracerRing(t *testing.T) {
 		t.Fatalf("Recent(0) returned %d traces, want 3 (ring capacity)", len(recent))
 	}
 	for _, x := range recent {
-		if x.Op != "build" || x.Graph != "grid:8x8" || len(x.Spans) != 1 {
+		if x.Op != "build" || len(x.Spans) != 1 {
 			t.Errorf("trace %+v malformed", x)
 		}
 		if x.Spans[0].Name != "csr" || x.Spans[0].DurNs != time.Millisecond.Nanoseconds() {

@@ -39,7 +39,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	l.Error("dropped", "err", "nope")
 
 	var tb *TraceBuilder
-	tb.SetGraph("grid:4x4")
 	tb.SetFingerprint("deadbeef")
 	tb.Add("stage", 0, time.Millisecond)
 	tb.Span("stage")() // both the call and the returned closure must no-op

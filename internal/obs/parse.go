@@ -23,7 +23,8 @@ func (s Sample) Label(k string) string { return s.Labels[k] }
 
 // Scrape is a parsed /metrics payload, indexed for the two consumers:
 // locshortctl top (counter deltas, histogram quantiles between scrapes) and
-// loadgen (server-side histograms at end of run).
+// locshortbench (the daemons' allocation and request counters around a
+// run).
 type Scrape struct {
 	Samples []Sample
 	byName  map[string][]int

@@ -19,7 +19,6 @@ type Span struct {
 type Trace struct {
 	ID          string `json:"id"`
 	Op          string `json:"op"`
-	Graph       string `json:"graph,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
 	Start       int64  `json:"start_unix_ns"`
 	DurNs       int64  `json:"dur_ns"`
@@ -44,14 +43,6 @@ func StartTrace(op string, start time.Time) *TraceBuilder {
 		t:     Trace{ID: NewRequestID(), Op: op, Start: start.UnixNano()},
 		start: start,
 	}
-}
-
-// SetGraph annotates the trace with the graph spec being built.
-func (b *TraceBuilder) SetGraph(g string) {
-	if b == nil {
-		return
-	}
-	b.t.Graph = g
 }
 
 // SetFingerprint annotates the trace with the shortcut fingerprint.

@@ -24,6 +24,6 @@
 // (Fingerprint, ShortcutKey, FingerprintPartition) that internal/store
 // keys its records by; the Store interface lives here and internal/store
 // implements it, keeping the dependency pointed downward. cmd/locshortd
-// exposes the engine over HTTP; cmd/loadgen drives it. See DESIGN.md §4
+// exposes the engine over HTTP; cmd/loadgen smoke-tests it. See DESIGN.md §4
 // ("Service layer") and §6 ("Persistence and warm-start").
 package service

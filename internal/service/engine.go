@@ -353,9 +353,8 @@ func (e *Engine) AddGraph(g *graph.Graph) (Fingerprint, error) {
 // decode of payload and fp the fingerprint of its body, which is exactly
 // what store.DecodeGraphPayload establishes (structural validation plus
 // the content-hash check), and a decode is in canonical form already. The
-// canonical payload is persisted verbatim when the store supports it
-// (GraphPayloadStore), so binary ingest never re-encodes what it just
-// decoded; other stores fall back to PutGraph.
+// canonical payload is persisted verbatim (Store.PutGraphPayload), so
+// binary ingest never re-encodes what it just decoded.
 // Registration semantics match AddGraph: first registration wins, known
 // content is a cheap no-op, persistence failures surface in
 // Stats.StoreErrors rather than to the caller.
@@ -367,13 +366,7 @@ func (e *Engine) AddGraphDecoded(fp Fingerprint, g *graph.Graph, payload []byte)
 	}
 	e.mu.Unlock()
 	if st := e.cfg.Store; st != nil && !known {
-		var err error
-		if ps, ok := st.(GraphPayloadStore); ok {
-			err = ps.PutGraphPayload(fp, payload)
-		} else {
-			err = st.PutGraph(fp, g)
-		}
-		if err != nil {
+		if err := st.PutGraphPayload(fp, payload); err != nil {
 			e.counters.storeErrs.Add(1)
 		}
 	}

@@ -913,6 +913,12 @@ func (s *stubStore) PutGraph(fp Fingerprint, g *graph.Graph) error {
 	return nil
 }
 
+// PutGraphPayload refuses: decoding a payload is internal/store's, and
+// the engine tests register graphs through AddGraph.
+func (s *stubStore) PutGraphPayload(Fingerprint, []byte) error {
+	return errors.New("stub: no graph payloads")
+}
+
 func (s *stubStore) EachGraph(fn func(Fingerprint, *graph.Graph) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -29,6 +29,13 @@ type Store interface {
 	// known content must be a cheap no-op.
 	PutGraph(fp Fingerprint, g *graph.Graph) error
 
+	// PutGraphPayload persists a canonical graph payload under fp
+	// verbatim: binary ingest has the exact bytes in hand and skips the
+	// re-encode PutGraph would pay. The implementation must verify the
+	// payload hashes to fp before writing; known content must be a cheap
+	// no-op.
+	PutGraphPayload(fp Fingerprint, payload []byte) error
+
 	// EachGraph calls fn for every live graph record. A non-nil error from
 	// fn aborts the iteration and is returned. Used by Engine.WarmStart.
 	EachGraph(fn func(fp Fingerprint, g *graph.Graph) error) error
@@ -53,19 +60,6 @@ type Store interface {
 	// DeleteGraph durably removes the graph record for fp and every
 	// shortcut record built on it. Deleting an absent graph is a no-op.
 	DeleteGraph(fp Fingerprint) error
-}
-
-// GraphPayloadStore is the optional store capability the binary ingest
-// path exploits: persisting an already-encoded canonical graph payload
-// verbatim, skipping the re-encode PutGraph would pay. It is deliberately
-// not part of Store — existing implementations and test stubs keep
-// compiling, and Engine.AddGraphDecoded falls back to PutGraph when the
-// assertion fails. *store.Store implements it.
-type GraphPayloadStore interface {
-	// PutGraphPayload persists a canonical graph payload under fp. The
-	// implementation must verify the payload hashes to fp before writing;
-	// known content must be a cheap no-op.
-	PutGraphPayload(fp Fingerprint, payload []byte) error
 }
 
 // PeerFetcher is the cluster-mode extension of the miss chain

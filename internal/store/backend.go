@@ -10,7 +10,7 @@ import (
 
 // Backend is the complete storage contract the system depends on, extracted
 // from what the layers above actually call: the engine's persistence seam
-// (service.Store + service.GraphPayloadStore), the async job manager's
+// (service.Store), the async job manager's
 // record store (jobs.Store), the peer/inventory surface internal/cluster
 // replicates through, and the admin surface locshortctl and the daemon's
 // warm-start logging read. It is implemented exactly once, by the shared
@@ -45,7 +45,6 @@ import (
 // type-assert and degrade gracefully ("not supported") when it is absent.
 type Backend interface {
 	service.Store
-	service.GraphPayloadStore
 	jobs.Store
 	PeerStore
 

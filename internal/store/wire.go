@@ -30,7 +30,7 @@ func (c *kvCore) ShortcutPayload(key service.Fingerprint) ([]byte, bool, error) 
 // hand and must not pay a decode→re-encode round trip. The payload is
 // verified against fp before anything is written (the store stays
 // self-verifying no matter who assembled the bytes); known content is a
-// cheap no-op. Implements service.GraphPayloadStore.
+// cheap no-op.
 func (c *kvCore) PutGraphPayload(fp service.Fingerprint, payload []byte) error {
 	if len(payload) < 1 || payload[0] != graphPayloadVersion {
 		return fmt.Errorf("store: graph %s: bad payload version", fp)

@@ -115,6 +115,53 @@ func TestFacadeCustomProtocol(t *testing.T) {
 	}
 }
 
+// TestFacadeMethods covers the graph and simulator methods the facade
+// re-exports that no code path in the module calls: Graph.HasEdge, Other
+// and SetWeight, NodeContext.EdgeWeight and SendTo, and Network.RunFor and
+// Halted. Node 0 of a path 0-1-2 sends its first edge's weight to node 1,
+// which passes it on and halts; RunFor runs exactly the rounds asked for.
+func TestFacadeMethods(t *testing.T) {
+	g := locshort.Path(3)
+	if !g.HasEdge(1, 0) || g.HasEdge(0, 2) {
+		t.Fatal("HasEdge disagrees with the path 0-1-2")
+	}
+	e01 := g.Neighbors(0)[0].Edge
+	if g.Other(e01, 0) != 1 || g.Other(e01, 1) != 0 {
+		t.Fatalf("Other(%d, ·) does not name the edge's other end", e01)
+	}
+	g.SetWeight(e01, 2.5)
+	var got [3]int64
+	procs := make([]locshort.Proc, 3)
+	for v := range procs {
+		procs[v] = locshort.ProcFunc(func(ctx *locshort.NodeContext) {
+			if v == 0 && ctx.Round == 0 {
+				ctx.SendTo(1, locshort.Msg{A: int64(10 * ctx.EdgeWeight(e01))})
+			}
+			for _, in := range ctx.In {
+				got[v] = in.Msg.A
+				if v == 1 {
+					ctx.SendTo(2, in.Msg)
+					ctx.Halt()
+				}
+			}
+		})
+	}
+	net, err := locshort.NewNetwork(g, procs)
+	if err != nil {
+		t.Fatalf("NewNetwork = %v", err)
+	}
+	if st := net.RunFor(1); st.Rounds != 1 || net.Halted(1) {
+		t.Fatalf("after RunFor(1): %d rounds, node 1 halted %v; want 1 round, not halted", st.Rounds, net.Halted(1))
+	}
+	if st := net.RunFor(2); st.Rounds != 3 {
+		t.Fatalf("RunFor continues the round count: %d, want 3", st.Rounds)
+	}
+	if got != [3]int64{0, 25, 25} || !net.Halted(1) || net.Halted(0) || net.Halted(2) {
+		t.Errorf("received %v, halted %v %v %v; want [0 25 25], only node 1 halted",
+			got, net.Halted(0), net.Halted(1), net.Halted(2))
+	}
+}
+
 // TestFacadeCertify drives the certifying path through the public API.
 func TestFacadeCertify(t *testing.T) {
 	lb, err := locshort.LowerBound(6, 32)
