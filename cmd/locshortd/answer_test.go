@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
@@ -21,6 +23,23 @@ import (
 	"locshort/internal/store"
 	"locshort/internal/wire"
 )
+
+// shortcutResponse is the JSON shortcut answer as encoding/json sees it:
+// tests decode answers into it, and appendShortcutJSON must render what
+// encoding/json renders for it.
+type shortcutResponse struct {
+	Shortcut     string  `json:"shortcut"`
+	Graph        string  `json:"graph"`
+	Cached       bool    `json:"cached"`
+	Source       string  `json:"source"`
+	ServedBy     string  `json:"served_by,omitempty"`
+	BuildMillis  float64 `json:"build_ms"`
+	Delta        int     `json:"delta"`
+	Congestion   int     `json:"congestion"`
+	Dilation     int     `json:"dilation"`
+	MaxBlocks    int     `json:"max_blocks"`
+	CoveredParts int     `json:"covered_parts"`
+}
 
 // serveRecorded runs one /v1/shortcuts request through h into a recorder,
 // whose header map is exactly what the handler set: no Date, no
@@ -241,5 +260,56 @@ func checkWarmAnswers(t *testing.T, eng *service.Engine, st store.Backend, h htt
 	}
 	if got := js.Body.String(); got != string(wantBody)+"\n" {
 		t.Errorf("JSON body\n%s\nwant\n%s", got, wantBody)
+	}
+}
+
+// TestShortcutJSONMatchesEncoder holds appendShortcutJSON to encoding/json
+// over generated answers: every source, served_by empty, plain and with
+// each kind of byte encoding/json escapes or replaces, build times of 0, of 1e6 ms and at the ends of time.Duration,
+// and random counts. The sync answer with its newline is what
+// json.Encoder.Encode writes, and the async job result what json.Marshal
+// returns, for the shortcutResponse of the same values.
+func TestShortcutJSONMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	buildTimes := []time.Duration{0, 1e6 * time.Millisecond, time.Microsecond, -time.Microsecond,
+		time.Duration(math.MaxInt64), time.Duration(math.MinInt64)}
+	for range 50 {
+		buildTimes = append(buildTimes, time.Duration(rng.Int64N(1e6))*time.Microsecond,
+			time.Duration(rng.Int64()))
+	}
+	var buf []byte
+	for i, bt := range buildTimes {
+		for _, source := range []string{"cache", "store", "peer", "built"} {
+			for _, servedBy := range []string{"", "127.0.0.1:7101", `"q"`, `back\slash`, "a<b", "b>a", "a&b", "tab\t",
+				"del\x7f", "é", "\u2028", "\xff"} {
+				sv := served{hit: source == "cache", source: source, servedBy: servedBy, entry: &service.Cached{
+					Key: service.Fingerprint(rng.Uint64()), GraphFP: service.Fingerprint(rng.Uint64()),
+					BuildTime: bt, Result: &shortcut.Result{Delta: rng.IntN(1 << 20)},
+				}}
+				q := shortcut.Quality{Congestion: rng.IntN(1e6), Dilation: int(rng.Int64()), MaxBlocks: rng.IntN(100),
+					CoveredParts: -rng.IntN(3)}
+				resp := shortcutResponse{
+					Shortcut: sv.entry.Key.String(), Graph: sv.entry.GraphFP.String(), Cached: sv.hit,
+					Source: source, ServedBy: servedBy, BuildMillis: float64(bt.Microseconds()) / 1000,
+					Delta: sv.entry.Result.Delta, Congestion: q.Congestion, Dilation: q.Dilation,
+					MaxBlocks: q.MaxBlocks, CoveredParts: q.CoveredParts,
+				}
+				var enc bytes.Buffer
+				if err := json.NewEncoder(&enc).Encode(resp); err != nil {
+					t.Fatal(err)
+				}
+				buf = append(appendShortcutJSON(buf[:0], sv, q), '\n')
+				if !bytes.Equal(buf, enc.Bytes()) {
+					t.Fatalf("case %d: rendered\n%s\nencoding/json writes\n%s", i, buf, enc.Bytes())
+				}
+				marshaled, err := json.Marshal(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := appendShortcutJSON(nil, sv, q); !bytes.Equal(got, marshaled) {
+					t.Fatalf("case %d: job result\n%s\njson.Marshal returns\n%s", i, got, marshaled)
+				}
+			}
+		}
 	}
 }

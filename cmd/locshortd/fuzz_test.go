@@ -103,3 +103,42 @@ func FuzzResolve(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeShortcutJSON holds scanShortcutJSON to encoding/json: a body
+// the scanner takes must decode through strictUnmarshal without error to
+// the same partition, seed and options, a graph whose ParseFingerprint is
+// the scanned fingerprint, no parts and no async. Every other body goes to
+// strictUnmarshal, which decides it. The seeds are the bodies every client
+// sends, spaced and unspaced, and handedOnBodies, each of which the
+// scanner must hand on.
+func FuzzDecodeShortcutJSON(f *testing.F) {
+	const fp = "0123456789abcdef"
+	for _, body := range []string{plainBody, `{"graph":"FP","partition":"blobs:16","seed":1}`,
+		` { "graph" : "FP" ,` + "\n\t" + `"partition" : "rows:2x2", "options" : "cf=2,bf=3", "seed" : -0 }` + "\r\n",
+		`{"seed":-999999999999999999,"options":"","partition":"","graph":"0123456789ABCDEF"}`} {
+		f.Add([]byte(strings.ReplaceAll(body, "FP", fp)))
+	}
+	for _, tc := range handedOnBodies {
+		body := []byte(strings.ReplaceAll(tc.body, "FP", fp))
+		if _, ok := scanShortcutJSON(body); ok {
+			f.Fatalf("%s: scanned, but the scanner must hand it on", tc.name)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := scanShortcutJSON(body)
+		if !ok {
+			return
+		}
+		var want shortcutRequest
+		if err := strictUnmarshal(body, &want); err != nil {
+			t.Fatalf("scanned %q, but encoding/json fails it: %v", body, err)
+		}
+		wantFP, err := service.ParseFingerprint(want.Graph)
+		if err != nil || !got.hasFP || got.fp != wantFP || got.Graph != "" || got.Partition != want.Partition ||
+			got.Seed != want.Seed || got.Options != want.Options || got.Parts != nil || want.Parts != nil ||
+			got.Async || want.Async {
+			t.Fatalf("%q: scanned %+v, encoding/json decodes %+v (graph %v, %v)", body, got, want, wantFP, err)
+		}
+	})
+}

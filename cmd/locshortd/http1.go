@@ -47,7 +47,15 @@ type http1Server struct {
 	mu      sync.Mutex
 	ln      net.Listener
 	conns   map[*conn]struct{}
-	wg      sync.WaitGroup // one per live connection
+	// wg counts the server's goroutines: each serves a connection, waits
+	// in a connection's watch, or is parked as a spare.
+	wg sync.WaitGroup
+
+	// The spare goroutines (spareLoop): spare hands one a connection's
+	// watch, spares counts them, and done, closed by Shutdown, ends them.
+	spare  chan *conn
+	spares atomic.Int32
+	done   chan struct{}
 }
 
 // The loop's limits. They are constants: every client of the daemon fits
@@ -69,13 +77,18 @@ const (
 	// still coming keeps reading them, so the client reads the answer
 	// before the close resets the connection: net/http's delay.
 	lingerTimeout = 500 * time.Millisecond
+	// maxSpares bounds the goroutines parked to run the next watch: one
+	// per request in a handler is enough, and past that a watch starts a
+	// goroutine of its own.
+	maxSpares = 64
 )
 
 // newHTTP1Server serves h. With reg, recovered handler panics count in
 // locshort_http_panics_total; logger (nil: the standard logger) takes
 // their stacks.
 func newHTTP1Server(h http.Handler, reg *obs.Registry, logger *obs.Logger) *http1Server {
-	s := &http1Server{handler: h, logger: logger, headerTimeout: readHeaderTimeout, conns: make(map[*conn]struct{})}
+	s := &http1Server{handler: h, logger: logger, headerTimeout: readHeaderTimeout, conns: make(map[*conn]struct{}),
+		spare: make(chan *conn), done: make(chan struct{})}
 	if reg != nil {
 		reg.CounterFunc("locshort_http_panics_total",
 			"Handler panics the connection loop recovered: each answered 500, or closed its connection if the answer had begun.",
@@ -125,15 +138,51 @@ func (s *http1Server) Serve(ln net.Listener) error {
 			c.release()
 			return http.ErrServerClosed
 		}
-		go c.serve()
+		go s.serveConn(c)
 	}
 }
 
-// Shutdown stops accepting, closes idle connections, and waits for the
-// active ones to finish their answers. If ctx ends first, it closes every
-// connection left and returns ctx's error.
+// serveConn serves a new connection, then keeps the goroutine as a spare.
+func (s *http1Server) serveConn(c *conn) {
+	c.serve()
+	s.spareLoop()
+}
+
+// runWatch runs c's watch on a new goroutine, then keeps the goroutine as
+// a spare.
+func (s *http1Server) runWatch(c *conn) {
+	c.watch()
+	s.spareLoop()
+}
+
+// spareLoop parks the goroutine until a watch needs one, runs it (and the
+// connection after it, if the connection is handed on), and parks again,
+// so a warm request starts no goroutine and, running on a stack the serve
+// path has grown, grows none. The goroutine ends once maxSpares are
+// parked already, or at Shutdown.
+func (s *http1Server) spareLoop() {
+	defer s.wg.Done()
+	for s.spares.Add(1) <= maxSpares {
+		select {
+		case c := <-s.spare:
+			s.spares.Add(-1)
+			c.watch()
+		case <-s.done:
+			s.spares.Add(-1)
+			return
+		}
+	}
+	s.spares.Add(-1)
+}
+
+// Shutdown stops accepting, closes idle connections, ends the spare
+// goroutines, and waits for the active connections to finish their
+// answers. If ctx ends first, it closes every connection left and returns
+// ctx's error.
 func (s *http1Server) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
+	if !s.closing.Swap(true) {
+		close(s.done)
+	}
 	s.mu.Lock()
 	var err error
 	if s.ln != nil {
@@ -209,13 +258,16 @@ type conn struct {
 	linger       bool
 
 	// The background read: rd is the read buffer's source, the
-	// connection after any byte the background read took.
-	rd        connReader
-	watch     func() // c.backgroundRead, bound once
-	watchDone chan struct{}
-	handling  bool // the handler runs: the only time the watch may start
-	watching  bool
-	gone      bool // the client closed while a handler ran
+	// connection after any byte the background read took. watchState
+	// says whether its read is pending, has ended, or waits for the next
+	// head on a connection handed to it.
+	rd         connReader
+	watch      func() // c.backgroundRead, bound once
+	watchState atomic.Int32
+	watchDone  chan struct{}
+	handling   bool // the handler runs: the only time the watch may start
+	watching   bool
+	gone       bool // the client closed while a handler ran
 }
 
 // connBufs are the buffers a connection takes from the pool and returns
@@ -274,25 +326,36 @@ func newConn(s *http1Server, nc net.Conn) *conn {
 }
 
 // serve runs the connection's requests, one at a time, until the client
-// goes, an answer closes it, or Shutdown does.
+// goes, an answer closes it, or Shutdown does. An answer that leaves the
+// watch's read pending hands the connection to the watch's goroutine,
+// whose read is then the wait for the next head, and serve returns: an
+// idle connection holds one goroutine either way, and the one serve ran
+// on becomes a spare.
 func (c *conn) serve() {
-	defer c.close()
 	for {
 		// Idle until the first byte of the next head.
 		if _, err := c.br.Peek(1); err != nil {
-			return
+			break
 		}
 		if !c.state.CompareAndSwap(connIdle, connActive) {
-			return
+			break
 		}
 		if !c.serveOne() {
-			return
+			break
 		}
 		c.state.Store(connIdle)
 		if c.srv.closing.Load() && c.state.CompareAndSwap(connIdle, connClosed) {
+			break
+		}
+		if c.handOff() {
 			return
 		}
+		if c.gone {
+			break
+		}
 	}
+	c.stopWatch()
+	c.close()
 }
 
 // closeIfIdle closes c if it waits between requests; Shutdown calls it.
@@ -320,7 +383,6 @@ func (c *conn) close() {
 	delete(s.conns, c)
 	s.mu.Unlock()
 	c.release()
-	s.wg.Done()
 }
 
 // release returns the connection's buffers to the pool.
@@ -370,11 +432,7 @@ func (c *conn) serveOne() bool {
 	}
 	c.runHandler()
 	c.handling = false
-	c.stopWatch()
 	c.continueOwed = false
-	if c.gone {
-		c.closeAfter = true
-	}
 	keep := false
 	// A panic after the answer began leaves it cut short, and the
 	// connection closes.
@@ -386,6 +444,12 @@ func (c *conn) serveOne() bool {
 	}
 	if !keep && r.ContentLength != 0 && !c.body.eof {
 		c.linger = true
+	}
+	if keep && c.br.Buffered() > 0 {
+		// The next head is here already, so it is read at once: the
+		// watch's read ends now.
+		c.stopWatch()
+		keep = !c.gone
 	}
 	return keep
 }
@@ -471,18 +535,39 @@ func (c *conn) refuse(code int) {
 // while its handler runs: once the request body is consumed, the next
 // byte on the connection is the next request's, held for it, or the end
 // of the connection, which cancels the context. A body the loop drains
-// after the handler starts none: the next head is read right after. Starting it allocates
-// nothing; the read stopWatch aborts returns one error value.
+// after the handler starts none: the next head is read right after.
+// The watch runs on a spare goroutine, one whose stack a connection has
+// grown already, and starts a goroutine only when no spare is parked:
+// then it allocates that goroutine's closure, and otherwise nothing. When
+// the answer keeps the connection and no byte of the next head is
+// buffered, the read stays pending as the wait for that head (handOff);
+// only a pipelined head or a close ends it (stopWatch), and that read
+// returns one error value.
 func (c *conn) startWatch() {
 	if !c.handling || c.watching || c.rd.held {
 		return
 	}
 	c.watching = true
-	go c.watch()
+	c.watchState.Store(watchReading)
+	select {
+	case c.srv.spare <- c:
+	default:
+		c.srv.wg.Add(1)
+		go c.srv.runWatch(c)
+	}
 }
 
-// backgroundRead is the watch: it reads one byte, and reports to
-// stopWatch.
+// The watch's states: its read is pending, has ended for stopWatch or
+// handOff to collect, or waits for the next head on a connection the
+// serving goroutine has handed to it.
+const (
+	watchReading int32 = iota
+	watchRead
+	watchHandedOff
+)
+
+// backgroundRead is the watch: it reads one byte, then reports the read
+// or serves the connection on (watchEnded).
 func (c *conn) backgroundRead() {
 	n, err := c.nc.Read(c.rd.b[:])
 	switch {
@@ -492,7 +577,35 @@ func (c *conn) backgroundRead() {
 		c.gone = true
 		c.cancel()
 	}
-	c.watchDone <- struct{}{}
+	c.watchEnded()
+}
+
+// watchEnded reports the watch's read to stopWatch or handOff, or, on a
+// connection handed to the watch, serves it on this goroutine: the read's
+// byte starts the next head, and its error ends the connection.
+func (c *conn) watchEnded() {
+	if c.watchState.CompareAndSwap(watchReading, watchRead) {
+		c.watchDone <- struct{}{}
+		return
+	}
+	c.watching = false
+	c.serve()
+}
+
+// handOff leaves the watch's pending read as the connection's wait for
+// its next head, and the connection to the watch's goroutine, and reports
+// whether it did. A read that has ended already is collected instead, and
+// the caller serves on with what it read.
+func (c *conn) handOff() bool {
+	if !c.watching {
+		return false
+	}
+	if c.watchState.CompareAndSwap(watchReading, watchHandedOff) {
+		return true
+	}
+	<-c.watchDone
+	c.watching = false
+	return false
 }
 
 // aLongTimeAgo is a read deadline that ends a pending read at once.

@@ -11,9 +11,11 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,10 +104,15 @@ func serveBytes(in []byte) ([]seenRequest, []byte) {
 	c := newConn(s, fc)
 	// A client that sent in stays connected: the watch reads nothing,
 	// where the end of in would read as a client gone.
-	c.watch = func() { c.watchDone <- struct{}{} }
+	c.watch = c.watchEnded
 	s.conns[c] = struct{}{}
 	s.wg.Add(1)
 	c.serve()
+	s.wg.Done()
+	// A hand-off leaves the rest of in to another goroutine: the spares
+	// end, and the goroutines serving in end with it.
+	close(s.done)
+	s.wg.Wait()
 	return seen, fc.out.Bytes()
 }
 
@@ -314,15 +321,18 @@ func (c *loopConn) closed(within time.Duration) bool {
 
 // loopHandler serves the connection test's routes: /echo answers its
 // request body, POST /ignore answers without reading it, /big a body
-// longer than the body buffer, /block reads its
-// body and waits for its context or release, /panic and /panic-late panic before and after
-// their answer begins.
-// blockChans are /block's: entered when a request reaches it, release to
-// answer it, canceled with its context's error if that ends first.
+// longer than the body buffer, /close an answer with Connection: close,
+// /ctx hands over its context, /block reads its body and waits for its
+// context or release, /panic and /panic-late panic before and after their
+// answer begins.
+// blockChans are /block's and /ctx's: entered when a request reaches
+// /block, release to answer it, canceled with its context's error if that
+// ends first; ctxs takes /ctx's context.
 type blockChans struct {
 	entered  chan struct{}
 	release  chan struct{}
 	canceled chan error
+	ctxs     chan context.Context
 }
 
 func loopHandler(block *blockChans) http.Handler {
@@ -339,6 +349,14 @@ func loopHandler(block *blockChans) http.Handler {
 	mux.HandleFunc("POST /ignore", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ignored\n") })
 	mux.HandleFunc("/big", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(bytes.Repeat([]byte("x"), 3*connBufSize))
+	})
+	mux.HandleFunc("/close", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Connection", "close")
+		io.WriteString(w, "closing\n")
+	})
+	mux.HandleFunc("/ctx", func(w http.ResponseWriter, r *http.Request) {
+		block.ctxs <- r.Context()
+		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("/block", func(w http.ResponseWriter, r *http.Request) {
 		// The loop watches for the client going once the body is read.
@@ -368,7 +386,7 @@ func loopHandler(block *blockChans) http.Handler {
 // TestConnectionLoop drives the loop over TCP: pipelining, chunked
 // bodies in and out, 100-continue, HEAD, HTTP/1.0, Connection: close, a
 // head too large, the header timeout, a client gone mid-handler, handler
-// panics and a draining Shutdown.
+// panics, the watch's read left pending as the idle wait, and Shutdown.
 func TestConnectionLoop(t *testing.T) {
 	const host = "Host: loop\r\n"
 	cases := []struct {
@@ -536,6 +554,106 @@ func TestConnectionLoop(t *testing.T) {
 				t.Fatalf("after the panics: %d", resp.StatusCode)
 			}
 		}},
+		{"a keep-alive client pausing between requests", func(t *testing.T, ts *testServer, _ *blockChans) {
+			// Each answer leaves the watch's read as the wait for the next
+			// head, which comes 50 ms later.
+			c := dialLoop(t, ts)
+			for i, req := range []string{"GET /ok HTTP/1.1\r\n" + host + "\r\n",
+				"POST /echo HTTP/1.1\r\n" + host + "Content-Length: 3\r\n\r\nok\n", "GET /ok HTTP/1.1\r\n" + host + "\r\n"} {
+				if i > 0 {
+					time.Sleep(50 * time.Millisecond)
+				}
+				c.send(req)
+				if resp, body := c.answer("GET"); resp.StatusCode != 200 || body != "ok\n" || resp.Close {
+					t.Fatalf("request %d: %d %q, close %v", i, resp.StatusCode, body, resp.Close)
+				}
+			}
+		}},
+		{"an idle connection the client closes is freed", func(t *testing.T, ts *testServer, block *blockChans) {
+			c := dialLoop(t, ts)
+			c.send("GET /ctx HTTP/1.1\r\n" + host + "\r\n")
+			c.answer("GET")
+			ctx := <-block.ctxs
+			c.nc.Close()
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("the connection's context outlived its client")
+			}
+			eventually(t, "the connection set empties", func() bool { return liveConns(ts.srv) == 0 })
+		}},
+		{"an idle connection holds one goroutine", func(t *testing.T, ts *testServer, _ *blockChans) {
+			// Spares, parked between watches, are the server's, not the
+			// connections'.
+			const n = 8
+			for i := range n {
+				c := dialLoop(t, ts)
+				c.send("POST /echo HTTP/1.1\r\n" + host + "Content-Length: 3\r\n\r\nok\n")
+				c.answer("POST")
+				if i%2 == 0 {
+					c.send("GET /ok HTTP/1.1\r\n" + host + "\r\n")
+					c.answer("GET")
+				}
+			}
+			eventually(t, fmt.Sprintf("%d goroutines serving %d idle connections", n, n), func() bool {
+				return goroutinesIn(connFuncs...) == n
+			})
+		}},
+		{"a kept answer leaves the watch's read pending", func(t *testing.T, _ *testServer, block *blockChans) {
+			// Only a pipelined head aborts the watch's read with a past
+			// deadline.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			aborts := new(atomic.Int32)
+			s := newHTTP1Server(loopHandler(block), nil, nil)
+			go func() { _ = s.Serve(abortCounter{ln, aborts}) }()
+			t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+			c := dialLoop(t, &testServer{Listener: ln})
+			for range 5 {
+				c.send("GET /ok HTTP/1.1\r\n" + host + "\r\n")
+				c.answer("GET")
+				c.send("POST /echo HTTP/1.1\r\n" + host + "Content-Length: 3\r\n\r\nok\n")
+				c.answer("POST")
+			}
+			if n := aborts.Load(); n != 0 {
+				t.Fatalf("%d reads aborted for 10 answers on a kept connection, want 0", n)
+			}
+			c.send("GET /ok HTTP/1.1\r\n" + host + "\r\nGET /ok HTTP/1.1\r\n" + host + "\r\n")
+			c.answer("GET")
+			c.answer("GET")
+			if aborts.Load() == 0 {
+				t.Fatal("a pipelined head did not abort the watch's read")
+			}
+		}},
+		{"an answer that closes the connection ends the watch", func(t *testing.T, ts *testServer, _ *blockChans) {
+			for _, req := range []string{"GET /ok HTTP/1.1\r\n" + host + "Connection: close\r\n\r\n",
+				"GET /close HTTP/1.1\r\n" + host + "\r\n",
+				"POST /echo HTTP/1.1\r\n" + host + "Connection: close\r\nContent-Length: 3\r\n\r\nok\n"} {
+				c := dialLoop(t, ts)
+				c.send(req)
+				if resp, _ := c.answer("GET"); !resp.Close || !c.closed(200*time.Millisecond) {
+					t.Fatalf("%q: answered, close %v, but the connection stayed open", req, resp.Close)
+				}
+			}
+			eventually(t, "the connection set empties", func() bool { return liveConns(ts.srv) == 0 })
+		}},
+		{"Shutdown with an idle read pending", func(t *testing.T, ts *testServer, _ *blockChans) {
+			c := dialLoop(t, ts)
+			c.send("GET /ok HTTP/1.1\r\n" + host + "\r\n")
+			c.answer("GET")
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := ts.srv.Shutdown(ctx); err != nil || time.Since(start) > time.Second {
+				t.Fatalf("Shutdown returned %v after %v", err, time.Since(start))
+			}
+			if !c.closed(time.Second) {
+				t.Fatal("Shutdown left the idle connection open")
+			}
+			eventually(t, "no goroutine of the loop left", func() bool { return goroutinesIn(loopFuncs...) == 0 })
+		}},
 		{"Shutdown drains", func(t *testing.T, ts *testServer, block *blockChans) {
 			idle := dialLoop(t, ts)
 			idle.send("GET /ok HTTP/1.1\r\n" + host + "\r\n")
@@ -570,10 +688,69 @@ func TestConnectionLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			block := &blockChans{entered: make(chan struct{}, 1), release: make(chan struct{}), canceled: make(chan error, 1)}
+			block := &blockChans{entered: make(chan struct{}, 1), release: make(chan struct{}), canceled: make(chan error, 1),
+				ctxs: make(chan context.Context, 1)}
 			ts := serveLoop(t, loopHandler(block))
 			t.Cleanup(ts.Close)
 			tc.run(t, ts, block)
 		})
 	}
+}
+
+// liveConns is the number of connections s serves.
+func liveConns(s *http1Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// goroutinesIn is the number of goroutines with any of the given
+// functions on their stacks.
+func goroutinesIn(funcs ...string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, f := range funcs {
+			if strings.Contains(g, "."+f+"(") {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// The goroutines that serve a connection or wait for its next head, and
+// every goroutine of the loop, spares included.
+var (
+	connFuncs = []string{"(*conn).serve", "(*conn).backgroundRead"}
+	loopFuncs = []string{"(*http1Server).serveConn", "(*http1Server).runWatch", "(*http1Server).spareLoop"}
+)
+
+// abortCounter is a listener whose connections count the read deadlines
+// set in the past: each aborts a pending read.
+type abortCounter struct {
+	net.Listener
+	aborts *atomic.Int32
+}
+
+func (l abortCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return abortCountingConn{c, l.aborts}, nil
+}
+
+type abortCountingConn struct {
+	net.Conn
+	aborts *atomic.Int32
+}
+
+func (c abortCountingConn) SetReadDeadline(t time.Time) error {
+	if !t.IsZero() && t.Before(time.Now()) {
+		c.aborts.Add(1)
+	}
+	return c.Conn.SetReadDeadline(t)
 }

@@ -141,13 +141,18 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// recorderPool recycles the status recorders instrument wraps writers in:
+// a handler is done with its writer when it returns.
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 // instrument wraps the whole mux: readiness gate, request ID, timing,
 // per-route metrics, and one structured log line per request. It reads
 // r.Pattern after the mux ran, so the route label is the registered
 // pattern ("POST /v1/shortcuts"), never the raw URL — label cardinality
 // stays bounded by the route table. It hands the mux the request it was
 // given: the annotation rides on the writer, not in a context value, so
-// no per-request context or request copy is made.
+// no per-request context or request copy is made, and the writer comes
+// from recorderPool.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.ready != nil && !s.ready() && strings.HasPrefix(r.URL.Path, "/v1/") &&
@@ -166,7 +171,8 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := recorderPool.Get().(*statusRecorder)
+		*rec = statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if s.metrics != nil {
 			s.metrics.inFlight.Add(1)
 		}
@@ -188,6 +194,8 @@ func (s *server) instrument(next http.Handler) http.Handler {
 				s.metrics.observe(route, rec.status, dur)
 			}
 			s.logRequest(id, route, rec.status, dur, &rec.info)
+			*rec = statusRecorder{}
+			recorderPool.Put(rec)
 		}()
 		next.ServeHTTP(rec, r)
 		returned = true

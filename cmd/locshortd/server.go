@@ -253,12 +253,11 @@ func (s *server) encodeFailed(err error) {
 // list must fit in it.
 const maxBody = 64 << 20
 
-// decode reads a JSON request body capped at maxBody. The ResponseWriter
-// is handed to MaxBytesReader so an oversized body also closes the
-// connection (the client would otherwise keep streaming into a void);
-// decodeStatus maps the resulting error to 413. The body is closed once
-// decoded: a body read to its end and closed leaves net/http nothing to
-// drain after the handler.
+// decode reads a JSON request body capped at maxBody; decodeStatus maps a
+// body over the cap to 413. The decoder stops at the end of the first
+// value, so whatever follows it is left to the connection loop, which
+// drains up to 256 KiB after the handler and closes the connection past
+// that.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	defer r.Body.Close()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
@@ -270,10 +269,10 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 // backing array, growing it as needed, and closes the body. A declared
 // Content-Length is the client's word: wire.ReadDeclared makes room for it
 // only as the bytes arrive, and its last exact read hits the end of the
-// body, so net/http has nothing to drain after the handler. A chunked body
-// is read to EOF through the cap. A declared length over the cap fails
-// before anything is read, with the *http.MaxBytesError decodeStatus maps
-// to 413.
+// body, so the connection loop has nothing to drain after the handler. A
+// chunked body is read to its end through the cap. A declared length over
+// the cap fails before anything is read, with the *http.MaxBytesError
+// decodeStatus maps to 413.
 func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	defer r.Body.Close()
 	n := r.ContentLength
@@ -299,7 +298,8 @@ func decodeStatus(err error) int {
 }
 
 // strictUnmarshal is decode's strictness (unknown fields rejected) for
-// payloads that are already in memory: batch items and async job records.
+// payloads that are already in memory: batch items, async job records and
+// the JSON shortcut bodies scanShortcutJSON hands on.
 func strictUnmarshal(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -559,32 +559,12 @@ type shortcutRequest struct {
 	// Forwarded is set from the X-Locshort-Forwarded header, never the
 	// body: a relayed request is served locally, not routed again.
 	Forwarded bool `json:"-"`
-	// A binary frame carries its graph fingerprint parsed: fromFrame is
-	// set, frameGraph holds it and Graph stays empty. Binary frames are
-	// never async, so no frame is marshaled back to JSON.
-	frameGraph service.Fingerprint
-	fromFrame  bool
-}
-
-type shortcutResponse struct {
-	Shortcut string `json:"shortcut"`
-	Graph    string `json:"graph"`
-	Cached   bool   `json:"cached"`
-	// Source is the latency class that served this response: "cache"
-	// (resident entry), "store" (reloaded from the durable store), "peer"
-	// (fetched from a cluster peer's store), or "built" (cold
-	// construction). Cached is true exactly when Source is "cache".
-	Source string `json:"source"`
-	// ServedBy is the node that executed the request (cluster mode only):
-	// on a forwarded request it names the owner, not the node the client
-	// dialed.
-	ServedBy     string  `json:"served_by,omitempty"`
-	BuildMillis  float64 `json:"build_ms"`
-	Delta        int     `json:"delta"`
-	Congestion   int     `json:"congestion"`
-	Dilation     int     `json:"dilation"`
-	MaxBlocks    int     `json:"max_blocks"`
-	CoveredParts int     `json:"covered_parts"`
+	// A binary frame, and a JSON body scanShortcutJSON reads, carries its
+	// graph fingerprint parsed: hasFP is set, fp holds it and Graph stays
+	// empty. Neither is ever async, so no such request is marshaled back
+	// to JSON.
+	fp    service.Fingerprint
+	hasFP bool
 }
 
 // resolved is a shortcut request checked against this node's engine.
@@ -602,8 +582,8 @@ type resolved struct {
 // only if it must construct. Request-shape problems come back as
 // statusError(400), an unknown graph as service.ErrUnknownGraph (404).
 func (s *server) resolve(req shortcutRequest) (resolved, error) {
-	fp := req.frameGraph
-	if !req.fromFrame {
+	fp := req.fp
+	if !req.hasFP {
 		var err error
 		if fp, err = service.ParseFingerprint(req.Graph); err != nil {
 			return resolved{}, badRequest(err)
@@ -851,13 +831,7 @@ func (rel *relayed) jobResult() (json.RawMessage, error) {
 }
 
 func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
-	var req shortcutRequest
-	var err error
-	if wire.IsBinary(r.Header.Get("Content-Type")) {
-		req, err = readShortcutFrame(w, r)
-	} else {
-		req, err = decodeShortcutJSON(w, r)
-	}
+	req, err := readShortcutRequest(w, r)
 	if err != nil {
 		s.httpError(w, statusFor(err), err)
 		return
@@ -892,31 +866,19 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 		s.writeShortcutBinary(w, sv)
 		return
 	}
-	resp, err := s.shortcutJSON(r.Context(), sv)
+	q, err := s.quality(r.Context(), sv)
 	if err != nil {
 		s.httpError(w, statusFor(err), err)
 		return
 	}
-	// The name is canonical already: Set would only canonicalize it again.
-	w.Header()[wire.HeaderSource] = sourceHeader(sv.source)
-	s.writeJSON(w, resp)
+	s.writeShortcutJSON(w, sv, q)
 }
 
-// decodeShortcutJSON decodes a JSON shortcut request body. The request is
-// decoded in here, not in the handler: a pointer handed to encoding/json
-// moves its target to the heap, and binary requests should not pay that.
-func decodeShortcutJSON(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
-	var req shortcutRequest
-	if err := decode(w, r, &req); err != nil {
-		return req, &statusError{status: decodeStatus(err), err: err}
-	}
-	return req, nil
-}
-
-// framePool recycles binary request frames: the bodies of binary
-// requests, decoded into fresh values and dropped, and the frames relay
-// sends to an owner, copied into the connection's buffer. Either way the
-// buffer can take the next frame. Buffers over maxPooledBuf are not kept.
+// framePool recycles the byte buffers of shortcut requests: their bodies,
+// JSON or binary, decoded into fresh values and dropped; the frames relay
+// sends to an owner, copied into the connection's buffer; and rendered
+// JSON answers, copied by the writer. Either way the buffer can take the
+// next one. Buffers over maxPooledBuf are not kept.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // putFrame returns frame, taken from framePool as *bp, to the pool.
@@ -927,49 +889,276 @@ func putFrame(bp *[]byte, frame []byte) {
 	}
 }
 
-// readShortcutFrame reads and decodes a binary shortcut request body.
-func readShortcutFrame(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
+// readShortcutRequest reads a shortcut request body, binary or JSON, into
+// a pooled buffer and decodes it.
+func readShortcutRequest(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
 	bp := framePool.Get().(*[]byte)
 	body, err := readBody(w, r, *bp)
+	defer putFrame(bp, body)
 	if err != nil {
 		return shortcutRequest{}, &statusError{status: decodeStatus(err), err: err}
 	}
+	if !wire.IsBinary(r.Header.Get("Content-Type")) {
+		return decodeShortcutJSON(body)
+	}
 	frame, err := wire.DecodeShortcutRequest(body)
-	putFrame(bp, body)
 	if err != nil {
 		return shortcutRequest{}, badRequest(err)
 	}
-	return shortcutRequest{frameGraph: frame.Graph, fromFrame: true, Partition: frame.Partition,
+	return shortcutRequest{fp: frame.Graph, hasFP: true, Partition: frame.Partition,
 		Parts: frame.Parts, Seed: frame.Seed, Options: frame.Options}, nil
 }
 
-// shortcutJSON renders sv as the JSON answer. Quality comes from the
-// entry's memo once measured (a lock-free read: warm hits skip the pool
-// round trip), else from the engine, so first-touch measurement runs on
-// the bounded worker pool. Measured on the held entry: re-resolving the
-// key would race eviction under capacity pressure.
-func (s *server) shortcutJSON(ctx context.Context, sv served) (shortcutResponse, error) {
-	c := sv.entry
-	q, ok := c.QualityIfReady()
-	if !ok {
-		var err error
-		if q, err = s.eng.MeasureCached(ctx, c); err != nil {
-			return shortcutResponse{}, err
+// decodeShortcutJSON decodes a JSON shortcut request body: through
+// scanShortcutJSON when the body has the shape every client sends, else
+// through strictUnmarshal, so encoding/json judges every other body and
+// writes every error. The fallback's request is declared in its branch: a
+// pointer handed to encoding/json moves its target to the heap, and a
+// scanned body should not pay that.
+func decodeShortcutJSON(body []byte) (shortcutRequest, error) {
+	if req, ok := scanShortcutJSON(body); ok {
+		return req, nil
+	}
+	var req shortcutRequest
+	if err := strictUnmarshal(body, &req); err != nil {
+		return shortcutRequest{}, badRequest(err)
+	}
+	return req, nil
+}
+
+// scanShortcutJSON decodes the JSON shortcut request every client in the
+// repository sends, without encoding/json: one object whose keys are
+// graph, partition, seed and options, spelled exactly, each at most once
+// and graph among them; strings of printable ASCII without escapes; a
+// plain decimal seed of at most 18 digits; JSON whitespace between
+// tokens and nothing after the object. The graph is parsed straight to its
+// fingerprint, so only a graph ParseFingerprint would take is scanned.
+// Anything else reports false, and the body goes to strictUnmarshal:
+// encoding/json folds key case, unescapes, takes the last of repeated
+// keys, reads null, fails what it must and ignores what follows the
+// object, and the scanner need not. FuzzDecodeShortcutJSON holds every
+// scanned body to what strictUnmarshal decodes.
+//
+//locshort:hotpath
+func scanShortcutJSON(b []byte) (req shortcutRequest, ok bool) {
+	const (
+		seenGraph = 1 << iota
+		seenPartition
+		seenSeed
+		seenOptions
+	)
+	i := skipJSONSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return req, false
+	}
+	seen := 0
+	for {
+		key, j, valid := scanJSONString(b, skipJSONSpace(b, i+1))
+		if !valid {
+			return req, false
+		}
+		i = skipJSONSpace(b, j)
+		if i == len(b) || b[i] != ':' {
+			return req, false
+		}
+		i = skipJSONSpace(b, i+1)
+		var v []byte
+		bit := 0
+		switch string(key) {
+		case "graph":
+			bit = seenGraph
+			if v, i, valid = scanJSONString(b, i); valid {
+				req.fp, valid = scanFingerprint(v)
+				req.hasFP = true
+			}
+		case "partition":
+			bit = seenPartition
+			v, i, valid = scanJSONString(b, i)
+			req.Partition = string(v)
+		case "options":
+			bit = seenOptions
+			v, i, valid = scanJSONString(b, i)
+			req.Options = string(v)
+		case "seed":
+			bit = seenSeed
+			req.Seed, i, valid = scanJSONSeed(b, i)
+		}
+		if !valid || bit == 0 || seen&bit != 0 {
+			return req, false
+		}
+		seen |= bit
+		i = skipJSONSpace(b, i)
+		if i == len(b) {
+			return req, false
+		}
+		if b[i] == '}' {
+			break
+		}
+		if b[i] != ',' {
+			return req, false
 		}
 	}
-	return shortcutResponse{
-		Shortcut:     c.Key.String(),
-		Graph:        c.GraphFP.String(),
-		Cached:       sv.hit,
-		Source:       sv.source,
-		ServedBy:     sv.servedBy,
-		BuildMillis:  float64(c.BuildTime.Microseconds()) / 1000,
-		Delta:        c.Result.Delta,
-		Congestion:   q.Congestion,
-		Dilation:     q.Dilation,
-		MaxBlocks:    q.MaxBlocks,
-		CoveredParts: q.CoveredParts,
-	}, nil
+	return req, seen&seenGraph != 0 && skipJSONSpace(b, i+1) == len(b)
+}
+
+// skipJSONSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanJSONString scans the string starting at b[i]: its bytes between the
+// quotes and the index after it, or false unless every byte is printable
+// ASCII other than a backslash.
+func scanJSONString(b []byte, i int) ([]byte, int, bool) {
+	if i == len(b) || b[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return b[i+1 : j], j + 1, true
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, j, false
+		}
+	}
+	return nil, len(b), false
+}
+
+// scanJSONSeed scans the number starting at b[i]: an optional minus and at
+// most 18 decimal digits without a leading zero, so it fits an int64. A
+// fraction or an exponent ends it at a byte the caller refuses.
+func scanJSONSeed(b []byte, i int) (int64, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for ; i < len(b) && wire.IsDigit(b[i]); i++ {
+		n = 10*n + int64(b[i]-'0')
+	}
+	if digits := i - start; digits == 0 || digits > 18 || digits > 1 && b[start] == '0' {
+		return 0, i, false
+	}
+	if neg {
+		n = -n
+	}
+	return n, i, true
+}
+
+// scanFingerprint parses the 16 hex digits of a fingerprint, as
+// service.ParseFingerprint does, without a string.
+func scanFingerprint(v []byte) (service.Fingerprint, bool) {
+	if len(v) != 16 {
+		return 0, false
+	}
+	var f uint64
+	for _, c := range v {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		f = f<<4 | uint64(c)
+	}
+	return service.Fingerprint(f), true
+}
+
+// quality is sv's measured quality for its JSON answer: from the entry's
+// memo once measured (a lock-free read: warm hits skip the pool round
+// trip), else from the engine, so first-touch measurement runs on the
+// bounded worker pool. Measured on the held entry: re-resolving the key
+// would race eviction under capacity pressure.
+func (s *server) quality(ctx context.Context, sv served) (shortcut.Quality, error) {
+	if q, ok := sv.entry.QualityIfReady(); ok {
+		return q, nil
+	}
+	return s.eng.MeasureCached(ctx, sv.entry)
+}
+
+// writeShortcutJSON renders sv as the JSON answer, appended into a pooled
+// buffer and written once.
+func (s *server) writeShortcutJSON(w http.ResponseWriter, sv served, q shortcut.Quality) {
+	bp := framePool.Get().(*[]byte)
+	answer := append(appendShortcutJSON((*bp)[:0], sv, q), '\n')
+	// The names are canonical already: Set would only canonicalize them
+	// again.
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h[wire.HeaderSource] = sourceHeader(sv.source)
+	if _, err := w.Write(answer); err != nil {
+		s.encodeFailed(err)
+	}
+	putFrame(bp, answer)
+}
+
+// appendShortcutJSON appends sv's JSON answer with quality q to b, without
+// a trailing newline: the object of shortcut and graph (the fingerprints),
+// cached, source (the latency class: "cache", a resident entry; "store",
+// reloaded from the durable store; "peer", fetched from a cluster peer's
+// store; "built", a cold construction; cached is true exactly when it is
+// "cache"), served_by (the node that executed the request, in cluster mode
+// only: on a forwarded request the owner), build_ms, delta, and the
+// quality's congestion, dilation, max_blocks and covered_parts. The bytes
+// are encoding/json's for the same values (TestShortcutJSONMatchesEncoder),
+// rendered without reflection, boxing, or a string per fingerprint.
+//
+//locshort:hotpath
+func appendShortcutJSON(b []byte, sv served, q shortcut.Quality) []byte {
+	c := sv.entry
+	b = append(b, `{"shortcut":"`...)
+	b = c.Key.Append(b)
+	b = append(b, `","graph":"`...)
+	b = c.GraphFP.Append(b)
+	b = append(b, `","cached":`...)
+	b = strconv.AppendBool(b, sv.hit)
+	b = append(b, `,"source":`...)
+	b = appendJSONString(b, sv.source)
+	if sv.servedBy != "" {
+		b = append(b, `,"served_by":`...)
+		b = appendJSONString(b, sv.servedBy)
+	}
+	// In milliseconds a build time is 0 or between 0.001 and 1e13 in
+	// magnitude, where encoding/json writes a float64 in strconv's
+	// shortest 'f' form.
+	b = append(b, `,"build_ms":`...)
+	b = strconv.AppendFloat(b, float64(c.BuildTime.Microseconds())/1000, 'f', -1, 64)
+	b = append(b, `,"delta":`...)
+	b = strconv.AppendInt(b, int64(c.Result.Delta), 10)
+	b = append(b, `,"congestion":`...)
+	b = strconv.AppendInt(b, int64(q.Congestion), 10)
+	b = append(b, `,"dilation":`...)
+	b = strconv.AppendInt(b, int64(q.Dilation), 10)
+	b = append(b, `,"max_blocks":`...)
+	b = strconv.AppendInt(b, int64(q.MaxBlocks), 10)
+	b = append(b, `,"covered_parts":`...)
+	b = strconv.AppendInt(b, int64(q.CoveredParts), 10)
+	return append(b, '}')
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. A string
+// of printable ASCII that needs no escape is copied between quotes; any
+// other, which a source or a node name hardly is, goes through
+// json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) //locshort:alloc-ok a string that needs escaping is rare; marshaling one cannot fail
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // writeShortcutBinary renders sv as the binary answer: the canonical
@@ -1231,11 +1420,11 @@ func (s *server) execAsync(ctx context.Context, kind string, request json.RawMes
 		case rel != nil:
 			return rel.jobResult()
 		}
-		resp, err := s.shortcutJSON(ctx, sv)
+		q, err := s.quality(ctx, sv)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(resp)
+		return appendShortcutJSON(nil, sv, q), nil
 	}
 	var req jobRequest
 	if err := strictUnmarshal(request, &req); err != nil {

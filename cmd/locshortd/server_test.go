@@ -1146,8 +1146,9 @@ func TestConcurrentGraphDeleteRace(t *testing.T) {
 }
 
 // TestRequestBodyLimit proves an oversized body maps to 413, not 400: a
-// JSON body past the cap, and a binary request declaring more than the
-// cap, which answers 413 on both binary routes before a body byte is sent.
+// JSON body past the cap, and a request declaring more than the cap, binary
+// on both binary routes or a JSON shortcut request, which answers 413
+// before a body byte is sent.
 func TestRequestBodyLimit(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
 	// 65 MiB of spec, past the 64 MiB cap.
@@ -1161,11 +1162,16 @@ func TestRequestBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
+	// The routes that read a body whole with readBody refuse a declared
+	// length over the cap before any byte is read.
 	for _, path := range binaryRoutes {
-		resp := sendDeclared(t, ts.Listener.Addr().String(), path, maxBody+1, nil, false)
+		resp := sendDeclared(t, ts.Listener.Addr().String(), path, wire.ContentType, maxBody+1, nil, false)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: declared %d bytes: status %d, want 413", path, maxBody+1, resp.StatusCode)
 		}
+	}
+	if resp := sendDeclared(t, ts.Listener.Addr().String(), "/v1/shortcuts", "application/json", maxBody+1, nil, false); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("JSON /v1/shortcuts: declared %d bytes: status %d, want 413", maxBody+1, resp.StatusCode)
 	}
 }
 
@@ -1197,10 +1203,10 @@ func TestBinaryRequestBodyCap(t *testing.T) {
 // binaryRoutes are the two routes that read a binary body with readBody.
 var binaryRoutes = []string{"/v1/shortcuts", "/v1/graphs"}
 
-// sendDeclared writes a binary POST to path whose Content-Length header
-// declares declared bytes, then the body bytes and, if closeWrite, a
-// half-close, and returns the answer.
-func sendDeclared(t *testing.T, addr, path string, declared int64, body []byte, closeWrite bool) *http.Response {
+// sendDeclared writes a POST of contentType to path whose Content-Length
+// header declares declared bytes, then the body bytes and, if closeWrite,
+// a half-close, and returns the answer.
+func sendDeclared(t *testing.T, addr, path, contentType string, declared int64, body []byte, closeWrite bool) *http.Response {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -1208,7 +1214,7 @@ func sendDeclared(t *testing.T, addr, path string, declared int64, body []byte, 
 	}
 	t.Cleanup(func() { c.Close() })
 	req := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
-		path, addr, wire.ContentType, declared)
+		path, addr, contentType, declared)
 	if _, err := c.Write(append([]byte(req), body...)); err != nil {
 		t.Fatal(err)
 	}
@@ -1239,7 +1245,7 @@ func TestBinaryBodyDeclaredLengthNotTrusted(t *testing.T) {
 	for _, path := range binaryRoutes {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		resp := sendDeclared(t, addr, path, maxBody, []byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
+		resp := sendDeclared(t, addr, path, wire.ContentType, maxBody, []byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
 		runtime.ReadMemStats(&after)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: truncated body: status %d, want 400", path, resp.StatusCode)
