@@ -254,12 +254,17 @@ func (s *server) encodeFailed(err error) {
 const maxBody = 64 << 20
 
 // decode reads a JSON request body capped at maxBody; decodeStatus maps a
-// body over the cap to 413. The decoder stops at the end of the first
-// value, so whatever follows it is left to the connection loop, which
-// drains up to 256 KiB after the handler and closes the connection past
-// that.
+// body over the cap to 413. A declared length over the cap fails before
+// anything is read, with the *http.MaxBytesError readBody returns, and a
+// chunked body trips the cap as it streams. The decoder stops at the end
+// of the first value, so whatever follows it is left to the connection
+// loop, which drains up to 256 KiB after the handler and closes the
+// connection past that.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	defer r.Body.Close()
+	if r.ContentLength > maxBody {
+		return &http.MaxBytesError{Limit: maxBody}
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)

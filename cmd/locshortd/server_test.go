@@ -1146,21 +1146,29 @@ func TestConcurrentGraphDeleteRace(t *testing.T) {
 }
 
 // TestRequestBodyLimit proves an oversized body maps to 413, not 400: a
-// JSON body past the cap, and a request declaring more than the cap, binary
-// on both binary routes or a JSON shortcut request, which answers 413
-// before a body byte is sent.
+// chunked JSON body that streams past the cap, and a request declaring
+// more than the cap — binary on both binary routes, or JSON on
+// /v1/shortcuts and on the routes decode reads (/v1/graphs, /v1/jobs,
+// /v1/batch) — which answers 413 before a body byte is sent.
 func TestRequestBodyLimit(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
-	// 65 MiB of spec, past the 64 MiB cap.
+	// 65 MiB of spec, past the 64 MiB cap, with no declared length: the
+	// client sends it chunked, so only the cap on the stream can trip.
 	body := append([]byte(`{"spec":"`), bytes.Repeat([]byte{'a'}, 65<<20)...)
 	body = append(body, `"}`...)
-	resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/graphs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength, req.TransferEncoding = -1, []string{"chunked"}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+		t.Fatalf("oversized chunked body: status %d, want 413", resp.StatusCode)
 	}
 	// The routes that read a body whole with readBody refuse a declared
 	// length over the cap before any byte is read.
@@ -1170,8 +1178,11 @@ func TestRequestBodyLimit(t *testing.T) {
 			t.Errorf("%s: declared %d bytes: status %d, want 413", path, maxBody+1, resp.StatusCode)
 		}
 	}
-	if resp := sendDeclared(t, ts.Listener.Addr().String(), "/v1/shortcuts", "application/json", maxBody+1, nil, false); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("JSON /v1/shortcuts: declared %d bytes: status %d, want 413", maxBody+1, resp.StatusCode)
+	for _, path := range []string{"/v1/shortcuts", "/v1/graphs", "/v1/jobs", "/v1/batch"} {
+		resp := sendDeclared(t, ts.Listener.Addr().String(), path, "application/json", maxBody+1, nil, false)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("JSON %s: declared %d bytes: status %d, want 413", path, maxBody+1, resp.StatusCode)
+		}
 	}
 }
 

@@ -22,9 +22,28 @@ func compareEdges(a, b Edge) int {
 // IsCanonical reports whether g is in canonical form: every edge has
 // U < V and no −0 weight, and the edge list is nondecreasing in (U, V, W).
 // That is the order store payloads hold edges in, so a canonical graph's
-// edge IDs are its canonical edge indexes. The check is one pass and
-// allocates nothing.
+// edge IDs are its canonical edge indexes. The graph memoizes the answer
+// next to its CSR view and BFS tree: the first call scans the edges once,
+// allocating nothing, and later calls read the memo until AddEdge,
+// AddWeightedEdge, SetWeight or RandomizeWeights drops it.
 func IsCanonical(g *Graph) bool {
+	switch g.canonical.Load() {
+	case canonicalYes:
+		return true
+	case canonicalNo:
+		return false
+	}
+	ok := scanCanonical(g)
+	state := uint32(canonicalNo)
+	if ok {
+		state = canonicalYes
+	}
+	g.canonical.Store(state)
+	return ok
+}
+
+// scanCanonical is IsCanonical's scan of the edge list.
+func scanCanonical(g *Graph) bool {
 	for i, e := range g.edges {
 		if e.U >= e.V || (e.W == 0 && math.Signbit(e.W)) {
 			return false

@@ -66,3 +66,54 @@ func TestCanonical(t *testing.T) {
 		t.Error("Validate accepts a NaN weight")
 	}
 }
+
+// TestIsCanonicalMemo: IsCanonical memoizes its answer, and every edit
+// that can change it drops the memo — SetWeight to −0, SetWeight to a
+// weight out of canonical order, and AddEdge out of canonical order —
+// while Clone and Canonical start unknown and answer afresh.
+func TestIsCanonicalMemo(t *testing.T) {
+	g := New(4)
+	g.AddWeightedEdge(0, 1, 1)
+	g.AddWeightedEdge(0, 1, 2)
+	g.AddWeightedEdge(1, 2, 1)
+	if !IsCanonical(g) || g.canonical.Load() != canonicalYes {
+		t.Fatal("canonical graph not memoized as canonical")
+	}
+	g.SetWeight(2, math.Copysign(0, -1))
+	if g.canonical.Load() != canonicalUnknown || IsCanonical(g) {
+		t.Fatal("SetWeight to -0 kept the canonical memo")
+	}
+	g.SetWeight(2, 1)
+	if !IsCanonical(g) {
+		t.Fatal("SetWeight back to +1 left the graph non-canonical")
+	}
+	g.SetWeight(0, 3) // (0,1,3) before (0,1,2)
+	if IsCanonical(g) {
+		t.Fatal("SetWeight to an out-of-order weight kept the canonical memo")
+	}
+	g.SetWeight(0, 1)
+	if !IsCanonical(g) {
+		t.Fatal("SetWeight back into order left the graph non-canonical")
+	}
+	g.AddEdge(0, 3) // (0,3) after (1,2)
+	if g.canonical.Load() != canonicalUnknown || IsCanonical(g) {
+		t.Fatal("AddEdge out of canonical order kept the canonical memo")
+	}
+	if c := g.Clone(); c.canonical.Load() != canonicalUnknown || IsCanonical(c) {
+		t.Fatal("Clone did not start unknown and answer afresh")
+	}
+	c := Canonical(g)
+	if c.canonical.Load() != canonicalUnknown || !IsCanonical(c) {
+		t.Fatal("Canonical did not start unknown and answer canonical")
+	}
+	RandomizeWeights(c, rand.New(rand.NewSource(1)))
+	if c.canonical.Load() != canonicalUnknown {
+		t.Fatal("RandomizeWeights kept the canonical memo")
+	}
+	if IsCanonical(c) != scanCanonical(c) {
+		t.Fatal("memoized answer differs from the scan")
+	}
+	if n := testing.AllocsPerRun(10, func() { IsCanonical(g) }); n != 0 {
+		t.Errorf("IsCanonical: %.0f allocs/op, want 0", n)
+	}
+}

@@ -234,4 +234,5 @@ func RandomizeWeights(g *Graph, rng *rand.Rand) {
 	for id := range g.edges {
 		g.edges[id].W = rng.Float64()
 	}
+	g.canonical.Store(canonicalUnknown)
 }

@@ -36,7 +36,18 @@ type Graph struct {
 	// an edge is added.
 	tree   atomic.Pointer[BFSTree]
 	treeMu sync.Mutex
+	// canonical memoizes IsCanonical: canonicalUnknown until the first
+	// check, then canonicalYes or canonicalNo. It is reset whenever an edge
+	// is added or a weight changes.
+	canonical atomic.Uint32
 }
+
+// The states of Graph.canonical.
+const (
+	canonicalUnknown = iota
+	canonicalYes
+	canonicalNo
+)
 
 // New returns an empty graph with n nodes and no edges.
 func New(n int) *Graph {
@@ -92,14 +103,20 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) int {
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
 	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: id})
 	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
-	// Topology changed: drop the memoized CSR view and BFS tree.
+	// Topology changed: drop the memoized CSR view, BFS tree and canonical
+	// check.
 	g.csr.Store(nil)
 	g.tree.Store(nil)
+	g.canonical.Store(canonicalUnknown)
 	return id
 }
 
-// SetWeight updates the weight of edge id.
-func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
+// SetWeight updates the weight of edge id, which drops the memoized
+// canonical check: a weight can move an edge out of canonical order.
+func (g *Graph) SetWeight(id int, w float64) {
+	g.edges[id].W = w
+	g.canonical.Store(canonicalUnknown)
+}
 
 // Other returns the endpoint of edge id that is not v.
 func (g *Graph) Other(id, v int) int {

@@ -8,7 +8,8 @@
 // the Section 2 wheel rim, singletons for Borůvka) plus FromLabels /
 // FromLabelsInto for label-array re-partitioning inside distributed
 // algorithm phases, and FromCanonical, which rebuilds a partition from the
-// label sequence of its canonical encoding (a stored partition record).
+// label sequence of its canonical encoding (a stored partition record)
+// into memory the caller owns.
 // Every constructor checks part connectivity with one BFS per part that
 // marks visits in PartOf itself, on pooled scratch.
 //

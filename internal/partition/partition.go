@@ -67,49 +67,55 @@ func validated(g *graph.Graph, parts [][]int) (*Partition, error) {
 	return p.connected(g)
 }
 
-// FromCanonical builds the partition of g whose canonical part assignment
-// is partOf, taking ownership of it as PartOf: partOf[v] is -1 for an
-// uncovered node, else the rank of v's part by first appearance over
-// nodes 0..n-1, and all k ranks appear. That is the label sequence of the
-// canonical encoding (service.FingerprintPartition), so the partition
-// re-encodes to exactly those labels, with Parts[i] the part of rank i.
-// One counting pass lays the parts out in one backing array, nodes
-// ascending within a part; then every part must induce a connected
-// subgraph of g. Labels out of range or out of first-appearance order are
-// rejected, as is a k the labels do not use up. When partOf has spare
-// capacity for the covered nodes, the backing array is carved from it, so
-// a caller that sizes it so pays one allocation for both.
-func FromCanonical(g *graph.Graph, partOf []int, k int) (*Partition, error) {
-	n := g.NumNodes()
+// FromCanonical fills p with the partition of g whose canonical part
+// assignment is partOf, taking ownership of partOf as PartOf and of parts
+// as Parts: partOf[v] is -1 for an uncovered node, else the rank of v's
+// part by first appearance over nodes 0..n-1, and all k = len(parts)
+// ranks appear. That is the label sequence of the canonical encoding
+// (service.FingerprintPartition), so the partition re-encodes to exactly
+// those labels, with Parts[i] the part of rank i. One counting pass lays
+// the parts out in one backing array, nodes ascending within a part; then
+// every part must induce a connected subgraph of g. Labels out of range or
+// out of first-appearance order are rejected, as is a k the labels do not
+// use up. When partOf has spare capacity for the covered nodes, the
+// backing array is carved from it, so a caller that sizes partOf so, and
+// allocates p and parts as part of something it allocates anyway, pays no
+// allocation here. On error p is left half-written.
+func FromCanonical(p *Partition, g *graph.Graph, partOf []int, parts [][]int) error {
+	n, k := g.NumNodes(), len(parts)
 	if len(partOf) != n {
-		return nil, fmt.Errorf("partition: %d labels, want %d", len(partOf), n)
+		return fmt.Errorf("partition: %d labels, want %d", len(partOf), n)
 	}
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("partition: %d parts for %d nodes", k, n)
+	if k > n {
+		return fmt.Errorf("partition: %d parts for %d nodes", k, n)
 	}
 	next := 0
 	for v, l := range partOf {
 		switch {
 		case l < -1 || l >= k:
-			return nil, fmt.Errorf("partition: node %d label %d outside [-1,%d)", v, l, k)
+			return fmt.Errorf("partition: node %d label %d outside [-1,%d)", v, l, k)
 		case l > next:
-			return nil, fmt.Errorf("partition: node %d label %d precedes label %d (not first-appearance order)", v, l, next)
+			return fmt.Errorf("partition: node %d label %d precedes label %d (not first-appearance order)", v, l, next)
 		case l == next:
 			next++
 		}
 	}
 	if next != k {
-		return nil, fmt.Errorf("partition: labels use %d of %d parts", next, k)
+		return fmt.Errorf("partition: labels use %d of %d parts", next, k)
 	}
-	p := &Partition{Parts: layout(partOf, k), PartOf: partOf[:n:n]}
-	return p.connected(g)
+	*p = Partition{Parts: layout(partOf, parts), PartOf: partOf[:n:n]}
+	_, err := p.connected(g)
+	return err
 }
 
 // layout lays out the parts of a label array — label[v] is v's part in
-// [0,k), or -1 — in one backing array with one counting pass, nodes
-// ascending within a part. The backing array is carved from label's spare
-// capacity when it has room.
-func layout(label []int, k int) [][]int {
+// [0,len(parts)), or -1 — into parts, in one backing array with one
+// counting pass, nodes ascending within a part, and returns parts. The
+// backing array is carved from label's spare capacity when it has room.
+// Every part is a full slice expression, so appending to one reallocates
+// instead of running into the next.
+func layout(label []int, parts [][]int) [][]int {
+	k := len(parts)
 	sp := scratchPool.Get().(*[]int)
 	defer scratchPool.Put(sp)
 	// start[i+1] counts part i, then the prefix sums make start[i] where
@@ -129,7 +135,6 @@ func layout(label []int, k int) [][]int {
 	if len(backing) < start[k] {
 		backing = make([]int, start[k])
 	}
-	parts := make([][]int, k)
 	for i := range parts {
 		parts[i] = backing[start[i]:start[i]:start[i+1]]
 	}
@@ -245,7 +250,7 @@ func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 	}
 	flood(g, owner, queue)
 	// owner is the finished PartOf: every node joined exactly one region.
-	p := &Partition{Parts: layout(owner, k), PartOf: owner}
+	p := &Partition{Parts: layout(owner, make([][]int, k)), PartOf: owner}
 	return p.connected(g)
 }
 

@@ -119,9 +119,11 @@ func TestFromLabels(t *testing.T) {
 
 // TestFromCanonical checks the canonical-label constructor: a dense
 // first-appearance labeling round-trips to the partition FromLabels
-// builds, with the parts laid out in partOf's spare capacity when it has
-// room; anything else — a label out of range, out of first-appearance
-// order, a k the labels do not use up, a disconnected part — is rejected.
+// builds, filling the caller's Partition and parts slice, with the parts
+// laid out in partOf's spare capacity when it has room, allocating
+// nothing then; anything else — a label out of range, out of
+// first-appearance order, a k the labels do not use up, a disconnected
+// part — is rejected.
 func TestFromCanonical(t *testing.T) {
 	g := graph.Path(6)
 	labels := []int{0, 0, -1, 1, 1, 2}
@@ -131,12 +133,16 @@ func TestFromCanonical(t *testing.T) {
 	}
 	partOf := make([]int, len(labels), 2*len(labels))
 	copy(partOf, labels)
-	p, err := FromCanonical(g, partOf, 3)
-	if err != nil {
+	var p Partition
+	parts := make([][]int, 3, 6) // Parts, then room a caller keeps for itself
+	if err := FromCanonical(&p, g, partOf, parts[:3:3]); err != nil {
 		t.Fatalf("FromCanonical: %v", err)
 	}
 	if !reflect.DeepEqual(p.Parts, want.Parts) || !reflect.DeepEqual(p.PartOf, want.PartOf) {
 		t.Fatalf("FromCanonical = %v / %v, want %v / %v", p.Parts, p.PartOf, want.Parts, want.PartOf)
+	}
+	if &p.Parts[0] != &parts[0] || cap(p.Parts) != 3 {
+		t.Error("Parts is not the caller's parts slice")
 	}
 	if &p.Parts[0][0] != &partOf[:cap(partOf)][len(labels)] {
 		t.Error("parts were not laid out in partOf's spare capacity")
@@ -144,7 +150,20 @@ func TestFromCanonical(t *testing.T) {
 	if cap(p.PartOf) != len(labels) {
 		t.Errorf("PartOf capacity %d reaches into the parts", cap(p.PartOf))
 	}
-	if _, err := FromCanonical(g, []int{0, 0, -1, 1, 1, 2}, 3); err != nil {
+	for i, part := range p.Parts {
+		if cap(part) != len(part) {
+			t.Errorf("part %d has capacity %d past its %d nodes", i, cap(part), len(part))
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		copy(partOf, labels)
+		if err := FromCanonical(&p, g, partOf, parts[:3:3]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FromCanonical into caller-owned memory: %.0f allocs/op, want 0", n)
+	}
+	if err := FromCanonical(&p, g, []int{0, 0, -1, 1, 1, 2}, make([][]int, 3)); err != nil {
 		t.Errorf("FromCanonical without spare capacity: %v", err)
 	}
 	for _, c := range []struct {
@@ -160,7 +179,7 @@ func TestFromCanonical(t *testing.T) {
 		{[]int{0, 0, 0}, 1},          // wrong length
 		{[]int{0, 1, 2, 3, 4, 5}, 7}, // k > n
 	} {
-		if _, err := FromCanonical(g, append([]int(nil), c.labels...), c.k); err == nil {
+		if err := FromCanonical(&p, g, append([]int(nil), c.labels...), make([][]int, c.k)); err == nil {
 			t.Errorf("FromCanonical(%v, %d) succeeded, want an error", c.labels, c.k)
 		}
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
 	"locshort/internal/graph"
@@ -10,7 +9,9 @@ import (
 // cache is a sharded, singleflight, in-memory LRU keyed by Fingerprint.
 //
 // Each shard guards a map plus an LRU list with one mutex; a fingerprint's
-// shard is its low bits, which FNV-1a mixes well.
+// shard is its low bits, which FNV-1a mixes well. The list is intrusive:
+// an entry carries its own links, so making an entry resident allocates
+// nothing.
 // Lookups of a completed entry touch the LRU and return immediately.
 // Lookups of an in-flight entry join it. A lookup of a missing entry
 // installs an in-flight one — the singleflight guarantee — and its caller
@@ -27,24 +28,45 @@ type cache struct {
 }
 
 type cacheShard struct {
-	mu  sync.Mutex
-	m   map[Fingerprint]*cacheEntry
-	lru *list.List // front = most recently used; completed entries only
+	mu sync.Mutex
+	m  map[Fingerprint]*cacheEntry
+	// head is the most recently used resident entry and tail the least;
+	// the list holds completed entries only, n of them.
+	head, tail *cacheEntry
+	n          int
 }
 
-// cacheEntry is one key's slot. While in flight it is also the worker job
-// that fills it: g and req are what the fill materializes from, set by the
-// caller that installed the entry before it queues it, and cleared by the
-// fill, so a resident entry holds no request.
+// cacheEntry is one key's slot, and its value: a miss allocates it and its
+// ready channel and nothing else for the cache. While in flight it is also
+// the worker job that fills it: g and req are what the fill materializes
+// from, set by the caller that installed the entry before it queues it,
+// and cleared by the fill, so a resident entry holds no request.
 type cacheEntry struct {
 	key   Fingerprint
 	ready chan struct{} // closed once val/err are set
-	val   *Cached
-	err   error
-	elem  *list.Element // non-nil once completed and resident
+	// val is the entry's value, filled in place by the fill; it is handed
+	// out as &val once ready is closed with err nil.
+	val Cached
+	err error
+
+	// prev and next link a resident entry into its shard's LRU list
+	// (prev toward the head); resident is true while it is linked.
+	prev, next *cacheEntry
+	resident   bool
 
 	g   *graph.Graph
 	req BuildRequest
+}
+
+// value returns the entry's outcome once ready is closed: its value, or
+// its error and nil.
+//
+//locshort:hotpath
+func (e *cacheEntry) value() (*Cached, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.val, nil
 }
 
 // newCache sizes the shard array to a power of two and splits the total
@@ -63,13 +85,56 @@ func newCache(shards, capacity int, metrics *counters) *cache {
 	}
 	c := &cache{shards: make([]*cacheShard, pow), mask: uint64(pow - 1), perCap: perCap, metrics: metrics}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{m: make(map[Fingerprint]*cacheEntry), lru: list.New()}
+		c.shards[i] = &cacheShard{m: make(map[Fingerprint]*cacheEntry)}
 	}
 	return c
 }
 
 //locshort:hotpath
 func (c *cache) shard(key Fingerprint) *cacheShard { return c.shards[uint64(key)&c.mask] }
+
+// pushFront links e as the shard's most recently used entry. Caller holds
+// mu.
+//
+//locshort:hotpath
+func (s *cacheShard) pushFront(e *cacheEntry) {
+	e.prev, e.next, e.resident = nil, s.head, true
+	if s.head != nil {
+		s.head.prev = e
+	} else {
+		s.tail = e
+	}
+	s.head = e
+	s.n++
+}
+
+// unlink takes a resident e out of the shard's list. Caller holds mu.
+//
+//locshort:hotpath
+func (s *cacheShard) unlink(e *cacheEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next, e.resident = nil, nil, false
+	s.n--
+}
+
+// touch makes a resident e the most recently used entry. Caller holds mu.
+//
+//locshort:hotpath
+func (s *cacheShard) touch(e *cacheEntry) {
+	if e.resident && s.head != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
+}
 
 // join returns key's entry: a completed one (done, a hit that touches the
 // LRU), an in-flight one to wait on (a hit too), or — on a miss — a fresh
@@ -84,9 +149,7 @@ func (c *cache) join(key Fingerprint) (e *cacheEntry, done, fresh bool) {
 		select {
 		case <-e.ready:
 			done = true
-			if e.elem != nil {
-				s.lru.MoveToFront(e.elem)
-			}
+			s.touch(e)
 		default: // in flight: join the single flight
 		}
 		s.mu.Unlock()
@@ -100,21 +163,22 @@ func (c *cache) join(key Fingerprint) (e *cacheEntry, done, fresh bool) {
 	return e, false, true
 }
 
-// fill completes an in-flight entry and releases its waiters: a value
-// becomes resident, evicting the shard's least recently used entries past
-// capacity; an error removes the entry, so the next lookup fills afresh.
-func (c *cache) fill(e *cacheEntry, val *Cached, err error) {
+// fill completes an in-flight entry, whose val the caller has filled
+// unless err is set, and releases its waiters: a value becomes resident,
+// evicting the shard's least recently used entries past capacity; an error
+// removes the entry, so the next lookup fills afresh.
+func (c *cache) fill(e *cacheEntry, err error) {
 	s := c.shard(e.key)
 	s.mu.Lock()
-	e.val, e.err = val, err
+	e.err = err
 	if err != nil {
 		delete(s.m, e.key)
 	} else {
-		e.elem = s.lru.PushFront(e)
-		for s.lru.Len() > c.perCap {
-			old := s.lru.Back()
-			s.lru.Remove(old)
-			delete(s.m, old.Value.(*cacheEntry).key)
+		s.pushFront(e)
+		for s.n > c.perCap {
+			old := s.tail
+			s.unlink(old)
+			delete(s.m, old.key)
 			c.metrics.evictions.Add(1)
 		}
 	}
@@ -157,8 +221,8 @@ func (c *cache) peek(key Fingerprint) (*Cached, bool) {
 	if e.err != nil {
 		return nil, false
 	}
-	s.lru.MoveToFront(e.elem)
-	return e.val, true
+	s.touch(e)
+	return &e.val, true
 }
 
 // removeGraph drops every resident completed entry whose shortcut was built
@@ -171,13 +235,8 @@ func (c *cache) removeGraph(fp Fingerprint) int {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for key, e := range s.m {
-			select {
-			case <-e.ready:
-			default:
-				continue // in flight
-			}
-			if e.err == nil && e.val.GraphFP == fp {
-				s.lru.Remove(e.elem)
+			if e.resident && e.val.GraphFP == fp {
+				s.unlink(e)
 				delete(s.m, key)
 				removed++
 			}
@@ -192,7 +251,7 @@ func (c *cache) len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n

@@ -526,7 +526,7 @@ func (j *job) drop(*Engine) {}
 // released, and a resident entry keeps no request.
 func (ent *cacheEntry) run(e *Engine) {
 	start := e.jobStarted()
-	val, err := e.materializeEntry(ent)
+	err := e.materializeEntry(ent)
 	e.jobFinished(start)
 	if err != nil {
 		e.counters.jobsFailed.Add(1)
@@ -534,23 +534,24 @@ func (ent *cacheEntry) run(e *Engine) {
 		e.counters.jobsDone.Add(1)
 	}
 	ent.g, ent.req = nil, BuildRequest{}
-	e.cache.fill(ent, val, err)
+	e.cache.fill(ent, err)
 }
 
 // drop fails the fill: its waiters get ErrClosed, and nothing is cached.
-func (ent *cacheEntry) drop(e *Engine) { e.cache.fill(ent, nil, ErrClosed) }
+func (ent *cacheEntry) drop(e *Engine) { e.cache.fill(ent, ErrClosed) }
 
-// materializeEntry runs a fill's materialize. A panic fails this entry
-// alone, as the job's *obs.PanicError: the worker lives on, nothing is
-// cached, and the next request for the key fills afresh.
-func (e *Engine) materializeEntry(ent *cacheEntry) (val *Cached, err error) {
+// materializeEntry runs a fill's materialize into the entry's value. A
+// panic fails this entry alone, as the job's *obs.PanicError: the worker
+// lives on, nothing is cached, and the next request for the key fills
+// afresh.
+func (e *Engine) materializeEntry(ent *cacheEntry) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			e.counters.jobPanics.Add(1)
-			val, err = nil, obs.Recovered(v)
+			err = obs.Recovered(v)
 		}
 	}()
-	return e.materialize(ent.key, ent.g, &ent.req)
+	return e.materialize(&ent.val, ent.key, ent.g, &ent.req)
 }
 
 // errSkipped marks a job the worker skipped at pickup because its context
@@ -675,7 +676,8 @@ func (e *Engine) Build(ctx context.Context, req BuildRequest) (c *Cached, hit bo
 func (e *Engine) miss(ctx context.Context, key Fingerprint, g *graph.Graph, req BuildRequest) (*Cached, bool, error) {
 	ent, done, fresh := e.cache.join(key)
 	if done {
-		return ent.val, true, ent.err
+		c, err := ent.value()
+		return c, true, err
 	}
 	if fresh {
 		ent.g, ent.req = g, req
@@ -683,7 +685,8 @@ func (e *Engine) miss(ctx context.Context, key Fingerprint, g *graph.Graph, req 
 	}
 	select {
 	case <-ent.ready:
-		return ent.val, false, ent.err
+		c, err := ent.value()
+		return c, false, err
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	case <-e.quit:
@@ -724,8 +727,9 @@ func (e *Engine) enqueueWait(ent *cacheEntry) {
 }
 
 // materialize produces the entry for key behind the singleflight, on a
-// worker: from the store, else from a peer, else by construction.
-func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest) (*Cached, error) {
+// worker, into c, its cache entry's value: from the store, else from a
+// peer, else by construction.
+func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *BuildRequest) error {
 	// The trace (when tracing is on) is assembled here, behind the
 	// singleflight, so every miss yields at most one trace no matter how
 	// many callers joined it. It is published on the entry's first quality
@@ -738,21 +742,11 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 		storeCheck time.Duration
 	)
 	missStart := time.Now()
-	entry := func(res *shortcut.Result, bt time.Duration, src BuildSource) *Cached {
-		return &Cached{
-			Key:        key,
-			GraphFP:    req.Graph,
-			G:          g,
-			Parts:      res.Shortcut.Parts,
-			Result:     res,
-			BuildTime:  bt,
-			Source:     src,
-			trace:      tb,
-			missStart:  missStart,
-			storeCheck: storeCheck,
-			tracer:     e.cfg.Tracer,
-			engMetrics: e.metrics,
-		}
+	fill := func(res *shortcut.Result, bt time.Duration, src BuildSource) {
+		c.Key, c.GraphFP, c.G, c.Parts, c.Result = key, req.Graph, g, res.Shortcut.Parts, res
+		c.BuildTime, c.Source = bt, src
+		c.trace, c.missStart, c.storeCheck = tb, missStart, storeCheck
+		c.tracer, c.engMetrics = e.cfg.Tracer, e.metrics
 	}
 	// Store-first: a persisted build from a previous process (or one
 	// evicted from the LRU) is reloaded instead of rebuilt. This sits
@@ -771,7 +765,8 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 			if e.metrics != nil {
 				e.metrics.loadSeconds.Observe(storeCheck)
 			}
-			return entry(res, bt, SourceStore), nil
+			fill(res, bt, SourceStore)
+			return nil
 		default:
 			e.counters.storeMisses.Add(1)
 		}
@@ -805,7 +800,8 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 			if e.metrics != nil {
 				e.metrics.peerFetchSeconds.Observe(fetchDur)
 			}
-			return entry(res, bt, SourcePeer), nil
+			fill(res, bt, SourcePeer)
+			return nil
 		default:
 			e.counters.peerMisses.Add(1)
 		}
@@ -814,10 +810,10 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 	if parts == nil {
 		var err error
 		if parts, err = cli.ParsePartition(g, req.Spec, req.Seed); err != nil {
-			return nil, err
+			return err
 		}
 		if got := ShortcutKey(req.Graph, parts, req.Options); got != key {
-			return nil, fmt.Errorf("service: partition spec %q seed %d hashes to key %s, request names %s",
+			return fmt.Errorf("service: partition spec %q seed %d hashes to key %s, request names %s",
 				req.Spec, req.Seed, got, key)
 		}
 	}
@@ -835,7 +831,7 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 	e.builders.Put(bld)
 	if err != nil {
 		e.counters.buildErrs.Add(1)
-		return nil, err
+		return err
 	}
 	d := time.Since(start)
 	e.counters.builds.Add(1)
@@ -885,7 +881,8 @@ func (e *Engine) materialize(key Fingerprint, g *graph.Graph, req *BuildRequest)
 			}
 		}()
 	}
-	return entry(res, d, SourceBuilt), nil
+	fill(res, d, SourceBuilt)
+	return nil
 }
 
 // MSTRequest runs the Corollary 1.6 distributed MST on a registered graph.

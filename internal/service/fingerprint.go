@@ -126,19 +126,46 @@ func FingerprintPartition(p *partition.Partition) Fingerprint {
 	return Fingerprint(hashPartition(fnvOffset, p))
 }
 
-// FingerprintLabels is FingerprintPartition over a partition given by its
-// node count n, its part count k and its labels: label(v), called once for
-// each node v in ascending order, is v's canonical part rank, or -1 for an
-// uncovered node. A stored partition record holds exactly that, so the
-// store re-derives a record's fingerprint from its labels without a
-// partition or the 16+8n-byte encoding.
-func FingerprintLabels(n, k int, label func(v int) int) Fingerprint {
-	h := fnvWord(fnvWord(fnvOffset, uint64(n)), uint64(k))
-	for v := range n {
-		h = fnvWord(h, uint64(int64(label(v))))
-	}
-	return Fingerprint(h)
+// RecordHash streams a partition given by its node count n, its part
+// count k and its labels into two FNV-1a states at once: the partition's
+// fingerprint (FingerprintPartition) and the shortcut key of a graph, that
+// partition and build options (ShortcutKey), which hashes the same words
+// after the graph's. A stored partition record holds exactly those labels,
+// so the store re-derives the record's fingerprint, and with it the key of
+// the shortcut that names it, from the labels as it reads them, without a
+// partition or the 16+8n-byte encoding: the labels are hashed once for
+// both.
+type RecordHash struct{ part, key uint64 }
+
+// NewRecordHash starts both hashes for a partition of n nodes in k parts
+// and the shortcut key over graph.
+func NewRecordHash(graph Fingerprint, n, k int) RecordHash {
+	h := RecordHash{part: fnvOffset, key: fnvWord(fnvOffset, uint64(graph))}
+	h.Label(n)
+	h.Label(k)
+	return h
 }
+
+// Label feeds the next node's label into both hashes: its canonical part
+// rank, or -1 for an uncovered node, called once for each node in
+// ascending order.
+func (h *RecordHash) Label(l int) {
+	w := uint64(int64(l))
+	p, k := h.part, h.key
+	for shift := 56; shift >= 0; shift -= 8 {
+		b := (w >> shift) & 0xff
+		p = (p ^ b) * fnvPrime
+		k = (k ^ b) * fnvPrime
+	}
+	h.part, h.key = p, k
+}
+
+// Partition returns the partition fingerprint of the labels fed so far.
+func (h *RecordHash) Partition() Fingerprint { return Fingerprint(h.part) }
+
+// Key returns the shortcut key over the graph, the labels fed so far and
+// o.
+func (h *RecordHash) Key(o shortcut.Options) Fingerprint { return Fingerprint(hashOptions(h.key, o)) }
 
 // FingerprintPartitionRanks is FingerprintPartition for a caller that
 // already holds p's canonical ranks (p.CanonicalRanks), such as the

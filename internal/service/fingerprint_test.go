@@ -108,7 +108,7 @@ func byteKey(g Fingerprint, p *partition.Partition, o shortcut.Options) Fingerpr
 
 // TestStreamedKeyMatchesCanonicalBytes checks the streamed derivations
 // against FNV-1a over AppendPartitionCanonical's bytes: ShortcutKey,
-// FingerprintPartition and FingerprintLabels, over spec-made partitions
+// FingerprintPartition and RecordHash, over spec-made partitions
 // and over random label arrays — parts out of first-appearance order,
 // uncovered nodes, and more parts than the stack rank table holds.
 func TestStreamedKeyMatchesCanonicalBytes(t *testing.T) {
@@ -128,14 +128,21 @@ func TestStreamedKeyMatchesCanonicalBytes(t *testing.T) {
 			t.Fatalf("%s: FingerprintPartition %s, bytes hash to %s", name, got, want)
 		}
 		rank := p.CanonicalRanks(nil)
-		label := func(v int) int {
-			if i := p.PartOf[v]; i >= 0 {
-				return int(rank[i])
+		for _, o := range []shortcut.Options{{}, goldenOpts} {
+			h := NewRecordHash(gfp, len(p.PartOf), len(rank))
+			for _, i := range p.PartOf {
+				l := -1
+				if i >= 0 {
+					l = int(rank[i])
+				}
+				h.Label(l)
 			}
-			return -1
-		}
-		if got := FingerprintLabels(len(p.PartOf), len(rank), label); got != want {
-			t.Fatalf("%s: FingerprintLabels %s, bytes hash to %s", name, got, want)
+			if got := h.Partition(); got != want {
+				t.Fatalf("%s: RecordHash partition %s, bytes hash to %s", name, got, want)
+			}
+			if got, wantKey := h.Key(o), byteKey(gfp, p, o); got != wantKey {
+				t.Fatalf("%s %+v: RecordHash key %s, bytes hash to %s", name, o, got, wantKey)
+			}
 		}
 	}
 	for _, c := range []struct{ graph, parts string }{

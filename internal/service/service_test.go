@@ -125,21 +125,21 @@ func TestFingerprintWireForm(t *testing.T) {
 }
 
 // getOrBuild drives the cache the way Engine.miss does, with a goroutine
-// running build in place of the worker that fills a fresh entry.
-func getOrBuild(ctx context.Context, c *cache, key Fingerprint, build func() (*Cached, error)) (*Cached, bool, error) {
+// running build, which fills the entry's value, in place of the worker
+// that fills a fresh entry.
+func getOrBuild(ctx context.Context, c *cache, key Fingerprint, build func(*Cached) error) (*Cached, bool, error) {
 	ent, done, fresh := c.join(key)
 	if done {
-		return ent.val, true, ent.err
+		v, err := ent.value()
+		return v, true, err
 	}
 	if fresh {
-		go func() {
-			val, err := build()
-			c.fill(ent, val, err)
-		}()
+		go func() { c.fill(ent, build(&ent.val)) }()
 	}
 	select {
 	case <-ent.ready:
-		return ent.val, false, ent.err
+		v, err := ent.value()
+		return v, false, err
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
@@ -159,10 +159,11 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _, err := getOrBuild(context.Background(), c, 42, func() (*Cached, error) {
+			v, _, err := getOrBuild(context.Background(), c, 42, func(v *Cached) error {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond)
-				return &Cached{Key: 42}, nil
+				v.Key = 42
+				return nil
 			})
 			if err != nil || v == nil || v.Key != 42 {
 				t.Errorf("getOrBuild = %v, %v", v, err)
@@ -185,9 +186,9 @@ func TestCacheErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, _, err := getOrBuild(context.Background(), c, 7, func() (*Cached, error) {
+		_, _, err := getOrBuild(context.Background(), c, 7, func(*Cached) error {
 			calls++
-			return nil, boom
+			return boom
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want boom", err)
@@ -213,8 +214,9 @@ func TestCacheEviction(t *testing.T) {
 		wg.Add(1)
 		go func(k Fingerprint) {
 			defer wg.Done()
-			_, _, err := getOrBuild(context.Background(), c, k, func() (*Cached, error) {
-				return &Cached{Key: k}, nil
+			_, _, err := getOrBuild(context.Background(), c, k, func(v *Cached) error {
+				v.Key = k
+				return nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -231,16 +233,104 @@ func TestCacheEviction(t *testing.T) {
 	// LRU: the most recently inserted keys of each shard survive; an
 	// evicted key rebuilds.
 	rebuilt := false
-	getOrBuild(context.Background(), c, 0, func() (*Cached, error) {
+	getOrBuild(context.Background(), c, 0, func(*Cached) error {
 		rebuilt = true
-		return &Cached{}, nil
+		return nil
 	})
-	getOrBuild(context.Background(), c, 1, func() (*Cached, error) {
+	getOrBuild(context.Background(), c, 1, func(*Cached) error {
 		rebuilt = true
-		return &Cached{}, nil
+		return nil
 	})
 	if !rebuilt {
 		t.Error("no early key was evicted out of 64 inserts into capacity 4")
+	}
+}
+
+// lruKeys lists a shard's resident keys from the most to the least
+// recently used, after checking that the list reads the same backward,
+// that every entry on it is resident and in the map, and that it holds n
+// entries.
+func lruKeys(t *testing.T, s *cacheShard) []Fingerprint {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var fwd, back []Fingerprint
+	for e := s.head; e != nil; e = e.next {
+		if !e.resident || s.m[e.key] != e {
+			t.Fatalf("entry %d is on the LRU list but not resident in the map", e.key)
+		}
+		fwd = append(fwd, e.key)
+	}
+	for e := s.tail; e != nil; e = e.prev {
+		back = append(back, e.key)
+	}
+	slices.Reverse(back)
+	if !slices.Equal(fwd, back) || len(fwd) != s.n {
+		t.Fatalf("LRU list forward %v, backward %v, count %d", fwd, back, s.n)
+	}
+	return fwd
+}
+
+// TestCacheLRUOrder pins the eviction order of the intrusive LRU list: a
+// fill makes its entry the most recently used, get, peek and a join of a
+// completed entry touch it, a fill past capacity evicts the least
+// recently used, removeGraph unlinks what it drops, and len counts what
+// stays.
+func TestCacheLRUOrder(t *testing.T) {
+	var metrics counters
+	c := newCache(1, 3, &metrics)
+	s := c.shards[0]
+	put := func(key, graphFP Fingerprint) {
+		t.Helper()
+		if _, _, err := getOrBuild(context.Background(), c, key, func(v *Cached) error {
+			v.Key, v.GraphFP = key, graphFP
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(step string, keys ...Fingerprint) {
+		t.Helper()
+		if got := lruKeys(t, s); !slices.Equal(got, keys) {
+			t.Fatalf("after %s: LRU %v, want %v", step, got, keys)
+		}
+		if c.len() != len(keys) {
+			t.Fatalf("after %s: len %d, want %d", step, c.len(), len(keys))
+		}
+	}
+	put(1, 100)
+	put(2, 100)
+	put(3, 200)
+	want("three fills", 3, 2, 1)
+	if v, ok := c.get(1); !ok || v.Key != 1 {
+		t.Fatalf("get(1) = %v, %v", v, ok)
+	}
+	want("get(1)", 1, 3, 2)
+	put(4, 200)
+	want("a fourth fill", 4, 1, 3)
+	if _, ok := c.peek(2); ok {
+		t.Fatal("evicted key 2 still resident")
+	}
+	if v, ok := c.peek(3); !ok || v.Key != 3 {
+		t.Fatalf("peek(3) = %v, %v", v, ok)
+	}
+	want("peek(3)", 3, 4, 1)
+	if e, done, fresh := c.join(4); !done || fresh || e.val.Key != 4 {
+		t.Fatalf("join(4) = %v, done %v, fresh %v", e, done, fresh)
+	}
+	want("join(4)", 4, 3, 1)
+	put(5, 100)
+	want("a fifth fill", 5, 4, 3)
+	if n := c.removeGraph(200); n != 2 {
+		t.Fatalf("removeGraph(200) removed %d, want 2", n)
+	}
+	want("removeGraph(200)", 5)
+	put(6, 100)
+	put(7, 100)
+	put(8, 100)
+	want("three more fills", 8, 7, 6)
+	if ev := metrics.evictions.Load(); ev != 3 {
+		t.Errorf("evictions = %d, want 3 (keys 2, 1 and 5)", ev)
 	}
 }
 
@@ -254,9 +344,10 @@ func TestCacheCancelMidBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := getOrBuild(ctx, c, 9, func() (*Cached, error) {
+		_, _, err := getOrBuild(ctx, c, 9, func(v *Cached) error {
 			<-release
-			return &Cached{Key: 9}, nil
+			v.Key = 9
+			return nil
 		})
 		errc <- err
 	}()
@@ -271,9 +362,9 @@ func TestCacheCancelMidBuild(t *testing.T) {
 		t.Fatal("canceled waiter did not return")
 	}
 	close(release)
-	v, _, err := getOrBuild(context.Background(), c, 9, func() (*Cached, error) {
+	v, _, err := getOrBuild(context.Background(), c, 9, func(*Cached) error {
 		t.Error("abandoned build did not populate the cache")
-		return nil, nil
+		return nil
 	})
 	if err != nil || v.Key != 9 {
 		t.Fatalf("post-cancel lookup = %v, %v", v, err)

@@ -18,8 +18,10 @@
 // indexes: a shortcut payload holds them as they are, and decodes against
 // the representative any process holds for the fingerprint. It holds no
 // restriction tree: that is the graph's own BFS tree, and the decode takes
-// it from the graph. Payload version 2 is written and version 1, from
-// earlier releases, still read (encode.go).
+// it from the graph. A read without the request's partition decodes the
+// shortcut and its partition record in one pass (decodeRecord). Payload
+// version 2 is written and version 1, from earlier releases, still read
+// (encode.go).
 //
 // The store also carries the async job records of internal/jobs ('J'
 // frames in the same segments). Those are the one non-content-addressed

@@ -39,8 +39,8 @@ import (
 // untranslated. encodeShortcut refuses a graph that is not canonical. The
 // restriction tree of every H_i is the graph's own BFS tree
 // ((*graph.Graph).BFSTree), which the graph alone determines, so a payload
-// stores neither the tree nor its depth: decodeShortcut hands out the
-// graph's memoized tree.
+// stores neither the tree nor its depth: a read hands out the graph's
+// memoized tree.
 //
 // Version 2 of the partition and shortcut payloads is the only one
 // written. Version 1, which earlier releases wrote, is still read, so old
@@ -69,15 +69,17 @@ const maxStoredGraphNodes = 1 << 26
 // partRanks returns each part's canonical rank — the order of first
 // appearance over nodes 0..n-1, i.e. the part order of the canonical
 // partition encoding (Partition.CanonicalRanks) — and the inverse map
-// byRank from rank to part index, both in one array. Every partition
-// instance with the same fingerprint shares these ranks even when its
-// Parts slice is ordered differently (BFSBlobs orders by seed, FromLabels
-// by first appearance), so shortcut payloads index their per-part data by
-// rank, never by instance order.
-func partRanks(p *partition.Partition) (rank, byRank []int32) {
+// byRank from rank to part index, both in one array: buf when it has room
+// for 2k entries. Every partition instance with the same fingerprint
+// shares these ranks even when its Parts slice is ordered differently
+// (BFSBlobs orders by seed, FromLabels by first appearance), so shortcut
+// payloads index their per-part data by rank, never by instance order.
+func partRanks(p *partition.Partition, buf []int32) (rank, byRank []int32) {
 	k := p.NumParts()
-	buf := make([]int32, 2*k)
-	rank, byRank = p.CanonicalRanks(buf[:k:k]), buf[k:]
+	if cap(buf) < 2*k {
+		buf = make([]int32, 2*k)
+	}
+	rank, byRank = p.CanonicalRanks(buf[:k:k]), buf[k:2*k]
 	for i, r := range rank {
 		byRank[r] = int32(i)
 	}
@@ -192,17 +194,23 @@ func encodePartition(p *partition.Partition) []byte {
 	return b
 }
 
-// partitionLabels is a partition payload's header and the label varints
-// that follow it, not yet read.
+// partitionLabels is a partition payload's header and the labels that
+// follow it, not yet read: uvarints on version 2, big-endian words on
+// version 1.
 type partitionLabels struct {
 	n, k int
+	v1   bool
 	b    []byte
 }
 
-// parsePartition reads a partition payload's header. n is held to the
-// bytes that follow, since every label takes at least one, and k to n,
-// before anything is sized by either.
+// parsePartition reads a partition payload's header, of either version.
+// n is held to the bytes that follow — every version 2 label takes at
+// least one byte, and a version 1 body is exactly 16+8n bytes — and k to
+// n, before anything is sized by either.
 func parsePartition(payload []byte) (partitionLabels, error) {
+	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
+		return parsePartitionV1(payload[1:])
+	}
 	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
 		return partitionLabels{}, errors.New("bad payload version")
 	}
@@ -226,10 +234,40 @@ func parsePartition(payload []byte) (partitionLabels, error) {
 	return partitionLabels{n: int(n), k: int(k), b: b}, nil
 }
 
-// next reads node v's label off the front of the label varints: its part
-// rank, or -1 for an uncovered node. A label must be below k and in its
-// shortest varint form, so a partition has exactly one payload.
+// parsePartitionV1 is parsePartition for a version 1 body, the canonical
+// encoding itself: n, k, then n labels, all big-endian words.
+func parsePartitionV1(body []byte) (partitionLabels, error) {
+	if len(body) < 16 {
+		return partitionLabels{}, errors.New("short payload")
+	}
+	n := binary.BigEndian.Uint64(body)
+	k := binary.BigEndian.Uint64(body[8:])
+	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
+		return partitionLabels{}, fmt.Errorf("payload length %d for %d nodes", len(body), n)
+	}
+	if k > n {
+		return partitionLabels{}, fmt.Errorf("%d parts for %d nodes", k, n)
+	}
+	return partitionLabels{n: int(n), k: int(k), v1: true, b: body[16:]}, nil
+}
+
+// next reads node v's label off the front of the labels: its part rank,
+// or -1 for an uncovered node. A label must be below k and, on version 2,
+// in its shortest varint form, so a partition has exactly one payload of
+// each version. The header's length check guarantees a version 1 label
+// its eight bytes.
 func (l *partitionLabels) next(v int) (int, error) {
+	if l.v1 {
+		x := binary.BigEndian.Uint64(l.b)
+		l.b = l.b[8:]
+		switch {
+		case x == ^uint64(0):
+			return -1, nil
+		case x >= uint64(l.k):
+			return 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, x, l.k)
+		}
+		return int(x), nil
+	}
 	x, used := shortestUvarint(l.b)
 	switch {
 	case used <= 0:
@@ -260,10 +298,10 @@ func shortestUvarint(b []byte) (uint64, int) {
 }
 
 // partitionKey re-derives a partition payload's fingerprint without its
-// graph, for Verify. A version 2 payload's labels are checked as
-// decodePartition checks them and streamed through the hash of their
-// canonical expansion, which is never built; a version 1 body is that
-// expansion, and is hashed as it is.
+// graph, for Verify. A version 2 payload's labels are checked as the
+// key-only read (decodeRecord) checks them and streamed through the hash
+// of their canonical expansion (service.RecordHash), which is never built;
+// a version 1 body is that expansion, and is hashed as it is.
 func partitionKey(payload []byte) (service.Fingerprint, error) {
 	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
 		return service.FingerprintBytes(payload[1:]), nil
@@ -272,127 +310,15 @@ func partitionKey(payload []byte) (service.Fingerprint, error) {
 	if err != nil {
 		return 0, err
 	}
-	fp := service.FingerprintLabels(lab.n, lab.k, func(v int) int {
-		l, lerr := lab.next(v)
-		if err == nil {
-			err = lerr
+	h := service.NewRecordHash(0, lab.n, lab.k)
+	for v := range lab.n {
+		l, err := lab.next(v)
+		if err != nil {
+			return 0, err
 		}
-		return l
-	})
-	if err == nil {
-		err = lab.end()
+		h.Label(l)
 	}
-	return fp, err
-}
-
-// decodePartition reconstructs a partition from its payload against g.
-// Before anything is allocated the header must fit both the payload and
-// g: n at most the label bytes left (version 1: exactly 16+8n bytes), n
-// equal to g's node count, at most n parts. Every label must be below k,
-// no bytes may trail, and the labels must hash to key (version 1: the
-// body, first). They are read straight into the partition's PartOf, and
-// partition.FromCanonical lays the parts out in the second half of that
-// same allocation in one counting pass, so a decode allocates the same
-// few times whatever n and k are. FromCanonical also requires the labels
-// to be dense and in first-appearance order, and each part connected: an
-// accepted payload is the encoding of the partition it decodes to, byte
-// for byte.
-func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*partition.Partition, error) {
-	labels := readLabels
-	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
-		labels = readLabelsV1
-	}
-	partOf, k, err := labels(payload, key, g)
-	if err == nil {
-		var p *partition.Partition
-		if p, err = partition.FromCanonical(g, partOf, k); err == nil {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("store: partition %s: %w", key, err)
-}
-
-// readLabels reads a version 2 payload's labels into a PartOf with room
-// for the parts' nodes after it, and returns it with the part count.
-func readLabels(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
-	lab, err := parsePartition(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if lab.n != g.NumNodes() {
-		return nil, 0, fmt.Errorf("covers %d nodes, graph has %d", lab.n, g.NumNodes())
-	}
-	partOf := make([]int, lab.n, 2*lab.n) // PartOf, then the parts' nodes
-	for v := range partOf {
-		if partOf[v], err = lab.next(v); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := lab.end(); err != nil {
-		return nil, 0, err
-	}
-	if got := service.FingerprintLabels(lab.n, lab.k, func(v int) int { return partOf[v] }); got != key {
-		return nil, 0, fmt.Errorf("content hashes to %s", got)
-	}
-	return partOf, lab.k, nil
-}
-
-// readLabelsV1 is readLabels for a version 1 payload, whose body is the
-// canonical encoding itself.
-func readLabelsV1(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
-	body := payload[1:]
-	if got := service.FingerprintBytes(body); got != key {
-		return nil, 0, fmt.Errorf("content hashes to %s", got)
-	}
-	if len(body) < 16 {
-		return nil, 0, errors.New("short payload")
-	}
-	n := binary.BigEndian.Uint64(body)
-	k := binary.BigEndian.Uint64(body[8:])
-	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
-		return nil, 0, fmt.Errorf("payload length %d for %d nodes", len(body), n)
-	}
-	if n != uint64(g.NumNodes()) {
-		return nil, 0, fmt.Errorf("covers %d nodes, graph has %d", n, g.NumNodes())
-	}
-	if k > n {
-		return nil, 0, fmt.Errorf("%d parts for %d nodes", k, n)
-	}
-	partOf := make([]int, n, 2*n) // PartOf, then the parts' nodes
-	for v := range partOf {
-		l := binary.BigEndian.Uint64(body[16+8*v:])
-		switch {
-		case l == ^uint64(0):
-			partOf[v] = -1
-		case l >= k:
-			return nil, 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, l, k)
-		default:
-			partOf[v] = int(l)
-		}
-	}
-	return partOf, int(k), nil
-}
-
-// decodeRecord decodes a stored shortcut against g and parts or, with
-// parts nil, against the partition record ppay that the shortcut payload
-// names: ppay must hash to that partition fingerprint and decode to
-// connected parts of g, and the key is re-derived over the partition it
-// decodes to. The result's partition is then the record's own, in
-// canonical part order.
-func decodeRecord(spay, ppay []byte, key service.Fingerprint,
-	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
-
-	if parts != nil {
-		return decodeShortcut(spay, key, g, parts, false)
-	}
-	meta, err := parseShortcutMeta(spay)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
-	}
-	if parts, err = decodePartition(ppay, meta.partFP, g); err != nil {
-		return nil, 0, err
-	}
-	return decodeShortcut(spay, key, g, parts, true)
+	return h.Partition(), lab.end()
 }
 
 // shortcutMeta is the decoded fixed-size head of a shortcut payload, enough
@@ -432,8 +358,8 @@ var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree
 // fingerprint of the partition it names, that of res.Shortcut.Parts. The
 // shortcut's graph must be canonical (errNotCanonical otherwise), so its
 // edge IDs are written as they are, and its tree must be the graph's BFS
-// tree — the same root and the same parent edge at every node — which
-// decodeShortcut takes from the graph (errTreeNotCanonical otherwise).
+// tree — the same root and the same parent edge at every node — which a
+// read takes from the graph (errTreeNotCanonical otherwise).
 // Layout after the version byte and the two big-endian dependency
 // fingerprints (graph, partition):
 //
@@ -468,7 +394,7 @@ func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *sho
 		return nil, 0, errTreeNotCanonical
 	}
 	k := len(s.H)
-	rank, byRank := partRanks(s.Parts)
+	rank, byRank := partRanks(s.Parts, nil)
 	partFP := service.FingerprintPartitionRanks(s.Parts, rank)
 	total := 0
 	for i, h := range s.H {
@@ -588,132 +514,150 @@ func (r *varintReader) bytes(n int) []byte {
 	return v
 }
 
-// decodeShortcut reconstructs the stored shortcut against g (the serving
-// process's representative for the record's graph fingerprint, which must
-// be canonical) and parts (the requested partition or, own, the record's
-// own, in canonical part order). Its tree is g's memoized BFS tree and its
-// tree depth that tree's height, at least 1, as the Builder computes it; a
-// version 1 payload's stored tree (readTreeV1) and depth must equal them.
-// It validates the result structurally, and verifies that the stored
-// (graph, partition, options) triple re-derives the record key, so a
-// record can never be served under a key it does not hash to.
-//
-// A store read runs this on every cache miss, so its allocations are a
-// constant number independent of n and k: the Result and its Shortcut are
-// one object, the tree is a header over the graph's arrays, and every H
-// set slices one backing array that a pre-pass over the per-part counts
-// sizes — capped by the payload bytes left, which every listed edge takes
-// at least one of, before anything is allocated.
-func decodeShortcut(payload []byte, key service.Fingerprint,
-	g *graph.Graph, parts *partition.Partition, own bool) (*shortcut.Result, time.Duration, error) {
+// record is everything a store read hands out that is not a slice, in one
+// allocation: the Result, its Shortcut, the Shortcut's tree header and, on
+// a key-only read, the record's own partition.
+type record struct {
+	res  shortcut.Result
+	s    shortcut.Shortcut
+	tree tree.Rooted
+	part partition.Partition
+}
 
-	fail := func(err error) (*shortcut.Result, time.Duration, error) {
-		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
-	}
+// shortcutHead is a shortcut payload read up to its edge lists, with every
+// check that needs no allocation done: what both reads take from it before
+// they allocate.
+type shortcutHead struct {
+	shortcutMeta
+	opts shortcut.Options
+	// res holds the stored result metadata, the tree depth (the graph's)
+	// and nothing else.
+	res     shortcut.Result
+	buildNs int64
+	// tree is the graph's shared BFS tree.
+	tree   tree.Rooted
+	k      int
+	bitmap []byte
+	// total is the number of edges over every covered part; edges reads
+	// from the first covered part's edge count on.
+	total int
+	edges varintReader
+}
+
+// parse reads a shortcut payload of either version up to its edge lists,
+// against g (the serving process's representative for the record's graph
+// fingerprint), which must be canonical: the dependency head, the build
+// options, the result metadata and the build cost. The tree is g's
+// memoized BFS tree and the tree depth that tree's height, at least 1, as
+// the Builder computes it; a version 1 payload's stored tree (readTreeV1)
+// and depth must equal them. Then the part count, at most g's node count,
+// and the coverage bitmap, and a pre-pass over the per-part edge counts
+// totals the H sets: each count is capped by m and by the payload bytes
+// left, which every listed edge takes at least one of, so a read sizes its
+// edge array by the total before anything is allocated.
+func (h *shortcutHead) parse(payload []byte, g *graph.Graph) error {
 	if !graph.IsCanonical(g) {
-		return fail(errNotCanonical)
+		return errNotCanonical
 	}
-	meta, err := parseShortcutMeta(payload)
-	if err != nil {
-		return fail(err)
+	var err error
+	if h.shortcutMeta, err = parseShortcutMeta(payload); err != nil {
+		return err
 	}
 	v1 := payload[0] == shortcutPayloadV1
 	r := varintReader{b: payload[17:]}
-	var opts shortcut.Options
-	for _, f := range [...]*int{&opts.Delta, &opts.MaxDelta, &opts.CongestionFactor, &opts.BlockFactor, &opts.MaxIterations} {
+	for _, f := range [...]*int{&h.opts.Delta, &h.opts.MaxDelta, &h.opts.CongestionFactor, &h.opts.BlockFactor, &h.opts.MaxIterations} {
 		*f = int(r.varint())
 	}
-	both := &struct {
-		res shortcut.Result
-		s   shortcut.Shortcut
-	}{}
-	res, s := &both.res, &both.s
-	for _, f := range [...]*int{&res.Delta, &res.CongestionThreshold, &res.BlockBudget, &res.Iterations} {
+	for _, f := range [...]*int{&h.res.Delta, &h.res.CongestionThreshold, &h.res.BlockBudget, &h.res.Iterations} {
 		*f = int(r.varint())
 	}
 	var depth int64
 	if v1 {
 		depth = r.varint()
 	}
-	buildNs := r.varint()
-	m := g.NumEdges()
-	rooted, err := tree.Shared(g)
-	if err != nil {
-		return fail(err)
+	h.buildNs = r.varint()
+	if err := tree.SharedInto(&h.tree, g); err != nil {
+		return err
 	}
-	res.TreeDepth = max(1, rooted.MaxDepth())
+	h.res.TreeDepth = max(1, h.tree.MaxDepth())
 	if v1 {
-		if err := readTreeV1(&r, g, rooted); err != nil {
-			return fail(err)
+		if err := readTreeV1(&r, g, &h.tree); err != nil {
+			return err
 		}
-		if depth != int64(res.TreeDepth) {
-			return fail(fmt.Errorf("%w: tree depth %d stored, the graph's BFS tree has depth %d",
-				errTreeNotCanonical, depth, res.TreeDepth))
+		if depth != int64(h.res.TreeDepth) {
+			return fmt.Errorf("%w: tree depth %d stored, the graph's BFS tree has depth %d",
+				errTreeNotCanonical, depth, h.res.TreeDepth)
 		}
 	}
 	k := r.uvarint()
 	if r.err != nil {
-		return fail(r.err)
+		return r.err
 	}
-	if k != uint64(parts.NumParts()) {
-		return fail(fmt.Errorf("%d parts stored, request has %d", k, parts.NumParts()))
+	// A partition of g has at most one part per node.
+	if n := g.NumNodes(); k > uint64(n) {
+		return fmt.Errorf("%d parts stored for %d nodes", k, n)
 	}
-	bitmap := r.bytes((int(k) + 7) / 8)
-	if r.err != nil {
-		return fail(r.err)
+	h.k = int(k)
+	if h.bitmap = r.bytes((h.k + 7) / 8); r.err != nil {
+		return r.err
 	}
-	covered := func(rnk int) bool { return bitmap[rnk/8]&(1<<(rnk%8)) != 0 }
-	// byRank maps a canonical rank to a part index; nil is the identity,
-	// for the record's own partition, which is in canonical order.
-	var byRank []int32
-	if !own {
-		_, byRank = partRanks(parts)
-	}
-	part := func(rnk int) int {
-		if byRank == nil {
-			return rnk
-		}
-		return int(byRank[rnk])
-	}
-	// Pre-pass: the total H size, from the per-part counts.
-	pre := r
-	total := 0
-	for rnk := 0; rnk < int(k); rnk++ {
-		if !covered(rnk) {
+	m := uint64(g.NumEdges())
+	h.edges = r
+	for rnk := 0; rnk < h.k; rnk++ {
+		if !h.covered(rnk) {
 			continue
 		}
-		i := part(rnk)
-		cnt := pre.uvarint()
-		if pre.err != nil {
-			return fail(pre.err)
+		cnt := r.uvarint()
+		if r.err != nil {
+			return r.err
 		}
-		if cnt > uint64(m) {
-			return fail(fmt.Errorf("part %d lists %d edges, graph has %d", i, cnt, m))
+		if cnt > m {
+			return fmt.Errorf("part of rank %d lists %d edges, graph has %d", rnk, cnt, m)
 		}
-		if cnt > uint64(len(pre.b)) {
-			return fail(fmt.Errorf("part %d lists %d edges in %d remaining payload bytes", i, cnt, len(pre.b)))
+		if cnt > uint64(len(r.b)) {
+			return fmt.Errorf("part of rank %d lists %d edges in %d remaining payload bytes", rnk, cnt, len(r.b))
 		}
-		total += int(cnt)
-		for ; cnt > 0 && pre.err == nil; cnt-- {
-			pre.uvarint()
+		h.total += int(cnt)
+		for ; cnt > 0 && r.err == nil; cnt-- {
+			r.uvarint()
 		}
 	}
-	if pre.err != nil {
-		return fail(pre.err)
-	}
-	*s = shortcut.Shortcut{
-		G:       g,
-		Parts:   parts,
-		Tree:    rooted,
-		H:       make([][]int, k),
-		Covered: make([]bool, k),
-	}
-	edges := make([]int, 0, total)
-	for rnk := 0; rnk < int(k); rnk++ {
-		if !covered(rnk) {
+	return r.err
+}
+
+// covered reports whether the part of canonical rank rnk has a shortcut.
+func (h *shortcutHead) covered(rnk int) bool { return h.bitmap[rnk/8]&(1<<(rnk%8)) != 0 }
+
+// fill makes rec the result of h over g and parts, with H and Covered the
+// caller's arrays of k entries each, to be filled by readEdges.
+func (h *shortcutHead) fill(rec *record, g *graph.Graph, parts *partition.Partition, hs [][]int, covered []bool) {
+	rec.tree = h.tree
+	rec.s = shortcut.Shortcut{G: g, Parts: parts, Tree: &rec.tree, H: hs, Covered: covered}
+	rec.res = h.res
+	rec.res.Shortcut = &rec.s
+}
+
+// readEdges decodes the edge lists the pre-pass checked into s.H and
+// s.Covered, indexed by part: byRank[rank], or the rank itself when byRank
+// is nil (the record's own partition, which is in canonical order). Each
+// list is ascending edge IDs, the first absolute and the rest gaps; a gap
+// of 0 repeats an edge, and an ID must be below m (a gap of m or more is
+// refused before the running sum can wrap back into range). Every H_i is a
+// full slice expression of edges, which must have room for h.total IDs, so
+// appending to one reallocates instead of running into the next. No bytes
+// may trail.
+func (h *shortcutHead) readEdges(s *shortcut.Shortcut, edges []int, byRank []int32) error {
+	r := h.edges
+	m := uint64(s.G.NumEdges())
+	edges = edges[:0]
+	for rnk := 0; rnk < h.k; rnk++ {
+		if !h.covered(rnk) {
 			continue
 		}
-		i := part(rnk)
+		i := rnk
+		if byRank != nil {
+			i = int(byRank[rnk])
+		}
 		s.Covered[i] = true
 		cnt := r.uvarint() // checked by the pre-pass
 		start := len(edges)
@@ -724,34 +668,145 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 			case j == 0:
 				prev = gap
 			case gap == 0:
-				return fail(fmt.Errorf("part %d repeats an edge", i))
-			case gap >= uint64(m):
+				return fmt.Errorf("part %d repeats an edge", i)
+			case gap >= m:
 				// prev+gap is out of range, and may wrap past it.
-				return fail(fmt.Errorf("part %d skips %d edges, graph has %d", i, gap, m))
+				return fmt.Errorf("part %d skips %d edges, graph has %d", i, gap, m)
 			default:
 				prev += gap
 			}
-			if prev >= uint64(m) {
-				return fail(fmt.Errorf("edge %d out of range [0,%d)", prev, m))
+			if prev >= m {
+				return fmt.Errorf("edge %d out of range [0,%d)", prev, m)
 			}
-			edges = append(edges, int(prev))
+			edges = append(edges, int(prev)) // within the pre-pass's total
 		}
 		s.H[i] = edges[start:len(edges):len(edges)]
 	}
 	if r.err != nil {
-		return fail(r.err)
+		return r.err
 	}
 	if len(r.b) != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", len(r.b)))
+		return fmt.Errorf("%d trailing bytes", len(r.b))
 	}
-	if err := s.Validate(); err != nil {
+	return nil
+}
+
+// decodeRecord is the key-only read: it reconstructs the shortcut payload
+// spay against g and the partition record ppay it names, of either
+// version, in one pass over each and four allocations whatever n and k
+// are: the record (Result, Shortcut, tree header and partition), one []int
+// (PartOf, then the parts' nodes, then every H_i's edges), one [][]int
+// (Parts, then H) and Covered. Before anything is allocated the shortcut
+// head is parsed (shortcutHead.parse) and the partition header must fit
+// its payload (parsePartition), cover g's nodes and have the shortcut's
+// part count. The labels are read straight into PartOf, each below k and,
+// on version 2, in shortest form, with no bytes trailing, and streamed
+// through the partition fingerprint and the key in the same pass
+// (service.RecordHash); they must hash to the fingerprint the shortcut
+// names. partition.FromCanonical lays the parts out after PartOf and
+// requires the labels dense and in first-appearance order and every part
+// connected, so the partition is the record's own, in canonical part
+// order, and an accepted partition payload is its encoding byte for byte.
+// The result must pass Validate and the stored inputs re-derive key, so a
+// record can never be served under a key it does not hash to.
+func decodeRecord(spay, ppay []byte, key service.Fingerprint, g *graph.Graph) (*shortcut.Result, time.Duration, error) {
+	fail := func(err error) (*shortcut.Result, time.Duration, error) {
+		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
+	}
+	var h shortcutHead
+	if err := h.parse(spay, g); err != nil {
 		return fail(err)
 	}
-	if got := service.ShortcutKey(meta.graphFP, parts, opts); got != key {
+	partErr := func(err error) (*shortcut.Result, time.Duration, error) {
+		return fail(fmt.Errorf("partition %s: %w", h.partFP, err))
+	}
+	lab, err := parsePartition(ppay)
+	if err != nil {
+		return partErr(err)
+	}
+	n, k := g.NumNodes(), h.k
+	switch {
+	case lab.n != n:
+		return partErr(fmt.Errorf("covers %d nodes, graph has %d", lab.n, n))
+	case lab.k != k:
+		return partErr(fmt.Errorf("has %d parts, the shortcut %d", lab.k, k))
+	}
+	rec := new(record)
+	ints := make([]int, 2*n+h.total) // PartOf, the parts' nodes, the H_i's edges
+	lists := make([][]int, 2*k)      // Parts, then H
+	partOf := ints[: n : 2*n]
+	hash := service.NewRecordHash(h.graphFP, n, k)
+	for v := range partOf {
+		if partOf[v], err = lab.next(v); err != nil {
+			return partErr(err)
+		}
+		hash.Label(partOf[v])
+	}
+	if err := lab.end(); err != nil {
+		return partErr(err)
+	}
+	if got := hash.Partition(); got != h.partFP {
+		return partErr(fmt.Errorf("content hashes to %s", got))
+	}
+	if err := partition.FromCanonical(&rec.part, g, partOf, lists[:k:k]); err != nil {
+		return partErr(err)
+	}
+	h.fill(rec, g, &rec.part, lists[k:], make([]bool, k))
+	if err := h.readEdges(&rec.s, ints[2*n:], nil); err != nil {
+		return fail(err)
+	}
+	if err := rec.s.Validate(); err != nil {
+		return fail(err)
+	}
+	if got := hash.Key(h.opts); got != key {
 		return fail(fmt.Errorf("stored inputs re-derive key %s", got))
 	}
-	res.Shortcut = s
-	return res, time.Duration(buildNs), nil
+	return &rec.res, time.Duration(h.buildNs), nil
+}
+
+// decodeShortcut is the partition-given read: it reconstructs the stored
+// shortcut against g and parts, the requested partition, with the same
+// head parse, edge decoder and checks as decodeRecord and the key
+// re-derived over parts. Its allocations are the record, H, Covered and
+// the edge array, and the part rank table past 128 parts.
+func decodeShortcut(payload []byte, key service.Fingerprint,
+	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
+
+	fail := func(err error) (*shortcut.Result, time.Duration, error) {
+		return nil, 0, fmt.Errorf("store: shortcut %s: %w", key, err)
+	}
+	var h shortcutHead
+	if err := h.parse(payload, g); err != nil {
+		return fail(err)
+	}
+	if h.k != parts.NumParts() {
+		return fail(fmt.Errorf("%d parts stored, request has %d", h.k, parts.NumParts()))
+	}
+	var stack [256]int32
+	_, byRank := partRanks(parts, stack[:])
+	rec := new(record)
+	h.fill(rec, g, parts, make([][]int, h.k), make([]bool, h.k))
+	if err := h.readEdges(&rec.s, make([]int, h.total), byRank); err != nil {
+		return fail(err)
+	}
+	if err := rec.s.Validate(); err != nil {
+		return fail(err)
+	}
+	if got := service.ShortcutKey(h.graphFP, parts, h.opts); got != key {
+		return fail(fmt.Errorf("stored inputs re-derive key %s", got))
+	}
+	return &rec.res, time.Duration(h.buildNs), nil
+}
+
+// decodeStored reads a stored shortcut against g and parts or, with parts
+// nil, against its own partition record ppay: decodeShortcut or
+// decodeRecord.
+func decodeStored(spay, ppay []byte, key service.Fingerprint,
+	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
+	if parts != nil {
+		return decodeShortcut(spay, key, g, parts)
+	}
+	return decodeRecord(spay, ppay, key, g)
 }
 
 // readTreeV1 reads a version 1 payload's tree section — a flag byte, then

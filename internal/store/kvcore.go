@@ -377,10 +377,10 @@ func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.
 }
 
 // GetShortcut loads and reconstructs the shortcut stored under key against
-// the live representative g and the requested partition, or — parts nil —
-// the record's own partition record, read under the same lock as the
-// shortcut record and fully checked (decodeRecord). Implements
-// service.Store.
+// the live representative g and the requested partition (decodeShortcut),
+// or — parts nil — the record's own partition record, read under the same
+// lock as the shortcut record and decoded with it in the key-only read
+// (decodeRecord). Implements service.Store.
 //
 //locshort:hotpath
 func (c *kvCore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) (
@@ -390,7 +390,7 @@ func (c *kvCore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *par
 	if err != nil || !ok {
 		return nil, 0, false, err
 	}
-	res, bt, err := decodeRecord(spay, ppay, key, g, parts)
+	res, bt, err := decodeStored(spay, ppay, key, g, parts)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -405,7 +405,7 @@ func (c *kvCore) holdsShortcut(key service.Fingerprint, g *graph.Graph, parts *p
 	if err != nil || !ok {
 		return false
 	}
-	_, _, err = decodeRecord(spay, ppay, key, g, parts)
+	_, _, err = decodeStored(spay, ppay, key, g, parts)
 	return err == nil
 }
 
@@ -634,7 +634,7 @@ func (c *kvCore) Verify() []Problem {
 				bad(ik, fmt.Errorf("references missing partition %s", e.meta.partFP))
 				continue
 			}
-			if _, _, err := decodeRecord(payload, ppay, ik.key, g, nil); err != nil {
+			if _, _, err := decodeRecord(payload, ppay, ik.key, g); err != nil {
 				bad(ik, err)
 			}
 		case kindJob:

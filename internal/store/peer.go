@@ -75,41 +75,38 @@ func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, e
 
 // DecodeShortcutPayload reconstructs a shortcut record payload, of either
 // version, against the caller's representative graph, which must be
-// canonical, and requested partition. All of decodeShortcut's verification
+// canonical, and requested partition. All of the store read's verification
 // applies: the result is restricted to g's BFS tree (a version 1 payload's
 // stored tree and depth must be that tree's), it must validate
 // structurally, and the stored inputs must re-derive key.
 func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
-	return decodeShortcut(payload, key, g, parts, false)
+	return decodeShortcut(payload, key, g, parts)
 }
 
 // DecodePeerShortcut reconstructs a fetched record's shortcut against the
 // caller's representative graph: against parts when the caller has the
 // requested partition (DecodeShortcutPayload), else against the record's
-// own partition payload, with every check GetShortcut runs on a key-only
-// read — the partition payload must hash to the fingerprint the shortcut
-// payload names and decode to connected parts of g, and the key is
-// re-derived over the partition it decodes to.
+// own partition payload in the key-only read GetShortcut runs — the
+// partition payload must hash to the fingerprint the shortcut payload
+// names and decode to connected parts of g, and the key is re-derived over
+// the partition it decodes to.
 func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partition) (
 	*shortcut.Result, time.Duration, error) {
-	return decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, g, parts)
+	return decodeStored(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, g, parts)
 }
 
 // VerifyPeerRecord fully verifies a fetched record against its claimed
-// fingerprints: the graph payload must hash to GraphFP, the partition
-// payload to PartitionFP (and decode to connected parts of that graph), the
-// shortcut payload must reference exactly those dependencies, validate
-// structurally, and re-derive Key from its stored (graph, partition,
-// options). The graph payload is held to DecodeGraphPayload's size limits.
-// On success it returns the decoded objects; nothing about the record was
-// taken on trust.
+// fingerprints: the graph payload must hash to GraphFP, the shortcut
+// payload must reference exactly GraphFP and PartitionFP, the partition
+// payload must hash to PartitionFP and decode to connected parts of that
+// graph, and the shortcut must validate structurally and re-derive Key
+// from its stored (graph, partition, options), in the key-only read. The
+// graph payload is held to DecodeGraphPayload's size limits. On success it
+// returns the decoded objects, the partition the record's own; nothing
+// about the record was taken on trust.
 func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shortcut.Result, time.Duration, error) {
 	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP, true)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	parts, err := decodePartition(rec.PartitionPayload, rec.PartitionFP, g)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -122,11 +119,11 @@ func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shor
 			"store: shortcut %s payload references (%s, %s), record claims (%s, %s)",
 			rec.Key, meta.graphFP, meta.partFP, rec.GraphFP, rec.PartitionFP)
 	}
-	res, bt, err := decodeShortcut(rec.ShortcutPayload, rec.Key, g, parts, true)
+	res, bt, err := decodeRecord(rec.ShortcutPayload, rec.PartitionPayload, rec.Key, g)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	return g, parts, res, bt, nil
+	return g, res.Shortcut.Parts, res, bt, nil
 }
 
 // HasShortcut reports whether a live shortcut record exists for key.

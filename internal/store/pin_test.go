@@ -196,21 +196,27 @@ func writeGoldenSequence(t *testing.T,
 	return got
 }
 
-// getShortcutAllocs bounds GetShortcut's allocations — the decode of the
-// stored H sets into a fresh Result, and on a key-only read the decode of
-// the record's partition too.
-// The decode allocates a constant number of times, so one bound holds for
-// the grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the
-// store-mixed benchmark's shape: 8 key-only (the bound is that plus
-// one), 6 with the request's partition; the tree is a header over the
-// graph's memoized arrays. Race builds drop pooled scratch at random, so
-// they get a looser bound.
-const getShortcutAllocs, getShortcutAllocsRace = 9, 20
+// getShortcutAllocs bounds GetShortcut's allocations, each read at its
+// reading plus one. A key-only read (decodeRecord) reads 4: the record
+// (Result, Shortcut, tree header and partition), one []int (PartOf, the
+// parts' nodes, every H_i's edges), one [][]int (Parts, then H) and
+// Covered. A read with the request's partition (decodeShortcut) reads 4
+// too: the record, H, Covered and the edge array, its part rank table on
+// the stack. Both are constant in n and k, so the bounds hold for the
+// grid:6x6 blobs:4 fixture and for grid:32x32 blobs:16, the store-mixed
+// benchmark's shape. Race builds drop pooled scratch at random, so they
+// get a looser bound.
+const (
+	getShortcutKeyOnlyAllocs = 5
+	getShortcutGivenAllocs   = 5
+	getShortcutAllocsRace    = 20
+)
 
 // TestStoreReadAllocs pins the read path's allocation counts on both
 // backends: raw payload reads and existence checks allocate nothing (on
 // the segment store, from a sealed, memory-mapped segment), and a decoded
-// GetShortcut stays within getShortcutAllocs whatever the graph's size.
+// GetShortcut stays within getShortcutKeyOnlyAllocs or
+// getShortcutGivenAllocs whatever the graph's size.
 func TestStoreReadAllocs(t *testing.T) {
 	type fixture struct {
 		b     Backend
@@ -302,13 +308,16 @@ func TestStoreReadAllocs(t *testing.T) {
 					t.Errorf("%s: %.1f allocs/op, want 0", name, n)
 				}
 			}
-			bound := getShortcutAllocs
-			if raceEnabled {
-				bound = getShortcutAllocsRace
-			}
 			// With the request's partition, and key-only: the read then
 			// decodes the record's own partition as well.
 			for _, parts := range []*partition.Partition{fx.parts, nil} {
+				bound := getShortcutGivenAllocs
+				if parts == nil {
+					bound = getShortcutKeyOnlyAllocs
+				}
+				if raceEnabled {
+					bound = getShortcutAllocsRace
+				}
 				n := testing.AllocsPerRun(20, func() {
 					if _, _, ok, err := fx.b.GetShortcut(fx.key, g, parts); err != nil || !ok {
 						t.Fatalf("GetShortcut(key-only=%v): ok=%v err=%v", parts == nil, ok, err)

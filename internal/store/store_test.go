@@ -57,7 +57,7 @@ func buildFixture(t testing.TB, spec, partSpec string, seed int64) (
 // part rank — the representation-independent identity of a shortcut on a
 // canonical graph, whose edge IDs are canonical.
 func canonicalH(s *shortcut.Shortcut) [][]int32 {
-	rank, _ := partRanks(s.Parts)
+	rank, _ := partRanks(s.Parts, nil)
 	out := make([][]int32, len(s.H))
 	for i, h := range s.H {
 		if !s.Covered[i] {

@@ -49,7 +49,7 @@ func encodeShortcutV1(graphFP service.Fingerprint, opts shortcut.Options, res *s
 	buildTime time.Duration) []byte {
 
 	s := res.Shortcut
-	rank, byRank := partRanks(s.Parts)
+	rank, byRank := partRanks(s.Parts, nil)
 	b := []byte{shortcutPayloadV1}
 	b = binary.BigEndian.AppendUint64(b, uint64(graphFP))
 	b = binary.BigEndian.AppendUint64(b, uint64(service.FingerprintPartitionRanks(s.Parts, rank)))
@@ -139,8 +139,8 @@ func sameResult(t *testing.T, what string, got, want *shortcut.Result) {
 	if !sameCanonicalH(canonicalH(gs), canonicalH(ws)) {
 		t.Errorf("%s: H sets differ from a fresh build's", what)
 	}
-	gr, _ := partRanks(gs.Parts)
-	wr, _ := partRanks(ws.Parts)
+	gr, _ := partRanks(gs.Parts, nil)
+	wr, _ := partRanks(ws.Parts, nil)
 	for i, c := range gs.Covered {
 		if j := slices.Index(wr, gr[i]); j < 0 || ws.Covered[j] != c {
 			t.Errorf("%s: part of rank %d covered=%v, a fresh build differs", what, gr[i], c)

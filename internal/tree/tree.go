@@ -52,17 +52,30 @@ func FromBFS(g *graph.Graph, root int) (*Rooted, error) {
 // root search and one BFS; later calls allocate only the header. It
 // returns an error if g is not connected, like FromBFS.
 func Shared(g *graph.Graph) (*Rooted, error) {
+	t := new(Rooted)
+	if err := SharedInto(t, g); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// SharedInto is Shared into a header the caller owns, such as a field of
+// a larger object it allocates anyway: it overwrites t with g's shared
+// tree and allocates nothing once the graph's memo exists. On error t is
+// left as it was.
+func SharedInto(t *Rooted, g *graph.Graph) error {
 	r := g.BFSTree()
 	if len(r.Order) != g.NumNodes() {
-		return nil, graph.ErrDisconnected
+		return graph.ErrDisconnected
 	}
-	return &Rooted{
+	*t = Rooted{
 		Root:       r.Root,
 		Parent:     r.Parent,
 		ParentEdge: r.ParentEdge,
 		Depth:      r.Dist,
 		Order:      r.Order,
-	}, nil
+	}
+	return nil
 }
 
 // FromParents builds a Rooted from explicit parent and parent-edge arrays.

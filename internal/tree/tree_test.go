@@ -255,4 +255,23 @@ func TestShared(t *testing.T) {
 	if _, err := Shared(d); err != graph.ErrDisconnected {
 		t.Errorf("Shared on a disconnected graph: error %v, want ErrDisconnected", err)
 	}
+
+	// SharedInto fills a caller's header in place: the same arrays, a
+	// fresh Children memo, no allocation; a disconnected graph leaves the
+	// header as it was.
+	var c Rooted
+	c.children = a.Children()
+	if n := testing.AllocsPerRun(10, func() {
+		if err := SharedInto(&c, g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SharedInto: %.0f allocs/op, want 0", n)
+	}
+	if c.Root != a.Root || &c.ParentEdge[0] != &a.ParentEdge[0] || &c.Order[0] != &a.Order[0] || c.children != nil {
+		t.Fatal("SharedInto did not fill the header with the graph's shared tree")
+	}
+	if err := SharedInto(&c, d); err != graph.ErrDisconnected || c.Root != a.Root {
+		t.Errorf("SharedInto on a disconnected graph: error %v, root %d; want ErrDisconnected and the header kept", err, c.Root)
+	}
 }
