@@ -90,7 +90,7 @@ var perfFamilySpecs = []string{"grid:64x64", "torus:32x32", "ktree:600,4"}
 // search included) on a reused Builder — the service layer's cold-build
 // configuration. One build before the timer sizes the Builder's scratch,
 // as a server's first cold build does, so allocs/op is the per-build cost
-// even at -benchtime 20x; CI fails above 9. Marked //locshort:hotpath so
+// even at -benchtime 20x; CI fails above 7. Marked //locshort:hotpath so
 // the CI bench smoke reports its allocs/op (it drives the Builder's
 // hotpath-annotated stage funcs).
 //

@@ -177,6 +177,25 @@ func TestServeHitAllocs(t *testing.T) {
 // keys; it returns a client of the node and each key's JSON and binary
 // request.
 func hitServer(tb testing.TB) (c *rawClient, jsonReqs, binReqs [4][]byte) {
+	eng, st, addr := benchNode(tb)
+	g := hitGraph(tb)
+	fp, err := eng.AddGraph(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c = dialRaw(tb, addr)
+	for i := range jsonReqs {
+		seed := int64(i + 1)
+		jsonReqs[i], binReqs[i] = warmHit(tb, c, addr, fp, hitKey(tb, g, fp, seed), seed, st)
+	}
+	return c, jsonReqs, binReqs
+}
+
+// benchNode serves the benchmarks' single node: newServer's handler wired
+// as main wires it (segment store, metrics registry, tracer, and no
+// logger, as under -quiet), on the connection loop on a loopback port. It
+// returns the node's engine, its store and its address.
+func benchNode(tb testing.TB) (*service.Engine, store.Backend, string) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(128)
 	st, err := store.OpenBackend(store.KindSegment, tb.TempDir(), store.Options{Obs: reg})
@@ -202,19 +221,69 @@ func hitServer(tb testing.TB) (c *rawClient, jsonReqs, binReqs [4][]byte) {
 		eng.Close()
 		st.Close()
 	})
-	addr := ln.Addr().String()
+	return eng, st, ln.Addr().String()
+}
 
-	g := hitGraph(tb)
-	fp, err := eng.AddGraph(g)
-	if err != nil {
-		tb.Fatal(err)
+// BenchmarkServeCold is one cold POST /v1/shortcuts JSON answer through
+// the daemon's whole HTTP stack, on benchNode's node (as BenchmarkServeHit
+// wires it). Each op asks for a never-used seed on the cold-build catalog
+// (grid:64x64, torus:32x32 and ktree:600,4 in turn, blobs:32), so the
+// node parses the partition, builds, measures, answers and persists the
+// record. An op ends once the build's detached persist has landed, so
+// allocs/op counts the persist too. The client renders each request into
+// one reused buffer and reads the answer as rawClient does, so it
+// allocates nothing per op. One build on each graph before the timer pays
+// the graphs' root searches and sizes the pooled Builder and measurer.
+func BenchmarkServeCold(b *testing.B) {
+	eng, _, addr := benchNode(b)
+	var fps [3]service.Fingerprint
+	for i, spec := range [...]string{"grid:64x64", "torus:32x32", "ktree:600,4"} {
+		g, _, err := cli.ParseGraph(spec, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fps[i], err = eng.AddGraph(g); err != nil {
+			b.Fatal(err)
+		}
 	}
-	c = dialRaw(tb, addr)
-	for i := range jsonReqs {
-		seed := int64(i + 1)
-		jsonReqs[i], binReqs[i] = warmHit(tb, c, addr, fp, hitKey(tb, g, fp, seed), seed, st)
+	c := dialRaw(b, addr)
+	var req []byte
+	seed := int64(0)
+	cold := func() {
+		req = appendColdRequest(req[:0], addr, fps[seed%int64(len(fps))], seed)
+		seed++
+		status, body, err := c.do(req)
+		if err != nil || status != http.StatusOK || len(body) == 0 {
+			b.Fatalf("status %d, err %v: %s", status, err, body)
+		}
+		for eng.Stats().StoreWrites < uint64(seed) {
+			time.Sleep(20 * time.Microsecond)
+		}
 	}
-	return c, jsonReqs, binReqs
+	for range 2 * len(fps) {
+		cold()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		cold()
+	}
+}
+
+// appendColdRequest appends BenchmarkServeCold's JSON request for seed on
+// the graph fp, bound for addr, to b.
+func appendColdRequest(b []byte, addr string, fp service.Fingerprint, seed int64) []byte {
+	var buf [128]byte
+	body := append(buf[:0], `{"graph":"`...)
+	body = fp.Append(body)
+	body = append(body, `","partition":"blobs:32","seed":`...)
+	body = strconv.AppendInt(body, seed, 10)
+	body = append(body, '}')
+	b = append(b, "POST /v1/shortcuts HTTP/1.1\r\nHost: "...)
+	b = append(b, addr...)
+	b = append(b, "\r\nContent-Type: application/json\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(len(body)), 10)
+	b = append(b, "\r\n\r\n"...)
+	return append(b, body...)
 }
 
 // hitGraph is the graph BenchmarkServeHit's keys are on.

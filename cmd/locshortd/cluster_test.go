@@ -1013,7 +1013,12 @@ func TestCallerGoneOverHTTP(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("the handler of a client that hung up never returned")
 		}
-		eventually(t, "the fill", func() bool { return eng.Stats().Builds == 1 })
+		// A JSON miss's fill measures after it builds, so the entry is
+		// resident only once the fill is done, not at the build.
+		eventually(t, "the fill", func() bool {
+			st := eng.Stats()
+			return st.Builds == 1 && st.CachedEntries == 1
+		})
 		slow.Store(false)
 		if resp := postShortcut(t, ts.URL, body, false); resp.Source != "cache" {
 			t.Fatalf("after the fill: source %q, want cache", resp.Source)

@@ -717,7 +717,8 @@ type relayed struct {
 // execute. A request another node owns comes back as that owner's answer
 // (rel != nil), unless the owner cannot be reached: then this node serves
 // it (peer fetch, then rebuild). accept is what the relay asks the owner
-// for.
+// for, and what this node answers in: a miss for a JSON answer asks its
+// fill to measure, so the answer is one worker job.
 func (s *server) serveShortcut(ctx context.Context, req shortcutRequest, accept string) (served, *relayed, error) {
 	rs, err := s.resolve(req)
 	if err != nil {
@@ -728,6 +729,7 @@ func (s *server) serveShortcut(ctx context.Context, req shortcutRequest, accept 
 			return served{}, rel, err
 		}
 	}
+	rs.build.Measure = !wire.IsBinary(accept)
 	sv, err := s.execute(ctx, rs)
 	return sv, nil, err
 }
@@ -1079,10 +1081,11 @@ func scanFingerprint(v []byte) (service.Fingerprint, bool) {
 }
 
 // quality is sv's measured quality for its JSON answer: from the entry's
-// memo once measured (a lock-free read: warm hits skip the pool round
-// trip), else from the engine, so first-touch measurement runs on the
-// bounded worker pool. Measured on the held entry: re-resolving the key
-// would race eviction under capacity pressure.
+// memo once measured (a lock-free read: warm hits, and the miss whose fill
+// measured, skip the pool round trip), else from the engine, so a
+// first-touch measurement runs on the bounded worker pool. Measured on the
+// held entry: re-resolving the key would race eviction under capacity
+// pressure.
 func (s *server) quality(ctx context.Context, sv served) (shortcut.Quality, error) {
 	if q, ok := sv.entry.QualityIfReady(); ok {
 		return q, nil

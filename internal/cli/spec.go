@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"locshort/internal/graph"
 	"locshort/internal/partition"
@@ -239,7 +240,11 @@ func ParsePartition(g *graph.Graph, spec string, seed int64) (*partition.Partiti
 		if err != nil {
 			return nil, fmt.Errorf("cli: partition spec %q: %w", spec, err)
 		}
-		return partition.BFSBlobs(g, k, rand.New(rand.NewSource(seed)))
+		rng := rngPool.Get().(*rand.Rand)
+		rng.Seed(seed)
+		p, err := partition.BFSBlobs(g, k, rng)
+		rngPool.Put(rng)
+		return p, err
 	case "rows":
 		a, b, ok := strings.Cut(arg, "x")
 		if !ok {
@@ -262,6 +267,11 @@ func ParsePartition(g *graph.Graph, spec string, seed int64) (*partition.Partiti
 		return nil, fmt.Errorf("cli: unknown partition kind %q", kind)
 	}
 }
+
+// rngPool recycles the generators of blobs specs. Seed restarts a pooled
+// *rand.Rand on exactly the sequence rand.New(rand.NewSource(seed)) draws,
+// so a spec makes the same partition without allocating a generator.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // buildOptionKeys lists the textual keys of the shortcut.Options fields a
 // request may set, in the order an unknown-key error names them.

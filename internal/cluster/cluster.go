@@ -208,12 +208,6 @@ func (c *Cluster) Self() string { return c.self }
 // Peers returns the other members, sorted.
 func (c *Cluster) Peers() []string { return append([]string(nil), c.peers...) }
 
-// Ring returns the (immutable) consistent-hash ring.
-func (c *Cluster) Ring() *Ring { return c.ring }
-
-// Replication returns the effective replica count.
-func (c *Cluster) Replication() int { return c.cfg.Replication }
-
 // ConfigHash digests the full cluster configuration: ring membership,
 // vnodes, and replication. Nodes whose hashes differ must not serve as one
 // cluster; /readyz holds 503 while a reachable peer disagrees.

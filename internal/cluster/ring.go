@@ -131,9 +131,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 // Nodes returns the membership, sorted.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
-// VNodes returns the virtual points per node.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // successor returns the index of the first point at or after pos, wrapping.
 func (r *Ring) successor(pos uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })

@@ -295,25 +295,46 @@ func TestTracerRing(t *testing.T) {
 	}
 }
 
+// TestTraceBuilderSpans: spans come out in the order they were added,
+// past the inline ones too, and a trace of up to eight spans is one
+// allocation besides its ID.
 func TestTraceBuilderSpans(t *testing.T) {
 	b := StartTrace("build", time.Now())
-	done := b.Span("bfs_tree")
+	begin := b.Elapsed()
 	time.Sleep(2 * time.Millisecond)
-	done()
+	b.Add("bfs_tree", begin, b.Elapsed()-begin)
+	for i := 1; i < 10; i++ {
+		b.Add("level", time.Duration(i), time.Duration(i))
+	}
 	b.SetFingerprint("abc123")
 	tr := b.Finish()
-	if len(tr.Spans) != 1 {
-		t.Fatalf("%d spans, want 1", len(tr.Spans))
+	if len(tr.Spans) != 10 {
+		t.Fatalf("%d spans, want 10", len(tr.Spans))
 	}
 	sp := tr.Spans[0]
 	if sp.Name != "bfs_tree" || sp.DurNs < time.Millisecond.Nanoseconds() {
 		t.Errorf("span %+v: want bfs_tree with >=1ms", sp)
+	}
+	for i, lv := range tr.Spans[1:] {
+		if lv.Name != "level" || lv.StartNs != int64(i+1) || lv.DurNs != int64(i+1) {
+			t.Errorf("span %d = %+v, want level at %d for %d ns", i+1, lv, i+1, i+1)
+		}
 	}
 	if tr.DurNs < sp.DurNs {
 		t.Errorf("trace DurNs %d < span DurNs %d", tr.DurNs, sp.DurNs)
 	}
 	if tr.Fingerprint != "abc123" || tr.ID == "" {
 		t.Errorf("trace annotations missing: %+v", tr)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b := StartTrace("build", time.Now())
+		for range 8 {
+			b.Add("stage", 0, 0)
+		}
+		b.Finish()
+	})
+	if want := 2.0; !raceEnabled && allocs > want {
+		t.Errorf("a trace of 8 spans makes %v allocations, want %v (the builder and its ID)", allocs, want)
 	}
 }
 

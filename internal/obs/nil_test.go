@@ -41,7 +41,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var tb *TraceBuilder
 	tb.SetFingerprint("deadbeef")
 	tb.Add("stage", 0, time.Millisecond)
-	tb.Span("stage")() // both the call and the returned closure must no-op
 	if got := tb.Elapsed(); got != 0 {
 		t.Errorf("nil TraceBuilder.Elapsed() = %v, want 0", got)
 	}

@@ -29,20 +29,27 @@ type Trace struct {
 // safe for concurrent use; each construction owns its builder. A nil
 // *TraceBuilder is a no-op — the untraced path calls through it freely.
 //
+// A builder is its trace's one allocation: it holds the Trace, and the
+// first spans inline (every span of a cold build that accepts at its first
+// level), and Finish hands out that Trace itself.
+//
 //locshort:nilsafe
 type TraceBuilder struct {
-	t     Trace
-	start time.Time
+	t      Trace
+	start  time.Time
+	inline [8]Span
 }
 
 // StartTrace begins a trace for the named operation, which began at start:
 // a caller that decides late whether an operation is worth a trace makes
 // it then, backdated, and every offset still counts from start.
 func StartTrace(op string, start time.Time) *TraceBuilder {
-	return &TraceBuilder{
+	b := &TraceBuilder{
 		t:     Trace{ID: NewRequestID(), Op: op, Start: start.UnixNano()},
 		start: start,
 	}
+	b.t.Spans = b.inline[:0]
+	return b
 }
 
 // SetFingerprint annotates the trace with the shortcut fingerprint.
@@ -54,24 +61,12 @@ func (b *TraceBuilder) SetFingerprint(fp string) {
 }
 
 // Add appends a stage that started at the given offset from the trace start
-// and ran for dur.
+// and ran for dur. Past the inline spans, the span list moves to the heap.
 func (b *TraceBuilder) Add(name string, start, dur time.Duration) {
 	if b == nil {
 		return
 	}
 	b.t.Spans = append(b.t.Spans, Span{Name: name, StartNs: start.Nanoseconds(), DurNs: dur.Nanoseconds()})
-}
-
-// Span times a stage inline: call at the stage start, invoke the returned
-// func at its end.
-func (b *TraceBuilder) Span(name string) func() {
-	if b == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() {
-		b.Add(name, begin.Sub(b.start), time.Since(begin))
-	}
 }
 
 // Elapsed returns the time since the trace started — the Start offset an
@@ -84,14 +79,14 @@ func (b *TraceBuilder) Elapsed() time.Duration {
 }
 
 // Finish stamps the total duration and returns the completed, immutable
-// trace. The builder must not be used afterwards.
+// trace, which lives in the builder: the builder must not be used
+// afterwards.
 func (b *TraceBuilder) Finish() *Trace {
 	if b == nil {
 		return nil
 	}
 	b.t.DurNs = time.Since(b.start).Nanoseconds()
-	t := b.t
-	return &t
+	return &b.t
 }
 
 // Tracer retains the most recent traces in a fixed ring. Publish and Recent

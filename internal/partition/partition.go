@@ -225,32 +225,50 @@ func (p *Partition) Covered() int {
 // connected because every node's BFS parent lies in the same cell). Requires
 // 1 <= k <= n. Each part lists its nodes in increasing order; the parts
 // share one exact-size backing array.
+//
+// The seeds are the first k entries of rng.Perm(n), drawn by Perm's own
+// loop into pooled scratch, so rng is left as Perm leaves it. The flood
+// queues share that scratch, and the parts' backing array is carved from
+// PartOf's spare capacity: the partition, its PartOf and its Parts are all
+// BFSBlobs allocates.
 func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 	n := g.NumNodes()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("partition: k = %d out of range [1,%d]", k, n)
 	}
-	owner := make([]int, n)
+	owner := make([]int, n, 2*n)
 	for v := range owner {
 		owner[v] = -1
 	}
+	sp := scratchPool.Get().(*[]int)
+	scratch := graph.ResizeInts(*sp, n)
+	*sp = scratch
 	// Connectivity first, on the flood's own arrays: one region from 0.
 	owner[0] = 0
-	queue := flood(g, owner, append(make([]int, 0, n), 0))
-	if len(queue) < n {
+	if len(flood(g, owner, append(scratch[:0], 0))) < n {
+		scratchPool.Put(sp)
 		return nil, graph.ErrDisconnected
 	}
 	for v := range owner {
 		owner[v] = -1
 	}
-	queue = queue[:0]
-	for i, s := range rng.Perm(n)[:k] {
+	// rand.(*Rand).Perm's loop, which reads no entry before writing it.
+	perm := scratch
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	// The seeds start the queue where Perm left them; the flood appends
+	// over the rest of the permutation, which is not needed any more.
+	queue := perm[:k]
+	for i, s := range queue {
 		owner[s] = i
-		queue = append(queue, s)
 	}
 	flood(g, owner, queue)
+	scratchPool.Put(sp)
 	// owner is the finished PartOf: every node joined exactly one region.
-	p := &Partition{Parts: layout(owner, make([][]int, k)), PartOf: owner}
+	p := &Partition{Parts: layout(owner, make([][]int, k)), PartOf: owner[:n:n]}
 	return p.connected(g)
 }
 

@@ -114,8 +114,10 @@ var ErrUnknownShortcut = errors.New("service: unknown shortcut key")
 
 // Cached is a built shortcut resident in the engine's cache, together with
 // lazily materialized derived state: measured quality and installed
-// part-wise aggregation routing. Both are computed at most once per cache
-// residency and shared by every subsequent request.
+// part-wise aggregation routing. Each is computed to completion at most
+// once per cache residency and shared by every subsequent request; a
+// computation that panics leaves it unset, and the next request computes
+// it again.
 type Cached struct {
 	// Key is the shortcut's content address; GraphFP the graph's.
 	Key     Fingerprint
@@ -136,17 +138,16 @@ type Cached struct {
 	// durable store.
 	Source BuildSource
 
-	qualityOnce sync.Once
-	qualityDone atomic.Bool
+	qualityMemo memo
 	quality     shortcut.Quality
-	routingOnce sync.Once
+	routingMemo memo
 	routing     *dist.PARouting
 	routingErr  error
 
 	// trace is the pending stage trace of a construction or a peer fetch
 	// (nil when tracing is off, and for a store hit); the first Quality
 	// call appends the "measure" span, publishes to tracer, and clears it.
-	// qualityOnce guarantees a single publisher. A store hit keeps only
+	// qualityMemo guarantees a single publisher. A store hit keeps only
 	// when its miss began and how long the store check took: its trace is
 	// made at that first Quality, so a hit that no one measures (a binary
 	// answer) makes none.
@@ -158,10 +159,13 @@ type Cached struct {
 }
 
 // Quality measures the shortcut, memoized for the cache residency. The
-// first call completes and publishes the entry's construction trace, so a
-// trace's total duration spans build start through first measurement.
+// first measurement completes and publishes the entry's construction
+// trace, so a trace's total duration spans build start through first
+// measurement; a fill that a JSON miss started (BuildRequest.Measure)
+// makes it on its worker. A measurement that panics memoizes nothing: the
+// panic reaches the caller, and the next call measures again.
 func (c *Cached) Quality() shortcut.Quality {
-	c.qualityOnce.Do(func() {
+	c.qualityMemo.do(func() {
 		start := time.Now()
 		c.quality = shortcut.Measure(c.Result.Shortcut)
 		d := time.Since(start)
@@ -177,7 +181,6 @@ func (c *Cached) Quality() shortcut.Quality {
 			c.tracer.Publish(tb.Finish())
 			c.trace = nil
 		}
-		c.qualityDone.Store(true)
 	})
 	return c.quality
 }
@@ -185,20 +188,43 @@ func (c *Cached) Quality() shortcut.Quality {
 // QualityIfReady returns the memoized quality without blocking or
 // scheduling anything: ok is false until some earlier call has measured
 // the entry. The serving path uses it to skip the worker-pool round trip
-// on warm hits — once measured, the quality is one atomic load away. The
-// quality field is written before the qualityDone store inside the same
-// Once, so an observer of true observes the value.
+// on warm hits, and on the first answer of a fill that measured — once
+// measured, the quality is one atomic load away. The quality is written
+// before the memo's done flag, so an observer of true observes the value.
 func (c *Cached) QualityIfReady() (shortcut.Quality, bool) {
-	if !c.qualityDone.Load() {
+	if !c.qualityMemo.done.Load() {
 		return shortcut.Quality{}, false
 	}
 	return c.quality, true
 }
 
 // Routing installs (once) and returns the part-wise aggregation routing.
+// An installation that returns an error is memoized like a routing; one
+// that panics is not, and the next call installs again.
 func (c *Cached) Routing() (*dist.PARouting, error) {
-	c.routingOnce.Do(func() { c.routing, c.routingErr = dist.NewPARouting(c.Result.Shortcut) })
+	c.routingMemo.do(func() { c.routing, c.routingErr = dist.NewPARouting(c.Result.Shortcut) })
 	return c.routing, c.routingErr
+}
+
+// memo runs a function to completion at most once, like sync.Once, except
+// that a run that panics does not count: the panic propagates to its
+// caller, and the next call runs the function again. Concurrent callers
+// wait for a run in progress.
+type memo struct {
+	mu   sync.Mutex
+	done atomic.Bool
+}
+
+func (m *memo) do(fn func()) {
+	if m.done.Load() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done.Load() {
+		fn()
+		m.done.Store(true)
+	}
 }
 
 // missTrace makes the build trace of a cache miss that began at start,
@@ -521,12 +547,16 @@ func (j *job) run(e *Engine) {
 // drop leaves the job unrun: its submitter has returned ErrClosed.
 func (j *job) drop(*Engine) {}
 
-// run fills the entry. The fill is detached from every caller, so it
-// always runs; its job counters are settled before its waiters are
-// released, and a resident entry keeps no request.
+// run fills the entry, and measures it when the request that installed it
+// asked (BuildRequest.Measure), all in one job. The fill is detached from
+// every caller, so it always runs; its job counters are settled before its
+// waiters are released, and a resident entry keeps no request.
 func (ent *cacheEntry) run(e *Engine) {
 	start := e.jobStarted()
 	err := e.materializeEntry(ent)
+	if err == nil && ent.req.Measure {
+		e.measureFill(&ent.val)
+	}
 	e.jobFinished(start)
 	if err != nil {
 		e.counters.jobsFailed.Add(1)
@@ -552,6 +582,19 @@ func (e *Engine) materializeEntry(ent *cacheEntry) (err error) {
 		}
 	}()
 	return e.materialize(&ent.val, ent.key, ent.g, &ent.req)
+}
+
+// measureFill measures a fill's entry on the fill's worker. A panic fails
+// the measurement alone: it counts in job_panics, the entry is cached
+// unmeasured, and the JSON answer that asked measures again through
+// MeasureCached — which fails that answer with the panic if it recurs.
+func (e *Engine) measureFill(c *Cached) {
+	defer func() {
+		if recover() != nil {
+			e.counters.jobPanics.Add(1)
+		}
+	}()
+	c.Quality()
 }
 
 // errSkipped marks a job the worker skipped at pickup because its context
@@ -630,6 +673,15 @@ type BuildRequest struct {
 	// Options configures shortcut.Build. Tree, Certify, and Rng must be
 	// unset: the service owns tree choice and never certifies.
 	Options shortcut.Options
+	// Measure asks a fill this request starts to measure the entry
+	// (Cached.Quality) on the fill's worker before it releases its
+	// waiters, so a JSON answer is one worker job and finds the quality
+	// with QualityIfReady. A binary answer, which reports no quality,
+	// leaves it unset. It measures nothing on a hit, or when the request
+	// joins a fill another request started without it: the entry may
+	// come back unmeasured, and a caller that needs the quality falls
+	// back to MeasureCached. It is not part of the shortcut's key.
+	Measure bool
 }
 
 // Build returns the cached shortcut for the request, constructing it at
@@ -733,10 +785,11 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 	// The trace (when tracing is on) is assembled here, behind the
 	// singleflight, so every miss yields at most one trace no matter how
 	// many callers joined it. It is published on the entry's first quality
-	// measurement (locshortd measures a JSON answer right after building),
-	// which contributes the final "measure" span. Until the miss does more
-	// than a store check, only its start and the check's duration are
-	// kept: a store hit makes its trace when it is measured, if ever.
+	// measurement (on this worker when the miss asked to measure, as a
+	// JSON answer's does), which contributes the final "measure" span.
+	// Until the miss does more than a store check, only its start and the
+	// check's duration are kept: a store hit makes its trace when it is
+	// measured, if ever.
 	var (
 		tb         *obs.TraceBuilder
 		storeCheck time.Duration
@@ -972,9 +1025,13 @@ func (e *Engine) Measure(ctx context.Context, key Fingerprint) (shortcut.Quality
 }
 
 // MeasureCached is Measure on an already-held cache entry. Unlike Measure
-// it needs no key lookup, so build-then-measure sequences (the locshortd
-// /v1/shortcuts handler) stay immune to the entry being evicted between
-// the two steps under capacity pressure.
+// it needs no key lookup, so build-then-measure sequences stay immune to
+// the entry being evicted between the two steps under capacity pressure.
+// The locshortd /v1/shortcuts handler calls it only for an entry no one
+// has measured (a fill that a BuildRequest with Measure started has): a
+// JSON answer on an entry a binary answer's fill made. A measurement that
+// panics fails the job with an *obs.PanicError, and the next call
+// measures again.
 func (e *Engine) MeasureCached(ctx context.Context, c *Cached) (shortcut.Quality, error) {
 	return submit(e, ctx, func(context.Context) (shortcut.Quality, error) {
 		return c.Quality(), nil

@@ -83,8 +83,7 @@ type Result struct {
 	Certificates []*minor.Mapping
 	FailedDeltas []int
 	// Stages is the stage-timing breakdown, populated only when
-	// Options.CollectStages is set (both fields stay nil otherwise so the
-	// uninstrumented cold path allocates exactly as before).
+	// Options.CollectStages is set (both fields stay nil otherwise).
 	Stages []Stage
 	// LevelsTried lists the delta' levels the doubling search attempted, in
 	// order, ending with the accepted level.

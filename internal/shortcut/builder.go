@@ -16,10 +16,11 @@ import (
 
 // stageClock collects the Result.Stages breakdown of one Build call. It
 // lives on Build's stack and keeps its first stages inline — every stage of
-// a build that accepts within four levels — so a traced build allocates only
-// the copy Result.Stages gets. A nil clock (Options.CollectStages unset)
-// makes since, end and level no-ops, so the uninstrumented path pays only
-// nil checks; add and stages are called on a live clock only.
+// a build that accepts within four levels — so a traced build copies them
+// into its built record and allocates none. A nil clock
+// (Options.CollectStages unset) makes since, end and level no-ops, so the
+// uninstrumented path pays only nil checks; add and stages are called on a
+// live clock only.
 type stageClock struct {
 	start time.Time
 	// sweep and assemble accumulate the current level's split across its
@@ -64,10 +65,9 @@ func (sc *stageClock) add(name string, start, dur time.Duration) {
 	sc.more = append(sc.more, st)
 }
 
-// stages copies the recorded stages out, in order, into one allocation.
-func (sc *stageClock) stages() []Stage {
-	out := make([]Stage, 0, sc.n+len(sc.more))
-	return append(append(out, sc.inline[:sc.n]...), sc.more...)
+// stages appends the recorded stages to dst, in order.
+func (sc *stageClock) stages(dst []Stage) []Stage {
+	return append(append(dst, sc.inline[:sc.n]...), sc.more...)
 }
 
 // level starts timing one doubling-search level: it zeroes the level's
@@ -124,11 +124,25 @@ func levelStageName(delta int) string {
 // scratch, so results stay valid across subsequent Build calls on the
 // same Builder. A level collects its H runs in scratch, and only the
 // accepted level copies them out, into one exact-size array: a warm
-// Build allocates the same few objects whatever the number of parts.
-// The BFS tree is the graph's shared read-only tree (tree.Shared) under a
-// header of the result's own.
+// Build allocates the same four objects whatever the number of parts —
+// its built record, H, Covered and the H array. The BFS tree is the
+// graph's shared read-only tree (tree.SharedInto) under a header in the
+// record.
 type Builder struct {
 	ls levelState
+}
+
+// built is everything a Build returns that is not a slice of its own, in
+// one allocation, as a store read's record is: the Result, its Shortcut,
+// the Shortcut's tree header when the build uses the graph's shared tree,
+// and, when the build collects stages, the first stages and levels, as
+// many as the stage clock keeps inline.
+type built struct {
+	res    Result
+	s      Shortcut
+	tree   tree.Rooted
+	stages [8]Stage
+	levels [4]int
 }
 
 // NewBuilder returns an empty Builder; scratch is allocated lazily and
@@ -151,6 +165,7 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 	if opts.CollectStages {
 		sc = clock.begin()
 	}
+	rec := new(built)
 	t := opts.Tree
 	if t == nil {
 		// The graph memoizes its root and BFS tree: the first build on a
@@ -160,12 +175,12 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 		graph.ChooseRoot(g)
 		sc.end("choose_root", begin)
 		begin = sc.since()
-		var err error
-		t, err = tree.Shared(g)
+		err := tree.SharedInto(&rec.tree, g)
 		sc.end("bfs_tree", begin)
 		if err != nil {
 			return nil, fmt.Errorf("shortcut: build tree: %w", err)
 		}
+		t = &rec.tree
 	}
 	if t.NumNodes() != g.NumNodes() {
 		return nil, fmt.Errorf("shortcut: tree has %d nodes, graph has %d", t.NumNodes(), g.NumNodes())
@@ -195,7 +210,11 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 		certAttempts = 8 * depth
 	}
 
-	res := &Result{TreeDepth: depth}
+	res := &rec.res
+	res.TreeDepth = depth
+	if sc != nil {
+		res.LevelsTried = rec.levels[:0]
+	}
 	start := opts.Delta
 	fixed := start != 0
 	if !fixed {
@@ -222,9 +241,9 @@ func (b *Builder) Build(g *graph.Graph, p *partition.Partition, opts Options) (*
 			if sc != nil {
 				sc.add("sweep", begin, sc.sweep)
 				sc.add("assemble", begin, sc.assemble)
-				res.Stages = sc.stages()
+				res.Stages = sc.stages(rec.stages[:0])
 			}
-			res.Shortcut = b.ls.finish(g, t, p)
+			res.Shortcut = b.ls.finish(&rec.s, g, t, p)
 			res.Delta = delta
 			res.CongestionThreshold = c
 			res.BlockBudget = bb
@@ -341,13 +360,13 @@ func (ls *levelState) beginLevel(k int) {
 	}
 }
 
-// finish returns the shortcut the level's runs describe. All H sets share
-// one exact-size array, each carved with a full slice expression, so an
-// append to one H[i] reallocates it instead of overwriting its neighbour;
-// uncovered parts keep a nil H[i].
-func (ls *levelState) finish(g *graph.Graph, t *tree.Rooted, p *partition.Partition) *Shortcut {
+// finish fills s with the shortcut the level's runs describe and returns
+// it. All H sets share one exact-size array, each carved with a full slice
+// expression, so an append to one H[i] reallocates it instead of
+// overwriting its neighbour; uncovered parts keep a nil H[i].
+func (ls *levelState) finish(s *Shortcut, g *graph.Graph, t *tree.Rooted, p *partition.Partition) *Shortcut {
 	k := p.NumParts()
-	s := &Shortcut{
+	*s = Shortcut{
 		G:       g,
 		Parts:   p,
 		Tree:    t,

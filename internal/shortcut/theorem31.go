@@ -75,7 +75,7 @@ func BuildPartial(g *graph.Graph, t *tree.Rooted, p *partition.Partition, c, b i
 	// them every ancestor edge in the forest T\O.
 	ls.beginLevel(p.NumParts())
 	ls.assemble(t, p, active, b, false)
-	pr.Shortcut = ls.finish(g, t, p)
+	pr.Shortcut = ls.finish(new(Shortcut), g, t, p)
 	return pr, nil
 }
 
@@ -97,7 +97,7 @@ func AssembleFromCuts(g *graph.Graph, t *tree.Rooted, p *partition.Partition, cu
 	copy(ls.cutAbove, cutAbove)
 	ls.beginLevel(p.NumParts())
 	ls.assemble(t, p, active, b, false)
-	return ls.finish(g, t, p)
+	return ls.finish(new(Shortcut), g, t, p)
 }
 
 // CutAbove reconstructs, for certificate extraction, whether each node's

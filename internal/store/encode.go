@@ -36,7 +36,7 @@ import (
 // decoded against is in canonical form (graph.IsCanonical), which is the
 // form every engine representative has (spec, JSON or binary ingest, peer
 // push, warm start alike), so live IDs are canonical IDs and move
-// untranslated. encodeShortcut refuses a graph that is not canonical. The
+// untranslated. appendShortcut refuses a graph that is not canonical. The
 // restriction tree of every H_i is the graph's own BFS tree
 // ((*graph.Graph).BFSTree), which the graph alone determines, so a payload
 // stores neither the tree nor its depth: a read hands out the graph's
@@ -65,6 +65,11 @@ const (
 // start. The bound keeps a corrupt header from sizing an unbounded
 // allocation.
 const maxStoredGraphNodes = 1 << 26
+
+// rankStack is a part rank table on the stack: room for partRanks' two
+// entries per part up to 256 parts, so reads and writes of records that
+// size allocate no rank table.
+type rankStack [512]int32
 
 // partRanks returns each part's canonical rank — the order of first
 // appearance over nodes 0..n-1, i.e. the part order of the canonical
@@ -172,16 +177,17 @@ func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.
 	return g, nil
 }
 
-// encodePartition renders the partition payload: the version byte,
+// appendPartition appends the partition payload to b: the version byte,
 // uvarint n, uvarint k, then one uvarint per node, its canonical label
 // (the rank of its part by first appearance, Partition.CanonicalRanks)
-// plus one, or 0 for an uncovered node.
-func encodePartition(p *partition.Partition) []byte {
-	var stack [128]int32
+// plus one, or 0 for an uncovered node. b grows at most once, to the
+// payload's size bound.
+func appendPartition(b []byte, p *partition.Partition) []byte {
+	var stack rankStack
 	rank := p.CanonicalRanks(stack[:])
 	n, k := uint64(len(p.PartOf)), uint64(len(rank))
-	b := make([]byte, 1, 1+uvarintLen(n)+uvarintLen(k)+int(n)*uvarintLen(k))
-	b[0] = partitionPayloadVersion
+	b = slices.Grow(b, 1+uvarintLen(n)+uvarintLen(k)+int(n)*uvarintLen(k))
+	b = append(b, partitionPayloadVersion)
 	b = binary.AppendUvarint(b, n)
 	b = binary.AppendUvarint(b, k)
 	for _, i := range p.PartOf {
@@ -354,7 +360,7 @@ var errNotCanonical = errors.New("graph is not in canonical form (graph.Canonica
 // representative, or forged.
 var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree")
 
-// encodeShortcut renders a shortcut payload and returns it with the
+// appendShortcut appends a shortcut payload to b and returns it with the
 // fingerprint of the partition it names, that of res.Shortcut.Parts. The
 // shortcut's graph must be canonical (errNotCanonical otherwise), so its
 // edge IDs are written as they are, and its tree must be the graph's BFS
@@ -378,12 +384,12 @@ var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree
 // the build cost a flag byte and the tree: uvarint root, uvarint node
 // count n, then n varints, each node's parent-edge ID or -1.
 //
-// Every cold build is persisted through here, so the allocations are a
-// constant few whatever n and k are: the payload is sized once from k and
-// Σ|H_i|, and the part rank table also yields the partition fingerprint.
-// The construction lists every H_i in ascending order; only an H_i that
-// is not is sorted, in a scratch copy.
-func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *shortcut.Result,
+// Every cold build is persisted through here, so it allocates nothing
+// but b's growth whatever n is: b grows at most once, to a bound from k
+// and Σ|H_i|, and the part rank table, on the stack up to 256 parts, also
+// yields the partition fingerprint. The construction lists every H_i in
+// ascending order; only an H_i that is not is sorted, in a scratch copy.
+func appendShortcut(b []byte, graphFP service.Fingerprint, opts shortcut.Options, res *shortcut.Result,
 	buildTime time.Duration) ([]byte, service.Fingerprint, error) {
 
 	s := res.Shortcut
@@ -394,7 +400,8 @@ func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *sho
 		return nil, 0, errTreeNotCanonical
 	}
 	k := len(s.H)
-	rank, byRank := partRanks(s.Parts, nil)
+	var stack rankStack
+	rank, byRank := partRanks(s.Parts, stack[:])
 	partFP := service.FingerprintPartitionRanks(s.Parts, rank)
 	total := 0
 	for i, h := range s.H {
@@ -407,8 +414,8 @@ func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *sho
 	// count, first ID and gap is below m.
 	m := uint64(s.G.NumEdges())
 	size := 1 + 16 + 11*binary.MaxVarintLen64 + (k+7)/8 + (k+total)*uvarintLen(m)
-	b := make([]byte, 1, size)
-	b[0] = shortcutPayloadVersion
+	b = slices.Grow(b, size)
+	b = append(b, shortcutPayloadVersion)
 	b = binary.BigEndian.AppendUint64(b, uint64(graphFP))
 	b = binary.BigEndian.AppendUint64(b, uint64(partFP))
 	for _, v := range [...]int{opts.Delta, opts.MaxDelta, opts.CongestionFactor, opts.BlockFactor, opts.MaxIterations} {
@@ -768,7 +775,7 @@ func decodeRecord(spay, ppay []byte, key service.Fingerprint, g *graph.Graph) (*
 // shortcut against g and parts, the requested partition, with the same
 // head parse, edge decoder and checks as decodeRecord and the key
 // re-derived over parts. Its allocations are the record, H, Covered and
-// the edge array, and the part rank table past 128 parts.
+// the edge array, and the part rank table past 256 parts.
 func decodeShortcut(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
 
@@ -782,7 +789,7 @@ func decodeShortcut(payload []byte, key service.Fingerprint,
 	if h.k != parts.NumParts() {
 		return fail(fmt.Errorf("%d parts stored, request has %d", h.k, parts.NumParts()))
 	}
-	var stack [256]int32
+	var stack rankStack
 	_, byRank := partRanks(parts, stack[:])
 	rec := new(record)
 	h.fill(rec, g, parts, make([][]int, h.k), make([]bool, h.k))

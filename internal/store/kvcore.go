@@ -61,12 +61,14 @@ type kvMeta struct {
 // payloadStore is where a kvCore keeps record payloads.
 type payloadStore interface {
 	// put stores one record — or, for kindTombstone, durably records a
-	// graph delete — and returns its location (seg, off, size). The caller
-	// holds writeMu but not mu; put takes mu itself for any in-memory
-	// change. After nil the record survives a crash (on a durable store);
-	// after an error it is not indexed, though bytes a failed fsync left
-	// behind may replay at the next Open.
-	put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error)
+	// graph delete — and returns its location (seg, off, size). frame is
+	// the record's log frame: frameHdrSize bytes put may fill in with the
+	// header, then the payload. put keeps no reference to frame, so the
+	// caller may reuse it. The caller holds writeMu but not mu; put takes
+	// mu itself for any in-memory change. After nil the record survives a
+	// crash (on a durable store); after an error it is not indexed, though
+	// bytes a failed fsync left behind may replay at the next Open.
+	put(kind byte, key service.Fingerprint, frame []byte) (kvMeta, error)
 	// read returns the payload of the live record ik located at meta. The
 	// slice may alias store memory; callers treat it as read-only. The
 	// caller holds mu.
@@ -250,9 +252,17 @@ func (c *kvCore) has(kind byte, key service.Fingerprint) bool {
 	return ok
 }
 
-// putRecord stores one record and installs it in the index. Caller holds
-// writeMu.
+// putRecord stores one record, its payload copied into a frame of its
+// own, and installs it in the index. Caller holds writeMu.
 func (c *kvCore) putRecord(kind byte, key service.Fingerprint, payload []byte) error {
+	return c.putFrame(kind, key, append(make([]byte, frameHdrSize, frameHdrSize+len(payload)), payload...))
+}
+
+// putFrame stores the record whose log frame is frame — frameHdrSize
+// bytes for the header, then the payload — and installs it in the index.
+// The frame is written as it is and not kept, so a caller may hand in a
+// pooled buffer. Caller holds writeMu.
+func (c *kvCore) putFrame(kind byte, key service.Fingerprint, frame []byte) error {
 	c.mu.RLock()
 	closed := c.closed
 	c.mu.RUnlock()
@@ -262,11 +272,11 @@ func (c *kvCore) putRecord(kind byte, key service.Fingerprint, payload []byte) e
 	var sm shortcutMeta
 	if kind == kindShortcut {
 		var err error
-		if sm, err = parseShortcutMeta(payload); err != nil {
+		if sm, err = parseShortcutMeta(frame[frameHdrSize:]); err != nil {
 			return err
 		}
 	}
-	meta, err := c.ps.put(kind, key, payload)
+	meta, err := c.ps.put(kind, key, frame)
 	if err != nil {
 		return err
 	}
@@ -349,17 +359,27 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 }
 
 // PutShortcut persists the partition record (deduplicated) and the shortcut
-// record. Implements service.Store. A shortcut whose graph record is no
-// longer live is silently dropped: a detached engine persist can race a
-// DeleteGraph, and writing the record after the delete would resurrect a
-// shortcut whose graph is gone (an orphan that fails Verify). A live
-// record under key is kept if it decodes and replaced if it does not, so
-// the rebuild that follows a refused read heals the key. The shortcut's
-// graph must be canonical.
+// record, the partition first, each fsynced on a durable store. Implements
+// service.Store. A shortcut whose graph record is no longer live is
+// silently dropped: a detached engine persist can race a DeleteGraph, and
+// writing the record after the delete would resurrect a shortcut whose
+// graph is gone (an orphan that fails Verify). A live record under key is
+// kept if it decodes and replaced if it does not, so the rebuild that
+// follows a refused read heals the key. The shortcut's graph must be
+// canonical. Both payloads are encoded into one pooled buffer, each after
+// room for its frame header, and written from it: a persist allocates no
+// payload or frame of its own.
 func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error {
 
-	payload, partFP, err := encodeShortcut(graphFP, opts, res, buildTime)
+	bp := frameBufs.Get().(*[]byte)
+	b, partFP, err := appendShortcut(append((*bp)[:0], frameHdr[:]...), graphFP, opts, res, buildTime)
+	defer func() {
+		if cap(b) <= maxPooledFrames {
+			*bp = b
+			frameBufs.Put(bp)
+		}
+	}()
 	if err != nil {
 		return fmt.Errorf("store: shortcut %s: %w", key, err)
 	}
@@ -368,13 +388,25 @@ func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.
 	if !c.has(kindGraph, graphFP) || c.holdsShortcut(key, res.Shortcut.G, parts) {
 		return nil
 	}
+	shortcutEnd := len(b)
 	if !c.has(kindPartition, partFP) {
-		if err := c.putRecord(kindPartition, partFP, encodePartition(parts)); err != nil {
+		b = appendPartition(append(b, frameHdr[:]...), parts)
+		if err := c.putFrame(kindPartition, partFP, b[shortcutEnd:]); err != nil {
 			return err
 		}
 	}
-	return c.putRecord(kindShortcut, key, payload)
+	return c.putFrame(kindShortcut, key, b[:shortcutEnd])
 }
+
+// frameBufs recycles PutShortcut's frame buffers. A buffer grown past
+// maxPooledFrames (a record of a graph far larger than the usual) is left
+// to the collector.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrames = 1 << 20
+
+// frameHdr is the room a frame leaves for its header.
+var frameHdr [frameHdrSize]byte
 
 // GetShortcut loads and reconstructs the shortcut stored under key against
 // the live representative g and the requested partition (decodeShortcut),
@@ -450,7 +482,7 @@ func (c *kvCore) DeleteGraph(fp service.Fingerprint) error {
 	if !haveGraph && !haveDeps {
 		return nil
 	}
-	if _, err := c.ps.put(kindTombstone, fp, nil); err != nil {
+	if _, err := c.ps.put(kindTombstone, fp, make([]byte, frameHdrSize)); err != nil {
 		return err
 	}
 	c.mu.Lock()

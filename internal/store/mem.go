@@ -44,11 +44,11 @@ type memPayloads struct {
 	bytes int64
 }
 
-func (p *memPayloads) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
+func (p *memPayloads) put(kind byte, key service.Fingerprint, frame []byte) (kvMeta, error) {
 	if kind == kindTombstone {
 		return kvMeta{}, nil // nothing to make durable; the index drop is the delete
 	}
-	cp := append([]byte(nil), payload...)
+	cp := append([]byte(nil), frame[frameHdrSize:]...)
 	ik := indexKey{kind: kind, key: key}
 	p.mu.Lock()
 	p.bytes += int64(len(cp)) - int64(len(p.m[ik]))

@@ -193,10 +193,11 @@ func (d *dirPayloads) path(kind byte, key service.Fingerprint) string {
 	return filepath.Join(d.dir, objKindDirs[kind], objName(key))
 }
 
-func (d *dirPayloads) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
+func (d *dirPayloads) put(kind byte, key service.Fingerprint, frame []byte) (kvMeta, error) {
 	if kind == kindTombstone {
 		return kvMeta{}, d.deleteGraph(key)
 	}
+	payload := frame[frameHdrSize:]
 	path := d.path(kind, key)
 	tmp := path + objTmpSuffix
 	f, err := d.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

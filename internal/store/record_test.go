@@ -14,6 +14,15 @@ import (
 	"locshort/internal/shortcut"
 )
 
+// encodePartition and encodeShortcut are the payload appenders on a nil
+// buffer: one payload each, as the tests compare and corrupt them.
+func encodePartition(p *partition.Partition) []byte { return appendPartition(nil, p) }
+
+func encodeShortcut(graphFP service.Fingerprint, opts shortcut.Options, res *shortcut.Result,
+	buildTime time.Duration) ([]byte, service.Fingerprint, error) {
+	return appendShortcut(nil, graphFP, opts, res, buildTime)
+}
+
 // The key-only read in two steps: decode the partition record on its own,
 // then the shortcut against the partition it decoded to. It is the oracle
 // FuzzDecodeRecord holds the fused read (decodeRecord) to, and the

@@ -393,10 +393,11 @@ func frameCRC(hdr, payload []byte) uint32 {
 	return crc32.Update(crc32.Checksum(hdr, crcTable), crcTable, payload)
 }
 
-// put frames and durably writes one record to the active segment, rotating
-// first if the segment is full. Caller holds writeMu; mu is taken only to
-// publish the new segment size, never across the write or fsync.
-func (l *segLog) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
+// put fills in frame's header and durably writes the frame, one record,
+// to the active segment, rotating first if the segment is full. Caller
+// holds writeMu; mu is taken only to publish the new segment size, never
+// across the write or fsync.
+func (l *segLog) put(kind byte, key service.Fingerprint, frame []byte) (kvMeta, error) {
 	var appendStart time.Time
 	if l.metrics != nil {
 		appendStart = time.Now()
@@ -411,12 +412,11 @@ func (l *segLog) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta
 		}
 		seg = l.active
 	}
-	frame := make([]byte, frameHdrSize, frameHdrSize+len(payload))
+	payload := frame[frameHdrSize:]
 	frame[0] = kind
 	binary.BigEndian.PutUint64(frame[1:], uint64(key))
 	binary.BigEndian.PutUint32(frame[9:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[13:], frameCRC(frame[:13], payload))
-	frame = append(frame, payload...)
 	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
 		return kvMeta{}, err
 	}

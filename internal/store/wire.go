@@ -58,7 +58,7 @@ func (c *kvCore) PutGraphPayload(fp service.Fingerprint, payload []byte) error {
 func EncodeShortcutRecordPayload(graphFP service.Fingerprint, _ *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) ([]byte, error) {
 
-	payload, _, err := encodeShortcut(graphFP, opts, res, buildTime)
+	payload, _, err := appendShortcut(nil, graphFP, opts, res, buildTime)
 	return payload, err
 }
 
