@@ -52,16 +52,17 @@ func BenchmarkA2_SchedulingAblation(b *testing.B)    { benchExperiment(b, "A2") 
 func BenchmarkA3_DetectionAblation(b *testing.B)     { benchExperiment(b, "A3") }
 func BenchmarkA4_RootChoiceAblation(b *testing.B)    { benchExperiment(b, "A4") }
 
-// Core-operation benchmarks across the perf families tracked in the
-// BENCH_*.json reports. grid:64x64 is the acceptance family for the flat
-// Builder's allocation budget: run with
+// Core-operation benchmarks on the perf families grid:64x64, torus:32x32
+// and ktree:600,4, graphs cmd/locshortbench's shortcut.build_* panels also
+// time (on blobs:32 partitions of their own). grid:64x64 is the
+// acceptance family for the flat Builder's allocation budget: run with
 //
 //	go test -bench BenchmarkBuild -benchmem
 //
-// and compare allocs/op against the committed baseline report.
+// and compare allocs/op against the CI allocs gates (BenchmarkBuild ≤ 7,
+// BenchmarkMeasure ≤ 8).
 
-// perfFamily builds one of the large benchmark workloads, matching
-// internal/bench.perfFamilies (same specs, same seed).
+// perfFamily builds one of the large benchmark workloads at seed 1.
 func perfFamily(b *testing.B, spec string) (*locshort.Graph, *locshort.Partition) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))

@@ -74,8 +74,8 @@
 // and async job records persist to the store in DIR, the graph catalog
 // warm-starts on boot, and cache misses are served store-first — so a
 // restart costs a store read per shortcut instead of a rebuild stampede.
-// -store selects the backend (both pass the same conformance suite, see
-// internal/store/storetest): "segment" (default) is the append-only
+// -store selects the backend (both pass internal/store's conformance
+// suite): "segment" (default) is the append-only
 // segment store — sealed segments are memory-mapped read-only and binary
 // responses serve their payloads as subslices of the mapping, zero-copy;
 // -mmap=false forces the portable pread path (fresh buffer, per-read

@@ -4,14 +4,10 @@
 //
 // Usage:
 //
-//	shortcutbench [-exp E1,E4] [-quick] [-seed N] [-list] [-json] [-out F]
+//	shortcutbench [-exp E1,E4] [-quick] [-seed N] [-list]
 //
-// Without -exp, every registered experiment runs in order ("-exp none"
-// runs none). Output is GitHub-flavored markdown on stdout. With -json, a
-// machine-readable benchmark report (family, n, congestion, dilation,
-// build ns/op) is additionally written to -out, defaulting to
-// BENCH_<timestamp>.json, so the performance trajectory is tracked across
-// PRs.
+// Without -exp, every registered experiment runs in order. Output is
+// GitHub-flavored markdown on stdout.
 package main
 
 import (
@@ -33,12 +29,10 @@ func main() {
 
 func run() error {
 	var (
-		expFlag  = flag.String("exp", "", `comma-separated experiment IDs (default: all; "none": skip)`)
+		expFlag  = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 		quick    = flag.Bool("quick", false, "reduced instance sizes")
 		seed     = flag.Int64("seed", 1, "random seed")
 		listOnly = flag.Bool("list", false, "list experiments and exit")
-		jsonOut  = flag.Bool("json", false, "write a machine-readable benchmark report")
-		outPath  = flag.String("out", "", "report path (default BENCH_<timestamp>.json)")
 	)
 	flag.Parse()
 
@@ -49,12 +43,9 @@ func run() error {
 		return nil
 	}
 
-	var exps []bench.Experiment
-	switch *expFlag {
-	case "":
-		exps = bench.All()
-	case "none":
-	default:
+	exps := bench.All()
+	if *expFlag != "" {
+		exps = nil
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.TrimSpace(id)
 			e, ok := bench.ByID(id)
@@ -76,33 +67,6 @@ func run() error {
 		fmt.Println(tab.String())
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		violations += len(tab.Violations())
-	}
-	if *jsonOut {
-		rep, err := bench.JSONReport(cfg, time.Now())
-		if err != nil {
-			return fmt.Errorf("json report: %w", err)
-		}
-		path := *outPath
-		if path == "" {
-			path = rep.DefaultReportPath()
-		}
-		if err := rep.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d records)\n", path, len(rep.Records))
-		if o := rep.ObsOverhead; o != nil {
-			fmt.Printf("obs overhead on %s cold builds: staged %v vs plain %v (%+.2f%%)\n",
-				o.Family, time.Duration(o.StagedNsPerOp).Round(10*time.Microsecond),
-				time.Duration(o.PlainNsPerOp).Round(10*time.Microsecond), o.OverheadPct)
-			// The observability acceptance gate: stage collection must stay
-			// inside ~2% of an uninstrumented cold build. Quick-mode
-			// instances are too small to time the effect, so only the full
-			// run enforces it.
-			if !*quick && o.OverheadPct > bench.ObsOverheadMaxPct {
-				return fmt.Errorf("stage-collection overhead %.2f%% exceeds the %.1f%% bound",
-					o.OverheadPct, bench.ObsOverheadMaxPct)
-			}
-		}
 	}
 	if violations > 0 {
 		return fmt.Errorf("%d bound violations — see NO cells above", violations)

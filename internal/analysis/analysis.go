@@ -167,7 +167,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 // ScopedTo reports whether path falls inside one of the analyzer's scope
 // patterns. A pattern matches when it appears in path as a complete
 // "/"-delimited segment run, so "locshort/internal/graph" covers both the
-// real package and its analysistest fixture twin under testdata/src.
+// real package and its fixture twin under testdata.
 func ScopedTo(path string, scopes []string) bool {
 	for _, s := range scopes {
 		if path == s || strings.HasSuffix(path, "/"+s) || strings.HasPrefix(path, s+"/") || strings.Contains(path, "/"+s+"/") {

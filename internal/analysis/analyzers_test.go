@@ -4,33 +4,32 @@ import (
 	"testing"
 
 	"locshort/internal/analysis"
-	"locshort/internal/analysis/analysistest"
 )
 
 // Each fixture package plants every construct its analyzer forbids plus
-// the escapes and allowed forms it must tolerate; analysistest fails in
+// the escapes and allowed forms it must tolerate; runFixture fails in
 // both directions, so these tests prove each analyzer fires and that its
 // audit comments suppress. Scoped analyzers get the import path of a
 // package inside their scope.
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, analysis.Determinism, "testdata/determinism", "locshort/internal/graph")
+	runFixture(t, analysis.Determinism, "testdata/determinism", "locshort/internal/graph")
 }
 
 func TestHotpath(t *testing.T) {
-	analysistest.Run(t, analysis.Hotpath, "testdata/hotpath", "locshort/internal/shortcut")
+	runFixture(t, analysis.Hotpath, "testdata/hotpath", "locshort/internal/shortcut")
 }
 
 func TestAtomics(t *testing.T) {
-	analysistest.Run(t, analysis.Atomics, "testdata/atomics", "locshort/internal/service")
+	runFixture(t, analysis.Atomics, "testdata/atomics", "locshort/internal/service")
 }
 
 func TestCheckedErr(t *testing.T) {
-	analysistest.Run(t, analysis.CheckedErr, "testdata/checkederr", "locshort/internal/store")
+	runFixture(t, analysis.CheckedErr, "testdata/checkederr", "locshort/internal/store")
 }
 
 func TestObsNil(t *testing.T) {
-	analysistest.Run(t, analysis.ObsNil, "testdata/obsnil", "locshort/internal/obs")
+	runFixture(t, analysis.ObsNil, "testdata/obsnil", "locshort/internal/obs")
 }
 
 // TestScopedAnalyzersStayQuietOutsideScope reloads the violation-dense

@@ -1,11 +1,4 @@
-// Package analysistest runs an analyzer over a fixture package and
-// matches its diagnostics against `// want "regexp"` comments, following
-// the convention of golang.org/x/tools/go/analysis/analysistest: every
-// diagnostic must be expected by a want comment on its line, and every
-// want comment must be matched by a diagnostic. A fixture therefore
-// fails the test in both directions — when the analyzer misses a planted
-// violation and when it reports something the fixture declares clean.
-package analysistest
+package analysis_test
 
 import (
 	"go/parser"
@@ -32,11 +25,17 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture directory as import path `as`, applies the
-// analyzer, and reports mismatches between diagnostics and want
-// comments. The import path controls scope matching: a fixture standing
-// in for internal/graph passes "locshort/internal/graph".
-func Run(t *testing.T, a *analysis.Analyzer, dir, as string) {
+// runFixture loads the fixture directory as import path `as`, applies the
+// analyzer, and matches its diagnostics against `// want "regexp"`
+// comments, following the convention of
+// golang.org/x/tools/go/analysis/analysistest: every diagnostic must be
+// expected by a want comment on its line, and every want comment must be
+// matched by a diagnostic. A fixture therefore fails the test in both
+// directions — when the analyzer misses a planted violation and when it
+// reports something the fixture declares clean. The import path controls
+// scope matching: a fixture standing in for internal/graph passes
+// "locshort/internal/graph".
+func runFixture(t *testing.T, a *analysis.Analyzer, dir, as string) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(dir, as)
 	if err != nil {

@@ -48,16 +48,6 @@ func SubgraphComponents(g *graph.Graph, in []bool, opts MSTOptions) (*CCResult, 
 	}, nil
 }
 
-// SubgraphFromEdgeIDs builds the edge indicator of the subgraph consisting
-// of the listed edge IDs, for use with SubgraphComponents.
-func SubgraphFromEdgeIDs(g *graph.Graph, edgeIDs []int) []bool {
-	in := make([]bool, g.NumEdges())
-	for _, id := range edgeIDs {
-		in[id] = true
-	}
-	return in
-}
-
 // ReferenceSubgraphComponents is the centralized ground truth for
 // SubgraphComponents: a union-find sweep over the H-edges, with the same
 // dense first-appearance labeling.

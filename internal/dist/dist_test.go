@@ -100,28 +100,6 @@ func TestPartwiseAggregateAgainstReference(t *testing.T) {
 	}
 }
 
-func TestPartwiseBroadcast(t *testing.T) {
-	g := graph.Grid(8, 8)
-	p, err := partition.BFSBlobs(g, 8, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := buildRouting(t, g, p)
-	perPart := make([]Payload, p.NumParts())
-	for i := range perPart {
-		perPart[i] = Payload{int64(100 + i), 0, 0}
-	}
-	res, err := PartwiseBroadcast(g, r, perPart, 9, true, 64*g.NumNodes())
-	if err != nil {
-		t.Fatalf("PartwiseBroadcast = %v", err)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if i := p.PartOf[v]; i >= 0 && res.NodeResult[v] != perPart[i] {
-			t.Errorf("node %d received %v, want %v", v, res.NodeResult[v], perPart[i])
-		}
-	}
-}
-
 func TestConstructProducesValidFullShortcut(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -404,15 +382,6 @@ func TestSubgraphComponentsMatchesReference(t *testing.T) {
 	}
 	if res.Components != wantCount {
 		t.Errorf("Components = %d, want %d", res.Components, wantCount)
-	}
-}
-
-func TestSubgraphFromEdgeIDs(t *testing.T) {
-	g := graph.Cycle(6)
-	in := SubgraphFromEdgeIDs(g, []int{0, 3, 5})
-	want := []bool{true, false, false, true, false, true}
-	if !reflect.DeepEqual(in, want) {
-		t.Errorf("indicator %v, want %v", in, want)
 	}
 }
 

@@ -7,10 +7,10 @@
 //     halving loop, and the parameter-free doubling search over δ' —
 //     mirroring the centralized internal/shortcut.Build.
 //   - Part-wise aggregation (Definition 2.1): NewPARouting installs
-//     per-part routing trees on a shortcut; PartwiseAggregate and
-//     PartwiseBroadcast run convergecast/broadcast schedules with
-//     randomized contention resolution, the O(congestion + dilation·log n)
-//     random-delay schedule of [LMR94].
+//     per-part routing trees on a shortcut; PartwiseAggregate runs the
+//     convergecast/broadcast schedule with randomized contention
+//     resolution, the O(congestion + dilation·log n) random-delay schedule
+//     of [LMR94].
 //   - MST (Corollary 1.6): Borůvka phases over part-wise aggregation, with
 //     the shortcut per phase supplied by a pluggable provider (simulated
 //     distributed construction, charged centralized construction, or the

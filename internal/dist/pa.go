@@ -210,18 +210,7 @@ func PartwiseAggregate(g *graph.Graph, r *PARouting, op Op, values []Payload,
 	if len(values) != g.NumNodes() {
 		return nil, fmt.Errorf("dist: %d values for %d nodes", len(values), g.NumNodes())
 	}
-	return runPA(g, r, op, values, nil, seed, randomized, maxRounds)
-}
-
-// PartwiseBroadcast disseminates one payload per part from the part's
-// routing root to every participant of the part — the downward half of the
-// aggregation schedule, with the same contention discipline.
-func PartwiseBroadcast(g *graph.Graph, r *PARouting, perPart []Payload,
-	seed int64, randomized bool, maxRounds int) (*PAResult, error) {
-	if len(perPart) != r.Parts.NumParts() {
-		return nil, fmt.Errorf("dist: %d part payloads for %d parts", len(perPart), r.Parts.NumParts())
-	}
-	return runPA(g, r, OpSum, nil, perPart, seed, randomized, maxRounds)
+	return runPA(g, r, op, values, seed, randomized, maxRounds)
 }
 
 type paState struct {
@@ -331,9 +320,9 @@ func (p *paProc) Step(ctx *congest.Context) {
 	}
 }
 
-// runPA drives the schedule. With values != nil it runs the full
-// convergecast + broadcast; with perPart != nil it runs the broadcast only.
-func runPA(g *graph.Graph, r *PARouting, op Op, values, perPart []Payload,
+// runPA drives the schedule: the convergecast of values, then the
+// broadcast of each part's aggregate.
+func runPA(g *graph.Graph, r *PARouting, op Op, values []Payload,
 	seed int64, randomized bool, maxRounds int) (*PAResult, error) {
 	if r.n != g.NumNodes() {
 		return nil, fmt.Errorf("dist: routing installed for %d nodes, graph has %d", r.n, g.NumNodes())
@@ -368,15 +357,7 @@ func runPA(g *graph.Graph, r *PARouting, op Op, values, perPart []Payload,
 		edgeSet := map[int]bool{}
 		for j, e := range entries {
 			st := paState{entry: e, pending: len(e.childEdges), acc: op.identity()}
-			if perPart != nil {
-				// Broadcast-only: skip the convergecast.
-				st.upDone = true
-				if e.parent < 0 {
-					st.haveRes = true
-					st.result = perPart[e.part]
-					res.PartResult[e.part] = perPart[e.part]
-				}
-			} else if e.member {
+			if e.member {
 				st.acc = values[v]
 			}
 			p.states[j] = st

@@ -208,17 +208,6 @@ func (p *Partition) CanonicalRanks(buf []int32) []int32 {
 	return rank
 }
 
-// Covered returns the number of nodes belonging to some part.
-func (p *Partition) Covered() int {
-	n := 0
-	for _, i := range p.PartOf {
-		if i >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // BFSBlobs partitions all nodes of a connected graph into k connected parts
 // by flooding simultaneously from k distinct random seeds: every node joins
 // the region of the seed that reaches it first (BFS Voronoi cells, which are

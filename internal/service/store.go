@@ -23,7 +23,7 @@ import (
 //
 // This interface is one face of the full storage contract store.Backend;
 // the semantics every implementation must honor are documented there and
-// enforced by the internal/store/storetest conformance suite.
+// enforced by internal/store's conformance suite.
 type Store interface {
 	// PutGraph persists g under fp (a FingerprintGraph of g). Re-putting
 	// known content must be a cheap no-op.

@@ -16,11 +16,11 @@ import (
 // warm-start logging read. It is implemented exactly once, by the shared
 // record index (kvCore); the two backends — the append-only segment store
 // (Store) and the ephemeral in-memory backend (Mem) — differ only in the
-// payload store underneath it, and both must pass the storetest
-// conformance suite (storetest.Run), which turns the semantics below into
+// payload store underneath it, and both must pass the conformance suite
+// (conformance_suite_test.go), which turns the semantics below into
 // executable law.
 //
-// Contract highlights, shared by every backend and enforced by storetest:
+// Contract highlights, shared by every backend and enforced by the suite:
 //
 //   - Content addressing: graph and partition payloads are exactly the
 //     canonical encodings their fingerprints hash; a payload that does not

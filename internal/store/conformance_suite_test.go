@@ -1,19 +1,4 @@
-// Package storetest is the executable contract for store.Backend: a
-// reusable conformance suite every storage backend must pass. The segment
-// store runs through it as the reference implementation; the in-memory and
-// object-directory backends prove equivalence by passing the identical
-// suite; a future tiered or replicated backend starts by passing it too.
-//
-// The suite covers the contract documented on store.Backend — round-trips
-// for every record kind across the graph families, idempotent re-puts,
-// tombstone deletes, no-resurrection, iteration/warm-start ordering,
-// payload verification (tampered bytes are detected, never served),
-// peer-surface semantics, -race concurrency schedules, GC under concurrent
-// readers — and, through the errfs fault injector, crash consistency:
-// failed fsyncs, torn writes, faults mid-GC, and a crash-at-every-Nth-op
-// sweep with reopen, asserting acknowledged records survive and the store
-// never serves a record that fails re-verification.
-package storetest
+package store_test
 
 import (
 	"bytes"
@@ -29,11 +14,10 @@ import (
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
-	"locshort/internal/store/storetest/errfs"
 )
 
-// Factory describes one backend to Run the conformance suite against.
-type Factory struct {
+// factory describes one backend to run the conformance suite against.
+type factory struct {
 	// Name labels the backend in test output.
 	Name string
 	// New opens a fresh backend rooted at dir (fatal on error).
@@ -183,10 +167,25 @@ func mustVerifyClean(t testing.TB, b store.Backend) {
 	}
 }
 
-// Run exercises the full conformance suite against the backend f builds.
-func Run(t *testing.T, f Factory) {
+// runConformance exercises the full conformance suite against the backend
+// f builds. The suite is the executable contract for store.Backend: every
+// storage backend must pass it. The segment store runs through it as the
+// reference implementation; the in-memory and object-directory backends
+// prove equivalence by passing the identical suite; a future tiered or
+// replicated backend starts by passing it too.
+//
+// The suite covers the contract documented on store.Backend — round-trips
+// for every record kind across the graph families, idempotent re-puts,
+// tombstone deletes, no-resurrection, iteration/warm-start ordering,
+// payload verification (tampered bytes are detected, never served),
+// peer-surface semantics, -race concurrency schedules, GC under concurrent
+// readers — and, through the errFS fault injector (errfs_test.go), crash
+// consistency: failed fsyncs, torn writes, faults mid-GC, and a
+// crash-at-every-Nth-op sweep with reopen, asserting acknowledged records
+// survive and the store never serves a record that fails re-verification.
+func runConformance(t *testing.T, f factory) {
 	if f.NewFS != nil && f.Reopen == nil {
-		t.Fatal("storetest: Factory.NewFS requires Factory.Reopen")
+		t.Fatal("factory.NewFS requires factory.Reopen")
 	}
 
 	t.Run("RoundTripFamilies", func(t *testing.T) { runRoundTrip(t, f) })
@@ -219,7 +218,7 @@ func Run(t *testing.T, f Factory) {
 // runRoundTrip persists every record kind across every graph family and
 // round-trips them, then again across a reopen (durable backends) or
 // against a fresh instance (ephemeral backends start empty).
-func runRoundTrip(t *testing.T, f Factory) {
+func runRoundTrip(t *testing.T, f factory) {
 	dir := t.TempDir()
 	b := f.New(t, dir)
 	var fxs []*fixture
@@ -274,7 +273,7 @@ func runRoundTrip(t *testing.T, f Factory) {
 }
 
 // runIdempotent re-puts known content and checks nothing grows.
-func runIdempotent(t *testing.T, f Factory) {
+func runIdempotent(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:6x6", "blobs:4", 2)
@@ -295,7 +294,7 @@ func runIdempotent(t *testing.T, f Factory) {
 // runTombstone deletes one graph and checks the delete takes out its
 // shortcuts, spares unrelated records, and (durable backends) survives
 // reopen.
-func runTombstone(t *testing.T, f Factory) {
+func runTombstone(t *testing.T, f factory) {
 	dir := t.TempDir()
 	b := f.New(t, dir)
 	fxA := makeFixture(t, "grid:6x6", "blobs:4", 3)
@@ -337,7 +336,7 @@ func runTombstone(t *testing.T, f Factory) {
 
 // runNoResurrection checks a PutShortcut racing behind DeleteGraph is
 // silently dropped.
-func runNoResurrection(t *testing.T, f Factory) {
+func runNoResurrection(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:5x5", "blobs:4", 4)
@@ -358,7 +357,7 @@ func runNoResurrection(t *testing.T, f Factory) {
 
 // runIterationOrder checks the deterministic warm-start orders: EachGraph
 // ascends by fingerprint, EachJob by job ID.
-func runIterationOrder(t *testing.T, f Factory) {
+func runIterationOrder(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	want := make(map[service.Fingerprint]bool)
@@ -410,7 +409,7 @@ func runIterationOrder(t *testing.T, f Factory) {
 
 // runWrongPartition checks a stored shortcut read back against the wrong
 // partition surfaces an error, never a silently wrong result.
-func runWrongPartition(t *testing.T, f Factory) {
+func runWrongPartition(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:6x6", "blobs:4", 6)
@@ -428,7 +427,7 @@ func runWrongPartition(t *testing.T, f Factory) {
 }
 
 // runGraphPayload checks PutGraphPayload verifies content before writing.
-func runGraphPayload(t *testing.T, f Factory) {
+func runGraphPayload(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "wheel:30", "blobs:3", 7)
@@ -453,7 +452,7 @@ func runGraphPayload(t *testing.T, f Factory) {
 
 // runPeerSurface checks the inventory/export/import surface cluster
 // replication rides on.
-func runPeerSurface(t *testing.T, f Factory) {
+func runPeerSurface(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
@@ -538,7 +537,7 @@ func runPeerSurface(t *testing.T, f Factory) {
 // runConcurrency drives writers, readers, and a deleter concurrently; the
 // -race matrix entry turns this into the suite's schedule check. The
 // backend must stay error-free and verify clean.
-func runConcurrency(t *testing.T, f Factory) {
+func runConcurrency(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
@@ -607,7 +606,7 @@ func runConcurrency(t *testing.T, f Factory) {
 
 // runGCUnderReaders pins the graveyard contract: payload slices handed out
 // before a GC must stay byte-stable across it.
-func runGCUnderReaders(t *testing.T, f Factory) {
+func runGCUnderReaders(t *testing.T, f factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
@@ -662,7 +661,7 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 	}
 	gc, ok := b.(store.Compactor)
 	if !ok {
-		t.Fatal("Factory.HasGC set but backend does not implement store.Compactor")
+		t.Fatal("factory.HasGC set but backend does not implement store.Compactor")
 	}
 	stats, err := gc.GC()
 	if err != nil {
@@ -690,7 +689,7 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 
 // runTamper flips stored payload bytes on disk and checks the backend
 // detects the damage and never serves an unverifiable record.
-func runTamper(t *testing.T, f Factory) {
+func runTamper(t *testing.T, f factory) {
 	if f.Reopen == nil {
 		t.Skip("tamper case needs a durable backend")
 	}
@@ -738,9 +737,9 @@ func runTamper(t *testing.T, f Factory) {
 // runFailedFsync checks a failed fsync surfaces as a put error, the failed
 // record is not acknowledged, and the backend recovers once the fault
 // clears.
-func runFailedFsync(t *testing.T, f Factory) {
+func runFailedFsync(t *testing.T, f factory) {
 	dir := t.TempDir()
-	efs := errfs.New()
+	efs := newErrFS()
 	b, err := f.NewFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
@@ -749,11 +748,11 @@ func runFailedFsync(t *testing.T, f Factory) {
 	fx1.put(t, b)
 
 	fx2 := makeFixture(t, "torus:4x4", "blobs:3", 12)
-	efs.FailNextKind("sync")
+	efs.failNextKind("sync")
 	if err := b.PutGraph(fx2.gfp, fx2.g); err == nil {
 		t.Fatal("PutGraph succeeded through a failed fsync")
 	}
-	efs.SetHook(nil)
+	efs.setHook(nil)
 
 	// Fault cleared: the same put must now succeed, and nothing already
 	// acknowledged was damaged.
@@ -778,9 +777,9 @@ func runFailedFsync(t *testing.T, f Factory) {
 // runTornWrite tears a write partway and checks the unacknowledged record
 // stays invisible, in-flight damage is repaired, and a reopen comes up
 // clean with every acknowledged record intact.
-func runTornWrite(t *testing.T, f Factory) {
+func runTornWrite(t *testing.T, f factory) {
 	dir := t.TempDir()
-	efs := errfs.New()
+	efs := newErrFS()
 	b, err := f.NewFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
@@ -790,17 +789,17 @@ func runTornWrite(t *testing.T, f Factory) {
 
 	fx2 := makeFixture(t, "wheel:30", "blobs:3", 13)
 	armed := true
-	efs.SetHook(func(op errfs.Op) errfs.Fault {
+	efs.setHook(func(op fsOp) fsFault {
 		if armed && op.Kind == "write" {
 			armed = false
-			return errfs.Fault{Err: errfs.ErrInjected, Partial: 7}
+			return fsFault{Err: errInjected, Partial: 7}
 		}
-		return errfs.Fault{}
+		return fsFault{}
 	})
 	if err := b.PutGraph(fx2.gfp, fx2.g); err == nil {
 		t.Fatal("PutGraph succeeded through a torn write")
 	}
-	efs.SetHook(nil)
+	efs.setHook(nil)
 	if _, ok, _ := b.GetGraph(fx2.gfp); ok {
 		t.Fatal("torn record became visible")
 	}
@@ -825,9 +824,9 @@ func runTornWrite(t *testing.T, f Factory) {
 
 // runFaultMidGC fails the first filesystem operation GC issues and checks
 // the failed GC loses nothing, then a clean GC succeeds.
-func runFaultMidGC(t *testing.T, f Factory) {
+func runFaultMidGC(t *testing.T, f factory) {
 	dir := t.TempDir()
-	efs := errfs.New()
+	efs := newErrFS()
 	b, err := f.NewFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
@@ -843,19 +842,19 @@ func runFaultMidGC(t *testing.T, f Factory) {
 	}
 	gc, ok := b.(store.Compactor)
 	if !ok {
-		t.Fatal("Factory.HasGC set but backend does not implement store.Compactor")
+		t.Fatal("factory.HasGC set but backend does not implement store.Compactor")
 	}
 
 	var once sync.Once
-	efs.SetHook(func(op errfs.Op) errfs.Fault {
-		var fault errfs.Fault
-		once.Do(func() { fault = errfs.Fault{Err: errfs.ErrInjected} })
+	efs.setHook(func(op fsOp) fsFault {
+		var fault fsFault
+		once.Do(func() { fault = fsFault{Err: errInjected} })
 		return fault
 	})
 	if _, err := gc.GC(); err == nil {
 		t.Fatal("GC succeeded through an injected fault")
 	}
-	efs.SetHook(nil)
+	efs.setHook(nil)
 
 	for _, fx := range fxs[1:] {
 		fx.checkGet(t, b)
@@ -911,7 +910,7 @@ func newCrashModel() *crashModel {
 // fixed workload, reopens the directory on the real filesystem, and checks
 // acknowledged state survived, unacknowledged state is at worst absent,
 // and the store verifies clean and accepts writes — for every crash point.
-func runCrashSweep(t *testing.T, f Factory) {
+func runCrashSweep(t *testing.T, f factory) {
 	fxA := makeFixture(t, "grid:5x5", "blobs:3", 15)
 	fxB := makeFixture(t, "torus:4x4", "blobs:2", 15)
 	steps := []crashStep{
@@ -1001,7 +1000,7 @@ func runCrashSweep(t *testing.T, f Factory) {
 	// Dry run to size the sweep: how many counted mutations does the full
 	// workload (including Open) issue?
 	total := func() int {
-		efs := errfs.New()
+		efs := newErrFS()
 		dir := t.TempDir()
 		b, err := f.NewFS(t, dir, efs)
 		if err != nil {
@@ -1015,7 +1014,7 @@ func runCrashSweep(t *testing.T, f Factory) {
 		if err := b.Close(); err != nil {
 			t.Fatalf("dry-run Close: %v", err)
 		}
-		return efs.Ops()
+		return efs.ops()
 	}()
 	if total == 0 {
 		t.Fatal("workload issued no filesystem mutations")
@@ -1025,8 +1024,8 @@ func runCrashSweep(t *testing.T, f Factory) {
 		n := n
 		t.Run(fmt.Sprintf("op%03d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			efs := errfs.New()
-			efs.CrashAtOp(n)
+			efs := newErrFS()
+			efs.crashAtOp(n)
 			model := newCrashModel()
 			b, err := f.NewFS(t, dir, efs)
 			if err == nil {

@@ -11,8 +11,6 @@ import (
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
 	"locshort/internal/store"
-	"locshort/internal/store/storetest"
-	"locshort/internal/store/storetest/errfs"
 )
 
 // The conformance suite is the executable form of the store.Backend
@@ -28,8 +26,8 @@ func openSegment(t testing.TB, dir string) store.Backend {
 	return s
 }
 
-func segmentFactory() storetest.Factory {
-	return storetest.Factory{
+func segmentFactory() factory {
+	return factory{
 		Name:   "segment",
 		New:    openSegment,
 		Reopen: openSegment,
@@ -42,11 +40,11 @@ func segmentFactory() storetest.Factory {
 }
 
 func TestConformanceSegment(t *testing.T) {
-	storetest.Run(t, segmentFactory())
+	runConformance(t, segmentFactory())
 }
 
 func TestConformanceMem(t *testing.T) {
-	storetest.Run(t, storetest.Factory{
+	runConformance(t, factory{
 		Name: "mem",
 		New:  func(t testing.TB, dir string) store.Backend { return store.OpenMem() },
 	})
@@ -65,7 +63,7 @@ func openObjDir(t testing.TB, dir string) store.Backend {
 // payload store (objdir_test.go): the same index over a store whose delete
 // unlinks several files rather than appending one tombstone frame.
 func TestConformanceObjDir(t *testing.T) {
-	storetest.Run(t, storetest.Factory{
+	runConformance(t, factory{
 		Name:   "objdir",
 		New:    openObjDir,
 		Reopen: openObjDir,
@@ -141,7 +139,7 @@ func corruptSegment(t testing.TB, dir string) {
 // fault and asserts the store recovers once the fault clears.
 func TestSegmentRotationFaultRecovery(t *testing.T) {
 	dir := t.TempDir()
-	efs := errfs.New()
+	efs := newErrFS()
 	s, err := store.Open(dir, store.Options{FS: efs, NoSync: true, SegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +149,11 @@ func TestSegmentRotationFaultRecovery(t *testing.T) {
 	// Fail every write that lands in segment 2 while armed: the rotation's
 	// header write dies after the O_EXCL create succeeded.
 	armed := true
-	efs.SetHook(func(op errfs.Op) errfs.Fault {
+	efs.setHook(func(op fsOp) fsFault {
 		if armed && op.Kind == "write" && strings.HasSuffix(op.Path, "000002.seg") {
-			return errfs.Fault{Err: errfs.ErrInjected}
+			return fsFault{Err: errInjected}
 		}
-		return errfs.Fault{}
+		return fsFault{}
 	})
 
 	specs := []string{"grid:6x7", "torus:5x5", "ktree:60,3", "random:50,120", "grid:7x7", "torus:6x6"}
@@ -166,7 +164,7 @@ func TestSegmentRotationFaultRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := s.PutGraph(service.FingerprintGraph(g), g); err != nil {
-			if !errors.Is(err, errfs.ErrInjected) {
+			if !errors.Is(err, errInjected) {
 				t.Fatalf("unexpected error flavor: %v", err)
 			}
 			rotationFault = true
@@ -204,7 +202,7 @@ func TestSegmentRotationFaultRecovery(t *testing.T) {
 // with all records intact.
 func TestSegmentGCCrashTmpSweep(t *testing.T) {
 	dir := t.TempDir()
-	efs := errfs.New()
+	efs := newErrFS()
 	s, err := store.Open(dir, store.Options{FS: efs, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -229,12 +227,12 @@ func TestSegmentGCCrashTmpSweep(t *testing.T) {
 	// Crash the process (as far as the FS is concerned) at the GC's
 	// rename: the compacted tmp segment is fully written but never
 	// renamed, and the in-process cleanup can no longer run.
-	efs.SetHook(func(op errfs.Op) errfs.Fault {
+	efs.setHook(func(op fsOp) fsFault {
 		if op.Kind == "rename" {
-			efs.Crash()
-			return errfs.Fault{Err: errfs.ErrCrashed}
+			efs.crash()
+			return fsFault{Err: errCrashed}
 		}
-		return errfs.Fault{}
+		return fsFault{}
 	})
 	if _, err := s.GC(); err == nil {
 		t.Fatal("GC succeeded through a crashed rename")

@@ -37,10 +37,10 @@
 // (locshortctl ls / inspect / verify / gc).
 //
 // The full contract the layers above depend on is written down as the
-// Backend interface (backend.go) and enforced by the storetest
-// conformance suite (internal/store/storetest). It is implemented once,
-// by the shared record index (kvcore.go): the live-record map, tombstone
-// drops, verification, listings, and the peer surface. A backend is only
+// Backend interface (backend.go) and enforced by the conformance suite
+// (conformance_suite_test.go). It is implemented once, by the shared
+// record index (kvcore.go): the live-record map, tombstone drops,
+// verification, listings, and the peer surface. A backend is only
 // the payload store underneath that index: the append-only segment log
 // (Store, the default and the only durable backend) or a map (Mem,
 // ephemeral). OpenBackend selects between them — the daemon's -store

@@ -27,9 +27,8 @@ import (
 // body is the key. A partition payload holds the labels of the canonical
 // partition encoding (service.FingerprintPartition) as varints: its key is
 // FNV-1a over the 16+8n-byte canonical expansion of those labels, streamed
-// (service.FingerprintLabels) and never built. A shortcut payload names
-// its graph and partition and re-derives its key from them and its
-// options.
+// (service.RecordHash) and never built. A shortcut payload names its
+// graph and partition and re-derives its key from them and its options.
 //
 // Shortcut payloads hold edge IDs, and an edge ID is an index into the
 // canonical graph encoding: every graph a shortcut is encoded over or

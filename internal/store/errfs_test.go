@@ -1,4 +1,15 @@
-// Package errfs is a fault-injecting store.FS for crash-consistency and
+package store_test
+
+import (
+	"errors"
+	"os"
+	"sync"
+	"sync/atomic"
+
+	"locshort/internal/store"
+)
+
+// errFS is a fault-injecting store.FS for crash-consistency and
 // error-path testing. It delegates to the real filesystem but consults a
 // hook before every operation that could mutate durable state, letting a
 // test fail a specific fsync, tear a specific write short, fail a rename,
@@ -10,26 +21,16 @@
 // operations are numbered 1, 2, 3, ... in the order the backend issues
 // them, so "crash at op N" schedules are reproducible and a loop over N
 // explores every crash point of a workload.
-package errfs
 
-import (
-	"errors"
-	"os"
-	"sync"
-	"sync/atomic"
-
-	"locshort/internal/store"
-)
-
-// ErrInjected is the error returned by injected faults (unless the hook
+// errInjected is the error returned by injected faults (unless the hook
 // supplies its own).
-var ErrInjected = errors.New("errfs: injected fault")
+var errInjected = errors.New("errfs: injected fault")
 
-// ErrCrashed is returned by every mutating operation after Crash.
-var ErrCrashed = errors.New("errfs: simulated crash")
+// errCrashed is returned by every mutating operation after crash.
+var errCrashed = errors.New("errfs: simulated crash")
 
-// Op describes one counted (potentially mutating) filesystem operation.
-type Op struct {
+// fsOp describes one counted (potentially mutating) filesystem operation.
+type fsOp struct {
 	// N is the 1-based sequence number of this operation.
 	N int
 	// Kind is one of "create", "open-rw", "write", "sync", "truncate",
@@ -39,9 +40,9 @@ type Op struct {
 	Path string
 }
 
-// Fault is a hook's verdict on one operation. The zero value lets the
+// fsFault is a hook's verdict on one operation. The zero value lets the
 // operation through.
-type Fault struct {
+type fsFault struct {
 	// Err, when non-nil, is returned from the operation (which does not
 	// run, except for the Partial prefix of a write).
 	Err error
@@ -50,89 +51,78 @@ type Fault struct {
 	Partial int
 }
 
-// FS implements store.FS over the real filesystem with fault injection.
+// errFS implements store.FS over the real filesystem with fault injection.
 // Safe for concurrent use.
-type FS struct {
+type errFS struct {
 	mu   sync.Mutex
 	n    int
-	hook func(Op) Fault
+	hook func(fsOp) fsFault
 	// crashed is atomic, not mu-guarded, so a hook (which runs under mu)
-	// can call Crash without deadlocking.
+	// can call crash without deadlocking.
 	crashed atomic.Bool
 }
 
-// New returns an FS with no faults armed.
-func New() *FS { return &FS{} }
+// newErrFS returns an errFS with no faults armed.
+func newErrFS() *errFS { return &errFS{} }
 
-// SetHook installs the injection hook, called with every counted operation.
-func (f *FS) SetHook(hook func(Op) Fault) {
+// setHook installs the injection hook, called with every counted operation.
+func (f *errFS) setHook(hook func(fsOp) fsFault) {
 	f.mu.Lock()
 	f.hook = hook
 	f.mu.Unlock()
 }
 
-// FailOp arms a single fault: counted operation n (of the given kind, or
-// any kind if kind is "") fails with ErrInjected.
-func (f *FS) FailOp(n int, kind string) {
-	f.SetHook(func(op Op) Fault {
-		if op.N == n && (kind == "" || op.Kind == kind) {
-			return Fault{Err: ErrInjected}
-		}
-		return Fault{}
-	})
-}
-
-// FailNextKind arms a fault against the next operation of the given kind.
-func (f *FS) FailNextKind(kind string) {
+// failNextKind arms a fault against the next operation of the given kind.
+func (f *errFS) failNextKind(kind string) {
 	var once sync.Once
-	f.SetHook(func(op Op) Fault {
-		var fault Fault
+	f.setHook(func(op fsOp) fsFault {
+		var fault fsFault
 		if op.Kind == kind {
-			once.Do(func() { fault = Fault{Err: ErrInjected} })
+			once.Do(func() { fault = fsFault{Err: errInjected} })
 		}
 		return fault
 	})
 }
 
-// CrashAtOp arms a simulated crash: counted operation n fails and every
-// mutating operation after it fails with ErrCrashed.
-func (f *FS) CrashAtOp(n int) {
-	f.SetHook(func(op Op) Fault {
+// crashAtOp arms a simulated crash: counted operation n fails and every
+// mutating operation after it fails with errCrashed.
+func (f *errFS) crashAtOp(n int) {
+	f.setHook(func(op fsOp) fsFault {
 		if op.N >= n {
-			f.Crash()
-			return Fault{Err: ErrCrashed}
+			f.crash()
+			return fsFault{Err: errCrashed}
 		}
-		return Fault{}
+		return fsFault{}
 	})
 }
 
-// Crash makes every subsequent mutating operation fail with ErrCrashed.
+// crash makes every subsequent mutating operation fail with errCrashed.
 // Reads keep working: data already on disk is exactly what a reopen will
 // find. Safe to call from inside a hook.
-func (f *FS) Crash() { f.crashed.Store(true) }
+func (f *errFS) crash() { f.crashed.Store(true) }
 
-// Ops returns how many counted operations have been issued.
-func (f *FS) Ops() int {
+// ops returns how many counted operations have been issued.
+func (f *errFS) ops() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.n
 }
 
 // begin counts one operation and returns the armed fault, if any.
-func (f *FS) begin(kind, path string) Fault {
+func (f *errFS) begin(kind, path string) fsFault {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed.Load() {
-		return Fault{Err: ErrCrashed}
+		return fsFault{Err: errCrashed}
 	}
 	f.n++
 	if f.hook != nil {
-		return f.hook(Op{N: f.n, Kind: kind, Path: path})
+		return f.hook(fsOp{N: f.n, Kind: kind, Path: path})
 	}
-	return Fault{}
+	return fsFault{}
 }
 
-func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
+func (f *errFS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
 	if flag&(os.O_WRONLY|os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND) != 0 {
 		kind := "open-rw"
 		if flag&os.O_CREATE != 0 {
@@ -146,33 +136,33 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (store.File, erro
 	if err != nil {
 		return nil, err
 	}
-	return &file{f: osf, fs: f}, nil
+	return &errFile{f: osf, fs: f}, nil
 }
 
-func (f *FS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (f *errFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
-func (f *FS) Rename(oldpath, newpath string) error {
+func (f *errFS) Rename(oldpath, newpath string) error {
 	if fault := f.begin("rename", newpath); fault.Err != nil {
 		return fault.Err
 	}
 	return os.Rename(oldpath, newpath)
 }
 
-func (f *FS) Remove(name string) error {
+func (f *errFS) Remove(name string) error {
 	if fault := f.begin("remove", name); fault.Err != nil {
 		return fault.Err
 	}
 	return os.Remove(name)
 }
 
-func (f *FS) MkdirAll(path string, perm os.FileMode) error {
+func (f *errFS) MkdirAll(path string, perm os.FileMode) error {
 	if fault := f.begin("mkdir", path); fault.Err != nil {
 		return fault.Err
 	}
 	return os.MkdirAll(path, perm)
 }
 
-func (f *FS) SyncDir(dir string) error {
+func (f *errFS) SyncDir(dir string) error {
 	if fault := f.begin("syncdir", dir); fault.Err != nil {
 		return fault.Err
 	}
@@ -187,22 +177,22 @@ func (f *FS) SyncDir(dir string) error {
 	return err
 }
 
-// file wraps an *os.File, routing mutations through the parent's hook.
+// errFile wraps an *os.File, routing mutations through the parent's hook.
 // Reads pass through uncounted (and survive a crash — the bytes are on
 // disk). Because it is not an *os.File, the segment store keeps sealed
 // segments on the pread path instead of mmapping them, so every read stays
 // observable too.
-type file struct {
+type errFile struct {
 	f  *os.File
-	fs *FS
+	fs *errFS
 }
 
-func (w *file) Read(p []byte) (int, error)              { return w.f.Read(p) }
-func (w *file) ReadAt(p []byte, off int64) (int, error) { return w.f.ReadAt(p, off) }
-func (w *file) Stat() (os.FileInfo, error)              { return w.f.Stat() }
-func (w *file) Close() error                            { return w.f.Close() }
+func (w *errFile) Read(p []byte) (int, error)              { return w.f.Read(p) }
+func (w *errFile) ReadAt(p []byte, off int64) (int, error) { return w.f.ReadAt(p, off) }
+func (w *errFile) Stat() (os.FileInfo, error)              { return w.f.Stat() }
+func (w *errFile) Close() error                            { return w.f.Close() }
 
-func (w *file) Write(p []byte) (int, error) {
+func (w *errFile) Write(p []byte) (int, error) {
 	if fault := w.fs.begin("write", w.f.Name()); fault.Err != nil {
 		n := 0
 		if fault.Partial > 0 && fault.Partial < len(p) {
@@ -213,7 +203,7 @@ func (w *file) Write(p []byte) (int, error) {
 	return w.f.Write(p)
 }
 
-func (w *file) WriteAt(p []byte, off int64) (int, error) {
+func (w *errFile) WriteAt(p []byte, off int64) (int, error) {
 	if fault := w.fs.begin("write", w.f.Name()); fault.Err != nil {
 		n := 0
 		if fault.Partial > 0 && fault.Partial < len(p) {
@@ -224,18 +214,18 @@ func (w *file) WriteAt(p []byte, off int64) (int, error) {
 	return w.f.WriteAt(p, off)
 }
 
-func (w *file) Sync() error {
+func (w *errFile) Sync() error {
 	if fault := w.fs.begin("sync", w.f.Name()); fault.Err != nil {
 		return fault.Err
 	}
 	return w.f.Sync()
 }
 
-func (w *file) Truncate(size int64) error {
+func (w *errFile) Truncate(size int64) error {
 	if fault := w.fs.begin("truncate", w.f.Name()); fault.Err != nil {
 		return fault.Err
 	}
 	return w.f.Truncate(size)
 }
 
-var _ store.FS = (*FS)(nil)
+var _ store.FS = (*errFS)(nil)

@@ -7,9 +7,9 @@ import (
 
 // FS is the filesystem surface the segment store performs every file
 // operation through. The default implementation (osFS) delegates straight
-// to package os; tests substitute storetest/errfs to inject short writes,
-// failed fsyncs, failed renames, and crash-at-Nth-op schedules without
-// touching the store's logic — the fault-injection half of the storetest
+// to package os; tests substitute errFS (errfs_test.go) to inject short
+// writes, failed fsyncs, failed renames, and crash-at-Nth-op schedules
+// without touching the store's logic — the fault-injection half of the
 // conformance suite is built entirely on this seam.
 //
 // Implementations must be safe for concurrent use (the store calls them

@@ -91,7 +91,7 @@ type Options struct {
 	// bytes, live records by kind) read at scrape time.
 	Obs *obs.Registry
 	// FS substitutes the filesystem every file operation goes through
-	// (default: the real one). The storetest conformance suite injects
+	// (default: the real one). The conformance suite injects
 	// faults — short writes, failed fsyncs, failed renames, crash
 	// schedules — through this seam. A non-os FS disables mmap (sealed
 	// segments stay on the pread path, so reads remain observable).
@@ -274,7 +274,7 @@ func (l *segLog) startSegment(seq int) error {
 	// On any failure past creation the file must be removed: it was
 	// created with O_EXCL, so leaving a husk behind would wedge every
 	// rotation retry with EEXIST even after the underlying fault clears
-	// (a real bug the errfs fault suite shook out).
+	// (a real bug the fault-injection suite shook out).
 	fail := func(err error) error {
 		_ = f.Close() // best-effort: the original error must propagate
 		l.fs.Remove(l.segPath(seq))

@@ -205,12 +205,10 @@ var (
 	Construct                   = dist.Construct
 	NewPARouting                = dist.NewPARouting
 	PartwiseAggregate           = dist.PartwiseAggregate
-	PartwiseBroadcast           = dist.PartwiseBroadcast
 	MST                         = dist.MST
 	MinCut                      = dist.MinCut
 	OneRespectingCuts           = dist.OneRespectingCuts
 	SubgraphComponents          = dist.SubgraphComponents
-	SubgraphFromEdgeIDs         = dist.SubgraphFromEdgeIDs
 	Bridges                     = dist.Bridges
 	ReferenceSubgraphComponents = dist.ReferenceSubgraphComponents
 	SameComponents              = dist.SameComponents
