@@ -232,8 +232,9 @@ func benchNode(tb testing.TB) (*service.Engine, store.Backend, string) {
 // record. An op ends once the build's detached persist has landed, so
 // allocs/op counts the persist too. The client renders each request into
 // one reused buffer and reads the answer as rawClient does, so it
-// allocates nothing per op. One build on each graph before the timer pays
-// the graphs' root searches and sizes the pooled Builder and measurer.
+// allocates nothing per op. Two builds on each graph before the timer pay
+// the graphs' root searches and size the workers' Builders and the pooled
+// measurer.
 func BenchmarkServeCold(b *testing.B) {
 	eng, _, addr := benchNode(b)
 	var fps [3]service.Fingerprint

@@ -166,16 +166,12 @@ func run() error {
 	}
 
 	cfg := service.Config{
-		Workers:         *workers,
-		CacheCapacity:   *cacheCap,
-		QueueDepth:      *queue,
-		AsyncQueueDepth: *asyncQueue,
-		AsyncWorkers:    *asyncWorkers,
-		AsyncRetries:    *retries,
-		AsyncRetention:  *asyncKeep,
-		Obs:             reg,
-		Tracer:          tracer,
-		Logger:          logger,
+		Workers:       *workers,
+		CacheCapacity: *cacheCap,
+		QueueDepth:    *queue,
+		Obs:           reg,
+		Tracer:        tracer,
+		Logger:        logger,
 	}
 	var st store.Backend
 	if *storeKind == store.KindMem && *data != "" {
@@ -229,10 +225,10 @@ func run() error {
 	}
 
 	jcfg := jobs.Config{
-		QueueDepth: cfg.AsyncQueueDepth,
-		Workers:    cfg.AsyncWorkers,
-		Retries:    cfg.AsyncRetries,
-		Retention:  cfg.AsyncRetention,
+		QueueDepth: *asyncQueue,
+		Workers:    *asyncWorkers,
+		Retries:    *retries,
+		Retention:  *asyncKeep,
 		Obs:        reg,
 	}
 	if st != nil {

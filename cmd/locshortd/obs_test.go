@@ -16,6 +16,7 @@ import (
 	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/store"
+	"locshort/internal/wire"
 )
 
 // syncBuffer is a goroutine-safe log sink: the request log line is written
@@ -261,7 +262,9 @@ func decodeBody(resp *http.Response, out any) error {
 
 // TestSlowRequestWarn sets the slow-request threshold to one nanosecond so
 // every request trips it, and asserts the escalated warn line carries the
-// per-stage breakdown of the build it served.
+// per-stage breakdown of the build it served: with the measurement for a
+// JSON answer, and without it for a binary one, whose fill measures
+// nothing but still publishes its trace.
 func TestSlowRequestWarn(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(16)
@@ -291,6 +294,26 @@ func TestSlowRequestWarn(t *testing.T) {
 		s := logbuf.String()
 		return strings.Contains(s, "level=warn") && strings.Contains(s, "msg=slow_request") &&
 			strings.Contains(s, "choose_root=") && strings.Contains(s, "measure=")
+	})
+
+	fp, err := service.ParseFingerprint(g.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := doBinary(t, "POST", ts.URL+"/v1/shortcuts",
+		wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: "blobs:4", Seed: 2}), nil)
+	resp.Body.Close()
+	key := resp.Header.Get(wire.HeaderKey)
+	if resp.StatusCode != http.StatusOK || key == "" {
+		t.Fatalf("binary shortcut: status %d, key %q", resp.StatusCode, key)
+	}
+	eventually(t, "binary slow_request warn with stage breakdown", func() bool {
+		for _, line := range strings.Split(logbuf.String(), "\n") {
+			if strings.Contains(line, "msg=slow_request") && strings.Contains(line, "shortcut="+key) {
+				return strings.Contains(line, "choose_root=") && !strings.Contains(line, "measure=")
+			}
+		}
+		return false
 	})
 }
 

@@ -18,8 +18,8 @@ import (
 const stageOverheadMax = 1.025
 
 // TestStageCollectionOverhead holds stage collection to 2.5% of the build
-// it traces. It times grid:64x64 blobs:64 builds on one warm Builder, the
-// way the engine's pooled cold builds run, in pairs of one staged and one
+// it traces. It times grid:64x64 blobs:64 builds on one warm Builder, as
+// each engine worker runs its cold builds, in pairs of one staged and one
 // plain build that alternate which runs first, and gates on the median of
 // the per-pair ratios. Load that slows both builds of a pair cancels in
 // its ratio; a best-of reading per variant instead moves with whichever

@@ -171,7 +171,7 @@ func TestFromCanonical(t *testing.T) {
 		if err := FromCanonical(&p, g, partOf, parts[:3:3]); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
+	}); n != 0 && !raceEnabled {
 		t.Errorf("FromCanonical into caller-owned memory: %.0f allocs/op, want 0", n)
 	}
 	if err := FromCanonical(&p, g, []int{0, 0, -1, 1, 1, 2}, make([][]int, 3)); err != nil {

@@ -21,6 +21,8 @@ import (
 // Config tunes an Engine. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the size of the job worker pool (default GOMAXPROCS).
+	// Each worker keeps one shortcut.Builder for the engine's lifetime,
+	// its scratch sized to the largest graph that worker has built.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs
 	// (default 256); submission blocks once the queue is full.
@@ -43,27 +45,6 @@ type Config struct {
 	// implementation; a nil Peers keeps the engine single-node.
 	Peers PeerFetcher
 
-	// The Async* knobs configure the internal/jobs manager layered on
-	// this engine (locshortd builds one from them; see jobs.Config for the
-	// semantics and defaults). The engine itself schedules only
-	// synchronous jobs and never reads these — they live here so one
-	// Config describes the whole serving stack, mirroring how Stats
-	// carries the manager's gauges.
-
-	// AsyncQueueDepth bounds accepted-but-unstarted async jobs
-	// (default 1024); submissions past it are rejected with 429, unlike
-	// the engine's own QueueDepth, which blocks.
-	AsyncQueueDepth int
-	// AsyncWorkers is the async dispatcher concurrency (default 4): how
-	// many async jobs occupy engine workers at once.
-	AsyncWorkers int
-	// AsyncRetries is how many times a failed async job is re-run before
-	// it is recorded failed (default 0).
-	AsyncRetries int
-	// AsyncRetention bounds terminal async job records kept in memory
-	// (default 4096); older results are served from the durable store.
-	AsyncRetention int
-
 	// Obs, when non-nil, is the metrics registry the engine registers its
 	// families into: func-backed counters/gauges over the existing atomic
 	// Stats counters (read at scrape time, so the hot path never
@@ -71,13 +52,14 @@ type Config struct {
 	// and the aggregated Builder stage histograms. Warm cache hits record
 	// through pre-resolved histogram pointers and stay allocation-free.
 	Obs *obs.Registry
-	// Tracer, when non-nil, retains a stage trace per shortcut
-	// construction: store check, every doubling-search level, the accepted
-	// level's sweep/assemble split, and the first quality measurement. The
-	// trace is assembled on the cold path only (Options.CollectStages is
-	// forced on for instrumented builds) and published when the entry is
-	// first measured. A store hit's trace (store check and measurement) is
-	// made only then, backdated to the miss.
+	// Tracer, when non-nil, retains a stage trace per cache fill that goes
+	// past the store: store check, peer fetch, every doubling-search level,
+	// the accepted level's sweep/assemble split and, when the fill measured
+	// (BuildRequest.Measure), the measurement. The fill publishes it before
+	// it releases its waiters. A store hit publishes a trace (store check
+	// and measurement) only when its fill measured it. The trace is
+	// assembled on the cold path only (Options.CollectStages is forced on
+	// for instrumented builds).
 	Tracer *obs.Tracer
 	// Logger, when non-nil, logs the stack of a panic in a detached store
 	// persist, once per panic. Nil counts the panic (Stats.PersistPanics)
@@ -143,45 +125,13 @@ type Cached struct {
 	routingMemo memo
 	routing     *dist.PARouting
 	routingErr  error
-
-	// trace is the pending stage trace of a construction or a peer fetch
-	// (nil when tracing is off, and for a store hit); the first Quality
-	// call appends the "measure" span, publishes to tracer, and clears it.
-	// qualityMemo guarantees a single publisher. A store hit keeps only
-	// when its miss began and how long the store check took: its trace is
-	// made at that first Quality, so a hit that no one measures (a binary
-	// answer) makes none.
-	trace      *obs.TraceBuilder
-	missStart  time.Time
-	storeCheck time.Duration
-	tracer     *obs.Tracer
-	engMetrics *engineMetrics
 }
 
-// Quality measures the shortcut, memoized for the cache residency. The
-// first measurement completes and publishes the entry's construction
-// trace, so a trace's total duration spans build start through first
-// measurement; a fill that a JSON miss started (BuildRequest.Measure)
-// makes it on its worker. A measurement that panics memoizes nothing: the
-// panic reaches the caller, and the next call measures again.
+// Quality measures the shortcut, memoized for the cache residency. A
+// measurement that panics memoizes nothing: the panic reaches the caller,
+// and the next call measures again.
 func (c *Cached) Quality() shortcut.Quality {
-	c.qualityMemo.do(func() {
-		start := time.Now()
-		c.quality = shortcut.Measure(c.Result.Shortcut)
-		d := time.Since(start)
-		if m := c.engMetrics; m != nil {
-			m.measureSeconds.Observe(d)
-		}
-		if c.tracer != nil {
-			tb := c.trace
-			if tb == nil {
-				tb = missTrace(c.Key, c.missStart, true, c.storeCheck)
-			}
-			tb.Add("measure", tb.Elapsed()-d, d)
-			c.tracer.Publish(tb.Finish())
-			c.trace = nil
-		}
-	})
+	c.qualityMemo.do(func() { c.quality = shortcut.Measure(c.Result.Shortcut) })
 	return c.quality
 }
 
@@ -198,12 +148,35 @@ func (c *Cached) QualityIfReady() (shortcut.Quality, bool) {
 	return c.quality, true
 }
 
-// Routing installs (once) and returns the part-wise aggregation routing.
-// An installation that returns an error is memoized like a routing; one
-// that panics is not, and the next call installs again.
+// Routing installs (once) and returns the part-wise aggregation routing,
+// over the shortcut's parts in canonical order (by lowest node ID), so an
+// aggregation answers for the key alone, however the entry was filled. An
+// installation that returns an error is memoized like a routing; one that
+// panics is not, and the next call installs again.
 func (c *Cached) Routing() (*dist.PARouting, error) {
-	c.routingMemo.do(func() { c.routing, c.routingErr = dist.NewPARouting(c.Result.Shortcut) })
+	c.routingMemo.do(func() {
+		var s *shortcut.Shortcut
+		if s, c.routingErr = canonicalOrder(c.Result.Shortcut); c.routingErr == nil {
+			c.routing, c.routingErr = dist.NewPARouting(s)
+		}
+	})
 	return c.routing, c.routingErr
+}
+
+// canonicalOrder returns s with its parts renumbered to canonical order
+// (partition.FromLabels numbers them by first appearance over nodes), each
+// part's nodes ascending; H and Covered move with their parts.
+func canonicalOrder(s *shortcut.Shortcut) (*shortcut.Shortcut, error) {
+	p, err := partition.FromLabels(s.G, s.Parts.PartOf)
+	if err != nil {
+		return nil, err
+	}
+	c := *s
+	c.Parts, c.H, c.Covered = p, make([][]int, p.NumParts()), make([]bool, p.NumParts())
+	for i, r := range s.Parts.CanonicalRanks(nil) {
+		c.H[r], c.Covered[r] = s.H[i], s.Covered[i]
+	}
+	return &c, nil
 }
 
 // memo runs a function to completion at most once, like sync.Once, except
@@ -215,16 +188,20 @@ type memo struct {
 	done atomic.Bool
 }
 
-func (m *memo) do(fn func()) {
+// do runs fn unless a run has completed, and reports whether this call
+// ran it.
+func (m *memo) do(fn func()) bool {
 	if m.done.Load() {
-		return
+		return false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.done.Load() {
-		fn()
-		m.done.Store(true)
+	if m.done.Load() {
+		return false
 	}
+	fn()
+	m.done.Store(true)
+	return true
 }
 
 // missTrace makes the build trace of a cache miss that began at start,
@@ -254,15 +231,6 @@ type Engine struct {
 	mu     sync.RWMutex
 	graphs map[Fingerprint]*graph.Graph
 
-	// builders pools shortcut.Builders across cold builds: a Builder owns
-	// the flat scratch of the Theorem 3.1 construction (part-set tables,
-	// epoch-stamped slices), so concurrent cold builds stop re-allocating
-	// it per request. Builders are not safe for concurrent use; the pool
-	// hands each build an exclusive one. A cold build runs on the worker
-	// that picked it up and starts no goroutine of its own, so Workers
-	// bounds the CPU that builds use.
-	builders sync.Pool
-
 	// persists tracks detached store writes so Close can drain them: a
 	// build's durability must not be lost to a racing shutdown.
 	persists sync.WaitGroup
@@ -282,7 +250,6 @@ func New(cfg Config) *Engine {
 		quit:   make(chan struct{}),
 		graphs: make(map[Fingerprint]*graph.Graph),
 	}
-	e.builders.New = func() any { return shortcut.NewBuilder() }
 	e.cache = newCache(cfg.CacheShards, cfg.CacheCapacity, &e.counters)
 	if cfg.Obs != nil {
 		e.metrics = newEngineMetrics(cfg.Obs, e)
@@ -481,8 +448,9 @@ func (e *Engine) Shortcut(key Fingerprint) (*Cached, bool) {
 // task is what the worker queue carries: a submitted *job, or the
 // *cacheEntry of a cache miss, which is its own fill job.
 type task interface {
-	// run executes the task on a worker.
-	run(e *Engine)
+	// run executes the task on a worker. A fill constructs on *bld, the
+	// worker's Builder, and replaces it after a panic (materializeEntry).
+	run(e *Engine, bld **shortcut.Builder)
 	// drop discards the task unrun, because the engine closed.
 	drop(e *Engine)
 }
@@ -496,8 +464,13 @@ type job struct {
 	done chan struct{}
 }
 
+// worker runs tasks until Close. Its fills all construct on one Builder,
+// whose scratch grows to the largest graph the worker has built and stays
+// for the engine's lifetime; a fill starts no goroutine of its own, so
+// Workers bounds both the CPU and the scratch that builds use.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	bld := shortcut.NewBuilder()
 	for {
 		select {
 		case <-e.quit:
@@ -510,7 +483,7 @@ func (e *Engine) worker() {
 				t.drop(e)
 				return
 			}
-			t.run(e)
+			t.run(e, &bld)
 		}
 	}
 }
@@ -533,7 +506,7 @@ func (e *Engine) jobFinished(start time.Time) {
 
 // run executes the job, or skips it if its context was canceled while it
 // was queued.
-func (j *job) run(e *Engine) {
+func (j *job) run(e *Engine, _ **shortcut.Builder) {
 	if j.ctx.Err() != nil {
 		e.counters.jobsCanceled.Add(1)
 	} else {
@@ -547,16 +520,14 @@ func (j *job) run(e *Engine) {
 // drop leaves the job unrun: its submitter has returned ErrClosed.
 func (j *job) drop(*Engine) {}
 
-// run fills the entry, and measures it when the request that installed it
-// asked (BuildRequest.Measure), all in one job. The fill is detached from
-// every caller, so it always runs; its job counters are settled before its
-// waiters are released, and a resident entry keeps no request.
-func (ent *cacheEntry) run(e *Engine) {
+// run fills the entry on *bld in one job, which measures it when the
+// request that installed it asked (BuildRequest.Measure) and publishes its
+// trace. The fill is detached from every caller, so it always runs; its
+// trace and job counters are settled before its waiters are released, and
+// a resident entry keeps no request.
+func (ent *cacheEntry) run(e *Engine, bld **shortcut.Builder) {
 	start := e.jobStarted()
-	err := e.materializeEntry(ent)
-	if err == nil && ent.req.Measure {
-		e.measureFill(&ent.val)
-	}
+	err := e.materializeEntry(ent, bld)
 	e.jobFinished(start)
 	if err != nil {
 		e.counters.jobsFailed.Add(1)
@@ -570,31 +541,49 @@ func (ent *cacheEntry) run(e *Engine) {
 // drop fails the fill: its waiters get ErrClosed, and nothing is cached.
 func (ent *cacheEntry) drop(e *Engine) { e.cache.fill(ent, ErrClosed) }
 
-// materializeEntry runs a fill's materialize into the entry's value. A
-// panic fails this entry alone, as the job's *obs.PanicError: the worker
-// lives on, nothing is cached, and the next request for the key fills
-// afresh.
-func (e *Engine) materializeEntry(ent *cacheEntry) (err error) {
+// materializeEntry runs a fill's materialize into the entry's value, on
+// *bld. A panic fails this entry alone, as the job's *obs.PanicError: the
+// worker lives on with a fresh Builder, since the panic may have left the
+// scratch half written; nothing is cached, and the next request for the
+// key fills afresh.
+func (e *Engine) materializeEntry(ent *cacheEntry, bld **shortcut.Builder) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			e.counters.jobPanics.Add(1)
+			*bld = shortcut.NewBuilder()
 			err = obs.Recovered(v)
 		}
 	}()
-	return e.materialize(&ent.val, ent.key, ent.g, &ent.req)
+	return e.materialize(&ent.val, ent.key, ent.g, &ent.req, *bld)
 }
 
 // measureFill measures a fill's entry on the fill's worker. A panic fails
 // the measurement alone: it counts in job_panics, the entry is cached
 // unmeasured, and the JSON answer that asked measures again through
 // MeasureCached — which fails that answer with the panic if it recurs.
-func (e *Engine) measureFill(c *Cached) {
+func (e *Engine) measureFill(c *Cached) (d time.Duration, ok bool) {
 	defer func() {
 		if recover() != nil {
 			e.counters.jobPanics.Add(1)
 		}
 	}()
-	c.Quality()
+	return e.measure(c)
+}
+
+// measure measures c at one of the engine's two measuring sites, a fill
+// and MeasureCached. The call that measures observes the measurement in
+// locshort_engine_measure_seconds and returns its wall time with ok true;
+// a call that finds c measured returns ok false.
+func (e *Engine) measure(c *Cached) (d time.Duration, ok bool) {
+	ok = c.qualityMemo.do(func() {
+		start := time.Now()
+		c.quality = shortcut.Measure(c.Result.Shortcut)
+		d = time.Since(start)
+	})
+	if ok && e.metrics != nil {
+		e.metrics.measureSeconds.Observe(d)
+	}
+	return d, ok
 }
 
 // errSkipped marks a job the worker skipped at pickup because its context
@@ -780,16 +769,15 @@ func (e *Engine) enqueueWait(ent *cacheEntry) {
 
 // materialize produces the entry for key behind the singleflight, on a
 // worker, into c, its cache entry's value: from the store, else from a
-// peer, else by construction.
-func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *BuildRequest) error {
+// peer, else by construction on bld. It measures the entry when req asks.
+func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *BuildRequest, bld *shortcut.Builder) error {
 	// The trace (when tracing is on) is assembled here, behind the
 	// singleflight, so every miss yields at most one trace no matter how
-	// many callers joined it. It is published on the entry's first quality
-	// measurement (on this worker when the miss asked to measure, as a
-	// JSON answer's does), which contributes the final "measure" span.
-	// Until the miss does more than a store check, only its start and the
-	// check's duration are kept: a store hit makes its trace when it is
-	// measured, if ever.
+	// many callers joined it, and fill publishes it. A construction or a
+	// peer fetch always publishes one, with a final "measure" span when the
+	// fill measured. Until the miss does more than a store check, only its
+	// start and the check's duration are kept: a store hit makes its trace
+	// only when its fill measures it.
 	var (
 		tb         *obs.TraceBuilder
 		storeCheck time.Duration
@@ -798,8 +786,15 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 	fill := func(res *shortcut.Result, bt time.Duration, src BuildSource) {
 		c.Key, c.GraphFP, c.G, c.Parts, c.Result = key, req.Graph, g, res.Shortcut.Parts, res
 		c.BuildTime, c.Source = bt, src
-		c.trace, c.missStart, c.storeCheck = tb, missStart, storeCheck
-		c.tracer, c.engMetrics = e.cfg.Tracer, e.metrics
+		if req.Measure {
+			if d, ok := e.measureFill(c); ok {
+				if tb == nil && e.cfg.Tracer != nil {
+					tb = missTrace(key, missStart, true, storeCheck)
+				}
+				tb.Add("measure", tb.Elapsed()-d, d)
+			}
+		}
+		e.cfg.Tracer.Publish(tb.Finish())
 	}
 	// Store-first: a persisted build from a previous process (or one
 	// evicted from the LRU) is reloaded instead of rebuilt. This sits
@@ -870,7 +865,6 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 				req.Spec, req.Seed, got, key)
 		}
 	}
-	bld := e.builders.Get().(*shortcut.Builder)
 	buildOpts := req.Options
 	if tb != nil {
 		// Timing-only: CollectStages never changes the shortcut and is
@@ -879,9 +873,6 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 	}
 	start := time.Now()
 	res, err := bld.Build(g, parts, buildOpts)
-	// Back to the pool only from a normal return: a Build that panics
-	// may leave its scratch half written.
-	e.builders.Put(bld)
 	if err != nil {
 		e.counters.buildErrs.Add(1)
 		return err
@@ -987,6 +978,7 @@ type AggregateRequest struct {
 
 // Aggregate executes the request on the worker pool against the cached
 // shortcut — the amortization the cache exists for: one build, many rounds.
+// The result indexes parts in canonical order (Cached.Routing).
 func (e *Engine) Aggregate(ctx context.Context, req AggregateRequest) (*dist.PAResult, error) {
 	c, ok := e.Shortcut(req.Shortcut)
 	if !ok {
@@ -1034,6 +1026,7 @@ func (e *Engine) Measure(ctx context.Context, key Fingerprint) (shortcut.Quality
 // measures again.
 func (e *Engine) MeasureCached(ctx context.Context, c *Cached) (shortcut.Quality, error) {
 	return submit(e, ctx, func(context.Context) (shortcut.Quality, error) {
+		e.measure(c)
 		return c.Quality(), nil
 	})
 }

@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"locshort/internal/cli"
 	"locshort/internal/dist"
 	"locshort/internal/graph"
 	"locshort/internal/obs"
@@ -52,8 +55,10 @@ func spanNames(t *testing.T, tr *obs.Tracer) []string {
 // TestJSONMissOneJob: a miss that asks its fill to measure, as a JSON
 // answer's does, is one worker job. The fill measures before it releases
 // the caller, so the quality is ready, jobs_done and the job histogram
-// move by one, and the trace it publishes names the spans that a build
-// followed by a MeasureCached job publishes.
+// move by one, and the trace it publishes ends with the measurement. A
+// miss that does not ask publishes its trace without one, and the
+// MeasureCached job after it publishes nothing; both measurements are
+// observed once.
 func TestJSONMissOneJob(t *testing.T) {
 	ctx := context.Background()
 	g, p := testGraph(t)
@@ -71,12 +76,19 @@ func TestJSONMissOneJob(t *testing.T) {
 		if _, ok := c.QualityIfReady(); ok != measure {
 			t.Fatalf("measure=%v: QualityIfReady ok=%v after the miss", measure, ok)
 		}
+		names := spanNames(t, tr)
 		if !measure {
 			if _, err := e.MeasureCached(ctx, c); err != nil {
 				t.Fatal(err)
 			}
+			if n := tr.Published(); n != 1 {
+				t.Errorf("MeasureCached after the miss: %d traces published, want the fill's 1", n)
+			}
 		}
-		return c, spanNames(t, tr), e.Stats().JobsDone, engineHistogramCount(t, reg, "locshort_engine_job_seconds")
+		if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n != 1 {
+			t.Errorf("measure=%v: %d measurements observed, want 1", measure, n)
+		}
+		return c, names, e.Stats().JobsDone, engineHistogramCount(t, reg, "locshort_engine_job_seconds")
 	}
 	c, names, jobs, observed := run(true)
 	if jobs != 1 || observed != 1 {
@@ -93,8 +105,8 @@ func TestJSONMissOneJob(t *testing.T) {
 	if jobs != 2 || observed != 2 {
 		t.Errorf("a miss then MeasureCached ran %d jobs (%d timed), want 2", jobs, observed)
 	}
-	if !slices.Equal(names, twoJobNames) {
-		t.Errorf("a measuring miss traced %v, a miss then MeasureCached %v", names, twoJobNames)
+	if want = want[:len(want)-1]; !slices.Equal(twoJobNames, want) {
+		t.Errorf("a miss that does not measure traced %v, want %v", twoJobNames, want)
 	}
 }
 
@@ -242,8 +254,10 @@ func TestFillMeasurePanicFailsOnlyTheAnswer(t *testing.T) {
 
 // TestQualityMeasuredOnceConcurrently: callers racing for an unmeasured
 // entry's quality — MeasureCached jobs, direct Quality calls and
-// QualityIfReady polls — measure it once, publish one trace, and all read
-// the one value. CI runs it under -race -count=10.
+// QualityIfReady polls — measure it once and all read the one value. The
+// engine observes the measurement only when a MeasureCached job made it,
+// and none of them publishes a trace past the fill's. CI runs it under
+// -race -count=10.
 func TestQualityMeasuredOnceConcurrently(t *testing.T) {
 	ctx := context.Background()
 	g, p := testGraph(t)
@@ -285,10 +299,84 @@ func TestQualityMeasuredOnceConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n != 1 {
-		t.Errorf("measured %d times, want 1", n)
+	if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n > 1 {
+		t.Errorf("MeasureCached measured %d times, want at most 1", n)
 	}
 	if n := tr.Published(); n != 1 {
-		t.Errorf("%d traces published, want 1", n)
+		t.Errorf("%d traces published, want the fill's 1", n)
 	}
 }
+
+// TestWorkerKeepsBuilder: a worker constructs on one Builder for the
+// engine's lifetime. A cold build right after two GCs, which would empty
+// a sync.Pool of Builders, allocates what a cold build before them does,
+// not a fresh Builder's scratch again. A fill whose construction panicked
+// hands its worker a fresh Builder: the next cold build pays that
+// Builder's scratch once and returns the reference construction's
+// shortcut.
+func TestWorkerKeepsBuilder(t *testing.T) {
+	ctx := context.Background()
+	g, _, err := cli.ParseGraph("grid:32x32", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Config{Workers: 1})
+	fp, err := e.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ = e.Graph(fp)
+	var parts [4]*partition.Partition
+	for i := range parts {
+		if parts[i], err = cli.ParsePartition(g, "blobs:16", int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// cold builds parts[i] on the engine's one worker, its partition parsed
+	// beforehand, and returns the entry and what the build allocated.
+	cold := func(i int, gc bool) (*Cached, uint64) {
+		t.Helper()
+		if gc {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, hit, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: parts[i]})
+		runtime.ReadMemStats(&after)
+		if err != nil || hit || c.Source != SourceBuilt {
+			t.Fatalf("cold build %d: hit=%v err=%v", i, hit, err)
+		}
+		return c, after.Mallocs - before.Mallocs
+	}
+	cold(0, false) // sizes the Builder's scratch
+	_, warm := cold(1, false)
+	_, afterGC := cold(2, true)
+	t.Logf("cold build: %d allocs, %d right after two GCs", warm, afterGC)
+	if afterGC > warm+builderSlack {
+		t.Errorf("a cold build after two GCs allocated %d, want at most %d + %d", afterGC, warm, builderSlack)
+	}
+
+	bad := &partition.Partition{PartOf: make([]int, g.NumNodes()), Parts: [][]int{{g.NumNodes() + 5}}}
+	var pe *obs.PanicError
+	if _, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: bad}); !errors.As(err, &pe) {
+		t.Fatalf("a panicking construction returned %v, want an *obs.PanicError", err)
+	}
+	c, fresh := cold(3, false)
+	t.Logf("cold build after a panicked fill: %d allocs", fresh)
+	if fresh <= warm+builderSlack {
+		t.Errorf("the build after a panicked fill allocated %d, want a fresh Builder's scratch past %d", fresh, warm+builderSlack)
+	}
+	want, err := shortcut.Build(g, parts[3], shortcut.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Result.Shortcut.H, want.Shortcut.H) || c.Result.Delta != want.Delta {
+		t.Error("the build after a panicked fill differs from the reference construction")
+	}
+}
+
+// builderSlack bounds how many more objects a cold build may allocate than
+// the one before it, on the same worker and graph: the sync.Pools outside
+// the Builder that a GC empties refill with a few.
+const builderSlack = 16

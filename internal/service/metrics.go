@@ -17,7 +17,7 @@ type engineMetrics struct {
 	buildSeconds     *obs.Histogram // shortcut construction wall time
 	loadSeconds      *obs.Histogram // durable-store shortcut load wall time
 	persistSeconds   *obs.Histogram // detached store persist wall time
-	measureSeconds   *obs.Histogram // first Quality() measurement per entry
+	measureSeconds   *obs.Histogram // an entry's measurement, in its fill or MeasureCached
 	jobSeconds       *obs.Histogram // worker-pool job execution time
 	peerFetchSeconds *obs.Histogram // successful cluster peer fetch wall time
 

@@ -528,9 +528,10 @@ func TestEngineJobsAgainstReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rank := p.CanonicalRanks(nil)
 	for i, part := range p.Parts {
-		if got := agg.PartResult[i][0]; got != int64(len(part)) {
-			t.Errorf("part %d aggregate = %d, want size %d", i, got, len(part))
+		if got := agg.PartResult[rank[i]][0]; got != int64(len(part)) {
+			t.Errorf("part %d (rank %d) aggregate = %d, want size %d", i, rank[i], got, len(part))
 		}
 	}
 }
@@ -793,15 +794,18 @@ func TestEngineCloseFailsQueuedFills(t *testing.T) {
 	jobsSettle(t, e)
 }
 
-// TestEngineTracesPublished pins what /v1/traces shows. A cold build's
-// trace has the store check, the Builder's stages and the measurement. A
-// store hit publishes nothing until a JSON answer measures it; then its
-// trace has the store check, at offset 0, and the measurement.
+// TestEngineTracesPublished pins what /v1/traces shows. A cold build
+// publishes its trace before Build returns, whether or not its fill
+// measured: the store check, at offset 0, the Builder's stages, and a
+// measurement only when the fill made one. A later MeasureCached publishes
+// nothing and observes the measurement once. A store hit publishes a
+// trace only when its fill measured it: the store check and the
+// measurement.
 func TestEngineTracesPublished(t *testing.T) {
 	ctx := context.Background()
 	st := newStubStore()
 	g, p := testGraph(t)
-	checkTrace := func(tr *obs.Tracer, key Fingerprint) []string {
+	checkTrace := func(tr *obs.Tracer, key Fingerprint, want ...string) {
 		t.Helper()
 		traces := tr.Recent(0)
 		if len(traces) != 1 {
@@ -818,15 +822,13 @@ func TestEngineTracesPublished(t *testing.T) {
 				t.Errorf("span %+v lies outside the trace's %d ns", sp, x.DurNs)
 			}
 		}
-		if len(x.Spans) < 2 || x.Spans[0].Name != "store_check" || x.Spans[0].StartNs != 0 ||
-			x.Spans[len(x.Spans)-1].Name != "measure" {
-			t.Errorf("spans %v: want store_check at offset 0 first and measure last", x.Spans)
+		if !slices.Equal(names, want) || x.Spans[0].StartNs != 0 {
+			t.Errorf("spans %v, want %v with store_check at offset 0", x.Spans, want)
 		}
-		return names
 	}
 
-	tr := obs.NewTracer(8)
-	cold := New(Config{Workers: 1, Store: st, Tracer: tr})
+	reg, tr := obs.NewRegistry(), obs.NewTracer(8)
+	cold := New(Config{Workers: 1, Store: st, Obs: reg, Tracer: tr})
 	fp, err := cold.AddGraph(g)
 	if err != nil {
 		t.Fatal(err)
@@ -835,34 +837,38 @@ func TestEngineTracesPublished(t *testing.T) {
 	if err != nil || c.Source != SourceBuilt {
 		t.Fatalf("cold build: %v", err)
 	}
+	checkTrace(tr, c.Key, "store_check", "choose_root", "bfs_tree", "level(d=1)", "sweep", "assemble")
 	if _, err := cold.MeasureCached(ctx, c); err != nil {
 		t.Fatal(err)
 	}
-	cold.Close() // drains the persist the store hit below reads
-	names := strings.Join(checkTrace(tr, c.Key), " ")
-	for _, want := range []string{"choose_root", "bfs_tree", "level(d=", "sweep", "assemble"} {
-		if !strings.Contains(names, want) {
-			t.Errorf("cold build's spans %q lack %s", names, want)
-		}
+	if n := tr.Published(); n != 1 {
+		t.Errorf("%d traces published after MeasureCached, want the fill's 1", n)
 	}
+	if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n != 1 {
+		t.Errorf("MeasureCached observed %d measurements, want 1", n)
+	}
+	cold.Close() // drains the persist the store hits below read
 
-	tr = obs.NewTracer(8)
-	warm := newTestEngine(t, Config{Workers: 1, Store: st, Tracer: tr})
-	if _, err := warm.AddGraph(g); err != nil {
-		t.Fatal(err)
-	}
-	c, _, err = warm.Build(ctx, BuildRequest{Graph: fp, Parts: p})
-	if err != nil || c.Source != SourceStore {
-		t.Fatalf("store hit: %v", err)
-	}
-	if n := tr.Published(); n != 0 {
-		t.Fatalf("an unmeasured store hit published %d traces", n)
-	}
-	if _, err := warm.MeasureCached(ctx, c); err != nil {
-		t.Fatal(err)
-	}
-	if names := checkTrace(tr, c.Key); len(names) != 2 {
-		t.Errorf("store hit's spans %v, want store_check and measure", names)
+	for _, measure := range []bool{false, true} {
+		tr := obs.NewTracer(8)
+		warm := newTestEngine(t, Config{Workers: 1, Store: st, Tracer: tr})
+		if _, err := warm.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		c, _, err = warm.Build(ctx, BuildRequest{Graph: fp, Parts: p, Measure: measure})
+		if err != nil || c.Source != SourceStore {
+			t.Fatalf("store hit: %v", err)
+		}
+		if measure {
+			checkTrace(tr, c.Key, "store_check", "measure")
+			continue
+		}
+		if _, err := warm.MeasureCached(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		if n := tr.Published(); n != 0 {
+			t.Errorf("a store hit its fill did not measure published %d traces", n)
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package service_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"locshort/internal/cli"
+	"locshort/internal/dist"
 	"locshort/internal/obs"
 	"locshort/internal/service"
 	"locshort/internal/shortcut"
@@ -104,6 +106,55 @@ func TestStoreReadsShareGraphTree(t *testing.T) {
 		tr := c.Result.Shortcut.Tree
 		if &tr.Parent[0] != &memo.Parent[0] || &tr.ParentEdge[0] != &memo.ParentEdge[0] {
 			t.Errorf("key %s: the decoded tree does not alias the graph's BFS tree", req.Key)
+		}
+	}
+}
+
+// TestAggregateSameForEveryFill: an aggregation addresses its shortcut by
+// key alone, so it answers the same whichever way the entry was filled. A
+// key built from the request's blobs partition, whose parts are in seed
+// order, and the same key read key-only from the store, whose parts are
+// in canonical order, give identical part results and rounds.
+func TestAggregateSameForEveryFill(t *testing.T) {
+	st, reqs := twoRecordStore(t)
+	ctx := context.Background()
+	aggregate := func(e *service.Engine, req service.BuildRequest) *dist.PAResult {
+		t.Helper()
+		if _, _, err := e.Build(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		g, _ := e.Graph(req.Graph)
+		values := make([]dist.Payload, g.NumNodes())
+		for v := range values {
+			values[v] = dist.Payload{int64(v), int64(v), int64(v)}
+		}
+		res, err := e.Aggregate(ctx, service.AggregateRequest{Shortcut: req.Key, Op: dist.OpSum, Values: values, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	stored := service.New(service.Config{Workers: 1, Store: st})
+	defer stored.Close()
+	if _, err := stored.WarmStart(); err != nil {
+		t.Fatal(err)
+	}
+	built := service.New(service.Config{Workers: 1})
+	defer built.Close()
+	g, _ := stored.Graph(reqs[0].Graph)
+	if _, err := built.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range reqs {
+		p, err := cli.ParsePartition(g, req.Spec, req.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromRecord := aggregate(stored, req)
+		fromParts := aggregate(built, service.BuildRequest{Graph: req.Graph, Key: req.Key, Parts: p})
+		if !reflect.DeepEqual(fromRecord.PartResult, fromParts.PartResult) || fromRecord.Rounds != fromParts.Rounds {
+			t.Errorf("key %s: a stored entry aggregates to %v in %+v, a built one to %v in %+v", req.Key,
+				fromRecord.PartResult, fromRecord.Rounds, fromParts.PartResult, fromParts.Rounds)
 		}
 	}
 }

@@ -117,8 +117,9 @@ func levelStageName(delta int) string {
 // The doubling search over delta' runs one level at a time on the calling
 // goroutine, every level on the same scratch.
 //
-// A Builder is NOT safe for concurrent use; it is itself the unit pooled
-// by concurrent callers (internal/service keeps a sync.Pool of Builders).
+// A Builder is NOT safe for concurrent use; concurrent callers each hold
+// their own (every internal/service engine worker keeps one for the
+// engine's lifetime).
 // Everything a Build call returns — the Result, the Shortcut, its H
 // slices — is freshly allocated and never aliased by the builder's
 // scratch, so results stay valid across subsequent Build calls on the
