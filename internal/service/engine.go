@@ -21,8 +21,9 @@ import (
 // Config tunes an Engine. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the size of the job worker pool (default GOMAXPROCS).
-	// Each worker keeps one shortcut.Builder for the engine's lifetime,
-	// its scratch sized to the largest graph that worker has built.
+	// Each worker keeps one shortcut.Builder, its scratch sized to the
+	// largest graph that worker has built, and drops that scratch at its
+	// next task after RemoveGraph unregisters a graph.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs
 	// (default 256); submission blocks once the queue is full.
@@ -131,8 +132,25 @@ type Cached struct {
 // measurement that panics memoizes nothing: the panic reaches the caller,
 // and the next call measures again.
 func (c *Cached) Quality() shortcut.Quality {
-	c.qualityMemo.do(func() { c.quality = shortcut.Measure(c.Result.Shortcut) })
+	c.measure(nil)
 	return c.quality
+}
+
+// measure measures the shortcut into c.quality unless a measurement has
+// completed, and reports whether this call measured and how long it took.
+// The engine's two measuring sites, a fill and MeasureCached, pass their
+// metrics, so the call that measures observes it in
+// locshort_engine_measure_seconds.
+func (c *Cached) measure(m *engineMetrics) (d time.Duration, ok bool) {
+	ok = c.qualityMemo.do(func() {
+		start := time.Now()
+		c.quality = shortcut.Measure(c.Result.Shortcut)
+		d = time.Since(start)
+	})
+	if ok && m != nil {
+		m.measureSeconds.Observe(d)
+	}
+	return d, ok
 }
 
 // QualityIfReady returns the memoized quality without blocking or
@@ -204,18 +222,6 @@ func (m *memo) do(fn func()) bool {
 	return true
 }
 
-// missTrace makes the build trace of a cache miss that began at start,
-// backdated to it, with the store check as its first span when a store was
-// checked.
-func missTrace(key Fingerprint, start time.Time, checked bool, storeCheck time.Duration) *obs.TraceBuilder {
-	tb := obs.StartTrace("build", start)
-	tb.SetFingerprint(key.String())
-	if checked {
-		tb.Add("store_check", 0, storeCheck)
-	}
-	return tb
-}
-
 // Engine is the concurrent shortcut-serving engine. All exported methods
 // are safe for concurrent use; query methods block until a worker has
 // executed the job, the context is canceled, or the engine closes.
@@ -230,6 +236,10 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	graphs map[Fingerprint]*graph.Graph
+	// removals counts the graphs RemoveGraph has unregistered. A worker
+	// that sees it move drops its Builder's scratch, which may be sized to
+	// the removed graph.
+	removals atomic.Uint64
 
 	// persists tracks detached store writes so Close can drain them: a
 	// build's durability must not be lost to a racing shutdown.
@@ -312,10 +322,10 @@ func (e *Engine) Stats() Stats {
 // returns. That form is the representative all jobs run against, however
 // the graph arrived, so edge IDs in results refer to Graph(fp), which may
 // be a different instance from g. Re-registering the same content is a
-// cheap no-op that returns the same fingerprint. Registered graphs are
-// pinned for the engine's lifetime (only built shortcuts are LRU-bounded);
-// deployments with unbounded distinct-graph traffic should recycle
-// engines or front them with an ingest quota.
+// cheap no-op that returns the same fingerprint. A registered graph stays
+// until RemoveGraph unregisters it (only built shortcuts are LRU-bounded);
+// deployments with unbounded distinct-graph traffic should delete graphs,
+// recycle engines or front them with an ingest quota.
 func (e *Engine) AddGraph(g *graph.Graph) (Fingerprint, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
@@ -422,6 +432,7 @@ func (e *Engine) RemoveGraph(fp Fingerprint) (int, error) {
 	if !ok {
 		return 0, ErrUnknownGraph
 	}
+	e.removals.Add(1)
 	evicted := e.cache.removeGraph(fp)
 	if st := e.cfg.Store; st != nil {
 		if err := st.DeleteGraph(fp); err != nil {
@@ -448,9 +459,9 @@ func (e *Engine) Shortcut(key Fingerprint) (*Cached, bool) {
 // task is what the worker queue carries: a submitted *job, or the
 // *cacheEntry of a cache miss, which is its own fill job.
 type task interface {
-	// run executes the task on a worker. A fill constructs on *bld, the
-	// worker's Builder, and replaces it after a panic (materializeEntry).
-	run(e *Engine, bld **shortcut.Builder)
+	// run executes the task on a worker. A fill constructs on bld, the
+	// worker's Builder, and empties it after a panic (materializeEntry).
+	run(e *Engine, bld *shortcut.Builder)
 	// drop discards the task unrun, because the engine closed.
 	drop(e *Engine)
 }
@@ -465,12 +476,14 @@ type job struct {
 }
 
 // worker runs tasks until Close. Its fills all construct on one Builder,
-// whose scratch grows to the largest graph the worker has built and stays
-// for the engine's lifetime; a fill starts no goroutine of its own, so
-// Workers bounds both the CPU and the scratch that builds use.
+// whose scratch grows to the largest graph the worker has built; a fill
+// starts no goroutine of its own, so Workers bounds both the CPU and the
+// scratch that builds use. After RemoveGraph unregisters a graph, the
+// worker empties its Builder before its next task, so no scratch sized to
+// a removed graph outlives that task's pickup.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	bld := shortcut.NewBuilder()
+	bld, removals := shortcut.NewBuilder(), e.removals.Load()
 	for {
 		select {
 		case <-e.quit:
@@ -483,7 +496,10 @@ func (e *Engine) worker() {
 				t.drop(e)
 				return
 			}
-			t.run(e, &bld)
+			if n := e.removals.Load(); n != removals {
+				*bld, removals = shortcut.Builder{}, n
+			}
+			t.run(e, bld)
 		}
 	}
 }
@@ -506,7 +522,7 @@ func (e *Engine) jobFinished(start time.Time) {
 
 // run executes the job, or skips it if its context was canceled while it
 // was queued.
-func (j *job) run(e *Engine, _ **shortcut.Builder) {
+func (j *job) run(e *Engine, _ *shortcut.Builder) {
 	if j.ctx.Err() != nil {
 		e.counters.jobsCanceled.Add(1)
 	} else {
@@ -520,12 +536,12 @@ func (j *job) run(e *Engine, _ **shortcut.Builder) {
 // drop leaves the job unrun: its submitter has returned ErrClosed.
 func (j *job) drop(*Engine) {}
 
-// run fills the entry on *bld in one job, which measures it when the
+// run fills the entry on bld in one job, which measures it when the
 // request that installed it asked (BuildRequest.Measure) and publishes its
 // trace. The fill is detached from every caller, so it always runs; its
 // trace and job counters are settled before its waiters are released, and
 // a resident entry keeps no request.
-func (ent *cacheEntry) run(e *Engine, bld **shortcut.Builder) {
+func (ent *cacheEntry) run(e *Engine, bld *shortcut.Builder) {
 	start := e.jobStarted()
 	err := e.materializeEntry(ent, bld)
 	e.jobFinished(start)
@@ -542,19 +558,19 @@ func (ent *cacheEntry) run(e *Engine, bld **shortcut.Builder) {
 func (ent *cacheEntry) drop(e *Engine) { e.cache.fill(ent, ErrClosed) }
 
 // materializeEntry runs a fill's materialize into the entry's value, on
-// *bld. A panic fails this entry alone, as the job's *obs.PanicError: the
-// worker lives on with a fresh Builder, since the panic may have left the
+// bld. A panic fails this entry alone, as the job's *obs.PanicError: the
+// worker lives on with bld emptied, since the panic may have left the
 // scratch half written; nothing is cached, and the next request for the
 // key fills afresh.
-func (e *Engine) materializeEntry(ent *cacheEntry, bld **shortcut.Builder) (err error) {
+func (e *Engine) materializeEntry(ent *cacheEntry, bld *shortcut.Builder) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			e.counters.jobPanics.Add(1)
-			*bld = shortcut.NewBuilder()
+			*bld = shortcut.Builder{}
 			err = obs.Recovered(v)
 		}
 	}()
-	return e.materialize(&ent.val, ent.key, ent.g, &ent.req, *bld)
+	return e.materialize(&ent.val, ent.key, ent.g, &ent.req, bld)
 }
 
 // measureFill measures a fill's entry on the fill's worker. A panic fails
@@ -567,23 +583,7 @@ func (e *Engine) measureFill(c *Cached) (d time.Duration, ok bool) {
 			e.counters.jobPanics.Add(1)
 		}
 	}()
-	return e.measure(c)
-}
-
-// measure measures c at one of the engine's two measuring sites, a fill
-// and MeasureCached. The call that measures observes the measurement in
-// locshort_engine_measure_seconds and returns its wall time with ok true;
-// a call that finds c measured returns ok false.
-func (e *Engine) measure(c *Cached) (d time.Duration, ok bool) {
-	ok = c.qualityMemo.do(func() {
-		start := time.Now()
-		c.quality = shortcut.Measure(c.Result.Shortcut)
-		d = time.Since(start)
-	})
-	if ok && e.metrics != nil {
-		e.metrics.measureSeconds.Observe(d)
-	}
-	return d, ok
+	return c.measure(e.metrics)
 }
 
 // errSkipped marks a job the worker skipped at pickup because its context
@@ -783,14 +783,23 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 		storeCheck time.Duration
 	)
 	missStart := time.Now()
+	// trace makes the miss's trace once, when tracing is on, backdated to
+	// the miss's start, with the store check as its first span.
+	trace := func() {
+		if tb == nil && e.cfg.Tracer != nil {
+			tb = obs.StartTrace("build", missStart)
+			tb.SetFingerprint(key.String())
+			if e.cfg.Store != nil {
+				tb.Add("store_check", 0, storeCheck)
+			}
+		}
+	}
 	fill := func(res *shortcut.Result, bt time.Duration, src BuildSource) {
 		c.Key, c.GraphFP, c.G, c.Parts, c.Result = key, req.Graph, g, res.Shortcut.Parts, res
 		c.BuildTime, c.Source = bt, src
 		if req.Measure {
 			if d, ok := e.measureFill(c); ok {
-				if tb == nil && e.cfg.Tracer != nil {
-					tb = missTrace(key, missStart, true, storeCheck)
-				}
+				trace()
 				tb.Add("measure", tb.Elapsed()-d, d)
 			}
 		}
@@ -820,9 +829,7 @@ func (e *Engine) materialize(c *Cached, key Fingerprint, g *graph.Graph, req *Bu
 		}
 	}
 	// Past the store, the miss does work worth a trace: make it now.
-	if e.cfg.Tracer != nil {
-		tb = missTrace(key, missStart, e.cfg.Store != nil, storeCheck)
-	}
+	trace()
 	// Peer-fetch: after the local store misses, ask the key's replica
 	// peers before paying a cold construction. Behind the singleflight
 	// like the store check, so a cross-node miss stampede costs one peer
@@ -1026,7 +1033,7 @@ func (e *Engine) Measure(ctx context.Context, key Fingerprint) (shortcut.Quality
 // measures again.
 func (e *Engine) MeasureCached(ctx context.Context, c *Cached) (shortcut.Quality, error) {
 	return submit(e, ctx, func(context.Context) (shortcut.Quality, error) {
-		e.measure(c)
-		return c.Quality(), nil
+		c.measure(e.metrics)
+		return c.quality, nil
 	})
 }

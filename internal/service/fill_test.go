@@ -253,67 +253,79 @@ func TestFillMeasurePanicFailsOnlyTheAnswer(t *testing.T) {
 }
 
 // TestQualityMeasuredOnceConcurrently: callers racing for an unmeasured
-// entry's quality — MeasureCached jobs, direct Quality calls and
-// QualityIfReady polls — measure it once and all read the one value. The
-// engine observes the measurement only when a MeasureCached job made it,
-// and none of them publishes a trace past the fill's. CI runs it under
-// -race -count=10.
+// entry's quality measure it once and all read the one value. On one
+// entry MeasureCached jobs race, and the engine observes exactly one
+// measurement; on another direct Quality calls race QualityIfReady polls,
+// which observe none. No caller publishes a trace past the two fills'. CI
+// runs it under -race -count=10.
 func TestQualityMeasuredOnceConcurrently(t *testing.T) {
 	ctx := context.Background()
 	g, p := testGraph(t)
+	p2, err := partition.BFSBlobs(g, 8, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg, tr := obs.NewRegistry(), obs.NewTracer(8)
 	e := newTestEngine(t, Config{Workers: 4, Obs: reg, Tracer: tr})
 	fp, err := e.AddGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: p})
+	jobs, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := shortcut.Measure(c.Result.Shortcut)
+	direct, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: p2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs == direct {
+		t.Fatal("the two partitions share a cache entry")
+	}
+	wantJobs, wantDirect := shortcut.Measure(jobs.Result.Shortcut), shortcut.Measure(direct.Result.Shortcut)
 	var wg sync.WaitGroup
 	for i := range 12 {
-		wg.Add(1)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			q, err := e.MeasureCached(ctx, jobs)
+			if err != nil {
+				t.Error(err)
+			} else if q != wantJobs {
+				t.Errorf("MeasureCached %d read %+v, want %+v", i, q, wantJobs)
+			}
+		}()
 		go func() {
 			defer wg.Done()
 			var q shortcut.Quality
-			switch i % 3 {
-			case 0:
-				var err error
-				if q, err = e.MeasureCached(ctx, c); err != nil {
-					t.Error(err)
-					return
-				}
-			case 1:
-				q = c.Quality()
-			default:
-				ok := false
-				for !ok {
-					q, ok = c.QualityIfReady()
+			if i%2 == 0 {
+				q = direct.Quality()
+			} else {
+				for ok := false; !ok; {
+					q, ok = direct.QualityIfReady()
 				}
 			}
-			if q != want {
-				t.Errorf("caller %d read %+v, want %+v", i, q, want)
+			if q != wantDirect {
+				t.Errorf("direct caller %d read %+v, want %+v", i, q, wantDirect)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n > 1 {
-		t.Errorf("MeasureCached measured %d times, want at most 1", n)
+	if n := engineHistogramCount(t, reg, "locshort_engine_measure_seconds"); n != 1 {
+		t.Errorf("measured %d times, want MeasureCached's 1", n)
 	}
-	if n := tr.Published(); n != 1 {
-		t.Errorf("%d traces published, want the fill's 1", n)
+	if n := tr.Published(); n != 2 {
+		t.Errorf("%d traces published, want the fills' 2", n)
 	}
 }
 
-// TestWorkerKeepsBuilder: a worker constructs on one Builder for the
-// engine's lifetime. A cold build right after two GCs, which would empty
-// a sync.Pool of Builders, allocates what a cold build before them does,
-// not a fresh Builder's scratch again. A fill whose construction panicked
-// hands its worker a fresh Builder: the next cold build pays that
-// Builder's scratch once and returns the reference construction's
-// shortcut.
+// TestWorkerKeepsBuilder: a worker constructs on one Builder. A cold
+// build right after two GCs, which would empty a sync.Pool of Builders,
+// allocates what a cold build before them does, not a fresh Builder's
+// scratch again. The worker empties its Builder at its next task after
+// RemoveGraph, and after a fill whose construction panicked: the next cold
+// build pays the scratch once more, and after the panic it returns the
+// reference construction's shortcut.
 func TestWorkerKeepsBuilder(t *testing.T) {
 	ctx := context.Background()
 	g, _, err := cli.ParseGraph("grid:32x32", 0)
@@ -326,7 +338,7 @@ func TestWorkerKeepsBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ = e.Graph(fp)
-	var parts [4]*partition.Partition
+	var parts [5]*partition.Partition
 	for i := range parts {
 		if parts[i], err = cli.ParsePartition(g, "blobs:16", int64(i+1)); err != nil {
 			t.Fatal(err)
@@ -357,17 +369,34 @@ func TestWorkerKeepsBuilder(t *testing.T) {
 		t.Errorf("a cold build after two GCs allocated %d, want at most %d + %d", afterGC, warm, builderSlack)
 	}
 
+	small, _, err := cli.ParseGraph("path:8", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := e.AddGraph(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RemoveGraph(removed); err != nil {
+		t.Fatal(err)
+	}
+	_, afterRemove := cold(3, false)
+	t.Logf("cold build after RemoveGraph: %d allocs", afterRemove)
+	if afterRemove <= warm+builderSlack {
+		t.Errorf("the build after RemoveGraph allocated %d, want a fresh Builder's scratch past %d", afterRemove, warm+builderSlack)
+	}
+
 	bad := &partition.Partition{PartOf: make([]int, g.NumNodes()), Parts: [][]int{{g.NumNodes() + 5}}}
 	var pe *obs.PanicError
 	if _, _, err := e.Build(ctx, BuildRequest{Graph: fp, Parts: bad}); !errors.As(err, &pe) {
 		t.Fatalf("a panicking construction returned %v, want an *obs.PanicError", err)
 	}
-	c, fresh := cold(3, false)
+	c, fresh := cold(4, false)
 	t.Logf("cold build after a panicked fill: %d allocs", fresh)
 	if fresh <= warm+builderSlack {
 		t.Errorf("the build after a panicked fill allocated %d, want a fresh Builder's scratch past %d", fresh, warm+builderSlack)
 	}
-	want, err := shortcut.Build(g, parts[3], shortcut.Options{})
+	want, err := shortcut.Build(g, parts[4], shortcut.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,7 @@ func levelStageName(delta int) string {
 // goroutine, every level on the same scratch.
 //
 // A Builder is NOT safe for concurrent use; concurrent callers each hold
-// their own (every internal/service engine worker keeps one for the
-// engine's lifetime).
+// their own. Its zero value is empty: assigning Builder{} drops scratch.
 // Everything a Build call returns — the Result, the Shortcut, its H
 // slices — is freshly allocated and never aliased by the builder's
 // scratch, so results stay valid across subsequent Build calls on the
