@@ -31,10 +31,7 @@
 //
 // Every other subcommand works offline on the store directory, which is
 // single-owner: run them against a stopped daemon or a copied directory,
-// never against the directory of a live locshortd. The directory is
-// opened as a segment store (store.Open), the only backend that leaves
-// state on disk; a daemon run with -store=mem has nothing to administer
-// offline (use `verify -addr` against it instead).
+// never against the directory of a live locshortd.
 // `jobs cancel` exists exactly for that offline window: a job accepted by
 // a daemon that went down re-runs on the next warm start unless it is
 // canceled here first. See OPERATIONS.md for the backup / GC / verify /
@@ -187,7 +184,7 @@ func run() error {
 	}
 }
 
-func runLs(s store.Backend) error {
+func runLs(s *store.Store) error {
 	recs := s.Records()
 	fmt.Printf("%-9s  %-16s  %8s  %s\n", "KIND", "KEY", "BYTES", "DEPENDS ON")
 	for _, r := range recs {
@@ -214,7 +211,7 @@ func runLs(s store.Backend) error {
 // runInspect decodes every record stored under fp (a fingerprint can in
 // principle key a graph, a partition, and a shortcut at once — they are
 // separate namespaces) and prints what it finds.
-func runInspect(s store.Backend, fp service.Fingerprint) error {
+func runInspect(s *store.Store, fp service.Fingerprint) error {
 	found := false
 	for _, r := range s.Records() {
 		if r.Key != fp {
@@ -261,7 +258,7 @@ func runInspect(s store.Backend, fp service.Fingerprint) error {
 	return nil
 }
 
-func runVerify(s store.Backend) error {
+func runVerify(s *store.Store) error {
 	st := s.OpenStats()
 	if st.CorruptSkipped > 0 || st.TruncatedBytes > 0 {
 		fmt.Printf("repaired on open: %d corrupt records skipped, %d bytes truncated\n",
@@ -281,7 +278,7 @@ func runVerify(s store.Backend) error {
 }
 
 // loadJobs decodes every live job record, oldest first.
-func loadJobs(s store.Backend) ([]jobs.Record, error) {
+func loadJobs(s *store.Store) ([]jobs.Record, error) {
 	var recs []jobs.Record
 	err := s.EachJob(func(id uint64, payload []byte) error {
 		rec, err := jobs.DecodeRecord(payload)
@@ -298,7 +295,7 @@ func loadJobs(s store.Backend) ([]jobs.Record, error) {
 	return recs, nil
 }
 
-func runJobsLs(s store.Backend) error {
+func runJobsLs(s *store.Store) error {
 	recs, err := loadJobs(s)
 	if err != nil {
 		return err
@@ -328,7 +325,7 @@ func runJobsLs(s store.Backend) error {
 	return nil
 }
 
-func runJobsInspect(s store.Backend, id jobs.ID) error {
+func runJobsInspect(s *store.Store, id jobs.ID) error {
 	payload, ok, err := s.GetJob(uint64(id))
 	if err != nil {
 		return err
@@ -364,7 +361,7 @@ func runJobsInspect(s store.Backend, id jobs.ID) error {
 
 // runJobsCancel durably cancels a non-terminal job record so the next
 // daemon warm start does not re-run it.
-func runJobsCancel(s store.Backend, id jobs.ID) error {
+func runJobsCancel(s *store.Store, id jobs.ID) error {
 	payload, ok, err := s.GetJob(uint64(id))
 	if err != nil {
 		return err
@@ -394,25 +391,14 @@ func runJobsCancel(s store.Backend, id jobs.ID) error {
 	return nil
 }
 
-func runGC(s store.Backend) error {
-	// GC is an optional capability (store.Compactor): an ephemeral backend
-	// reclaims space eagerly and has nothing to compact.
-	c, ok := s.(store.Compactor)
-	if !ok {
-		fmt.Println("gc: not supported by this backend (it reclaims space as records are deleted); nothing to do")
-		return nil
-	}
+func runGC(s *store.Store) error {
 	before := s.OpenStats()
-	gc, err := c.GC()
+	gc, err := s.GC()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("gc: %d live records kept (%d bytes), %d index entries dropped\n",
 		gc.LiveRecords, gc.LiveBytes, gc.DroppedRecords)
-	layout := ""
-	if gc.Segments > 0 {
-		layout = fmt.Sprintf(", %d segment(s) remain", gc.Segments)
-	}
-	fmt.Printf("gc: reclaimed %d of %d bytes%s\n", gc.ReclaimedBytes, before.Bytes, layout)
+	fmt.Printf("gc: reclaimed %d of %d bytes, %d segment(s) remain\n", gc.ReclaimedBytes, before.Bytes, gc.Segments)
 	return nil
 }

@@ -18,36 +18,18 @@ import (
 	"locshort/internal/store"
 )
 
-// ctlBackend is one backend kind the admin subcommands run against.
-type ctlBackend struct {
-	name  string
-	open  func(t *testing.T) store.Backend
-	hasGC bool
-}
-
-func ctlBackends() []ctlBackend {
-	return []ctlBackend{
-		{
-			name: "segment",
-			open: func(t *testing.T) store.Backend {
-				s, err := store.Open(t.TempDir(), store.Options{NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			hasGC: true,
-		},
-		{
-			name:  "mem",
-			open:  func(t *testing.T) store.Backend { return store.OpenMem() },
-			hasGC: false,
-		},
+// openStore opens a fresh segment store in a temporary directory.
+func openStore(t *testing.T) *store.Store {
+	t.Helper()
+	s, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 // populate stores one graph, one shortcut built on it, and one job record.
-func populate(t *testing.T, b store.Backend) {
+func populate(t *testing.T, b *store.Store) {
 	t.Helper()
 	g, _, err := cli.ParseGraph("grid:5x5", 1)
 	if err != nil {
@@ -97,128 +79,120 @@ func capture(t *testing.T, fn func() error) (string, error) {
 	return string(out), ferr
 }
 
-// TestAdminSubcommandsPerBackend drives ls, verify, jobs ls, and gc through
-// the store.Backend contract on every backend kind.
+// TestAdminSubcommandsPerBackend drives ls, verify, jobs ls, and gc over
+// a segment store.
 func TestAdminSubcommandsPerBackend(t *testing.T) {
-	for _, bk := range ctlBackends() {
-		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
-			defer b.Close()
-			populate(t, b)
+	t.Run("segment", func(t *testing.T) {
+		b := openStore(t)
+		defer b.Close()
+		populate(t, b)
 
-			out, err := capture(t, func() error { return runLs(b) })
-			if err != nil {
-				t.Fatalf("ls: %v", err)
+		out, err := capture(t, func() error { return runLs(b) })
+		if err != nil {
+			t.Fatalf("ls: %v", err)
+		}
+		for _, want := range []string{"graph", "partition", "shortcut", "1 jobs)"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("ls output missing %q:\n%s", want, out)
 			}
-			for _, want := range []string{"graph", "partition", "shortcut", "1 jobs)"} {
-				if !strings.Contains(out, want) {
-					t.Errorf("ls output missing %q:\n%s", want, out)
-				}
-			}
+		}
 
-			out, err = capture(t, func() error { return runVerify(b) })
-			if err != nil {
-				t.Fatalf("verify: %v", err)
-			}
-			if !strings.Contains(out, "store clean") {
-				t.Errorf("verify output not clean:\n%s", out)
-			}
+		out, err = capture(t, func() error { return runVerify(b) })
+		if err != nil {
+			t.Fatalf("verify: %v", err)
+		}
+		if !strings.Contains(out, "store clean") {
+			t.Errorf("verify output not clean:\n%s", out)
+		}
 
-			out, err = capture(t, func() error { return runJobsLs(b) })
-			if err != nil {
-				t.Fatalf("jobs ls: %v", err)
-			}
-			if !strings.Contains(out, "1 done") {
-				t.Errorf("jobs ls output missing the done job:\n%s", out)
-			}
+		out, err = capture(t, func() error { return runJobsLs(b) })
+		if err != nil {
+			t.Fatalf("jobs ls: %v", err)
+		}
+		if !strings.Contains(out, "1 done") {
+			t.Errorf("jobs ls output missing the done job:\n%s", out)
+		}
 
-			out, err = capture(t, func() error { return runGC(b) })
-			if err != nil {
-				t.Fatalf("gc: %v", err)
-			}
-			if bk.hasGC {
-				if !strings.Contains(out, "gc: reclaimed") {
-					t.Errorf("gc output missing summary:\n%s", out)
-				}
-			} else if !strings.Contains(out, "not supported") {
-				t.Errorf("gc on a backend without a compactor should report not supported:\n%s", out)
-			}
+		out, err = capture(t, func() error { return runGC(b) })
+		if err != nil {
+			t.Fatalf("gc: %v", err)
+		}
+		if !strings.Contains(out, "gc: reclaimed") {
+			t.Errorf("gc output missing summary:\n%s", out)
+		}
 
-			// The store must still verify clean after GC (or the no-op).
-			if _, err := capture(t, func() error { return runVerify(b) }); err != nil {
-				t.Fatalf("verify after gc: %v", err)
-			}
-		})
-	}
+		// The store must still verify clean after GC.
+		if _, err := capture(t, func() error { return runVerify(b) }); err != nil {
+			t.Fatalf("verify after gc: %v", err)
+		}
+	})
 }
 
-// TestRemoteVerifyPerBackend serves each backend's records over the peer
-// API with httptest and re-verifies them client-side, the way
+// TestRemoteVerifyPerBackend serves a segment store's records over the
+// peer API with httptest and re-verifies them client-side, the way
 // `locshortctl verify -addr` does against a live node: clean, then with
 // one byte flipped in every graph payload and record frame the node
 // serves, which must fail with one PROBLEM line per bad record.
 func TestRemoteVerifyPerBackend(t *testing.T) {
-	for _, bk := range ctlBackends() {
-		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
-			defer b.Close()
-			populate(t, b)
+	t.Run("segment", func(t *testing.T) {
+		b := openStore(t)
+		defer b.Close()
+		populate(t, b)
 
-			cl, err := cluster.New(cluster.Config{
-				Self:  "node:1",
-				Nodes: []string{"node:1"},
-				Store: b,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := cl.Handler()
-			var corrupt atomic.Bool
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if !corrupt.Load() || !strings.HasPrefix(r.URL.Path, "/v1/peer/graphs/") &&
-					!strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
-					h.ServeHTTP(w, r)
-					return
-				}
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, r)
-				body := rr.Body.Bytes()
-				body[len(body)/2] ^= 0x01
-				w.Header().Set("Content-Type", rr.Header().Get("Content-Type"))
-				w.WriteHeader(rr.Code)
-				w.Write(body)
-			}))
-			defer srv.Close()
-			addr := strings.TrimPrefix(srv.URL, "http://")
-
-			out, err := capture(t, func() error { return runRemoteVerify(addr) })
-			if err != nil {
-				t.Fatalf("remote verify: %v", err)
-			}
-			if !strings.Contains(out, "clean") {
-				t.Errorf("remote verify output not clean:\n%s", out)
-			}
-
-			corrupt.Store(true)
-			out, err = capture(t, func() error { return runRemoteVerify(addr) })
-			if err == nil || !strings.Contains(err.Error(), "2 of 2 records failed") {
-				t.Fatalf("remote verify of a corrupt node: %v, want 2 of 2 records failed", err)
-			}
-			var problems []string
-			for _, line := range strings.Split(out, "\n") {
-				if strings.HasPrefix(line, "PROBLEM: ") {
-					problems = append(problems, line)
-				}
-			}
-			if len(problems) != 2 || !strings.HasPrefix(problems[0], "PROBLEM: graph ") ||
-				!strings.HasPrefix(problems[1], "PROBLEM: shortcut ") {
-				t.Fatalf("want one PROBLEM line for the graph and one for the shortcut:\n%s", out)
-			}
-			for _, line := range problems {
-				if !strings.Contains(line, "hashes to") {
-					t.Errorf("problem is not a failed content hash: %s", line)
-				}
-			}
+		cl, err := cluster.New(cluster.Config{
+			Self:  "node:1",
+			Nodes: []string{"node:1"},
+			Store: b,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := cl.Handler()
+		var corrupt atomic.Bool
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !corrupt.Load() || !strings.HasPrefix(r.URL.Path, "/v1/peer/graphs/") &&
+				!strings.HasPrefix(r.URL.Path, "/v1/peer/records/") {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, r)
+			body := rr.Body.Bytes()
+			body[len(body)/2] ^= 0x01
+			w.Header().Set("Content-Type", rr.Header().Get("Content-Type"))
+			w.WriteHeader(rr.Code)
+			w.Write(body)
+		}))
+		defer srv.Close()
+		addr := strings.TrimPrefix(srv.URL, "http://")
+
+		out, err := capture(t, func() error { return runRemoteVerify(addr) })
+		if err != nil {
+			t.Fatalf("remote verify: %v", err)
+		}
+		if !strings.Contains(out, "clean") {
+			t.Errorf("remote verify output not clean:\n%s", out)
+		}
+
+		corrupt.Store(true)
+		out, err = capture(t, func() error { return runRemoteVerify(addr) })
+		if err == nil || !strings.Contains(err.Error(), "2 of 2 records failed") {
+			t.Fatalf("remote verify of a corrupt node: %v, want 2 of 2 records failed", err)
+		}
+		var problems []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "PROBLEM: ") {
+				problems = append(problems, line)
+			}
+		}
+		if len(problems) != 2 || !strings.HasPrefix(problems[0], "PROBLEM: graph ") ||
+			!strings.HasPrefix(problems[1], "PROBLEM: shortcut ") {
+			t.Fatalf("want one PROBLEM line for the graph and one for the shortcut:\n%s", out)
+		}
+		for _, line := range problems {
+			if !strings.Contains(line, "hashes to") {
+				t.Errorf("problem is not a failed content hash: %s", line)
+			}
+		}
+	})
 }

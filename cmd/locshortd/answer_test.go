@@ -194,7 +194,7 @@ func checkRelayedAnswers(t *testing.T, nodes []*clusterNode) {
 // checkWarmAnswers builds grid:12x12 blobs:8 seed 5 on eng behind h, waits
 // for its record to land in st, then checks a warm binary and a warm JSON
 // answer. servedBy is the node a cluster answer must name.
-func checkWarmAnswers(t *testing.T, eng *service.Engine, st store.Backend, h http.Handler,
+func checkWarmAnswers(t *testing.T, eng *service.Engine, st *store.Store, h http.Handler,
 	forwarded bool, servedBy string) {
 
 	g, _, err := cli.ParseGraph("grid:12x12", 0)

@@ -195,10 +195,10 @@ func hitServer(tb testing.TB) (c *rawClient, jsonReqs, binReqs [4][]byte) {
 // as main wires it (segment store, metrics registry, tracer, and no
 // logger, as under -quiet), on the connection loop on a loopback port. It
 // returns the node's engine, its store and its address.
-func benchNode(tb testing.TB) (*service.Engine, store.Backend, string) {
+func benchNode(tb testing.TB) (*service.Engine, *store.Store, string) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(128)
-	st, err := store.OpenBackend(store.KindSegment, tb.TempDir(), store.Options{Obs: reg})
+	st, err := store.Open(tb.TempDir(), store.Options{Obs: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func hitKey(tb testing.TB, g *graph.Graph, fp service.Fingerprint, seed int64) s
 // to addr, and sends the JSON one through c, so that key is built and
 // measured before the timed loops, then waits until st holds its record.
 func warmHit(tb testing.TB, c *rawClient, addr string, fp, key service.Fingerprint, seed int64,
-	st store.Backend) (jsonReq, binReq []byte) {
+	st *store.Store) (jsonReq, binReq []byte) {
 
 	body, err := json.Marshal(shortcutRequest{Graph: fp.String(), Partition: "blobs:16", Seed: seed})
 	if err != nil {

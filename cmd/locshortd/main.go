@@ -19,7 +19,7 @@
 //
 //	locshortd [-addr 127.0.0.1:8080] [-workers N] [-cache N] [-queue N]
 //	          [-async-queue N] [-async-workers N] [-retries N]
-//	          [-data DIR] [-store segment|mem] [-mmap=false]
+//	          [-data DIR] [-mmap=false]
 //	          [-addrfile PATH] [-pprof ADDR]
 //	          [-slow-request DUR] [-traces N] [-quiet]
 //	          [-cluster-self HOST:PORT -cluster-peers H1:P1,H2:P2,...]
@@ -64,27 +64,26 @@
 // peer stores before rebuilding (response "source":"peer"), and a
 // background anti-entropy loop (-sync-interval) pulls records each node
 // should own but lacks, so replicas converge after a node dies or
-// rejoins. The internal /v1/peer/ API this uses re-verifies every fetched
-// payload against its fingerprint — a corrupt peer can cause a miss,
-// never a wrong answer. /readyz holds 503 while a reachable peer's ring
-// configuration disagrees with this node's. Cluster mode requires -data.
+// rejoins. A record fetched over the internal /v1/peer/ API has its graph
+// and partition payloads re-hashed and its shortcut key re-derived, but
+// the key does not cover the shortcut's edge sets: a corrupt or byzantine
+// peer can cause a miss or substitute another tree-restricted shortcut
+// under the same key (DESIGN.md §9). /readyz holds 503 while a reachable
+// peer's ring configuration disagrees with this node's. Cluster mode
+// requires -data.
 // See OPERATIONS.md §9 for the cluster runbook.
 //
 // -data DIR makes the daemon durable: ingested graphs, built shortcuts,
 // and async job records persist to the store in DIR, the graph catalog
 // warm-starts on boot, and cache misses are served store-first — so a
 // restart costs a store read per shortcut instead of a rebuild stampede.
-// -store selects the backend (both pass internal/store's conformance
-// suite): "segment" (default) is the append-only
-// segment store — sealed segments are memory-mapped read-only and binary
-// responses serve their payloads as subslices of the mapping, zero-copy;
-// -mmap=false forces the portable pread path (fresh buffer, per-read
-// checksum) if a platform or filesystem misbehaves under mmap. "mem" is
-// an ephemeral in-memory backend that takes no -data: the full store
-// surface (jobs durability across the manager, verify, ls) without any
-// disk, for tests and scratch serving; a restart starts empty. See
-// OPERATIONS.md for the on-disk layout and the locshortctl runbook
-// (backup, gc, verify, jobs).
+// The store is the append-only segment store: sealed segments are
+// memory-mapped read-only and binary responses serve their payloads as
+// subslices of the mapping, zero-copy; -mmap=false forces the portable
+// pread path (fresh buffer, per-read checksum) if a platform or
+// filesystem misbehaves under mmap. Without -data the daemon keeps no
+// store and a restart starts empty. See OPERATIONS.md for the on-disk
+// layout and the locshortctl runbook (backup, gc, verify, jobs).
 //
 // -addr :0 picks a free port; the bound address is printed on stdout and,
 // with -addrfile, written to PATH so scripts (CI's smoke steps) can find
@@ -144,7 +143,6 @@ func run() error {
 		addrfile     = flag.String("addrfile", "", "write the bound address to this file")
 		pprofA       = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
 		data         = flag.String("data", "", "durable store directory (empty: in-memory only)")
-		storeKind    = flag.String("store", store.KindSegment, "storage backend: segment | mem (mem is ephemeral and takes no -data)")
 		mmapF        = flag.Bool("mmap", true, "memory-map sealed store segments for zero-copy reads (-mmap=false forces pread)")
 		slowReq      = flag.Duration("slow-request", 0, "warn with a build-stage breakdown for requests at least this slow (0: disabled)")
 		traceCap     = flag.Int("traces", 128, "build traces retained for GET /v1/traces")
@@ -173,13 +171,10 @@ func run() error {
 		Tracer:        tracer,
 		Logger:        logger,
 	}
-	var st store.Backend
-	if *storeKind == store.KindMem && *data != "" {
-		return fmt.Errorf("-store=mem is ephemeral and takes no -data")
-	}
-	if *data != "" || *storeKind == store.KindMem {
+	var st *store.Store
+	if *data != "" {
 		var err error
-		st, err = store.OpenBackend(*storeKind, *data, store.Options{Obs: reg, NoMmap: !*mmapF})
+		st, err = store.Open(*data, store.Options{Obs: reg, NoMmap: !*mmapF})
 		if err != nil {
 			return fmt.Errorf("open store: %w", err)
 		}
@@ -192,7 +187,7 @@ func run() error {
 	// build). The engine is wired back in as the graph registrar below.
 	var cl *cluster.Cluster
 	if *clusterSelf != "" {
-		if st == nil || *data == "" {
+		if st == nil {
 			return fmt.Errorf("cluster mode requires a durable -data store (peers pull records from it)")
 		}
 		var nodes []string
@@ -307,12 +302,8 @@ func run() error {
 			return fmt.Errorf("warm start: %w", err)
 		}
 		ss := st.OpenStats()
-		loc := st.Dir()
-		if loc == "" {
-			loc = "memory"
-		}
-		log.Printf("locshortd: warm start from %s store (%s): %d graphs, %d shortcut records, %d job records (%d bytes)",
-			*storeKind, loc, loaded, ss.Shortcuts, ss.Jobs, ss.Bytes)
+		log.Printf("locshortd: warm start from segment store (%s): %d graphs, %d shortcut records, %d job records (%d bytes)",
+			*data, loaded, ss.Shortcuts, ss.Jobs, ss.Bytes)
 		if ss.CorruptSkipped > 0 || ss.TruncatedBytes > 0 {
 			log.Printf("locshortd: store repair on open: %d corrupt records skipped, %d bytes truncated",
 				ss.CorruptSkipped, ss.TruncatedBytes)

@@ -38,7 +38,7 @@ type serverOptions struct {
 	cluster *cluster.Cluster
 	// store is the durable store behind the engine (nil without -data);
 	// the binary /v1/shortcuts path serves stored payloads straight from it.
-	store store.Backend
+	store *store.Store
 }
 
 // errStarting is the 503 body served on /v1/ routes before readiness.
@@ -193,7 +193,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 				s.metrics.inFlight.Add(-1)
 				s.metrics.observe(route, rec.status, dur)
 			}
-			s.logRequest(id, route, rec.status, dur, &rec.info)
+			s.logRequest(id, route, rec.status, start, dur, &rec.info)
 			*rec = statusRecorder{}
 			recorderPool.Put(rec)
 		}()
@@ -205,7 +205,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 // logRequest emits the structured request line. Requests at or over the
 // slow-request threshold escalate to warn and carry the build's per-stage
 // breakdown, so a slow cold build is diagnosable from the log alone.
-func (s *server) logRequest(id, route string, status int, dur time.Duration, ri *reqInfo) {
+func (s *server) logRequest(id, route string, status int, start time.Time, dur time.Duration, ri *reqInfo) {
 	if s.logger == nil {
 		return
 	}
@@ -217,7 +217,7 @@ func (s *server) logRequest(id, route string, status int, dur time.Duration, ri 
 		kv = append(kv, "graph", ri.graph.String(), "shortcut", shortcut, "source", ri.source)
 	}
 	if s.slowRequest > 0 && dur >= s.slowRequest {
-		if stages := s.stageSummary(shortcut); stages != "" {
+		if stages := s.stageSummary(shortcut, start); stages != "" {
 			kv = append(kv, "stages", stages)
 		}
 		s.logger.Warn("slow_request", kv...)
@@ -227,15 +227,17 @@ func (s *server) logRequest(id, route string, status int, dur time.Duration, ri 
 }
 
 // stageSummary renders the span breakdown of the most recent retained
-// trace for the given shortcut key ("choose_root=1.2ms bfs_tree=..."),
-// or "" when no trace for it is retained. Slow requests are rare, so a
-// linear scan over the recent ring is fine.
-func (s *server) stageSummary(shortcut string) string {
+// trace for the given shortcut key ("choose_root=1.2ms bfs_tree=...")
+// that ended at or after start, when the request began, or "" when no
+// such trace is retained. A request that started or joined the fill gets
+// its stages; a cache hit, which ran none, does not get an older build's.
+// Slow requests are rare, so a linear scan over the recent ring is fine.
+func (s *server) stageSummary(shortcut string, start time.Time) string {
 	if s.tracer == nil || shortcut == "" {
 		return ""
 	}
 	for _, t := range s.tracer.Recent(0) {
-		if t.Fingerprint != shortcut {
+		if t.Fingerprint != shortcut || t.Start+t.DurNs < start.UnixNano() {
 			continue
 		}
 		parts := make([]string, len(t.Spans))

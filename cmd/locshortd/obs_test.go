@@ -264,7 +264,8 @@ func decodeBody(resp *http.Response, out any) error {
 // every request trips it, and asserts the escalated warn line carries the
 // per-stage breakdown of the build it served: with the measurement for a
 // JSON answer, and without it for a binary one, whose fill measures
-// nothing but still publishes its trace.
+// nothing but still publishes its trace. A cache hit ran no stages, and
+// its line carries none.
 func TestSlowRequestWarn(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(16)
@@ -295,6 +296,23 @@ func TestSlowRequestWarn(t *testing.T) {
 		return strings.Contains(s, "level=warn") && strings.Contains(s, "msg=slow_request") &&
 			strings.Contains(s, "choose_root=") && strings.Contains(s, "measure=")
 	})
+
+	var hit struct {
+		Source string `json:"source"`
+	}
+	postJSON(t, ts.URL+"/v1/shortcuts",
+		map[string]any{"graph": g.Graph, "partition": "blobs:4"}, http.StatusOK, &hit)
+	if hit.Source != "cache" {
+		t.Fatalf("repeated request served from %q, want cache", hit.Source)
+	}
+	eventually(t, "cache-hit slow_request warn", func() bool {
+		return strings.Contains(logbuf.String(), "source=cache")
+	})
+	for _, line := range strings.Split(logbuf.String(), "\n") {
+		if strings.Contains(line, "source=cache") && strings.Contains(line, "stages=") {
+			t.Errorf("a cache hit's warn line carries an earlier build's stages: %s", line)
+		}
+	}
 
 	fp, err := service.ParseFingerprint(g.Graph)
 	if err != nil {

@@ -46,7 +46,7 @@ type server struct {
 	// otherwise): the binary /v1/shortcuts response path serves the stored
 	// canonical payload from it — zero-copy off a mapped segment — instead
 	// of re-encoding the cached result.
-	st store.Backend
+	st *store.Store
 	// encodeErrs counts response encode/write failures
 	// (locshort_http_encode_errors_total).
 	encodeErrs atomic.Uint64

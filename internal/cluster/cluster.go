@@ -58,7 +58,7 @@ type Config struct {
 	// per DownBackoff once the doubling reaches it.
 	DownBackoff time.Duration
 	// Store is the node's durable store; fetched records import into it.
-	Store store.Backend
+	Store *store.Store
 	// Obs, when non-nil, registers the cluster metric families.
 	Obs *obs.Registry
 	// Logger, when non-nil, receives forward/sync/drift log lines.
@@ -109,7 +109,7 @@ type Cluster struct {
 	ring  *Ring
 	self  string
 	peers []string // Nodes minus Self, sorted
-	st    store.Backend
+	st    *store.Store
 	log   *obs.Logger
 
 	mu        sync.RWMutex
@@ -335,7 +335,7 @@ type InventoryEntry struct {
 
 // Inventory is GET /v1/peer/inventory: the node's live record keys,
 // optionally restricted to the fingerprint arc (lo, hi] (?lo=&hi=, the
-// wrapping convention of store.Backend.ShortcutInventory).
+// wrapping convention of store.Store.ShortcutInventory).
 type Inventory struct {
 	Shortcuts []InventoryEntry `json:"shortcuts"`
 	Graphs    []string         `json:"graphs"`

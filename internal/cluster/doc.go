@@ -54,11 +54,14 @@
 // form is a fetch error, not a fallback. The ring, the inventory and
 // error envelopes are JSON.
 //
-// Nothing received from a peer is trusted: graph and partition payloads are
-// re-hashed to their fingerprints, shortcut payloads are structurally
-// re-validated and their keys re-derived from (graph, partition, options)
-// before a record is served or imported. A byzantine or corrupt peer can
-// cause a miss, never a wrong answer.
+// What a peer sends is re-checked before a record is served or imported:
+// graph and partition payloads are re-hashed to their fingerprints,
+// shortcut payloads are structurally re-validated (every H_i an unrepeated
+// set of tree edges) and their keys re-derived from (graph, partition,
+// options). The key does not cover the H sets, so a byzantine or corrupt
+// peer can cause a miss or substitute another tree-restricted shortcut
+// under the same key (DESIGN.md §9); ROADMAP item 1's certificate is the
+// planned fix.
 //
 // Every node must be configured with the identical membership, vnode count,
 // and replication factor; ConfigHash digests those, peers exchange it on

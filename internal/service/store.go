@@ -21,9 +21,9 @@ import (
 // the engine calls PutShortcut from detached goroutines and GetShortcut
 // from worker-pool jobs.
 //
-// This interface is one face of the full storage contract store.Backend;
-// the semantics every implementation must honor are documented there and
-// enforced by internal/store's conformance suite.
+// This interface is the engine's face of *store.Store; the semantics an
+// implementation must honor are documented there and enforced by
+// internal/store's conformance suite.
 type Store interface {
 	// PutGraph persists g under fp (a FingerprintGraph of g). Re-putting
 	// known content must be a cheap no-op.

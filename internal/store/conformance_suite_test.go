@@ -16,26 +16,41 @@ import (
 	"locshort/internal/store"
 )
 
+// backend is what the suite drives: the record, peer, admin and
+// compaction methods of a store over the shared record index. The segment
+// store and the test-only object-directory store both provide it.
+type backend interface {
+	service.Store
+	jobs.Store
+	GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error)
+	ShortcutPayload(key service.Fingerprint) ([]byte, bool, error)
+	HasShortcut(key service.Fingerprint) bool
+	GraphKnown(fp service.Fingerprint) bool
+	ShortcutRecord(key service.Fingerprint) (store.PeerRecord, bool, error)
+	ShortcutInventory(lo, hi uint64) []store.InventoryEntry
+	GraphFingerprints() []service.Fingerprint
+	ImportShortcut(rec store.PeerRecord) (*graph.Graph, bool, error)
+	Records() []store.RecordInfo
+	Verify() []store.Problem
+	OpenStats() store.OpenStats
+	GC() (store.GCStats, error)
+	Close() error
+}
+
 // factory describes one backend to run the conformance suite against.
 type factory struct {
 	// Name labels the backend in test output.
 	Name string
-	// New opens a fresh backend rooted at dir (fatal on error).
-	New func(t testing.TB, dir string) store.Backend
-	// Reopen reopens dir after a Close, preserving durable state. nil
-	// declares the backend ephemeral: reopen-dependent cases instead
-	// assert that a fresh instance starts empty.
-	Reopen func(t testing.TB, dir string) store.Backend
-	// NewFS opens a backend whose filesystem access is routed through
+	// Open opens the backend rooted at dir, fresh or over the durable
+	// state a Close left (fatal on error).
+	Open func(t testing.TB, dir string) backend
+	// OpenFS opens a backend whose filesystem access is routed through
 	// fsys, with syncing enabled, returning rather than failing the test
-	// on error (a crash schedule may legitimately break Open). nil skips
-	// the fault-injection cases. Requires Reopen.
-	NewFS func(t testing.TB, dir string, fsys store.FS) (store.Backend, error)
+	// on error (a crash schedule may legitimately break the open).
+	OpenFS func(t testing.TB, dir string, fsys store.FS) (backend, error)
 	// Corrupt tampers with at least one stored record payload byte on
-	// disk (called between Close and Reopen). nil skips the tamper case.
+	// disk (called between Close and a reopen).
 	Corrupt func(t testing.TB, dir string)
-	// HasGC declares the backend implements store.Compactor.
-	HasGC bool
 }
 
 // families is one spec per generator family, with a partition shape.
@@ -92,7 +107,7 @@ func makeFixture(t testing.TB, spec, partSpec string, seed int64) *fixture {
 }
 
 // put persists the fixture's graph and shortcut.
-func (fx *fixture) put(t testing.TB, b store.Backend) {
+func (fx *fixture) put(t testing.TB, b backend) {
 	t.Helper()
 	if err := b.PutGraph(fx.gfp, fx.g); err != nil {
 		t.Fatalf("%s: PutGraph: %v", fx.spec, err)
@@ -121,7 +136,7 @@ func (fx *fixture) encode(t testing.TB, parts *partition.Partition, res *shortcu
 }
 
 // checkGet round-trips every record of the fixture through b.
-func (fx *fixture) checkGet(t testing.TB, b store.Backend) {
+func (fx *fixture) checkGet(t testing.TB, b backend) {
 	t.Helper()
 	g2, ok, err := b.GetGraph(fx.gfp)
 	if err != nil || !ok {
@@ -160,7 +175,7 @@ func jobPayload(t testing.TB, id uint64, state jobs.State) []byte {
 	return payload
 }
 
-func mustVerifyClean(t testing.TB, b store.Backend) {
+func mustVerifyClean(t testing.TB, b backend) {
 	t.Helper()
 	if problems := b.Verify(); len(problems) != 0 {
 		t.Fatalf("Verify: %d problems, first: %v", len(problems), problems[0])
@@ -168,13 +183,14 @@ func mustVerifyClean(t testing.TB, b store.Backend) {
 }
 
 // runConformance exercises the full conformance suite against the backend
-// f builds. The suite is the executable contract for store.Backend: every
-// storage backend must pass it. The segment store runs through it as the
-// reference implementation; the in-memory and object-directory backends
-// prove equivalence by passing the identical suite; a future tiered or
-// replicated backend starts by passing it too.
+// f builds. The suite is the executable contract documented on
+// store.Store. The segment store runs through it as the shipped
+// implementation; the test-only object-directory store passes the
+// identical suite, which shows the contract lives in the record index and
+// not in the segment log; a future tiered or replicated payload store
+// starts by passing it too.
 //
-// The suite covers the contract documented on store.Backend — round-trips
+// The suite covers that contract — round-trips
 // for every record kind across the graph families, idempotent re-puts,
 // tombstone deletes, no-resurrection, iteration/warm-start ordering,
 // payload verification (tampered bytes are detected, never served),
@@ -184,10 +200,6 @@ func mustVerifyClean(t testing.TB, b store.Backend) {
 // crash-at-every-Nth-op sweep with reopen, asserting acknowledged records
 // survive and the store never serves a record that fails re-verification.
 func runConformance(t *testing.T, f factory) {
-	if f.NewFS != nil && f.Reopen == nil {
-		t.Fatal("factory.NewFS requires factory.Reopen")
-	}
-
 	t.Run("RoundTripFamilies", func(t *testing.T) { runRoundTrip(t, f) })
 	t.Run("IdempotentRePuts", func(t *testing.T) { runIdempotent(t, f) })
 	t.Run("TombstoneDelete", func(t *testing.T) { runTombstone(t, f) })
@@ -197,30 +209,21 @@ func runConformance(t *testing.T, f factory) {
 	t.Run("GraphPayloadVerified", func(t *testing.T) { runGraphPayload(t, f) })
 	t.Run("PeerSurface", func(t *testing.T) { runPeerSurface(t, f) })
 	t.Run("Concurrency", func(t *testing.T) { runConcurrency(t, f) })
-	if f.HasGC {
-		t.Run("GCUnderConcurrentReaders", func(t *testing.T) { runGCUnderReaders(t, f) })
-	}
-	if f.Corrupt != nil {
-		t.Run("TamperedPayload", func(t *testing.T) { runTamper(t, f) })
-	}
-	if f.NewFS != nil {
-		t.Run("FaultInjection", func(t *testing.T) {
-			t.Run("FailedFsync", func(t *testing.T) { runFailedFsync(t, f) })
-			t.Run("TornWrite", func(t *testing.T) { runTornWrite(t, f) })
-			if f.HasGC {
-				t.Run("FaultMidGC", func(t *testing.T) { runFaultMidGC(t, f) })
-			}
-			t.Run("CrashReopenSweep", func(t *testing.T) { runCrashSweep(t, f) })
-		})
-	}
+	t.Run("GCUnderConcurrentReaders", func(t *testing.T) { runGCUnderReaders(t, f) })
+	t.Run("TamperedPayload", func(t *testing.T) { runTamper(t, f) })
+	t.Run("FaultInjection", func(t *testing.T) {
+		t.Run("FailedFsync", func(t *testing.T) { runFailedFsync(t, f) })
+		t.Run("TornWrite", func(t *testing.T) { runTornWrite(t, f) })
+		t.Run("FaultMidGC", func(t *testing.T) { runFaultMidGC(t, f) })
+		t.Run("CrashReopenSweep", func(t *testing.T) { runCrashSweep(t, f) })
+	})
 }
 
 // runRoundTrip persists every record kind across every graph family and
-// round-trips them, then again across a reopen (durable backends) or
-// against a fresh instance (ephemeral backends start empty).
+// round-trips them, then again across a reopen.
 func runRoundTrip(t *testing.T, f factory) {
 	dir := t.TempDir()
-	b := f.New(t, dir)
+	b := f.Open(t, dir)
 	var fxs []*fixture
 	for _, fam := range families {
 		fx := makeFixture(t, fam.spec, fam.parts, 1)
@@ -246,17 +249,7 @@ func runRoundTrip(t *testing.T, f factory) {
 		t.Fatal(err)
 	}
 
-	if f.Reopen == nil {
-		b2 := f.New(t, dir)
-		if st := b2.OpenStats(); st.Graphs != 0 || st.Shortcuts != 0 || st.Jobs != 0 {
-			t.Fatalf("ephemeral backend not empty after restart: %+v", st)
-		}
-		if err := b2.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		return
-	}
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 	for _, fx := range fxs {
 		fx.checkGet(t, b2)
@@ -274,7 +267,7 @@ func runRoundTrip(t *testing.T, f factory) {
 
 // runIdempotent re-puts known content and checks nothing grows.
 func runIdempotent(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:6x6", "blobs:4", 2)
 	fx.put(t, b)
@@ -292,11 +285,10 @@ func runIdempotent(t *testing.T, f factory) {
 }
 
 // runTombstone deletes one graph and checks the delete takes out its
-// shortcuts, spares unrelated records, and (durable backends) survives
-// reopen.
+// shortcuts, spares unrelated records, and survives reopen.
 func runTombstone(t *testing.T, f factory) {
 	dir := t.TempDir()
-	b := f.New(t, dir)
+	b := f.Open(t, dir)
 	fxA := makeFixture(t, "grid:6x6", "blobs:4", 3)
 	fxB := makeFixture(t, "torus:4x4", "blobs:3", 3)
 	fxA.put(t, b)
@@ -307,7 +299,7 @@ func runTombstone(t *testing.T, f factory) {
 	if err := b.DeleteGraph(service.Fingerprint(0xdead)); err != nil {
 		t.Fatalf("deleting an absent graph must be a no-op, got %v", err)
 	}
-	checkGone := func(b store.Backend, when string) {
+	checkGone := func(b backend, when string) {
 		t.Helper()
 		if _, ok, err := b.GetGraph(fxA.gfp); ok || err != nil {
 			t.Fatalf("%s: deleted graph still served: ok=%v err=%v", when, ok, err)
@@ -325,10 +317,7 @@ func runTombstone(t *testing.T, f factory) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Reopen == nil {
-		return
-	}
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 	checkGone(b2, "after reopen")
 	mustVerifyClean(t, b2)
@@ -337,7 +326,7 @@ func runTombstone(t *testing.T, f factory) {
 // runNoResurrection checks a PutShortcut racing behind DeleteGraph is
 // silently dropped.
 func runNoResurrection(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:5x5", "blobs:4", 4)
 	if err := b.PutGraph(fx.gfp, fx.g); err != nil {
@@ -358,7 +347,7 @@ func runNoResurrection(t *testing.T, f factory) {
 // runIterationOrder checks the deterministic warm-start orders: EachGraph
 // ascends by fingerprint, EachJob by job ID.
 func runIterationOrder(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	want := make(map[service.Fingerprint]bool)
 	for _, fam := range families[:5] {
@@ -410,7 +399,7 @@ func runIterationOrder(t *testing.T, f factory) {
 // runWrongPartition checks a stored shortcut read back against the wrong
 // partition surfaces an error, never a silently wrong result.
 func runWrongPartition(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "grid:6x6", "blobs:4", 6)
 	fx.put(t, b)
@@ -428,7 +417,7 @@ func runWrongPartition(t *testing.T, f factory) {
 
 // runGraphPayload checks PutGraphPayload verifies content before writing.
 func runGraphPayload(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	fx := makeFixture(t, "wheel:30", "blobs:3", 7)
 	payload := store.EncodeGraphPayload(fx.g)
@@ -453,7 +442,7 @@ func runGraphPayload(t *testing.T, f factory) {
 // runPeerSurface checks the inventory/export/import surface cluster
 // replication rides on.
 func runPeerSurface(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
 	for _, fam := range families[:4] {
@@ -509,7 +498,7 @@ func runPeerSurface(t *testing.T, f factory) {
 	if _, _, _, _, err := store.VerifyPeerRecord(rec); err != nil {
 		t.Fatalf("exported record fails verification: %v", err)
 	}
-	b2 := f.New(t, t.TempDir())
+	b2 := f.Open(t, t.TempDir())
 	defer b2.Close()
 	if _, written, err := b2.ImportShortcut(rec); err != nil || !written {
 		t.Fatalf("ImportShortcut: written=%v err=%v", written, err)
@@ -524,7 +513,7 @@ func runPeerSurface(t *testing.T, f factory) {
 	bad := rec
 	bad.ShortcutPayload = append([]byte(nil), rec.ShortcutPayload...)
 	bad.ShortcutPayload[len(bad.ShortcutPayload)-1] ^= 0x01
-	b3 := f.New(t, t.TempDir())
+	b3 := f.Open(t, t.TempDir())
 	defer b3.Close()
 	if _, _, err := b3.ImportShortcut(bad); err == nil {
 		t.Fatal("ImportShortcut accepted a tampered payload")
@@ -538,7 +527,7 @@ func runPeerSurface(t *testing.T, f factory) {
 // -race matrix entry turns this into the suite's schedule check. The
 // backend must stay error-free and verify clean.
 func runConcurrency(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
 	for _, fam := range families[:3] {
@@ -607,7 +596,7 @@ func runConcurrency(t *testing.T, f factory) {
 // runGCUnderReaders pins the graveyard contract: payload slices handed out
 // before a GC must stay byte-stable across it.
 func runGCUnderReaders(t *testing.T, f factory) {
-	b := f.New(t, t.TempDir())
+	b := f.Open(t, t.TempDir())
 	defer b.Close()
 	var fxs []*fixture
 	for _, fam := range families[:4] {
@@ -659,11 +648,7 @@ func runGCUnderReaders(t *testing.T, f factory) {
 	if err := b.DeleteGraph(victim.gfp); err != nil {
 		t.Fatal(err)
 	}
-	gc, ok := b.(store.Compactor)
-	if !ok {
-		t.Fatal("factory.HasGC set but backend does not implement store.Compactor")
-	}
-	stats, err := gc.GC()
+	stats, err := b.GC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,11 +675,8 @@ func runGCUnderReaders(t *testing.T, f factory) {
 // runTamper flips stored payload bytes on disk and checks the backend
 // detects the damage and never serves an unverifiable record.
 func runTamper(t *testing.T, f factory) {
-	if f.Reopen == nil {
-		t.Skip("tamper case needs a durable backend")
-	}
 	dir := t.TempDir()
-	b := f.New(t, dir)
+	b := f.Open(t, dir)
 	var fxs []*fixture
 	for _, fam := range families[:4] {
 		fx := makeFixture(t, fam.spec, fam.parts, 11)
@@ -705,7 +687,7 @@ func runTamper(t *testing.T, f factory) {
 		t.Fatal(err)
 	}
 	f.Corrupt(t, dir)
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 
 	st := b2.OpenStats()
@@ -740,7 +722,7 @@ func runTamper(t *testing.T, f factory) {
 func runFailedFsync(t *testing.T, f factory) {
 	dir := t.TempDir()
 	efs := newErrFS()
-	b, err := f.NewFS(t, dir, efs)
+	b, err := f.OpenFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -768,7 +750,7 @@ func runFailedFsync(t *testing.T, f factory) {
 		t.Fatalf("Close before reopen: %v", err)
 	}
 
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 	fx1.checkGet(t, b2)
 	mustVerifyClean(t, b2)
@@ -780,7 +762,7 @@ func runFailedFsync(t *testing.T, f factory) {
 func runTornWrite(t *testing.T, f factory) {
 	dir := t.TempDir()
 	efs := newErrFS()
-	b, err := f.NewFS(t, dir, efs)
+	b, err := f.OpenFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,7 +795,7 @@ func runTornWrite(t *testing.T, f factory) {
 		t.Fatalf("Close before reopen: %v", err)
 	}
 
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 	fx1.checkGet(t, b2)
 	if _, ok, err := b2.GetGraph(fx2.gfp); err != nil || !ok {
@@ -827,7 +809,7 @@ func runTornWrite(t *testing.T, f factory) {
 func runFaultMidGC(t *testing.T, f factory) {
 	dir := t.TempDir()
 	efs := newErrFS()
-	b, err := f.NewFS(t, dir, efs)
+	b, err := f.OpenFS(t, dir, efs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,10 +822,6 @@ func runFaultMidGC(t *testing.T, f factory) {
 	if err := b.DeleteGraph(fxs[0].gfp); err != nil {
 		t.Fatal(err)
 	}
-	gc, ok := b.(store.Compactor)
-	if !ok {
-		t.Fatal("factory.HasGC set but backend does not implement store.Compactor")
-	}
 
 	var once sync.Once
 	efs.setHook(func(op fsOp) fsFault {
@@ -851,7 +829,7 @@ func runFaultMidGC(t *testing.T, f factory) {
 		once.Do(func() { fault = fsFault{Err: errInjected} })
 		return fault
 	})
-	if _, err := gc.GC(); err == nil {
+	if _, err := b.GC(); err == nil {
 		t.Fatal("GC succeeded through an injected fault")
 	}
 	efs.setHook(nil)
@@ -860,7 +838,7 @@ func runFaultMidGC(t *testing.T, f factory) {
 		fx.checkGet(t, b)
 	}
 	mustVerifyClean(t, b)
-	if _, err := gc.GC(); err != nil {
+	if _, err := b.GC(); err != nil {
 		t.Fatalf("GC after fault cleared: %v", err)
 	}
 	for _, fx := range fxs[1:] {
@@ -871,7 +849,7 @@ func runFaultMidGC(t *testing.T, f factory) {
 		t.Fatalf("Close before reopen: %v", err)
 	}
 
-	b2 := f.Reopen(t, dir)
+	b2 := f.Open(t, dir)
 	defer b2.Close()
 	for _, fx := range fxs[1:] {
 		fx.checkGet(t, b2)
@@ -882,7 +860,7 @@ func runFaultMidGC(t *testing.T, f factory) {
 // crashStep is one scripted operation of the crash sweep workload.
 type crashStep struct {
 	desc string
-	run  func(b store.Backend) error
+	run  func(b backend) error
 	// apply folds an acknowledged step into the expected live set;
 	// clobber marks the keys whose post-crash state is indeterminate when
 	// the step did NOT acknowledge.
@@ -916,13 +894,13 @@ func runCrashSweep(t *testing.T, f factory) {
 	steps := []crashStep{
 		{
 			desc:    "put graph A",
-			run:     func(b store.Backend) error { return b.PutGraph(fxA.gfp, fxA.g) },
+			run:     func(b backend) error { return b.PutGraph(fxA.gfp, fxA.g) },
 			apply:   func(m *crashModel) { m.graphs[fxA.gfp] = 1 },
 			clobber: func(m *crashModel) { m.graphs[fxA.gfp] = 0 },
 		},
 		{
 			desc: "put shortcut A",
-			run: func(b store.Backend) error {
+			run: func(b backend) error {
 				return b.PutShortcut(fxA.key, fxA.gfp, fxA.parts, fxA.opts, fxA.res, fxA.bt)
 			},
 			// An error-free PutShortcut only guarantees the record when the
@@ -939,19 +917,19 @@ func runCrashSweep(t *testing.T, f factory) {
 		},
 		{
 			desc:    "put job 7",
-			run:     func(b store.Backend) error { return b.PutJob(7, mustJobPayload(7)) },
+			run:     func(b backend) error { return b.PutJob(7, mustJobPayload(7)) },
 			apply:   func(m *crashModel) { m.jobs[7] = 1 },
 			clobber: func(m *crashModel) { m.jobs[7] = 0 },
 		},
 		{
 			desc:    "put graph B",
-			run:     func(b store.Backend) error { return b.PutGraph(fxB.gfp, fxB.g) },
+			run:     func(b backend) error { return b.PutGraph(fxB.gfp, fxB.g) },
 			apply:   func(m *crashModel) { m.graphs[fxB.gfp] = 1 },
 			clobber: func(m *crashModel) { m.graphs[fxB.gfp] = 0 },
 		},
 		{
 			desc: "put shortcut B",
-			run: func(b store.Backend) error {
+			run: func(b backend) error {
 				return b.PutShortcut(fxB.key, fxB.gfp, fxB.parts, fxB.opts, fxB.res, fxB.bt)
 			},
 			apply: func(m *crashModel) {
@@ -965,7 +943,7 @@ func runCrashSweep(t *testing.T, f factory) {
 		},
 		{
 			desc: "delete graph A",
-			run:  func(b store.Backend) error { return b.DeleteGraph(fxA.gfp) },
+			run:  func(b backend) error { return b.DeleteGraph(fxA.gfp) },
 			// A delete erases what the store saw. If the graph put never
 			// acknowledged, the delete was a no-op over a possibly-durable
 			// latent record, which may legitimately revive at reopen — only
@@ -991,7 +969,7 @@ func runCrashSweep(t *testing.T, f factory) {
 		},
 		{
 			desc:    "put job 8",
-			run:     func(b store.Backend) error { return b.PutJob(8, mustJobPayload(8)) },
+			run:     func(b backend) error { return b.PutJob(8, mustJobPayload(8)) },
 			apply:   func(m *crashModel) { m.jobs[8] = 1 },
 			clobber: func(m *crashModel) { m.jobs[8] = 0 },
 		},
@@ -1002,7 +980,7 @@ func runCrashSweep(t *testing.T, f factory) {
 	total := func() int {
 		efs := newErrFS()
 		dir := t.TempDir()
-		b, err := f.NewFS(t, dir, efs)
+		b, err := f.OpenFS(t, dir, efs)
 		if err != nil {
 			t.Fatalf("dry run open: %v", err)
 		}
@@ -1027,7 +1005,7 @@ func runCrashSweep(t *testing.T, f factory) {
 			efs := newErrFS()
 			efs.crashAtOp(n)
 			model := newCrashModel()
-			b, err := f.NewFS(t, dir, efs)
+			b, err := f.OpenFS(t, dir, efs)
 			if err == nil {
 				for _, st := range steps {
 					if err := st.run(b); err != nil {
@@ -1039,7 +1017,7 @@ func runCrashSweep(t *testing.T, f factory) {
 				_ = b.Close() // errors expected under a crashed FS
 			}
 
-			b2 := f.Reopen(t, dir)
+			b2 := f.Open(t, dir)
 			defer b2.Close()
 			for fp, want := range model.graphs {
 				g, ok, err := b2.GetGraph(fp)

@@ -13,11 +13,12 @@ import (
 	"locshort/internal/store"
 )
 
-// The conformance suite is the executable form of the store.Backend
-// contract. Both backends run the identical suite over the shared record
-// index; the segment store adds the durability and fault-injection cases.
+// The conformance suite is the executable form of the contract documented
+// on store.Store. It runs over the segment store and over the test-only
+// object-directory store; the segment store adds its own durability and
+// fault-injection regressions below.
 
-func openSegment(t testing.TB, dir string) store.Backend {
+func openSegment(t testing.TB, dir string) backend {
 	t.Helper()
 	s, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
@@ -26,31 +27,18 @@ func openSegment(t testing.TB, dir string) store.Backend {
 	return s
 }
 
-func segmentFactory() factory {
-	return factory{
-		Name:   "segment",
-		New:    openSegment,
-		Reopen: openSegment,
-		NewFS: func(t testing.TB, dir string, fsys store.FS) (store.Backend, error) {
+func TestConformanceSegment(t *testing.T) {
+	runConformance(t, factory{
+		Name: "segment",
+		Open: openSegment,
+		OpenFS: func(t testing.TB, dir string, fsys store.FS) (backend, error) {
 			return store.Open(dir, store.Options{FS: fsys})
 		},
 		Corrupt: corruptSegment,
-		HasGC:   true,
-	}
-}
-
-func TestConformanceSegment(t *testing.T) {
-	runConformance(t, segmentFactory())
-}
-
-func TestConformanceMem(t *testing.T) {
-	runConformance(t, factory{
-		Name: "mem",
-		New:  func(t testing.TB, dir string) store.Backend { return store.OpenMem() },
 	})
 }
 
-func openObjDir(t testing.TB, dir string) store.Backend {
+func openObjDir(t testing.TB, dir string) backend {
 	t.Helper()
 	o, err := store.OpenTestObjDir(dir, store.Options{NoSync: true})
 	if err != nil {
@@ -64,14 +52,12 @@ func openObjDir(t testing.TB, dir string) store.Backend {
 // unlinks several files rather than appending one tombstone frame.
 func TestConformanceObjDir(t *testing.T) {
 	runConformance(t, factory{
-		Name:   "objdir",
-		New:    openObjDir,
-		Reopen: openObjDir,
-		NewFS: func(t testing.TB, dir string, fsys store.FS) (store.Backend, error) {
+		Name: "objdir",
+		Open: openObjDir,
+		OpenFS: func(t testing.TB, dir string, fsys store.FS) (backend, error) {
 			return store.OpenTestObjDir(dir, store.Options{FS: fsys})
 		},
 		Corrupt: corruptObjDir,
-		HasGC:   true,
 	})
 }
 

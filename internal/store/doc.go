@@ -36,16 +36,13 @@
 // format comment in store.go and OPERATIONS.md for the operator runbook
 // (locshortctl ls / inspect / verify / gc).
 //
-// The full contract the layers above depend on is written down as the
-// Backend interface (backend.go) and enforced by the conformance suite
-// (conformance_suite_test.go). It is implemented once, by the shared
-// record index (kvcore.go): the live-record map, tombstone drops,
-// verification, listings, and the peer surface. A backend is only
-// the payload store underneath that index: the append-only segment log
-// (Store, the default and the only durable backend) or a map (Mem,
-// ephemeral). OpenBackend selects between them — the daemon's -store
-// flag. Space reclamation is the optional Compactor capability, not part
-// of Backend. See DESIGN.md §11.
+// The contract the layers above depend on is written down on Store and
+// enforced by the conformance suite (conformance_suite_test.go). It is
+// implemented by the record index (kvcore.go): the live-record map,
+// tombstone drops, verification, listings, and the peer surface, over a
+// payload store that holds the bytes — the append-only segment log. The
+// suite also runs the index over a test-only object directory
+// (objdir_test.go). See DESIGN.md §11.
 //
 // # Role in the DAG
 //
@@ -54,7 +51,7 @@
 // the Store interface it implements — the interface lives in service so
 // the dependency points downward), and internal/jobs (record decoding
 // for verification; store likewise implements jobs.Store). Consumed by
-// cmd/locshortd and cmd/locshortctl.
+// cmd/locshortd, cmd/locshortctl and internal/cluster.
 //
 // The package is inside the checked-error scope policed by the
 // internal/analysis lint suite (DESIGN.md §12): Close/Sync/Flush/Encode

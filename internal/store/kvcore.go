@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -13,25 +14,22 @@ import (
 	"locshort/internal/shortcut"
 )
 
-// kvCore is the one record index behind every backend: the live-record map
-// keyed by (kind, fingerprint), the graph → dependent-shortcut reverse
-// index that tombstones walk, and every Backend method, layered over a
-// payloadStore that holds the bytes. The segment store (Store) puts the
-// append-only log underneath; Mem puts a map. The payload encodings are
-// the same everywhere, so the backends are interoperable at the
-// peer-exchange layer and verified by the same decoders; only durability
-// and placement differ.
+// kvCore is the store's record index: the live-record map keyed by
+// (kind, fingerprint), the graph → dependent-shortcut reverse index that
+// tombstones walk, and every record method, layered over a payloadStore
+// that holds the bytes. The segment store (Store) puts the append-only log
+// underneath; the conformance suite also runs it over a test-only object
+// directory (objdir_test.go).
 //
 // Locking: writeMu serializes mutations and is held across payload writes
 // and fsyncs. mu guards the index and the payload store's in-memory tables
-// (the log's segment table, Mem's map) and is held only for short critical
-// sections, never across a sync, so reads are not stalled behind
-// persistence. A read takes mu.RLock once for the index lookup and the
-// payload read together, so it never straddles a delete or a GC swap.
-// Lock order: writeMu before mu.
+// (the log's segment table) and is held only for short critical sections,
+// never across a sync, so reads are not stalled behind persistence. A read
+// takes mu.RLock once for the index lookup and the payload read together,
+// so it never straddles a delete or a GC swap. Lock order: writeMu before
+// mu.
 type kvCore struct {
-	kind string // backend kind, for error messages
-	ps   payloadStore
+	ps payloadStore
 
 	writeMu sync.Mutex
 
@@ -49,7 +47,7 @@ type indexKey struct {
 
 // kvMeta is the index entry for one live record. The payload store fills
 // in the location: on the log, the segment, the frame offset, and the full
-// frame size; Mem leaves seg and off zero and size is the payload length.
+// frame size.
 type kvMeta struct {
 	seg     int
 	off     int64
@@ -77,9 +75,6 @@ type payloadStore interface {
 	// (the log's frame checksum, which mapped reads skip). The caller
 	// holds mu.
 	check(meta kvMeta) error
-	// drop releases the payload of a record leaving the index. The caller
-	// holds mu exclusively.
-	drop(ik indexKey)
 	// stats fills in the footprint and repair fields of st. The caller
 	// holds mu.
 	stats(st *OpenStats)
@@ -93,14 +88,13 @@ type entry struct {
 	meta kvMeta
 }
 
-func (c *kvCore) init(kind string, ps payloadStore) {
-	c.kind = kind
+func (c *kvCore) init(ps payloadStore) {
 	c.ps = ps
 	c.index = make(map[indexKey]kvMeta)
 	c.byGraph = make(map[service.Fingerprint]map[service.Fingerprint]struct{})
 }
 
-func (c *kvCore) errClosed() error { return fmt.Errorf("store: %s backend closed", c.kind) }
+var errClosed = errors.New("store: closed")
 
 // countLocked adjusts the live count of kind by d. Caller holds mu.
 func (c *kvCore) countLocked(kind byte, d int) {
@@ -160,7 +154,6 @@ func (c *kvCore) removeLocked(ik indexKey) {
 	if _, ok := c.index[ik]; ok {
 		delete(c.index, ik)
 		c.countLocked(ik.kind, -1)
-		c.ps.drop(ik)
 	}
 }
 
@@ -267,7 +260,7 @@ func (c *kvCore) putFrame(kind byte, key service.Fingerprint, frame []byte) erro
 	closed := c.closed
 	c.mu.RUnlock()
 	if closed {
-		return c.errClosed()
+		return errClosed
 	}
 	var sm shortcutMeta
 	if kind == kindShortcut {
@@ -477,7 +470,7 @@ func (c *kvCore) DeleteGraph(fp service.Fingerprint) error {
 	haveDeps := len(c.byGraph[fp]) > 0
 	c.mu.RUnlock()
 	if closed {
-		return c.errClosed()
+		return errClosed
 	}
 	if !haveGraph && !haveDeps {
 		return nil
@@ -532,9 +525,8 @@ type RecordInfo struct {
 	// Kind is "graph", "partition", "shortcut", or "job".
 	Kind string
 	Key  service.Fingerprint
-	// Segment and Offset locate the record on disk (zero without a
-	// segment log); Bytes is its stored size — the framed size in a
-	// segment, the payload size in memory.
+	// Segment and Offset locate the record's frame on disk; Bytes is the
+	// frame's size.
 	Segment int
 	Offset  int64
 	Bytes   int64

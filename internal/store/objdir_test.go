@@ -12,7 +12,7 @@ import (
 	"locshort/internal/service"
 )
 
-// testObjDir is a test-only third backend: the shared record index over an
+// testObjDir is a test-only second store: the shared record index over an
 // object-directory payload store, one file per live record, grouped into
 // one directory per record kind:
 //
@@ -22,7 +22,7 @@ import (
 //	<dir>/jobs/<%016x>.obj
 //
 // The conformance suite runs it (TestConformanceObjDir) to show that the
-// Backend contract lives in kvCore and not in the segment log: a payload
+// store's contract lives in kvCore and not in the segment log: a payload
 // store whose delete unlinks several files, instead of appending one
 // atomic tombstone frame, still passes every case, the crash-at-every-op
 // sweep included. It is not a shipped backend.
@@ -30,11 +30,6 @@ type testObjDir struct {
 	kvCore
 	d *dirPayloads
 }
-
-var (
-	_ Backend   = (*testObjDir)(nil)
-	_ Compactor = (*testObjDir)(nil)
-)
 
 const (
 	objSuffix    = ".obj"
@@ -57,11 +52,11 @@ var objScanOrder = []byte{kindGraph, kindPartition, kindJob, kindShortcut}
 // backend rooted at dir. It rebuilds the index by listing the kind
 // directories, removes stranded temp files, and sweeps shortcut objects a
 // crashed delete orphaned; swept objects count in OpenStats.CorruptSkipped.
-func OpenTestObjDir(dir string, opts Options) (Backend, error) {
+func OpenTestObjDir(dir string, opts Options) (*testObjDir, error) {
 	opts = opts.withDefaults()
 	o := &testObjDir{}
 	o.d = &dirPayloads{dir: dir, fsys: opts.FS, noSync: opts.NoSync, c: &o.kvCore}
-	o.init("objdir", o.d)
+	o.init(o.d)
 	for _, kind := range objScanOrder {
 		if err := o.d.fsys.MkdirAll(filepath.Join(dir, objKindDirs[kind]), 0o755); err != nil {
 			return nil, fmt.Errorf("store: objdir %s: %w", dir, err)
@@ -117,9 +112,6 @@ func (o *testObjDir) scanKind(kind byte) error {
 	return nil
 }
 
-// Dir returns the backend's root directory.
-func (o *testObjDir) Dir() string { return o.d.dir }
-
 // GC drops partitions no live shortcut references from the index, then
 // removes every file in the kind directories that does not back a live
 // record (those partitions, stranded temps, objects a crashed delete left).
@@ -130,7 +122,7 @@ func (o *testObjDir) GC() (GCStats, error) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
-		return st, o.errClosed()
+		return st, errClosed
 	}
 	keep, dropped := o.compactionSetLocked()
 	o.reindexLocked(keep)
@@ -277,8 +269,6 @@ func (d *dirPayloads) read(ik indexKey, _ kvMeta) ([]byte, error) {
 }
 
 func (d *dirPayloads) check(kvMeta) error { return nil }
-
-func (d *dirPayloads) drop(indexKey) {}
 
 func (d *dirPayloads) stats(st *OpenStats) {
 	for _, meta := range d.c.index {

@@ -16,10 +16,12 @@ import (
 // graph and partition payloads it depends on, all in the exact canonical
 // encodings the store already persists. Because graph and partition payloads
 // hash to their own record keys and a shortcut payload re-derives its key
-// from its stored inputs, a fetched record proves its own integrity:
-// VerifyPeerRecord re-hashes and re-derives everything, so a peer (or a
-// man-in-the-middle) cannot make a node accept bytes under a key they do not
-// hash to. That property is what makes cross-node replication trustless.
+// from its stored inputs, VerifyPeerRecord re-hashes and re-derives them,
+// so a peer (or a man-in-the-middle) cannot make a node accept graph or
+// partition bytes under a key they do not hash to, nor a shortcut under
+// another (graph, partition, options). The key does not cover the H sets:
+// another tree-restricted shortcut under the same key verifies too
+// (DESIGN.md §9).
 
 // PeerRecord is one shortcut and its dependency closure, as raw store
 // payloads. The fingerprints are the claimed record keys; nothing is trusted
@@ -103,8 +105,8 @@ func DecodePeerShortcut(rec PeerRecord, g *graph.Graph, parts *partition.Partiti
 // graph, and the shortcut must validate structurally and re-derive Key
 // from its stored (graph, partition, options), in the key-only read. The
 // graph payload is held to DecodeGraphPayload's size limits. On success it
-// returns the decoded objects, the partition the record's own; nothing
-// about the record was taken on trust.
+// returns the decoded objects, the partition the record's own. The H sets
+// are checked only structurally; the key does not cover them.
 func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shortcut.Result, time.Duration, error) {
 	g, err := decodeGraph(rec.GraphPayload, rec.GraphFP, true)
 	if err != nil {

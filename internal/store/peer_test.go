@@ -205,59 +205,51 @@ func TestShortcutRecordMissing(t *testing.T) {
 // graph has vanished halfway through the read (which a peer handler would
 // turn into a 500 instead of a 404).
 func TestShortcutRecordSnapshotUnderDelete(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		open func(t *testing.T) Backend
-	}{
-		{"segment", func(t *testing.T) Backend { return mustOpen(t, t.TempDir()) }},
-		{"mem", func(t *testing.T) Backend { return OpenMem() }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			b := c.open(t)
-			defer b.Close()
-			g, p, res := buildFixture(t, "grid:5x5", "blobs:3", 4)
-			gfp := service.FingerprintGraph(g)
-			key := service.ShortcutKey(gfp, p, shortcut.Options{})
-			put := func() {
-				if err := b.PutGraph(gfp, g); err != nil {
+	t.Run("segment", func(t *testing.T) {
+		b := mustOpen(t, t.TempDir())
+		defer b.Close()
+		g, p, res := buildFixture(t, "grid:5x5", "blobs:3", 4)
+		gfp := service.FingerprintGraph(g)
+		key := service.ShortcutKey(gfp, p, shortcut.Options{})
+		put := func() {
+			if err := b.PutGraph(gfp, g); err != nil {
+				t.Error(err)
+			}
+			if err := b.PutShortcut(key, gfp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
+				t.Error(err)
+			}
+		}
+		put()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 300; i++ {
+				if err := b.DeleteGraph(gfp); err != nil {
 					t.Error(err)
 				}
-				if err := b.PutShortcut(key, gfp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
-					t.Error(err)
-				}
+				put()
 			}
-			put()
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 0; i < 300; i++ {
-					if err := b.DeleteGraph(gfp); err != nil {
-						t.Error(err)
-					}
-					put()
-				}
-			}()
-			hits, misses := 0, 0
-			for running := true; running; {
-				select {
-				case <-done:
-					running = false
-				default:
-				}
-				rec, ok, err := b.ShortcutRecord(key)
-				if err != nil {
-					t.Fatalf("ShortcutRecord during churn: %v", err)
-				}
-				if !ok {
-					misses++
-					continue
-				}
-				hits++
-				if _, _, _, _, err := VerifyPeerRecord(rec); err != nil {
-					t.Fatalf("ShortcutRecord returned an unverifiable snapshot: %v", err)
-				}
+		}()
+		hits, misses := 0, 0
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
 			}
-			t.Logf("%d hits, %d misses", hits, misses)
-		})
-	}
+			rec, ok, err := b.ShortcutRecord(key)
+			if err != nil {
+				t.Fatalf("ShortcutRecord during churn: %v", err)
+			}
+			if !ok {
+				misses++
+				continue
+			}
+			hits++
+			if _, _, _, _, err := VerifyPeerRecord(rec); err != nil {
+				t.Fatalf("ShortcutRecord returned an unverifiable snapshot: %v", err)
+			}
+		}
+		t.Logf("%d hits, %d misses", hits, misses)
+	})
 }

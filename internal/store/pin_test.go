@@ -214,14 +214,13 @@ const (
 	getShortcutAllocsRace    = 20
 )
 
-// TestStoreReadAllocs pins the read path's allocation counts on both
-// backends: raw payload reads and existence checks allocate nothing (on
-// the segment store, from a sealed, memory-mapped segment), and a decoded
-// GetShortcut stays within getShortcutKeyOnlyAllocs or
-// getShortcutGivenAllocs whatever the graph's size.
+// TestStoreReadAllocs pins the read path's allocation counts: raw payload
+// reads and existence checks from a sealed, memory-mapped segment allocate
+// nothing, and a decoded GetShortcut stays within getShortcutKeyOnlyAllocs
+// or getShortcutGivenAllocs whatever the graph's size.
 func TestStoreReadAllocs(t *testing.T) {
 	type fixture struct {
-		b     Backend
+		b     *Store
 		key   service.Fingerprint
 		fp    service.Fingerprint
 		parts *partition.Partition
@@ -272,26 +271,11 @@ func TestStoreReadAllocs(t *testing.T) {
 			return fixture{s, key, fp, p}
 		}
 	}
-	mem := func(t *testing.T) fixture {
-		m := OpenMem()
-		t.Cleanup(func() { m.Close() })
-		g, p, res := buildFixture(t, "grid:6x6", "blobs:4", 3)
-		fp := service.FingerprintGraph(g)
-		if err := m.PutGraph(fp, g); err != nil {
-			t.Fatal(err)
-		}
-		key := service.ShortcutKey(fp, p, shortcut.Options{})
-		if err := m.PutShortcut(key, fp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return fixture{m, key, fp, p}
-	}
 	for _, c := range []struct {
 		name string
 		open func(*testing.T) fixture
 	}{
 		{"segment", segment("grid:6x6", "blobs:4")},
-		{"mem", mem},
 		{"segment_grid32x32", segment("grid:32x32", "blobs:16")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -416,100 +400,85 @@ func TestPutShortcutAllocs(t *testing.T) {
 	}
 }
 
-// TestGetShortcutKeyOnly pins the key-only read, on both backends: with
-// a nil partition GetShortcut decodes the record's own partition record,
+// TestGetShortcutKeyOnly pins the key-only read: with a nil partition
+// GetShortcut decodes the record's own partition record,
 // and the result is canonical-identical to the read given the request's
 // partition, with the record's partition in canonical part order. A
 // partition record that is missing, or whose bytes no longer hash to the
 // fingerprint the shortcut names, fails the key-only read cleanly — an
 // error, no result — while the partition-given read does not need it.
 func TestGetShortcutKeyOnly(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		open func(t *testing.T) (Backend, *kvCore)
-	}{
-		{"segment", func(t *testing.T) (Backend, *kvCore) {
-			s := mustOpen(t, t.TempDir())
-			t.Cleanup(func() { s.Close() })
-			return s, &s.kvCore
-		}},
-		{"mem", func(t *testing.T) (Backend, *kvCore) {
-			m := OpenMem()
-			t.Cleanup(func() { m.Close() })
-			return m, &m.kvCore
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			b, core := c.open(t)
-			g, p, res := buildFixture(t, "torus:7x7", "blobs:6", 2)
-			fp := service.FingerprintGraph(g)
-			pfp := service.FingerprintPartition(p)
-			key := service.ShortcutKey(fp, p, shortcut.Options{})
-			if err := b.PutGraph(fp, g); err != nil {
-				t.Fatal(err)
+	t.Run("segment", func(t *testing.T) {
+		b := mustOpen(t, t.TempDir())
+		defer b.Close()
+		g, p, res := buildFixture(t, "torus:7x7", "blobs:6", 2)
+		fp := service.FingerprintGraph(g)
+		pfp := service.FingerprintPartition(p)
+		key := service.ShortcutKey(fp, p, shortcut.Options{})
+		if err := b.PutGraph(fp, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.PutShortcut(key, fp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		given, bt, ok, err := b.GetShortcut(key, g, p)
+		if err != nil || !ok {
+			t.Fatalf("GetShortcut(parts): ok=%v err=%v", ok, err)
+		}
+		own, bt2, ok, err := b.GetShortcut(key, g, nil)
+		if err != nil || !ok {
+			t.Fatalf("GetShortcut(key only): ok=%v err=%v", ok, err)
+		}
+		want, err := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, given, bt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeShortcutRecordPayload(fp, own.Shortcut.Parts, shortcut.Options{}, own, bt2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("key-only read is not canonical-identical to the partition-given read")
+		}
+		op := own.Shortcut.Parts
+		if service.FingerprintPartition(op) != pfp {
+			t.Fatal("key-only read decoded a partition with another fingerprint")
+		}
+		next := 0
+		for _, i := range op.PartOf {
+			if i > next {
+				t.Fatalf("record partition not in canonical part order: part %d before %d", i, next)
 			}
-			if err := b.PutShortcut(key, fp, p, shortcut.Options{}, res, time.Millisecond); err != nil {
-				t.Fatal(err)
+			if i == next {
+				next++
 			}
-			given, bt, ok, err := b.GetShortcut(key, g, p)
-			if err != nil || !ok {
-				t.Fatalf("GetShortcut(parts): ok=%v err=%v", ok, err)
-			}
-			own, bt2, ok, err := b.GetShortcut(key, g, nil)
-			if err != nil || !ok {
-				t.Fatalf("GetShortcut(key only): ok=%v err=%v", ok, err)
-			}
-			want, err := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, given, bt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EncodeShortcutRecordPayload(fp, own.Shortcut.Parts, shortcut.Options{}, own, bt2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("key-only read is not canonical-identical to the partition-given read")
-			}
-			op := own.Shortcut.Parts
-			if service.FingerprintPartition(op) != pfp {
-				t.Fatal("key-only read decoded a partition with another fingerprint")
-			}
-			next := 0
-			for _, i := range op.PartOf {
-				if i > next {
-					t.Fatalf("record partition not in canonical part order: part %d before %d", i, next)
-				}
-				if i == next {
-					next++
-				}
-			}
+		}
 
-			// Tampered: the partition record's bytes no longer hash to pfp.
-			bad := encodePartition(p)
-			bad[len(bad)-1] ^= 1
-			core.writeMu.Lock()
-			err = core.putRecord(kindPartition, pfp, bad)
-			core.writeMu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
-				t.Fatalf("key-only read of a tampered partition record: ok=%v err=%v", ok, err)
-			}
-			if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
-				t.Fatalf("partition-given read after tampering: ok=%v err=%v", ok, err)
-			}
+		// Tampered: the partition record's bytes no longer hash to pfp.
+		bad := encodePartition(p)
+		bad[len(bad)-1] ^= 1
+		b.writeMu.Lock()
+		err = b.putRecord(kindPartition, pfp, bad)
+		b.writeMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
+			t.Fatalf("key-only read of a tampered partition record: ok=%v err=%v", ok, err)
+		}
+		if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
+			t.Fatalf("partition-given read after tampering: ok=%v err=%v", ok, err)
+		}
 
-			// Missing: the partition record leaves the index.
-			core.mu.Lock()
-			core.removeLocked(indexKey{kind: kindPartition, key: pfp})
-			core.mu.Unlock()
-			if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
-				t.Fatalf("key-only read without a partition record: ok=%v err=%v", ok, err)
-			}
-			if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
-				t.Fatalf("partition-given read without a partition record: ok=%v err=%v", ok, err)
-			}
-		})
-	}
+		// Missing: the partition record leaves the index.
+		b.mu.Lock()
+		b.removeLocked(indexKey{kind: kindPartition, key: pfp})
+		b.mu.Unlock()
+		if r, _, ok, err := b.GetShortcut(key, g, nil); err == nil || ok || r != nil {
+			t.Fatalf("key-only read without a partition record: ok=%v err=%v", ok, err)
+		}
+		if _, _, ok, err := b.GetShortcut(key, g, p); err != nil || !ok {
+			t.Fatalf("partition-given read without a partition record: ok=%v err=%v", ok, err)
+		}
+	})
 }

@@ -114,8 +114,7 @@ type OpenStats struct {
 	Segments int
 	// Graphs, Partitions, Shortcuts, Jobs count live records by kind.
 	Graphs, Partitions, Shortcuts, Jobs int
-	// Bytes is the total size of all segment files (the live payload
-	// bytes on a backend without segments).
+	// Bytes is the total size of all segment files.
 	Bytes int64
 	// MappedSegments counts segments currently served zero-copy from a
 	// read-only memory mapping (sealed segments only; zero with
@@ -131,19 +130,40 @@ type OpenStats struct {
 
 // Store is a content-addressed, append-only snapshot store for graphs,
 // partitions, and built shortcuts, durably keyed by the service layer's
-// 64-bit fingerprints: the shared record index (kvCore) over the segment
-// log. It implements Backend and Compactor. All methods are safe for
-// concurrent use; a directory must be owned by one Store at a time (run
-// locshortctl against a stopped daemon or a copied directory).
+// 64-bit fingerprints: the record index (kvCore) over the segment log. It
+// is the engine's service.Store, the job manager's jobs.Store, the peer
+// surface internal/cluster replicates through (peer.go), and the admin
+// surface locshortctl reads. A directory must be owned by one Store at a
+// time (run locshortctl against a stopped daemon or a copied directory).
+//
+// Contract highlights, enforced by the conformance suite
+// (conformance_suite_test.go):
+//
+//   - Content addressing: graph and partition payloads are exactly the
+//     canonical encodings their fingerprints hash; a payload that does not
+//     hash to its key is never written (PutGraphPayload, ImportShortcut)
+//     and never served (every Get decodes with verification).
+//   - Idempotent re-puts: re-putting known content is a cheap no-op; live
+//     record counts do not grow.
+//   - Tombstone deletes: DeleteGraph removes the graph record and every
+//     shortcut built on it, and the delete survives reopen; deleting an
+//     absent graph is a no-op.
+//   - No resurrection: PutShortcut for a graph that is no longer live is
+//     silently dropped (a detached engine persist can race DeleteGraph).
+//   - Iteration order: EachGraph ascends by fingerprint, EachJob by job
+//     ID, so warm starts are deterministic.
+//   - Verification: a record that exists but fails validation surfaces as
+//     an error (or a Verify problem), never as a wrong answer.
+//   - Concurrency: every method is safe for concurrent use; reads are not
+//     stalled behind other requests' persistence.
 type Store struct {
 	kvCore
 	log *segLog
 }
 
 var (
-	_ Backend    = (*Store)(nil)
-	_ Compactor  = (*Store)(nil)
-	_ jobs.Store = (*Store)(nil)
+	_ service.Store = (*Store)(nil)
+	_ jobs.Store    = (*Store)(nil)
 )
 
 // segLog is the segment store's payloadStore: framed, checksummed appends
@@ -193,7 +213,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{}
 	l := &segLog{dir: dir, opts: opts, fs: opts.FS, mu: &s.mu, segs: make(map[int]*segment)}
 	s.log = l
-	s.init(KindSegment, l)
+	s.init(l)
 	// A gc.seg.tmp left by a GC that crashed before its rename is dead
 	// weight — replay ignores the name, so without this sweep it would
 	// leak disk forever.
@@ -238,9 +258,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.log.dir }
 
 // listSegments returns the segment sequence numbers in dir, ascending.
 func listSegments(fs FS, dir string) ([]int, error) {
@@ -507,10 +524,6 @@ func checkFrame(frame []byte) error {
 	return nil
 }
 
-// drop is a no-op: a dropped record's frame stays on disk, hidden by the
-// index (and by its tombstone on replay), until GC rewrites the segments.
-func (l *segLog) drop(indexKey) {}
-
 func (l *segLog) stats(st *OpenStats) {
 	st.Segments = len(l.segs)
 	for _, seg := range l.segs {
@@ -578,7 +591,7 @@ func (s *Store) GC() (GCStats, error) {
 	keep, dropped := s.compactionSetLocked()
 	s.mu.RUnlock()
 	if closed {
-		return st, s.errClosed()
+		return st, errClosed
 	}
 	l := s.log
 	seg, err := l.compact(keep)

@@ -209,7 +209,7 @@ func TestUpgradeFromV1(t *testing.T) {
 		t.Fatalf("%d shortcut records in sealed segments and %d in the active one, want both", sealed, active)
 	}
 
-	fresh := OpenMem()
+	fresh := mustOpen(t, t.TempDir())
 	defer fresh.Close()
 	e := service.New(service.Config{Store: s})
 	defer e.Close()
