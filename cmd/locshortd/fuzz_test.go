@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"locshort/internal/graph"
 	"locshort/internal/jobs"
 	"locshort/internal/service"
+	"locshort/internal/wire"
 )
 
 // fuzzMaxCost bounds the graphs FuzzResolve builds, in specCost units
@@ -108,9 +110,10 @@ func FuzzResolve(f *testing.F) {
 // the scanner takes must decode through strictUnmarshal without error to
 // the same partition, seed and options, a graph whose ParseFingerprint is
 // the scanned fingerprint, no parts and no async. Every other body goes to
-// strictUnmarshal, which decides it. The seeds are the bodies every client
-// sends, spaced and unspaced, and handedOnBodies, each of which the
-// scanner must hand on.
+// strictUnmarshal, which decides it. The interning scan, through a table
+// small enough to fill, must decode every body as the copying one does.
+// The seeds are the bodies every client sends, spaced and unspaced, and
+// handedOnBodies, each of which the scanner must hand on.
 func FuzzDecodeShortcutJSON(f *testing.F) {
 	const fp = "0123456789abcdef"
 	for _, body := range []string{plainBody, `{"graph":"FP","partition":"blobs:16","seed":1}`,
@@ -120,13 +123,17 @@ func FuzzDecodeShortcutJSON(f *testing.F) {
 	}
 	for _, tc := range handedOnBodies {
 		body := []byte(strings.ReplaceAll(tc.body, "FP", fp))
-		if _, ok := scanShortcutJSON(body); ok {
+		if _, ok := scanShortcutJSON(body, nil); ok {
 			f.Fatalf("%s: scanned, but the scanner must hand it on", tc.name)
 		}
 		f.Add(body)
 	}
+	strs := wire.NewInterner(16, 8)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, ok := scanShortcutJSON(body)
+		got, ok := scanShortcutJSON(body, nil)
+		if interned, iok := scanShortcutJSON(body, strs); iok != ok || !reflect.DeepEqual(interned, got) {
+			t.Fatalf("%q: interning scan %+v (%v), copying scan %+v (%v)", body, interned, iok, got, ok)
+		}
 		if !ok {
 			return
 		}

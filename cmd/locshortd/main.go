@@ -77,11 +77,12 @@
 // and async job records persist to the store in DIR, the graph catalog
 // warm-starts on boot, and cache misses are served store-first — so a
 // restart costs a store read per shortcut instead of a rebuild stampede.
-// The store is the append-only segment store: sealed segments are
-// memory-mapped read-only and binary responses serve their payloads as
-// subslices of the mapping, zero-copy; -mmap=false forces the portable
-// pread path (fresh buffer, per-read checksum) if a platform or
-// filesystem misbehaves under mmap. Without -data the daemon keeps no
+// The store is the append-only segment store: every segment is
+// memory-mapped read-only from the moment it becomes active, and binary
+// responses serve their payloads as subslices of the mapping, zero-copy
+// (a record of the active segment has its checksum checked in place);
+// -mmap=false forces the portable pread path (fresh buffer, per-read
+// checksum) if a platform or filesystem misbehaves under mmap. Without -data the daemon keeps no
 // store and a restart starts empty. See OPERATIONS.md for the on-disk
 // layout and the locshortctl runbook (backup, gc, verify, jobs).
 //
@@ -143,7 +144,7 @@ func run() error {
 		addrfile     = flag.String("addrfile", "", "write the bound address to this file")
 		pprofA       = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
 		data         = flag.String("data", "", "durable store directory (empty: in-memory only)")
-		mmapF        = flag.Bool("mmap", true, "memory-map sealed store segments for zero-copy reads (-mmap=false forces pread)")
+		mmapF        = flag.Bool("mmap", true, "memory-map store segments, the active one included, for zero-copy reads (-mmap=false forces pread)")
 		slowReq      = flag.Duration("slow-request", 0, "warn with a build-stage breakdown for requests at least this slow (0: disabled)")
 		traceCap     = flag.Int("traces", 128, "build traces retained for GET /v1/traces")
 		quiet        = flag.Bool("quiet", false, "suppress per-request log lines (metrics and traces stay on)")

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"locshort/internal/jobs"
 	"locshort/internal/service"
+	"locshort/internal/wire"
 )
 
 // handedOnBodies are JSON shortcut bodies of every kind scanShortcutJSON
@@ -91,4 +95,93 @@ func TestHandedOnBodiesAnswerAsBefore(t *testing.T) {
 		}
 		t.Errorf("%s: %d %s; want %d %q (a 200 is %s)", tc.name, status, body, tc.status, tc.err, warm)
 	}
+}
+
+// TestDecodedStringsOwnTheirBytes: a shortcut request's partition and
+// options, JSON or binary, first seen, held by the server's intern table,
+// or too long for it, survive the body buffer being overwritten and handed
+// back to framePool. A memo hit carries Spec into Engine.Build, whose fill
+// may parse it on a worker after the handler has pooled the body again.
+func TestDecodedStringsOwnTheirBytes(t *testing.T) {
+	_, srv := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	const fp = service.Fingerprint(0x0123456789abcdef)
+	scribble := func() {
+		var held [4]*[]byte
+		for i := range held {
+			held[i] = framePool.Get().(*[]byte)
+			b := (*held[i])[:cap(*held[i])]
+			for j := range b {
+				b[j] = '#'
+			}
+		}
+		for _, bp := range held {
+			framePool.Put(bp)
+		}
+	}
+	for _, spec := range []string{"blobs:4", strings.Repeat("x", keyMemoSpec+1)} {
+		want := shortcutRequest{fp: fp, hasFP: true, Partition: spec, Seed: 3, Options: "cf=2"}
+		bodies := map[string][]byte{
+			"application/json": []byte(`{"graph":"` + fp.String() + `","partition":"` + spec + `","seed":3,"options":"cf=2"}`),
+			wire.ContentType: wire.AppendShortcutRequest(nil, wire.ShortcutRequest{
+				Graph: fp, Partition: spec, Seed: 3, Options: "cf=2"}),
+		}
+		for ct, body := range bodies {
+			for round := range 2 {
+				r := httptest.NewRequest(http.MethodPost, "/v1/shortcuts", bytes.NewReader(body))
+				r.Header.Set("Content-Type", ct)
+				got, err := readShortcutRequest(httptest.NewRecorder(), r, srv.strs)
+				scribble()
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d-byte spec, round %d: %+v, %v; want %+v", ct, len(spec), round, got, err, want)
+				}
+			}
+		}
+		buf := append([]byte(nil), bodies["application/json"]...)
+		got, err := decodeShortcutJSON(buf, srv.strs)
+		clear(buf)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte spec with its body cleared: %+v, %v; want %+v", len(spec), got, err, want)
+		}
+	}
+}
+
+// TestRequestStringsPastTheInternBounds: a spec the server's intern table
+// holds scans with no allocation, so the scanner makes no closure or method
+// value per request. Once the table holds keyMemoLimit strings, a new spec
+// still decodes, JSON or binary, as a fresh copy on every request; so does
+// a spec longer than keyMemoSpec.
+func TestRequestStringsPastTheInternBounds(t *testing.T) {
+	_, srv := newTestServer(t, service.Config{Workers: 1}, jobs.Config{})
+	const fp = service.Fingerprint(0x0123456789abcdef)
+	jsonBody := func(spec string) []byte {
+		return []byte(`{"graph":"` + fp.String() + `","partition":"` + spec + `","seed":3}`)
+	}
+	decodes := func(spec string, want float64) {
+		t.Helper()
+		jb := jsonBody(spec)
+		bb := wire.AppendShortcutRequest(nil, wire.ShortcutRequest{Graph: fp, Partition: spec, Seed: 3})
+		for name, decode := range map[string]func() string{
+			"JSON": func() string { req, _ := scanShortcutJSON(jb, srv.strs); return req.Partition },
+			"binary": func() string {
+				req, _ := wire.DecodeShortcutRequestInterned(bb, srv.strs)
+				return req.Partition
+			},
+		} {
+			n := testing.AllocsPerRun(20, func() {
+				if got := decode(); got != spec {
+					t.Fatalf("%s: partition %q, want %q", name, got, spec)
+				}
+			})
+			if !raceEnabled && n != want {
+				t.Errorf("%s, %d-byte spec: %.1f allocs, want %v", name, len(spec), n, want)
+			}
+		}
+	}
+	decodes("blobs:4", 0)
+	for i := range keyMemoLimit {
+		scanShortcutJSON(jsonBody(fmt.Sprintf("fill:%d", i)), srv.strs)
+	}
+	decodes("blobs:4", 0)
+	decodes("rows:2x2", 1)
+	decodes(strings.Repeat("x", keyMemoSpec+1), 1)
 }

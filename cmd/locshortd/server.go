@@ -71,6 +71,13 @@ type server struct {
 	// instance the engine no longer holds.
 	keysMu sync.RWMutex
 	keys   map[keyMemoKey]service.Fingerprint
+	// strs interns the partition spec and options of shortcut request
+	// bodies, JSON and binary, so a repeat request decodes without
+	// allocating: at most keyMemoLimit strings of at most keyMemoSpec
+	// bytes, ordinary heap copies. Nothing decoded aliases the pooled
+	// body, which the next request overwrites while a memo hit's Spec may
+	// still be parsed by a fill on an engine worker.
+	strs *wire.Interner
 }
 
 // keyMemoKey is one memoized request shape; a struct key, so a lookup
@@ -85,7 +92,8 @@ type keyMemoKey struct {
 
 // keyMemoLimit caps the key memo; far above any realistic working set
 // (the shortcut cache holds far fewer entries anyway). keyMemoSpec caps
-// the spec and options bytes one entry may retain.
+// the spec and options bytes one entry may retain. The request-string
+// intern table has the same two bounds.
 const (
 	keyMemoLimit = 4096
 	keyMemoSpec  = 256
@@ -109,6 +117,7 @@ func newServer(eng *service.Engine, jcfg jobs.Config, o serverOptions) (*server,
 		cl:          o.cluster,
 		st:          o.store,
 		keys:        make(map[keyMemoKey]service.Fingerprint),
+		strs:        wire.NewInterner(keyMemoLimit, keyMemoSpec),
 	}
 	if o.reg != nil {
 		o.reg.CounterFunc("locshort_http_encode_errors_total",
@@ -838,7 +847,7 @@ func (rel *relayed) jobResult() (json.RawMessage, error) {
 }
 
 func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
-	req, err := readShortcutRequest(w, r)
+	req, err := readShortcutRequest(w, r, s.strs)
 	if err != nil {
 		s.httpError(w, statusFor(err), err)
 		return
@@ -882,7 +891,8 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 }
 
 // framePool recycles the byte buffers of shortcut requests: their bodies,
-// JSON or binary, decoded into fresh values and dropped; the frames relay
+// JSON or binary, decoded into values that alias none of their bytes
+// (interned or fresh strings) and dropped; the frames relay
 // sends to an owner, copied into the connection's buffer; and rendered
 // JSON answers, copied by the writer. Either way the buffer can take the
 // next one. Buffers over maxPooledBuf are not kept.
@@ -897,8 +907,8 @@ func putFrame(bp *[]byte, frame []byte) {
 }
 
 // readShortcutRequest reads a shortcut request body, binary or JSON, into
-// a pooled buffer and decodes it.
-func readShortcutRequest(w http.ResponseWriter, r *http.Request) (shortcutRequest, error) {
+// a pooled buffer and decodes it, its strings taken through strs.
+func readShortcutRequest(w http.ResponseWriter, r *http.Request, strs *wire.Interner) (shortcutRequest, error) {
 	bp := framePool.Get().(*[]byte)
 	body, err := readBody(w, r, *bp)
 	defer putFrame(bp, body)
@@ -906,9 +916,9 @@ func readShortcutRequest(w http.ResponseWriter, r *http.Request) (shortcutReques
 		return shortcutRequest{}, &statusError{status: decodeStatus(err), err: err}
 	}
 	if !wire.IsBinary(r.Header.Get("Content-Type")) {
-		return decodeShortcutJSON(body)
+		return decodeShortcutJSON(body, strs)
 	}
-	frame, err := wire.DecodeShortcutRequest(body)
+	frame, err := wire.DecodeShortcutRequestInterned(body, strs)
 	if err != nil {
 		return shortcutRequest{}, badRequest(err)
 	}
@@ -922,8 +932,8 @@ func readShortcutRequest(w http.ResponseWriter, r *http.Request) (shortcutReques
 // writes every error. The fallback's request is declared in its branch: a
 // pointer handed to encoding/json moves its target to the heap, and a
 // scanned body should not pay that.
-func decodeShortcutJSON(body []byte) (shortcutRequest, error) {
-	if req, ok := scanShortcutJSON(body); ok {
+func decodeShortcutJSON(body []byte, strs *wire.Interner) (shortcutRequest, error) {
+	if req, ok := scanShortcutJSON(body, strs); ok {
 		return req, nil
 	}
 	var req shortcutRequest
@@ -944,10 +954,11 @@ func decodeShortcutJSON(body []byte) (shortcutRequest, error) {
 // encoding/json folds key case, unescapes, takes the last of repeated
 // keys, reads null, fails what it must and ignores what follows the
 // object, and the scanner need not. FuzzDecodeShortcutJSON holds every
-// scanned body to what strictUnmarshal decodes.
+// scanned body to what strictUnmarshal decodes. The partition and options
+// strings come through strs (nil: fresh copies), never as views of b.
 //
 //locshort:hotpath
-func scanShortcutJSON(b []byte) (req shortcutRequest, ok bool) {
+func scanShortcutJSON(b []byte, strs *wire.Interner) (req shortcutRequest, ok bool) {
 	const (
 		seenGraph = 1 << iota
 		seenPartition
@@ -981,11 +992,11 @@ func scanShortcutJSON(b []byte) (req shortcutRequest, ok bool) {
 		case "partition":
 			bit = seenPartition
 			v, i, valid = scanJSONString(b, i)
-			req.Partition = string(v)
+			req.Partition = strs.String(v)
 		case "options":
 			bit = seenOptions
 			v, i, valid = scanJSONString(b, i)
-			req.Options = string(v)
+			req.Options = strs.String(v)
 		case "seed":
 			bit = seenSeed
 			req.Seed, i, valid = scanJSONSeed(b, i)

@@ -319,3 +319,65 @@ func FuzzOpen(f *testing.F) {
 		s.Verify() // must not panic, whatever replay admitted
 	})
 }
+
+// TestNoMmapAndShimMapNothing: a segment store opened with NoMmap, or
+// through an FS shim, maps no segment — not the active one, not one a
+// rotation seals, not the one GC compacts into, not the tail a reopen
+// finds — so every read takes the pread path, and the errfs crash sweep
+// still sees every read. Opened plainly, the same steps map them all.
+func TestNoMmapAndShimMapNothing(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		opts   store.Options
+		mapped bool
+	}{
+		{"NoMmap", store.Options{NoSync: true, NoMmap: true, SegmentBytes: 256}, false},
+		{"errfs", store.Options{NoSync: true, FS: newErrFS(), SegmentBytes: 256}, false},
+		{"default", store.Options{NoSync: true, SegmentBytes: 256}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.mapped {
+				store.SkipWithoutMmap(t)
+			}
+			dir := t.TempDir()
+			s, err := store.Open(dir, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			check := func(step string) {
+				t.Helper()
+				st := s.OpenStats()
+				if want := map[bool]int{true: st.Segments}[c.mapped]; st.MappedSegments != want {
+					t.Fatalf("%s: %d of %d segments mapped, want %d", step, st.MappedSegments, st.Segments, want)
+				}
+			}
+			check("open")
+			fx := makeFixture(t, "grid:6x6", "blobs:4", 1)
+			fx.put(t, s)
+			for id := uint64(1); id <= 10; id++ {
+				if err := s.PutJob(id, mustJobPayload(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := s.OpenStats(); st.Segments < 3 {
+				t.Fatalf("%d segments, want a few rotations", st.Segments)
+			}
+			check("appends and rotations")
+			if _, err := s.GC(); err != nil {
+				t.Fatal(err)
+			}
+			check("GC")
+			fx.checkGet(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = store.Open(dir, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			check("reopen")
+			fx.checkGet(t, s)
+			mustVerifyClean(t, s)
+		})
+	}
+}

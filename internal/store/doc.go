@@ -32,7 +32,12 @@
 // Durability model: framed records with CRC-32C checksums appended to
 // numbered segment files, fsync per append, newest-record-wins replay,
 // tombstones for graph deletion, torn-tail truncation and corrupt-record
-// skipping on open, and write-tmp-then-rename compaction (GC). See the
+// skipping on open, and write-tmp-then-rename compaction (GC). Reads
+// serve payloads as subslices of a read-only mapping of each segment,
+// made when the segment becomes active, so even the newest records are
+// zero-copy; a frame of the active segment still has its checksum
+// checked on every read, and Options.NoMmap (or an FS shim) keeps every
+// read on pread. See the
 // format comment in store.go and OPERATIONS.md for the operator runbook
 // (locshortctl ls / inspect / verify / gc).
 //

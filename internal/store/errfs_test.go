@@ -179,8 +179,8 @@ func (f *errFS) SyncDir(dir string) error {
 
 // errFile wraps an *os.File, routing mutations through the parent's hook.
 // Reads pass through uncounted (and survive a crash — the bytes are on
-// disk). Because it is not an *os.File, the segment store keeps sealed
-// segments on the pread path instead of mmapping them, so every read stays
+// disk). Because it is not an *os.File, the segment store keeps every
+// segment on the pread path instead of mmapping it, so every read stays
 // observable too.
 type errFile struct {
 	f  *os.File

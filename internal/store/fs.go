@@ -34,9 +34,8 @@ type FS interface {
 
 // File is the per-file surface the segment store needs. *os.File implements it
 // directly; when a segment file is an *os.File (the default FS) the store
-// additionally memory-maps sealed segments — a wrapped File from an
-// injected FS stays on the pread path, so every read remains visible to the
-// fault injector.
+// additionally memory-maps it — a wrapped File from an injected FS stays
+// on the pread path, so every read remains visible to the fault injector.
 type File interface {
 	io.Reader
 	io.ReaderAt

@@ -7,7 +7,7 @@ import (
 	"os"
 )
 
-// errNoMmap keeps non-unix platforms on the portable pread path: mapSealed
+// errNoMmap keeps non-unix platforms on the portable pread path: mapSegment
 // treats any mmapFile error as "stay unmapped", so the store works the same
 // everywhere, just without the zero-copy read path.
 var errNoMmap = errors.New("store: mmap unsupported on this platform")

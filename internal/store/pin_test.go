@@ -215,9 +215,10 @@ const (
 )
 
 // TestStoreReadAllocs pins the read path's allocation counts: raw payload
-// reads and existence checks from a sealed, memory-mapped segment allocate
-// nothing, and a decoded GetShortcut stays within getShortcutKeyOnlyAllocs
-// or getShortcutGivenAllocs whatever the graph's size.
+// reads and existence checks from a memory-mapped segment, sealed or
+// active, allocate nothing (the active segment's checksum check included),
+// and a decoded GetShortcut stays within getShortcutKeyOnlyAllocs or
+// getShortcutGivenAllocs whatever the graph's size.
 func TestStoreReadAllocs(t *testing.T) {
 	type fixture struct {
 		b     *Store
@@ -225,13 +226,20 @@ func TestStoreReadAllocs(t *testing.T) {
 		fp    service.Fingerprint
 		parts *partition.Partition
 	}
-	// segment persists spec's shortcut on partSpec, then one more graph,
-	// one record per segment so that the shortcut's segment is sealed, and
-	// reopens the directory so that segment is memory-mapped.
-	segment := func(spec, partSpec string) func(*testing.T) fixture {
+	// segment persists spec's shortcut on partSpec, then one more graph.
+	// Sealed, it writes one record per segment, so that the shortcut's
+	// segment is sealed, and reopens the directory so that segment is
+	// mapped at Open. Else the records stay in the active segment of the
+	// store that appended them, mapped since it became active.
+	segment := func(spec, partSpec string, sealed bool) func(*testing.T) fixture {
 		return func(t *testing.T) fixture {
+			SkipWithoutMmap(t)
 			dir := t.TempDir()
-			w, err := Open(dir, Options{NoSync: true, SegmentBytes: 1})
+			opts := Options{NoSync: true}
+			if sealed {
+				opts.SegmentBytes = 1
+			}
+			w, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,22 +259,20 @@ func TestStoreReadAllocs(t *testing.T) {
 			if err := w.PutGraph(service.FingerprintGraph(other), other); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s, err := Open(dir, Options{NoSync: true})
-			if err != nil {
-				t.Fatal(err)
+			s := w
+			if sealed {
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(dir, Options{NoSync: true}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			t.Cleanup(func() { s.Close() })
-			st := s.OpenStats()
-			if st.MappedSegments == 0 {
-				t.Skip("no mmap on this platform")
-			}
-			for _, r := range s.Records() {
-				if r.Key == key && r.Kind == "shortcut" && r.Segment >= st.Segments {
-					t.Fatalf("fixture shortcut sits in segment %d of %d, want a sealed one", r.Segment, st.Segments)
-				}
+			r := recordAt(t, s, "shortcut", key)
+			if (r.Segment == s.log.active.seq) == sealed || s.log.segs[r.Segment].data == nil {
+				t.Fatalf("fixture shortcut sits in segment %d (mapped %v), the active one is %d; want a mapped segment, sealed %v",
+					r.Segment, s.log.segs[r.Segment].data != nil, s.log.active.seq, sealed)
 			}
 			return fixture{s, key, fp, p}
 		}
@@ -275,8 +281,10 @@ func TestStoreReadAllocs(t *testing.T) {
 		name string
 		open func(*testing.T) fixture
 	}{
-		{"segment", segment("grid:6x6", "blobs:4")},
-		{"segment_grid32x32", segment("grid:32x32", "blobs:16")},
+		{"segment", segment("grid:6x6", "blobs:4", true)},
+		{"segment_grid32x32", segment("grid:32x32", "blobs:16", true)},
+		{"active", segment("grid:6x6", "blobs:4", false)},
+		{"active_grid32x32", segment("grid:32x32", "blobs:16", false)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fx := c.open(t)

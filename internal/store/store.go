@@ -75,15 +75,16 @@ type Options struct {
 	// never corrupts what an earlier sync made durable. Tests and bulk
 	// imports use it; daemons should not.
 	NoSync bool
-	// NoMmap disables memory-mapping sealed segments, forcing every read
+	// NoMmap disables memory-mapping segments, forcing every read
 	// through the portable pread path (fresh buffer plus a per-read
-	// checksum). The default maps sealed segments read-only where the
-	// platform supports it and serves payloads as subslices of the
-	// mapping — zero-copy — relying on the checksum verification that
-	// already happened when each record entered the index: replay for
-	// records found at Open, the write path (we computed the CRC) for
-	// records this process appended. The active tail segment is never
-	// mapped; it stays on the write path untouched.
+	// checksum). The default maps every segment read-only from the moment
+	// it becomes active, where the platform supports it, and serves
+	// payloads as subslices of the mapping — zero-copy. A read from a
+	// sealed segment relies on the checksum verification that already
+	// happened when each record entered the index: replay for records
+	// found at Open, the write path (we computed the CRC) for records
+	// this process appended. A read from the active segment still checks
+	// the frame's checksum, in place, allocating nothing.
 	NoMmap bool
 	// Obs, when non-nil, registers the store's metric families:
 	// append/fsync latency histograms, per-kind append and segment
@@ -93,8 +94,8 @@ type Options struct {
 	// FS substitutes the filesystem every file operation goes through
 	// (default: the real one). The conformance suite injects
 	// faults — short writes, failed fsyncs, failed renames, crash
-	// schedules — through this seam. A non-os FS disables mmap (sealed
-	// segments stay on the pread path, so reads remain observable).
+	// schedules — through this seam. A non-os FS disables mmap (every
+	// segment stays on the pread path, so reads remain observable).
 	FS FS
 }
 
@@ -117,8 +118,8 @@ type OpenStats struct {
 	// Bytes is the total size of all segment files.
 	Bytes int64
 	// MappedSegments counts segments currently served zero-copy from a
-	// read-only memory mapping (sealed segments only; zero with
-	// Options.NoMmap or on platforms without mmap).
+	// read-only memory mapping, the active segment included (zero with
+	// Options.NoMmap, an FS shim, or on platforms without mmap).
 	MappedSegments int
 	// CorruptSkipped counts records dropped for checksum mismatch.
 	CorruptSkipped int
@@ -167,7 +168,7 @@ var (
 )
 
 // segLog is the segment store's payloadStore: framed, checksummed appends
-// with fsync and rotation, replay with torn-tail repair, sealed-segment
+// with fsync and rotation, replay with torn-tail repair, segment
 // mappings, and compaction. Everything in it that readers touch (the
 // segment table, sizes, mappings) changes only under writeMu and the
 // owning kvCore's mu together, so a reader holding mu.RLock sees a stable
@@ -197,8 +198,12 @@ type segment struct {
 	seq  int
 	f    File
 	size int64
-	// data is the read-only memory mapping of a sealed segment; nil keeps
-	// the segment on the pread path (active tail, Options.NoMmap, mmap
+	// data is the segment's read-only memory mapping, made when the
+	// segment became active (or, for a segment sealed before Open, at
+	// Open). An active segment's window is max(size, SegmentBytes) at
+	// that moment, so appends land inside it and need no new mapping; a
+	// frame that runs past the window is read by pread. nil keeps the
+	// whole segment on the pread path (Options.NoMmap, an FS shim, mmap
 	// failure, or an unsupported platform).
 	data []byte
 }
@@ -235,6 +240,15 @@ func Open(dir string, opts Options) (*Store, error) {
 			l.active = last
 		}
 	}
+	// Map the segments now that replay has repaired torn tails: a sealed
+	// one at its repaired size, the reopened tail with room to grow.
+	for _, seg := range l.segs {
+		if seg == l.active {
+			l.mapActive(seg)
+		} else {
+			l.mapSegment(seg, seg.size)
+		}
+	}
 	if l.active == nil {
 		next := 1
 		if len(seqs) > 0 {
@@ -243,14 +257,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err := l.startSegment(next); err != nil {
 			l.close()
 			return nil, err
-		}
-	}
-	// Map the sealed segments (everything but the active tail) now that
-	// replay has repaired torn tails — the mapping length is the repaired
-	// size.
-	for _, seg := range l.segs {
-		if seg != l.active {
-			l.mapSealed(seg)
 		}
 	}
 	if opts.Obs != nil {
@@ -307,35 +313,41 @@ func (l *segLog) startSegment(seq int) error {
 		l.fs.SyncDir(l.dir)
 	}
 	seg := &segment{seq: seq, f: f, size: int64(len(segMagic))}
+	// Readers cannot see the segment yet, so the mapping needs no lock.
+	// The outgoing active segment keeps the window it was mapped with:
+	// its frames are all inside it but the last one, at most.
+	l.mapActive(seg)
 	l.mu.Lock()
-	if prev := l.active; prev != nil {
-		// The outgoing active segment is sealed from here on: no append
-		// will ever touch it again, so its size is final and it can join
-		// the zero-copy read path. Rotation is rare (once per
-		// SegmentBytes), so the mmap syscall under mu is fine.
-		l.mapSealed(prev)
-	}
 	l.segs[seq] = seg
 	l.active = seg
 	l.mu.Unlock()
 	return nil
 }
 
-// mapSealed attaches a read-only memory mapping to a sealed segment.
-// Failure — including an unsupported platform, or a segment file that is
-// not a plain *os.File because an FS shim is injected — is not an error:
-// the segment just stays on the pread fallback. Caller holds mu (or is
-// Open) and must never map the active segment, because the mapping length
-// is fixed at the segment's current size.
-func (l *segLog) mapSealed(seg *segment) {
-	if l.opts.NoMmap || seg.data != nil || seg.size <= 0 {
+// mapActive maps a segment that is, or is about to become, the active
+// one, with a window of max(size, SegmentBytes): the appends it takes
+// until rotation fall inside the mapping, all but possibly the last.
+// Pages past the end of the file are never read, since a read touches
+// only committed frames.
+func (l *segLog) mapActive(seg *segment) {
+	l.mapSegment(seg, max(seg.size, l.opts.SegmentBytes))
+}
+
+// mapSegment attaches a read-only memory mapping of the segment's first
+// window bytes. Failure — including an unsupported platform, or a
+// segment file that is not a plain *os.File because an FS shim is
+// injected — is not an error: the segment just stays on the pread
+// fallback. The caller is Open, or holds writeMu for a segment readers
+// cannot see yet.
+func (l *segLog) mapSegment(seg *segment, window int64) {
+	if l.opts.NoMmap || seg.data != nil || window <= 0 {
 		return
 	}
 	osf, ok := seg.f.(*os.File)
 	if !ok {
 		return
 	}
-	if data, err := mmapFile(osf, seg.size); err == nil {
+	if data, err := mmapFile(osf, window); err == nil {
 		seg.data = data
 	}
 }
@@ -462,18 +474,19 @@ func (l *segLog) put(kind byte, key service.Fingerprint, frame []byte) (kvMeta, 
 	return meta, nil
 }
 
-// read fetches a live record's payload. On a mapped (sealed) segment the
-// returned slice aliases the read-only mapping — zero-copy, no per-read
-// checksum: the frame was CRC-verified when the record entered the index
-// (replay at Open, or the write path for records this process appended),
-// and the mapping stays valid until Close even across a GC (see retired).
-// The pread fallback reads a fresh buffer and re-verifies the checksum on
-// every read.
+// read fetches a live record's payload. Inside a segment's mapping the
+// returned slice aliases the read-only mapping — zero-copy — and the
+// mapping stays valid until Close even across a GC (see retired). On a
+// sealed segment there is no per-read checksum: the frame was
+// CRC-verified when the record entered the index (replay at Open, or the
+// write path for records this process appended). A frame of the active
+// segment is checked in place on every read, and the pread fallback
+// reads a fresh buffer and checks it on every read.
 //
 //locshort:hotpath
 func (l *segLog) read(_ indexKey, meta kvMeta) ([]byte, error) {
-	frame, mapped, err := l.frameAt(meta)
-	if err == nil && !mapped {
+	frame, sealed, err := l.frameAt(meta)
+	if err == nil && !sealed {
 		err = checkFrame(frame)
 	}
 	if err != nil {
@@ -483,11 +496,12 @@ func (l *segLog) read(_ indexKey, meta kvMeta) ([]byte, error) {
 }
 
 // frameAt returns the record frame at meta: a subslice of the mapping when
-// the segment is mapped, else a fresh pread buffer. Caller holds mu or
-// writeMu.
+// the frame lies inside it, else a fresh pread buffer. sealed reports a
+// mapped frame of a segment no append touches any more. Caller holds mu
+// or writeMu.
 //
 //locshort:hotpath
-func (l *segLog) frameAt(meta kvMeta) (frame []byte, mapped bool, err error) {
+func (l *segLog) frameAt(meta kvMeta) (frame []byte, sealed bool, err error) {
 	seg, ok := l.segs[meta.seg]
 	if !ok {
 		return nil, false, fmt.Errorf("store: segment %d vanished", meta.seg) //locshort:alloc-ok corruption path
@@ -496,7 +510,7 @@ func (l *segLog) frameAt(meta kvMeta) (frame []byte, mapped bool, err error) {
 	if seg.data != nil && end <= int64(len(seg.data)) {
 		// Three-index form so an append by a careless caller reallocates
 		// instead of scribbling on the read-only mapping.
-		return seg.data[meta.off:end:end], true, nil
+		return seg.data[meta.off:end:end], seg != l.active, nil
 	}
 	frame = make([]byte, meta.size)
 	if _, err := seg.f.ReadAt(frame, meta.off); err != nil {
@@ -675,5 +689,7 @@ func (l *segLog) compact(keep []entry) (*segment, error) {
 		return fail(err)
 	}
 	l.fs.SyncDir(l.dir)
-	return &segment{seq: nextSeq, f: tmp, size: off}, nil
+	seg := &segment{seq: nextSeq, f: tmp, size: off}
+	l.mapActive(seg)
+	return seg, nil
 }

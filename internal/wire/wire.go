@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
+	"locshort/internal/graph"
 	"locshort/internal/service"
 )
 
@@ -114,6 +116,17 @@ func AppendShortcutRequest(b []byte, r ShortcutRequest) []byte {
 //
 //locshort:hotpath
 func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
+	return DecodeShortcutRequestInterned(b, nil)
+}
+
+// DecodeShortcutRequestInterned is DecodeShortcutRequest with the
+// partition spec and options taken through strs, so a repeated request
+// decodes without allocating a string. Nothing decoded aliases b: the
+// strings are strs's heap copies or fresh ones, and the caller may
+// recycle b. A nil strs copies every string.
+//
+//locshort:hotpath
+func DecodeShortcutRequestInterned(b []byte, strs *Interner) (ShortcutRequest, error) {
 	var r ShortcutRequest
 	if len(b) < 1+8 || (b[0] != shortcutRequestV1 && b[0] != shortcutRequestV2) {
 		return r, fmt.Errorf("wire: shortcut request: bad version or truncated") //locshort:alloc-ok reject path
@@ -122,7 +135,7 @@ func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
 	r.Graph = service.Fingerprint(binary.BigEndian.Uint64(b[1:]))
 	b = b[9:]
 	var ok bool
-	if r.Partition, b, ok = readLenString(b); !ok {
+	if r.Partition, b, ok = readLenString(b, strs); !ok {
 		return r, fmt.Errorf("wire: shortcut request: truncated partition spec") //locshort:alloc-ok reject path
 	}
 	seed, used := binary.Varint(b)
@@ -131,13 +144,14 @@ func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
 	}
 	b = b[used:]
 	r.Seed = seed
-	if r.Options, b, ok = readLenString(b); !ok {
+	if r.Options, b, ok = readLenString(b, strs); !ok {
 		return r, fmt.Errorf("wire: shortcut request: truncated options") //locshort:alloc-ok reject path
 	}
 	if version == shortcutRequestV2 {
-		if r.Parts, b, ok = readParts(b); !ok {
-			return r, fmt.Errorf("wire: shortcut request: truncated or oversized part list") //locshort:alloc-ok reject path
+		if r.Parts, ok = readParts(b); !ok {
+			return r, fmt.Errorf("wire: shortcut request: truncated, oversized or empty-part list") //locshort:alloc-ok reject path
 		}
+		return r, nil
 	}
 	if len(b) != 0 {
 		return r, fmt.Errorf("wire: shortcut request: %d trailing bytes", len(b)) //locshort:alloc-ok reject path
@@ -145,48 +159,113 @@ func DecodeShortcutRequest(b []byte) (ShortcutRequest, error) {
 	return r, nil
 }
 
-// readParts decodes a version-2 part list, returning the parts (never
-// nil), the remaining bytes, and whether the list was well-formed. Every
-// count is checked against the bytes left before anything is allocated:
-// a part takes at least one byte (its size), a node ID at least one.
-func readParts(b []byte) ([][]int, []byte, bool) {
+// readParts decodes a version-2 part list, which ends the frame: the
+// parts (never nil) and whether the list was well-formed. A pre-pass
+// validates the whole list before anything is allocated: at most
+// graph.MaxNodes parts, none empty, at most graph.MaxNodes node IDs in
+// all, and no byte after the last part. The parts then slice one array
+// of IDs, so what a frame makes is bounded by MaxNodes, not by its
+// length: a part header costs 24 bytes, and an empty part could cost as
+// little as one byte of frame.
+func readParts(b []byte) ([][]int, bool) {
 	k, used := binary.Uvarint(b)
-	if used <= 0 || k > uint64(len(b)-used) {
-		return nil, b, false
+	if used <= 0 || k > graph.MaxNodes {
+		return nil, false
 	}
 	b = b[used:]
-	parts := make([][]int, k)
+	rest, total := b, uint64(0)
+	for i := uint64(0); i < k; i++ {
+		size, used := binary.Uvarint(rest)
+		if used <= 0 || size == 0 || size > graph.MaxNodes-total {
+			return nil, false
+		}
+		rest = rest[used:]
+		total += size
+		for j := uint64(0); j < size; j++ {
+			v, used := binary.Uvarint(rest)
+			if used <= 0 || v > math.MaxInt {
+				return nil, false
+			}
+			rest = rest[used:]
+		}
+	}
+	if len(rest) != 0 {
+		return nil, false
+	}
+	parts, ids := make([][]int, k), make([]int, total)
 	for i := range parts {
 		size, used := binary.Uvarint(b)
-		if used <= 0 || size > uint64(len(b)-used) {
-			return nil, b, false
-		}
 		b = b[used:]
-		part := make([]int, size)
+		part := ids[:size:size]
+		ids = ids[size:]
 		for j := range part {
 			v, used := binary.Uvarint(b)
-			if used <= 0 || v > math.MaxInt {
-				return nil, b, false
-			}
 			part[j] = int(v)
 			b = b[used:]
 		}
 		parts[i] = part
 	}
-	return parts, b, true
+	return parts, true
 }
 
 // readLenString decodes one uvarint-length-prefixed string field,
-// returning the string (a copy — the caller may recycle b), the remaining
-// bytes, and whether the field was well-formed. A named function rather
-// than a closure inside DecodeShortcutRequest: the closure captured b by
-// reference and so allocated on every decode, on the warm serving path.
+// returning the string (through strs: never a view of b, so the caller
+// may recycle b), the remaining bytes, and whether the field was
+// well-formed. A named function rather than a closure inside
+// DecodeShortcutRequest: the closure captured b by reference and so
+// allocated on every decode, on the warm serving path.
 //
 //locshort:hotpath
-func readLenString(b []byte) (string, []byte, bool) {
+func readLenString(b []byte, strs *Interner) (string, []byte, bool) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 || n > maxRequestString || uint64(len(b)-used) < n {
 		return "", b, false
 	}
-	return string(b[used : used+int(n)]), b[used+int(n):], true
+	return strs.String(b[used : used+int(n)]), b[used+int(n):], true
+}
+
+// Interner is a bounded intern table for the strings of shortcut
+// requests, the partition spec and the options text, which repeat from
+// request to request: it hands out the string it holds for equal bytes,
+// so a repeat request decodes without allocating one. It holds ordinary
+// heap strings, at most limit of them, each at most maxLen bytes; a
+// string past either bound is copied fresh, as DecodeShortcutRequest
+// copies it. Safe for concurrent use. A nil *Interner interns nothing.
+type Interner struct {
+	limit, maxLen int
+
+	mu   sync.RWMutex
+	strs map[string]string
+}
+
+// NewInterner returns an empty table of at most limit strings of at most
+// maxLen bytes each.
+func NewInterner(limit, maxLen int) *Interner {
+	return &Interner{limit: limit, maxLen: maxLen, strs: make(map[string]string)}
+}
+
+// String returns b as a string: the table's copy when it holds one, else
+// a fresh copy, which the table keeps while it has room.
+//
+//locshort:hotpath
+func (t *Interner) String(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if t == nil || len(b) > t.maxLen {
+		return string(b)
+	}
+	t.mu.RLock()
+	s, ok := t.strs[string(b)]
+	t.mu.RUnlock()
+	if ok {
+		return s
+	}
+	s = string(b)
+	t.mu.Lock()
+	if len(t.strs) < t.limit {
+		t.strs[s] = s
+	}
+	t.mu.Unlock()
+	return s
 }
