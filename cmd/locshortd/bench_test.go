@@ -271,6 +271,47 @@ func BenchmarkServeCold(b *testing.B) {
 	}
 }
 
+// BenchmarkIngest is one JSON POST /v1/graphs of a cold-build catalog
+// spec (grid:64x64, torus:32x32 and ktree:600,4 in turn) through the
+// daemon's whole HTTP stack, on benchNode's node (as BenchmarkServeHit
+// wires it): the body's decode, the spec's parse, the registration with
+// its fingerprint, and the graph record's store append. Each op registers
+// fresh content: with the timer stopped, a DELETE drops the graph again.
+func BenchmarkIngest(b *testing.B) {
+	_, _, addr := benchNode(b)
+	specs := [...]string{"grid:64x64", "torus:32x32", "ktree:600,4"}
+	var posts, deletes [len(specs)][]byte
+	for i, spec := range specs {
+		g, _, err := cli.ParseGraph(spec, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := `{"spec":"` + spec + `"}`
+		posts[i] = []byte("POST /v1/graphs HTTP/1.1\r\nHost: " + addr +
+			"\r\nContent-Type: application/json\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+		deletes[i] = []byte("DELETE /v1/graphs/" + service.FingerprintGraph(g).String() +
+			" HTTP/1.1\r\nHost: " + addr + "\r\n\r\n")
+	}
+	c := dialRaw(b, addr)
+	do := func(req []byte) {
+		if status, body, err := c.do(req); err != nil || status != http.StatusOK {
+			b.Fatalf("status %d, err %v: %s", status, err, body)
+		}
+	}
+	for i := range 2 * len(specs) {
+		do(posts[i%len(specs)])
+		do(deletes[i%len(specs)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(posts[i%len(specs)])
+		b.StopTimer()
+		do(deletes[i%len(specs)])
+		b.StartTimer()
+	}
+}
+
 // appendColdRequest appends BenchmarkServeCold's JSON request for seed on
 // the graph fp, bound for addr, to b.
 func appendColdRequest(b []byte, addr string, fp service.Fingerprint, seed int64) []byte {

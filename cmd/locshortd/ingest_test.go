@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"locshort/internal/cli"
@@ -311,5 +313,89 @@ func TestClusterTorusOwnerDownRecordsAgree(t *testing.T) {
 	}
 	if !bytes.Equal(served[0], served[1]) {
 		t.Error("the live nodes serve different bytes under one key")
+	}
+}
+
+// TestEdgelessIngestBounded posts a graph of graph.MaxNodes nodes and no
+// edges, as a 31-byte JSON body and as a 17-byte binary payload, to a
+// server with a store, then restarts on the same directory. A graph is
+// its edge list, so neither request nor the warm start may allocate or
+// keep anything sized by the node count: each stays under 1 MiB, measured
+// as the TotalAlloc growth and the post-GC HeapAlloc growth.
+func TestEdgelessIngestBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const limit = 1 << 20
+	measure := func(name string, f func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("%s: %d bytes allocated, %d kept", name, allocated, kept)
+		if allocated >= limit || kept >= limit {
+			t.Errorf("%s: %d bytes allocated and %d kept, want each under %d", name, allocated, kept, limit)
+		}
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := service.New(service.Config{Workers: 1, Store: st})
+	srv, h := newServer(eng, jobs.Config{Store: st}, serverOptions{})
+	srv.mgr.Start()
+	ts := serveLoop(t, h)
+	getJSON(t, ts.URL+"/v1/stats", new(map[string]any)) // the connection's own buffers
+
+	body := []byte(`{"nodes": 4194304, "edges": []}`)
+	measure("JSON POST", func() {
+		resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("JSON POST: status %d, want 200", resp.StatusCode)
+		}
+	})
+	payload := make([]byte, 17) // version, n = graph.MaxNodes, m = 0
+	payload[0] = 1
+	binary.BigEndian.PutUint64(payload[1:], graph.MaxNodes)
+	measure("binary POST", func() {
+		resp := doBinary(t, http.MethodPost, ts.URL+"/v1/graphs", payload, nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("binary POST: status %d, want 200", resp.StatusCode)
+		}
+	})
+	ts.Close()
+	srv.mgr.Close()
+	eng.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	eng2 := service.New(service.Config{Workers: 1, Store: st2})
+	defer eng2.Close()
+	measure("warm start", func() {
+		if n, err := eng2.WarmStart(); err != nil || n != 1 {
+			t.Errorf("WarmStart = (%d, %v), want (1, nil)", n, err)
+		}
+	})
+	if g, ok := eng2.Graph(service.FingerprintBytes(payload[1:])); !ok || g.NumNodes() != graph.MaxNodes {
+		t.Errorf("warm-started graph = %v, want the %d-node graph", ok, graph.MaxNodes)
 	}
 }

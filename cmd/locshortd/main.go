@@ -42,11 +42,13 @@
 //	GET    /healthz        liveness: 200 once the listener is bound
 //	GET    /readyz         readiness: 200 once warm start + job recovery finished
 //
-// The listener binds before the durable store replays, so /healthz and
-// /readyz answer during a long warm start; /v1/ requests are rejected
-// with 503 until /readyz flips. Every request is logged as a structured
-// key=value line to stderr (suppress with -quiet); requests at or over
-// -slow-request escalate to warn with the build's per-stage breakdown.
+// The durable store replays its segments (store.Open) before the listener
+// binds; only the graph decodes of the warm start and job recovery run
+// behind the live listener, so /healthz and /readyz answer during them
+// and /v1/ requests are rejected with 503 until /readyz flips. Every
+// request is logged as a structured key=value line to stderr (suppress
+// with -quiet); requests at or over -slow-request escalate to warn with
+// the build's per-stage breakdown.
 // See OPERATIONS.md §Monitoring for the metric catalog and scrape config.
 //
 // Any /v1/shortcuts or /v1/jobs body with "async": true — and every
@@ -230,9 +232,10 @@ func run() error {
 	if st != nil {
 		jcfg.Store = st
 	}
-	// ready gates the /v1/ API and GET /readyz: the listener binds first
-	// (below) so probes answer during a long store replay, and the flag
-	// flips only after warm start, job recovery, and dispatcher start.
+	// ready gates the /v1/ API and GET /readyz: the listener binds after
+	// the store replayed (above) and before warm start, so probes answer
+	// while the graphs decode, and the flag flips only after warm start,
+	// job recovery, and dispatcher start.
 	var ready atomic.Bool
 	readyFn := ready.Load
 	if cl != nil {
@@ -295,8 +298,9 @@ func run() error {
 	go func() { errc <- hsrv.Serve(ln) }()
 
 	// Warm start and job recovery run behind the live listener: /healthz
-	// and /readyz (503 "starting") answer while the store replays, and
-	// /v1/ requests are rejected with 503 until the flip below.
+	// and /readyz (503 "starting") answer while the stored graphs decode
+	// and interrupted jobs re-enqueue, and /v1/ requests are rejected with
+	// 503 until the flip below.
 	if st != nil {
 		loaded, err := eng.WarmStart()
 		if err != nil {

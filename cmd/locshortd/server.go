@@ -441,8 +441,11 @@ func (s *server) handleGraphsBinary(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// A fresh buffer, not a pooled one: the engine keeps the payload.
-	payload, err := readBody(w, r, nil)
+	// A pooled buffer: nothing keeps the payload. The store copies it into
+	// a frame, and BroadcastGraph returns only after its pushes.
+	bp := framePool.Get().(*[]byte)
+	payload, err := readBody(w, r, *bp)
+	defer putFrame(bp, payload)
 	if err != nil {
 		s.httpError(w, decodeStatus(err), err)
 		return
@@ -491,6 +494,7 @@ func graphFromEdges(nodes int, edges [][]float64) (*graph.Graph, error) {
 		return nil, err
 	}
 	g := graph.New(nodes)
+	g.Grow(len(edges))
 	for i, e := range edges {
 		if len(e) != 2 && len(e) != 3 {
 			return nil, fmt.Errorf("edge %d: want [u,v] or [u,v,w], got %d values", i, len(e))
@@ -892,7 +896,8 @@ func (s *server) handleShortcuts(w http.ResponseWriter, r *http.Request) {
 
 // framePool recycles the byte buffers of shortcut requests: their bodies,
 // JSON or binary, decoded into values that alias none of their bytes
-// (interned or fresh strings) and dropped; the frames relay
+// (interned or fresh strings) and dropped; binary graph bodies, decoded
+// into a graph and copied into a store frame; the frames relay
 // sends to an owner, copied into the connection's buffer; and rendered
 // JSON answers, copied by the writer. Either way the buffer can take the
 // next one. Buffers over maxPooledBuf are not kept.

@@ -64,8 +64,8 @@ type sendReq struct {
 // Degree returns the number of incident edges of the executing node.
 func (c *Context) Degree() int { return c.net.g.Degree(c.Node) }
 
-// Neighbors returns the executing node's adjacency list. The slice is owned
-// by the network and must not be modified.
+// Neighbors returns the executing node's arcs, in edge-ID order. The slice
+// is owned by the network and must not be modified.
 func (c *Context) Neighbors() []graph.Arc { return c.net.g.Neighbors(c.Node) }
 
 // EdgeWeight returns the weight of an incident edge.

@@ -134,9 +134,10 @@ func runBoruvka(g *graph.Graph, restrict []bool, weighted bool, opts MSTOptions)
 		candidates := make([]Payload, n)
 		noCand := Payload{math.MaxInt64, math.MaxInt64, math.MaxInt64}
 		anyOutgoing := false
+		csr := g.CSR()
 		for v := 0; v < n; v++ {
 			best := noCand
-			for _, a := range g.Neighbors(v) {
+			for _, a := range csr.Neighbors(v) {
 				if restrict != nil && !restrict[a.Edge] {
 					continue
 				}

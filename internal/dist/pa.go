@@ -89,8 +89,9 @@ func (r *PARouting) installPart(g *graph.Graph, s *shortcut.Shortcut, i int) err
 		adj[e.U] = append(adj[e.U], paArc{to: e.V, edge: id})
 		adj[e.V] = append(adj[e.V], paArc{to: e.U, edge: id})
 	}
+	csr := g.CSR()
 	for _, v := range s.Parts.Parts[i] {
-		for _, a := range g.Neighbors(v) {
+		for _, a := range csr.Neighbors(v) {
 			if inPart[a.To] && v < a.To {
 				addEdge(a.Edge)
 			}

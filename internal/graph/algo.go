@@ -163,8 +163,9 @@ func InducedDiameter(g *Graph, nodes []int, extra [][2]int) int {
 		idx[v] = i
 	}
 	sub := New(len(nodes))
+	c := g.CSR()
 	for i, v := range nodes {
-		for _, a := range g.Neighbors(v) {
+		for _, a := range c.Neighbors(v) {
 			j, ok := idx[a.To]
 			if ok && i < j {
 				sub.AddEdge(i, j)

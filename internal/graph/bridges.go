@@ -15,6 +15,7 @@ func Bridges(g *Graph) []int {
 	}
 	var bridges []int
 	timer := 0
+	c := g.CSR()
 
 	type frame struct {
 		v, parentEdge, arcIdx int
@@ -29,7 +30,7 @@ func Bridges(g *Graph) []int {
 		timer++
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			adj := g.Neighbors(f.v)
+			adj := c.Neighbors(f.v)
 			if f.arcIdx < len(adj) {
 				a := adj[f.arcIdx]
 				f.arcIdx++

@@ -58,12 +58,14 @@ func scanCanonical(g *Graph) bool {
 // Canonical returns g in canonical form: g itself when IsCanonical(g),
 // else a new graph whose edges are g's, normalized to U < V with −0
 // weights stored as +0, in canonical order. Node IDs do not change, and
-// both graphs have the same AppendCanonical encoding.
+// both graphs have the same AppendCanonical encoding. The new graph holds
+// the one edge list Canonical sorts.
 func Canonical(g *Graph) *Graph {
 	if IsCanonical(g) {
 		return g
 	}
 	edges := make([]Edge, len(g.edges))
+	nan := false
 	for i, e := range g.edges {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
@@ -71,14 +73,18 @@ func Canonical(g *Graph) *Graph {
 		if e.W == 0 {
 			e.W = 0 // −0 becomes +0
 		}
+		nan = nan || math.IsNaN(e.W)
 		edges[i] = e
 	}
-	slices.SortStableFunc(edges, compareEdges)
-	c := New(g.n)
-	for _, e := range edges {
-		c.AddWeightedEdge(e.U, e.V, e.W)
+	// Once −0 is +0, edges that compare equal are bit-identical, so an
+	// unstable sort gives the stable sort's bytes. NaN weights compare
+	// equal whatever their bits, so only they need the stable sort.
+	if nan {
+		slices.SortStableFunc(edges, compareEdges)
+	} else {
+		slices.SortFunc(edges, compareEdges)
 	}
-	return c
+	return &Graph{n: g.n, edges: edges}
 }
 
 // AppendCanonical appends a canonical binary encoding of the graph to b and

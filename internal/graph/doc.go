@@ -1,5 +1,6 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// repository: a compact adjacency representation with stable edge IDs,
+// repository: a graph stored as its node count and edge list, with stable
+// edge IDs and a packed adjacency view derived from the edge list,
 // breadth-first search, diameter computation, disjoint-set union, Kruskal
 // minimum spanning trees, Stoer-Wagner minimum cuts, and generators for every
 // graph family evaluated in the paper, including the Lemma 3.2 lower-bound
@@ -8,6 +9,14 @@
 // Node IDs are dense integers in [0, NumNodes). Edge IDs are dense integers
 // in [0, NumEdges) and are stable across the lifetime of the graph; they are
 // the unit of congestion accounting for shortcuts.
+//
+// A graph holds no per-node state: New allocates nothing per node and
+// AddEdge only appends to the edge list. The adjacency is the CSR view,
+// derived from the edge list on the first traversal in one counting pass
+// and memoized until the next AddEdge; Neighbors and Degree read it. Each
+// node's arcs are in edge-ID order, so every traversal, and with it the
+// chosen root, the BFS tree and everything built on them, is fixed by the
+// edge list alone.
 //
 // # Paper mapping
 //

@@ -8,6 +8,7 @@ import (
 // Path returns the path graph on n nodes: 0-1-...-(n-1).
 func Path(n int) *Graph {
 	g := New(n)
+	g.Grow(n)
 	for v := 0; v+1 < n; v++ {
 		g.AddEdge(v, v+1)
 	}
@@ -27,6 +28,7 @@ func Cycle(n int) *Graph {
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
 	g := New(n)
+	g.Grow(n * (n - 1) / 2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			g.AddEdge(u, v)
@@ -38,6 +40,7 @@ func Complete(n int) *Graph {
 // Star returns the star graph with center 0 and n-1 leaves.
 func Star(n int) *Graph {
 	g := New(n)
+	g.Grow(n - 1)
 	for v := 1; v < n; v++ {
 		g.AddEdge(0, v)
 	}
@@ -53,6 +56,7 @@ func Wheel(n int) *Graph {
 		panic(fmt.Sprintf("graph: wheel needs n >= 4, got %d", n))
 	}
 	g := New(n)
+	g.Grow(2 * (n - 1))
 	for v := 1; v < n; v++ {
 		g.AddEdge(0, v)
 		next := v + 1
@@ -71,6 +75,7 @@ func GridIndex(row, col, cols int) int { return row*cols + col }
 // Grid returns the rows x cols grid graph (planar, minor density < 3).
 func Grid(rows, cols int) *Graph {
 	g := New(rows * cols)
+	g.Grow(2*rows*cols - rows - cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			v := GridIndex(r, c, cols)
@@ -93,6 +98,7 @@ func Torus(rows, cols int) *Graph {
 		panic(fmt.Sprintf("graph: torus needs rows, cols >= 3, got %dx%d", rows, cols))
 	}
 	g := New(rows * cols)
+	g.Grow(2 * rows * cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			v := GridIndex(r, c, cols)
@@ -114,6 +120,7 @@ func TorusChain(count, side int) *Graph {
 	}
 	single := side * side
 	g := New(count * single)
+	g.Grow(count*(2*single+1) - 1)
 	for t := 0; t < count; t++ {
 		base := t * single
 		for r := 0; r < side; r++ {
@@ -140,40 +147,36 @@ func KTree(n, k int, rng *rand.Rand) *Graph {
 		panic(fmt.Sprintf("graph: k-tree needs n >= k+1 >= 2, got n=%d k=%d", n, k))
 	}
 	g := New(n)
+	g.Grow(k*(k+1)/2 + (n-k-1)*k)
 	// Seed clique K_{k+1}.
 	for u := 0; u <= k; u++ {
 		for v := u + 1; v <= k; v++ {
 			g.AddEdge(u, v)
 		}
 	}
-	cliques := [][]int{}
-	seed := make([]int, k+1)
-	for i := range seed {
-		seed[i] = i
-	}
+	// cliques holds every k-clique made so far, in the order it was made,
+	// k nodes each: the seed clique's k+1 faces, then k per further node.
+	cliques := make([]int, 0, k*(k+1+(n-k-1)*k))
 	for skip := 0; skip <= k; skip++ {
-		c := make([]int, 0, k)
-		for i, v := range seed {
-			if i != skip {
-				c = append(c, v)
+		for v := 0; v <= k; v++ {
+			if v != skip {
+				cliques = append(cliques, v)
 			}
 		}
-		cliques = append(cliques, c)
 	}
 	for v := k + 1; v < n; v++ {
-		base := cliques[rng.Intn(len(cliques))]
+		i := rng.Intn(len(cliques)/k) * k
+		base := cliques[i : i+k : i+k]
 		for _, u := range base {
 			g.AddEdge(v, u)
 		}
 		for skip := 0; skip < k; skip++ {
-			c := make([]int, 0, k)
-			c = append(c, v)
+			cliques = append(cliques, v)
 			for i, u := range base {
 				if i != skip {
-					c = append(c, u)
+					cliques = append(cliques, u)
 				}
 			}
-			cliques = append(cliques, c)
 		}
 	}
 	return g
@@ -187,6 +190,7 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 		panic(fmt.Sprintf("graph: invalid random graph parameters n=%d m=%d", n, m))
 	}
 	g := New(n)
+	g.Grow(m)
 	have := make(map[[2]int]bool, m)
 	addIfNew := func(u, v int) bool {
 		if u > v {
@@ -216,6 +220,7 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 func Caterpillar(spineLen, legs int) *Graph {
 	n := spineLen * (legs + 1)
 	g := New(n)
+	g.Grow(n - 1)
 	for s := 0; s < spineLen; s++ {
 		v := s * (legs + 1)
 		if s+1 < spineLen {

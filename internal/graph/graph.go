@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -15,21 +16,24 @@ type Edge struct {
 	W    float64
 }
 
-// Arc is one direction of an edge as seen from a node's adjacency list.
+// Arc is one direction of an edge as seen from one of its endpoints, as
+// Neighbors lists it.
 type Arc struct {
 	To   int // neighbor node
 	Edge int // edge ID shared by both directions
 }
 
-// Graph is an undirected multigraph with stable edge IDs.
+// Graph is an undirected multigraph with stable edge IDs: a node count and
+// an edge list. Its adjacency is derived from the edge list on first use
+// (see (*Graph).CSR), so building a graph costs nothing per node.
 // The zero value is an empty graph with no nodes; use New to create a graph
 // with a fixed node count.
 type Graph struct {
 	n     int
 	edges []Edge
-	adj   [][]Arc
-	// csr memoizes the packed adjacency view; see (*Graph).CSR. It is
-	// invalidated whenever an edge is added.
+	// csr memoizes the packed adjacency view and the arcs Neighbors
+	// returns; see (*Graph).CSR. It is invalidated whenever an edge is
+	// added.
 	csr atomic.Pointer[CSR]
 	// tree memoizes the BFS tree from the chosen root; see (*Graph).BFSTree.
 	// treeMu serializes its first computation. It is invalidated whenever
@@ -49,13 +53,19 @@ const (
 	canonicalNo
 )
 
-// New returns an empty graph with n nodes and no edges.
+// New returns an empty graph with n nodes and no edges. It allocates
+// nothing per node.
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Graph{n: n, adj: make([][]Arc, n)}
+	return &Graph{n: n}
 }
+
+// Grow makes room for m more edges, so that the next m AddEdge or
+// AddWeightedEdge calls do not reallocate the edge list. A negative m
+// grows nothing.
+func (g *Graph) Grow(m int) { g.edges = slices.Grow(g.edges, max(m, 0)) }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.n }
@@ -79,12 +89,14 @@ func (g *Graph) Edges() []Edge {
 // over Edges, which copies on every call.
 func (g *Graph) EdgeSlice() []Edge { return g.edges }
 
-// Neighbors returns the adjacency list of v. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []Arc { return g.adj[v] }
+// Neighbors returns v's arcs, one per incident edge, in edge-ID order:
+// (*CSR).Neighbors on the graph's CSR view, built on first use. The slice
+// is owned by the graph and must not be modified. A loop over many nodes
+// should fetch g.CSR() once and read its Neighbors instead.
+func (g *Graph) Neighbors(v int) []Arc { return g.CSR().Neighbors(v) }
 
-// Degree returns the number of incident edges of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+// Degree returns the number of incident edges of v, from the CSR view.
+func (g *Graph) Degree(v int) int { return g.CSR().Degree(v) }
 
 // AddEdge adds an undirected unit-weight edge {u, v} and returns its edge ID.
 // Self-loops are rejected; parallel edges are permitted.
@@ -101,13 +113,18 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) int {
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: id})
-	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
 	// Topology changed: drop the memoized CSR view, BFS tree and canonical
-	// check.
-	g.csr.Store(nil)
-	g.tree.Store(nil)
-	g.canonical.Store(canonicalUnknown)
+	// check. A graph being built has none of them, so only a set memo
+	// takes a store.
+	if g.csr.Load() != nil {
+		g.csr.Store(nil)
+	}
+	if g.tree.Load() != nil {
+		g.tree.Store(nil)
+	}
+	if g.canonical.Load() != canonicalUnknown {
+		g.canonical.Store(canonicalUnknown)
+	}
 	return id
 }
 
@@ -132,11 +149,12 @@ func (g *Graph) Other(id, v int) int {
 
 // HasEdge reports whether some edge connects u and v.
 func (g *Graph) HasEdge(u, v int) bool {
-	if g.Degree(u) > g.Degree(v) {
+	c := g.CSR()
+	if c.Degree(u) > c.Degree(v) {
 		u, v = v, u
 	}
-	for _, a := range g.adj[u] {
-		if a.To == v {
+	for _, to := range c.To[c.Offsets[u]:c.Offsets[u+1]] {
+		if int(to) == v {
 			return true
 		}
 	}
@@ -145,24 +163,17 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.edges = make([]Edge, len(g.edges))
-	copy(c.edges, g.edges)
-	for v := range g.adj {
-		c.adj[v] = make([]Arc, len(g.adj[v]))
-		copy(c.adj[v], g.adj[v])
-	}
-	return c
+	return &Graph{n: g.n, edges: slices.Clone(g.edges)}
 }
 
 // ErrDisconnected is returned by operations that require a connected graph.
 var ErrDisconnected = errors.New("graph: graph is not connected")
 
-// Validate checks internal consistency (adjacency matches the edge list,
-// no self-loops) and that no weight is NaN, and returns an error describing
-// the first problem found.
+// Validate checks that every edge has endpoints in range, is not a
+// self-loop and has no NaN weight, and returns an error describing the
+// first problem found. The adjacency is derived from the edge list, so
+// there is nothing else to cross-check.
 func (g *Graph) Validate() error {
-	deg := make([]int, g.n)
 	for id, e := range g.edges {
 		if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n {
 			return fmt.Errorf("graph: edge %d endpoints {%d,%d} out of range", id, e.U, e.V)
@@ -172,23 +183,6 @@ func (g *Graph) Validate() error {
 		}
 		if math.IsNaN(e.W) {
 			return fmt.Errorf("graph: edge %d has NaN weight", id)
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for v := range g.adj {
-		if len(g.adj[v]) != deg[v] {
-			return fmt.Errorf("graph: node %d adjacency length %d, want %d", v, len(g.adj[v]), deg[v])
-		}
-		for _, a := range g.adj[v] {
-			if a.Edge < 0 || a.Edge >= len(g.edges) {
-				return fmt.Errorf("graph: node %d references unknown edge %d", v, a.Edge)
-			}
-			e := g.edges[a.Edge]
-			if (e.U != v || e.V != a.To) && (e.V != v || e.U != a.To) {
-				return fmt.Errorf("graph: node %d arc to %d disagrees with edge %d = {%d,%d}",
-					v, a.To, a.Edge, e.U, e.V)
-			}
 		}
 	}
 	return nil

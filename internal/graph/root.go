@@ -74,9 +74,10 @@ func chooseRoot(g *Graph) int {
 	// maxDescentNeighbors neighbors so that high-degree hubs (a wheel
 	// center has n-1 neighbors, each check a full BFS) stay cheap.
 	const maxDescentNeighbors = 32
+	c := g.CSR()
 	for improved := true; improved; {
 		improved = false
-		for i, a := range g.Neighbors(best) {
+		for i, a := range c.Neighbors(best) {
 			if i >= maxDescentNeighbors {
 				break
 			}

@@ -83,9 +83,10 @@ func (m *Mapping) Validate(g *graph.Graph) error {
 func connectedIn(g *graph.Graph, bs []int, ownerOf map[int]int, owner int) bool {
 	seen := map[int]bool{bs[0]: true}
 	queue := []int{bs[0]}
+	c := g.CSR()
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, a := range g.Neighbors(v) {
+		for _, a := range c.Neighbors(v) {
 			if o, ok := ownerOf[a.To]; ok && o == owner && !seen[a.To] {
 				seen[a.To] = true
 				queue = append(queue, a.To)
@@ -96,8 +97,9 @@ func connectedIn(g *graph.Graph, bs []int, ownerOf map[int]int, owner int) bool 
 }
 
 func branchSetsAdjacent(g *graph.Graph, from []int, ownerOf map[int]int, to int) bool {
+	c := g.CSR()
 	for _, v := range from {
-		for _, a := range g.Neighbors(v) {
+		for _, a := range c.Neighbors(v) {
 			if o, ok := ownerOf[a.To]; ok && o == to {
 				return true
 			}

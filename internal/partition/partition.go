@@ -159,15 +159,17 @@ var scratchPool = sync.Pool{New: func() any { return new([]int) }}
 func (p *Partition) connected(g *graph.Graph) (*Partition, error) {
 	sp := scratchPool.Get().(*[]int)
 	defer scratchPool.Put(sp)
+	c := g.CSR()
 	for i, part := range p.Parts {
 		mark := -2 - i
 		queue := append((*sp)[:0], part[0])
 		p.PartOf[part[0]] = mark
 		for head := 0; head < len(queue); head++ {
-			for _, a := range g.Neighbors(queue[head]) {
-				if p.PartOf[a.To] == i {
-					p.PartOf[a.To] = mark
-					queue = append(queue, a.To)
+			v := queue[head]
+			for _, to := range c.To[c.Offsets[v]:c.Offsets[v+1]] {
+				if p.PartOf[to] == i {
+					p.PartOf[to] = mark
+					queue = append(queue, int(to))
 				}
 			}
 		}
@@ -265,12 +267,13 @@ func BFSBlobs(g *graph.Graph, k int, rng *rand.Rand) (*Partition, error) {
 // owner breadth-first, each node taking the label of the node that
 // reaches it first, and returns queue extended by every node it labeled.
 func flood(g *graph.Graph, owner, queue []int) []int {
+	c := g.CSR()
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, a := range g.Neighbors(v) {
-			if owner[a.To] == -1 {
-				owner[a.To] = owner[v]
-				queue = append(queue, a.To)
+		for _, to := range c.To[c.Offsets[v]:c.Offsets[v+1]] {
+			if owner[to] == -1 {
+				owner[to] = owner[v]
+				queue = append(queue, int(to))
 			}
 		}
 	}

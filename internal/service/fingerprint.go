@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"locshort/internal/graph"
@@ -87,9 +88,18 @@ func FingerprintBytes(b []byte) Fingerprint { return Fingerprint(fnvBytes(fnvOff
 
 // FingerprintGraph fingerprints a graph over its canonical encoding
 // (graph.AppendCanonical): node count plus the sorted multiset of
-// normalized weighted edges.
+// normalized weighted edges. It streams the words of the encoding, so a
+// canonical graph hashes without allocating.
 func FingerprintGraph(g *graph.Graph) Fingerprint {
-	return FingerprintBytes(g.AppendCanonical(nil))
+	g = graph.Canonical(g)
+	h := fnvWord(fnvOffset, uint64(g.NumNodes()))
+	h = fnvWord(h, uint64(g.NumEdges()))
+	for _, e := range g.EdgeSlice() {
+		h = fnvWord(h, uint64(e.U))
+		h = fnvWord(h, uint64(e.V))
+		h = fnvWord(h, math.Float64bits(e.W))
+	}
+	return Fingerprint(h)
 }
 
 // hashPartition feeds p's canonical encoding (see FingerprintPartition)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -215,5 +216,47 @@ func TestFingerprintStringMatchesSprintf(t *testing.T) {
 	f := Fingerprint(rng.Uint64())
 	if n := testing.AllocsPerRun(100, func() { fingerprintSink = f.String() }); n != 1 {
 		t.Errorf("Fingerprint.String: %v allocs, want 1", n)
+	}
+}
+
+var graphFPSink Fingerprint
+
+// TestFingerprintGraphStreamsCanonicalBytes holds FingerprintGraph, which
+// streams a graph's edges, to FNV-1a over AppendCanonical's bytes: on
+// canonical graphs of every cli family, and on graphs out of canonical
+// order with reversed edges, parallel edges and a −0 weight. A canonical
+// graph hashes without allocating.
+func TestFingerprintGraphStreamsCanonicalBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, spec := range []string{
+		"grid:9x7", "torus:5x6", "wheel:12", "cycle:9", "path:8",
+		"complete:7", "ktree:60,4", "random:40,90", "lb:5,12",
+	} {
+		g, _, err := cli.ParseGraph(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := FingerprintGraph(g), FingerprintBytes(g.AppendCanonical(nil)); got != want {
+			t.Fatalf("%s: FingerprintGraph %s, bytes hash to %s", spec, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { graphFPSink = FingerprintGraph(g) }); n != 0 {
+			t.Errorf("%s: FingerprintGraph %.0f allocs/op on a canonical graph, want 0", spec, n)
+		}
+		shuffled := graph.New(g.NumNodes())
+		es := g.Edges()
+		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		for i, e := range es {
+			w := e.W + float64(i%3)
+			if i%5 == 0 {
+				w = math.Copysign(0, -1)
+			}
+			shuffled.AddWeightedEdge(e.V, e.U, w)
+			if i%7 == 0 {
+				shuffled.AddWeightedEdge(e.U, e.V, w)
+			}
+		}
+		if got, want := FingerprintGraph(shuffled), FingerprintBytes(shuffled.AppendCanonical(nil)); got != want {
+			t.Fatalf("%s shuffled: FingerprintGraph %s, bytes hash to %s", spec, got, want)
+		}
 	}
 }

@@ -92,9 +92,15 @@ func partRanks(p *partition.Partition, buf []int32) (rank, byRank []int32) {
 
 // encodeGraph renders the graph payload: version byte + canonical encoding.
 func encodeGraph(g *graph.Graph) []byte {
-	b := make([]byte, 1, 1+16+24*g.NumEdges())
-	b[0] = graphPayloadVersion
-	return g.AppendCanonical(b)
+	return appendGraph(make([]byte, 0, graphPayloadLen(g)), g)
+}
+
+// graphPayloadLen is the length of g's graph payload.
+func graphPayloadLen(g *graph.Graph) int { return 1 + 16 + 24*g.NumEdges() }
+
+// appendGraph appends the graph payload to b.
+func appendGraph(b []byte, g *graph.Graph) []byte {
+	return g.AppendCanonical(append(b, graphPayloadVersion))
 }
 
 // decodeGraph reconstructs a graph from its payload and verifies that the
@@ -139,6 +145,7 @@ func decodeGraph(payload []byte, key service.Fingerprint, network bool) (*graph.
 		return nil, fmt.Errorf("store: graph %s: payload length %d for %d edges", key, len(body), m)
 	}
 	g := graph.New(int(n))
+	g.Grow(int(m))
 	off := 16
 	var pu, pv uint64
 	var pw float64

@@ -315,7 +315,9 @@ func (c *kvCore) PutGraph(fp service.Fingerprint, g *graph.Graph) error {
 	if c.has(kindGraph, fp) {
 		return nil
 	}
-	return c.putRecord(kindGraph, fp, encodeGraph(g))
+	// Encode straight into the frame: one buffer, not a payload and a copy.
+	frame := make([]byte, frameHdrSize, frameHdrSize+graphPayloadLen(g))
+	return c.putFrame(kindGraph, fp, appendGraph(frame, g))
 }
 
 // EachGraph decodes every live graph record, ascending by fingerprint.

@@ -61,7 +61,7 @@ type (
 	Graph = graph.Graph
 	// Edge is an undirected weighted edge.
 	Edge = graph.Edge
-	// Arc is one direction of an edge in an adjacency list.
+	// Arc is one direction of an edge, as Graph.Neighbors lists it.
 	Arc = graph.Arc
 	// LowerBoundGraph is the Lemma 3.2 / Figure 3.2 hard instance.
 	LowerBoundGraph = graph.LowerBoundGraph
