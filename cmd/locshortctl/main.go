@@ -201,11 +201,17 @@ func runLs(s *store.Store) error {
 	}
 	fmt.Printf("%d records (%d graphs, %d partitions, %d shortcuts, %d jobs)%s, %d bytes\n",
 		len(recs), st.Graphs, st.Partitions, st.Shortcuts, st.Jobs, layout, st.Bytes)
-	if st.CorruptSkipped > 0 || st.TruncatedBytes > 0 {
-		fmt.Printf("repaired on open: %d corrupt records skipped, %d bytes truncated\n",
-			st.CorruptSkipped, st.TruncatedBytes)
-	}
+	printRepairs(st)
 	return nil
+}
+
+// printRepairs prints what Open cut away or left out of the index as
+// stale, if anything: ls and verify share it.
+func printRepairs(st store.OpenStats) {
+	if st.CorruptSkipped > 0 || st.TruncatedBytes > 0 || st.StaleSkipped > 0 {
+		fmt.Printf("repaired on open: %d corrupt records skipped, %d bytes truncated, %d stale records skipped\n",
+			st.CorruptSkipped, st.TruncatedBytes, st.StaleSkipped)
+	}
 }
 
 // runInspect decodes every record stored under fp (a fingerprint can in
@@ -260,10 +266,7 @@ func runInspect(s *store.Store, fp service.Fingerprint) error {
 
 func runVerify(s *store.Store) error {
 	st := s.OpenStats()
-	if st.CorruptSkipped > 0 || st.TruncatedBytes > 0 {
-		fmt.Printf("repaired on open: %d corrupt records skipped, %d bytes truncated\n",
-			st.CorruptSkipped, st.TruncatedBytes)
-	}
+	printRepairs(st)
 	problems := s.Verify()
 	for _, p := range problems {
 		fmt.Println("PROBLEM:", p)

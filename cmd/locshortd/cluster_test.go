@@ -263,12 +263,15 @@ func TestClusterPeerFetch(t *testing.T) {
 
 	// Pick a node that did not build and force it to serve locally (the
 	// forwarded flag, as if relayed): its miss chain is cache miss → store
-	// miss → peer fetch from the owner's store.
+	// miss → peer fetch from the owner's store. The owner persists its
+	// build detached from the answer, so wait until its store holds the
+	// record before asking.
 	var other *clusterNode
 	for _, n := range nodes {
-		if n.addr != owner {
+		if n.addr == owner {
+			eventually(t, "the owner's persist", func() bool { return n.st.HasShortcut(key) })
+		} else if other == nil {
 			other = n
-			break
 		}
 	}
 	resp := postShortcut(t, other.url, build, true)

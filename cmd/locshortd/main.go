@@ -307,8 +307,8 @@ func run() error {
 			return fmt.Errorf("warm start: %w", err)
 		}
 		ss := st.OpenStats()
-		log.Printf("locshortd: warm start from segment store (%s): %d graphs, %d shortcut records, %d job records (%d bytes)",
-			*data, loaded, ss.Shortcuts, ss.Jobs, ss.Bytes)
+		log.Printf("locshortd: warm start from segment store (%s): %d graphs, %d shortcut records, %d job records (%d bytes), %d stale records skipped",
+			*data, loaded, ss.Shortcuts, ss.Jobs, ss.Bytes, ss.StaleSkipped)
 		if ss.CorruptSkipped > 0 || ss.TruncatedBytes > 0 {
 			log.Printf("locshortd: store repair on open: %d corrupt records skipped, %d bytes truncated",
 				ss.CorruptSkipped, ss.TruncatedBytes)

@@ -218,13 +218,28 @@ func TestFetchShortcutRejectsTamperedRecord(t *testing.T) {
 	// shortcut payload flipped. Verification on the fetching side must
 	// reject it. The middle byte lies in an edge list, and the flip names
 	// a non-tree edge; the key does not cover the edge lists, so a flip
-	// that still named tree edges only would pass.
-	byzantine(nodes[0], func(rec *store.PeerRecord) []byte { return rec.ShortcutPayload }, false)
-
-	_, _, ok, err := nodes[1].cl.FetchShortcut(context.Background(), key, g, p)
-	wantVerificationError(t, ok, err)
-	if nodes[1].st.HasShortcut(key) {
-		t.Fatal("tampered record was imported")
+	// that still named tree edges only would pass. Of a one-byte pick the
+	// flip hits the version byte, 2 to 3: a peer on another payload
+	// version is refused by it, given the partition or not.
+	for _, c := range []struct {
+		name  string
+		pick  func(*store.PeerRecord) []byte
+		parts []*partition.Partition
+	}{
+		{"edge list", func(rec *store.PeerRecord) []byte { return rec.ShortcutPayload }, []*partition.Partition{p}},
+		{"version byte", func(rec *store.PeerRecord) []byte { return rec.ShortcutPayload[:1] }, []*partition.Partition{p, nil}},
+	} {
+		byzantine(nodes[0], c.pick, false)
+		for _, parts := range c.parts {
+			_, _, ok, err := nodes[1].cl.FetchShortcut(context.Background(), key, g, parts)
+			wantVerificationError(t, ok, err)
+			if c.name == "version byte" && !strings.Contains(err.Error(), "bad version") {
+				t.Errorf("%s (partition given: %v): refused for %v, want its version", c.name, parts != nil, err)
+			}
+			if nodes[1].st.HasShortcut(key) {
+				t.Fatalf("%s: tampered record was imported", c.name)
+			}
+		}
 	}
 }
 

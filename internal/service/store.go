@@ -43,7 +43,7 @@ type Store interface {
 	// PutShortcut persists a built shortcut under its key, together with
 	// the partition it covers, the options that produced it, and the
 	// wall-clock build cost (what a future warm start saves). A record
-	// already under key that no longer decodes is replaced.
+	// already under key that a read without parts refuses is replaced.
 	PutShortcut(key, graphFP Fingerprint, parts *partition.Partition,
 		opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error
 
@@ -52,8 +52,9 @@ type Store interface {
 	// fingerprint, in canonical form) and parts (the requested partition;
 	// same key implies the same canonical partition). A nil parts decodes
 	// the record's own partition payload, so the result's partition is in
-	// canonical part order. ok is false when no record exists; a record
-	// that exists but fails validation returns an error.
+	// canonical part order. ok is false when no readable record exists
+	// (one of another format is none); a record that exists but fails
+	// validation returns an error.
 	GetShortcut(key Fingerprint, g *graph.Graph, parts *partition.Partition) (
 		res *shortcut.Result, buildTime time.Duration, ok bool, err error)
 

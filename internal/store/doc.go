@@ -19,9 +19,10 @@
 // the representative any process holds for the fingerprint. It holds no
 // restriction tree: that is the graph's own BFS tree, and the decode takes
 // it from the graph. A read without the request's partition decodes the
-// shortcut and its partition record in one pass (decodeRecord). Payload
-// version 2 is written and version 1, from earlier releases, still read
-// (encode.go).
+// shortcut and its partition record in one pass (decodeRecord). The
+// store reads only the payload versions it writes, and the shortcut
+// version is the construction epoch: Open skips a record of another
+// version, its rebuild rewrites it, and a peer's is refused (encode.go).
 //
 // The store also carries the async job records of internal/jobs ('J'
 // frames in the same segments). Those are the one non-content-addressed

@@ -16,9 +16,9 @@ import (
 	"locshort/internal/tree"
 )
 
-// Payload encodings. Every payload starts with a one-byte version so the
-// format can evolve record kind by record kind; decoders reject unknown
-// versions instead of misreading them.
+// Payload encodings. Every payload starts with a one-byte version, and a
+// decoder reads exactly the version this build writes and refuses any
+// other instead of misreading it.
 //
 // The store is self-verifying: every payload re-derives its record key
 // without side information, so `locshortctl verify` can prove
@@ -41,19 +41,16 @@ import (
 // stores neither the tree nor its depth: a read hands out the graph's
 // memoized tree.
 //
-// Version 2 of the partition and shortcut payloads is the only one
-// written. Version 1, which earlier releases wrote, is still read, so old
-// data directories and peers that have not been upgraded keep working: a
-// version 1 partition payload is the 16+8n-byte canonical encoding itself,
-// and a version 1 shortcut payload also stores the tree and its depth,
-// which must be the graph's.
+// A stored partition or shortcut is a cache of a deterministic
+// construction, so one of another version is a miss that Open skips and a
+// rebuild rewrites. shortcutPayloadVersion is the construction epoch: a
+// change that moves built output (the root search, the BFS tree, the
+// doubling search) bumps it, so every stored shortcut is rebuilt once.
+// Nothing rebuilds a graph, so graph records keep their version.
 const (
 	graphPayloadVersion     = 1
 	partitionPayloadVersion = 2
-	shortcutPayloadVersion  = 2
-
-	partitionPayloadV1 = 1
-	shortcutPayloadV1  = 1
+	shortcutPayloadVersion  = 2 // the construction epoch: bumped when built output moves
 )
 
 // maxStoredGraphNodes bounds the node count of a graph record read back
@@ -206,23 +203,17 @@ func appendPartition(b []byte, p *partition.Partition) []byte {
 	return b
 }
 
-// partitionLabels is a partition payload's header and the labels that
-// follow it, not yet read: uvarints on version 2, big-endian words on
-// version 1.
+// partitionLabels is a partition payload's header and the uvarint labels
+// that follow it, not yet read.
 type partitionLabels struct {
 	n, k int
-	v1   bool
 	b    []byte
 }
 
-// parsePartition reads a partition payload's header, of either version.
-// n is held to the bytes that follow — every version 2 label takes at
-// least one byte, and a version 1 body is exactly 16+8n bytes — and k to
-// n, before anything is sized by either.
+// parsePartition reads a partition payload's header. n is held to the
+// bytes that follow, every label taking at least one, and k to n, before
+// anything is sized by either.
 func parsePartition(payload []byte) (partitionLabels, error) {
-	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
-		return parsePartitionV1(payload[1:])
-	}
 	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
 		return partitionLabels{}, errors.New("bad payload version")
 	}
@@ -246,40 +237,10 @@ func parsePartition(payload []byte) (partitionLabels, error) {
 	return partitionLabels{n: int(n), k: int(k), b: b}, nil
 }
 
-// parsePartitionV1 is parsePartition for a version 1 body, the canonical
-// encoding itself: n, k, then n labels, all big-endian words.
-func parsePartitionV1(body []byte) (partitionLabels, error) {
-	if len(body) < 16 {
-		return partitionLabels{}, errors.New("short payload")
-	}
-	n := binary.BigEndian.Uint64(body)
-	k := binary.BigEndian.Uint64(body[8:])
-	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
-		return partitionLabels{}, fmt.Errorf("payload length %d for %d nodes", len(body), n)
-	}
-	if k > n {
-		return partitionLabels{}, fmt.Errorf("%d parts for %d nodes", k, n)
-	}
-	return partitionLabels{n: int(n), k: int(k), v1: true, b: body[16:]}, nil
-}
-
 // next reads node v's label off the front of the labels: its part rank,
-// or -1 for an uncovered node. A label must be below k and, on version 2,
-// in its shortest varint form, so a partition has exactly one payload of
-// each version. The header's length check guarantees a version 1 label
-// its eight bytes.
+// or -1 for an uncovered node. A label must be below k and in its
+// shortest varint form, so a partition has exactly one payload.
 func (l *partitionLabels) next(v int) (int, error) {
-	if l.v1 {
-		x := binary.BigEndian.Uint64(l.b)
-		l.b = l.b[8:]
-		switch {
-		case x == ^uint64(0):
-			return -1, nil
-		case x >= uint64(l.k):
-			return 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, x, l.k)
-		}
-		return int(x), nil
-	}
 	x, used := shortestUvarint(l.b)
 	switch {
 	case used <= 0:
@@ -310,14 +271,10 @@ func shortestUvarint(b []byte) (uint64, int) {
 }
 
 // partitionKey re-derives a partition payload's fingerprint without its
-// graph, for Verify. A version 2 payload's labels are checked as the
-// key-only read (decodeRecord) checks them and streamed through the hash
-// of their canonical expansion (service.RecordHash), which is never built;
-// a version 1 body is that expansion, and is hashed as it is.
+// graph, for Verify: the labels are checked as the key-only read
+// (decodeRecord) checks them and streamed through the hash of their
+// canonical expansion (service.RecordHash), which is never built.
 func partitionKey(payload []byte) (service.Fingerprint, error) {
-	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
-		return service.FingerprintBytes(payload[1:]), nil
-	}
 	lab, err := parsePartition(payload)
 	if err != nil {
 		return 0, err
@@ -333,6 +290,14 @@ func partitionKey(payload []byte) (service.Fingerprint, error) {
 	return h.Partition(), lab.end()
 }
 
+// stalePayload reports whether a record of kind is a partition or
+// shortcut payload of another version than this build writes. An empty
+// payload carries no version; the decoders refuse it.
+func stalePayload(kind byte, payload []byte) bool {
+	return len(payload) > 0 && (kind == kindPartition && payload[0] != partitionPayloadVersion ||
+		kind == kindShortcut && payload[0] != shortcutPayloadVersion)
+}
+
 // shortcutMeta is the decoded fixed-size head of a shortcut payload, enough
 // to know which graph and partition records the shortcut depends on without
 // materializing the shortcut itself (the segment replay parses exactly this
@@ -342,10 +307,9 @@ type shortcutMeta struct {
 	partFP  service.Fingerprint
 }
 
-// parseShortcutMeta reads the dependency head of a shortcut payload, which
-// both versions share.
+// parseShortcutMeta reads the dependency head of a shortcut payload.
 func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
-	if len(payload) < 17 || (payload[0] != shortcutPayloadVersion && payload[0] != shortcutPayloadV1) {
+	if len(payload) < 17 || payload[0] != shortcutPayloadVersion {
 		return shortcutMeta{}, fmt.Errorf("store: shortcut payload: bad version or truncated head")
 	}
 	return shortcutMeta{
@@ -358,12 +322,9 @@ func parseShortcutMeta(payload []byte) (shortcutMeta, error) {
 // form: its edge IDs are not the payload's.
 var errNotCanonical = errors.New("graph is not in canonical form (graph.Canonical)")
 
-// errTreeNotCanonical refuses a shortcut whose restriction tree is not the
-// graph's BFS tree: a result built on another tree or on none, which a
-// payload without a tree would read back on the wrong one; or a version 1
-// record whose stored tree or depth is not the graph's, written against
-// another edge order by a release that kept a non-canonical
-// representative, or forged.
+// errTreeNotCanonical refuses to write a shortcut whose restriction tree
+// is not the graph's BFS tree: a result built on another tree or on none,
+// which a payload without a tree would read back on the wrong one.
 var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree")
 
 // appendShortcut appends a shortcut payload to b and returns it with the
@@ -385,10 +346,6 @@ var errTreeNotCanonical = errors.New("tree is not the graph's canonical BFS tree
 //	[per covered part, in canonical rank order] uvarint edge count, then
 //	            ascending edge IDs delta-encoded as uvarints (first
 //	            absolute, rest gaps)
-//
-// Version 1 also stored the tree depth after the iterations, and after
-// the build cost a flag byte and the tree: uvarint root, uvarint node
-// count n, then n varints, each node's parent-edge ID or -1.
 //
 // Every cold build is persisted through here, so it allocates nothing
 // but b's growth whatever n is: b grows at most once, to a bound from k
@@ -501,19 +458,6 @@ func (r *varintReader) varint() int64 {
 	return v
 }
 
-func (r *varintReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.err = fmt.Errorf("store: truncated payload")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
 func (r *varintReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -557,13 +501,12 @@ type shortcutHead struct {
 	edges varintReader
 }
 
-// parse reads a shortcut payload of either version up to its edge lists,
-// against g (the serving process's representative for the record's graph
-// fingerprint), which must be canonical: the dependency head, the build
-// options, the result metadata and the build cost. The tree is g's
-// memoized BFS tree and the tree depth that tree's height, at least 1, as
-// the Builder computes it; a version 1 payload's stored tree (readTreeV1)
-// and depth must equal them. Then the part count, at most g's node count,
+// parse reads a shortcut payload up to its edge lists, against g (the
+// serving process's representative for the record's graph fingerprint),
+// which must be canonical: the dependency head, the build options, the
+// result metadata and the build cost. The tree is g's memoized BFS tree
+// and the tree depth that tree's height, at least 1, as the Builder
+// computes it. Then the part count, at most g's node count,
 // and the coverage bitmap, and a pre-pass over the per-part edge counts
 // totals the H sets: each count is capped by m and by the payload bytes
 // left, which every listed edge takes at least one of, so a read sizes its
@@ -576,7 +519,6 @@ func (h *shortcutHead) parse(payload []byte, g *graph.Graph) error {
 	if h.shortcutMeta, err = parseShortcutMeta(payload); err != nil {
 		return err
 	}
-	v1 := payload[0] == shortcutPayloadV1
 	r := varintReader{b: payload[17:]}
 	for _, f := range [...]*int{&h.opts.Delta, &h.opts.MaxDelta, &h.opts.CongestionFactor, &h.opts.BlockFactor, &h.opts.MaxIterations} {
 		*f = int(r.varint())
@@ -584,24 +526,11 @@ func (h *shortcutHead) parse(payload []byte, g *graph.Graph) error {
 	for _, f := range [...]*int{&h.res.Delta, &h.res.CongestionThreshold, &h.res.BlockBudget, &h.res.Iterations} {
 		*f = int(r.varint())
 	}
-	var depth int64
-	if v1 {
-		depth = r.varint()
-	}
 	h.buildNs = r.varint()
 	if err := tree.SharedInto(&h.tree, g); err != nil {
 		return err
 	}
 	h.res.TreeDepth = max(1, h.tree.MaxDepth())
-	if v1 {
-		if err := readTreeV1(&r, g, &h.tree); err != nil {
-			return err
-		}
-		if depth != int64(h.res.TreeDepth) {
-			return fmt.Errorf("%w: tree depth %d stored, the graph's BFS tree has depth %d",
-				errTreeNotCanonical, depth, h.res.TreeDepth)
-		}
-	}
 	k := r.uvarint()
 	if r.err != nil {
 		return r.err
@@ -705,15 +634,14 @@ func (h *shortcutHead) readEdges(s *shortcut.Shortcut, edges []int, byRank []int
 }
 
 // decodeRecord is the key-only read: it reconstructs the shortcut payload
-// spay against g and the partition record ppay it names, of either
-// version, in one pass over each and four allocations whatever n and k
-// are: the record (Result, Shortcut, tree header and partition), one []int
+// spay against g and the partition record ppay it names, in one pass over
+// each and four allocations whatever n and k are: the record (Result, Shortcut, tree header and partition), one []int
 // (PartOf, then the parts' nodes, then every H_i's edges), one [][]int
 // (Parts, then H) and Covered. Before anything is allocated the shortcut
 // head is parsed (shortcutHead.parse) and the partition header must fit
 // its payload (parsePartition), cover g's nodes and have the shortcut's
-// part count. The labels are read straight into PartOf, each below k and,
-// on version 2, in shortest form, with no bytes trailing, and streamed
+// part count. The labels are read straight into PartOf, each below k and
+// in shortest form, with no bytes trailing, and streamed
 // through the partition fingerprint and the key in the same pass
 // (service.RecordHash); they must hash to the fingerprint the shortcut
 // names. partition.FromCanonical lays the parts out after PartOf and
@@ -820,36 +748,4 @@ func decodeStored(spay, ppay []byte, key service.Fingerprint,
 		return decodeShortcut(spay, key, g, parts)
 	}
 	return decodeRecord(spay, ppay, key, g)
-}
-
-// readTreeV1 reads a version 1 payload's tree section — a flag byte, then
-// the root, the node count and every node's parent-edge ID — and checks
-// that the stored tree is shared, g's memoized BFS tree, entry for entry.
-// A record stored without a tree is refused: every H_i must be restricted
-// to g's tree, and version 2 reads every record on it.
-func readTreeV1(r *varintReader, g *graph.Graph, shared *tree.Rooted) error {
-	if flag := r.byte(); r.err != nil {
-		return r.err
-	} else if flag != 1 {
-		return fmt.Errorf("%w: record stored without a tree", errTreeNotCanonical)
-	}
-	root := r.uvarint()
-	n := r.uvarint()
-	if r.err != nil {
-		return r.err
-	}
-	if n != uint64(g.NumNodes()) || root >= n {
-		return fmt.Errorf("tree covers %d nodes (root %d), graph has %d", n, root, g.NumNodes())
-	}
-	if root != uint64(shared.Root) {
-		return fmt.Errorf("%w: tree root %d, the graph's BFS tree is rooted at %d", errTreeNotCanonical, root, shared.Root)
-	}
-	for v, want := range shared.ParentEdge {
-		if id := r.varint(); r.err != nil {
-			return r.err
-		} else if id != int64(want) {
-			return fmt.Errorf("%w: node %d has parent edge %d, the graph's BFS tree %d", errTreeNotCanonical, v, id, want)
-		}
-	}
-	return nil
 }

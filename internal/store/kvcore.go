@@ -37,7 +37,7 @@ type kvCore struct {
 	closed  bool
 	index   map[indexKey]kvMeta
 	byGraph map[service.Fingerprint]map[service.Fingerprint]struct{} // graphFP -> shortcut keys
-	live    OpenStats                                                // record counts by kind, kept current
+	live    OpenStats                                                // record counts by kind, kept current, and StaleSkipped
 }
 
 type indexKey struct {
@@ -160,8 +160,13 @@ func (c *kvCore) removeLocked(ik indexKey) {
 // applyLocked installs one record read back from durable storage: the
 // same index insert a put performs or, for a tombstone, the same drop
 // DeleteGraph performs. It reports false for a record it cannot install
-// (unknown kind, undecodable shortcut header). Caller holds mu.
+// (unknown kind, undecodable shortcut header), and skips a stale payload
+// (stalePayload), counting it in StaleSkipped. Caller holds mu.
 func (c *kvCore) applyLocked(kind byte, key service.Fingerprint, payload []byte, meta kvMeta) bool {
+	if stalePayload(kind, payload) {
+		c.live.StaleSkipped++
+		return true
+	}
 	switch kind {
 	case kindTombstone:
 		c.dropGraphLocked(key)
@@ -178,6 +183,20 @@ func (c *kvCore) applyLocked(kind byte, key service.Fingerprint, payload []byte,
 		return false
 	}
 	return true
+}
+
+// skipOrphansLocked drops every shortcut whose partition record is not
+// live (stale, or lost to a checksum failure) from the index, counting it
+// in StaleSkipped: no key-only read could serve it, so its key reads as a
+// miss that the rebuild heals. Open runs it after replay. Caller holds mu.
+func (c *kvCore) skipOrphansLocked() {
+	for ik, meta := range c.index {
+		if _, ok := c.index[indexKey{kind: kindPartition, key: meta.partFP}]; ik.kind == kindShortcut && !ok {
+			c.removeLocked(ik)
+			c.unlinkLocked(meta.graphFP, ik.key)
+			c.live.StaleSkipped++
+		}
+	}
 }
 
 // entriesLocked snapshots the index entries of one kind (0: every kind),
@@ -359,11 +378,11 @@ func (c *kvCore) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
 // silently dropped: a detached engine persist can race a DeleteGraph, and
 // writing the record after the delete would resurrect a shortcut whose
 // graph is gone (an orphan that fails Verify). A live record under key is
-// kept if it decodes and replaced if it does not, so the rebuild that
-// follows a refused read heals the key. The shortcut's graph must be
-// canonical. Both payloads are encoded into one pooled buffer, each after
-// room for its frame header, and written from it: a persist allocates no
-// payload or frame of its own.
+// kept if the key-only read serves it, else replaced, with the partition
+// record whenever that is not live, so a rebuild heals the key. The
+// shortcut's graph must be canonical. Both payloads are encoded into one
+// pooled buffer, each after room for its frame header, and written from
+// it: a persist allocates no payload or frame of its own.
 func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.Partition,
 	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error {
 
@@ -380,7 +399,7 @@ func (c *kvCore) PutShortcut(key, graphFP service.Fingerprint, parts *partition.
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if !c.has(kindGraph, graphFP) || c.holdsShortcut(key, res.Shortcut.G, parts) {
+	if !c.has(kindGraph, graphFP) || c.holdsShortcut(key, res.Shortcut.G) {
 		return nil
 	}
 	shortcutEnd := len(b)
@@ -424,16 +443,12 @@ func (c *kvCore) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *par
 	return res, bt, true, nil
 }
 
-// holdsShortcut reports whether a live record under key decodes against g
-// and parts (nil: the record's own partition). Writers call it under
-// writeMu, to keep a good record and replace one a read would refuse.
-func (c *kvCore) holdsShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) bool {
-	spay, ppay, ok, err := c.shortcutPayloads(key, parts == nil)
-	if err != nil || !ok {
-		return false
-	}
-	_, _, err = decodeStored(spay, ppay, key, g, parts)
-	return err == nil
+// holdsShortcut reports whether the key-only read serves the live record
+// under key against g. Writers call it under writeMu, to keep a good
+// record and replace one a read refuses or whose partition record is gone.
+func (c *kvCore) holdsShortcut(key service.Fingerprint, g *graph.Graph) bool {
+	_, _, ok, err := c.GetShortcut(key, g, nil)
+	return ok && err == nil
 }
 
 // shortcutPayloads reads a live shortcut record's payload and, withPart,

@@ -75,12 +75,12 @@ func DecodeGraphPayload(payload []byte, fp service.Fingerprint) (*graph.Graph, e
 	return decodeGraph(payload, fp, true)
 }
 
-// DecodeShortcutPayload reconstructs a shortcut record payload, of either
-// version, against the caller's representative graph, which must be
-// canonical, and requested partition. All of the store read's verification
-// applies: the result is restricted to g's BFS tree (a version 1 payload's
-// stored tree and depth must be that tree's), it must validate
-// structurally, and the stored inputs must re-derive key.
+// DecodeShortcutPayload reconstructs a shortcut record payload against the
+// caller's representative graph, which must be canonical, and requested
+// partition. All of the store read's verification applies: the payload
+// must be of this build's version, the result is restricted to g's BFS
+// tree, it must validate structurally, and the stored inputs must
+// re-derive key.
 func DecodeShortcutPayload(payload []byte, key service.Fingerprint,
 	g *graph.Graph, parts *partition.Partition) (*shortcut.Result, time.Duration, error) {
 	return decodeShortcut(payload, key, g, parts)
@@ -204,19 +204,20 @@ func (c *kvCore) GraphFingerprints() []service.Fingerprint {
 // node is missing: the graph and partition payloads are written only if
 // absent, then the shortcut record. It returns the decoded graph (so the
 // caller can register it with a serving engine) and whether the shortcut was
-// actually written — false means a record for the key that decodes already
-// existed and nothing was written; one that does not decode is replaced.
+// actually written — false means a record for the key that the key-only
+// read serves already existed and nothing was written; any other is
+// replaced, and the partition record is written whenever it is not live.
 // The verify-then-write order plus writeMu makes the import atomic with
 // respect to a concurrent DeleteGraph: a record can never be resurrected
 // under a delete that happened first.
 func (c *kvCore) ImportShortcut(rec PeerRecord) (*graph.Graph, bool, error) {
-	g, parts, _, _, err := VerifyPeerRecord(rec)
+	g, _, _, _, err := VerifyPeerRecord(rec)
 	if err != nil {
 		return nil, false, err
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if c.holdsShortcut(rec.Key, g, parts) {
+	if c.holdsShortcut(rec.Key, g) {
 		return g, false, nil
 	}
 	if !c.has(kindGraph, rec.GraphFP) {

@@ -56,9 +56,9 @@ func sameHashes(a, b map[string]string) bool {
 	return true
 }
 
-// segmentGolden is what TestSegmentBytesGolden pins for one payload
-// version: the segment file hashes before and after the GC, the Records
-// listing digests, and the GCStats.
+// segmentGolden is what TestSegmentBytesGolden pins: the segment file
+// hashes before and after the GC, the Records listing digests, and the
+// GCStats.
 type segmentGolden struct {
 	before         map[string]string
 	records        string
@@ -72,37 +72,15 @@ type segmentGolden struct {
 // superseded job, a tombstone, a verbatim graph payload, rotation across
 // small segments, and a GC — together with the Records listing (record
 // locations included) and the GCStats. A change that alters any of them
-// would make existing data directories replay differently. The sequence
-// runs twice. Once with the shortcuts written as earlier releases wrote
-// them, through the version 1 encoders: those hashes were recorded before
-// the record index and the segment log were separated, so they are the
-// proof that old directories still open and compact unchanged. And once
-// through PutShortcut, which writes version 2, pinning the live format.
+// makes existing data directories replay differently. The shortcuts go
+// through PutShortcut, so the subtest, named for the payload version,
+// pins the version this build writes and reads and what the construction
+// builds: a change that moves built output must bump
+// shortcutPayloadVersion, so stored records read as misses and are
+// rebuilt, and re-pin the hashes here.
 func TestSegmentBytesGolden(t *testing.T) {
-	type putFunc func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration)
-	for _, c := range []struct {
-		name string
-		put  putFunc
-		want segmentGolden
-	}{
-		{"v1", func(s *Store, key, fp service.Fingerprint, _ *partition.Partition, res *shortcut.Result, bt time.Duration) {
-			putShortcutV1(t, &s.kvCore, key, fp, shortcut.Options{}, res, bt)
-		}, segmentGolden{
-			before: map[string]string{
-				"000001.seg": "dee643b7a8a42866",
-				"000002.seg": "4770323bc1c89dc5",
-				"000003.seg": "c7c81673ca13a3c4",
-			},
-			records:        "12/bf703e9c7969e91e",
-			gc:             GCStats{LiveRecords: 11, LiveBytes: 6933, DroppedRecords: 1, ReclaimedBytes: 1310, Segments: 1},
-			after:          map[string]string{"000004.seg": "c9f744106c7ed849"},
-			recordsAfterGC: "11/b2d03b199eac7f3b",
-		}},
-		{"v2", func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration) {
-			if err := s.PutShortcut(key, fp, p, shortcut.Options{}, res, bt); err != nil {
-				t.Fatal(err)
-			}
-		}, segmentGolden{
+	t.Run("v2", func(t *testing.T) {
+		want := segmentGolden{
 			before: map[string]string{
 				"000001.seg": "20498b3e754e6d26",
 				"000002.seg": "b8614cf94cb20ced",
@@ -112,34 +90,31 @@ func TestSegmentBytesGolden(t *testing.T) {
 			gc:             GCStats{LiveRecords: 11, LiveBytes: 6071, DroppedRecords: 1, ReclaimedBytes: 1052, Segments: 1},
 			after:          map[string]string{"000004.seg": "05ef24901aeaac17"},
 			recordsAfterGC: "11/2845df564564195b",
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			got := writeGoldenSequence(t, c.put)
-			if !sameHashes(got.before, c.want.before) {
-				t.Errorf("segment bytes before GC = %#v, want %#v", got.before, c.want.before)
-			}
-			if got.records != c.want.records {
-				t.Errorf("Records before GC = %s, want %s", got.records, c.want.records)
-			}
-			if got.gc != c.want.gc {
-				t.Errorf("GCStats = %+v, want %+v", got.gc, c.want.gc)
-			}
-			if !sameHashes(got.after, c.want.after) {
-				t.Errorf("segment bytes after GC = %#v, want %#v", got.after, c.want.after)
-			}
-			if got.recordsAfterGC != c.want.recordsAfterGC {
-				t.Errorf("Records after GC = %s, want %s", got.recordsAfterGC, c.want.recordsAfterGC)
-			}
-		})
-	}
+		}
+		got := writeGoldenSequence(t)
+		const bump = "; a change that moves built output bumps shortcutPayloadVersion and re-pins these"
+		if !sameHashes(got.before, want.before) {
+			t.Errorf("segment bytes before GC = %#v, want %#v%s", got.before, want.before, bump)
+		}
+		if got.records != want.records {
+			t.Errorf("Records before GC = %s, want %s%s", got.records, want.records, bump)
+		}
+		if got.gc != want.gc {
+			t.Errorf("GCStats = %+v, want %+v%s", got.gc, want.gc, bump)
+		}
+		if !sameHashes(got.after, want.after) {
+			t.Errorf("segment bytes after GC = %#v, want %#v%s", got.after, want.after, bump)
+		}
+		if got.recordsAfterGC != want.recordsAfterGC {
+			t.Errorf("Records after GC = %s, want %s%s", got.recordsAfterGC, want.recordsAfterGC, bump)
+		}
+	})
 }
 
 // writeGoldenSequence runs TestSegmentBytesGolden's write sequence in a
-// fresh directory, writing each shortcut through put, and returns what the
-// test pins. Replay must rebuild the identical index, locations included.
-func writeGoldenSequence(t *testing.T,
-	put func(s *Store, key, fp service.Fingerprint, p *partition.Partition, res *shortcut.Result, bt time.Duration)) segmentGolden {
+// fresh directory and returns what the test pins. Replay must rebuild the
+// identical index, locations included.
+func writeGoldenSequence(t *testing.T) segmentGolden {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{NoSync: true, SegmentBytes: 2 << 10})
 	if err != nil {
@@ -155,7 +130,9 @@ func writeGoldenSequence(t *testing.T,
 			t.Fatal(err)
 		}
 		key := service.ShortcutKey(fp, p, shortcut.Options{})
-		put(s, key, fp, p, res, time.Duration(i+1)*time.Millisecond)
+		if err := s.PutShortcut(key, fp, p, shortcut.Options{}, res, time.Duration(i+1)*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 		fps = append(fps, fp)
 	}
 	for _, state := range []jobs.State{jobs.Queued, jobs.Done} {

@@ -45,16 +45,11 @@ func decodeRecordTwoStep(spay, ppay []byte, key service.Fingerprint, g *graph.Gr
 	return decodeShortcut(spay, key, g, parts)
 }
 
-// decodePartition reconstructs a partition payload of either version
-// against g: its labels must cover g's nodes, each below k, with no bytes
-// trailing, hash to key, be dense and in first-appearance order, and
-// make connected parts.
+// decodePartition reconstructs a partition payload against g: its labels
+// must cover g's nodes, each below k, with no bytes trailing, hash to key,
+// be dense and in first-appearance order, and make connected parts.
 func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*partition.Partition, error) {
-	labels := readLabels
-	if len(payload) > 0 && payload[0] == partitionPayloadV1 {
-		labels = readLabelsV1
-	}
-	partOf, k, err := labels(payload, key, g)
+	partOf, k, err := readLabels(payload, key, g)
 	if err == nil {
 		var p *partition.Partition
 		if p, err = fromCanonicalLabels(g, partOf, k); err == nil {
@@ -64,9 +59,9 @@ func decodePartition(payload []byte, key service.Fingerprint, g *graph.Graph) (*
 	return nil, fmt.Errorf("store: partition %s: %w", key, err)
 }
 
-// readLabels reads a version 2 payload's labels: uvarint n, uvarint k and
-// one uvarint label+1 per node (0 uncovered), every varint in its
-// shortest form.
+// readLabels reads a payload's labels: uvarint n, uvarint k and one
+// uvarint label+1 per node (0 uncovered), every varint in its shortest
+// form.
 func readLabels(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
 	if len(payload) < 1 || payload[0] != partitionPayloadVersion {
 		return nil, 0, errors.New("bad payload version")
@@ -114,41 +109,6 @@ func readLabels(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int,
 	return partOf, int(k), nil
 }
 
-// readLabelsV1 is readLabels for a version 1 payload, whose body is the
-// canonical encoding itself, hashed first.
-func readLabelsV1(payload []byte, key service.Fingerprint, g *graph.Graph) ([]int, int, error) {
-	body := payload[1:]
-	if got := service.FingerprintBytes(body); got != key {
-		return nil, 0, fmt.Errorf("content hashes to %s", got)
-	}
-	if len(body) < 16 {
-		return nil, 0, errors.New("short payload")
-	}
-	n := binary.BigEndian.Uint64(body)
-	k := binary.BigEndian.Uint64(body[8:])
-	if labels := uint64(len(body) - 16); labels%8 != 0 || n != labels/8 {
-		return nil, 0, fmt.Errorf("payload length %d for %d nodes", len(body), n)
-	}
-	if n != uint64(g.NumNodes()) {
-		return nil, 0, fmt.Errorf("covers %d nodes, graph has %d", n, g.NumNodes())
-	}
-	if k > n {
-		return nil, 0, fmt.Errorf("%d parts for %d nodes", k, n)
-	}
-	partOf := make([]int, n)
-	for v := range partOf {
-		switch l := binary.BigEndian.Uint64(body[16+8*v:]); {
-		case l == ^uint64(0):
-			partOf[v] = -1
-		case l >= k:
-			return nil, 0, fmt.Errorf("node %d label %d out of range [0,%d)", v, l, k)
-		default:
-			partOf[v] = int(l)
-		}
-	}
-	return partOf, int(k), nil
-}
-
 // fromCanonicalLabels builds the partition of dense first-appearance
 // labels with partition.FromLabels, whose parts come in first-appearance
 // order, so part i is label i.
@@ -169,19 +129,20 @@ func fromCanonicalLabels(g *graph.Graph, partOf []int, k int) (*partition.Partit
 }
 
 // FuzzDecodeRecord holds the fused key-only read (decodeRecord) to the
-// two-step decode above, over pairs of shortcut and partition payloads of
-// both versions, seeded from grid, torus and wheel fixtures (picked by the
-// graph fingerprint in the shortcut's head) and their truncations. Each
-// pair is decoded under the key its claimed inputs hash to — over the
-// partition the oracle decodes, else the fixture's — and, when the
-// partition payload hashes to another fingerprint than the shortcut
-// names, once more with the shortcut naming that one, so mutated partition
-// payloads get past the hash check. The invariants: never panic; the
-// fused read accepts exactly when the oracle does; an accepted record
-// equals the oracle's field by field (metadata, build time, PartOf,
-// Parts, H, Covered, and a tree that aliases the graph's memo); and
-// appending to a returned Parts[i], H[i], PartOf, Parts or H reallocates
-// instead of writing into its neighbour.
+// two-step decode above, over pairs of shortcut and partition payloads,
+// seeded from grid, torus and wheel fixtures (picked by the graph
+// fingerprint in the shortcut's head), copies of them with another
+// version byte, and their truncations. Each pair is decoded under the key
+// its claimed inputs hash to — over the partition the oracle decodes,
+// else the fixture's — and, when the partition payload hashes to another
+// fingerprint than the shortcut names, once more with the shortcut naming
+// that one, so mutated partition payloads get past the hash check. The
+// invariants: never panic; the fused read accepts exactly when the oracle
+// does, and never a payload of another version than this build writes; an
+// accepted record equals the oracle's field by field (metadata, build
+// time, PartOf, Parts, H, Covered, and a tree that aliases the graph's
+// memo); and appending to a returned Parts[i], H[i], PartOf, Parts or H
+// reallocates instead of writing into its neighbour.
 func FuzzDecodeRecord(f *testing.F) {
 	type fixture struct {
 		g     *graph.Graph
@@ -202,9 +163,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		s1 := encodeShortcutV1(fp, shortcut.Options{}, res, time.Millisecond)
-		for _, spay := range [][]byte{s2, s1} {
-			for _, ppay := range [][]byte{encodePartition(p), encodePartitionV1(p)} {
+		p2 := encodePartition(p)
+		for _, spay := range [][]byte{s2, withVersion(s2, shortcutPayloadVersion+1)} {
+			for _, ppay := range [][]byte{p2, withVersion(p2, partitionPayloadVersion+1)} {
 				f.Add(spay, ppay)
 				f.Add(spay[:len(spay)-1], ppay)
 				f.Add(spay, ppay[:len(ppay)-1])
@@ -245,6 +206,9 @@ func checkFusedRead(t *testing.T, spay, ppay []byte, g *graph.Graph, fixturePart
 	}
 	if err != nil {
 		return
+	}
+	if spay[0] != shortcutPayloadVersion || ppay[0] != partitionPayloadVersion {
+		t.Fatalf("accepted shortcut payload version %d over partition payload version %d", spay[0], ppay[0])
 	}
 	type metadata struct {
 		delta, threshold, budget, iterations, depth int
@@ -290,5 +254,15 @@ func checkFusedRead(t *testing.T, spay, ppay []byte, g *graph.Graph, fixturePart
 	}
 	for i, h := range s.H {
 		full(fmt.Sprintf("H[%d]", i), len(h), cap(h))
+	}
+}
+
+// TestPayloadV2Sizes pins the partition payload on grid:32x32 blobs:16,
+// the store-mixed benchmark's shape: one byte per node after a 4-byte
+// head.
+func TestPayloadV2Sizes(t *testing.T) {
+	_, p, _ := buildFixture(t, "grid:32x32", "blobs:16", 1)
+	if got, want := len(encodePartition(p)), 1+2+1+1024; got != want {
+		t.Errorf("partition payload %d bytes, want %d", got, want)
 	}
 }

@@ -46,7 +46,8 @@ import (
 // Crash tolerance on open: a record that extends past the end of the last
 // segment — the signature of a crash mid-append — is truncated away, and a
 // record whose checksum does not match its frame is skipped (the frame
-// length still locates the next record). Both are counted in OpenStats.
+// length still locates the next record). Both are counted in OpenStats,
+// as are the stale records Open leaves out of the index.
 const (
 	segMagic     = "LSSTOR01"
 	frameHdrSize = 17
@@ -123,6 +124,8 @@ type OpenStats struct {
 	MappedSegments int
 	// CorruptSkipped counts records dropped for checksum mismatch.
 	CorruptSkipped int
+	// StaleSkipped counts records Open left out of the index (see Open).
+	StaleSkipped int
 	// TruncatedBytes counts bytes cut off a torn segment tail.
 	TruncatedBytes int64
 	// TombstonesApplied counts graph tombstones replayed.
@@ -209,7 +212,10 @@ type segment struct {
 }
 
 // Open opens (creating if necessary) the store rooted at dir, replaying
-// every segment into the index and repairing a torn tail.
+// every segment into the index and repairing a torn tail. A partition or
+// shortcut payload of another version, then every shortcut whose
+// partition record is not live, stay out of the index as stale, so their
+// keys read as misses that a rebuild heals.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
@@ -234,6 +240,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
+	s.skipOrphansLocked()
 	if len(seqs) > 0 {
 		last := l.segs[seqs[len(seqs)-1]]
 		if last.size < opts.SegmentBytes {

@@ -678,9 +678,8 @@ func TestShortcutsNeedCanonicalGraphs(t *testing.T) {
 }
 
 // forgedTreeFixture builds spec's shortcut restricted to a BFS tree rooted
-// one node past the graph's chosen root: under the key of the canonical
-// build, a version 1 record of it has a tree that is not the graph's BFS
-// tree, as a release that kept another edge order could have written.
+// one node past the graph's chosen root, under the key of the canonical
+// build: a result on a tree that is not the graph's BFS tree.
 func forgedTreeFixture(t testing.TB, spec, partSpec string, seed int64) (
 	*graph.Graph, *partition.Partition, *shortcut.Result) {
 	t.Helper()
@@ -696,11 +695,10 @@ func forgedTreeFixture(t testing.TB, spec, partSpec string, seed int64) (
 	return g, p, res
 }
 
-// TestForgedTreeRefused: a version 1 record whose tree is not the graph's
-// BFS tree is refused by every decoder — a store read with or without the
-// partition, Verify, DecodeShortcutPayload, VerifyPeerRecord — and the
-// canonical build replaces it under its key. The forged result itself is
-// never written: version 2 stores no tree, and encoding refuses it.
+// TestForgedTreeRefused: a result whose tree is not the graph's BFS tree
+// is never written, since a payload stores no tree and would read back on
+// the graph's: the put fails and leaves no record, and the canonical build
+// is then written under its key and served.
 func TestForgedTreeRefused(t *testing.T) {
 	g, p, forged := forgedTreeFixture(t, "grid:6x6", "blobs:4", 1)
 	fp := service.FingerprintGraph(g)
@@ -713,24 +711,8 @@ func TestForgedTreeRefused(t *testing.T) {
 	if err := s.PutShortcut(key, fp, p, shortcut.Options{}, forged, time.Millisecond); !errors.Is(err, errTreeNotCanonical) {
 		t.Fatalf("PutShortcut of the forged result: %v, want errTreeNotCanonical", err)
 	}
-	putShortcutV1(t, &s.kvCore, key, fp, shortcut.Options{}, forged, time.Millisecond)
-	for _, parts := range []*partition.Partition{p, nil} {
-		if _, _, _, err := s.GetShortcut(key, g, parts); !errors.Is(err, errTreeNotCanonical) {
-			t.Errorf("GetShortcut (partition given: %v): %v, want errTreeNotCanonical", parts != nil, err)
-		}
-	}
-	rec, ok, err := s.ShortcutRecord(key)
-	if err != nil || !ok {
-		t.Fatalf("ShortcutRecord ok=%v err=%v", ok, err)
-	}
-	if _, _, err := DecodeShortcutPayload(rec.ShortcutPayload, key, g, p); !errors.Is(err, errTreeNotCanonical) {
-		t.Errorf("DecodeShortcutPayload: %v, want errTreeNotCanonical", err)
-	}
-	if _, _, _, _, err := VerifyPeerRecord(rec); !errors.Is(err, errTreeNotCanonical) {
-		t.Errorf("VerifyPeerRecord: %v, want errTreeNotCanonical", err)
-	}
-	if problems := s.Verify(); len(problems) != 1 || problems[0].Kind != "shortcut" {
-		t.Errorf("verify = %v, want the one shortcut", problems)
+	if st := s.OpenStats(); st.Shortcuts != 0 || st.Partitions != 0 {
+		t.Fatalf("the refused put left %d shortcut and %d partition records", st.Shortcuts, st.Partitions)
 	}
 
 	_, _, built := buildFixture(t, "grid:6x6", "blobs:4", 1)
@@ -739,13 +721,43 @@ func TestForgedTreeRefused(t *testing.T) {
 	}
 	got, _, ok, err := s.GetShortcut(key, g, nil)
 	if err != nil || !ok {
-		t.Fatalf("GetShortcut after the rebuild: ok=%v err=%v", ok, err)
+		t.Fatalf("GetShortcut after the canonical build: ok=%v err=%v", ok, err)
 	}
 	if !sameCanonicalH(canonicalH(got.Shortcut), canonicalH(built.Shortcut)) {
-		t.Error("the replacing record does not hold the rebuild")
+		t.Error("the record does not hold the canonical build")
 	}
 	if problems := s.Verify(); len(problems) != 0 {
-		t.Errorf("verify after the rebuild: %v", problems)
+		t.Errorf("verify: %v", problems)
+	}
+}
+
+// TestEncodeRefusesOtherTrees: a result restricted to a tree other than
+// the graph's BFS tree, or to none, is not written, since a payload
+// without a tree would be read back on the graph's.
+func TestEncodeRefusesOtherTrees(t *testing.T) {
+	g, p, forged := forgedTreeFixture(t, "grid:6x6", "blobs:4", 1)
+	fp := service.FingerprintGraph(g)
+	_, _, res := buildFixture(t, "grid:6x6", "blobs:4", 1)
+	treeless := *res.Shortcut
+	treeless.Tree = nil
+	for name, r := range map[string]*shortcut.Result{
+		"other tree": forged,
+		"no tree":    {Shortcut: &treeless, TreeDepth: res.TreeDepth},
+	} {
+		if _, err := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, r, 0); !errors.Is(err, errTreeNotCanonical) {
+			t.Errorf("%s: EncodeShortcutRecordPayload %v, want errTreeNotCanonical", name, err)
+		}
+	}
+	// The graph's own tree from a FromBFS at its root is the same tree.
+	bt := g.BFSTree()
+	own, err := tree.FromBFS(g, bt.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := *res.Shortcut
+	copied.Tree = own
+	if _, err := EncodeShortcutRecordPayload(fp, p, shortcut.Options{}, &shortcut.Result{Shortcut: &copied}, 0); err != nil {
+		t.Errorf("a copy of the graph's tree: %v", err)
 	}
 }
 

@@ -314,13 +314,15 @@ func claimedOptions(payload []byte) shortcut.Options {
 
 // FuzzDecodeShortcutPayload drives the shortcut record decoder — which
 // DecodeShortcutPayload and VerifyPeerRecord feed peer-supplied bytes —
-// with arbitrary payloads of both versions against grid, torus and wheel
-// fixtures, picked by the graph fingerprint in the payload's head. Each
-// payload is decoded under the key its own head claims, so mutations get
-// past the key check into the structural decode. The invariants: never
-// panic; an accepted payload yields a shortcut on the graph's memoized BFS
-// tree that passes Validate; and encoding the decoded result (as version
-// 2) and decoding that again reproduces it field by field.
+// with arbitrary payloads against grid, torus and wheel fixtures, picked
+// by the graph fingerprint in the payload's head, seeded with their
+// payloads and copies with another version byte. Each payload is decoded
+// under the key its own head claims, so mutations get past the key check
+// into the structural decode. The invariants: never panic; a payload of
+// another version than this build writes is refused; an accepted payload
+// yields a shortcut on the graph's memoized BFS tree that passes
+// Validate; and encoding the decoded result and decoding that again
+// reproduces it field by field.
 func FuzzDecodeShortcutPayload(f *testing.F) {
 	type fixture struct {
 		g     *graph.Graph
@@ -341,7 +343,7 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, payload := range [][]byte{payload, encodeShortcutV1(fp, shortcut.Options{}, res, time.Millisecond)} {
+		for _, payload := range [][]byte{payload, withVersion(payload, shortcutPayloadVersion+1)} {
 			for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 18, 17, 1} {
 				f.Add(payload[:n])
 			}
@@ -358,6 +360,9 @@ func FuzzDecodeShortcutPayload(f *testing.F) {
 		res, bt, err := DecodeShortcutPayload(payload, key, fx.g, fx.parts)
 		if err != nil {
 			return
+		}
+		if payload[0] != shortcutPayloadVersion {
+			t.Fatalf("accepted a payload of version %d", payload[0])
 		}
 		s := res.Shortcut
 		if err := s.Validate(); err != nil {
@@ -407,15 +412,17 @@ var partitionFuzzSeeds = []struct{ spec, parts string }{
 
 // FuzzDecodePartitionPayload drives the partition record decoder, which
 // every key-only store read and peer fetch runs on stored or
-// peer-supplied bytes of either version, against grid, torus and wheel
-// graphs picked by the node count in the payload's header. Each payload
-// is decoded under the key partitionKey re-derives from it without the
-// graph, as Verify does, so mutations get past the hash check. The
-// invariants: never panic; an accepted payload's key is its partition's
-// fingerprint; its parts are non-empty, connected, ascending, consistent
-// with PartOf, and labelled densely in first-appearance order, k <= n; and
-// the encoder of its version renders the decoded partition as the payload
-// itself (version 1: 17 + 8n bytes).
+// peer-supplied bytes, against grid, torus and wheel graphs picked by the
+// node count in the payload's header, seeded with their payloads, broken
+// variants of them, and copies of all with another version byte. Each
+// payload is decoded under the key partitionKey re-derives from it
+// without the graph, as Verify does, so mutations get past the hash
+// check. The invariants: never panic; neither partitionKey nor the decode
+// accepts a payload of another version than this build writes; an
+// accepted payload's key is its partition's fingerprint; its parts are
+// non-empty, connected, ascending, consistent with PartOf, and labelled
+// densely in first-appearance order, k <= n; and the encoder renders the
+// decoded partition as the payload itself.
 func FuzzDecodePartitionPayload(f *testing.F) {
 	graphs := make(map[uint64]*graph.Graph)
 	var fallback *graph.Graph
@@ -432,52 +439,50 @@ func FuzzDecodePartitionPayload(f *testing.F) {
 		if fallback == nil {
 			fallback = g
 		}
+		// Every fixture's n, k and labels fit one byte each.
 		n, k := g.NumNodes(), p.NumParts()
-		payload := encodePartitionV1(p)
-		for _, cut := range []int{len(payload), len(payload) - 1, len(payload) / 2, 17, 16, 1} {
-			f.Add(payload[:cut])
+		payload := encodePartition(p)
+		var seeds [][]byte
+		for _, cut := range []int{len(payload), len(payload) - 1, len(payload) / 2, 4, 3, 1} {
+			seeds = append(seeds, payload[:cut])
 		}
 		labelK := slices.Clone(payload)
-		binary.BigEndian.PutUint64(labelK[17:], uint64(k)) // node 0's label = k
-		f.Add(labelK)
-		kOverN := slices.Clone(payload)
-		binary.BigEndian.PutUint64(kOverN[9:], uint64(n)+1)
-		f.Add(kOverN)
-
-		// Version 2: every fixture's n, k and labels fit one byte each.
-		payload = encodePartition(p)
-		for _, cut := range []int{len(payload), len(payload) - 1, len(payload) / 2, 4, 3, 1} {
-			f.Add(payload[:cut])
-		}
-		labelK = slices.Clone(payload)
 		labelK[3] = byte(k) + 1 // node 0's label = k
-		f.Add(labelK)
-		kOverN = slices.Clone(payload)
+		kOverN := slices.Clone(payload)
 		kOverN[2] = byte(n) + 1
-		f.Add(kOverN)
+		seeds = append(seeds, labelK, kOverN)
+		for _, seed := range seeds {
+			f.Add(withVersion(seed, partitionPayloadVersion+1))
+		}
+		for _, seed := range seeds {
+			f.Add(seed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		g := fallback
-		v1 := len(payload) > 0 && payload[0] == partitionPayloadV1
 		var n uint64
-		if v1 && len(payload) >= 9 {
-			n = binary.BigEndian.Uint64(payload[1:])
-		} else if len(payload) > 1 {
+		if len(payload) > 1 {
 			n, _ = binary.Uvarint(payload[1:])
 		}
 		if gg, ok := graphs[n]; ok {
 			g = gg
 		}
-		key, _ := partitionKey(payload)
+		key, err := partitionKey(payload)
+		if err == nil && payload[0] != partitionPayloadVersion {
+			t.Fatalf("partitionKey accepted a payload of version %d", payload[0])
+		}
 		p, err := decodePartition(payload, key, g)
 		if err != nil {
 			return
+		}
+		if payload[0] != partitionPayloadVersion {
+			t.Fatalf("accepted a payload of version %d", payload[0])
 		}
 		if got := service.FingerprintPartition(p); got != key {
 			t.Fatalf("accepted payload's key %s, its partition's fingerprint %s", key, got)
 		}
 		n, k := uint64(g.NumNodes()), p.NumParts()
-		if uint64(k) > n || uint64(len(p.PartOf)) != n || (v1 && uint64(len(payload)) != 17+8*n) {
+		if uint64(k) > n || uint64(len(p.PartOf)) != n {
 			t.Fatalf("accepted %d bytes as n=%d k=%d with %d labels", len(payload), n, k, len(p.PartOf))
 		}
 		next, covered := 0, 0
@@ -526,11 +531,7 @@ func FuzzDecodePartitionPayload(f *testing.F) {
 		if sum != covered {
 			t.Fatalf("parts list %d nodes, PartOf covers %d", sum, covered)
 		}
-		re := encodePartition(p)
-		if v1 {
-			re = encodePartitionV1(p)
-		}
-		if !bytes.Equal(re, payload) {
+		if re := encodePartition(p); !bytes.Equal(re, payload) {
 			t.Fatalf("decoded partition re-encodes to different bytes")
 		}
 	})
